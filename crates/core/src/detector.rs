@@ -2,9 +2,11 @@
 
 use crate::config::SpotConfig;
 use crate::drift::PageHinkley;
-use crate::evaluator::{SparsityProblem, TrainingEvaluator};
+use crate::evaluator::{SparsityProblem, SparsityScratch, TrainingEvaluator};
 use crate::sst::Sst;
-use crate::verdict::{EvalPlan, LearningReport, SpotStats, SubspaceFinding, Verdict};
+use crate::verdict::{
+    assemble_plans, EvalPlan, LearningReport, ScreenLane, SpotStats, Verdict, VerdictScreen,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Value;
@@ -13,8 +15,8 @@ use spot_moga::MogaConfig;
 use spot_stream::{LogicalClock, Reservoir};
 use spot_subspace::{genetic, ScoredSubspace, Subspace};
 use spot_synopsis::{
-    ExecutorHandle, Grid, LiveCounters, OnceTask, SerialExecutor, SharedSlice, StoreExecutor,
-    SubspacePcs, SynopsisManager, SynopsisMark, UpdateOutcome,
+    CellConsumer, ExecutorHandle, Grid, LiveCounters, OnceTask, SerialExecutor, SharedSlice,
+    StoreExecutor, SynopsisManager, SynopsisMark,
 };
 use spot_types::{
     DataPoint, Detection, FxHashSet, PersistError, Result, SpotError, StateReader, StateWriter,
@@ -112,18 +114,18 @@ pub struct Spot {
     /// changed (learning, self-evolution, ablation, restore). A delta
     /// capture never spans a structure change — it falls back to full.
     structure_revision: u64,
-    /// Reused per-point PCS sink (keeps the hot path allocation-free).
-    pcs_sink: Vec<SubspacePcs>,
-    /// Reused sweep plan for the single-point path.
+    /// The verdict rule as the shard loop's cell consumer, with the batch
+    /// path's participant lanes.
+    screen: VerdictScreen,
+    /// `(manager layout epoch, FS stores monitored at that epoch)` — the
+    /// drift signal's denominator, recounted when the layout moves.
+    monitored: (u64, u32),
+    /// Reused lane and plan of the single-point path.
+    point_lane: ScreenLane,
     point_plan: EvalPlan,
-    /// Reused batch sinks/outcomes for [`Spot::process_batch`].
-    batch_sinks: Vec<Vec<SubspacePcs>>,
-    batch_outcomes: Vec<UpdateOutcome>,
-    /// Second sink/outcome buffers: the batch path double-buffers runs so
-    /// the next run's shard ingestion can overlap the previous commit.
-    batch_sinks_alt: Vec<Vec<SubspacePcs>>,
-    batch_outcomes_alt: Vec<UpdateOutcome>,
-    /// Reused per-run sweep plans for the batch path.
+    /// Reused per-run plans of the batch path. A run's plans are assembled
+    /// before the next run is dispatched, so the commit that rides that
+    /// dispatch reads them while the lanes refill.
     batch_plans: Vec<EvalPlan>,
 }
 
@@ -138,7 +140,7 @@ impl Spot {
     }
 
     /// [`Spot::new`] with an explicit executor service for the synopsis
-    /// shard phase and verdict sweep. Detectors sharing a handle share its
+    /// shard phase and commit assembly. Detectors sharing a handle share its
     /// single worker pool (the fleet runtime's wiring); verdicts are
     /// bit-identical for every service configuration.
     pub fn with_executor(config: SpotConfig, exec: ExecutorHandle) -> Result<Self> {
@@ -160,6 +162,7 @@ impl Spot {
         );
         let rng = StdRng::seed_from_u64(config.seed);
         let reservoir = Reservoir::new(config.seed ^ RESERVOIR_SEED_SALT);
+        let screen = VerdictScreen::new(&config);
         let mut spot = Spot {
             config,
             phi,
@@ -175,12 +178,10 @@ impl Spot {
             learned: false,
             mutations: 0,
             structure_revision: 0,
-            pcs_sink: Vec::new(),
+            screen,
+            monitored: (0, 0),
+            point_lane: ScreenLane::default(),
             point_plan: EvalPlan::default(),
-            batch_sinks: Vec::new(),
-            batch_outcomes: Vec::new(),
-            batch_sinks_alt: Vec::new(),
-            batch_outcomes_alt: Vec::new(),
             batch_plans: Vec::new(),
         };
         spot.sync_manager_subspaces(false);
@@ -385,12 +386,13 @@ impl Spot {
         })
     }
 
-    /// Detection stage for one arriving point: update the synapses and read
-    /// back the PCS of the point's cell in every SST subspace *in the same
-    /// pass* (no second projection or hash lookup), check the thresholds,
-    /// run periodic maintenance (self-evolution, OS growth, drift response,
-    /// pruning). On the steady state the synopsis work allocates nothing;
-    /// see `spot_synopsis`'s crate docs for the key layout.
+    /// Detection stage for one arriving point: update the synapses and
+    /// screen the point's cell in every SST subspace against the thresholds
+    /// *in the same pass* (no second projection or hash lookup, no
+    /// per-subspace PCS list), run periodic maintenance (self-evolution, OS
+    /// growth, drift response, pruning). On the steady state the synopsis
+    /// work allocates nothing; see `spot_synopsis`'s crate docs for the key
+    /// layout.
     pub fn process(&mut self, point: &DataPoint) -> Result<Verdict> {
         if point.dims() != self.phi {
             return Err(SpotError::DimensionMismatch {
@@ -400,19 +402,42 @@ impl Spot {
         }
         self.mutations += 1;
         let now = self.clock.tick();
-        // The sink is swapped out so the commit phase can borrow self
+        let (screen, lane) = (&self.screen, &mut self.point_lane);
+        lane.reset(1);
+        self.manager
+            .update_and_screen(now, point, |ordinal, store, touch| {
+                screen.cell(lane, ordinal, store, 0, touch)
+            })?;
+        let monitored = self.monitored_stores();
+        // The plan is swapped out so the commit phase can borrow self
         // mutably; its capacity survives the round-trip.
-        let mut sink = std::mem::take(&mut self.pcs_sink);
-        if let Err(e) = self.manager.update_and_query(now, point, &mut sink) {
-            self.pcs_sink = sink;
-            return Err(e);
-        }
         let mut plan = std::mem::take(&mut self.point_plan);
-        sweep_point(&self.config, &sink, &mut plan);
-        self.pcs_sink = sink;
+        assemble_plans(
+            std::slice::from_mut(&mut self.point_lane),
+            monitored,
+            std::slice::from_mut(&mut plan),
+        );
         let verdict = self.commit_point(now, point, &mut plan);
         self.point_plan = plan;
         Ok(verdict)
+    }
+
+    /// Number of FS stores feeding the drift signal — constant between
+    /// layout changes of the manager, so it is recounted only when the
+    /// layout epoch moved (self-evolution, OS growth, ablation, restore),
+    /// never accumulated per point or per participant.
+    fn monitored_stores(&mut self) -> u32 {
+        let epoch = self.manager.layout_epoch();
+        if self.monitored.0 != epoch {
+            let fs_max = self.config.fs_max_dimension;
+            let count = self
+                .manager
+                .subspaces()
+                .filter(|s| s.cardinality() <= fs_max)
+                .count();
+            self.monitored = (epoch, count as u32);
+        }
+        self.monitored.1
     }
 
     /// Batch detection: processes `points` as if fed one-by-one to
@@ -422,12 +447,12 @@ impl Spot {
     /// subspace-disjoint store shards across the manager's persistent
     /// worker pool).
     ///
-    /// Evaluation is **two-phase** per run: a pure *sweep* over each
-    /// point's per-subspace PCS list produces an immutable [`EvalPlan`]
-    /// (shardable jobs over the run's points, dispatched through the same
-    /// executor as the shard phase), then a sequential *commit* applies
-    /// the plans in point order (counters, reservoir RNG, drift test,
-    /// maintenance). When a run's commit cannot mutate the synopses — no
+    /// Evaluation is **two-phase** per run: the shard phase *screens*
+    /// every cell it touches against the thresholds (per-participant
+    /// accumulators, merged order-free into one immutable [`EvalPlan`]
+    /// per point), then a sequential *commit* applies the plans in point
+    /// order (counters, reservoir RNG, drift test, maintenance). When a
+    /// run's commit cannot mutate the synopses — no
     /// maintenance tick inside it and no drift-triggered SST rewrite
     /// possible — the **next run's shard ingestion overlaps the commit**
     /// instead of waiting behind it.
@@ -482,9 +507,9 @@ impl Spot {
         // One executor serves the whole batch: the caller's (cooperative
         // SharedSpot), the manager's persistent pool when the first run is
         // wide enough (`parallel` feature), or the calling thread alone.
-        // Both the shard phase and the verdict sweep dispatch through it.
-        // The width estimate is the *actual* first run length, so tight
-        // maintenance periods (tiny runs) never pay pool dispatch.
+        // Both the shard phase and the commit assembly dispatch through
+        // it. The width estimate is the *actual* first run length, so
+        // tight maintenance periods (tiny runs) never pay pool dispatch.
         let first_run = self.run_len(self.clock.now() + 1, points.len());
         let chosen = match exec {
             Some(e) => BatchExec::External(e),
@@ -492,56 +517,41 @@ impl Spot {
         };
 
         let mut verdicts = Vec::with_capacity(points.len());
-        let mut cur_sinks = std::mem::take(&mut self.batch_sinks);
-        let mut cur_outcomes = std::mem::take(&mut self.batch_outcomes);
-        let mut nxt_sinks = std::mem::take(&mut self.batch_sinks_alt);
-        let mut nxt_outcomes = std::mem::take(&mut self.batch_outcomes_alt);
         let mut plans = std::mem::take(&mut self.batch_plans);
-        let result = self.batch_runs(
-            points,
-            chosen.as_dyn(),
-            &mut cur_sinks,
-            &mut cur_outcomes,
-            &mut nxt_sinks,
-            &mut nxt_outcomes,
-            &mut plans,
-            &mut verdicts,
-        );
-        self.batch_sinks = cur_sinks;
-        self.batch_outcomes = cur_outcomes;
-        self.batch_sinks_alt = nxt_sinks;
-        self.batch_outcomes_alt = nxt_outcomes;
+        let result = self.batch_runs(points, chosen.as_dyn(), &mut plans, &mut verdicts);
         self.batch_plans = plans;
         result.map(|()| verdicts)
     }
 
     /// The pipelined run loop behind [`Spot::batch_impl`]. Per run:
-    /// ingest (shard phase) → sweep (parallel, pure) → commit
+    /// ingest + screen (shard phase) → plan assembly → commit
     /// (sequential); whenever [`Spot::commit_is_manager_pure`] holds, the
     /// commit of run *k* rides the shard dispatch of run *k + 1* as a
     /// claim-once unit, so ingestion never waits behind evaluation.
-    #[allow(clippy::too_many_arguments)]
     fn batch_runs(
         &mut self,
         points: &[DataPoint],
         exec: &dyn StoreExecutor,
-        cur_sinks: &mut Vec<Vec<SubspacePcs>>,
-        cur_outcomes: &mut Vec<UpdateOutcome>,
-        nxt_sinks: &mut Vec<Vec<SubspacePcs>>,
-        nxt_outcomes: &mut Vec<UpdateOutcome>,
         plans: &mut Vec<EvalPlan>,
         verdicts: &mut Vec<Verdict>,
     ) -> Result<()> {
+        // A dispatch that unwound may have left filled lanes behind.
+        self.screen.discard();
         let mut start = self.clock.now() + 1;
         let mut len = self.run_len(start, points.len());
         let (mut run, mut rest) = points.split_at(len);
         self.manager
-            .update_and_query_batch_with(start, run, cur_sinks, cur_outcomes, exec)?;
+            .update_and_screen_batch(start, run, exec, &self.screen, None)?;
         loop {
             self.stats.batch_runs += 1;
             self.stats.batch_points += run.len() as u64;
+            // What is left of the old sweep: merging the participants'
+            // lanes into the run's plans.
             let sweep_t0 = Instant::now();
-            sweep_run(&self.config, exec, cur_sinks, plans);
+            let monitored = self.monitored_stores();
+            plans.truncate(len);
+            plans.resize_with(len, EvalPlan::default);
+            self.screen.assemble(monitored, plans);
             self.stats.sweep_nanos += sweep_t0.elapsed().as_nanos() as u64;
 
             if rest.is_empty() {
@@ -556,14 +566,15 @@ impl Spot {
                 self.stats.overlapped_runs += 1;
                 // Overlap: this run's commit becomes a claim-once rider on
                 // the next run's shard dispatch. Commit touches only
-                // detector state, ingestion only synopsis state, so the
-                // interleaving is unobservable (bit-identical to
-                // commit-then-ingest, which is exactly what a serial
-                // executor degrades to). The gate excluded every
-                // maintenance effect — no periodic/prune tick touches the
-                // run, and a drift alarm is possible only with CS empty,
-                // where self-evolution is a no-op — so the batched,
-                // effect-free commit applies verbatim.
+                // detector state and this run's (already assembled)
+                // plans, ingestion only synopsis state and the screen's
+                // lanes, so the interleaving is unobservable
+                // (bit-identical to commit-then-ingest, which is exactly
+                // what a serial executor degrades to). The gate excluded
+                // every maintenance effect — no periodic/prune tick
+                // touches the run, and a drift alarm is possible only
+                // with CS empty, where self-evolution is a no-op — so the
+                // batched, effect-free commit applies verbatim.
                 let config = &self.config;
                 let stats = &mut self.stats;
                 let clock = &mut self.clock;
@@ -589,26 +600,23 @@ impl Spot {
                     ctx.commit_run_batched(clock, run_points, run_plans, out, None, chunk);
                     ctx.stats.commit_nanos += t0.elapsed().as_nanos() as u64;
                 });
-                self.manager.update_and_query_batch_prelude(
+                self.manager.update_and_screen_batch(
                     next_start,
                     next_run,
-                    nxt_sinks,
-                    nxt_outcomes,
                     exec,
-                    &commit,
+                    &self.screen,
+                    Some(&commit),
                 )?;
             } else {
                 self.commit_run(run, plans, verdicts, exec);
-                self.manager.update_and_query_batch_with(
+                self.manager.update_and_screen_batch(
                     next_start,
                     next_run,
-                    nxt_sinks,
-                    nxt_outcomes,
                     exec,
+                    &self.screen,
+                    None,
                 )?;
             }
-            std::mem::swap(cur_sinks, nxt_sinks);
-            std::mem::swap(cur_outcomes, nxt_outcomes);
             (run, rest) = (next_run, next_rest);
             (start, len) = (next_start, next_len);
         }
@@ -993,11 +1001,12 @@ impl Spot {
         };
         let mut candidates: Vec<ScoredSubspace> = Vec::new();
         let mut seen: FxHashSet<u64> = FxHashSet::default();
+        let mut scratch = SparsityScratch::default();
         for s in entries.iter().map(|e| e.subspace).chain(offspring) {
             if !seen.insert(s.mask()) {
                 continue;
             }
-            let (rd, irsd) = evaluator.sparsity(s, targets.as_deref());
+            let (rd, irsd) = evaluator.sparsity_with(s, targets.as_deref(), &mut scratch);
             let dim = 0.25 * s.cardinality() as f64 / self.phi as f64;
             candidates.push(ScoredSubspace {
                 subspace: s,
@@ -1293,97 +1302,6 @@ fn push_outlier(cap: usize, buffer: &mut Vec<(u64, DataPoint)>, now: u64, p: &Da
     buffer.push((now, p.clone()));
 }
 
-/// The pure **sweep** phase for one point: thresholds and the drift
-/// signal, from the per-subspace PCS list and the configuration alone.
-/// Reads no detector state, writes only `plan` — which is what makes
-/// sweeps shardable across a run's points.
-///
-/// Outlier-ness is checked in every SST subspace. The same sweep collects
-/// the drift signal: the fraction of the point's monitored projected
-/// cells that are sparse. (Full-space novelty is useless here — in high
-/// dimensions nearly every base cell is empty, so that signal saturates;
-/// low-dimensional projections stay dense under a stable distribution and
-/// light up when it moves.)
-fn sweep_point(config: &SpotConfig, entries: &[SubspacePcs], plan: &mut EvalPlan) {
-    plan.clear();
-    let thresholds = config.thresholds;
-    let mut min_rd = f64::INFINITY;
-    for e in entries {
-        min_rd = min_rd.min(e.pcs.rd);
-        // Freshness: the decayed occupancy of the cell counts the point
-        // itself, so `< novelty_floor` means the cell held (almost)
-        // nothing before this arrival. A stationary stream revisits its
-        // cells; a drifting one keeps opening fresh ones. Only the
-        // immutable FS stores feed the signal — CS/OS churn under
-        // self-evolution and their freshly warmed stores would
-        // contaminate it.
-        if e.subspace.cardinality() <= config.fs_max_dimension {
-            plan.monitored += 1;
-            if e.occupancy < config.drift.novelty_floor {
-                plan.monitored_fresh += 1;
-            }
-        }
-        let flagged = e.pcs.rd < thresholds.rd && thresholds.irsd.is_none_or(|t| e.pcs.irsd < t);
-        if flagged {
-            plan.findings.push(SubspaceFinding {
-                subspace: e.subspace,
-                rd: e.pcs.rd,
-                irsd: e.pcs.irsd,
-            });
-        }
-    }
-    plan.findings
-        .sort_by(|a, b| a.rd.partial_cmp(&b.rd).expect("RD values are not NaN"));
-    plan.outlier = !plan.findings.is_empty();
-    plan.score = if min_rd.is_finite() {
-        1.0 / (1.0 + min_rd)
-    } else {
-        0.0
-    };
-}
-
-/// Sweeps a whole run into `plans` (resized/cleared to `sinks.len()`),
-/// fanning point chunks across the executor's participants when the run
-/// is wide enough to pay for dispatch. Sweeps are pure per point, so any
-/// claim interleaving produces identical plans. The claim granularity is
-/// `config.tuning.sweep_chunk` points per cursor hit — small enough that
-/// a 256-point run splits across participants, large enough that the
-/// cursor is not contended.
-fn sweep_run(
-    config: &SpotConfig,
-    exec: &dyn StoreExecutor,
-    sinks: &[Vec<SubspacePcs>],
-    plans: &mut Vec<EvalPlan>,
-) {
-    let n = sinks.len();
-    let chunk = config.tuning.sweep_chunk;
-    plans.truncate(n);
-    plans.resize_with(n, EvalPlan::default);
-    if n <= chunk {
-        for (plan, entries) in plans.iter_mut().zip(sinks) {
-            sweep_point(config, entries, plan);
-        }
-        return;
-    }
-    let chunks = n.div_ceil(chunk);
-    let cursor = AtomicUsize::new(0);
-    let shared = SharedSlice::new(&mut plans[..]);
-    let work = || loop {
-        let k = cursor.fetch_add(1, Ordering::Relaxed);
-        if k >= chunks {
-            break;
-        }
-        let lo = k * chunk;
-        let hi = (lo + chunk).min(n);
-        for (i, entries) in sinks[lo..hi].iter().enumerate() {
-            // SAFETY: `lo + i` belongs to chunk `k`, claimed exactly once.
-            let plan = unsafe { shared.get_mut(lo + i) };
-            sweep_point(config, entries, plan);
-        }
-    };
-    exec.execute(&work);
-}
-
 /// The executor a batch call resolved to (owned where necessary so one
 /// choice serves every run of the batch).
 enum BatchExec<'a> {
@@ -1645,7 +1563,7 @@ mod tests {
     #[test]
     fn nan_batch_rejection_leaves_scratch_state_clean() {
         // A rejected batch (NaN point) must not corrupt the reused
-        // batch_sinks / batch_outcomes / batch_plans scratch buffers: every
+        // screen lanes / batch_plans scratch buffers: every
         // subsequent batch must be bit-identical to a detector that never
         // saw the poisoned batch. The failed batch lands mid-stream, after
         // the scratch buffers are warm from earlier (larger) batches.
@@ -1723,6 +1641,75 @@ mod tests {
         // The single-point path leaves the batch metrics untouched.
         s.process(&DataPoint::new(vec![0.5; 6])).unwrap();
         assert_eq!(s.stats().batch_points, 400);
+    }
+
+    #[test]
+    fn batch_path_keeps_drift_denominator_and_raises_per_point_alarms() {
+        // The drift signal is fresh FS cells / FS stores. The denominator
+        // is a constant of the run, carried beside the participants'
+        // accumulators; losing it (monitored = 0) silently switches
+        // Page–Hinkley off on the batch path, and no throughput or verdict
+        // digest on a stationary stream would notice. Pin it: every batch
+        // plan reports all FS stores — and only them, CS being monitored
+        // too — and a shifting stream raises exactly the alarms the
+        // per-point path raises, under a serial and a fan-out executor.
+        use crate::config::DriftConfig;
+        let build = || {
+            let mut s = SpotBuilder::new(DomainBounds::unit(6))
+                .seed(5)
+                .drift(DriftConfig {
+                    enabled: true,
+                    delta: 0.01,
+                    lambda: 0.4,
+                    min_points: 40,
+                    novelty_floor: 5.0,
+                })
+                // Alarms must not rewrite the SST mid-run: that is the one
+                // documented batch/per-point difference.
+                .evolution(EvolutionConfig {
+                    enabled: false,
+                    ..Default::default()
+                })
+                .build()
+                .unwrap();
+            s.learn(&training(300)).unwrap();
+            s
+        };
+        let mut stream = training(300);
+        stream.extend(training(300).into_iter().map(|p| {
+            let shifted: Vec<f64> = p.values().iter().map(|v| 1.0 - 0.9 * v).collect();
+            DataPoint::new(shifted)
+        }));
+
+        let mut serial = build();
+        let (fs, cs, _) = serial.sst().sizes();
+        assert!(cs > 0, "CS stores must be monitored beside FS");
+        let want: Vec<Verdict> = stream.iter().map(|p| serial.process(p).unwrap()).collect();
+        assert_eq!(serial.point_plan.monitored as usize, fs);
+        assert!(
+            serial.stats().drift_events > 0,
+            "the shift must raise an alarm: {:?}",
+            serial.stats()
+        );
+
+        let pool = spot_synopsis::WorkerPool::new(2);
+        let execs: [&dyn StoreExecutor; 2] = [&SerialExecutor, &pool];
+        for exec in execs {
+            let mut batched = build();
+            let mut got = Vec::new();
+            for chunk in stream.chunks(97) {
+                got.extend(batched.process_batch_with(chunk, exec).unwrap());
+                assert!(!batched.batch_plans.is_empty());
+                for plan in &batched.batch_plans {
+                    assert_eq!(plan.monitored as usize, fs);
+                }
+            }
+            assert_eq!(got.len(), want.len());
+            for (a, b) in want.iter().zip(&got) {
+                assert!(a.bitwise_eq(b), "tick {}: {a:?} vs {b:?}", a.tick);
+            }
+            assert_eq!(batched.stats().drift_events, serial.stats().drift_events);
+        }
     }
 
     #[test]

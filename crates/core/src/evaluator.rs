@@ -38,6 +38,19 @@ pub struct TrainingEvaluator<'a> {
     coords: Vec<Vec<u16>>,
 }
 
+/// Reusable working memory of [`TrainingEvaluator::sparsity_with`]: the
+/// cell index, the per-cell count and moment columns and the per-point slot
+/// memo of one grouping pass. A caller scoring many subspaces in a row
+/// (a MOGA run, a self-evolution round) keeps one scratch, so each call
+/// clears these instead of allocating and growing them afresh.
+#[derive(Debug, Default)]
+pub struct SparsityScratch {
+    index: FxHashMap<CellKey, u32>,
+    counts: Vec<f64>,
+    moments: Vec<f64>,
+    slot_of: Vec<u32>,
+}
+
 impl<'a> TrainingEvaluator<'a> {
     /// Quantizes `points` over `grid` — borrowed (`&[DataPoint]`) or owned
     /// (`Vec<DataPoint>`). Fails on dimension mismatches or an empty batch.
@@ -82,6 +95,17 @@ impl<'a> TrainingEvaluator<'a> {
     /// normalized as `rd/(1+rd)` into `[0,1)`; IRSD is clamped at
     /// [`IRSD_CAP`] and scaled into `[0,1]`.
     pub fn sparsity(&self, s: Subspace, targets: Option<&[usize]>) -> (f64, f64) {
+        self.sparsity_with(s, targets, &mut SparsityScratch::default())
+    }
+
+    /// [`TrainingEvaluator::sparsity`] over caller-kept working memory —
+    /// the form for callers that score subspace after subspace.
+    pub fn sparsity_with(
+        &self,
+        s: Subspace,
+        targets: Option<&[usize]>,
+        scratch: &mut SparsityScratch,
+    ) -> (f64, f64) {
         // Group the batch into projected cells, SoA-style: one flat
         // moments buffer (LS then SS per cell) instead of two Vecs per
         // cell, and the slot of every point's own cell memoized during
@@ -93,10 +117,16 @@ impl<'a> TrainingEvaluator<'a> {
         // grouping.
         let card = s.cardinality();
         let stride = 2 * card;
-        let mut index: FxHashMap<CellKey, u32> = FxHashMap::default();
-        let mut counts: Vec<f64> = Vec::new();
-        let mut moments: Vec<f64> = Vec::new();
-        let mut slot_of: Vec<u32> = Vec::with_capacity(self.points.len());
+        let SparsityScratch {
+            index,
+            counts,
+            moments,
+            slot_of,
+        } = scratch;
+        index.clear();
+        counts.clear();
+        moments.clear();
+        slot_of.clear();
         for (p, base) in self.points.iter().zip(self.coords.iter()) {
             let key = self.grid.project_key(base, &s);
             let slot = *index.entry(key).or_insert_with(|| {
@@ -173,6 +203,7 @@ pub struct SparsityProblem<'a> {
     evaluator: &'a TrainingEvaluator<'a>,
     targets: Option<Vec<usize>>,
     max_cardinality: Option<usize>,
+    scratch: SparsityScratch,
     /// Weight of the `|s|/ϕ` objective (0 disables it; the objective vector
     /// keeps three entries either way for a stable MOGA setup).
     pub dim_penalty: f64,
@@ -188,6 +219,7 @@ impl<'a> SparsityProblem<'a> {
             evaluator,
             targets: None,
             max_cardinality,
+            scratch: SparsityScratch::default(),
             dim_penalty: 0.25,
         }
     }
@@ -203,6 +235,7 @@ impl<'a> SparsityProblem<'a> {
             evaluator,
             targets: Some(targets),
             max_cardinality,
+            scratch: SparsityScratch::default(),
             dim_penalty: 0.25,
         }
     }
@@ -218,7 +251,9 @@ impl SubspaceProblem for SparsityProblem<'_> {
     }
 
     fn evaluate(&mut self, s: Subspace) -> Vec<f64> {
-        let (rd, irsd) = self.evaluator.sparsity(s, self.targets.as_deref());
+        let (rd, irsd) =
+            self.evaluator
+                .sparsity_with(s, self.targets.as_deref(), &mut self.scratch);
         let dim = self.dim_penalty * s.cardinality() as f64 / self.phi() as f64;
         vec![rd, irsd, dim]
     }
@@ -272,6 +307,30 @@ mod tests {
             let (rd, irsd) = ev.sparsity(s, None);
             assert!((0.0..=1.0).contains(&rd));
             assert!((0.0..=1.0).contains(&irsd));
+        }
+    }
+
+    #[test]
+    fn reused_scratch_scores_bit_identically() {
+        // One scratch across subspaces of different cardinality and cell
+        // population, in both target modes, against a fresh scratch per
+        // call: stale cells, counts or slot memos must never leak.
+        let ev = batch();
+        let mut scratch = SparsityScratch::default();
+        for round in 0..2 {
+            for mask in [3u64, 1, 2, 3, 1] {
+                let s = Subspace::from_mask(mask).unwrap();
+                for targets in [None, Some(&[99usize, 0, 7][..])] {
+                    let (rd, irsd) = ev.sparsity_with(s, targets, &mut scratch);
+                    let (want_rd, want_irsd) = ev.sparsity(s, targets);
+                    assert_eq!(rd.to_bits(), want_rd.to_bits(), "round {round} mask {mask}");
+                    assert_eq!(
+                        irsd.to_bits(),
+                        want_irsd.to_bits(),
+                        "round {round} mask {mask}"
+                    );
+                }
+            }
         }
     }
 

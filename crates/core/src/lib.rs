@@ -66,14 +66,17 @@ pub use config::{
 };
 pub use detector::{CaptureMark, DeltaCapture, Spot, SynopsisFootprint};
 pub use drift::PageHinkley;
-pub use evaluator::{SparsityProblem, TrainingEvaluator};
+pub use evaluator::{SparsityProblem, SparsityScratch, TrainingEvaluator};
 pub use snapshot::{
     restore_from_bytes, restore_from_json, SpotCheckpoint, SpotSnapshot, CHECKPOINT_BINARY_VERSION,
     CHECKPOINT_VERSION, SNAPSHOT_VERSION,
 };
 pub use spot_synopsis::ExecutorHandle;
 pub use sst::{Sst, SstComponent};
-pub use verdict::{EvalPlan, LearningReport, SpotStats, SubspaceFinding, Verdict};
+pub use verdict::{
+    assemble_plans, EvalPlan, LearningReport, ScreenLane, SpotStats, SubspaceFinding, Verdict,
+    VerdictScreen,
+};
 
 // Re-export the substrate crates so downstream users need a single
 // dependency.

@@ -1,6 +1,8 @@
 //! Detection-stage outputs.
 
+use crate::config::{SpotConfig, Thresholds};
 use spot_subspace::Subspace;
+use spot_synopsis::{CellConsumer, CellTouch, LanePool, ProjectedStore};
 use spot_types::{DurableState, PersistError, StateReader, StateWriter};
 
 /// One subspace in which a point was found outlying, with the PCS values
@@ -63,13 +65,13 @@ impl Verdict {
     }
 }
 
-/// The immutable product of the **sweep** phase of two-phase verdict
-/// evaluation: everything derivable from a point's per-subspace PCS list
-/// and the configuration alone — no detector state read or written.
-/// Sweeps are pure per point, so the batch path computes plans for a whole
-/// run in parallel (shardable jobs over the run's points) and then applies
-/// the small sequential **commit** phase (RNG, drift, maintenance) in
-/// point order from the plans.
+/// The immutable product of the **screening** phase of two-phase verdict
+/// evaluation: everything derivable from the cells a point touched and the
+/// configuration alone — no detector state read or written. The shard loop
+/// screens every cell where it is touched ([`VerdictScreen`]);
+/// [`assemble_plans`] turns a run's merged accumulators into one plan per
+/// point, and the small sequential **commit** phase (RNG, drift,
+/// maintenance) applies the plans in point order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EvalPlan {
     /// Flagged subspaces, sparsest (lowest RD) first — moved into the
@@ -94,6 +96,202 @@ impl EvalPlan {
         self.monitored = 0;
         self.monitored_fresh = 0;
     }
+}
+
+/// The verdict rule folded into the shard loop: the detector's
+/// [`CellConsumer`]. Per touched cell it keeps what a verdict needs and
+/// nothing else — the point's minimum RD, a freshness count over the FS
+/// stores, and, for the rare cell whose RD is under the threshold (the
+/// only one IRSD is derived for), a flagged entry.
+///
+/// Outlier-ness is checked in every SST subspace. The freshness count is
+/// the drift signal's numerator: the decayed occupancy of a cell counts
+/// the point itself, so `< novelty_floor` means the cell held (almost)
+/// nothing before this arrival. A stationary stream revisits its cells; a
+/// drifting one keeps opening fresh ones. Only the immutable FS stores
+/// feed the signal — CS/OS churn under self-evolution and their freshly
+/// warmed stores would contaminate it. (Full-space novelty is useless
+/// here — in high dimensions nearly every base cell is empty, so that
+/// signal saturates; low-dimensional projections stay dense under a
+/// stable distribution and light up when it moves.) The signal's
+/// denominator — how many FS stores there are — is the same for every
+/// point of a run and is *not* accumulated here: [`assemble_plans`] takes
+/// it from the caller.
+#[derive(Debug)]
+pub struct VerdictScreen {
+    thresholds: Thresholds,
+    fs_max_dimension: usize,
+    novelty_floor: f64,
+    /// Lanes of the batch path.
+    lanes: LanePool<ScreenLane>,
+}
+
+/// One participant's accumulators for a run: per point the minimum RD and
+/// fresh-cell count over the stores this participant claimed, plus the
+/// cells it flagged. Lanes merge order-free (`min`, `+`, concatenation
+/// under a total order), which is what makes plans independent of the
+/// executor.
+#[derive(Debug, Default)]
+pub struct ScreenLane {
+    /// Per point of the run; empty while the lane is idle.
+    points: Vec<PointScreen>,
+    flagged: Vec<Flagged>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct PointScreen {
+    min_rd: f64,
+    fresh: u32,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Flagged {
+    point: u32,
+    /// Registration ordinal of the flagging store — the tie-break that
+    /// reproduces "registration order, then stable sort by RD".
+    ordinal: u32,
+    finding: SubspaceFinding,
+}
+
+impl ScreenLane {
+    /// Readies the lane for a run of `points` points (none: the lane is
+    /// idle).
+    pub fn reset(&mut self, points: usize) {
+        self.points.clear();
+        self.points.resize(
+            points,
+            PointScreen {
+                min_rd: f64::INFINITY,
+                fresh: 0,
+            },
+        );
+        self.flagged.clear();
+    }
+}
+
+impl VerdictScreen {
+    /// The screen for `config`'s thresholds, FS bound and novelty floor.
+    pub fn new(config: &SpotConfig) -> Self {
+        VerdictScreen {
+            thresholds: config.thresholds,
+            fs_max_dimension: config.fs_max_dimension,
+            novelty_floor: config.drift.novelty_floor,
+            lanes: LanePool::default(),
+        }
+    }
+
+    /// [`assemble_plans`] over the lanes the last batch dispatch filled,
+    /// which then wait idle for the next one.
+    pub fn assemble(&mut self, monitored: u32, plans: &mut [EvalPlan]) {
+        assemble_plans(self.lanes.filled(), monitored, plans);
+        self.lanes.recycle();
+    }
+
+    /// Discards whatever a dispatch that unwound left in the lanes.
+    pub fn discard(&mut self) {
+        self.lanes.recycle();
+    }
+}
+
+impl CellConsumer for VerdictScreen {
+    type Lane = ScreenLane;
+
+    fn checkout(&self, points: usize) -> ScreenLane {
+        let mut lane = self.lanes.checkout();
+        lane.reset(points);
+        lane
+    }
+
+    fn checkin(&self, lane: ScreenLane) {
+        self.lanes.checkin(lane);
+    }
+
+    /// Screens one touched cell into `lane`. (The per-point path calls
+    /// this directly, on a lane of its own.)
+    #[inline]
+    fn cell(
+        &self,
+        lane: &mut ScreenLane,
+        ordinal: usize,
+        store: &ProjectedStore,
+        point: usize,
+        touch: CellTouch,
+    ) {
+        let acc = &mut lane.points[point];
+        acc.min_rd = acc.min_rd.min(touch.rd);
+        if store.cardinality() <= self.fs_max_dimension && touch.occupancy < self.novelty_floor {
+            acc.fresh += 1;
+        }
+        if touch.rd < self.thresholds.rd {
+            let irsd = store.irsd_of(&touch);
+            if self.thresholds.irsd.is_none_or(|t| irsd < t) {
+                lane.flagged.push(Flagged {
+                    point: point as u32,
+                    ordinal: ordinal as u32,
+                    finding: SubspaceFinding {
+                        subspace: store.subspace(),
+                        rd: touch.rd,
+                        irsd,
+                    },
+                });
+            }
+        }
+    }
+}
+
+/// Assembles one [`EvalPlan`] per point of a run from the lanes that
+/// screened it, and leaves every lane idle. `monitored` is the number of FS
+/// stores feeding the drift signal — a constant of the run that the caller
+/// counts once; it is deliberately not a lane accumulator, because a lane
+/// sees only the stores its participant happened to claim.
+///
+/// Lanes fold with `min` and `+`; the flagged cells of all lanes sort by
+/// `(point, rd, registration ordinal)` — the order a registration-order
+/// scan followed by a stable sort on RD produces, whichever participant
+/// flagged what.
+pub fn assemble_plans(lanes: &mut [ScreenLane], monitored: u32, plans: &mut [EvalPlan]) {
+    let mut active = lanes.iter_mut().filter(|lane| !lane.points.is_empty());
+    let Some(merged) = active.next() else {
+        // No store is monitored: nothing was screened.
+        plans.iter_mut().for_each(EvalPlan::clear);
+        return;
+    };
+    for lane in active {
+        for (acc, other) in merged.points.iter_mut().zip(&lane.points) {
+            acc.min_rd = acc.min_rd.min(other.min_rd);
+            acc.fresh += other.fresh;
+        }
+        merged.flagged.append(&mut lane.flagged);
+        lane.reset(0);
+    }
+    merged.flagged.sort_unstable_by(|a, b| {
+        a.point
+            .cmp(&b.point)
+            .then_with(|| {
+                a.finding
+                    .rd
+                    .partial_cmp(&b.finding.rd)
+                    .expect("RD values are not NaN")
+            })
+            .then_with(|| a.ordinal.cmp(&b.ordinal))
+    });
+    debug_assert_eq!(merged.points.len(), plans.len());
+    let mut flagged = merged.flagged.iter().peekable();
+    for (i, (plan, acc)) in plans.iter_mut().zip(&merged.points).enumerate() {
+        plan.findings.clear();
+        while let Some(f) = flagged.next_if(|f| f.point as usize == i) {
+            plan.findings.push(f.finding);
+        }
+        plan.outlier = !plan.findings.is_empty();
+        plan.score = if acc.min_rd.is_finite() {
+            1.0 / (1.0 + acc.min_rd)
+        } else {
+            0.0
+        };
+        plan.monitored = monitored;
+        plan.monitored_fresh = acc.fresh;
+    }
+    merged.reset(0);
 }
 
 /// Summary of a learning-stage run.
@@ -142,8 +340,10 @@ pub struct SpotStats {
     /// Batch runs whose shard ingestion overlapped the previous run's
     /// commit phase (run pipelining).
     pub overlapped_runs: u64,
-    /// Wall-clock nanoseconds spent in the (parallelizable) verdict sweep
-    /// phase of batch runs.
+    /// Wall-clock nanoseconds batch runs spent assembling plans from the
+    /// screened lanes ([`assemble_plans`]). The thresholds are checked in
+    /// the shard loop, so this is what remains of the former verdict
+    /// sweep — a few tens of nanoseconds a point.
     pub sweep_nanos: u64,
     /// Wall-clock nanoseconds spent in the sequential commit phase of
     /// batch runs (overlapped commits still accrue here).

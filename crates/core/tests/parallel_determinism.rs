@@ -210,7 +210,6 @@ proptest! {
     #[test]
     fn tuned_chunking_and_sharded_commits_stay_bit_identical(
         seed in 0u64..500,
-        sweep_chunk in 1usize..80,
         commit_chunk in 1usize..80,
         pool_min in 1usize..20,
         evo_period in 25u64..80,
@@ -220,8 +219,8 @@ proptest! {
         salt in 0u64..50,
         drift_on in proptest::bool::ANY,
     ) {
-        // Tuning is pure scheduling: arbitrary sweep/commit granularities
-        // and pool-engagement floors, pushed through shard executors of
+        // Tuning is pure scheduling: arbitrary commit granularities and
+        // pool-engagement floors, pushed through shard executors of
         // 0-4 helpers (0 degrades to the caller alone), must reproduce
         // the default-tuning sequential reference bit-for-bit — with and
         // without the drift detector folding Page-Hinkley observations
@@ -235,7 +234,6 @@ proptest! {
         let tuned = TuningConfig {
             pool_min_stores: pool_min,
             pool_min_points: pool_min,
-            sweep_chunk,
             commit_chunk,
         };
         let make = |tuning: TuningConfig| {
@@ -623,12 +621,18 @@ fn shared_checkpoint_never_stalls_concurrent_producers() {
 
     let pts = Arc::new(stream(1800, 4, 21));
     let stop = Arc::new(AtomicBool::new(false));
+    // Producers and checkpointer leave the gate together: the stream is
+    // short enough that producers released first could be done before the
+    // checkpointer is first scheduled.
+    let gate = std::sync::Barrier::new(4);
     let checkpoints = std::thread::scope(|scope| {
         let mut producers = Vec::new();
         for t in 0..3usize {
             let shared = shared.clone();
             let pts = Arc::clone(&pts);
+            let gate = &gate;
             producers.push(scope.spawn(move || {
+                gate.wait();
                 for chunk in pts[t * 600..(t + 1) * 600].chunks(60) {
                     shared.process_batch(chunk).unwrap();
                 }
@@ -637,13 +641,17 @@ fn shared_checkpoint_never_stalls_concurrent_producers() {
         let checkpointer = {
             let shared = shared.clone();
             let stop = Arc::clone(&stop);
+            let gate = &gate;
             scope.spawn(move || {
                 let mut taken = Vec::new();
-                while !stop.load(Ordering::Relaxed) {
+                gate.wait();
+                loop {
                     // Render outside the lock, as a real persister would.
                     taken.push(serde_json::to_string(&shared.checkpoint()).unwrap());
+                    if stop.load(Ordering::Relaxed) {
+                        break taken;
+                    }
                 }
-                taken
             })
         };
         for p in producers {

@@ -18,19 +18,34 @@
 //! global decayed weight, and is the single entry point used by the
 //! detection engine.
 //!
-//! # The zero-allocation hot path
+//! # The zero-allocation, screening hot path
 //!
 //! Cells are addressed by [`CellKey`] — a `Copy` 128-bit packed key (see
 //! the `key` module for the bit layout and the wide-ϕ fingerprint
-//! fallback). The per-point detection path is
-//! [`SynopsisManager::update_and_query`]: one quantization into a reused
-//! scratch buffer, one base-store probe, and per monitored subspace one
-//! integer-shift projection + one map probe that both *inserts the point
-//! and derives the cell's PCS*. On the steady state (no newly-populated
-//! cells) the path performs zero heap allocations. Batch ingestion
-//! ([`SynopsisManager::update_and_query_batch`]) amortizes the scratch
-//! work and the decay renormalization (a per-run factor table and one
-//! closed-form advance of the global weight) across a run of points.
+//! fallback). A store finds a key's slot through a flat `u16` table
+//! addressed by the key itself when the packed key has at most 10 bits
+//! (every 1-d and 2-d subspace at the default granularity of 10), and
+//! through a hash map otherwise — decided by the key width alone.
+//!
+//! The detection path is a *screening* one. Per monitored subspace a point
+//! costs one integer-shift projection and one probe that both inserts the
+//! point and reports the touched cell as a [`CellTouch`]: its decayed
+//! occupancy and its RD. IRSD — divisions and a square root per dimension
+//! — is derived only on request ([`ProjectedStore::irsd_of`]), which a
+//! detector makes for the rare cell whose RD is under its threshold.
+//! [`SynopsisManager::update_and_screen`] (one point, a closure sees the
+//! cells in registration order) and
+//! [`SynopsisManager::update_and_screen_batch`] (a run of points, a
+//! [`CellConsumer`] sees them on whichever participant claimed the store)
+//! hand the touches over as they happen; no per-(point, subspace) result
+//! is stored. [`SynopsisManager::update_and_query`] and
+//! [`SynopsisManager::update_and_query_batch`] are the full-report
+//! consumers of the same two loops — every cell's `(RD, IRSD)` pair into
+//! caller-reused sinks — for baselines and tools. On the steady state (no
+//! newly-populated cells) the paths perform zero heap allocations; batch
+//! ingestion amortizes the scratch work and the decay renormalization (a
+//! per-run factor table and one closed-form advance of the global weight)
+//! across a run of points.
 //!
 //! # The parallel runtime
 //!
@@ -41,7 +56,9 @@
 //! [`WorkerPool`] with the `parallel` feature, or external cooperating
 //! threads (e.g. `spot`'s `SharedSpot` producers). Every store has exactly
 //! one writer per run and sees points in arrival order, so all executors
-//! produce bit-identical results. [`LiveCounters`] mirrors the synopsis
+//! produce bit-identical synopses; a consumer accumulates per participant
+//! (its lanes, see [`LanePool`]) and merges with operations that do not
+//! depend on who claimed what, so its results are executor-independent too. [`LiveCounters`] mirrors the synopsis
 //! footprint into atomics for lock-free monitoring reads.
 
 pub mod bcs;
@@ -56,8 +73,10 @@ pub mod store;
 pub use bcs::Bcs;
 pub use grid::Grid;
 pub use key::{CellKey, KeyCodec};
-pub use manager::{LiveCounters, SubspacePcs, SynopsisManager, SynopsisMark, UpdateOutcome};
-pub use pcs::{Pcs, PcsCell, ProjectedStore};
+pub use manager::{
+    CellConsumer, LanePool, LiveCounters, SubspacePcs, SynopsisManager, SynopsisMark, UpdateOutcome,
+};
+pub use pcs::{CellTouch, Pcs, PcsCell, ProjectedStore};
 pub use pool::{
     panic_message, ExecutorHandle, OnceTask, SerialExecutor, SharedSlice, StoreExecutor, WorkerPool,
 };

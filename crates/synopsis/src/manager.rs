@@ -2,7 +2,7 @@
 
 use crate::grid::Grid;
 use crate::key::CellKey;
-use crate::pcs::{Pcs, ProjectedStore};
+use crate::pcs::{CellTouch, Pcs, ProjectedStore};
 use crate::pool::{
     ExecutorHandle, OnceTask, SerialExecutor, SharedSlice, StoreExecutor, WorkerPool,
 };
@@ -14,7 +14,7 @@ use spot_types::{
     DataPoint, DurableState, FxHashMap, PersistError, Result, SpotError, StateReader, StateWriter,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Lock-free mirror of the synopsis footprint, shared with monitoring
 /// readers (`spot`'s `SharedSpot` serves `footprint()` from it without
@@ -68,14 +68,18 @@ impl LiveCounters {
 
 /// Bundles every decayed synopsis SPOT maintains online.
 ///
-/// [`SynopsisManager::update_and_query`] is the per-point hot path of the
+/// [`SynopsisManager::update_and_screen`] is the per-point hot path of the
 /// detection stage: one base-cell insertion plus one projected-cell
-/// insertion per monitored subspace, each O(|s|) — and the PCS of every
-/// touched projected cell is derived *in the same cell access*, so the
-/// detector never projects or hashes the same coordinates twice. On the
-/// steady state (no new cells) the whole path performs zero heap
-/// allocations: coordinates land in a reused scratch buffer, keys are
-/// `Copy` integers, and results go into a caller-reused sink.
+/// insertion per monitored subspace, each O(|s|) — and every touched
+/// projected cell is handed to the caller *in the same cell access*
+/// (occupancy and RD derived, IRSD on demand), so the detector never
+/// projects or hashes the same coordinates twice and never materializes a
+/// per-subspace PCS list. On the steady state (no new cells) the whole
+/// path performs zero heap allocations: coordinates land in a reused
+/// scratch buffer and keys are `Copy` integers.
+/// [`SynopsisManager::update_and_query`] is the full-report consumer of
+/// the same loop (baselines, tools): every cell's `(RD, IRSD)` pair into
+/// a caller-reused sink.
 ///
 /// Stores live in **registration (ordinal) order** — the canonical order
 /// of per-point PCS results on every path (single-point, batch, pooled,
@@ -103,8 +107,8 @@ pub struct SynopsisManager {
     batch_totals: Vec<f64>,
     /// Reused per-run decay-factor table.
     decay_table: DecayTable,
-    /// Reused per-store result rows for the batch shard phase.
-    batch_rows: Vec<Vec<(Pcs, f64)>>,
+    /// Reused participant lanes of the full-report batch consumer.
+    report_lanes: LanePool<ReportLane>,
     /// Reused shard claim order (store ordinals, heaviest first).
     shard_order: Vec<u32>,
     /// Layout epoch: bumped whenever the registration-ordinal layout
@@ -147,7 +151,7 @@ impl Clone for SynopsisManager {
             batch_coords: Vec::new(),
             batch_totals: Vec::new(),
             decay_table: DecayTable::new(),
-            batch_rows: Vec::new(),
+            report_lanes: LanePool::default(),
             shard_order: Vec::new(),
             epoch: self.epoch,
             base_version: self.base_version,
@@ -205,6 +209,129 @@ pub struct SubspacePcs {
     pub occupancy: f64,
 }
 
+/// Receives every projected cell the batch shard loop touches
+/// ([`SynopsisManager::update_and_screen_batch`]). Shards are claimed by
+/// however many participants the executor brings, so a consumer
+/// accumulates into **lanes** — one per participant, handed out and taken
+/// back through the consumer — and merges them afterwards with operations
+/// that do not depend on which participant saw which store.
+pub trait CellConsumer: Sync {
+    /// One participant's accumulator.
+    type Lane: Send;
+
+    /// A lane ready for a run of `points` points. Called at most once per
+    /// participant per dispatch, and only by participants that claimed a
+    /// shard.
+    fn checkout(&self, points: usize) -> Self::Lane;
+
+    /// Takes a participant's lane back after its last shard.
+    fn checkin(&self, lane: Self::Lane);
+
+    /// Point `point` of the run fell into a cell of store `ordinal`
+    /// (registration order). A participant feeds one store's points in
+    /// arrival order before it claims the next store; stores arrive in
+    /// claim order, not registration order.
+    fn cell(
+        &self,
+        lane: &mut Self::Lane,
+        ordinal: usize,
+        store: &ProjectedStore,
+        point: usize,
+        touch: CellTouch,
+    );
+}
+
+/// The lanes of a [`CellConsumer`] across dispatches: *idle* ones waiting
+/// for a participant, and the ones participants of the current dispatch
+/// handed back *filled*. The two are kept apart because a fast participant
+/// checks its lane in while a slow one has yet to check one out — and must
+/// not be handed the filled one.
+#[derive(Debug)]
+pub struct LanePool<L> {
+    /// `(idle, filled)`. Locked for a push or a pop only.
+    lanes: Mutex<(Vec<L>, Vec<L>)>,
+}
+
+impl<L> Default for LanePool<L> {
+    fn default() -> Self {
+        LanePool {
+            lanes: Mutex::new((Vec::new(), Vec::new())),
+        }
+    }
+}
+
+impl<L: Default> LanePool<L> {
+    /// An idle lane (as its last user left it), or a new one.
+    pub fn checkout(&self) -> L {
+        // A poisoned guard still guards two valid vectors.
+        let mut lanes = self.lanes.lock().unwrap_or_else(|e| e.into_inner());
+        lanes.0.pop().unwrap_or_default()
+    }
+
+    /// Hands a participant's lane back, filled.
+    pub fn checkin(&self, lane: L) {
+        let mut lanes = self.lanes.lock().unwrap_or_else(|e| e.into_inner());
+        lanes.1.push(lane);
+    }
+
+    /// The lanes handed back since the last [`LanePool::recycle`].
+    pub fn filled(&mut self) -> &mut [L] {
+        &mut self.lanes.get_mut().unwrap_or_else(|e| e.into_inner()).1
+    }
+
+    /// Makes every filled lane idle again — after the caller merged them,
+    /// or to discard what a dispatch that unwound left behind.
+    pub fn recycle(&mut self) {
+        let (idle, filled) = self.lanes.get_mut().unwrap_or_else(|e| e.into_inner());
+        idle.append(filled);
+    }
+}
+
+/// One participant's share of a full-report batch: the `(PCS, occupancy)`
+/// of every cell of the stores it claimed, store-major — segment `r`
+/// (`points` entries) belongs to store `ordinals[r]`.
+#[derive(Debug, Default)]
+struct ReportLane {
+    ordinals: Vec<usize>,
+    cells: Vec<(Pcs, f64)>,
+}
+
+/// The full-report consumer behind
+/// [`SynopsisManager::update_and_query_batch`].
+struct BatchReport {
+    lanes: LanePool<ReportLane>,
+}
+
+impl CellConsumer for BatchReport {
+    type Lane = ReportLane;
+
+    fn checkout(&self, _points: usize) -> ReportLane {
+        let mut lane = self.lanes.checkout();
+        lane.ordinals.clear();
+        lane.cells.clear();
+        lane
+    }
+
+    fn checkin(&self, lane: ReportLane) {
+        self.lanes.checkin(lane);
+    }
+
+    #[inline]
+    fn cell(
+        &self,
+        lane: &mut ReportLane,
+        ordinal: usize,
+        store: &ProjectedStore,
+        point: usize,
+        touch: CellTouch,
+    ) {
+        if point == 0 {
+            lane.ordinals.push(ordinal);
+        }
+        lane.cells.push((store.pcs_of(&touch), touch.occupancy));
+    }
+}
+
 impl SynopsisManager {
     /// Creates a manager with no monitored subspaces yet, on its own
     /// executor service — machine-sized with the `parallel` feature,
@@ -232,7 +359,7 @@ impl SynopsisManager {
             batch_coords: Vec::new(),
             batch_totals: Vec::new(),
             decay_table: DecayTable::new(),
-            batch_rows: Vec::new(),
+            report_lanes: LanePool::default(),
             shard_order: Vec::new(),
             epoch: 0,
             base_version: 0,
@@ -340,6 +467,14 @@ impl SynopsisManager {
         self.stores.len()
     }
 
+    /// Bumped whenever the registration-ordinal layout changes (subspace
+    /// add/remove, restore): equal epochs mean the same stores in the same
+    /// order, so anything derived from the layout alone can be cached
+    /// against it.
+    pub fn layout_epoch(&self) -> u64 {
+        self.epoch
+    }
+
     /// Ingests one point at tick `now`: updates the global weight, the base
     /// store and every monitored projected store. Use
     /// [`SynopsisManager::update_and_query`] when the per-subspace PCS is
@@ -355,22 +490,21 @@ impl SynopsisManager {
         Ok(outcome)
     }
 
-    /// Single-pass update **and** query: ingests one point and pushes the
-    /// PCS of the point's cell in every monitored subspace into `sink`
-    /// (cleared first; reuse it across calls to keep the path
-    /// allocation-free). The PCS is derived from the same cell access that
-    /// inserted the point.
-    pub fn update_and_query(
+    /// Single-pass update **and** screen: ingests one point and hands the
+    /// cell it fell into in every monitored subspace to `on_cell`, as
+    /// `(registration ordinal, store, touch)` in registration order. The
+    /// touch carries the cell's occupancy and RD, derived from the same
+    /// cell access that inserted the point; IRSD is
+    /// [`ProjectedStore::irsd_of`] the touch, for callers that want it.
+    pub fn update_and_screen(
         &mut self,
         now: u64,
         p: &DataPoint,
-        sink: &mut Vec<SubspacePcs>,
+        mut on_cell: impl FnMut(usize, &ProjectedStore, CellTouch),
     ) -> Result<UpdateOutcome> {
-        sink.clear();
         let outcome = self.ingest_base(now, p)?;
-        sink.reserve(self.stores.len());
-        for store in &mut self.stores {
-            let (pcs, occupancy) = store.update_and_pcs(
+        for (ordinal, store) in self.stores.iter_mut().enumerate() {
+            let touch = store.update_and_screen(
                 &self.grid,
                 &self.model,
                 now,
@@ -380,14 +514,31 @@ impl SynopsisManager {
             );
             let (dc, db) = store.publish_delta();
             self.live.apply_projected(dc, db);
-            sink.push(SubspacePcs {
-                subspace: store.subspace(),
-                pcs,
-                occupancy,
-            });
+            on_cell(ordinal, store, touch);
         }
         self.mark_all_dirty();
         Ok(outcome)
+    }
+
+    /// [`SynopsisManager::update_and_screen`] reporting in full: pushes the
+    /// PCS of the point's cell in every monitored subspace into `sink`
+    /// (cleared first; reuse it across calls to keep the path
+    /// allocation-free).
+    pub fn update_and_query(
+        &mut self,
+        now: u64,
+        p: &DataPoint,
+        sink: &mut Vec<SubspacePcs>,
+    ) -> Result<UpdateOutcome> {
+        sink.clear();
+        sink.reserve(self.stores.len());
+        self.update_and_screen(now, p, |_, store, touch| {
+            sink.push(SubspacePcs {
+                subspace: store.subspace(),
+                pcs: store.pcs_of(&touch),
+                occupancy: touch.occupancy,
+            });
+        })
     }
 
     /// Quantizes the point (into the reused scratch), feeds the base store
@@ -457,8 +608,7 @@ impl SynopsisManager {
     /// The executor the default batch path would pick for a run of
     /// `points`: the service's shared pool when the run is wide enough to
     /// pay for dispatch, `None` for the serial path. Exposed so the
-    /// detector can route its verdict-sweep dispatch through the same pool
-    /// the shard phase uses.
+    /// detector can resolve one executor for every run of a batch.
     pub fn batch_pool(&mut self, points: usize) -> Option<Arc<WorkerPool>> {
         let (min_stores, min_points) = self.pool_engage;
         self.exec
@@ -480,50 +630,6 @@ impl SynopsisManager {
         outcomes: &mut Vec<UpdateOutcome>,
         exec: &dyn StoreExecutor,
     ) -> Result<()> {
-        self.batch_inner(start_tick, points, sinks, outcomes, exec, None)
-    }
-
-    /// [`SynopsisManager::update_and_query_batch_with`] with a rider: the
-    /// claim cursor gains one extra unit — claimed exactly once, alongside
-    /// the store shards — that runs `prelude`. The detector uses this to
-    /// overlap the *previous* run's sequential commit phase with this
-    /// run's shard ingestion: commit work and shard work touch disjoint
-    /// state, so whichever participant claims the prelude performs it while
-    /// the rest ingest, and the result is bit-identical to running the
-    /// prelude first.
-    ///
-    /// The prelude is guaranteed to have run by the time this returns
-    /// (including on the error path, where it runs on the calling thread
-    /// before the error propagates — the caller's commit must not be lost).
-    pub fn update_and_query_batch_prelude(
-        &mut self,
-        start_tick: u64,
-        points: &[DataPoint],
-        sinks: &mut Vec<Vec<SubspacePcs>>,
-        outcomes: &mut Vec<UpdateOutcome>,
-        exec: &dyn StoreExecutor,
-        prelude: &OnceTask<'_>,
-    ) -> Result<()> {
-        let res = self.batch_inner(start_tick, points, sinks, outcomes, exec, Some(prelude));
-        if res.is_err() {
-            // Phase A failed before the shard dispatch: the prelude never
-            // entered the claim loop. Run it here so the previous run's
-            // commit is applied exactly once no matter what.
-            prelude.run();
-        }
-        res
-    }
-
-    fn batch_inner(
-        &mut self,
-        start_tick: u64,
-        points: &[DataPoint],
-        sinks: &mut Vec<Vec<SubspacePcs>>,
-        outcomes: &mut Vec<UpdateOutcome>,
-        exec: &dyn StoreExecutor,
-        prelude: Option<&OnceTask<'_>>,
-    ) -> Result<()> {
-        outcomes.clear();
         // Exactly one (cleared) row per point: rows surviving from a larger
         // previous batch are dropped so a caller iterating `sinks` never
         // sees stale entries.
@@ -531,6 +637,95 @@ impl SynopsisManager {
         sinks.resize_with(points.len(), Vec::new);
         for sink in sinks.iter_mut() {
             sink.clear();
+        }
+        let mut report = BatchReport {
+            lanes: std::mem::take(&mut self.report_lanes),
+        };
+        // A dispatch that unwound may have left filled lanes behind.
+        report.lanes.recycle();
+        let res = self.batch_loop(start_tick, points, Some(outcomes), exec, &report, None);
+        if res.is_ok() {
+            let lanes = report.lanes.filled();
+            // Merge in registration order — deterministic however the
+            // shards were claimed.
+            let n = points.len();
+            let mut segment_of = vec![(0usize, 0usize); self.stores.len()];
+            for (l, lane) in lanes.iter().enumerate() {
+                for (r, &ordinal) in lane.ordinals.iter().enumerate() {
+                    segment_of[ordinal] = (l, r);
+                }
+            }
+            for (store, &(l, r)) in self.stores.iter().zip(&segment_of) {
+                let subspace = store.subspace();
+                let segment = lanes
+                    .get(l)
+                    .and_then(|lane| lane.cells.get(r * n..(r + 1) * n))
+                    .unwrap_or(&[]);
+                for (sink, &(pcs, occupancy)) in sinks.iter_mut().zip(segment) {
+                    sink.push(SubspacePcs {
+                        subspace,
+                        pcs,
+                        occupancy,
+                    });
+                }
+            }
+            report.lanes.recycle();
+        }
+        self.report_lanes = report.lanes;
+        res
+    }
+
+    /// Batch ingestion for a screening consumer — the detector's batch hot
+    /// path. Points arrive at consecutive ticks `start_tick,
+    /// start_tick+1, …`; the per-subspace store work runs as
+    /// subspace-disjoint shards through `exec`, and every touched cell
+    /// goes to `consumer` on the participant that claimed its store (see
+    /// [`CellConsumer`]). Nothing per (point, subspace) is materialized
+    /// here. Synopsis state is bit-identical for every executor.
+    ///
+    /// `rider`, when given, is one extra claim unit — claimed exactly
+    /// once, ahead of the store shards. The detector uses it to overlap
+    /// the *previous* run's sequential commit phase with this run's shard
+    /// ingestion: commit work and shard work touch disjoint state, so
+    /// whichever participant claims the rider performs it while the rest
+    /// ingest, and the result is bit-identical to running the rider first.
+    /// The rider is guaranteed to have run by the time this returns —
+    /// on the error path too, where it runs on the calling thread before
+    /// the error propagates (the caller's commit must not be lost).
+    ///
+    /// Validation is all-or-nothing, as on every ingest path: a rejected
+    /// batch leaves the manager untouched and the consumer uncalled.
+    pub fn update_and_screen_batch<C: CellConsumer>(
+        &mut self,
+        start_tick: u64,
+        points: &[DataPoint],
+        exec: &dyn StoreExecutor,
+        consumer: &C,
+        rider: Option<&OnceTask<'_>>,
+    ) -> Result<()> {
+        let res = self.batch_loop(start_tick, points, None, exec, consumer, rider);
+        if let (Err(_), Some(rider)) = (&res, rider) {
+            // Validation failed before the shard dispatch: the rider never
+            // entered the claim loop.
+            rider.run();
+        }
+        res
+    }
+
+    /// The one batch loop: validate + quantize, advance the global weight,
+    /// feed the base store, then dispatch the store shards, handing every
+    /// touched cell to `consumer`.
+    fn batch_loop<C: CellConsumer>(
+        &mut self,
+        start_tick: u64,
+        points: &[DataPoint],
+        mut outcomes: Option<&mut Vec<UpdateOutcome>>,
+        exec: &dyn StoreExecutor,
+        consumer: &C,
+        rider: Option<&OnceTask<'_>>,
+    ) -> Result<()> {
+        if let Some(outcomes) = outcomes.as_deref_mut() {
+            outcomes.clear();
         }
 
         // Phase A1: quantize everything into the reused batch buffer. This
@@ -565,28 +760,20 @@ impl SynopsisManager {
             let prior = self
                 .base
                 .insert_at_run(key, dims, &self.model, &self.decay_table, now, p);
-            outcomes.push(UpdateOutcome {
-                base_cell: key,
-                prior_base_count: prior,
-                total_weight: totals[i],
-            });
+            if let Some(outcomes) = outcomes.as_deref_mut() {
+                outcomes.push(UpdateOutcome {
+                    base_cell: key,
+                    prior_base_count: prior,
+                    total_weight: totals[i],
+                });
+            }
         }
         self.publish_base();
-
-        // Phase B: the shard phase. Result rows are per-store slots so any
-        // claim order merges identically.
-        let n_stores = self.stores.len();
-        let mut rows = std::mem::take(&mut self.batch_rows);
-        rows.truncate(n_stores);
-        rows.resize_with(n_stores, Vec::new);
-        for row in rows.iter_mut() {
-            row.clear();
-            row.reserve(points.len());
-        }
 
         // Size-aware claim order: heaviest shards first, so one oversized
         // store overlaps the tail of the small ones instead of serializing
         // the batch behind them.
+        let n_stores = self.stores.len();
         self.shard_order.clear();
         self.shard_order.extend(0..n_stores as u32);
         let stores = &mut self.stores;
@@ -595,6 +782,7 @@ impl SynopsisManager {
             (std::cmp::Reverse(shard_weight(store)), ordinal)
         });
 
+        // Phase B: the shard phase.
         {
             let grid = &self.grid;
             let model = &self.model;
@@ -603,65 +791,56 @@ impl SynopsisManager {
             let order = &self.shard_order[..];
             let cursor = AtomicUsize::new(0);
             let shared_stores = SharedSlice::new(&mut stores[..]);
-            let shared_rows = SharedSlice::new(&mut rows[..]);
             let coords = &coords[..];
             let totals = &totals[..];
-            // The rider commit task (if any) is claim unit 0, ahead of the
-            // shards: under a serial executor it runs first (the exact
-            // sequential order), and with more participants it overlaps.
-            let extra = usize::from(prelude.is_some());
-            let work = || loop {
-                let k = cursor.fetch_add(1, Ordering::Relaxed);
-                if k >= order.len() + extra {
-                    break;
-                }
-                if extra == 1 && k == 0 {
-                    if let Some(task) = prelude {
-                        task.run();
+            // The rider (if any) is claim unit 0, ahead of the shards:
+            // under a serial executor it runs first (the exact sequential
+            // order), and with more participants it overlaps.
+            let extra = usize::from(rider.is_some());
+            let work = || {
+                let mut lane: Option<C::Lane> = None;
+                loop {
+                    let k = cursor.fetch_add(1, Ordering::Relaxed);
+                    if k >= order.len() + extra {
+                        break;
                     }
-                    continue;
+                    if extra == 1 && k == 0 {
+                        if let Some(task) = rider {
+                            task.run();
+                        }
+                        continue;
+                    }
+                    let ordinal = order[k - extra] as usize;
+                    // SAFETY: `ordinal` comes from a unique claim of the
+                    // cursor over a permutation of 0..n_stores, so this
+                    // participant is the only one touching the store.
+                    let store = unsafe { shared_stores.get_mut(ordinal) };
+                    let lane = lane.get_or_insert_with(|| consumer.checkout(points.len()));
+                    for (i, p) in points.iter().enumerate() {
+                        let base = &coords[i * dims..(i + 1) * dims];
+                        let touch = store.update_and_screen_run(
+                            grid,
+                            model,
+                            table,
+                            start_tick + i as u64,
+                            base,
+                            p,
+                            totals[i],
+                        );
+                        consumer.cell(lane, ordinal, store, i, touch);
+                    }
+                    let (dc, db) = store.publish_delta();
+                    live.apply_projected(dc, db);
                 }
-                let ordinal = order[k - extra] as usize;
-                // SAFETY: `ordinal` comes from a unique claim of the
-                // cursor over a permutation of 0..n_stores, so this
-                // participant is the only one touching store and row.
-                let store = unsafe { shared_stores.get_mut(ordinal) };
-                let row = unsafe { shared_rows.get_mut(ordinal) };
-                for (i, p) in points.iter().enumerate() {
-                    let base = &coords[i * dims..(i + 1) * dims];
-                    let (pcs, occupancy) = store.update_and_pcs_run(
-                        grid,
-                        model,
-                        table,
-                        start_tick + i as u64,
-                        base,
-                        p,
-                        totals[i],
-                    );
-                    row.push((pcs, occupancy));
+                if let Some(lane) = lane {
+                    consumer.checkin(lane);
                 }
-                let (dc, db) = store.publish_delta();
-                live.apply_projected(dc, db);
             };
             exec.execute(&work);
         }
 
-        // Merge in registration order — deterministic however the shards
-        // were claimed.
-        for (ordinal, row) in rows.iter().enumerate() {
-            let subspace = self.stores[ordinal].subspace();
-            for (i, &(pcs, occupancy)) in row.iter().enumerate() {
-                sinks[i].push(SubspacePcs {
-                    subspace,
-                    pcs,
-                    occupancy,
-                });
-            }
-        }
-
         self.batch_coords = coords;
         self.batch_totals = totals;
-        self.batch_rows = rows;
         self.mark_all_dirty();
         Ok(())
     }
@@ -1245,10 +1424,76 @@ mod tests {
     }
 
     #[test]
+    fn lane_pool_never_hands_out_a_filled_lane() {
+        // A participant that finishes early checks its lane in while a
+        // late one has yet to check one out: the late one must get an idle
+        // lane, never the filled one (it would reset it and lose a store's
+        // worth of cells).
+        let mut pool: LanePool<Vec<u32>> = LanePool::default();
+        let mut early = pool.checkout();
+        early.push(7);
+        pool.checkin(early);
+        let late = pool.checkout();
+        assert!(late.is_empty(), "a filled lane was handed out again");
+        pool.checkin(late);
+        assert_eq!(pool.filled().len(), 2);
+        assert_eq!(pool.filled().concat(), vec![7]);
+        // Only recycling makes them available, as their user left them.
+        pool.recycle();
+        assert!(pool.filled().is_empty());
+        let mut reused = vec![pool.checkout(), pool.checkout()];
+        reused.sort();
+        assert_eq!(reused, vec![vec![], vec![7]]);
+    }
+
+    /// Test consumer: every `(point, ordinal, PCS, occupancy)` it is
+    /// handed, across however many lanes.
+    #[derive(Default)]
+    struct Collect {
+        lanes: LanePool<Vec<Collected>>,
+    }
+
+    /// `(point, ordinal, PCS, occupancy)` of one touched cell.
+    type Collected = (usize, usize, Pcs, f64);
+
+    impl CellConsumer for Collect {
+        type Lane = Vec<Collected>;
+
+        fn checkout(&self, _points: usize) -> Self::Lane {
+            self.lanes.checkout()
+        }
+
+        fn checkin(&self, lane: Self::Lane) {
+            self.lanes.checkin(lane);
+        }
+
+        fn cell(
+            &self,
+            lane: &mut Self::Lane,
+            ordinal: usize,
+            store: &ProjectedStore,
+            point: usize,
+            touch: CellTouch,
+        ) {
+            lane.push((point, ordinal, store.pcs_of(&touch), touch.occupancy));
+        }
+    }
+
+    impl Collect {
+        /// Everything collected, in (point, ordinal) order.
+        fn sorted(mut self) -> Vec<Collected> {
+            let mut all: Vec<_> = self.lanes.filled().concat();
+            all.sort_by_key(|&(point, ordinal, ..)| (point, ordinal));
+            all
+        }
+    }
+
+    #[test]
     fn prelude_rider_runs_exactly_once_and_results_match() {
-        // The prelude-rider dispatch must produce the same synopsis state
-        // and sinks as the plain batch path, and run the rider exactly once
-        // — on the success path and on the all-or-nothing error path alike.
+        // The screening dispatch must hand its consumer exactly the cells
+        // the full-report path reports, leave the same synopsis state, and
+        // run the rider exactly once — on the success path and on the
+        // all-or-nothing error path alike.
         let build = || {
             let mut mgr = manager(3, 4);
             mgr.add_subspace(Subspace::from_dims([0]).unwrap());
@@ -1270,58 +1515,48 @@ mod tests {
         plain
             .update_and_query_batch(0, &points, &mut want_sinks, &mut want_outcomes)
             .unwrap();
+        let want: Vec<(usize, usize, Pcs, f64)> = want_sinks
+            .iter()
+            .enumerate()
+            .flat_map(|(i, sink)| {
+                sink.iter()
+                    .enumerate()
+                    .map(move |(ordinal, e)| (i, ordinal, e.pcs, e.occupancy))
+            })
+            .collect();
 
-        let mut mgr = build();
-        let mut sinks = Vec::new();
-        let mut outcomes = Vec::new();
-        let mut ran = 0u32;
-        {
-            let task = OnceTask::new(|| ran += 1);
-            mgr.update_and_query_batch_prelude(
-                0,
-                &points,
-                &mut sinks,
-                &mut outcomes,
-                &SerialExecutor,
-                &task,
-            )
-            .unwrap();
-        }
-        assert_eq!(ran, 1, "prelude ran exactly once");
-        assert_eq!(mgr.live_cells(), plain.live_cells());
-        for (a, b) in want_sinks.iter().zip(&sinks) {
-            let want: Vec<(u64, Pcs, f64)> = a
-                .iter()
-                .map(|e| (e.subspace.mask(), e.pcs, e.occupancy))
-                .collect();
-            let got: Vec<(u64, Pcs, f64)> = b
-                .iter()
-                .map(|e| (e.subspace.mask(), e.pcs, e.occupancy))
-                .collect();
-            assert_eq!(want, got);
+        for workers in [0usize, 3] {
+            let mut mgr = build();
+            let collect = Collect::default();
+            let mut ran = 0u32;
+            {
+                let task = OnceTask::new(|| ran += 1);
+                let pool = WorkerPool::new(workers);
+                mgr.update_and_screen_batch(0, &points, &pool, &collect, Some(&task))
+                    .unwrap();
+            }
+            assert_eq!(ran, 1, "rider ran exactly once (workers={workers})");
+            assert_eq!(mgr.live_cells(), plain.live_cells());
+            assert_eq!(mgr.capture_state(), plain.capture_state());
+            assert_eq!(collect.sorted(), want, "workers={workers}");
         }
 
         // Error path: validation fails before dispatch, yet the rider
-        // (somebody's pending commit) must still be applied.
+        // (somebody's pending commit) must still be applied — and the
+        // consumer sees nothing.
+        let mut mgr = build();
+        let collect = Collect::default();
         let mut ran_on_err = 0u32;
         {
             let task = OnceTask::new(|| ran_on_err += 1);
             let bad = vec![DataPoint::new(vec![0.1, 0.2, f64::NAN])];
             assert!(mgr
-                .update_and_query_batch_prelude(
-                    40,
-                    &bad,
-                    &mut sinks,
-                    &mut outcomes,
-                    &SerialExecutor,
-                    &task,
-                )
+                .update_and_screen_batch(40, &bad, &SerialExecutor, &collect, Some(&task))
                 .is_err());
         }
-        assert_eq!(
-            ran_on_err, 1,
-            "prelude still runs when the batch is rejected"
-        );
+        assert_eq!(ran_on_err, 1, "rider still runs when the batch is rejected");
+        assert!(collect.sorted().is_empty());
+        assert_eq!(mgr.live_cells(), (0, 0));
     }
 
     #[test]

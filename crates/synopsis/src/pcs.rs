@@ -77,18 +77,148 @@ fn sigma_of(d: f64, moments: &[f64]) -> Option<f64> {
     Some(acc.sqrt())
 }
 
+/// Widest packed key (in bits) a store addresses directly. Up to here the
+/// whole key space is a table of at most 1024 `u16` slots (2 KiB, L1
+/// resident) and a probe is one load; one more dimension at the default
+/// granularity (3-d, 12 bits) would cost 8 KiB per store for key spaces
+/// that stay mostly empty, so wider keys hash.
+const DENSE_KEY_BITS: u32 = 10;
+
+/// Dense-table entry of a key no cell populates. A dense store holds at
+/// most `2^DENSE_KEY_BITS` cells, so the value can never be a live slot.
+const VACANT: u16 = u16::MAX;
+
+/// `key → slot` lookup of one store: derived state, rebuilt on restore and
+/// never captured.
+#[derive(Debug, Clone)]
+enum SlotIndex {
+    /// Direct-addressed by the packed key (`table[key] = slot`).
+    Dense(Box<[u16]>),
+    /// Wider (or fingerprinted) keys.
+    Hashed(FxHashMap<CellKey, u32>),
+}
+
+impl SlotIndex {
+    /// The index kind for keys of `key_bits` bits (`None` = fingerprinted).
+    fn for_key_bits(key_bits: Option<u32>) -> Self {
+        match key_bits {
+            Some(bits) if bits <= DENSE_KEY_BITS => {
+                SlotIndex::Dense(vec![VACANT; 1usize << bits].into_boxed_slice())
+            }
+            _ => SlotIndex::Hashed(FxHashMap::default()),
+        }
+    }
+
+    /// An empty index of the same kind (and table size), with room for
+    /// `cells` entries.
+    fn emptied(&self, cells: usize) -> Self {
+        match self {
+            SlotIndex::Dense(table) => {
+                SlotIndex::Dense(vec![VACANT; table.len()].into_boxed_slice())
+            }
+            SlotIndex::Hashed(_) => {
+                let mut map = FxHashMap::default();
+                map.reserve(cells);
+                SlotIndex::Hashed(map)
+            }
+        }
+    }
+
+    fn get(&self, key: CellKey) -> Option<usize> {
+        match self {
+            SlotIndex::Dense(table) => usize::try_from(key.0)
+                .ok()
+                .and_then(|k| table.get(k))
+                .filter(|&&slot| slot != VACANT)
+                .map(|&slot| slot as usize),
+            SlotIndex::Hashed(map) => map.get(&key).map(|&slot| slot as usize),
+        }
+    }
+
+    /// Points `key` (which must be indexed, or in range and vacant) at
+    /// `slot`; `None` unindexes it.
+    fn set(&mut self, key: CellKey, slot: Option<usize>) {
+        match self {
+            SlotIndex::Dense(table) => {
+                table[key.0 as usize] = slot.map_or(VACANT, |s| s as u16);
+            }
+            SlotIndex::Hashed(map) => match slot {
+                Some(s) => {
+                    map.insert(key, s as u32);
+                }
+                None => {
+                    map.remove(&key);
+                }
+            },
+        }
+    }
+
+    /// Indexes `key → slot` for a restored column; `Err` names what is
+    /// wrong with the key (out of the dense range, or already indexed).
+    fn insert_restored(&mut self, key: CellKey, slot: usize) -> Result<(), &'static str> {
+        match self {
+            SlotIndex::Dense(table) => {
+                let entry = usize::try_from(key.0)
+                    .ok()
+                    .and_then(|k| table.get_mut(k))
+                    .ok_or("out-of-range")?;
+                if *entry != VACANT {
+                    return Err("duplicate");
+                }
+                // In range and distinct ⇒ slot < table.len() ≤ 1024.
+                *entry = slot as u16;
+                Ok(())
+            }
+            SlotIndex::Hashed(map) => match map.insert(key, slot as u32) {
+                None => Ok(()),
+                Some(_) => Err("duplicate"),
+            },
+        }
+    }
+
+    /// Heap bytes of the index for a store of `cells` cells.
+    fn approx_bytes(&self, cells: usize) -> usize {
+        match self {
+            SlotIndex::Dense(table) => std::mem::size_of_val(&**table),
+            SlotIndex::Hashed(_) => {
+                cells * (std::mem::size_of::<CellKey>() + std::mem::size_of::<u32>())
+            }
+        }
+    }
+}
+
+/// What one upsert learned about the cell the point fell into — the
+/// screening half of the PCS. RD needs only the decayed count and is
+/// always derived; IRSD (five divisions and a square root per dimension)
+/// is derived on demand by [`ProjectedStore::irsd_of`], which a screening
+/// consumer calls only for the rare cell whose RD is under its threshold.
+#[derive(Debug, Clone, Copy)]
+pub struct CellTouch {
+    slot: u32,
+    /// Decayed occupancy of the cell, point included.
+    pub occupancy: f64,
+    /// Relative density of the cell (see [`Pcs::rd`]).
+    pub rd: f64,
+}
+
 /// All populated projected cells of one subspace.
 ///
 /// Cells live in a structure-of-arrays layout: a `CellKey → slot` index
 /// plus parallel columns for the decayed count, last-touched tick and the
-/// `2·|s|` moment sums. Inserting a point into an existing cell touches no
-/// allocator and no variable-length hashing — the steady-state hot path is
-/// one integer-keyed map probe plus a contiguous stripe of float updates.
+/// `2·|s|` moment sums. The index is a flat `u16` table addressed by the
+/// packed key when that key has at most 10 bits (every 1-d and 2-d
+/// subspace at the default granularity), a hash map otherwise — chosen
+/// from the key width alone. Inserting a point into an existing cell
+/// touches no allocator and no variable-length hashing — the steady-state
+/// hot path is one table load (or integer-keyed map probe) plus a
+/// contiguous stripe of float updates.
 #[derive(Debug, Clone)]
 pub struct ProjectedStore {
     subspace: Subspace,
     card: usize,
-    index: FxHashMap<CellKey, u32>,
+    /// The subspace's dimensions, ascending (the mask's bits, cached).
+    dims: Box<[u8]>,
+    index: SlotIndex,
     /// Per-slot cell key (for pruning compaction and iteration).
     keys: Vec<CellKey>,
     /// Per-slot decayed count.
@@ -115,10 +245,16 @@ pub struct ProjectedStore {
 impl ProjectedStore {
     /// Empty store for `subspace` over `grid`.
     pub fn new(grid: &Grid, subspace: Subspace) -> Self {
+        let card = subspace.cardinality();
+        let codec = grid.codec();
+        let key_bits = codec
+            .is_exact(card)
+            .then(|| card as u32 * codec.bits_per_dim());
         ProjectedStore {
             subspace,
-            card: subspace.cardinality(),
-            index: FxHashMap::default(),
+            card,
+            dims: subspace.dims().map(|d| d as u8).collect(),
+            index: SlotIndex::for_key_bits(key_bits),
             keys: Vec::new(),
             d: Vec::new(),
             last_tick: Vec::new(),
@@ -153,6 +289,12 @@ impl ProjectedStore {
         self.subspace
     }
 
+    /// `|s|`, the subspace's dimensionality (cached).
+    #[inline]
+    pub fn cardinality(&self) -> usize {
+        self.card
+    }
+
     /// `m^{|s|}`: the number of projected cells of this subspace.
     pub fn cell_count_total(&self) -> f64 {
         self.cell_count
@@ -173,13 +315,16 @@ impl ProjectedStore {
         &self.moments[slot * 2 * self.card..(slot + 1) * 2 * self.card]
     }
 
-    /// Folds one point into its projected cell at tick `now` and derives
-    /// the cell's PCS in the same access — the fused hot path. `base` must
-    /// be the point's base-cell coordinates on the same grid; `total` the
-    /// stream's global decayed weight at `now` (point included). Returns
-    /// the PCS and the cell's decayed occupancy (point included), which
-    /// the drift detector consumes as its freshness signal.
-    pub fn update_and_pcs(
+    /// Folds one point into its projected cell at tick `now` and screens
+    /// the cell in the same access — the fused hot path. `base` must be
+    /// the point's base-cell coordinates on the same grid (coordinates
+    /// from another grid may index outside a dense store's table and
+    /// panic); `total` the stream's global decayed weight at `now` (point
+    /// included). Returns the cell's decayed occupancy (point included —
+    /// the drift detector's freshness signal) and RD; IRSD is
+    /// [`ProjectedStore::irsd_of`] the returned touch.
+    #[inline]
+    pub fn update_and_screen(
         &mut self,
         grid: &Grid,
         model: &TimeModel,
@@ -187,25 +332,23 @@ impl ProjectedStore {
         base: &[u16],
         point: &DataPoint,
         total: f64,
-    ) -> (Pcs, f64) {
+    ) -> CellTouch {
         let slot = self.upsert_with(grid, now, base, point, |last| {
             model.decay_between(last, now)
         });
-        let d = self.d[slot];
-        let pcs = self.derive_slot(d, d, self.stripe(slot), total);
-        (pcs, d)
+        self.screen_slot(slot, total)
     }
 
-    /// [`ProjectedStore::update_and_pcs`] with the cell renormalization
+    /// [`ProjectedStore::update_and_screen`] with the cell renormalization
     /// factor served from a per-run decay table (the batch ingestion
     /// path): repeat touches of a cell within the run cost one table load
     /// instead of one `powi`. Bit-identical to the model path.
-    // Hot-path signature: the extra argument over `update_and_pcs` is the
-    // decay table itself; bundling it with the model would cost a struct
-    // build per call site in the shard loop.
+    // Hot-path signature: the extra argument over `update_and_screen` is
+    // the decay table itself; bundling it with the model would cost a
+    // struct build per call site in the shard loop.
     #[allow(clippy::too_many_arguments)]
     #[inline]
-    pub fn update_and_pcs_run(
+    pub fn update_and_screen_run(
         &mut self,
         grid: &Grid,
         model: &TimeModel,
@@ -214,13 +357,38 @@ impl ProjectedStore {
         base: &[u16],
         point: &DataPoint,
         total: f64,
-    ) -> (Pcs, f64) {
+    ) -> CellTouch {
         let slot = self.upsert_with(grid, now, base, point, |last| {
             table.factor(model, last, now)
         });
+        self.screen_slot(slot, total)
+    }
+
+    #[inline]
+    fn screen_slot(&self, slot: usize, total: f64) -> CellTouch {
         let d = self.d[slot];
-        let pcs = self.derive_slot(d, d, self.stripe(slot), total);
-        (pcs, d)
+        CellTouch {
+            slot: slot as u32,
+            occupancy: d,
+            rd: self.rd_of(d, total),
+        }
+    }
+
+    /// IRSD of the cell a touch of **this** store just reported (valid
+    /// until the store is next mutated).
+    #[inline]
+    pub fn irsd_of(&self, touch: &CellTouch) -> f64 {
+        let slot = touch.slot as usize;
+        self.irsd_slot(touch.occupancy, self.d[slot], self.stripe(slot))
+    }
+
+    /// The full PCS pair of a touched cell.
+    #[inline]
+    pub fn pcs_of(&self, touch: &CellTouch) -> Pcs {
+        Pcs {
+            rd: touch.rd,
+            irsd: self.irsd_of(touch),
+        }
     }
 
     /// Updates the store with one point at tick `now` without deriving the
@@ -244,6 +412,7 @@ impl ProjectedStore {
     /// multiplier (straight from the time model, or from a per-run decay
     /// table). New cells extend the columns (the only allocating path,
     /// taken once per distinct populated cell).
+    #[inline]
     fn upsert_with(
         &mut self,
         grid: &Grid,
@@ -252,11 +421,37 @@ impl ProjectedStore {
         point: &DataPoint,
         factor_of: impl FnOnce(u64) -> f64,
     ) -> usize {
-        let key = grid.project_key(base, &self.subspace);
         let stride = 2 * self.card;
-        let slot = match self.index.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                let slot = *e.get() as usize;
+        let next = self.keys.len();
+        // Find the cell's slot, or claim the next one for a new key.
+        let (slot, new_key) = match &mut self.index {
+            SlotIndex::Dense(table) => {
+                let bits = grid.codec().bits_per_dim();
+                let mut k = 0usize;
+                for &d in self.dims.iter() {
+                    k = (k << bits) | base[d as usize] as usize;
+                }
+                let entry = &mut table[k];
+                if *entry == VACANT {
+                    *entry = next as u16;
+                    (next, Some(CellKey(k as u128)))
+                } else {
+                    (*entry as usize, None)
+                }
+            }
+            SlotIndex::Hashed(map) => {
+                let key = grid.project_key(base, &self.subspace);
+                match map.entry(key) {
+                    std::collections::hash_map::Entry::Occupied(e) => (*e.get() as usize, None),
+                    std::collections::hash_map::Entry::Vacant(e) => {
+                        e.insert(next as u32);
+                        (next, Some(key))
+                    }
+                }
+            }
+        };
+        match new_key {
+            None => {
                 let f = factor_of(self.last_tick[slot]);
                 if f != 1.0 {
                     self.d[slot] *= f;
@@ -265,24 +460,20 @@ impl ProjectedStore {
                     }
                 }
                 self.last_tick[slot] = now;
-                slot
             }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let slot = self.keys.len();
-                e.insert(slot as u32);
+            Some(key) => {
                 self.keys.push(key);
                 self.d.push(0.0);
                 self.last_tick.push(now);
                 self.moments.extend(std::iter::repeat_n(0.0, stride));
-                slot
             }
-        };
+        }
         self.min_last_tick = self.min_last_tick.min(now);
         self.d[slot] += 1.0;
         let stripe = &mut self.moments[slot * stride..(slot + 1) * stride];
         let (ls, ss) = stripe.split_at_mut(self.card);
-        for (i, d) in self.subspace.dims().enumerate() {
-            let v = point.value(d);
+        for (i, &d) in self.dims.iter().enumerate() {
+            let v = point.value(d as usize);
             ls[i] += v;
             ss[i] += v * v;
         }
@@ -292,50 +483,55 @@ impl ProjectedStore {
     /// PCS of the projected cell containing `base`, renormalized to `now`.
     /// `total` is the stream's global decayed weight at `now`. (Query-only
     /// path; the detection hot path uses
-    /// [`ProjectedStore::update_and_pcs`].)
+    /// [`ProjectedStore::update_and_screen`].)
     pub fn pcs(&self, grid: &Grid, model: &TimeModel, now: u64, base: &[u16], total: f64) -> Pcs {
         let key = grid.project_key(base, &self.subspace);
-        match self.index.get(&key) {
+        match self.index.get(key) {
             None => Pcs::EMPTY,
-            Some(&slot) => {
-                let slot = slot as usize;
+            Some(slot) => {
                 let d_now = self.d[slot] * model.decay_between(self.last_tick[slot], now);
                 // σ must come from the *stored* count alongside the stored
                 // moments — mixing the renormalized count with undecayed
                 // LS/SS sums would inflate the means and corrupt IRSD for
                 // any cell queried after its last update. σ is
                 // decay-invariant, so the stored triple is exact.
-                self.derive_slot(d_now, self.d[slot], self.stripe(slot), total)
+                Pcs {
+                    rd: self.rd_of(d_now, total),
+                    irsd: self.irsd_slot(d_now, self.d[slot], self.stripe(slot)),
+                }
             }
         }
     }
 
-    /// Derives the `(RD, IRSD)` pair from a cell's decayed count (`d_now`,
-    /// renormalized to the query tick) and its stored count + moment stripe
-    /// (`d_stored`, self-consistent with `moments`).
+    /// RD of a cell holding `d_now` decayed weight at the query tick.
+    #[inline]
+    fn rd_of(&self, d_now: f64, total: f64) -> f64 {
+        if total > f64::EPSILON {
+            d_now * self.cell_count / total
+        } else {
+            0.0
+        }
+    }
+
+    /// IRSD from a cell's decayed count (`d_now`, renormalized to the
+    /// query tick) and its stored count + moment stripe (`d_stored`,
+    /// self-consistent with `moments`).
     ///
     /// Cells holding less than two points of decayed weight report
     /// `irsd = 0`: with at most one (weighted) occupant, dispersion carries
     /// no evidence of structure, and the cell is maximally sparse — this is
     /// what lets a lone projected outlier satisfy the paper's
     /// "small RD *and* small IRSD" rule.
-    fn derive_slot(&self, d_now: f64, d_stored: f64, moments: &[f64], total: f64) -> Pcs {
-        let rd = if total > f64::EPSILON {
-            d_now * self.cell_count / total
-        } else {
-            0.0
-        };
-        let irsd = if d_now < 2.0 {
-            0.0
-        } else {
-            match sigma_of(d_stored, moments) {
-                Some(sigma) if sigma > f64::EPSILON => self.uniform_sigma / sigma,
-                // All mass on one spot (σ=0): a maximally concentrated
-                // micro-cluster, the opposite of scattered sparsity.
-                _ => f64::MAX,
-            }
-        };
-        Pcs { rd, irsd }
+    fn irsd_slot(&self, d_now: f64, d_stored: f64, moments: &[f64]) -> f64 {
+        if d_now < 2.0 {
+            return 0.0;
+        }
+        match sigma_of(d_stored, moments) {
+            Some(sigma) if sigma > f64::EPSILON => self.uniform_sigma / sigma,
+            // All mass on one spot (σ=0): a maximally concentrated
+            // micro-cluster, the opposite of scattered sparsity.
+            _ => f64::MAX,
+        }
     }
 
     /// Iterates over populated cells as (key, cell view).
@@ -398,7 +594,7 @@ impl ProjectedStore {
                 continue;
             }
             let last = self.keys.len() - 1;
-            self.index.remove(&self.keys[slot]);
+            self.index.set(self.keys[slot], None);
             if slot != last {
                 self.keys.swap(slot, last);
                 self.d.swap(slot, last);
@@ -406,10 +602,7 @@ impl ProjectedStore {
                 for i in 0..stride {
                     self.moments.swap(slot * stride + i, last * stride + i);
                 }
-                *self
-                    .index
-                    .get_mut(&self.keys[slot])
-                    .expect("moved key is indexed") = slot as u32;
+                self.index.set(self.keys[slot], Some(slot));
             }
             self.keys.pop();
             self.d.pop();
@@ -432,7 +625,8 @@ impl ProjectedStore {
             + cells * std::mem::size_of::<f64>()
             + cells * std::mem::size_of::<u64>()
             + cells * 2 * self.card * std::mem::size_of::<f64>()
-            + cells * (std::mem::size_of::<CellKey>() + std::mem::size_of::<u32>())
+            + self.dims.len()
+            + self.index.approx_bytes(cells)
     }
 }
 
@@ -475,15 +669,20 @@ impl DurableState for ProjectedStore {
                 self.card
             )));
         }
-        self.index.clear();
-        self.index.reserve(n);
+        // The index is derived state: rebuild it from the key column,
+        // into a fresh value so a rejected column leaves the store as it
+        // was. Keys arrive from disk — a key outside a dense store's table
+        // or indexed twice is a corrupt column, not a cell.
+        let mut index = self.index.emptied(n);
         for (slot, &key) in keys.iter().enumerate() {
-            if self.index.insert(CellKey(key), slot as u32).is_some() {
-                return Err(PersistError::custom(format!(
-                    "duplicate projected cell key at slot {slot}"
-                )));
-            }
+            index.insert_restored(CellKey(key), slot).map_err(|what| {
+                PersistError::custom(format!(
+                    "{what} projected cell key {key:#x} at slot {slot} of store {:#x}",
+                    self.subspace.mask()
+                ))
+            })?;
         }
+        self.index = index;
         self.keys = keys.into_iter().map(CellKey).collect();
         self.d = d;
         self.min_last_tick = last.iter().copied().min().unwrap_or(u64::MAX);
@@ -602,11 +801,11 @@ mod tests {
             let now = i as u64;
             let total = (i + 1) as f64;
             let base = grid.base_coords(p).unwrap();
-            let (pcs_fused, occ) = fused.update_and_pcs(&grid, &tm, now, &base, p, total);
+            let touch = fused.update_and_screen(&grid, &tm, now, &base, p, total);
             split.update(&grid, &tm, now, &base, p);
             let pcs_split = split.pcs(&grid, &tm, now, &base, total);
-            assert_eq!(pcs_fused, pcs_split, "point {i}");
-            assert!(occ > 0.0);
+            assert_eq!(fused.pcs_of(&touch), pcs_split, "point {i}");
+            assert!(touch.occupancy > 0.0);
         }
     }
 
@@ -629,12 +828,16 @@ mod tests {
                 let now = start + i as u64;
                 let total = (run_idx * 40 + i + 1) as f64;
                 let base = grid.base_coords(p).unwrap();
-                let (pa, occ_a) = by_model.update_and_pcs(&grid, &tm, now, &base, p, total);
-                let (pb, occ_b) =
-                    by_table.update_and_pcs_run(&grid, &tm, &table, now, &base, p, total);
+                let ta = by_model.update_and_screen(&grid, &tm, now, &base, p, total);
+                let tb = by_table.update_and_screen_run(&grid, &tm, &table, now, &base, p, total);
+                let (pa, pb) = (by_model.pcs_of(&ta), by_table.pcs_of(&tb));
                 assert_eq!(pa.rd.to_bits(), pb.rd.to_bits(), "rd at point {i}");
                 assert_eq!(pa.irsd.to_bits(), pb.irsd.to_bits(), "irsd at point {i}");
-                assert_eq!(occ_a.to_bits(), occ_b.to_bits(), "occupancy at point {i}");
+                assert_eq!(
+                    ta.occupancy.to_bits(),
+                    tb.occupancy.to_bits(),
+                    "occupancy at point {i}"
+                );
             }
         }
         assert_eq!(by_model.len(), by_table.len());

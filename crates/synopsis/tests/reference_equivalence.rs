@@ -11,7 +11,7 @@
 use spot_stream::TimeModel;
 use spot_subspace::Subspace;
 use spot_synopsis::{Grid, Pcs, ProjectedStore};
-use spot_types::{DataPoint, DomainBounds};
+use spot_types::{DataPoint, DomainBounds, DurableState, StateReader, StateWriter};
 use std::collections::BTreeMap;
 
 /// Seed-style projected store: boxed coordinate keys, separate update and
@@ -64,6 +64,14 @@ impl ReferenceStore {
             ls[i] += v;
             ss[i] += v * v;
         }
+    }
+
+    /// Evicts cells whose decayed count at `now` fell below `floor`.
+    fn prune(&mut self, model: &TimeModel, now: u64, floor: f64) -> usize {
+        let before = self.cells.len();
+        self.cells
+            .retain(|_, (d, _, _, last)| *d * model.decay_between(*last, now) >= floor);
+        before - self.cells.len()
     }
 
     fn pcs(&self, model: &TimeModel, now: u64, base: &[u16], total: f64) -> Pcs {
@@ -134,7 +142,8 @@ fn assert_equivalent(dims: usize, granularity: u16, subspaces: &[Subspace], n: u
         let total = (i + 1) as f64;
         let base = grid.base_coords(p).unwrap();
         for (ps, rs) in packed.iter_mut().zip(reference.iter_mut()) {
-            let (got, occ) = ps.update_and_pcs(&grid, &tm, now, &base, p, total);
+            let touch = ps.update_and_screen(&grid, &tm, now, &base, p, total);
+            let (got, occ) = (ps.pcs_of(&touch), touch.occupancy);
             rs.update(&tm, now, &base, p);
             let want = rs.pcs(&tm, now, &base, total);
             assert_eq!(
@@ -249,11 +258,161 @@ fn wide_subspace_projected_keys_also_fall_back() {
         let now = i as u64;
         let total = (i + 1) as f64;
         let base = grid.base_coords(p).unwrap();
-        let (got, _) = packed.update_and_pcs(&grid, &tm, now, &base, p, total);
+        let touch = packed.update_and_screen(&grid, &tm, now, &base, p, total);
+        let got = packed.pcs_of(&touch);
         reference.update(&tm, now, &base, p);
         let want = reference.pcs(&tm, now, &base, total);
         assert_eq!(got.rd.to_bits(), want.rd.to_bits(), "point {i}");
         assert_eq!(got.irsd.to_bits(), want.irsd.to_bits(), "point {i}");
     }
     assert_eq!(packed.len(), reference.cells.len());
+}
+
+/// Heap bytes an empty store spends on its slot index: the dense table, or
+/// nothing for a hashed store — how the tests below tell which side of the
+/// cut a store is on.
+fn empty_index_bytes(grid: &Grid, s: Subspace) -> usize {
+    ProjectedStore::new(grid, s).approx_bytes()
+        - std::mem::size_of::<ProjectedStore>()
+        - s.cardinality()
+}
+
+/// One store through its whole life — upsert, prune with compaction,
+/// capture, restore, upsert again — against the ordered-map model, every
+/// PCS compared by bits.
+fn assert_lifecycle_equivalent(dims: usize, granularity: u16, s: Subspace, index_bytes: usize) {
+    let grid = Grid::new(DomainBounds::unit(dims), granularity).unwrap();
+    assert_eq!(
+        empty_index_bytes(&grid, s),
+        index_bytes,
+        "index kind of {s} at m={granularity}"
+    );
+    let tm = TimeModel::new(64, 0.05).unwrap();
+    let mut packed = ProjectedStore::new(&grid, s);
+    let mut reference = ReferenceStore::new(&grid, s);
+    // `seen` points before this one make up the global weight.
+    let step = |packed: &mut ProjectedStore,
+                reference: &mut ReferenceStore,
+                seen: usize,
+                now: u64,
+                p: &DataPoint,
+                label: &str| {
+        let total = (seen + 1) as f64;
+        let base = grid.base_coords(p).unwrap();
+        let touch = packed.update_and_screen(&grid, &tm, now, &base, p, total);
+        let got = packed.pcs_of(&touch);
+        reference.update(&tm, now, &base, p);
+        let want = reference.pcs(&tm, now, &base, total);
+        assert_eq!(got.rd.to_bits(), want.rd.to_bits(), "{label}: rd at {now}");
+        assert_eq!(
+            got.irsd.to_bits(),
+            want.irsd.to_bits(),
+            "{label}: irsd at {now}"
+        );
+        let late = packed.pcs(&grid, &tm, now + 9, &base, total);
+        let want_late = reference.pcs(&tm, now + 9, &base, total);
+        assert_eq!(
+            late.rd.to_bits(),
+            want_late.rd.to_bits(),
+            "{label}: stale rd"
+        );
+        assert_eq!(
+            late.irsd.to_bits(),
+            want_late.irsd.to_bits(),
+            "{label}: stale irsd"
+        );
+    };
+
+    // Spread the first stretch over the whole box, then — much later —
+    // revisit one corner only: the prune below evicts the cells outside
+    // the corner, which sit scattered through the slot order, so the
+    // survivors are compacted over them.
+    let wide = stream(160, dims, 0xD15C ^ granularity as u64);
+    for (i, p) in wide.iter().enumerate() {
+        step(&mut packed, &mut reference, i, i as u64, p, "fill");
+    }
+    let corner: Vec<DataPoint> = stream(120, dims, 0xC0DE ^ granularity as u64)
+        .iter()
+        .map(|p| DataPoint::new(p.values().iter().map(|v| v * 0.4).collect()))
+        .collect();
+    for (i, p) in corner.iter().enumerate() {
+        let seen = wide.len() + i;
+        step(
+            &mut packed,
+            &mut reference,
+            seen,
+            600 + i as u64,
+            p,
+            "corner",
+        );
+    }
+    let now = 720;
+    let populated = packed.len();
+    let evicted = packed.prune(&tm, now, 1e-3);
+    assert_eq!(evicted, reference.prune(&tm, now, 1e-3), "evictions");
+    assert!(
+        evicted > 0 && evicted < populated,
+        "prune must compact: {evicted} of {populated}"
+    );
+    assert_eq!(packed.len(), reference.cells.len());
+
+    // Every survivor is where the model says, reachable by its key.
+    let card = s.cardinality();
+    for (key, cell) in packed.iter() {
+        let coords = grid.codec().unpack(key, card);
+        let (d, _, _, last) = &reference.cells[&coords];
+        assert_eq!(
+            cell.count_at(&tm, now).to_bits(),
+            (d * tm.decay_between(*last, now)).to_bits()
+        );
+    }
+
+    // Capture → restore: same slot order, and the rebuilt index finds
+    // every cell.
+    let mut w = StateWriter::new();
+    packed.capture(&mut w);
+    let state = w.finish();
+    let mut restored = ProjectedStore::new(&grid, s);
+    restored
+        .restore(&StateReader::new(&state).unwrap())
+        .unwrap();
+    let horizon = now + 1000;
+    let slots = |store: &ProjectedStore| -> Vec<(u128, u64)> {
+        store
+            .iter()
+            .map(|(k, c)| (k.0, c.count_at(&tm, horizon).to_bits()))
+            .collect()
+    };
+    assert_eq!(slots(&packed), slots(&restored), "slot order");
+    assert_eq!(packed.approx_bytes(), restored.approx_bytes());
+
+    // Both keep absorbing the stream identically: old cells are found,
+    // evicted ones reopen as new cells.
+    let tail = stream(150, dims, 0x7A11 ^ granularity as u64);
+    let mut twin = ReferenceStore::new(&grid, s);
+    twin.cells = reference.cells.clone();
+    for (i, p) in tail.iter().enumerate() {
+        let (seen, tick) = (wide.len() + corner.len() + i, now + 1 + i as u64);
+        step(&mut packed, &mut reference, seen, tick, p, "live tail");
+        step(&mut restored, &mut twin, seen, tick, p, "restored tail");
+    }
+    assert_eq!(
+        slots(&packed),
+        slots(&restored),
+        "slot order after the tail"
+    );
+}
+
+#[test]
+fn dense_and_hashed_stores_match_reference_through_prune_and_restore() {
+    // 4 bits/dim × 2 = 8-bit keys: dense, 256-entry table.
+    assert_lifecycle_equivalent(4, 10, Subspace::from_dims([1, 3]).unwrap(), 256 * 2);
+    // 5 bits/dim × 2 = 10-bit keys: the widest dense store.
+    assert_lifecycle_equivalent(4, 32, Subspace::from_dims([0, 2]).unwrap(), 1024 * 2);
+    // 10 bits × 1: dense at the cut from the other direction.
+    assert_lifecycle_equivalent(3, 1024, Subspace::from_dims([1]).unwrap(), 1024 * 2);
+    // 4 bits/dim × 3 = 12-bit keys: past the cut, hashed.
+    assert_lifecycle_equivalent(4, 10, Subspace::from_dims([0, 1, 3]).unwrap(), 0);
+    // 6 bits/dim × 2 = 12 bits: hashed as well.
+    assert_lifecycle_equivalent(4, 64, Subspace::from_dims([2, 3]).unwrap(), 0);
 }

@@ -7,8 +7,8 @@ use proptest::prelude::*;
 use serde::Value;
 use spot_stream::TimeModel;
 use spot_subspace::Subspace;
-use spot_synopsis::{Grid, SynopsisManager};
-use spot_types::{DataPoint, DomainBounds, DurableState, StateReader, StateWriter};
+use spot_synopsis::{Grid, ProjectedStore, SynopsisManager};
+use spot_types::{DataPoint, DomainBounds, DurableState, PersistError, StateReader, StateWriter};
 
 fn capture(c: &dyn DurableState) -> Value {
     let mut w = StateWriter::new();
@@ -202,4 +202,166 @@ fn corrupt_manager_state_is_rejected() {
     let v: Value = serde_json::from_str(&broken).unwrap();
     let mut fresh = SynopsisManager::new(grid, model);
     assert!(fresh.restore_state(&StateReader::new(&v).unwrap()).is_err());
+}
+
+#[test]
+fn stores_on_both_sides_of_the_dense_cut_roundtrip_and_keep_going() {
+    // The slot index is derived state: a snapshot carries the key column
+    // only, and restore rebuilds a direct-addressed table (keys up to 10
+    // bits) or a hash map (wider) from it. One manager per granularity,
+    // with a store on each side of the cut where the granularity allows:
+    // m=10 → 4 bits/dim (8-bit dense, 12-bit hashed), m=32 → 5 bits/dim
+    // (10-bit dense — the widest — and 15-bit hashed).
+    for (m, subs) in [
+        (10u16, vec![vec![0, 1], vec![2], vec![0, 1, 2]]),
+        (32u16, vec![vec![1, 2], vec![0], vec![0, 1, 2]]),
+    ] {
+        let grid = Grid::new(DomainBounds::unit(3), m).unwrap();
+        let model = TimeModel::new(40, 0.01).unwrap();
+        let mut mgr = SynopsisManager::new(grid, model);
+        for dims in &subs {
+            mgr.add_subspace(Subspace::from_dims(dims.iter().copied()).unwrap());
+        }
+        let point = |i: u64, scale: f64| {
+            DataPoint::new(
+                (0..3u64)
+                    .map(|d| ((i * (2 * d + 3) + 5 * d) % 29) as f64 / 29.0 * scale)
+                    .collect(),
+            )
+        };
+        // Fill the box, then only a corner much later, then prune: the
+        // stale cells go and the survivors are compacted over them.
+        let early: Vec<DataPoint> = (0..120).map(|i| point(i, 1.0)).collect();
+        for (i, p) in early.iter().enumerate() {
+            mgr.update(1 + i as u64, p).unwrap();
+        }
+        let corner: Vec<DataPoint> = (0..80).map(|i| point(i, 0.35)).collect();
+        for (i, p) in corner.iter().enumerate() {
+            mgr.update(400 + i as u64, p).unwrap();
+        }
+        let now = 480;
+        assert!(mgr.prune(now, 1e-3) > 0, "m={m}: prune must evict");
+        let probes: Vec<DataPoint> = early.iter().chain(&corner).cloned().collect();
+        roundtrip_and_check(&mgr, now, &probes);
+
+        // The restored manager is not just equal at rest: fed the same
+        // tail it stays byte-identical, so the rebuilt index resolves old
+        // cells and opens new ones exactly as the original does.
+        let state = mgr.capture_state();
+        let mut restored = SynopsisManager::new(mgr.grid().clone(), *mgr.model());
+        restored
+            .restore_state(&StateReader::new(&state).unwrap())
+            .unwrap();
+        let mut sink_a = Vec::new();
+        let mut sink_b = Vec::new();
+        for i in 0..100u64 {
+            let p = point(i + 7, 1.0);
+            mgr.update_and_query(now + 1 + i, &p, &mut sink_a).unwrap();
+            restored
+                .update_and_query(now + 1 + i, &p, &mut sink_b)
+                .unwrap();
+            for (a, b) in sink_a.iter().zip(&sink_b) {
+                assert_eq!(a.pcs.rd.to_bits(), b.pcs.rd.to_bits(), "m={m} point {i}");
+                assert_eq!(
+                    a.pcs.irsd.to_bits(),
+                    b.pcs.irsd.to_bits(),
+                    "m={m} point {i}"
+                );
+                assert_eq!(a.occupancy.to_bits(), b.occupancy.to_bits());
+            }
+        }
+        assert_eq!(
+            serde_json::to_string(&mgr.capture_state()).unwrap(),
+            serde_json::to_string(&restored.capture_state()).unwrap(),
+            "m={m}: states diverged after the tail"
+        );
+    }
+}
+
+/// A projected-store snapshot with the given key column (one point of
+/// weight per cell).
+fn store_state(s: Subspace, keys: &[u128]) -> Value {
+    let n = keys.len();
+    let mut w = StateWriter::new();
+    w.u64("mask", s.mask());
+    w.u128_col("keys", keys.iter().copied());
+    w.f64_bits_col("d", std::iter::repeat_n(1.0, n));
+    w.u64_col("last", std::iter::repeat_n(5, n));
+    w.f64_bits_col(
+        "moments",
+        std::iter::repeat_n(0.25, n * 2 * s.cardinality()),
+    );
+    w.finish()
+}
+
+#[test]
+fn hostile_key_columns_are_typed_errors_not_panics() {
+    // Keys come from disk. A dense store indexes a table with them, so a
+    // key outside the table — or far outside `usize` — must be refused,
+    // and a key listed twice must be refused by either index kind.
+    let grid = Grid::new(DomainBounds::unit(3), 10).unwrap();
+    let model = TimeModel::new(40, 0.01).unwrap();
+    let dense = Subspace::from_dims([0, 1]).unwrap(); // 8-bit keys: 0..256
+    let hashed = Subspace::from_dims([0, 1, 2]).unwrap(); // 12-bit keys
+    let p = DataPoint::new(vec![0.15, 0.85, 0.5]);
+    let base = grid.base_coords(&p).unwrap();
+
+    let cases: [(Subspace, &[u128], &str); 5] = [
+        (dense, &[3, 256], "out-of-range"),
+        (dense, &[3, 1 << 40], "out-of-range"),
+        (dense, &[u128::MAX], "out-of-range"),
+        (dense, &[3, 17, 3], "duplicate"),
+        (hashed, &[3, 4000, 3], "duplicate"),
+    ];
+    for (s, keys, what) in cases {
+        let mut store = ProjectedStore::new(&grid, s);
+        store.update(&grid, &model, 1, &base, &p);
+        let state = store_state(s, keys);
+        let err: PersistError = store
+            .restore(&StateReader::new(&state).unwrap())
+            .expect_err("hostile key column must be refused");
+        assert!(
+            err.to_string().contains(what),
+            "{keys:?} in {s}: expected a {what} error, got: {err}"
+        );
+        // The refused column left the store as it was, index included.
+        assert_eq!(store.len(), 1);
+        assert!(store.pcs(&grid, &model, 1, &base, 1.0).rd > 0.0);
+        store.update(&grid, &model, 2, &base, &p);
+        assert_eq!(store.len(), 1, "the cell is still found by its key");
+    }
+
+    // The same columns are fine where the keys are in range and distinct.
+    let mut store = ProjectedStore::new(&grid, dense);
+    let state = store_state(dense, &[3, 255, 0]);
+    store.restore(&StateReader::new(&state).unwrap()).unwrap();
+    assert_eq!(store.len(), 3);
+
+    // And through the manager the refusal surfaces as a failed restore.
+    let mut mgr = SynopsisManager::new(grid.clone(), model);
+    mgr.add_subspace(dense);
+    mgr.update(1, &p).unwrap();
+    let mut w = StateWriter::new();
+    w.value("total", {
+        let good = mgr.capture_state();
+        StateReader::new(&good)
+            .unwrap()
+            .value("total")
+            .unwrap()
+            .clone()
+    });
+    w.value("base", {
+        let good = mgr.capture_state();
+        StateReader::new(&good)
+            .unwrap()
+            .value("base")
+            .unwrap()
+            .clone()
+    });
+    w.nested_list("stores", vec![store_state(dense, &[9, 300])]);
+    let forged = w.finish();
+    let mut fresh = SynopsisManager::new(grid, model);
+    assert!(fresh
+        .restore_state(&StateReader::new(&forged).unwrap())
+        .is_err());
 }
