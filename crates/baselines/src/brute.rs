@@ -52,9 +52,14 @@ pub fn brute_force_top_k<P: SubspaceProblem>(
 ) -> Result<BruteForceResult> {
     let phi = problem.phi();
     let subspaces = enumerate_up_to_dim(phi, max_dim)?;
+    let width = problem.num_objectives();
     let evaluated: Vec<(Subspace, Vec<f64>)> = subspaces
         .into_iter()
-        .map(|s| (s, problem.evaluate(s)))
+        .map(|s| {
+            let mut objectives = vec![0.0; width];
+            problem.evaluate(s, &mut objectives);
+            (s, objectives)
+        })
         .collect();
     let objs: Vec<Vec<f64>> = evaluated.iter().map(|(_, o)| o.clone()).collect();
     let front = pareto_front_indices(&objs);

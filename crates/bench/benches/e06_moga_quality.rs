@@ -68,7 +68,7 @@ fn main() {
         pts.push(spot_types::DataPoint::new(vals));
 
         let grid = Grid::new(DomainBounds::unit(phi), 10).expect("granularity is valid");
-        let evaluator = TrainingEvaluator::new(grid, pts).expect("batch is valid");
+        let evaluator = TrainingEvaluator::new(grid, &pts).expect("batch is valid");
 
         // Exhaustive reference.
         let started = Instant::now();
@@ -84,7 +84,7 @@ fn main() {
         // MOGA.
         let started = Instant::now();
         let mut problem = SparsityProblem::for_targets(&evaluator, vec![target], Some(MAX_CARD));
-        let moga = spot_moga::run(
+        let (moga, history) = spot_moga::run_traced(
             &mut problem,
             &MogaConfig {
                 population: 40,
@@ -149,7 +149,7 @@ fn main() {
                 "E6b: MOGA convergence at phi=22 (hypervolume of archive, best objective sum)",
                 &["generation", "archive", "hypervolume", "best objective sum"],
             );
-            for h in moga.history.iter().step_by(5) {
+            for h in history.iter().step_by(5) {
                 curve.add_row(vec![
                     h.generation.to_string(),
                     h.archive_size.to_string(),

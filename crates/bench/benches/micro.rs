@@ -4,9 +4,10 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spot::SpotBuilder;
+use spot::{SparsityProblem, SparsityScratch, SpotBuilder, TrainingEvaluator};
 use spot_clustering::LeaderClustering;
-use spot_moga::{assign_rank_and_crowding, Individual};
+use spot_data::{SyntheticConfig, SyntheticGenerator};
+use spot_moga::{assign_rank_and_crowding, Individual, MogaConfig, ObjectiveArena, RankScratch};
 use spot_stream::TimeModel;
 use spot_subspace::Subspace;
 use spot_synopsis::{Bcs, Grid, SynopsisManager};
@@ -162,22 +163,99 @@ fn bench_spot_process_batch(c: &mut Criterion) {
 fn bench_nondominated_sort(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(5);
     for n in [64usize, 256] {
+        let mut objectives = ObjectiveArena::new(3);
         let pop: Vec<Individual> = (0..n)
             .map(|_| Individual {
                 subspace: Subspace::from_mask(rng.gen_range(1..1024)).unwrap(),
-                objectives: vec![rng.gen(), rng.gen(), rng.gen()],
+                row: objectives.push_with(|out| out.fill_with(|| rng.gen())),
                 rank: 0,
                 crowding: 0.0,
             })
             .collect();
         c.bench_with_input(BenchmarkId::new("nondominated_sort", n), &pop, |b, pop| {
+            let mut scratch = RankScratch::default();
+            let mut p = pop.clone();
             b.iter(|| {
-                let mut p = pop.clone();
-                assign_rank_and_crowding(&mut p);
+                p.copy_from_slice(pop);
+                assign_rank_and_crowding(&objectives, &mut p, &mut scratch);
                 p[0].rank
             })
         });
     }
+}
+
+/// The batch a maintenance tick scores against: `normal` clustered points
+/// (the reservoir, or a training batch) followed by `outliers` planted
+/// projected outliers (the outlier buffer).
+fn clustered_batch(dims: usize, normal: usize, outliers: usize) -> TrainingEvaluator {
+    let mut gen = SyntheticGenerator::new(SyntheticConfig {
+        dims,
+        outlier_fraction: 0.5,
+        seed: 11,
+        ..SyntheticConfig::default()
+    })
+    .unwrap();
+    let mut pts = gen.generate_normal(normal);
+    let planted = gen.by_ref().filter(|r| r.is_anomaly()).take(outliers);
+    pts.extend(planted.map(|r| r.point));
+    let grid = Grid::new(gen.bounds(), 10).unwrap();
+    TrainingEvaluator::new(grid, &pts).unwrap()
+}
+
+/// 64 candidate subspaces of the cardinalities a MOGA run visits (≤ 4).
+fn candidate_subspaces(dims: usize) -> Vec<Subspace> {
+    let mut rng = StdRng::seed_from_u64(12);
+    (0..64)
+        .map(|_| spot_subspace::genetic::random_subspace(dims, 4, &mut rng))
+        .collect()
+}
+
+/// The objective kernel on its own, 64 evaluations an iteration: the
+/// online shape (320 points, the 64 buffered outliers as targets) at the
+/// two benchmark widths, and the learning stage's whole-batch shape.
+fn bench_sparsity_kernel(c: &mut Criterion) {
+    let score_all = |ev: &TrainingEvaluator, targets: Option<&[usize]>, subs: &[Subspace]| {
+        let mut scratch = SparsityScratch::default();
+        let mut acc = 0.0;
+        for &s in subs {
+            let (rd, irsd) = ev.sparsity_with(black_box(s), targets, &mut scratch);
+            acc += rd + irsd;
+        }
+        acc
+    };
+    for dims in [16usize, 64] {
+        let ev = clustered_batch(dims, 256, 64);
+        let subs = candidate_subspaces(dims);
+        let targets: Vec<usize> = (256..320).collect();
+        c.bench_function(&format!("sparsity_targets64_n320_phi{dims}"), |b| {
+            b.iter(|| score_all(&ev, Some(&targets), &subs))
+        });
+    }
+    let ev = clustered_batch(16, 2000, 0);
+    let subs = candidate_subspaces(16);
+    c.bench_function("sparsity_whole_n2000_phi16", |b| {
+        b.iter(|| score_all(&ev, None, &subs))
+    });
+}
+
+/// One OS-growth search as the detector runs it on a tick: the online MOGA
+/// configuration over reservoir ∪ outlier buffer.
+fn bench_moga_online(c: &mut Criterion) {
+    let ev = clustered_batch(16, 256, 64);
+    let config = MogaConfig {
+        population: 24,
+        generations: 12,
+        seed: 13,
+        ..MogaConfig::default()
+    };
+    c.bench_function("moga_online_n320_phi16", |b| {
+        b.iter(|| {
+            let mut problem = SparsityProblem::for_targets(&ev, (256..320).collect(), Some(4));
+            spot_moga::run(&mut problem, black_box(&config))
+                .unwrap()
+                .evaluations
+        })
+    });
 }
 
 fn bench_leader_clustering(c: &mut Criterion) {
@@ -213,6 +291,7 @@ criterion_group! {
     targets = bench_bcs_insert, bench_grid_mapping, bench_grid_quantize_chunked,
               bench_manager_update,
               bench_manager_update_and_query, bench_spot_process_batch,
-              bench_nondominated_sort, bench_leader_clustering, bench_spot_process
+              bench_nondominated_sort, bench_sparsity_kernel, bench_moga_online,
+              bench_leader_clustering, bench_spot_process
 }
 criterion_main!(micro);

@@ -287,7 +287,8 @@ impl Spot {
         self.mutations += 1;
         self.structure_revision += 1;
         let learning = self.config.learning.clone();
-        // The evaluator borrows the training batch — no clone of it is made.
+        // The evaluator indexes the training batch in place — no clone of
+        // it is made.
         let evaluator = TrainingEvaluator::new(self.manager.grid().clone(), training)?;
         let mut evaluations = 0usize;
 
@@ -341,10 +342,11 @@ impl Spot {
         // subspaces to OS regardless of how the others score.
         let mut os_report = Vec::new();
         if !outlier_examples.is_empty() {
-            let mut combined = training.to_vec();
-            let first_exemplar = combined.len();
-            combined.extend_from_slice(outlier_examples);
-            let ex_evaluator = TrainingEvaluator::new(self.manager.grid().clone(), combined)?;
+            let first_exemplar = training.len();
+            let ex_evaluator = TrainingEvaluator::new(
+                self.manager.grid().clone(),
+                training.iter().chain(outlier_examples),
+            )?;
             let per_exemplar_k = learning.moga_top_k.div_ceil(2).clamp(1, 5);
             for (i, _) in outlier_examples.iter().enumerate() {
                 let mut problem = SparsityProblem::for_targets(
@@ -675,8 +677,7 @@ impl Spot {
         // is empty or evolution is off (the exact-fallback gate), so the
         // drift-evolve effect is always a no-op here and is skipped.
         if self.config.evolution.enabled && end.is_multiple_of(self.config.evolution.period) {
-            self.self_evolve(end);
-            self.grow_os(end);
+            self.maintain_sst(false, true);
         }
         if self.config.prune_every > 0 && end.is_multiple_of(self.config.prune_every) {
             self.stats.cells_pruned += self.manager.prune(end, self.config.prune_floor) as u64;
@@ -793,12 +794,8 @@ impl Spot {
         }
         .commit_one(now, point, plan);
         // Maintenance, in the order the pre-split evaluator applied it.
-        if effects.drift_evolve {
-            self.self_evolve(now);
-        }
-        if effects.periodic {
-            self.self_evolve(now);
-            self.grow_os(now);
+        if effects.drift_evolve || effects.periodic {
+            self.maintain_sst(effects.drift_evolve, effects.periodic);
         }
         if effects.prune {
             self.stats.cells_pruned += self.manager.prune(now, self.config.prune_floor) as u64;
@@ -945,35 +942,66 @@ impl Spot {
 
     /// HOS-Miner-style query: the top sparse subspaces of an arbitrary
     /// point, judged against the reservoir sample of the recent stream.
-    /// Requires enough recent data (≥ 8 points) to be meaningful.
-    pub fn explain(&mut self, point: &DataPoint, top_k: usize) -> Result<Vec<(Subspace, f64)>> {
+    /// Requires enough recent data (≥ 8 points) to be meaningful. Reads
+    /// the detector only: callers behind a lock need no write access.
+    pub fn explain(&self, point: &DataPoint, top_k: usize) -> Result<Vec<(Subspace, f64)>> {
         if self.reservoir.len() < 8 {
             return Err(SpotError::NotLearned);
         }
-        let mut pts: Vec<DataPoint> = self
-            .reservoir
-            .items()
-            .iter()
-            .map(|(_, p)| p.clone())
-            .collect();
-        let target = pts.len();
-        pts.push(point.clone());
-        let evaluator = TrainingEvaluator::new(self.manager.grid().clone(), pts)?;
+        let recent = self.reservoir.items().iter().map(|(_, p)| p);
+        let evaluator = TrainingEvaluator::new(
+            self.manager.grid().clone(),
+            recent.chain(std::iter::once(point)),
+        )?;
         let mut problem = SparsityProblem::for_targets(
             &evaluator,
-            vec![target],
+            vec![self.reservoir.len()],
             self.config.learning.max_cardinality,
         );
         let out = spot_moga::run(&mut problem, &self.online_moga_config())?;
         Ok(out.top_k(top_k))
     }
 
+    /// The SST half of a maintenance tick: a drift-triggered CS
+    /// self-evolution (`drift`), then the periodic one followed by OS
+    /// growth (`periodic`). None of them changes the reservoir or — until
+    /// OS growth consumes it, last — the outlier buffer, so all score
+    /// against one index of reservoir ∪ outlier buffer, built once, and
+    /// only when some step will run.
+    fn maintain_sst(&mut self, drift: bool, periodic: bool) {
+        if self.reservoir.len() < 8 {
+            return;
+        }
+        let evolve = self.sst.sizes().1 > 0;
+        let grow =
+            periodic && self.outlier_buffer.len() >= self.config.evolution.min_outliers_for_os;
+        if !evolve && !grow {
+            return;
+        }
+        let recent = self.reservoir.items().iter().map(|(_, p)| p);
+        let outliers = self.outlier_buffer.iter().map(|(_, p)| p);
+        let Ok(evaluator) =
+            TrainingEvaluator::new(self.manager.grid().clone(), recent.chain(outliers))
+        else {
+            return;
+        };
+        // The buffered outliers sit at the tail of the indexed batch.
+        let outliers: Vec<usize> = (self.reservoir.len()..evaluator.len()).collect();
+        for _ in 0..usize::from(drift) + usize::from(periodic) {
+            self.self_evolve(&evaluator, &outliers);
+        }
+        if grow {
+            self.grow_os(&evaluator, outliers);
+        }
+    }
+
     /// CS self-evolution (paper, Section II-C2): crossover/mutate the top
     /// subspaces of the current CS, re-rank old and new together against
-    /// the recent stream, keep the best.
-    fn self_evolve(&mut self, _now: u64) {
+    /// the recent stream (`recent`, whose `outliers` are the buffered
+    /// detected outliers), keep the best.
+    fn self_evolve(&mut self, recent: &TrainingEvaluator, outliers: &[usize]) {
         let entries = self.sst.cs_entries();
-        if entries.is_empty() || self.reservoir.len() < 8 {
+        if entries.is_empty() {
             return;
         }
         self.structure_revision += 1;
@@ -996,9 +1024,7 @@ impl Spot {
         }
         // Score everyone against the recent stream: how sparse do the
         // buffered outliers (or, lacking any, all recent points) look?
-        let Some((evaluator, targets)) = self.reservoir_evaluator() else {
-            return;
-        };
+        let targets = (!outliers.is_empty()).then_some(outliers);
         let mut candidates: Vec<ScoredSubspace> = Vec::new();
         let mut seen: FxHashSet<u64> = FxHashSet::default();
         let mut scratch = SparsityScratch::default();
@@ -1006,7 +1032,7 @@ impl Spot {
             if !seen.insert(s.mask()) {
                 continue;
             }
-            let (rd, irsd) = evaluator.sparsity_with(s, targets.as_deref(), &mut scratch);
+            let (rd, irsd) = recent.sparsity_with(s, targets, &mut scratch);
             let dim = 0.25 * s.cardinality() as f64 / self.phi as f64;
             candidates.push(ScoredSubspace {
                 subspace: s,
@@ -1018,23 +1044,11 @@ impl Spot {
     }
 
     /// OS growth (paper, Section II-C2): MOGA over the buffered detected
-    /// outliers; their top sparse subspaces join OS so similar outliers are
-    /// caught directly later.
-    fn grow_os(&mut self, _now: u64) {
-        if self.outlier_buffer.len() < self.config.evolution.min_outliers_for_os
-            || self.reservoir.len() < 8
-        {
-            return;
-        }
-        let Some((evaluator, _)) = self.reservoir_evaluator() else {
-            return;
-        };
-        // Targets are the buffered outliers, which sit at the tail of the
-        // combined evaluator batch built by `reservoir_evaluator`.
-        let n_reservoir = self.reservoir.len();
-        let targets: Vec<usize> = (n_reservoir..n_reservoir + self.outlier_buffer.len()).collect();
+    /// outliers (`outliers`, within `recent`); their top sparse subspaces
+    /// join OS so similar outliers are caught directly later.
+    fn grow_os(&mut self, recent: &TrainingEvaluator, outliers: Vec<usize>) {
         let mut problem =
-            SparsityProblem::for_targets(&evaluator, targets, self.config.learning.max_cardinality);
+            SparsityProblem::for_targets(recent, outliers, self.config.learning.max_cardinality);
         let Ok(out) = spot_moga::run(&mut problem, &self.online_moga_config()) else {
             return;
         };
@@ -1063,27 +1077,6 @@ impl Spot {
             mutation_rate: base.mutation_rate,
             seed: self.config.seed ^ self.stats.processed,
         }
-    }
-
-    /// Evaluator over reservoir ∪ outlier buffer; targets = buffer indices
-    /// (None when the buffer is empty → whole-batch objectives).
-    fn reservoir_evaluator(&self) -> Option<(TrainingEvaluator<'static>, Option<Vec<usize>>)> {
-        let mut pts: Vec<DataPoint> = self
-            .reservoir
-            .items()
-            .iter()
-            .map(|(_, p)| p.clone())
-            .collect();
-        let n_reservoir = pts.len();
-        pts.extend(self.outlier_buffer.iter().map(|(_, p)| p.clone()));
-        let targets = if self.outlier_buffer.is_empty() {
-            None
-        } else {
-            Some((n_reservoir..pts.len()).collect())
-        };
-        TrainingEvaluator::new(self.manager.grid().clone(), pts)
-            .ok()
-            .map(|ev| (ev, targets))
     }
 
     /// Reconciles the manager's projected stores with the current SST;
@@ -1841,7 +1834,7 @@ mod tests {
 
     #[test]
     fn explain_requires_recent_data() {
-        let mut s = spot();
+        let s = spot();
         assert_eq!(
             s.explain(&DataPoint::new(vec![0.5; 6]), 3),
             Err(SpotError::NotLearned)

@@ -1,13 +1,23 @@
-//! Batch sparsity evaluation — the learning stage's objective functions.
+//! Batch sparsity evaluation — the objective functions of the learning
+//! stage and of the maintenance tick.
 //!
-//! During offline learning (and during online OS growth, against the
-//! reservoir sample) SPOT must answer: *how sparse do some target points
-//! look in an arbitrary candidate subspace `s`?* The streaming synopses
-//! cannot answer that — they only cover the subspaces already in SST — so
-//! the learning stage materializes the training batch once
-//! ([`TrainingEvaluator`] pre-quantizes every point to its base-cell
-//! coordinates) and then evaluates any subspace in O(n·|s|) by grouping the
-//! projected coordinates on the fly.
+//! During offline learning, and on every maintenance tick of the detection
+//! stage (CS self-evolution, OS growth) against the reservoir sample, SPOT
+//! must answer: *how sparse do some target points look in an arbitrary
+//! candidate subspace `s`?* The streaming synopses cannot answer that —
+//! they only cover the subspaces already in SST — so the batch is indexed
+//! once ([`TrainingEvaluator`]) and any subspace is then scored against the
+//! index.
+//!
+//! The index is columnar: per dimension the points' values, the bitset of
+//! every occupied interval's members, and per point which of those bitsets
+//! it belongs to. The projected cell of a point in `s` is the AND of `|s|`
+//! bitsets. Its count is the number of set bits; its moments are, per
+//! dimension, the sum over exactly those members in ascending point order —
+//! the additions a sequential grouping pass over the batch makes for that
+//! cell, in that pass's order — so every result equals the grouping pass's
+//! bit for bit (`tests/sparsity_oracle.rs` keeps that pass as the oracle).
+//! Only the cells that hold a *target* point are ever formed.
 //!
 //! [`SparsityProblem`] packages that evaluation as the MOGA's objective
 //! vector: mean normalized RD and mean normalized IRSD of the target
@@ -15,79 +25,135 @@
 //! steers the search toward concise outlying subspaces.
 
 use spot_moga::SubspaceProblem;
+use spot_subspace::subspace::MAX_DIMS;
 use spot_subspace::Subspace;
-use spot_synopsis::{CellKey, Grid};
-use spot_types::{DataPoint, FxHashMap, Result, SpotError};
-use std::borrow::Cow;
+use spot_synopsis::Grid;
+use spot_types::{DataPoint, Result, SpotError};
 
 /// IRSD values are clamped to this cap before normalization so a single
 /// zero-variance micro-cluster cannot blow up a mean objective.
 pub const IRSD_CAP: f64 = 10.0;
 
-/// A quantized training batch that can score any subspace.
+/// A batch of points indexed so that any subspace can be scored.
 ///
-/// The batch is held as a [`Cow`]: the offline learning stage borrows the
-/// caller's training slice (no clone of the batch is ever made), while
-/// online callers that assemble an ad-hoc batch (reservoir ∪ outliers,
-/// `explain` probes) pass an owned `Vec`.
+/// The index copies what it needs (values and interval memberships) and
+/// keeps no reference to the points: the offline learning stage indexes the
+/// caller's training slice, the maintenance tick indexes reservoir ∪
+/// outlier buffer in place, and neither clones a `DataPoint`.
 #[derive(Debug, Clone)]
-pub struct TrainingEvaluator<'a> {
+pub struct TrainingEvaluator {
     grid: Grid,
-    points: Cow<'a, [DataPoint]>,
-    /// Base-cell coordinates per point, precomputed once.
-    coords: Vec<Vec<u16>>,
+    /// Points in the batch.
+    n: usize,
+    /// `u64` words per membership bitset: `ceil(n / 64)`.
+    words: usize,
+    /// Column-major values: `values[d * n + i]` is point `i` along `d`.
+    values: Vec<f64>,
+    /// Column-major: `bitset_of[d * n + i]` is the index (in units of
+    /// `words` into `members`) of the bitset of point `i`'s interval along
+    /// `d`.
+    bitset_of: Vec<u32>,
+    /// One membership bitset per occupied (dimension, interval): bit `i`
+    /// is set when point `i` falls into that interval.
+    members: Vec<u64>,
 }
 
-/// Reusable working memory of [`TrainingEvaluator::sparsity_with`]: the
-/// cell index, the per-cell count and moment columns and the per-point slot
-/// memo of one grouping pass. A caller scoring many subspaces in a row
-/// (a MOGA run, a self-evolution round) keeps one scratch, so each call
-/// clears these instead of allocating and growing them afresh.
+/// Reusable working memory of [`TrainingEvaluator::sparsity_with`]. A
+/// caller scoring many subspaces in a row (a MOGA run, a self-evolution
+/// round) keeps one scratch, so each call clears these instead of
+/// allocating them afresh.
 #[derive(Debug, Default)]
 pub struct SparsityScratch {
-    index: FxHashMap<CellKey, u32>,
-    counts: Vec<f64>,
-    moments: Vec<f64>,
-    slot_of: Vec<u32>,
+    /// The membership bitset of the cell being scored.
+    cell: Vec<u64>,
+    /// Per point, the entry of `scores` holding its cell's score, or
+    /// [`NONE`].
+    score_of: Vec<u32>,
+    /// Normalized `(rd, irsd)` of each distinct cell scored so far.
+    scores: Vec<(f64, f64)>,
 }
 
-impl<'a> TrainingEvaluator<'a> {
-    /// Quantizes `points` over `grid` — borrowed (`&[DataPoint]`) or owned
-    /// (`Vec<DataPoint>`). Fails on dimension mismatches or an empty batch.
-    pub fn new(grid: Grid, points: impl Into<Cow<'a, [DataPoint]>>) -> Result<Self> {
-        let points = points.into();
-        if points.is_empty() {
+/// "Not assigned yet" in the `u32` tables of the index and the scratch.
+const NONE: u32 = u32::MAX;
+
+impl TrainingEvaluator {
+    /// Indexes `points` over `grid`. The iterator is walked twice (count,
+    /// then fill). Fails on dimension mismatches, `NaN` values or an empty
+    /// batch.
+    pub fn new<'p, I>(grid: Grid, points: I) -> Result<Self>
+    where
+        I: IntoIterator<Item = &'p DataPoint>,
+        I::IntoIter: Clone,
+    {
+        let points = points.into_iter();
+        let n = points.clone().count();
+        if n == 0 {
             return Err(SpotError::EmptyTrainingSet);
         }
-        let coords = points
-            .iter()
-            .map(|p| grid.base_coords(p))
-            .collect::<Result<Vec<_>>>()?;
+        if u32::try_from(n).is_err() {
+            return Err(SpotError::InvalidConfig(format!(
+                "a batch of {n} points is too large to index"
+            )));
+        }
+        let phi = grid.dims();
+        let words = n.div_ceil(64);
+
+        // Pass 1, point-major: quantize each point once and transpose its
+        // values and interval indices into columns.
+        let mut values = vec![0.0; phi * n];
+        let mut intervals = vec![0u16; phi * n];
+        let mut coords = Vec::with_capacity(phi);
+        for (i, p) in points.enumerate() {
+            grid.base_coords_into(p, &mut coords)?;
+            for (d, (&v, &c)) in p.values().iter().zip(&coords).enumerate() {
+                values[d * n + i] = v;
+                intervals[d * n + i] = c;
+            }
+        }
+
+        // Pass 2, dimension-major: a bitset per interval that holds a
+        // point, allotted in order of first appearance, so the index grows
+        // with the batch and not with the granularity.
+        let mut bitset_of = vec![0u32; phi * n];
+        let mut members: Vec<u64> = Vec::new();
+        let mut bitset_of_interval = vec![NONE; usize::from(grid.granularity())];
+        for d in 0..phi {
+            bitset_of_interval.fill(NONE);
+            for i in 0..n {
+                let slot = &mut bitset_of_interval[usize::from(intervals[d * n + i])];
+                if *slot == NONE {
+                    // At most ϕ · granularity ≤ 64 · 2¹⁶ bitsets exist.
+                    *slot = (members.len() / words) as u32;
+                    members.resize(members.len() + words, 0);
+                }
+                bitset_of[d * n + i] = *slot;
+                members[*slot as usize * words + i / 64] |= 1 << (i % 64);
+            }
+        }
+
         Ok(TrainingEvaluator {
             grid,
-            points,
-            coords,
+            n,
+            words,
+            values,
+            bitset_of,
+            members,
         })
     }
 
     /// Number of points in the batch.
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.n
     }
 
     /// `true` when the batch is empty (never after `new`).
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.n == 0
     }
 
     /// The underlying grid.
     pub fn grid(&self) -> &Grid {
         &self.grid
-    }
-
-    /// The batch points.
-    pub fn points(&self) -> &[DataPoint] {
-        &self.points
     }
 
     /// Mean `(rd, irsd)` of the cells containing the `targets` (indices
@@ -100,107 +166,140 @@ impl<'a> TrainingEvaluator<'a> {
 
     /// [`TrainingEvaluator::sparsity`] over caller-kept working memory —
     /// the form for callers that score subspace after subspace.
+    ///
+    /// Cost: per *distinct* target cell, `|s| · ceil(n/64)` word ANDs plus,
+    /// unless the target is alone in it, `|s|` sums over its members and a
+    /// dozen divisions; a target whose cell was already scored is one table
+    /// look-up. Cells holding no target are never formed.
     pub fn sparsity_with(
         &self,
         s: Subspace,
         targets: Option<&[usize]>,
         scratch: &mut SparsityScratch,
     ) -> (f64, f64) {
-        // Group the batch into projected cells, SoA-style: one flat
-        // moments buffer (LS then SS per cell) instead of two Vecs per
-        // cell, and the slot of every point's own cell memoized during
-        // the grouping pass so scoring needs no second key projection or
-        // hash lookup. This runs on the online hot path (CS
-        // self-evolution scores ~2x cs_capacity candidates per
-        // maintenance tick), and the per-cell accumulation order is
-        // unchanged, so every float result is bit-identical to the naive
-        // grouping.
-        let card = s.cardinality();
-        let stride = 2 * card;
-        let SparsityScratch {
-            index,
-            counts,
-            moments,
-            slot_of,
-        } = scratch;
-        index.clear();
-        counts.clear();
-        moments.clear();
-        slot_of.clear();
-        for (p, base) in self.points.iter().zip(self.coords.iter()) {
-            let key = self.grid.project_key(base, &s);
-            let slot = *index.entry(key).or_insert_with(|| {
-                counts.push(0.0);
-                moments.extend(std::iter::repeat_n(0.0, stride));
-                (counts.len() - 1) as u32
-            });
-            slot_of.push(slot);
-            let slot = slot as usize;
-            counts[slot] += 1.0;
-            let (ls, ss) = moments[slot * stride..(slot + 1) * stride].split_at_mut(card);
-            for (i, d) in s.dims().enumerate() {
-                let v = p.value(d);
-                ls[i] += v;
-                ss[i] += v * v;
-            }
+        match targets {
+            Some(idx) => self.mean_score(s, idx.iter().copied(), scratch),
+            None => self.mean_score(s, 0..self.n, scratch),
         }
-        let n = self.points.len() as f64;
+    }
+
+    fn mean_score(
+        &self,
+        s: Subspace,
+        targets: impl Iterator<Item = usize>,
+        scratch: &mut SparsityScratch,
+    ) -> (f64, f64) {
+        let (n, words) = (self.n, self.words);
+        let (values, bitset_of, members) =
+            (&self.values[..], &self.bitset_of[..], &self.members[..]);
+        let mut dims = [0usize; MAX_DIMS];
+        let card = s.cardinality();
+        for (slot, d) in dims.iter_mut().zip(s.dims()) {
+            *slot = d;
+        }
+        let dims = &dims[..card];
         let cell_count = self.grid.cell_count_in(&s);
         let uniform_sigma = self.grid.uniform_sigma_in(&s);
-        let score_one = |idx: usize| -> (f64, f64) {
-            let slot = slot_of[idx] as usize;
-            let count = counts[slot];
-            let rd = count * cell_count / n;
-            let irsd = if count < 2.0 {
-                0.0
+        let normalized = |rd: f64, irsd: f64| (rd / (1.0 + rd), irsd / IRSD_CAP);
+        // What every cell holding a single point scores.
+        let alone = normalized(1.0 * cell_count / n as f64, 0.0);
+
+        let SparsityScratch {
+            cell,
+            score_of,
+            scores,
+        } = scratch;
+        cell.clear();
+        cell.resize(words, 0);
+        score_of.clear();
+        score_of.resize(n, NONE);
+        scores.clear();
+        let (cell, score_of) = (&mut cell[..], &mut score_of[..]);
+        // The running (LS, SS) of the cell being scored, per dimension of `s`.
+        let mut sums = [(0.0f64, 0.0f64); MAX_DIMS];
+        let sums = &mut sums[..card];
+
+        let (mut rd_sum, mut irsd_sum, mut scored) = (0.0, 0.0, 0usize);
+        for t in targets {
+            scored += 1;
+            if score_of[t] != NONE {
+                let (rd, irsd) = scores[score_of[t] as usize];
+                rd_sum += rd;
+                irsd_sum += irsd;
+                continue;
+            }
+            // First visit to t's cell. Its members: the AND of t's interval
+            // bitset in every dimension of `s`.
+            let id = scores.len() as u32;
+            let bitset = |d: usize| {
+                let at = bitset_of[d * n + t] as usize * words;
+                &members[at..at + words]
+            };
+            cell.copy_from_slice(bitset(dims[0]));
+            for &d in &dims[1..] {
+                for (c, m) in cell.iter_mut().zip(bitset(d)) {
+                    *c &= m;
+                }
+            }
+            // Most target cells hold the target alone, and telling takes no
+            // data-dependent branch per word.
+            let own = 1u64 << (t % 64);
+            cell[t / 64] ^= own;
+            let alone_in_cell = cell.iter().fold(0, |any, &w| any | w) == 0;
+            cell[t / 64] ^= own;
+            let score = if alone_in_cell {
+                score_of[t] = id;
+                alone
             } else {
-                let (ls, ss) = moments[slot * stride..(slot + 1) * stride].split_at(card);
+                // One pass over the members, ascending; each adds its value
+                // to every dimension's sums — per dimension, the additions
+                // a sequential grouping pass over the batch makes for this
+                // cell, in its order.
+                sums.fill((0.0, 0.0));
+                let mut count = 0u32;
+                for (w, &word) in cell.iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        let i = w * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        count += 1;
+                        score_of[i] = id;
+                        for (sum, &d) in sums.iter_mut().zip(dims) {
+                            let v = values[d * n + i];
+                            sum.0 += v;
+                            sum.1 += v * v;
+                        }
+                    }
+                }
+                let count = f64::from(count);
                 let mut var = 0.0;
-                for i in 0..card {
-                    let m = ls[i] / count;
-                    var += (ss[i] / count - m * m).max(0.0);
+                for &(ls, ss) in sums.iter() {
+                    let m = ls / count;
+                    var += (ss / count - m * m).max(0.0);
                 }
                 let sigma = var.sqrt();
-                if sigma > f64::EPSILON {
+                let irsd = if sigma > f64::EPSILON {
                     (uniform_sigma / sigma).min(IRSD_CAP)
                 } else {
                     IRSD_CAP
-                }
+                };
+                normalized(count * cell_count / n as f64, irsd)
             };
-            (rd / (1.0 + rd), irsd / IRSD_CAP)
-        };
-        let mut rd_sum = 0.0;
-        let mut irsd_sum = 0.0;
-        let mut count = 0usize;
-        match targets {
-            Some(idx) => {
-                for &i in idx {
-                    let (r, s_) = score_one(i);
-                    rd_sum += r;
-                    irsd_sum += s_;
-                    count += 1;
-                }
-            }
-            None => {
-                for i in 0..self.points.len() {
-                    let (r, s_) = score_one(i);
-                    rd_sum += r;
-                    irsd_sum += s_;
-                    count += 1;
-                }
-            }
+            scores.push(score);
+            rd_sum += score.0;
+            irsd_sum += score.1;
         }
-        if count == 0 {
+        if scored == 0 {
             return (1.0, 1.0); // nothing to score: maximally un-sparse
         }
-        (rd_sum / count as f64, irsd_sum / count as f64)
+        (rd_sum / scored as f64, irsd_sum / scored as f64)
     }
 }
 
 /// MOGA problem: minimize the mean normalized RD and IRSD of the target
 /// points plus a dimensionality penalty.
 pub struct SparsityProblem<'a> {
-    evaluator: &'a TrainingEvaluator<'a>,
+    evaluator: &'a TrainingEvaluator,
     targets: Option<Vec<usize>>,
     max_cardinality: Option<usize>,
     scratch: SparsityScratch,
@@ -211,10 +310,7 @@ pub struct SparsityProblem<'a> {
 
 impl<'a> SparsityProblem<'a> {
     /// Problem over all batch points.
-    pub fn whole_batch(
-        evaluator: &'a TrainingEvaluator<'a>,
-        max_cardinality: Option<usize>,
-    ) -> Self {
+    pub fn whole_batch(evaluator: &'a TrainingEvaluator, max_cardinality: Option<usize>) -> Self {
         SparsityProblem {
             evaluator,
             targets: None,
@@ -227,7 +323,7 @@ impl<'a> SparsityProblem<'a> {
     /// Problem over a target subset (e.g. the top outlying-degree points or
     /// one outlier exemplar).
     pub fn for_targets(
-        evaluator: &'a TrainingEvaluator<'a>,
+        evaluator: &'a TrainingEvaluator,
         targets: Vec<usize>,
         max_cardinality: Option<usize>,
     ) -> Self {
@@ -250,12 +346,12 @@ impl SubspaceProblem for SparsityProblem<'_> {
         3
     }
 
-    fn evaluate(&mut self, s: Subspace) -> Vec<f64> {
+    fn evaluate(&mut self, s: Subspace, out: &mut [f64]) {
         let (rd, irsd) =
             self.evaluator
                 .sparsity_with(s, self.targets.as_deref(), &mut self.scratch);
         let dim = self.dim_penalty * s.cardinality() as f64 / self.phi() as f64;
-        vec![rd, irsd, dim]
+        out.copy_from_slice(&[rd, irsd, dim]);
     }
 
     fn max_cardinality(&self) -> Option<usize> {
@@ -270,13 +366,13 @@ mod tests {
 
     /// 2-dim batch: a tight cluster in dim 0 at 0.2 and a lone point at
     /// 0.9; dim 1 is uniform for everyone.
-    fn batch() -> TrainingEvaluator<'static> {
+    fn batch() -> TrainingEvaluator {
         let grid = Grid::new(DomainBounds::unit(2), 10).unwrap();
         let mut pts: Vec<DataPoint> = (0..99)
             .map(|i| DataPoint::new(vec![0.2 + (i % 10) as f64 * 0.005, i as f64 / 99.0]))
             .collect();
         pts.push(DataPoint::new(vec![0.9, 0.5])); // index 99: the outlier
-        TrainingEvaluator::new(grid, pts).unwrap()
+        TrainingEvaluator::new(grid, &pts).unwrap()
     }
 
     #[test]
@@ -337,14 +433,14 @@ mod tests {
     #[test]
     fn empty_batch_rejected() {
         let grid = Grid::new(DomainBounds::unit(2), 10).unwrap();
-        assert!(TrainingEvaluator::new(grid, vec![]).is_err());
+        assert!(TrainingEvaluator::new(grid, &[]).is_err());
     }
 
     #[test]
     fn dimension_mismatch_rejected() {
         let grid = Grid::new(DomainBounds::unit(2), 10).unwrap();
         let pts = vec![DataPoint::new(vec![0.5])];
-        assert!(TrainingEvaluator::new(grid, pts).is_err());
+        assert!(TrainingEvaluator::new(grid, &pts).is_err());
     }
 
     #[test]
@@ -374,8 +470,8 @@ mod tests {
         let ev = batch();
         let mut p = SparsityProblem::whole_batch(&ev, None);
         assert_eq!(p.num_objectives(), 3);
-        let v = p.evaluate(Subspace::from_dims([0, 1]).unwrap());
-        assert_eq!(v.len(), 3);
+        let mut v = [0.0; 3];
+        p.evaluate(Subspace::from_dims([0, 1]).unwrap(), &mut v);
         assert!(v[2] > 0.0); // dimension penalty active by default
     }
 }

@@ -21,6 +21,7 @@ pub mod problem;
 pub use dominance::{dominates, pareto_front_indices};
 pub use hypervolume::hypervolume;
 pub use nsga2::{
-    assign_rank_and_crowding, run, GenerationStats, Individual, MogaConfig, MogaOutcome,
+    assign_rank_and_crowding, run, run_traced, GenerationStats, Individual, MogaConfig,
+    MogaOutcome, ObjectiveArena, RankScratch,
 };
 pub use problem::{HiddenTargetProblem, SubspaceProblem};

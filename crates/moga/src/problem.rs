@@ -15,8 +15,11 @@ pub trait SubspaceProblem {
     /// Number of objectives produced by [`SubspaceProblem::evaluate`].
     fn num_objectives(&self) -> usize;
 
-    /// Objective vector of a candidate subspace (all minimized).
-    fn evaluate(&mut self, s: Subspace) -> Vec<f64>;
+    /// Writes the objective vector of a candidate subspace (all minimized)
+    /// into `out`, which has [`SubspaceProblem::num_objectives`] entries —
+    /// the search hands out rows of its objective arena, so an evaluation
+    /// allocates nothing.
+    fn evaluate(&mut self, s: Subspace, out: &mut [f64]);
 
     /// Optional cap on chromosome cardinality (number of participating
     /// attributes). `None` leaves the search free up to ϕ.
@@ -57,10 +60,10 @@ impl SubspaceProblem for HiddenTargetProblem {
         2
     }
 
-    fn evaluate(&mut self, s: Subspace) -> Vec<f64> {
+    fn evaluate(&mut self, s: Subspace, out: &mut [f64]) {
         self.evaluations += 1;
-        let hamming = (s.mask() ^ self.target.mask()).count_ones() as f64;
-        vec![hamming, s.cardinality() as f64 / self.phi as f64]
+        out[0] = (s.mask() ^ self.target.mask()).count_ones() as f64;
+        out[1] = s.cardinality() as f64 / self.phi as f64;
     }
 }
 
@@ -72,8 +75,9 @@ mod tests {
     fn hidden_target_scores_target_best() {
         let target = Subspace::from_dims([1, 3]).unwrap();
         let mut p = HiddenTargetProblem::new(8, target);
-        let at_target = p.evaluate(target);
-        let off = p.evaluate(Subspace::from_dims([0, 2]).unwrap());
+        let (mut at_target, mut off) = ([0.0; 2], [0.0; 2]);
+        p.evaluate(target, &mut at_target);
+        p.evaluate(Subspace::from_dims([0, 2]).unwrap(), &mut off);
         assert_eq!(at_target[0], 0.0);
         assert!(off[0] > 0.0);
         assert_eq!(p.evaluations, 2);

@@ -42,12 +42,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     vals[11] = 0.003;
     let outlier_probe = DataPoint::new(vals);
 
-    for (name, probe) in [
+    let probes = [
         ("normal probe", &normal_probe),
         ("planted probe", &outlier_probe),
-    ] {
+    ];
+    let verdicts = probes.map(|(_, probe)| detector.process(probe));
+    // Explaining only reads the detector: a shared reference is enough, so
+    // a service can answer "why?" under a read lock while others ask too.
+    let detector = &detector;
+    for ((name, probe), verdict) in probes.into_iter().zip(verdicts) {
         println!("== {name} ==");
-        let verdict = detector.process(probe)?;
+        let verdict = verdict?;
         println!(
             "  flagged online: {} (score {:.3})",
             verdict.outlier, verdict.score

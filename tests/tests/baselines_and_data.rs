@@ -73,7 +73,7 @@ fn random_subspaces_underperform_spot_on_subspace_recovery() {
 /// Sparsity problem on real generator data, reused by the MOGA-vs-brute
 /// check below.
 struct KddSparsity {
-    evaluator: spot::TrainingEvaluator<'static>,
+    evaluator: spot::TrainingEvaluator,
     target: usize,
 }
 
@@ -84,9 +84,9 @@ impl SubspaceProblem for KddSparsity {
     fn num_objectives(&self) -> usize {
         2
     }
-    fn evaluate(&mut self, s: spot_subspace::Subspace) -> Vec<f64> {
+    fn evaluate(&mut self, s: spot_subspace::Subspace, out: &mut [f64]) {
         let (rd, irsd) = self.evaluator.sparsity(s, Some(&[self.target]));
-        vec![rd, irsd]
+        out.copy_from_slice(&[rd, irsd]);
     }
     fn max_cardinality(&self) -> Option<usize> {
         Some(3)
@@ -102,7 +102,7 @@ fn moga_matches_brute_force_on_attack_explanation() {
     let target = pts.len();
     pts.push(g.attack_exemplar(AttackKind::Dos));
     let grid = spot_synopsis::Grid::new(DomainBounds::unit(20), 10).unwrap();
-    let evaluator = spot::TrainingEvaluator::new(grid, pts).unwrap();
+    let evaluator = spot::TrainingEvaluator::new(grid, &pts).unwrap();
 
     let signature = AttackKind::Dos.subspace();
     let hits_signature = |subs: &[spot_subspace::Subspace]| {
