@@ -14,7 +14,7 @@
 //! decayed count is below `density_threshold` (an absolute support floor),
 //! mirroring Aggarwal SDM'05's sparse-region test.
 
-use spot_stream::{LogicalClock, TimeModel};
+use spot_stream::{LogicalClock, TimeModel, WeightCache};
 use spot_synopsis::{BaseStore, Grid};
 use spot_types::{DataPoint, Detection, DomainBounds, Result, SpotError, StreamDetector};
 
@@ -105,7 +105,9 @@ impl StreamDetector for FullSpaceGridDetector {
             return Detection::outlier(f64::INFINITY);
         };
         if self.config.prune_every > 0 && now.is_multiple_of(self.config.prune_every) {
-            self.store.prune(&model, now, self.config.prune_floor);
+            // An empty table: every factor straight from the model.
+            self.store
+                .prune(&WeightCache::new(model), now, self.config.prune_floor);
         }
         let score = 1.0 / (1.0 + prior); // sparser cell → higher score
         Detection {

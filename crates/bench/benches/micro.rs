@@ -8,10 +8,14 @@ use spot::{SparsityProblem, SparsityScratch, SpotBuilder, TrainingEvaluator};
 use spot_clustering::LeaderClustering;
 use spot_data::{SyntheticConfig, SyntheticGenerator};
 use spot_moga::{assign_rank_and_crowding, Individual, MogaConfig, ObjectiveArena, RankScratch};
-use spot_stream::TimeModel;
+use spot_stream::{TimeModel, WeightCache};
 use spot_subspace::Subspace;
-use spot_synopsis::{Bcs, Grid, SynopsisManager};
+use spot_synopsis::{
+    BaseStore, CellConsumer, CellKey, CellTouch, Grid, ProjectedStore, SerialExecutor,
+    SynopsisManager,
+};
 use spot_types::{DataPoint, DomainBounds};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn random_points(n: usize, dims: usize, seed: u64) -> Vec<DataPoint> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -20,20 +24,116 @@ fn random_points(n: usize, dims: usize, seed: u64) -> Vec<DataPoint> {
         .collect()
 }
 
+/// 1024 points folded into one base cell: the renormalize + accumulate
+/// stripe on its own.
 fn bench_bcs_insert(c: &mut Criterion) {
-    let tm = TimeModel::new(2000, 0.01).unwrap();
+    let mut weights = WeightCache::new(TimeModel::new(2000, 0.01).unwrap());
+    weights.ensure(1024);
     for dims in [8usize, 32] {
         let pts = random_points(1024, dims, 1);
         c.bench_with_input(BenchmarkId::new("bcs_insert", dims), &pts, |b, pts| {
             b.iter(|| {
-                let mut bcs = Bcs::new(dims, 0);
+                let mut store = BaseStore::new();
                 for (i, p) in pts.iter().enumerate() {
-                    bcs.insert(&tm, i as u64, black_box(p));
+                    store.insert_at(CellKey(0), &weights, i as u64, black_box(p));
                 }
-                bcs.count()
+                store.get(CellKey(0)).map(|cell| cell.count())
             })
         });
     }
+}
+
+/// A clustered stream (cells are revisited, as on the benchmark workloads)
+/// and a manager over the first `one_d` 1-d subspaces plus `two_d` 2-d
+/// ones.
+fn touch_fixture(
+    dims: usize,
+    one_d: usize,
+    two_d: usize,
+    n: usize,
+) -> (SynopsisManager, Vec<DataPoint>) {
+    let mut gen = SyntheticGenerator::new(SyntheticConfig {
+        dims,
+        seed: 21,
+        ..SyntheticConfig::default()
+    })
+    .unwrap();
+    let pts = gen.generate_normal(n);
+    let grid = Grid::new(gen.bounds(), 10).unwrap();
+    let mut mgr = SynopsisManager::new(grid, TimeModel::new(6000, 0.05).unwrap());
+    for d in 0..one_d {
+        mgr.add_subspace(Subspace::from_dims([d]).unwrap());
+    }
+    let pairs = (0..dims).flat_map(|a| (a + 1..dims).map(move |b| [a, b]));
+    for pair in pairs.take(two_d) {
+        mgr.add_subspace(Subspace::from_dims(pair).unwrap());
+    }
+    assert_eq!(mgr.subspace_count(), one_d + two_d);
+    (mgr, pts)
+}
+
+/// The cheapest consumer there is: one RD sum per participant.
+struct SumRd(AtomicU64);
+
+impl CellConsumer for SumRd {
+    type Lane = f64;
+
+    fn checkout(&self, _points: usize) -> f64 {
+        0.0
+    }
+
+    fn checkin(&self, lane: f64) {
+        self.0.store(lane.to_bits(), Ordering::Relaxed);
+    }
+
+    #[inline]
+    fn cell(&self, lane: &mut f64, _: usize, _: &ProjectedStore, _: usize, touch: CellTouch) {
+        *lane += touch.rd;
+    }
+}
+
+/// The cell-touch kernel where the two ingest paths run it, at the store
+/// counts of the benchmark workloads: divide an iteration by
+/// `points × stores` for the per-touch cost `docs/hotpath.md` quotes. And
+/// the cost of opening a base cell at ϕ=64.
+fn bench_touch_kernel(c: &mut Criterion) {
+    let (mut mgr, pts) = touch_fixture(64, 64, 14, 512);
+    let mut now = 0u64;
+    c.bench_function("touch_point_phi64_78stores", |b| {
+        b.iter(|| {
+            let mut acc = 0.0f64;
+            for p in &pts {
+                now += 1;
+                mgr.update_and_screen(now, black_box(p), |_, _, touch| acc += touch.rd)
+                    .unwrap();
+            }
+            acc
+        })
+    });
+
+    let (mut mgr, pts) = touch_fixture(16, 16, 120, 256);
+    let mut start = 1u64;
+    c.bench_function("touch_run256_phi16_136stores", |b| {
+        let sum = SumRd(AtomicU64::new(0));
+        b.iter(|| {
+            mgr.update_and_screen_batch(start, black_box(&pts), &SerialExecutor, &sum, None)
+                .unwrap();
+            start += pts.len() as u64;
+            sum.0.load(Ordering::Relaxed)
+        })
+    });
+
+    let weights = WeightCache::new(TimeModel::new(6000, 0.05).unwrap());
+    let pts = random_points(1024, 64, 22);
+    c.bench_function("base_insert_new_cell_phi64", |b| {
+        b.iter(|| {
+            let mut store = BaseStore::new();
+            for (i, p) in pts.iter().enumerate() {
+                store.insert_at(CellKey(i as u128), &weights, 1, black_box(p));
+            }
+            store.len()
+        })
+    });
 }
 
 fn bench_grid_mapping(c: &mut Criterion) {
@@ -288,8 +388,8 @@ fn bench_spot_process(c: &mut Criterion) {
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(20);
-    targets = bench_bcs_insert, bench_grid_mapping, bench_grid_quantize_chunked,
-              bench_manager_update,
+    targets = bench_bcs_insert, bench_touch_kernel, bench_grid_mapping,
+              bench_grid_quantize_chunked, bench_manager_update,
               bench_manager_update_and_query, bench_spot_process_batch,
               bench_nondominated_sort, bench_sparsity_kernel, bench_moga_online,
               bench_leader_clustering, bench_spot_process

@@ -402,14 +402,19 @@ impl Spot {
                 got: point.dims(),
             });
         }
-        self.mutations += 1;
-        let now = self.clock.tick();
+        // The manager validates the point before it changes anything, so
+        // the tick is taken only once the point is in: a rejected point
+        // leaves the clock, the counters and the synopses where they were
+        // (as `process_batch` does).
+        let now = self.clock.now() + 1;
         let (screen, lane) = (&self.screen, &mut self.point_lane);
         lane.reset(1);
         self.manager
             .update_and_screen(now, point, |ordinal, store, touch| {
                 screen.cell(lane, ordinal, store, 0, touch)
             })?;
+        self.clock.tick();
+        self.mutations += 1;
         let monitored = self.monitored_stores();
         // The plan is swapped out so the commit phase can borrow self
         // mutably; its capacity survives the round-trip.
@@ -1551,6 +1556,55 @@ mod tests {
         // Infinities are clamped, not rejected.
         assert!(s.process(&DataPoint::new(vec![f64::INFINITY; 6])).is_ok());
         assert!(s.process(&DataPoint::new(vec![0.5; 6])).is_ok());
+    }
+
+    #[test]
+    fn rejected_point_costs_no_tick_on_either_path() {
+        // A detector that refused a NaN point must be indistinguishable
+        // from a twin that never saw it: same clock, counters and dirty
+        // marks, and the same verdicts from there on — across the
+        // evolution tick at 1000 and the prune tick at 2000.
+        let stream = training(2300);
+        let (warm, tail) = stream[200..].split_at(100);
+        let mut bad = vec![0.5; 6];
+        bad[4] = f64::NAN;
+        let bad = DataPoint::new(bad);
+        for batched in [false, true] {
+            let mut a = spot();
+            let mut b = spot();
+            for s in [&mut a, &mut b] {
+                s.learn(&stream[..200]).unwrap();
+                for p in warm {
+                    s.process(p).unwrap();
+                }
+            }
+            assert_eq!(a.now(), 300);
+            assert!(a.process(&bad).is_err());
+            assert_eq!(a.now(), b.now(), "a rejected point burned a tick");
+            assert_eq!(a.stats(), b.stats());
+            assert_eq!(a.capture_mark(), b.capture_mark());
+            let feed = |s: &mut Spot| -> Vec<Verdict> {
+                if batched {
+                    s.process_batch(tail).unwrap()
+                } else {
+                    tail.iter().map(|p| s.process(p).unwrap()).collect()
+                }
+            };
+            let (va, vb) = (feed(&mut a), feed(&mut b));
+            assert_eq!(va[0].tick, 301);
+            for (i, (x, y)) in va.iter().zip(&vb).enumerate() {
+                assert!(
+                    x.bitwise_eq(y),
+                    "batched={batched} verdict {i}: {x:?} vs {y:?}"
+                );
+            }
+            assert_eq!(a.now(), 2300);
+            assert!(
+                a.stats().evolutions > 0,
+                "the tail must cross an evolution tick"
+            );
+            assert_eq!(a.stats(), b.stats());
+        }
     }
 
     #[test]

@@ -381,10 +381,8 @@ pub fn read_request(
     };
 
     // Body.
-    let body_len = match find_header("content-length") {
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| HttpError::Bad("malformed content-length"))?,
+    let body_len = match content_length(&headers)? {
+        Some(len) => len,
         None => {
             if matches!(method, Method::Post | Method::Put) {
                 return Err(HttpError::LengthRequired);
@@ -463,12 +461,7 @@ pub fn read_response(
             .find(|(n, _)| n == name)
             .map(|(_, v)| v.as_str())
     };
-    let body_len = match find_header("content-length") {
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| HttpError::Bad("malformed content-length"))?,
-        None => 0,
-    };
+    let body_len = content_length(&headers)?.unwrap_or(0);
     if body_len > limits.max_body_bytes {
         return Err(HttpError::BodyTooLarge);
     }
@@ -489,6 +482,27 @@ pub fn read_response(
     })
 }
 
+/// The body length a message head declares: digits only (`str::parse`
+/// would also take `+5`), and when the field is repeated every copy must
+/// say the same — a peer and a proxy that each believe a different one
+/// would disagree on where the next message starts.
+fn content_length(headers: &[(String, String)]) -> Result<Option<usize>, HttpError> {
+    let mut declared = None;
+    for (_, value) in headers.iter().filter(|(name, _)| name == "content-length") {
+        if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(HttpError::Bad("malformed content-length"));
+        }
+        let len = value
+            .parse::<usize>()
+            .map_err(|_| HttpError::Bad("malformed content-length"))?;
+        if declared.is_some_and(|first| first != len) {
+            return Err(HttpError::Bad("conflicting content-length fields"));
+        }
+        declared = Some(len);
+    }
+    Ok(declared)
+}
+
 /// Percent-decode one path segment. Returns `None` on malformed escapes.
 pub fn percent_decode(segment: &str) -> Option<String> {
     let bytes = segment.as_bytes();
@@ -496,9 +510,11 @@ pub fn percent_decode(segment: &str) -> Option<String> {
     let mut i = 0;
     while i < bytes.len() {
         if bytes[i] == b'%' {
-            let hex = bytes.get(i + 1..i + 3)?;
-            let hex = std::str::from_utf8(hex).ok()?;
-            out.push(u8::from_str_radix(hex, 16).ok()?);
+            // Two hex digits and nothing else: `from_str_radix` would
+            // also take a sign (`%+f`).
+            let hi = (*bytes.get(i + 1)? as char).to_digit(16)?;
+            let lo = (*bytes.get(i + 2)? as char).to_digit(16)?;
+            out.push((hi << 4 | lo) as u8);
             i += 3;
         } else {
             out.push(bytes[i]);
@@ -600,6 +616,45 @@ mod tests {
         }
         assert_eq!(percent_decode("%zz"), None);
         assert_eq!(percent_decode("%2"), None);
+        // Two hex digits, not a signed number.
+        assert_eq!(percent_decode("%+f"), None);
+        assert_eq!(percent_decode("a%-1"), None);
+        assert_eq!(percent_decode("%fF"), None); // a lone 0xFF is not UTF-8
+        assert_eq!(percent_decode("%c3%B8").as_deref(), Some("ø"));
+    }
+
+    #[test]
+    fn content_length_is_digits_only_and_unambiguous() {
+        let head = |values: &[&str]| -> Vec<(String, String)> {
+            let mut headers = vec![("host".to_string(), "x".to_string())];
+            headers.extend(
+                values
+                    .iter()
+                    .map(|v| ("content-length".to_string(), v.to_string())),
+            );
+            headers
+        };
+        assert!(matches!(content_length(&head(&[])), Ok(None)));
+        assert!(matches!(content_length(&head(&["0"])), Ok(Some(0))));
+        assert!(matches!(content_length(&head(&["42"])), Ok(Some(42))));
+        // Repeated but unanimous (leading zeros and all) is one length.
+        assert!(matches!(content_length(&head(&["5", "05"])), Ok(Some(5))));
+        for bad in [
+            &["+5"][..],
+            &["-0"],
+            &[""],
+            &["5 5"],
+            &["0x10"],
+            &["5,5"],
+            &["99999999999999999999999999"],
+            &["5", "6"],
+            &["5", "5", "+5"],
+        ] {
+            assert!(
+                matches!(content_length(&head(bad)), Err(HttpError::Bad(_))),
+                "{bad:?} must be a 400"
+            );
+        }
     }
 
     #[test]

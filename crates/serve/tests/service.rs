@@ -395,6 +395,28 @@ fn oversized_frames_and_protocol_violations() {
 }
 
 #[test]
+fn conflicting_content_lengths_are_refused_not_guessed() {
+    // Two lengths for one body: whichever the server picked (the first
+    // makes this a healthy 200 followed by a second request), a proxy in
+    // front of it could have picked the other. The admission plane
+    // refuses.
+    let server = SpotServer::builder(serial_fleet(64, 16))
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let (status, _) = raw_request(
+        server.local_addr(),
+        "GET /healthz HTTP/1.1\r\ncontent-length: 0\r\ncontent-length: 23\r\n\r\n\
+         GET /nope HTTP/1.1\r\n\r\n",
+    );
+    assert_eq!(status, 400);
+    let stats = server.stats();
+    assert_eq!(stats.bad_requests, 1, "{stats:?}");
+    let mut client = ServeClient::new(server.local_addr()).with_policy(quick_policy());
+    assert!(client.healthy());
+    server.shutdown().unwrap();
+}
+
+#[test]
 fn slow_loris_trips_the_read_deadline() {
     let fleet = serial_fleet(64, 16);
     let config = ServeConfig {

@@ -1,7 +1,9 @@
 //! Streaming substrate for SPOT.
 //!
 //! Contains the paper's (ω, ε) window-based time model ([`time::TimeModel`])
-//! with its lazily-decayed counters, a logical clock, stream source
+//! with its lazily-decayed counters and the age-indexed table of its decay
+//! factors ([`time::WeightCache`] — what the synopsis hot paths read
+//! instead of calling `powi`), a logical clock, stream source
 //! abstractions (in-memory, generator-backed, and a crossbeam-channel-backed
 //! source for rate-controlled producers), an exact sliding window kept
 //! for baseline detectors and for quantifying the approximation error of the
@@ -19,6 +21,6 @@ pub mod window;
 pub use clock::LogicalClock;
 pub use sample::{CounterRng, Reservoir, RunDraws};
 pub use source::{ChannelSource, FnSource, PointStream, VecSource};
-pub use time::{DecayTable, DecayedCounter, TimeModel, WeightCache};
+pub use time::{DecayedCounter, TimeModel, WeightCache};
 pub use wal::{WalScan, WalSource};
 pub use window::ExactSlidingWindow;

@@ -117,80 +117,29 @@ impl TimeModel {
     }
 }
 
-/// Per-run decay-factor table for batch ingestion.
+/// The persistent age-indexed table of [`TimeModel::weight_after`] — the one
+/// source of decay factors on the synopsis hot paths.
 ///
-/// A batch run covers the consecutive ticks `start .. start + len`. Within
-/// a run, every renormalization spans two run ticks, so its age is at most
-/// `len − 1` and one table of `len` entries serves *all* cell
-/// renormalizations of the run — the per-touch `powi` in the hot loops
-/// collapses to an indexed load. Cells last touched *before* the run fall
-/// back to [`TimeModel::decay_between`] (at most once per live cell per
-/// run).
+/// Every renormalization of a cell (a touch by a point, a prune scan) needs
+/// `δ^age` for the cell's age `now − last_tick`, and the factor depends on
+/// the age alone: not on the tick, not on the run, not on the cell. So one
+/// table indexed by age serves every cell touch of every store for the
+/// detector's whole lifetime. The owner extends it with
+/// [`WeightCache::ensure`] before it dispatches work at a new tick (one
+/// `powi` per tick until the cap, none afterwards); inside a dispatch the
+/// table is read-only and shared by every participant.
 ///
-/// Entries are computed with [`TimeModel::weight_after`] — the exact
-/// function the per-point path calls — so a table lookup is bit-identical
-/// to the sequential computation it replaces.
-#[derive(Debug, Clone, Default)]
-pub struct DecayTable {
-    start: u64,
-    /// `factors[a] == model.weight_after(a)` for `a ∈ 0..len`.
-    factors: Vec<f64>,
-}
-
-impl DecayTable {
-    /// Empty table (every lookup falls back to the model).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// (Re)fills the table for a run of `len` ticks starting at `start`,
-    /// reusing the existing allocation.
-    pub fn fill(&mut self, model: &TimeModel, start: u64, len: usize) {
-        self.start = start;
-        self.factors.clear();
-        self.factors.reserve(len);
-        for age in 0..len as u64 {
-            self.factors.push(model.weight_after(age));
-        }
-    }
-
-    /// First tick of the run this table covers.
-    pub fn start(&self) -> u64 {
-        self.start
-    }
-
-    /// Renormalization factor from `last` to `now`, served from the table
-    /// when `last` lies inside the run (`now` must be a run tick at or
-    /// after `last`; both invariants hold by construction in the batch
-    /// loops and are debug-asserted).
-    #[inline]
-    pub fn factor(&self, model: &TimeModel, last: u64, now: u64) -> f64 {
-        debug_assert!(now >= last, "clock must be monotonic");
-        if last >= self.start {
-            let age = (now - last) as usize;
-            debug_assert!(age < self.factors.len(), "age exceeds run length");
-            self.factors[age]
-        } else {
-            model.decay_between(last, now)
-        }
-    }
-}
-
-/// Persistent age-indexed memo of [`TimeModel::weight_after`].
+/// Entry `a` is `model.weight_after(a)` itself — the function the
+/// model-only path calls — so a served factor is bit-identical to the
+/// computation it replaces. Ages past the table (beyond
+/// [`WeightCache::MAX_AGES`], or not yet ensured) fall back to the model,
+/// with the same result.
 ///
-/// Pruning a synopsis evaluates `δ^age` once per live cell, and a store
-/// accumulates far more cells than distinct ages — cells touched on the
-/// same tick share one factor. This cache pays the `powi` **once per
-/// distinct age over the detector's lifetime** and serves every later
-/// evaluation from an indexed load. Entries are computed with
-/// [`TimeModel::weight_after`] itself, so a cached lookup is bit-identical
-/// to the computation it replaces — pruning decisions are unchanged, only
-/// cheaper.
-///
-/// The cache is derived state: it is never persisted, and a restored
-/// detector rebuilds it lazily on its first prune.
-#[derive(Debug, Clone, Default)]
+/// The table is derived state: it is never persisted, and a restored or
+/// cloned detector refills it as its clock is next ensured.
+#[derive(Debug, Clone)]
 pub struct WeightCache {
+    model: TimeModel,
     /// `factors[age] == model.weight_after(age)` for every cached age.
     factors: Vec<f64>,
 }
@@ -201,9 +150,18 @@ impl WeightCache {
     /// that old is far below every pruning floor anyway.
     pub const MAX_AGES: usize = 1 << 16;
 
-    /// Empty cache.
-    pub fn new() -> Self {
-        Self::default()
+    /// Empty table over `model`: every lookup falls back to the model
+    /// until [`WeightCache::ensure`] is called.
+    pub fn new(model: TimeModel) -> Self {
+        WeightCache {
+            model,
+            factors: Vec::new(),
+        }
+    }
+
+    /// The model whose weights the table holds.
+    pub fn model(&self) -> &TimeModel {
+        &self.model
     }
 
     /// Number of ages currently cached.
@@ -216,39 +174,45 @@ impl WeightCache {
         self.factors.is_empty()
     }
 
-    /// Extends the cache so every age `< upto` (capped at
+    /// Extends the table so every age `< upto` (capped at
     /// [`WeightCache::MAX_AGES`]) is served without a `powi`. Each new
     /// entry costs one [`TimeModel::weight_after`]; already-cached ages
-    /// cost nothing, so calling this before every prune amortizes to one
-    /// evaluation per distinct age over the stream's lifetime.
-    pub fn ensure(&mut self, model: &TimeModel, upto: u64) {
-        let want = (upto as usize).min(Self::MAX_AGES);
-        if self.factors.len() >= want {
-            return;
+    /// cost nothing, so calling this with `now + 1` before every point,
+    /// run and prune amortizes to one evaluation per tick up to the cap.
+    #[inline]
+    pub fn ensure(&mut self, upto: u64) {
+        let want = upto.min(Self::MAX_AGES as u64) as usize;
+        if self.factors.len() < want {
+            self.extend_to(want);
         }
+    }
+
+    #[cold]
+    fn extend_to(&mut self, want: usize) {
         self.factors.reserve(want - self.factors.len());
         for age in self.factors.len() as u64..want as u64 {
-            self.factors.push(model.weight_after(age));
+            self.factors.push(self.model.weight_after(age));
         }
     }
 
-    /// `model.weight_after(age)`, served from the cache when the age is in
-    /// range. Read-only — safe to call from parallel prune shards over one
-    /// shared cache.
+    /// `model.weight_after(age)`, served from the table when the age is in
+    /// range. Read-only — safe to call from parallel shards over one
+    /// shared table.
     #[inline]
-    pub fn weight(&self, model: &TimeModel, age: u64) -> f64 {
-        match self.factors.get(age as usize) {
-            Some(&f) => f,
-            None => model.weight_after(age),
+    pub fn weight(&self, age: u64) -> f64 {
+        if age < self.factors.len() as u64 {
+            self.factors[age as usize]
+        } else {
+            self.model.weight_after(age)
         }
     }
 
-    /// Renormalization factor from `last` to `now` (the cached counterpart
-    /// of [`TimeModel::decay_between`]).
+    /// Renormalization factor from `last` to `now` (the table-served
+    /// counterpart of [`TimeModel::decay_between`]).
     #[inline]
-    pub fn decay_between(&self, model: &TimeModel, last: u64, now: u64) -> f64 {
+    pub fn decay_between(&self, last: u64, now: u64) -> f64 {
         debug_assert!(now >= last, "clock must be monotonic");
-        self.weight(model, now - last)
+        self.weight(now - last)
     }
 }
 
@@ -286,18 +250,18 @@ impl DecayedCounter {
     /// *after* each arrival into `out` (cleared first; reuse it across
     /// runs). One geometric recurrence replaces `len` separate
     /// [`DecayedCounter::add`] calls: after the single gap renormalization
-    /// to `start`, each step is `value = value · δ + 1` — exactly the
-    /// floating-point operations the per-point path performs, so the
-    /// results are bit-identical, with no per-point `powi` and no
-    /// per-point call overhead.
-    pub fn add_run(&mut self, model: &TimeModel, start: u64, len: usize, out: &mut Vec<f64>) {
+    /// to `start` (a factor from `weights`), each step is
+    /// `value = value · δ + 1` — exactly the floating-point operations the
+    /// per-point path performs, so the results are bit-identical, with no
+    /// per-point `powi` and no per-point call overhead.
+    pub fn add_run(&mut self, weights: &WeightCache, start: u64, len: usize, out: &mut Vec<f64>) {
         out.clear();
         if len == 0 {
             return;
         }
         out.reserve(len);
-        let mut value = self.value * model.decay_between(self.last_tick, start);
-        let decay = model.decay();
+        let mut value = self.value * weights.decay_between(self.last_tick, start);
+        let decay = weights.model().decay();
         value += 1.0;
         out.push(value);
         for _ in 1..len {
@@ -451,7 +415,9 @@ mod tests {
             want.push(per_point.value_at(&tm, now));
         }
         let mut got = Vec::new();
-        run.add_run(&tm, 10, 64, &mut got);
+        let mut weights = WeightCache::new(tm);
+        weights.ensure(10 + 64);
+        run.add_run(&weights, 10, 64, &mut got);
         assert_eq!(got.len(), want.len());
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_eq!(g.to_bits(), w.to_bits(), "arrival {i}: {g} vs {w}");
@@ -470,51 +436,28 @@ mod tests {
         c.add(&tm, 5, 2.0);
         let before = c;
         let mut out = vec![1.0];
-        c.add_run(&tm, 9, 0, &mut out);
+        c.add_run(&WeightCache::new(tm), 9, 0, &mut out);
         assert!(out.is_empty());
         assert_eq!(c, before);
     }
 
     #[test]
-    fn decay_table_matches_model_bitwise() {
-        let tm = TimeModel::new(100, 0.01).unwrap();
-        let mut table = DecayTable::new();
-        table.fill(&tm, 50, 32); // run ticks 50..=81
-                                 // In-run lookups are bit-identical to the powi path.
-        for last in 50..=81u64 {
-            for now in last..=81 {
-                assert_eq!(
-                    table.factor(&tm, last, now).to_bits(),
-                    tm.decay_between(last, now).to_bits(),
-                    "last={last} now={now}"
-                );
-            }
-        }
-        // Pre-run last ticks fall back to the model.
-        assert_eq!(
-            table.factor(&tm, 7, 60).to_bits(),
-            tm.decay_between(7, 60).to_bits()
-        );
-        assert_eq!(table.start(), 50);
-    }
-
-    #[test]
     fn weight_cache_is_bitwise_identical_to_the_model() {
         let tm = TimeModel::new(100, 0.01).unwrap();
-        let mut wc = WeightCache::new();
-        wc.ensure(&tm, 500);
+        let mut wc = WeightCache::new(tm);
+        wc.ensure(500);
         assert_eq!(wc.len(), 500);
         for age in 0..600u64 {
-            // In-cache and fallback lookups alike must reproduce the exact
-            // powi result the uncached path computes.
+            // In-table and fallback lookups alike must reproduce the exact
+            // powi result the model-only path computes.
             assert_eq!(
-                wc.weight(&tm, age).to_bits(),
+                wc.weight(age).to_bits(),
                 tm.weight_after(age).to_bits(),
                 "age {age}"
             );
         }
         assert_eq!(
-            wc.decay_between(&tm, 40, 250).to_bits(),
+            wc.decay_between(40, 250).to_bits(),
             tm.decay_between(40, 250).to_bits()
         );
     }
@@ -522,32 +465,63 @@ mod tests {
     #[test]
     fn weight_cache_extends_incrementally_and_caps() {
         let tm = TimeModel::new(50, 0.05).unwrap();
-        let mut wc = WeightCache::new();
-        wc.ensure(&tm, 10);
-        wc.ensure(&tm, 5); // shrinking request is a no-op
+        let mut wc = WeightCache::new(tm);
+        assert!(wc.is_empty());
+        wc.ensure(10);
+        wc.ensure(5); // shrinking request is a no-op
         assert_eq!(wc.len(), 10);
-        wc.ensure(&tm, 64);
+        wc.ensure(64);
         assert_eq!(wc.len(), 64);
-        wc.ensure(&tm, u64::MAX);
+        wc.ensure(u64::MAX);
         assert_eq!(wc.len(), WeightCache::MAX_AGES);
         // Beyond the cap the model fallback still answers exactly.
         let age = WeightCache::MAX_AGES as u64 + 17;
-        assert_eq!(
-            wc.weight(&tm, age).to_bits(),
-            tm.weight_after(age).to_bits()
-        );
+        assert_eq!(wc.weight(age).to_bits(), tm.weight_after(age).to_bits());
     }
 
     #[test]
-    fn decay_table_refill_reuses_allocation() {
-        let tm = TimeModel::new(10, 0.5).unwrap();
-        let mut table = DecayTable::new();
-        table.fill(&tm, 0, 64);
-        table.fill(&tm, 100, 8); // run ticks 100..=107
-        assert_eq!(
-            table.factor(&tm, 100, 107).to_bits(),
-            tm.weight_after(7).to_bits()
-        );
+    fn table_serves_model_bits_at_the_edges() {
+        // Around the old per-run table length, around the cap, and past
+        // the point where `weight_after` clamps its `powi` exponent —
+        // from an empty table (all fallback), a short one and a full one.
+        let max = WeightCache::MAX_AGES as u64;
+        let ages = [
+            0,
+            1,
+            255,
+            256,
+            max - 1,
+            max,
+            max + 1,
+            i32::MAX as u64 + 1,
+            u64::MAX,
+        ];
+        for tm in [
+            TimeModel::new(100, 0.01).unwrap(),
+            TimeModel::new(6000, 0.05).unwrap(),
+            TimeModel::landmark(),
+        ] {
+            for upto in [0, 256, u64::MAX] {
+                let mut wc = WeightCache::new(tm);
+                wc.ensure(upto);
+                for age in ages {
+                    assert_eq!(
+                        wc.weight(age).to_bits(),
+                        tm.weight_after(age).to_bits(),
+                        "age {age}, table of {}",
+                        wc.len()
+                    );
+                }
+                assert_eq!(
+                    wc.decay_between(7, 7 + max).to_bits(),
+                    wc.weight(max).to_bits()
+                );
+            }
+        }
+        // The landmark model never forgets, at any age, from the table or not.
+        let mut wc = WeightCache::new(TimeModel::landmark());
+        wc.ensure(1000);
+        assert!(ages.iter().all(|&age| wc.weight(age) == 1.0));
     }
 
     proptest! {
@@ -561,7 +535,10 @@ mod tests {
             let mut b = a;
             let start = 2 + gap;
             let mut got = Vec::new();
-            b.add_run(&tm, start, len, &mut got);
+            // A table that covers the gap on some cases and not on others.
+            let mut weights = WeightCache::new(tm);
+            weights.ensure(250);
+            b.add_run(&weights, start, len, &mut got);
             for (i, g) in got.iter().enumerate() {
                 let now = start + i as u64;
                 a.add(&tm, now, 1.0);

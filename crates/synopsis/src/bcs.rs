@@ -1,106 +1,46 @@
 //! Base Cell Summary.
 
-use serde::{Deserialize, Serialize};
 use spot_stream::TimeModel;
-use spot_types::DataPoint;
 
-/// Base Cell Summary `BCS(c) = (D_c, LS_c, SS_c)` with lazy decay.
+/// Base Cell Summary `BCS(c) = (D_c, LS_c, SS_c)` with lazy decay — a
+/// read-only view of one cell of a [`BaseStore`](crate::BaseStore), which
+/// keeps the triples of all its cells in parallel columns.
 ///
 /// `D` is the decayed number of points in the cell; `LS`/`SS` are the
 /// decayed per-dimension linear and squared sums. The triple is *additive*
 /// (two summaries over disjoint point sets merge by aligned addition) and
 /// *incremental* (one point folds in with O(ϕ) work), the two properties
 /// the paper requires for one-pass maintenance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Bcs {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Bcs<'a> {
     d: f64,
-    ls: Vec<f64>,
-    ss: Vec<f64>,
     last_tick: u64,
+    /// `[ls_0..ls_ϕ, ss_0..ss_ϕ]`, decayed to `last_tick` like `d`.
+    moments: &'a [f64],
 }
 
-impl Bcs {
-    /// Empty summary for a `dims`-dimensional cell, created at `tick`.
-    pub fn new(dims: usize, tick: u64) -> Self {
+impl<'a> Bcs<'a> {
+    pub(crate) fn new(d: f64, last_tick: u64, moments: &'a [f64]) -> Self {
+        debug_assert_eq!(moments.len() % 2, 0);
         Bcs {
-            d: 0.0,
-            ls: vec![0.0; dims],
-            ss: vec![0.0; dims],
-            last_tick: tick,
+            d,
+            last_tick,
+            moments,
         }
     }
 
     /// Dimensionality of the summary.
     pub fn dims(&self) -> usize {
-        self.ls.len()
-    }
-
-    /// Rebuilds a summary from captured raw parts (snapshot restore). The
-    /// triple must be self-consistent: `ls`/`ss` decayed to `last_tick`
-    /// exactly like `d`.
-    pub fn from_parts(d: f64, ls: Vec<f64>, ss: Vec<f64>, last_tick: u64) -> Self {
-        debug_assert_eq!(ls.len(), ss.len());
-        Bcs {
-            d,
-            ls,
-            ss,
-            last_tick,
-        }
+        self.moments.len() / 2
     }
 
     /// The stored per-dimension moment sums `(LS, SS)`, decayed to
-    /// [`Bcs::last_tick`] (snapshot capture).
-    pub fn moments(&self) -> (&[f64], &[f64]) {
-        (&self.ls, &self.ss)
+    /// [`Bcs::last_tick`].
+    pub fn moments(&self) -> (&'a [f64], &'a [f64]) {
+        self.moments.split_at(self.dims())
     }
 
-    /// Decays the stored values to tick `now`.
-    #[inline]
-    pub fn decay_to(&mut self, model: &TimeModel, now: u64) {
-        let f = model.decay_between(self.last_tick, now);
-        if f != 1.0 {
-            self.d *= f;
-            for v in &mut self.ls {
-                *v *= f;
-            }
-            for v in &mut self.ss {
-                *v *= f;
-            }
-        }
-        self.last_tick = now;
-    }
-
-    /// Folds a point in at tick `now` (decaying first).
-    pub fn insert(&mut self, model: &TimeModel, now: u64, p: &DataPoint) {
-        let f = model.decay_between(self.last_tick, now);
-        self.insert_with_factor(f, now, p);
-    }
-
-    /// Folds a point in at tick `now` using a renormalization `factor` the
-    /// caller already derived — the batch path serves it from the per-run
-    /// decay table instead of recomputing `δ^age` per touch. `factor` must
-    /// equal `model.decay_between(self.last_tick, now)`.
-    #[inline]
-    pub fn insert_with_factor(&mut self, factor: f64, now: u64, p: &DataPoint) {
-        debug_assert_eq!(p.dims(), self.dims());
-        if factor != 1.0 {
-            self.d *= factor;
-            for v in &mut self.ls {
-                *v *= factor;
-            }
-            for v in &mut self.ss {
-                *v *= factor;
-            }
-        }
-        self.last_tick = now;
-        self.d += 1.0;
-        for (d, &v) in p.values().iter().enumerate() {
-            self.ls[d] += v;
-            self.ss[d] += v * v;
-        }
-    }
-
-    /// Decayed count renormalized to `now` (non-mutating).
+    /// Decayed count renormalized to `now`.
     #[inline]
     pub fn count_at(&self, model: &TimeModel, now: u64) -> f64 {
         self.d * model.decay_between(self.last_tick, now)
@@ -119,44 +59,31 @@ impl Bcs {
     /// Per-dimension mean of the (decay-weighted) points in the cell.
     /// `None` when the cell is (effectively) empty.
     pub fn mean(&self, dim: usize) -> Option<f64> {
-        (self.d > f64::EPSILON).then(|| self.ls[dim] / self.d)
+        let (ls, _) = self.moments();
+        (self.d > f64::EPSILON).then(|| ls[dim] / self.d)
     }
 
     /// Per-dimension variance of the (decay-weighted) points:
     /// `SS/D − (LS/D)²`, floored at zero against rounding.
     pub fn variance(&self, dim: usize) -> Option<f64> {
+        let (ls, ss) = self.moments();
         (self.d > f64::EPSILON).then(|| {
-            let m = self.ls[dim] / self.d;
-            (self.ss[dim] / self.d - m * m).max(0.0)
+            let m = ls[dim] / self.d;
+            (ss[dim] / self.d - m * m).max(0.0)
         })
-    }
-
-    /// Merges another summary (aligned addition after decaying both to the
-    /// later of the two last-touched ticks).
-    pub fn merge(&mut self, model: &TimeModel, other: &Bcs) {
-        debug_assert_eq!(self.dims(), other.dims());
-        let now = self.last_tick.max(other.last_tick);
-        self.decay_to(model, now);
-        let f = model.decay_between(other.last_tick, now);
-        self.d += other.d * f;
-        for (a, &b) in self.ls.iter_mut().zip(other.ls.iter()) {
-            *a += b * f;
-        }
-        for (a, &b) in self.ss.iter_mut().zip(other.ss.iter()) {
-            *a += b * f;
-        }
-    }
-
-    /// Approximate heap footprint in bytes (for the memory experiments).
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + 2 * self.ls.capacity() * std::mem::size_of::<f64>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::key::CellKey;
+    use crate::store::BaseStore;
     use proptest::prelude::*;
+    use spot_stream::WeightCache;
+    use spot_types::DataPoint;
+
+    const KEY: CellKey = CellKey(0);
 
     fn landmark() -> TimeModel {
         TimeModel::landmark()
@@ -166,16 +93,40 @@ mod tests {
         TimeModel::new(10, 0.5).unwrap()
     }
 
-    fn p(vals: &[f64]) -> DataPoint {
-        DataPoint::new(vals.to_vec())
+    /// A store whose one cell absorbed `arrivals` (tick, values) in order.
+    fn cell_of(tm: TimeModel, arrivals: &[(u64, &[f64])]) -> BaseStore {
+        let weights = WeightCache::new(tm);
+        let mut store = BaseStore::new();
+        for &(tick, vals) in arrivals {
+            store.insert_at(KEY, &weights, tick, &DataPoint::new(vals.to_vec()));
+        }
+        store
+    }
+
+    /// Aligned addition of two summaries after decaying both to the later
+    /// of their last-touched ticks: `(D, LS, SS)` of the union.
+    fn merged(tm: &TimeModel, a: Bcs<'_>, b: Bcs<'_>) -> (f64, Vec<f64>, Vec<f64>) {
+        let now = a.last_tick().max(b.last_tick());
+        let (fa, fb) = (
+            tm.decay_between(a.last_tick(), now),
+            tm.decay_between(b.last_tick(), now),
+        );
+        let add = |x: &[f64], y: &[f64]| -> Vec<f64> {
+            x.iter().zip(y).map(|(x, y)| x * fa + y * fb).collect()
+        };
+        let ((ls_a, ss_a), (ls_b, ss_b)) = (a.moments(), b.moments());
+        (
+            a.count() * fa + b.count() * fb,
+            add(ls_a, ls_b),
+            add(ss_a, ss_b),
+        )
     }
 
     #[test]
     fn insert_accumulates_statistics() {
-        let tm = landmark();
-        let mut b = Bcs::new(2, 0);
-        b.insert(&tm, 0, &p(&[1.0, 2.0]));
-        b.insert(&tm, 0, &p(&[3.0, 4.0]));
+        let store = cell_of(landmark(), &[(0, &[1.0, 2.0]), (0, &[3.0, 4.0])]);
+        let b = store.get(KEY).unwrap();
+        assert_eq!(b.dims(), 2);
         assert!((b.count() - 2.0).abs() < 1e-12);
         assert!((b.mean(0).unwrap() - 2.0).abs() < 1e-12);
         assert!((b.mean(1).unwrap() - 3.0).abs() < 1e-12);
@@ -185,7 +136,8 @@ mod tests {
 
     #[test]
     fn empty_cell_has_no_moments() {
-        let b = Bcs::new(3, 0);
+        let b = Bcs::new(0.0, 0, &[0.0; 6]);
+        assert_eq!(b.dims(), 3);
         assert!(b.mean(0).is_none());
         assert!(b.variance(2).is_none());
     }
@@ -193,70 +145,64 @@ mod tests {
     #[test]
     fn decay_halves_at_omega() {
         let tm = decaying(); // epsilon 0.5 at omega 10
-        let mut b = Bcs::new(1, 0);
-        b.insert(&tm, 0, &p(&[4.0]));
+        let store = cell_of(tm, &[(0, &[4.0])]);
+        let b = store.get(KEY).unwrap();
         assert!((b.count_at(&tm, 10) - 0.5).abs() < 1e-9);
-        // Mean is decay-invariant: numerator and denominator shrink alike.
-        b.decay_to(&tm, 10);
+        // Mean is decay-invariant: numerator and denominator shrink alike
+        // when the next touch renormalizes the cell.
+        let store = cell_of(tm, &[(0, &[4.0]), (10, &[4.0])]);
+        let b = store.get(KEY).unwrap();
+        assert!((b.count() - 1.5).abs() < 1e-9);
         assert!((b.mean(0).unwrap() - 4.0).abs() < 1e-9);
     }
 
     #[test]
     fn variance_is_decay_invariant() {
+        // {1, 3} at tick 0, then their mean at tick 25: the old pair keeps
+        // its spread at weight w each, so the variance is 2w / (2w + 1).
         let tm = decaying();
-        let mut b = Bcs::new(1, 0);
-        b.insert(&tm, 0, &p(&[1.0]));
-        b.insert(&tm, 0, &p(&[3.0]));
-        let v0 = b.variance(0).unwrap();
-        b.decay_to(&tm, 25);
-        let v1 = b.variance(0).unwrap();
-        assert!((v0 - v1).abs() < 1e-9);
+        let store = cell_of(tm, &[(0, &[1.0]), (0, &[3.0])]);
+        assert!((store.get(KEY).unwrap().variance(0).unwrap() - 1.0).abs() < 1e-12);
+        let store = cell_of(tm, &[(0, &[1.0]), (0, &[3.0]), (25, &[2.0])]);
+        let w = tm.weight_after(25);
+        let b = store.get(KEY).unwrap();
+        assert!((b.mean(0).unwrap() - 2.0).abs() < 1e-9);
+        assert!((b.variance(0).unwrap() - 2.0 * w / (2.0 * w + 1.0)).abs() < 1e-9);
     }
 
     #[test]
     fn lazy_equals_eager_decay() {
         let tm = decaying();
-        // Lazy: touch at ticks 0, 4, 9 only.
-        let mut lazy = Bcs::new(1, 0);
-        lazy.insert(&tm, 0, &p(&[1.0]));
-        lazy.insert(&tm, 4, &p(&[2.0]));
-        lazy.insert(&tm, 9, &p(&[3.0]));
-        // Eager: decay every tick explicitly.
-        let mut eager = Bcs::new(1, 0);
-        eager.insert(&tm, 0, &p(&[1.0]));
-        for t in 1..=9u64 {
-            eager.decay_to(&tm, t);
-            if t == 4 {
-                eager.insert(&tm, t, &p(&[2.0]));
+        // Lazy: the cell is touched at ticks 0, 4, 9 only.
+        let arrivals: [(u64, &[f64]); 3] = [(0, &[1.0]), (4, &[2.0]), (9, &[3.0])];
+        let store = cell_of(tm, &arrivals);
+        let lazy = store.get(KEY).unwrap();
+        // Eager: decay applied every tick explicitly.
+        let (mut d, mut ls) = (0.0f64, 0.0f64);
+        for t in 0..=9u64 {
+            if t > 0 {
+                d *= tm.decay();
+                ls *= tm.decay();
             }
-            if t == 9 {
-                eager.insert(&tm, t, &p(&[3.0]));
+            for (_, vals) in arrivals.iter().filter(|(tick, _)| *tick == t) {
+                d += 1.0;
+                ls += vals[0];
             }
         }
-        assert!((lazy.count_at(&tm, 9) - eager.count_at(&tm, 9)).abs() < 1e-9);
-        assert!((lazy.mean(0).unwrap() - eager.mean(0).unwrap()).abs() < 1e-9);
+        assert!((lazy.count_at(&tm, 9) - d).abs() < 1e-9);
+        assert!((lazy.mean(0).unwrap() - ls / d).abs() < 1e-9);
     }
 
     #[test]
     fn merge_matches_combined_insertion() {
         let tm = decaying();
-        let pts_a = [[1.0], [2.0]];
-        let pts_b = [[5.0], [7.0]];
-        let mut a = Bcs::new(1, 0);
-        for (i, v) in pts_a.iter().enumerate() {
-            a.insert(&tm, i as u64, &p(v));
-        }
-        let mut b = Bcs::new(1, 0);
-        for (i, v) in pts_b.iter().enumerate() {
-            b.insert(&tm, i as u64 + 2, &p(v));
-        }
-        let mut combined = Bcs::new(1, 0);
-        for (i, v) in pts_a.iter().chain(pts_b.iter()).enumerate() {
-            combined.insert(&tm, i as u64, &p(v));
-        }
-        a.merge(&tm, &b);
-        assert!((a.count_at(&tm, 3) - combined.count_at(&tm, 3)).abs() < 1e-9);
-        assert!((a.mean(0).unwrap() - combined.mean(0).unwrap()).abs() < 1e-9);
+        let a = cell_of(tm, &[(0, &[1.0]), (1, &[2.0])]);
+        let b = cell_of(tm, &[(2, &[5.0]), (3, &[7.0])]);
+        let combined = cell_of(tm, &[(0, &[1.0]), (1, &[2.0]), (2, &[5.0]), (3, &[7.0])]);
+        let (d, ls, _) = merged(&tm, a.get(KEY).unwrap(), b.get(KEY).unwrap());
+        let combined = combined.get(KEY).unwrap();
+        assert!((d - combined.count_at(&tm, 3)).abs() < 1e-9);
+        assert!((ls[0] / d - combined.mean(0).unwrap()).abs() < 1e-9);
     }
 
     proptest! {
@@ -267,27 +213,34 @@ mod tests {
         ) {
             // All points at the same tick: BCS(A) + BCS(B) == BCS(A ∪ B).
             let tm = decaying();
-            let mut a = Bcs::new(1, 0);
-            for &x in &xs { a.insert(&tm, 5, &p(&[x])); }
-            let mut b = Bcs::new(1, 0);
-            for &y in &ys { b.insert(&tm, 5, &p(&[y])); }
-            let mut both = Bcs::new(1, 0);
-            for &v in xs.iter().chain(ys.iter()) { both.insert(&tm, 5, &p(&[v])); }
-            a.merge(&tm, &b);
-            prop_assert!((a.count() - both.count()).abs() < 1e-9);
-            prop_assert!((a.mean(0).unwrap() - both.mean(0).unwrap()).abs() < 1e-7);
-            prop_assert!((a.variance(0).unwrap() - both.variance(0).unwrap()).abs() < 1e-7);
+            let at5 = |vs: &[f64]| -> Vec<(u64, Vec<f64>)> {
+                vs.iter().map(|&v| (5, vec![v])).collect()
+            };
+            let build = |arrivals: &[(u64, Vec<f64>)]| {
+                let borrowed: Vec<(u64, &[f64])> =
+                    arrivals.iter().map(|(t, v)| (*t, v.as_slice())).collect();
+                cell_of(tm, &borrowed)
+            };
+            let (a, b) = (build(&at5(&xs)), build(&at5(&ys)));
+            let both = build(&[at5(&xs), at5(&ys)].concat());
+            let (d, ls, ss) = merged(&tm, a.get(KEY).unwrap(), b.get(KEY).unwrap());
+            let both = both.get(KEY).unwrap();
+            let mean = ls[0] / d;
+            prop_assert!((d - both.count()).abs() < 1e-9);
+            prop_assert!((mean - both.mean(0).unwrap()).abs() < 1e-7);
+            prop_assert!(((ss[0] / d - mean * mean).max(0.0) - both.variance(0).unwrap()).abs() < 1e-7);
         }
 
         #[test]
         fn count_never_negative(ticks in proptest::collection::vec(0u64..100, 1..20)) {
             let tm = decaying();
-            let mut b = Bcs::new(1, 0);
+            let weights = WeightCache::new(tm);
+            let mut store = BaseStore::new();
             let mut sorted = ticks.clone();
             sorted.sort_unstable();
             for t in sorted {
-                b.insert(&tm, t, &p(&[1.0]));
-                prop_assert!(b.count() >= 0.0);
+                store.insert_at(KEY, &weights, t, &DataPoint::new(vec![1.0]));
+                prop_assert!(store.get(KEY).unwrap().count() >= 0.0);
             }
         }
     }

@@ -13,7 +13,8 @@
 //!   per projected cell.
 //!
 //! All summaries decay under the (ω, ε) time model from `spot-stream`,
-//! lazily (each cell stores its last-touched tick). [`SynopsisManager`]
+//! lazily (each cell stores its last-touched tick and is renormalized by
+//! `δ^age` when next touched or scanned). [`SynopsisManager`]
 //! bundles the base store, one projected store per SST subspace, and the
 //! global decayed weight, and is the single entry point used by the
 //! detection engine.
@@ -41,11 +42,23 @@
 //! is stored. [`SynopsisManager::update_and_query`] and
 //! [`SynopsisManager::update_and_query_batch`] are the full-report
 //! consumers of the same two loops — every cell's `(RD, IRSD)` pair into
-//! caller-reused sinks — for baselines and tools. On the steady state (no
-//! newly-populated cells) the paths perform zero heap allocations; batch
-//! ingestion amortizes the scratch work and the decay renormalization (a
-//! per-run factor table and one closed-form advance of the global weight)
-//! across a run of points.
+//! caller-reused sinks — for baselines and tools. The two loops run the
+//! same per-cell kernel ([`ProjectedStore::update_and_screen`],
+//! [`BaseStore::insert_at`]) and differ in loop order only: point-major
+//! for one point, store-major (one store's shard at a time) for a run.
+//!
+//! No path reachable from them calls `powi` or the allocator on the
+//! steady state. Every renormalization factor `δ^age` comes from the
+//! manager's one age-indexed [`spot_stream::WeightCache`] — extended to
+//! the tick at hand before a point, a run or a prune, read-only inside
+//! one, and bit-identical to the model because its entries *are* the
+//! model's results. The base store keeps its cells in the projected
+//! stores' layout — a `CellKey → slot` index over parallel key / count /
+//! tick / moment columns, with [`Bcs`] and [`PcsCell`] as the borrowed
+//! views of one cell — so opening a cell is a push onto each column, and a
+//! prune scan reads two contiguous columns and compacts by swap-remove.
+//! Batch ingestion additionally amortizes the quantization scratch and
+//! advances the global weight in closed form.
 //!
 //! # The parallel runtime
 //!

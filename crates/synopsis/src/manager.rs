@@ -8,7 +8,7 @@ use crate::pool::{
 };
 use crate::store::BaseStore;
 use serde::Value;
-use spot_stream::{DecayTable, DecayedCounter, TimeModel, WeightCache};
+use spot_stream::{DecayedCounter, TimeModel, WeightCache};
 use spot_subspace::Subspace;
 use spot_types::{
     DataPoint, DurableState, FxHashMap, PersistError, Result, SpotError, StateReader, StateWriter,
@@ -105,8 +105,6 @@ pub struct SynopsisManager {
     batch_coords: Vec<u16>,
     /// Reused per-run total-weight buffer (n entries).
     batch_totals: Vec<f64>,
-    /// Reused per-run decay-factor table.
-    decay_table: DecayTable,
     /// Reused participant lanes of the full-report batch consumer.
     report_lanes: LanePool<ReportLane>,
     /// Reused shard claim order (store ordinals, heaviest first).
@@ -116,11 +114,16 @@ pub struct SynopsisManager {
     /// valid against a mark from the same epoch — ordinals must mean the
     /// same store on both sides of the diff.
     epoch: u64,
-    /// Mutation version of the base store + global weight.
+    /// Bumped by every ingested point or run: each one lands in the base
+    /// store, the global weight and every projected store, so this one
+    /// counter dirties them all.
+    ingest_version: u64,
+    /// Mutation version of the base store beyond ingestion (evictions).
     base_version: u64,
-    /// Per-store mutation versions, parallel to `stores` (registration
-    /// order). Comparisons test inequality only, so a double bump on one
-    /// path is harmless; what matters is that every mutation bumps.
+    /// Per-store mutation versions beyond ingestion (replay, evictions),
+    /// parallel to `stores` (registration order). Comparisons test
+    /// inequality only, so a double bump on one path is harmless; what
+    /// matters is that every mutation bumps.
     versions: Vec<u64>,
     /// The shared executor service the batch path dispatches through (see
     /// [`ExecutorHandle`]): clones — and every co-tenant manager of a
@@ -131,8 +134,9 @@ pub struct SynopsisManager {
     /// configuration. Pure scheduling — results are bit-identical for
     /// every setting.
     pool_engage: (usize, usize),
-    /// Memoized `δ^age` factors for pruning (derived state, never
-    /// persisted; see [`WeightCache`]).
+    /// The age → `δ^age` table behind every cell renormalization (derived
+    /// state, never persisted; see [`WeightCache`]). Extended to the tick
+    /// at hand before a point, a run or a prune; read-only inside one.
     weights: WeightCache,
 }
 
@@ -150,15 +154,15 @@ impl Clone for SynopsisManager {
             scratch: Vec::with_capacity(self.grid.dims()),
             batch_coords: Vec::new(),
             batch_totals: Vec::new(),
-            decay_table: DecayTable::new(),
             report_lanes: LanePool::default(),
             shard_order: Vec::new(),
             epoch: self.epoch,
+            ingest_version: self.ingest_version,
             base_version: self.base_version,
             versions: self.versions.clone(),
             exec: self.exec.clone(),
             pool_engage: self.pool_engage,
-            weights: WeightCache::new(),
+            weights: WeightCache::new(self.model),
         };
         // The clone gets its own counters; re-derive them from the cloned
         // stores so subsequent deltas stay consistent.
@@ -193,6 +197,7 @@ pub struct UpdateOutcome {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SynopsisMark {
     epoch: u64,
+    ingest: u64,
     base: u64,
     stores: Vec<u64>,
 }
@@ -358,15 +363,15 @@ impl SynopsisManager {
             scratch,
             batch_coords: Vec::new(),
             batch_totals: Vec::new(),
-            decay_table: DecayTable::new(),
             report_lanes: LanePool::default(),
             shard_order: Vec::new(),
             epoch: 0,
+            ingest_version: 0,
             base_version: 0,
             versions: Vec::new(),
             exec,
             pool_engage: (8, 8),
-            weights: WeightCache::new(),
+            weights: WeightCache::new(model),
         };
         mgr.publish_base();
         mgr
@@ -480,14 +485,7 @@ impl SynopsisManager {
     /// [`SynopsisManager::update_and_query`] when the per-subspace PCS is
     /// needed too — it costs no second pass.
     pub fn update(&mut self, now: u64, p: &DataPoint) -> Result<UpdateOutcome> {
-        let outcome = self.ingest_base(now, p)?;
-        for store in &mut self.stores {
-            store.update(&self.grid, &self.model, now, &self.scratch, p);
-            let (dc, db) = store.publish_delta();
-            self.live.apply_projected(dc, db);
-        }
-        self.mark_all_dirty();
-        Ok(outcome)
+        self.update_and_screen(now, p, |_, _, _| {})
     }
 
     /// Single-pass update **and** screen: ingests one point and hands the
@@ -506,7 +504,7 @@ impl SynopsisManager {
         for (ordinal, store) in self.stores.iter_mut().enumerate() {
             let touch = store.update_and_screen(
                 &self.grid,
-                &self.model,
+                &self.weights,
                 now,
                 &self.scratch,
                 p,
@@ -516,7 +514,7 @@ impl SynopsisManager {
             self.live.apply_projected(dc, db);
             on_cell(ordinal, store, touch);
         }
-        self.mark_all_dirty();
+        self.ingest_version += 1;
         Ok(outcome)
     }
 
@@ -541,31 +539,23 @@ impl SynopsisManager {
         })
     }
 
-    /// Quantizes the point (into the reused scratch), feeds the base store
-    /// and the global weight.
+    /// Quantizes the point (into the reused scratch) — the validation
+    /// step: a rejected point changes nothing — then extends the weight
+    /// table to `now` and feeds the base store and the global weight (a
+    /// run of one, so the per-point and batch paths advance it alike).
     fn ingest_base(&mut self, now: u64, p: &DataPoint) -> Result<UpdateOutcome> {
         self.grid.base_coords_into(p, &mut self.scratch)?;
+        self.weights.ensure(now.saturating_add(1));
         let key = self.grid.base_key(&self.scratch);
-        let prior_base_count = self
-            .base
-            .insert_at(key, self.grid.dims(), &self.model, now, p);
-        self.total.add(&self.model, now, 1.0);
+        let prior_base_count = self.base.insert_at(key, &self.weights, now, p);
+        self.total
+            .add_run(&self.weights, now, 1, &mut self.batch_totals);
         self.publish_base();
         Ok(UpdateOutcome {
             base_cell: key,
             prior_base_count,
-            total_weight: self.total.value_at(&self.model, now),
+            total_weight: self.batch_totals[0],
         })
-    }
-
-    /// Marks the base and every store dirty — the per-point ingest paths
-    /// touch all of them (every store absorbs every point), so one bump
-    /// per run is exact, not conservative.
-    fn mark_all_dirty(&mut self) {
-        self.base_version += 1;
-        for v in &mut self.versions {
-            *v += 1;
-        }
     }
 
     /// Mirrors the base store's footprint into the live counters when it
@@ -744,22 +734,21 @@ impl SynopsisManager {
             coords[i * dims..(i + 1) * dims].copy_from_slice(&self.scratch);
         }
 
-        // Per-run decay machinery: the global weight advances by one
-        // geometric recurrence (no per-point powi, bit-identical to the
-        // per-point adds), and one factor table serves every cell
-        // renormalization of the run.
+        // No cell the run touches is older than its last tick: extend the
+        // weight table that far, once, so the dispatch below only reads
+        // it. The global weight advances by one geometric recurrence
+        // (bit-identical to per-point adds).
+        self.weights
+            .ensure(start_tick.saturating_add(points.len() as u64));
         let mut totals = std::mem::take(&mut self.batch_totals);
         self.total
-            .add_run(&self.model, start_tick, points.len(), &mut totals);
-        self.decay_table.fill(&self.model, start_tick, points.len());
+            .add_run(&self.weights, start_tick, points.len(), &mut totals);
 
         // Phase A2: feed the base store.
         for (i, p) in points.iter().enumerate() {
             let now = start_tick + i as u64;
             let key = self.grid.base_key(&coords[i * dims..(i + 1) * dims]);
-            let prior = self
-                .base
-                .insert_at_run(key, dims, &self.model, &self.decay_table, now, p);
+            let prior = self.base.insert_at(key, &self.weights, now, p);
             if let Some(outcomes) = outcomes.as_deref_mut() {
                 outcomes.push(UpdateOutcome {
                     base_cell: key,
@@ -785,8 +774,7 @@ impl SynopsisManager {
         // Phase B: the shard phase.
         {
             let grid = &self.grid;
-            let model = &self.model;
-            let table = &self.decay_table;
+            let weights = &self.weights;
             let live = &*self.live;
             let order = &self.shard_order[..];
             let cursor = AtomicUsize::new(0);
@@ -818,10 +806,9 @@ impl SynopsisManager {
                     let lane = lane.get_or_insert_with(|| consumer.checkout(points.len()));
                     for (i, p) in points.iter().enumerate() {
                         let base = &coords[i * dims..(i + 1) * dims];
-                        let touch = store.update_and_screen_run(
+                        let touch = store.update_and_screen(
                             grid,
-                            model,
-                            table,
+                            weights,
                             start_tick + i as u64,
                             base,
                             p,
@@ -841,7 +828,7 @@ impl SynopsisManager {
 
         self.batch_coords = coords;
         self.batch_totals = totals;
-        self.mark_all_dirty();
+        self.ingest_version += 1;
         Ok(())
     }
 
@@ -863,7 +850,9 @@ impl SynopsisManager {
         let store = &mut self.stores[ordinal];
         for (tick, p) in points {
             self.grid.base_coords_into(p, &mut self.scratch)?;
-            store.update(&self.grid, &self.model, *tick, &self.scratch, p);
+            // Replay only fills the store; nobody reads the screen, so
+            // the global weight it would be measured against is moot.
+            store.update_and_screen(&self.grid, &self.weights, *tick, &self.scratch, p, 0.0);
         }
         let (dc, db) = store.publish_delta();
         self.live.apply_projected(dc, db);
@@ -894,21 +883,17 @@ impl SynopsisManager {
     /// Prunes every store, evicting cells whose decayed count fell below
     /// `floor`. Returns the total number of evicted cells.
     ///
-    /// Two layers of the commit-sharding work live here. Decay factors are
-    /// served from the persistent [`WeightCache`] — one `powi` per
-    /// *distinct age* over the detector's lifetime instead of one per live
-    /// cell per prune, with bit-identical eviction decisions. And the
-    /// per-store scans (independent by construction — each touches one
+    /// Decay factors come from the weight table the ingest paths use —
+    /// one load per live cell, the same eviction decisions as the model.
+    /// The per-store scans (independent by construction — each touches one
     /// store) fan out across the executor's worker pool when one is
     /// engaged, using the same claim protocol as the shard phase; version
     /// bumps and footprint publication stay sequential.
     pub fn prune(&mut self, now: u64, floor: f64) -> usize {
-        // Cells can be as old as `now`; extend the memo once, up front, so
-        // the scans below (parallel or not) only read it.
-        self.weights.ensure(&self.model, now.saturating_add(1));
-        let base_evicted = self
-            .base
-            .prune_cached(&self.model, &self.weights, now, floor);
+        // Cells can be as old as `now`; extend the table once, up front,
+        // so the scans below (parallel or not) only read it.
+        self.weights.ensure(now.saturating_add(1));
+        let base_evicted = self.base.prune(&self.weights, now, floor);
         if base_evicted > 0 {
             self.base_version += 1;
         }
@@ -923,7 +908,6 @@ impl SynopsisManager {
             .pool_for_with(n_stores, n_stores, min_stores, min_points)
         {
             Some(pool) => {
-                let model = &self.model;
                 let weights = &self.weights;
                 let cursor = AtomicUsize::new(0);
                 let shared_stores = SharedSlice::new(&mut self.stores[..]);
@@ -938,13 +922,13 @@ impl SynopsisManager {
                     // only one touching this store and count slot.
                     let store = unsafe { shared_stores.get_mut(ordinal) };
                     let count = unsafe { shared_counts.get_mut(ordinal) };
-                    *count = store.prune_cached(model, weights, now, floor);
+                    *count = store.prune(weights, now, floor);
                 };
                 pool.execute(&work);
             }
             None => {
                 for (ordinal, store) in self.stores.iter_mut().enumerate() {
-                    per_store[ordinal] = store.prune_cached(&self.model, &self.weights, now, floor);
+                    per_store[ordinal] = store.prune(&self.weights, now, floor);
                 }
             }
         }
@@ -1034,6 +1018,7 @@ impl SynopsisManager {
     pub fn capture_mark(&self) -> SynopsisMark {
         SynopsisMark {
             epoch: self.epoch,
+            ingest: self.ingest_version,
             base: self.base_version,
             stores: self.versions.clone(),
         }
@@ -1059,7 +1044,8 @@ impl SynopsisManager {
         let mut w = StateWriter::new();
         w.component("total", &self.total);
         w.u64("stores_len", self.stores.len() as u64);
-        if self.base_version != mark.base {
+        let ingested = self.ingest_version != mark.ingest;
+        if ingested || self.base_version != mark.base {
             let mut bw = StateWriter::new();
             self.base.capture(&mut bw);
             w.value("base", bw.finish());
@@ -1067,7 +1053,7 @@ impl SynopsisManager {
             w.value("base", Value::Null);
         }
         let dirty: Vec<usize> = (0..self.stores.len())
-            .filter(|&i| self.versions[i] != mark.stores[i])
+            .filter(|&i| ingested || self.versions[i] != mark.stores[i])
             .collect();
         let n = dirty.len();
         let mut slots: Vec<Value> = vec![Value::Null; n];
@@ -1120,6 +1106,15 @@ impl SynopsisManager {
 
         r.restore_component("total", &mut self.total)?;
         r.restore_component("base", &mut self.base)?;
+        if let Some((_, cell)) = self.base.iter().next() {
+            if cell.dims() != self.grid.dims() {
+                return Err(PersistError::custom(format!(
+                    "base cells have {} dimensions, the grid {}",
+                    cell.dims(),
+                    self.grid.dims()
+                )));
+            }
+        }
         self.publish_base();
 
         for sr in r.nested_list("stores")? {
@@ -1638,8 +1633,8 @@ mod tests {
 
     #[test]
     fn cached_prune_matches_uncached_store_prune() {
-        // The WeightCache path must make the exact decisions the powi path
-        // makes, cell for cell, including ages beyond the cache.
+        // A filled table must make the exact decisions the powi path (an
+        // empty table) makes, cell for cell.
         let grid = Grid::new(DomainBounds::unit(2), 6).unwrap();
         let tm = TimeModel::new(40, 0.02).unwrap();
         let mut cached = BaseStore::new();
@@ -1649,12 +1644,12 @@ mod tests {
             cached.insert(&grid, &tm, i, &p).unwrap();
             plain.insert(&grid, &tm, i, &p).unwrap();
         }
-        let mut wc = WeightCache::new();
+        let mut wc = WeightCache::new(tm);
         for now in [200u64, 260, 400] {
-            wc.ensure(&tm, now + 1);
+            wc.ensure(now + 1);
             let floor = 1e-2;
-            let a = cached.prune_cached(&tm, &wc, now, floor);
-            let b = plain.prune(&tm, now, floor);
+            let a = cached.prune(&wc, now, floor);
+            let b = plain.prune(&WeightCache::new(tm), now, floor);
             assert_eq!(a, b, "evictions at now={now}");
             assert_eq!(cached.len(), plain.len());
         }

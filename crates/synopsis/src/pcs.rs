@@ -3,7 +3,7 @@
 use crate::grid::Grid;
 use crate::key::CellKey;
 use serde::{Deserialize, Serialize};
-use spot_stream::{DecayTable, TimeModel, WeightCache};
+use spot_stream::{TimeModel, WeightCache};
 use spot_subspace::Subspace;
 use spot_types::{DataPoint, DurableState, FxHashMap, PersistError, StateReader, StateWriter};
 
@@ -272,8 +272,19 @@ impl ProjectedStore {
     /// The single writer of a shard calls this after mutating the store
     /// and folds the delta into the shared atomic counters — monitoring
     /// readers never need the store itself.
+    ///
+    /// The footprint is a function of the cell count (see
+    /// [`ProjectedStore::approx_bytes`]), so a store whose count stands
+    /// where it was last published — the steady state of the per-point
+    /// path — answers without computing it.
+    #[inline]
     pub(crate) fn publish_delta(&mut self) -> (isize, isize) {
         let cells = self.len();
+        // `published_bytes` is 0 only before the first publication (an
+        // empty store already weighs its own struct).
+        if cells == self.published_cells && self.published_bytes != 0 {
+            return (0, 0);
+        }
         let bytes = self.approx_bytes();
         let delta = (
             cells as isize - self.published_cells as isize,
@@ -316,51 +327,26 @@ impl ProjectedStore {
     }
 
     /// Folds one point into its projected cell at tick `now` and screens
-    /// the cell in the same access — the fused hot path. `base` must be
-    /// the point's base-cell coordinates on the same grid (coordinates
-    /// from another grid may index outside a dense store's table and
-    /// panic); `total` the stream's global decayed weight at `now` (point
-    /// included). Returns the cell's decayed occupancy (point included —
-    /// the drift detector's freshness signal) and RD; IRSD is
+    /// the cell in the same access — the one touch kernel behind every
+    /// ingest path (per point, per run, replay). `base` must be the
+    /// point's base-cell coordinates on the same grid (coordinates from
+    /// another grid may index outside a dense store's table and panic);
+    /// `weights` supplies the cell's renormalization factor; `total` is
+    /// the stream's global decayed weight at `now` (point included).
+    /// Returns the cell's decayed occupancy (point included — the drift
+    /// detector's freshness signal) and RD; IRSD is
     /// [`ProjectedStore::irsd_of`] the returned touch.
     #[inline]
     pub fn update_and_screen(
         &mut self,
         grid: &Grid,
-        model: &TimeModel,
+        weights: &WeightCache,
         now: u64,
         base: &[u16],
         point: &DataPoint,
         total: f64,
     ) -> CellTouch {
-        let slot = self.upsert_with(grid, now, base, point, |last| {
-            model.decay_between(last, now)
-        });
-        self.screen_slot(slot, total)
-    }
-
-    /// [`ProjectedStore::update_and_screen`] with the cell renormalization
-    /// factor served from a per-run decay table (the batch ingestion
-    /// path): repeat touches of a cell within the run cost one table load
-    /// instead of one `powi`. Bit-identical to the model path.
-    // Hot-path signature: the extra argument over `update_and_screen` is
-    // the decay table itself; bundling it with the model would cost a
-    // struct build per call site in the shard loop.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    pub fn update_and_screen_run(
-        &mut self,
-        grid: &Grid,
-        model: &TimeModel,
-        table: &DecayTable,
-        now: u64,
-        base: &[u16],
-        point: &DataPoint,
-        total: f64,
-    ) -> CellTouch {
-        let slot = self.upsert_with(grid, now, base, point, |last| {
-            table.factor(model, last, now)
-        });
+        let slot = self.upsert(grid, weights, now, base, point);
         self.screen_slot(slot, total)
     }
 
@@ -391,35 +377,17 @@ impl ProjectedStore {
         }
     }
 
-    /// Updates the store with one point at tick `now` without deriving the
-    /// PCS (replay/warm-up path). `base` must be the point's base-cell
-    /// coordinates on the same grid.
-    pub fn update(
-        &mut self,
-        grid: &Grid,
-        model: &TimeModel,
-        now: u64,
-        base: &[u16],
-        point: &DataPoint,
-    ) {
-        self.upsert_with(grid, now, base, point, |last| {
-            model.decay_between(last, now)
-        });
-    }
-
-    /// Inserts the point, returning its slot. Existing cells are decayed to
-    /// `now` first — `factor_of(last_tick)` supplies the renormalization
-    /// multiplier (straight from the time model, or from a per-run decay
-    /// table). New cells extend the columns (the only allocating path,
-    /// taken once per distinct populated cell).
+    /// Inserts the point, returning its slot. An existing cell is decayed
+    /// to `now` first. New cells extend the columns (the only allocating
+    /// path, taken once per distinct populated cell).
     #[inline]
-    fn upsert_with(
+    fn upsert(
         &mut self,
         grid: &Grid,
+        weights: &WeightCache,
         now: u64,
         base: &[u16],
         point: &DataPoint,
-        factor_of: impl FnOnce(u64) -> f64,
     ) -> usize {
         let stride = 2 * self.card;
         let next = self.keys.len();
@@ -452,7 +420,7 @@ impl ProjectedStore {
         };
         match new_key {
             None => {
-                let f = factor_of(self.last_tick[slot]);
+                let f = weights.decay_between(self.last_tick[slot], now);
                 if f != 1.0 {
                     self.d[slot] *= f;
                     for v in &mut self.moments[slot * stride..(slot + 1) * stride] {
@@ -482,7 +450,7 @@ impl ProjectedStore {
 
     /// PCS of the projected cell containing `base`, renormalized to `now`.
     /// `total` is the stream's global decayed weight at `now`. (Query-only
-    /// path; the detection hot path uses
+    /// path, factor straight from the model; the detection hot path uses
     /// [`ProjectedStore::update_and_screen`].)
     pub fn pcs(&self, grid: &Grid, model: &TimeModel, now: u64, base: &[u16], total: f64) -> Pcs {
         let key = grid.project_key(base, &self.subspace);
@@ -552,27 +520,12 @@ impl ProjectedStore {
     /// Returns the number of evicted cells. This is what bounds the
     /// synopsis memory on an unbounded stream. A linear sweep over the
     /// contiguous columns with swap-remove compaction — cheap enough to
-    /// call on a short cadence.
-    pub fn prune(&mut self, model: &TimeModel, now: u64, floor: f64) -> usize {
-        self.prune_impl(now, floor, |last| model.decay_between(last, now))
-    }
-
-    /// [`ProjectedStore::prune`] with decay factors served from a shared
-    /// [`WeightCache`] — bit-identical eviction decisions (the cache
-    /// memoizes exact `weight_after` results), one `powi` per *distinct
-    /// age* instead of one per cell. Safe to run on store shards in
-    /// parallel: the cache is read-only here.
-    pub fn prune_cached(
-        &mut self,
-        model: &TimeModel,
-        weights: &WeightCache,
-        now: u64,
-        floor: f64,
-    ) -> usize {
-        self.prune_impl(now, floor, |last| weights.decay_between(model, last, now))
-    }
-
-    fn prune_impl(&mut self, _now: u64, floor: f64, factor: impl Fn(u64) -> f64) -> usize {
+    /// call on a short cadence — with factors from `weights`: one `powi`
+    /// per *distinct age* over the detector's lifetime instead of one per
+    /// cell. Safe to run on store shards in parallel: the table is
+    /// read-only here.
+    pub fn prune(&mut self, weights: &WeightCache, now: u64, floor: f64) -> usize {
+        let factor = |last: u64| weights.decay_between(last, now);
         // Eviction-horizon screen: every slot carries weight >= 1 at its
         // own `last_tick` (each upsert adds exactly 1 after decaying), so
         // its decayed count is at least `factor(min_last_tick)`. When even
@@ -704,9 +657,11 @@ mod tests {
         )
     }
 
+    /// Folds `p` in with every factor taken from the model (an empty
+    /// table), discarding the screen.
     fn update(store: &mut ProjectedStore, grid: &Grid, tm: &TimeModel, now: u64, p: &DataPoint) {
         let base = grid.base_coords(p).unwrap();
-        store.update(grid, tm, now, &base, p);
+        store.update_and_screen(grid, &WeightCache::new(*tm), now, &base, p, 1.0);
     }
 
     #[test]
@@ -721,18 +676,18 @@ mod tests {
             update(&mut store, &grid, &tm, 100, &DataPoint::new(vec![0.9, 0.9]));
         }
         // Inside the horizon: screened out, nothing touched.
-        assert_eq!(store.prune(&tm, 120, 1e-3), 0);
+        assert_eq!(store.prune(&WeightCache::new(tm), 120, 1e-3), 0);
         assert_eq!(store.len(), 2);
         // Past the lone cell's horizon: the sweep runs and evicts it, and
         // the recomputed horizon screens the immediate re-prune.
-        assert_eq!(store.prune(&tm, 200, 1e-3), 1);
+        assert_eq!(store.prune(&WeightCache::new(tm), 200, 1e-3), 1);
         assert_eq!(store.len(), 1);
-        assert_eq!(store.prune(&tm, 200, 1e-3), 0);
+        assert_eq!(store.prune(&WeightCache::new(tm), 200, 1e-3), 0);
         // The survivor eventually decays out too.
-        assert_eq!(store.prune(&tm, 500, 1e-3), 1);
+        assert_eq!(store.prune(&WeightCache::new(tm), 500, 1e-3), 1);
         assert_eq!(store.len(), 0);
         // Empty store: screened out.
-        assert_eq!(store.prune(&tm, 600, 1e-3), 0);
+        assert_eq!(store.prune(&WeightCache::new(tm), 600, 1e-3), 0);
     }
 
     #[test]
@@ -786,6 +741,7 @@ mod tests {
     fn fused_update_matches_separate_query() {
         let (grid, tm) = setup(3, 8);
         let s = Subspace::from_dims([0, 2]).unwrap();
+        let weights = WeightCache::new(tm);
         let mut fused = ProjectedStore::new(&grid, s);
         let mut split = ProjectedStore::new(&grid, s);
         let pts: Vec<DataPoint> = (0..200)
@@ -801,8 +757,8 @@ mod tests {
             let now = i as u64;
             let total = (i + 1) as f64;
             let base = grid.base_coords(p).unwrap();
-            let touch = fused.update_and_screen(&grid, &tm, now, &base, p, total);
-            split.update(&grid, &tm, now, &base, p);
+            let touch = fused.update_and_screen(&grid, &weights, now, &base, p, total);
+            update(&mut split, &grid, &tm, now, p);
             let pcs_split = split.pcs(&grid, &tm, now, &base, total);
             assert_eq!(fused.pcs_of(&touch), pcs_split, "point {i}");
             assert!(touch.occupancy > 0.0);
@@ -815,21 +771,23 @@ mod tests {
         let s = Subspace::from_dims([0, 2]).unwrap();
         let mut by_model = ProjectedStore::new(&grid, s);
         let mut by_table = ProjectedStore::new(&grid, s);
-        let mut table = DecayTable::new();
+        // An empty table answers every age from the model; the other is
+        // ensured as the manager ensures it.
+        let model_only = WeightCache::new(tm);
+        let mut table = WeightCache::new(tm);
         let pts: Vec<DataPoint> = (0..120)
             .map(|i| DataPoint::new(vec![(i % 5) as f64 / 5.0, 0.5, ((i * 3) % 4) as f64 / 4.0]))
             .collect();
-        // Runs with gaps: in-run repeat touches hit the table, first
-        // touches of stale cells take the powi fallback.
+        // Runs with gaps, so cells age across them.
         for (run_idx, run) in pts.chunks(40).enumerate() {
             let start = 1 + run_idx as u64 * 100;
-            table.fill(&tm, start, run.len());
+            table.ensure(start + run.len() as u64);
             for (i, p) in run.iter().enumerate() {
                 let now = start + i as u64;
                 let total = (run_idx * 40 + i + 1) as f64;
                 let base = grid.base_coords(p).unwrap();
-                let ta = by_model.update_and_screen(&grid, &tm, now, &base, p, total);
-                let tb = by_table.update_and_screen_run(&grid, &tm, &table, now, &base, p, total);
+                let ta = by_model.update_and_screen(&grid, &model_only, now, &base, p, total);
+                let tb = by_table.update_and_screen(&grid, &table, now, &base, p, total);
                 let (pa, pb) = (by_model.pcs_of(&ta), by_table.pcs_of(&tb));
                 assert_eq!(pa.rd.to_bits(), pb.rd.to_bits(), "rd at point {i}");
                 assert_eq!(pa.irsd.to_bits(), pb.irsd.to_bits(), "irsd at point {i}");
@@ -864,7 +822,7 @@ mod tests {
         assert_eq!(dc, 2);
         assert!(db > 0);
         assert_eq!(store.publish_delta(), (0, 0), "no change, no delta");
-        store.prune(&tm, 100 * 20, 1e-6);
+        store.prune(&WeightCache::new(tm), 100 * 20, 1e-6);
         let (dc, _) = store.publish_delta();
         assert_eq!(dc, -2);
     }
@@ -976,7 +934,7 @@ mod tests {
         update(&mut store, &grid, &tm, 0, &DataPoint::new(vec![0.9]));
         assert_eq!(store.len(), 2);
         // After many omega windows both cells hold ~nothing.
-        let evicted = store.prune(&tm, 100 * 20, 1e-6);
+        let evicted = store.prune(&WeightCache::new(tm), 100 * 20, 1e-6);
         assert_eq!(evicted, 2);
         assert!(store.is_empty());
     }
@@ -987,7 +945,7 @@ mod tests {
         let s = Subspace::from_dims([0]).unwrap();
         let mut store = ProjectedStore::new(&grid, s);
         update(&mut store, &grid, &tm, 1000, &DataPoint::new(vec![0.1]));
-        assert_eq!(store.prune(&tm, 1000, 0.5), 0);
+        assert_eq!(store.prune(&WeightCache::new(tm), 1000, 0.5), 0);
         assert_eq!(store.len(), 1);
     }
 
@@ -1011,7 +969,7 @@ mod tests {
         for v in fresh {
             update(&mut store, &grid, &tm, now, &DataPoint::new(vec![v]));
         }
-        let evicted = store.prune(&tm, now, 0.5);
+        let evicted = store.prune(&WeightCache::new(tm), now, 0.5);
         assert_eq!(evicted, 2);
         assert_eq!(store.len(), 2);
         for v in fresh {

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use serde::Value;
-use spot_stream::TimeModel;
+use spot_stream::{TimeModel, WeightCache};
 use spot_subspace::Subspace;
 use spot_synopsis::{Grid, ProjectedStore, SynopsisManager};
 use spot_types::{DataPoint, DomainBounds, DurableState, PersistError, StateReader, StateWriter};
@@ -305,6 +305,7 @@ fn hostile_key_columns_are_typed_errors_not_panics() {
     let hashed = Subspace::from_dims([0, 1, 2]).unwrap(); // 12-bit keys
     let p = DataPoint::new(vec![0.15, 0.85, 0.5]);
     let base = grid.base_coords(&p).unwrap();
+    let weights = WeightCache::new(model);
 
     let cases: [(Subspace, &[u128], &str); 5] = [
         (dense, &[3, 256], "out-of-range"),
@@ -315,7 +316,7 @@ fn hostile_key_columns_are_typed_errors_not_panics() {
     ];
     for (s, keys, what) in cases {
         let mut store = ProjectedStore::new(&grid, s);
-        store.update(&grid, &model, 1, &base, &p);
+        store.update_and_screen(&grid, &weights, 1, &base, &p, 1.0);
         let state = store_state(s, keys);
         let err: PersistError = store
             .restore(&StateReader::new(&state).unwrap())
@@ -327,7 +328,7 @@ fn hostile_key_columns_are_typed_errors_not_panics() {
         // The refused column left the store as it was, index included.
         assert_eq!(store.len(), 1);
         assert!(store.pcs(&grid, &model, 1, &base, 1.0).rd > 0.0);
-        store.update(&grid, &model, 2, &base, &p);
+        store.update_and_screen(&grid, &weights, 2, &base, &p, 2.0);
         assert_eq!(store.len(), 1, "the cell is still found by its key");
     }
 
@@ -364,4 +365,147 @@ fn hostile_key_columns_are_typed_errors_not_panics() {
     assert!(fresh
         .restore_state(&StateReader::new(&forged).unwrap())
         .is_err());
+}
+
+/// The manager `fixtures/manager_state_pr13.json` was captured from, by
+/// the commit before the base store went columnar (PR 13, `8568efa`):
+/// 120 points over the box, 80 in one corner much later, one prune.
+fn fixture_manager() -> SynopsisManager {
+    let grid = Grid::new(DomainBounds::unit(5), 10).unwrap();
+    let mut mgr = SynopsisManager::new(grid, TimeModel::new(40, 0.01).unwrap());
+    for dims in [vec![0], vec![1, 2], vec![0, 3, 4]] {
+        mgr.add_subspace(Subspace::from_dims(dims).unwrap());
+    }
+    let point = |i: u64, scale: f64| {
+        DataPoint::new(
+            (0..5u64)
+                .map(|d| ((i * (2 * d + 3) + 5 * d) % 29) as f64 / 29.0 * scale)
+                .collect(),
+        )
+    };
+    for i in 0..120 {
+        mgr.update(1 + i, &point(i, 1.0)).unwrap();
+    }
+    for i in 0..80 {
+        mgr.update(400 + i, &point(i, 0.35)).unwrap();
+    }
+    assert!(mgr.prune(480, 1e-3) > 0);
+    mgr
+}
+
+#[test]
+fn state_captured_by_the_parent_commit_interchanges() {
+    // The capture format did not move with the store layout: a state the
+    // map-of-structs base store wrote restores into the columnar one and
+    // re-captures to the same bytes, and the same stream ingested by this
+    // build captures to those bytes too — checkpoints interchange in both
+    // directions.
+    let fixture = include_str!("fixtures/manager_state_pr13.json");
+    let state: Value = serde_json::from_str(fixture).unwrap();
+    let live = fixture_manager();
+    let mut restored = SynopsisManager::new(live.grid().clone(), *live.model());
+    restored
+        .restore_state(&StateReader::new(&state).unwrap())
+        .unwrap();
+    assert_eq!(
+        serde_json::to_string(&restored.capture_state()).unwrap(),
+        fixture,
+        "restore → capture is not the identity on the parent's bytes"
+    );
+    assert_eq!(
+        serde_json::to_string(&live.capture_state()).unwrap(),
+        fixture,
+        "this build captures the same stream differently"
+    );
+    assert_eq!(restored.live_cells(), live.live_cells());
+    assert_eq!(restored.approx_bytes(), live.approx_bytes());
+}
+
+/// A base-store snapshot of `keys.len()` one-point, 2-dimensional cells.
+fn base_state(keys: &[u128], d: usize, last: usize, ls: usize, ss: usize) -> Value {
+    let mut w = StateWriter::new();
+    w.u64("dims", 2);
+    w.u128_col("keys", keys.iter().copied());
+    w.f64_bits_col("d", std::iter::repeat_n(1.0, d));
+    w.u64_col("last", std::iter::repeat_n(5, last));
+    w.f64_bits_col("ls", std::iter::repeat_n(0.5, ls));
+    w.f64_bits_col("ss", std::iter::repeat_n(0.25, ss));
+    w.finish()
+}
+
+#[test]
+fn hostile_base_columns_are_typed_errors_and_leave_the_store_alone() {
+    let grid = Grid::new(DomainBounds::unit(2), 10).unwrap();
+    let model = TimeModel::new(40, 0.01).unwrap();
+    let p = DataPoint::new(vec![0.15, 0.85]);
+    let mut store = spot_synopsis::BaseStore::new();
+    let (key, _) = store.insert(&grid, &model, 1, &p).unwrap();
+    let before = capture(&store);
+
+    let cases: [(&str, Value, &str); 6] = [
+        (
+            "duplicate key",
+            base_state(&[3, 17, 3], 3, 3, 6, 6),
+            "duplicate",
+        ),
+        ("short d", base_state(&[3, 17], 1, 2, 4, 4), "disagree"),
+        ("short last", base_state(&[3, 17], 2, 1, 4, 4), "disagree"),
+        ("short ls", base_state(&[3, 17], 2, 2, 3, 4), "disagree"),
+        ("short ss", base_state(&[3, 17], 2, 2, 4, 2), "disagree"),
+        (
+            "no keys, stray moments",
+            base_state(&[], 0, 0, 2, 2),
+            "disagree",
+        ),
+    ];
+    for (label, state, what) in cases {
+        let err: PersistError = store
+            .restore(&StateReader::new(&state).unwrap())
+            .expect_err(label);
+        assert!(
+            err.to_string().contains(what),
+            "{label}: expected a `{what}` error, got: {err}"
+        );
+        // Nothing of the refused snapshot stuck.
+        assert_eq!(capture(&store), before, "{label}");
+        assert_eq!(store.len(), 1);
+        assert!(
+            store.get(key).is_some(),
+            "{label}: the cell is still indexed"
+        );
+    }
+    // An odd u128 lane count never gets as far as the column check.
+    let mut w = StateWriter::new();
+    w.u64("dims", 2);
+    w.u64_col("keys", [0, 3, 0]);
+    for col in ["d", "last", "ls", "ss"] {
+        w.u64_col(col, []);
+    }
+    assert!(store
+        .restore(&StateReader::new(&w.finish()).unwrap())
+        .is_err());
+    assert_eq!(capture(&store), before);
+
+    // The store still works, and a sound snapshot of the same shape loads.
+    let (again, prior) = store.insert(&grid, &model, 2, &p).unwrap();
+    assert_eq!(again, key);
+    assert!(prior > 0.0);
+    store
+        .restore(&StateReader::new(&base_state(&[3, 17], 2, 2, 4, 4)).unwrap())
+        .unwrap();
+    assert_eq!(store.len(), 2);
+
+    // A manager refuses base cells that are not as wide as its grid.
+    let mut mgr = SynopsisManager::new(Grid::new(DomainBounds::unit(3), 10).unwrap(), model);
+    mgr.update(1, &DataPoint::new(vec![0.1, 0.2, 0.3])).unwrap();
+    let good = mgr.capture_state();
+    let good = StateReader::new(&good).unwrap();
+    let mut w = StateWriter::new();
+    w.value("total", good.value("total").unwrap().clone());
+    w.value("base", base_state(&[3, 17], 2, 2, 4, 4));
+    w.nested_list("stores", vec![]);
+    let err = mgr
+        .restore_state(&StateReader::new(&w.finish()).unwrap())
+        .expect_err("2-d cells in a 3-d grid");
+    assert!(err.to_string().contains("dimensions"), "{err}");
 }
