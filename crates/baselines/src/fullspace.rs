@@ -15,7 +15,8 @@
 //! mirroring Aggarwal SDM'05's sparse-region test.
 
 use spot_stream::{LogicalClock, TimeModel, WeightCache};
-use spot_synopsis::{BaseStore, Grid};
+use spot_subspace::Subspace;
+use spot_synopsis::{Grid, ProjectedStore};
 use spot_types::{DataPoint, Detection, DomainBounds, Result, SpotError, StreamDetector};
 
 /// Configuration of the full-space detector.
@@ -52,7 +53,9 @@ impl Default for FullSpaceConfig {
 pub struct FullSpaceGridDetector {
     config: FullSpaceConfig,
     grid: Grid,
-    store: BaseStore,
+    /// The one store: every cell of the full space, i.e. the projection
+    /// onto all ϕ dimensions.
+    store: ProjectedStore,
     clock: LogicalClock,
 }
 
@@ -64,13 +67,28 @@ impl FullSpaceGridDetector {
                 "density threshold must be >= 0".into(),
             ));
         }
+        let full = Subspace::full(bounds.dims())?;
         let grid = Grid::new(bounds, config.granularity)?;
+        let store = ProjectedStore::new(&grid, full);
         Ok(FullSpaceGridDetector {
             config,
             grid,
-            store: BaseStore::new(),
+            store,
             clock: LogicalClock::new(),
         })
+    }
+
+    /// Folds `p` into its full-space cell at tick `now`; the cell's decayed
+    /// count, point included. Every factor straight from the model (an
+    /// empty table).
+    fn insert(&mut self, now: u64, p: &DataPoint) -> Result<f64> {
+        let base = self.grid.base_coords(p)?;
+        let weights = WeightCache::new(self.config.time_model);
+        // The global weight only enters RD, which this detector ignores.
+        let touch = self
+            .store
+            .update_and_screen(&self.grid, &weights, now, &base, p, 0.0);
+        Ok(touch.occupancy)
     }
 
     /// Populated base cells (memory accounting).
@@ -90,29 +108,26 @@ impl StreamDetector for FullSpaceGridDetector {
         // first stream points are not all trivially "sparse".
         for p in training {
             let now = self.clock.tick();
-            self.store
-                .insert(&self.grid, &self.config.time_model, now, p)?;
+            self.insert(now, p)?;
         }
         Ok(())
     }
 
     fn process(&mut self, point: &DataPoint) -> Detection {
         let now = self.clock.tick();
-        let model = self.config.time_model;
-        let Ok((_, prior)) = self.store.insert(&self.grid, &model, now, point) else {
+        let Ok(occupancy) = self.insert(now, point) else {
             // Dimension mismatch: report maximally anomalous rather than
             // panicking mid-stream.
             return Detection::outlier(f64::INFINITY);
         };
         if self.config.prune_every > 0 && now.is_multiple_of(self.config.prune_every) {
-            // An empty table: every factor straight from the model.
-            self.store
-                .prune(&WeightCache::new(model), now, self.config.prune_floor);
+            let weights = WeightCache::new(self.config.time_model);
+            self.store.prune(&weights, now, self.config.prune_floor);
         }
-        let score = 1.0 / (1.0 + prior); // sparser cell → higher score
         Detection {
-            outlier: prior < self.config.density_threshold,
-            score,
+            // The cell's count before the point arrived is under the floor.
+            outlier: occupancy - 1.0 < self.config.density_threshold,
+            score: 1.0 / occupancy, // sparser cell → higher score
         }
     }
 
@@ -233,6 +248,26 @@ mod tests {
             ..Default::default()
         };
         assert!(FullSpaceGridDetector::new(DomainBounds::unit(2), cfg).is_err());
+    }
+
+    #[test]
+    fn the_subspace_mask_bounds_the_dimensionality() {
+        // The store is a projection onto `Subspace::full(ϕ)`: 64 dimensions
+        // (fingerprinted 256-bit keys) work, 65 have no mask.
+        let mut d = FullSpaceGridDetector::new(DomainBounds::unit(64), Default::default()).unwrap();
+        let p = DataPoint::new((0..64).map(|i| i as f64 / 64.0).collect());
+        let first = d.process(&p);
+        assert!(first.outlier);
+        assert_eq!(first.score, 1.0);
+        d.process(&p);
+        d.process(&p);
+        // Three earlier sightings clear the default floor of 2.
+        assert!(!d.process(&p).outlier, "the cell is found by its key");
+        assert_eq!(d.live_cells(), 1);
+        assert!(matches!(
+            FullSpaceGridDetector::new(DomainBounds::unit(65), Default::default()),
+            Err(SpotError::TooManyDimensions(65))
+        ));
     }
 
     #[test]

@@ -40,7 +40,6 @@ fn main() {
             "points",
             "points/s (segment)",
             "us/point",
-            "base cells",
             "proj cells",
             "approx KiB",
         ],
@@ -50,7 +49,6 @@ fn main() {
         points: usize,
         throughput: f64,
         us_per_point: f64,
-        base_cells: usize,
         projected_cells: usize,
         bytes: usize,
     }
@@ -71,7 +69,6 @@ fn main() {
             target.to_string(),
             format!("{throughput:.0}"),
             format!("{:.1}", 1e6 * secs / segment as f64),
-            fp.base_cells.to_string(),
             fp.projected_cells.to_string(),
             (fp.approx_bytes / 1024).to_string(),
         ]);
@@ -79,7 +76,6 @@ fn main() {
             points: target,
             throughput,
             us_per_point: 1e6 * secs / segment as f64,
-            base_cells: fp.base_cells,
             projected_cells: fp.projected_cells,
             bytes: fp.approx_bytes,
         });

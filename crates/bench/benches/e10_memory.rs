@@ -25,7 +25,6 @@ fn main() {
             "phi",
             "m",
             "pruning",
-            "base cells",
             "proj cells",
             "approx KiB",
             "raw-window KiB",
@@ -36,7 +35,6 @@ fn main() {
         phi: usize,
         granularity: u16,
         pruning: bool,
-        base_cells: usize,
         projected_cells: usize,
         bytes: usize,
         raw_window_bytes: usize,
@@ -79,7 +77,6 @@ fn main() {
                     phi.to_string(),
                     m.to_string(),
                     if pruning { "on" } else { "off" }.to_string(),
-                    fp.base_cells.to_string(),
                     fp.projected_cells.to_string(),
                     (fp.approx_bytes / 1024).to_string(),
                     (raw_window_bytes / 1024).to_string(),
@@ -88,7 +85,6 @@ fn main() {
                     phi,
                     granularity: m,
                     pruning,
-                    base_cells: fp.base_cells,
                     projected_cells: fp.projected_cells,
                     bytes: fp.approx_bytes,
                     raw_window_bytes,

@@ -8,11 +8,10 @@ use spot::{SparsityProblem, SparsityScratch, SpotBuilder, TrainingEvaluator};
 use spot_clustering::LeaderClustering;
 use spot_data::{SyntheticConfig, SyntheticGenerator};
 use spot_moga::{assign_rank_and_crowding, Individual, MogaConfig, ObjectiveArena, RankScratch};
-use spot_stream::{TimeModel, WeightCache};
+use spot_stream::TimeModel;
 use spot_subspace::Subspace;
 use spot_synopsis::{
-    BaseStore, CellConsumer, CellKey, CellTouch, Grid, ProjectedStore, SerialExecutor,
-    SynopsisManager,
+    CellConsumer, CellTouch, Grid, ProjectedStore, SerialExecutor, SynopsisManager,
 };
 use spot_types::{DataPoint, DomainBounds};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,25 +21,6 @@ fn random_points(n: usize, dims: usize, seed: u64) -> Vec<DataPoint> {
     (0..n)
         .map(|_| DataPoint::new((0..dims).map(|_| rng.gen_range(0.0..1.0)).collect()))
         .collect()
-}
-
-/// 1024 points folded into one base cell: the renormalize + accumulate
-/// stripe on its own.
-fn bench_bcs_insert(c: &mut Criterion) {
-    let mut weights = WeightCache::new(TimeModel::new(2000, 0.01).unwrap());
-    weights.ensure(1024);
-    for dims in [8usize, 32] {
-        let pts = random_points(1024, dims, 1);
-        c.bench_with_input(BenchmarkId::new("bcs_insert", dims), &pts, |b, pts| {
-            b.iter(|| {
-                let mut store = BaseStore::new();
-                for (i, p) in pts.iter().enumerate() {
-                    store.insert_at(CellKey(0), &weights, i as u64, black_box(p));
-                }
-                store.get(CellKey(0)).map(|cell| cell.count())
-            })
-        });
-    }
 }
 
 /// A clustered stream (cells are revisited, as on the benchmark workloads)
@@ -94,8 +74,7 @@ impl CellConsumer for SumRd {
 
 /// The cell-touch kernel where the two ingest paths run it, at the store
 /// counts of the benchmark workloads: divide an iteration by
-/// `points × stores` for the per-touch cost `docs/hotpath.md` quotes. And
-/// the cost of opening a base cell at ϕ=64.
+/// `points × stores` for the per-touch cost `docs/hotpath.md` quotes.
 fn bench_touch_kernel(c: &mut Criterion) {
     let (mut mgr, pts) = touch_fixture(64, 64, 14, 512);
     let mut now = 0u64;
@@ -120,18 +99,6 @@ fn bench_touch_kernel(c: &mut Criterion) {
                 .unwrap();
             start += pts.len() as u64;
             sum.0.load(Ordering::Relaxed)
-        })
-    });
-
-    let weights = WeightCache::new(TimeModel::new(6000, 0.05).unwrap());
-    let pts = random_points(1024, 64, 22);
-    c.bench_function("base_insert_new_cell_phi64", |b| {
-        b.iter(|| {
-            let mut store = BaseStore::new();
-            for (i, p) in pts.iter().enumerate() {
-                store.insert_at(CellKey(i as u128), &weights, 1, black_box(p));
-            }
-            store.len()
         })
     });
 }
@@ -388,7 +355,7 @@ fn bench_spot_process(c: &mut Criterion) {
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(20);
-    targets = bench_bcs_insert, bench_touch_kernel, bench_grid_mapping,
+    targets = bench_touch_kernel, bench_grid_mapping,
               bench_grid_quantize_chunked, bench_manager_update,
               bench_manager_update_and_query, bench_spot_process_batch,
               bench_nondominated_sort, bench_sparsity_kernel, bench_moga_online,

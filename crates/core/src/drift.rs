@@ -1,11 +1,11 @@
 //! Concept-drift detection.
 //!
-//! SPOT watches the *base-cell novelty rate*: the fraction of arriving
-//! points that land in (decayed-)empty base cells. Under a stable
-//! distribution this rate settles to a baseline; when the generating
-//! distribution moves, new regions of the space light up and the rate
-//! jumps. A Page–Hinkley test on that signal raises the drift alarm, which
-//! the detector answers with an immediate SST re-evolution.
+//! SPOT watches a *novelty rate*: per arriving point, the fraction of its
+//! FS projected cells that held (almost) nothing before it arrived. Under
+//! a stable distribution this rate settles to a baseline; when the
+//! generating distribution moves, new regions of the space light up and
+//! the rate jumps. A Page–Hinkley test on that signal raises the drift
+//! alarm, which the detector answers with an immediate SST re-evolution.
 
 use spot_types::{DurableState, PersistError, StateReader, StateWriter};
 

@@ -209,10 +209,6 @@ impl SpotCheckpoint {
         let stores_len = syn_delta.u64("stores_len").map_err(corrupt)? as usize;
         let syn = field_mut(&mut state, "synopsis")?;
         *field_mut(syn, "total")? = syn_delta.value("total").map_err(corrupt)?.clone();
-        let base = syn_delta.value("base").map_err(corrupt)?;
-        if !matches!(base, Value::Null) {
-            *field_mut(syn, "base")? = base.clone();
-        }
         let stores = field_mut(syn, "stores")?;
         let Value::Array(items) = stores else {
             return Err(corrupt("checkpoint synopsis `stores` is not an array"));
@@ -549,9 +545,7 @@ mod tests {
 
     #[test]
     fn checkpoint_of_restored_detector_matches_original() {
-        // capture → restore → capture is a fixed point (same JSON bytes up
-        // to base-store key order, which the sorted columns make
-        // deterministic too).
+        // capture → restore → capture is a fixed point (same JSON bytes).
         let mut spot = SpotBuilder::new(DomainBounds::unit(4))
             .seed(5)
             .build()
@@ -582,7 +576,7 @@ mod tests {
         let restored = restore_from_json(&json).unwrap();
         assert!(restored.is_learned());
         assert_eq!(restored.now(), 0, "v1 restores cold: clock resets");
-        assert_eq!(restored.footprint().base_cells, 0, "synopses are cold");
+        assert_eq!(restored.footprint().projected_cells, 0, "synopses are cold");
         let a: Vec<u64> = spot.sst().iter_all().map(|s| s.mask()).collect();
         let b: Vec<u64> = restored.sst().iter_all().map(|s| s.mask()).collect();
         assert_eq!(a, b);
@@ -799,6 +793,112 @@ mod tests {
             err.to_string().contains("wrong generation"),
             "unexpected error: {err}"
         );
+    }
+
+    /// The `synopsis` object of a checkpoint or delta state tree.
+    fn synopsis_entries(state: &mut Value) -> &mut Vec<(String, Value)> {
+        match field_mut(state, "synopsis").unwrap() {
+            Value::Object(entries) => entries,
+            other => panic!("synopsis is not an object: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn trees_that_still_carry_a_base_component_apply_and_restore() {
+        // Older builds wrote a `base` component into the synopsis of every
+        // full tree and every delta. No reader asks for it: such a pair
+        // merges, restores, and carries on bit-identically to the detector
+        // that never stopped.
+        use spot_synopsis::SerialExecutor;
+        let mut spot = SpotBuilder::new(DomainBounds::unit(4))
+            .seed(11)
+            .build()
+            .unwrap();
+        spot.learn(&train()).unwrap();
+        for p in stream(120) {
+            spot.process(&p).unwrap();
+        }
+        let mut base = spot.checkpoint();
+        let mark = spot.capture_mark();
+        for p in stream(40) {
+            spot.process(&p).unwrap();
+        }
+        let crate::detector::DeltaCapture::Delta(mut delta) =
+            spot.delta_capture_with(&SerialExecutor, &mark)
+        else {
+            panic!("expected Delta");
+        };
+        let old_base = |d: u64| {
+            Value::Object(vec![
+                ("dims".to_string(), Value::U64(4)),
+                (
+                    "keys".to_string(),
+                    Value::Array(vec![Value::U64(0), Value::U64(d)]),
+                ),
+                (
+                    "d".to_string(),
+                    Value::Array(vec![Value::U64(1.0f64.to_bits())]),
+                ),
+                ("last".to_string(), Value::Array(vec![Value::U64(d)])),
+                ("ls".to_string(), Value::Array(vec![Value::U64(0); 4])),
+                ("ss".to_string(), Value::Array(vec![Value::U64(0); 4])),
+            ])
+        };
+        synopsis_entries(&mut base.state).insert(1, ("base".to_string(), old_base(7)));
+        synopsis_entries(&mut delta).insert(2, ("base".to_string(), old_base(9)));
+
+        let merged = base.apply_state_delta(&delta).unwrap();
+        let mut resumed = Spot::from_checkpoint(&merged).unwrap();
+        assert_eq!(
+            resumed.checkpoint().to_bytes(),
+            spot.checkpoint().to_bytes()
+        );
+        let tail = stream(90);
+        let want = spot.process_batch(&tail).unwrap();
+        let got = resumed.process_batch(&tail).unwrap();
+        assert_verdicts_bitwise(&want, &got);
+        assert_eq!(resumed.stats(), spot.stats());
+    }
+
+    #[test]
+    fn a_store_mask_outside_the_grid_is_snapshot_corrupt_not_a_panic() {
+        let mut spot = SpotBuilder::new(DomainBounds::unit(4))
+            .seed(3)
+            .build()
+            .unwrap();
+        spot.learn(&train()).unwrap();
+        for p in stream(60) {
+            spot.process(&p).unwrap();
+        }
+        let mut hostile = spot.checkpoint();
+        {
+            let syn = field_mut(&mut hostile.state, "synopsis").unwrap();
+            let Value::Array(items) = field_mut(syn, "stores").unwrap() else {
+                panic!("stores is not an array")
+            };
+            // Dimension 40 of a 4-d stream.
+            *field_mut(&mut items[0], "mask").unwrap() = Value::U64(1 << 40);
+        }
+        for bytes in [
+            hostile.to_bytes(),
+            serde_json::to_string(&hostile).unwrap().into_bytes(),
+        ] {
+            let err = restore_from_bytes(&bytes).unwrap_err();
+            assert!(
+                matches!(&err, SpotError::SnapshotCorrupt(m) if m.contains("outside the grid")),
+                "unexpected error: {err}"
+            );
+        }
+        assert!(matches!(
+            Spot::from_checkpoint(&hostile),
+            Err(SpotError::SnapshotCorrupt(_))
+        ));
+        // The detector the checkpoint came from is none the worse.
+        let want = restore_from_bytes(&spot.checkpoint().to_bytes())
+            .unwrap()
+            .process_batch(&stream(30))
+            .unwrap();
+        assert_verdicts_bitwise(&want, &spot.process_batch(&stream(30)).unwrap());
     }
 
     #[test]

@@ -106,19 +106,10 @@ impl LatencyRecorder {
 /// A point-in-time memory reading of a detector's synopses.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryReading {
-    /// Populated base cells.
-    pub base_cells: usize,
     /// Populated projected cells summed over subspaces.
     pub projected_cells: usize,
     /// Approximate bytes across all synopsis stores.
     pub approx_bytes: usize,
-}
-
-impl MemoryReading {
-    /// Total populated cells.
-    pub fn total_cells(&self) -> usize {
-        self.base_cells + self.projected_cells
-    }
 }
 
 #[cfg(test)]
@@ -157,15 +148,5 @@ mod tests {
         }
         assert_eq!(r.seen(), 1000);
         assert!(r.samples.len() <= 8);
-    }
-
-    #[test]
-    fn memory_reading_total() {
-        let m = MemoryReading {
-            base_cells: 3,
-            projected_cells: 7,
-            approx_bytes: 123,
-        };
-        assert_eq!(m.total_cells(), 10);
     }
 }

@@ -119,7 +119,8 @@ pub struct FleetStats {
 pub struct FleetFootprint {
     /// Registered tenants.
     pub tenants: usize,
-    /// Sum of populated base cells.
+    /// Always 0: no base store is kept. `benchmark/` reads the field by
+    /// name; it goes with that package's next revision.
     pub base_cells: usize,
     /// Sum of populated projected cells.
     pub projected_cells: usize,
@@ -1145,7 +1146,6 @@ impl SpotFleet {
         };
         for t in &tenants {
             let f = t.shared.footprint();
-            agg.base_cells += f.base_cells;
             agg.projected_cells += f.projected_cells;
             agg.approx_bytes += f.approx_bytes;
         }

@@ -392,7 +392,7 @@ fn fleet_stats_never_take_a_detector_lock() {
     assert_eq!(stats.tenants, 2);
     assert_eq!(stats.processed, 40);
     assert_eq!(footprint.tenants, 2);
-    assert!(footprint.base_cells > 0);
+    assert!(footprint.projected_cells > 0);
 }
 
 #[test]

@@ -1,23 +1,28 @@
 //! Decaying cell summaries — SPOT's "data synapses".
 //!
-//! SPOT captures the stream in two compact structures over an equi-width
-//! partition of the domain space:
+//! The paper captures the stream in two structures over an equi-width
+//! partition of the domain space: a **Base Cell Summary (BCS)** — per base
+//! cell (finest granularity, all ϕ dimensions) the decayed point count `D`
+//! and the decayed per-dimension linear and squared sums `LS`, `SS` (a
+//! CF-vector) — and, derived from it, a **Projected Cell Summary (PCS)**
+//! per cell of a subspace `s`: the pair `(RD, IRSD)`, Relative Density and
+//! Inverse Relative Standard Deviation.
 //!
-//! * **Base Cell Summary (BCS)** — per base cell (finest granularity, all ϕ
-//!   dimensions): the decayed point count `D`, the decayed per-dimension
-//!   linear sum `LS` and squared sum `SS` (a CF-vector). Additive and
-//!   incrementally maintainable.
-//! * **Projected Cell Summary (PCS)** — per cell of a particular subspace
-//!   `s`: the pair `(RD, IRSD)` — Relative Density and Inverse Relative
-//!   Standard Deviation — derived from the same `D/LS/SS` statistics kept
-//!   per projected cell.
+//! This crate keeps one store kind. `(D, LS, SS)` are additive, so a
+//! [`ProjectedStore`] maintains them per projected cell directly — it *is*
+//! the BCS table marginalised onto its subspace — and derives `(RD, IRSD)`
+//! from them on the touch; no full-space table is kept on the detector
+//! path (at high ϕ every point would be its own base cell). A subspace
+//! that joins the SST late is warmed by replaying the detector's
+//! reservoir sample into its store ([`SynopsisManager::replay_into`]). A
+//! full-space store, where one is wanted (the full-space baseline), is a
+//! `ProjectedStore` over `Subspace::full(ϕ)`.
 //!
 //! All summaries decay under the (ω, ε) time model from `spot-stream`,
 //! lazily (each cell stores its last-touched tick and is renormalized by
-//! `δ^age` when next touched or scanned). [`SynopsisManager`]
-//! bundles the base store, one projected store per SST subspace, and the
-//! global decayed weight, and is the single entry point used by the
-//! detection engine.
+//! `δ^age` when next touched or scanned). [`SynopsisManager`] bundles one
+//! projected store per SST subspace and the global decayed weight, and is
+//! the single entry point used by the detection engine.
 //!
 //! # The zero-allocation, screening hot path
 //!
@@ -43,22 +48,21 @@
 //! [`SynopsisManager::update_and_query_batch`] are the full-report
 //! consumers of the same two loops — every cell's `(RD, IRSD)` pair into
 //! caller-reused sinks — for baselines and tools. The two loops run the
-//! same per-cell kernel ([`ProjectedStore::update_and_screen`],
-//! [`BaseStore::insert_at`]) and differ in loop order only: point-major
-//! for one point, store-major (one store's shard at a time) for a run.
+//! same per-cell kernel ([`ProjectedStore::update_and_screen`]) and differ
+//! in loop order only: point-major for one point, store-major (one store's
+//! shard at a time) for a run.
 //!
 //! No path reachable from them calls `powi` or the allocator on the
 //! steady state. Every renormalization factor `δ^age` comes from the
 //! manager's one age-indexed [`spot_stream::WeightCache`] — extended to
 //! the tick at hand before a point, a run or a prune, read-only inside
 //! one, and bit-identical to the model because its entries *are* the
-//! model's results. The base store keeps its cells in the projected
-//! stores' layout — a `CellKey → slot` index over parallel key / count /
-//! tick / moment columns, with [`Bcs`] and [`PcsCell`] as the borrowed
-//! views of one cell — so opening a cell is a push onto each column, and a
-//! prune scan reads two contiguous columns and compacts by swap-remove.
-//! Batch ingestion additionally amortizes the quantization scratch and
-//! advances the global weight in closed form.
+//! model's results. A store keeps its cells as a `CellKey → slot` index
+//! over parallel key / count / tick / moment columns, with [`PcsCell`] as
+//! the borrowed view of one cell — so opening a cell is a push onto each
+//! column, and a prune scan reads two contiguous columns and compacts by
+//! swap-remove. Batch ingestion additionally amortizes the quantization
+//! scratch and advances the global weight in closed form.
 //!
 //! # The parallel runtime
 //!
@@ -74,16 +78,13 @@
 //! depend on who claimed what, so its results are executor-independent too. [`LiveCounters`] mirrors the synopsis
 //! footprint into atomics for lock-free monitoring reads.
 
-pub mod bcs;
 pub mod grid;
 pub mod key;
 pub mod lanes;
 pub mod manager;
 pub mod pcs;
 pub mod pool;
-pub mod store;
 
-pub use bcs::Bcs;
 pub use grid::Grid;
 pub use key::{CellKey, KeyCodec};
 pub use manager::{
@@ -93,4 +94,3 @@ pub use pcs::{CellTouch, Pcs, PcsCell, ProjectedStore};
 pub use pool::{
     panic_message, ExecutorHandle, OnceTask, SerialExecutor, SharedSlice, StoreExecutor, WorkerPool,
 };
-pub use store::BaseStore;

@@ -1,12 +1,11 @@
-//! The synopsis manager: base store + one projected store per SST subspace.
+//! The synopsis manager: the global weight + one projected store per SST
+//! subspace.
 
 use crate::grid::Grid;
-use crate::key::CellKey;
 use crate::pcs::{CellTouch, Pcs, ProjectedStore};
 use crate::pool::{
     ExecutorHandle, OnceTask, SerialExecutor, SharedSlice, StoreExecutor, WorkerPool,
 };
-use crate::store::BaseStore;
 use serde::Value;
 use spot_stream::{DecayedCounter, TimeModel, WeightCache};
 use spot_subspace::Subspace;
@@ -27,29 +26,29 @@ use std::sync::{Arc, Mutex};
 /// changed. Readers see values at most one in-flight run stale.
 #[derive(Debug, Default)]
 pub struct LiveCounters {
-    base_cells: AtomicUsize,
-    base_bytes: AtomicUsize,
     projected_cells: AtomicUsize,
     projected_bytes: AtomicUsize,
 }
 
 impl LiveCounters {
-    /// Live cell count: (base cells, projected cells over all subspaces).
-    pub fn live_cells(&self) -> (usize, usize) {
-        (
-            self.base_cells.load(Ordering::Relaxed),
-            self.projected_cells.load(Ordering::Relaxed),
-        )
+    /// Live projected cells over all subspaces.
+    pub fn live_cells(&self) -> usize {
+        self.projected_cells.load(Ordering::Relaxed)
     }
 
     /// Approximate heap footprint of all synopses, in bytes.
     pub fn approx_bytes(&self) -> usize {
-        self.base_bytes.load(Ordering::Relaxed) + self.projected_bytes.load(Ordering::Relaxed)
+        self.projected_bytes.load(Ordering::Relaxed)
     }
 
-    fn set_base(&self, cells: usize, bytes: usize) {
-        self.base_cells.store(cells, Ordering::Relaxed);
-        self.base_bytes.store(bytes, Ordering::Relaxed);
+    /// Takes a departing store's whole footprint out: its unpublished delta
+    /// and what it had published cancel to minus what it holds now.
+    fn retract(&self, store: &mut ProjectedStore) {
+        let (dc, db) = store.publish_delta();
+        self.apply_projected(
+            dc - store.len() as isize,
+            db - store.approx_bytes() as isize,
+        );
     }
 
     /// Folds a (cells, bytes) delta in. Two's-complement wrapping makes
@@ -69,10 +68,10 @@ impl LiveCounters {
 /// Bundles every decayed synopsis SPOT maintains online.
 ///
 /// [`SynopsisManager::update_and_screen`] is the per-point hot path of the
-/// detection stage: one base-cell insertion plus one projected-cell
-/// insertion per monitored subspace, each O(|s|) — and every touched
-/// projected cell is handed to the caller *in the same cell access*
-/// (occupancy and RD derived, IRSD on demand), so the detector never
+/// detection stage: one projected-cell insertion per monitored subspace,
+/// each O(|s|) — and every touched projected cell is handed to the caller
+/// *in the same cell access* (occupancy and RD derived, IRSD on demand), so
+/// the detector never
 /// projects or hashes the same coordinates twice and never materializes a
 /// per-subspace PCS list. On the steady state (no new cells) the whole
 /// path performs zero heap allocations: coordinates land in a reused
@@ -89,7 +88,6 @@ impl LiveCounters {
 pub struct SynopsisManager {
     grid: Grid,
     model: TimeModel,
-    base: BaseStore,
     /// Monitored projected stores, registration order (= result order).
     stores: Vec<ProjectedStore>,
     /// Subspace mask → ordinal in `stores`.
@@ -97,8 +95,6 @@ pub struct SynopsisManager {
     total: DecayedCounter,
     /// Lock-free footprint mirror (see [`LiveCounters`]).
     live: Arc<LiveCounters>,
-    /// Base cell count last mirrored into `live`.
-    published_base_cells: usize,
     /// Reused quantization buffer (ϕ entries).
     scratch: Vec<u16>,
     /// Reused batch quantization buffer (n·ϕ entries).
@@ -114,12 +110,10 @@ pub struct SynopsisManager {
     /// valid against a mark from the same epoch — ordinals must mean the
     /// same store on both sides of the diff.
     epoch: u64,
-    /// Bumped by every ingested point or run: each one lands in the base
-    /// store, the global weight and every projected store, so this one
-    /// counter dirties them all.
+    /// Bumped by every ingested point or run: each one lands in the global
+    /// weight and every projected store, so this one counter dirties them
+    /// all.
     ingest_version: u64,
-    /// Mutation version of the base store beyond ingestion (evictions).
-    base_version: u64,
     /// Per-store mutation versions beyond ingestion (replay, evictions),
     /// parallel to `stores` (registration order). Comparisons test
     /// inequality only, so a double bump on one path is harmless; what
@@ -145,12 +139,10 @@ impl Clone for SynopsisManager {
         let mut cloned = SynopsisManager {
             grid: self.grid.clone(),
             model: self.model,
-            base: self.base.clone(),
             stores: self.stores.clone(),
             index: self.index.clone(),
             total: self.total,
             live: Arc::new(LiveCounters::default()),
-            published_base_cells: 0,
             scratch: Vec::with_capacity(self.grid.dims()),
             batch_coords: Vec::new(),
             batch_totals: Vec::new(),
@@ -158,7 +150,6 @@ impl Clone for SynopsisManager {
             shard_order: Vec::new(),
             epoch: self.epoch,
             ingest_version: self.ingest_version,
-            base_version: self.base_version,
             versions: self.versions.clone(),
             exec: self.exec.clone(),
             pool_engage: self.pool_engage,
@@ -166,10 +157,8 @@ impl Clone for SynopsisManager {
         };
         // The clone gets its own counters; re-derive them from the cloned
         // stores so subsequent deltas stay consistent.
-        cloned.publish_base();
         for store in &mut cloned.stores {
-            let (dc, db) = store.publish_delta();
-            let _ = (dc, db);
+            store.publish_delta();
         }
         let cells: usize = cloned.stores.iter().map(ProjectedStore::len).sum();
         let bytes: usize = cloned.stores.iter().map(ProjectedStore::approx_bytes).sum();
@@ -181,11 +170,6 @@ impl Clone for SynopsisManager {
 /// Everything the detection logic needs to know after one update.
 #[derive(Debug, Clone, Copy)]
 pub struct UpdateOutcome {
-    /// Key of the point's base cell.
-    pub base_cell: CellKey,
-    /// Decayed count of the base cell before this point arrived — the
-    /// novelty signal used by the concept-drift detector.
-    pub prior_base_count: f64,
     /// Global decayed weight after this point arrived.
     pub total_weight: f64,
 }
@@ -198,7 +182,6 @@ pub struct UpdateOutcome {
 pub struct SynopsisMark {
     epoch: u64,
     ingest: u64,
-    base: u64,
     stores: Vec<u64>,
 }
 
@@ -351,15 +334,13 @@ impl SynopsisManager {
     /// the fleet runtime's "N detectors, one executor" wiring.
     pub fn with_executor(grid: Grid, model: TimeModel, exec: ExecutorHandle) -> Self {
         let scratch = Vec::with_capacity(grid.dims());
-        let mut mgr = SynopsisManager {
+        SynopsisManager {
             grid,
             model,
-            base: BaseStore::new(),
             stores: Vec::new(),
             index: FxHashMap::default(),
             total: DecayedCounter::new(),
             live: Arc::new(LiveCounters::default()),
-            published_base_cells: 0,
             scratch,
             batch_coords: Vec::new(),
             batch_totals: Vec::new(),
@@ -367,14 +348,11 @@ impl SynopsisManager {
             shard_order: Vec::new(),
             epoch: 0,
             ingest_version: 0,
-            base_version: 0,
             versions: Vec::new(),
             exec,
             pool_engage: (8, 8),
             weights: WeightCache::new(model),
-        };
-        mgr.publish_base();
-        mgr
+        }
     }
 
     /// The grid the synopses quantize over.
@@ -445,12 +423,7 @@ impl SynopsisManager {
             return false;
         };
         let mut store = self.stores.remove(ordinal);
-        // Flush any unpublished delta, then retract the store's (now
-        // fully published) footprint from the mirror.
-        let (dc, db) = store.publish_delta();
-        self.live.apply_projected(dc, db);
-        self.live
-            .apply_projected(-(store.len() as isize), -(store.approx_bytes() as isize));
+        self.live.retract(&mut store);
         for slot in self.index.values_mut() {
             if *slot > ordinal {
                 *slot -= 1;
@@ -480,8 +453,8 @@ impl SynopsisManager {
         self.epoch
     }
 
-    /// Ingests one point at tick `now`: updates the global weight, the base
-    /// store and every monitored projected store. Use
+    /// Ingests one point at tick `now`: updates the global weight and every
+    /// monitored projected store. Use
     /// [`SynopsisManager::update_and_query`] when the per-subspace PCS is
     /// needed too — it costs no second pass.
     pub fn update(&mut self, now: u64, p: &DataPoint) -> Result<UpdateOutcome> {
@@ -500,7 +473,7 @@ impl SynopsisManager {
         p: &DataPoint,
         mut on_cell: impl FnMut(usize, &ProjectedStore, CellTouch),
     ) -> Result<UpdateOutcome> {
-        let outcome = self.ingest_base(now, p)?;
+        let outcome = self.ingest_weight(now, p)?;
         for (ordinal, store) in self.stores.iter_mut().enumerate() {
             let touch = store.update_and_screen(
                 &self.grid,
@@ -541,33 +514,16 @@ impl SynopsisManager {
 
     /// Quantizes the point (into the reused scratch) — the validation
     /// step: a rejected point changes nothing — then extends the weight
-    /// table to `now` and feeds the base store and the global weight (a
-    /// run of one, so the per-point and batch paths advance it alike).
-    fn ingest_base(&mut self, now: u64, p: &DataPoint) -> Result<UpdateOutcome> {
+    /// table to `now` and advances the global weight (a run of one, so the
+    /// per-point and batch paths advance it alike).
+    fn ingest_weight(&mut self, now: u64, p: &DataPoint) -> Result<UpdateOutcome> {
         self.grid.base_coords_into(p, &mut self.scratch)?;
         self.weights.ensure(now.saturating_add(1));
-        let key = self.grid.base_key(&self.scratch);
-        let prior_base_count = self.base.insert_at(key, &self.weights, now, p);
         self.total
             .add_run(&self.weights, now, 1, &mut self.batch_totals);
-        self.publish_base();
         Ok(UpdateOutcome {
-            base_cell: key,
-            prior_base_count,
             total_weight: self.batch_totals[0],
         })
-    }
-
-    /// Mirrors the base store's footprint into the live counters when it
-    /// changed (a new cell; eviction). Cheap: two compares on the hot path.
-    fn publish_base(&mut self) {
-        let cells = self.base.len();
-        if cells != self.published_base_cells || cells == 0 {
-            self.published_base_cells = cells;
-            let bytes =
-                std::mem::size_of::<BaseStore>() + cells * BaseStore::cell_bytes(self.grid.dims());
-            self.live.set_base(cells, bytes);
-        }
     }
 
     /// Batch ingestion: points arrive at consecutive ticks
@@ -703,22 +659,18 @@ impl SynopsisManager {
     }
 
     /// The one batch loop: validate + quantize, advance the global weight,
-    /// feed the base store, then dispatch the store shards, handing every
-    /// touched cell to `consumer`.
+    /// then dispatch the store shards, handing every touched cell to
+    /// `consumer`.
     fn batch_loop<C: CellConsumer>(
         &mut self,
         start_tick: u64,
         points: &[DataPoint],
-        mut outcomes: Option<&mut Vec<UpdateOutcome>>,
+        outcomes: Option<&mut Vec<UpdateOutcome>>,
         exec: &dyn StoreExecutor,
         consumer: &C,
         rider: Option<&OnceTask<'_>>,
     ) -> Result<()> {
-        if let Some(outcomes) = outcomes.as_deref_mut() {
-            outcomes.clear();
-        }
-
-        // Phase A1: quantize everything into the reused batch buffer. This
+        // Phase A: quantize everything into the reused batch buffer. This
         // is also the validation pass — a NaN or dimension mismatch at any
         // position returns before *any* store mutates, so a rejected batch
         // leaves the manager exactly as it was (the same all-or-nothing
@@ -744,20 +696,14 @@ impl SynopsisManager {
         self.total
             .add_run(&self.weights, start_tick, points.len(), &mut totals);
 
-        // Phase A2: feed the base store.
-        for (i, p) in points.iter().enumerate() {
-            let now = start_tick + i as u64;
-            let key = self.grid.base_key(&coords[i * dims..(i + 1) * dims]);
-            let prior = self.base.insert_at(key, &self.weights, now, p);
-            if let Some(outcomes) = outcomes.as_deref_mut() {
-                outcomes.push(UpdateOutcome {
-                    base_cell: key,
-                    prior_base_count: prior,
-                    total_weight: totals[i],
-                });
-            }
+        if let Some(outcomes) = outcomes {
+            outcomes.clear();
+            outcomes.extend(
+                totals
+                    .iter()
+                    .map(|&total_weight| UpdateOutcome { total_weight }),
+            );
         }
-        self.publish_base();
 
         // Size-aware claim order: heaviest shards first, so one oversized
         // store overlaps the tail of the small ones instead of serializing
@@ -834,9 +780,9 @@ impl SynopsisManager {
 
     /// Warms the projected store of `subspace` by replaying timestamped
     /// points (e.g. the detector's reservoir sample) into it. Points must be
-    /// supplied in non-decreasing tick order; the base store and global
-    /// weight are *not* touched — those already absorbed the points when
-    /// they originally arrived.
+    /// supplied in non-decreasing tick order; the global weight is *not*
+    /// touched — it already absorbed the points when they originally
+    /// arrived.
     ///
     /// Used when SST self-evolution introduces a subspace mid-stream: a
     /// brand-new store would report every cell as empty (maximally sparse)
@@ -875,11 +821,6 @@ impl SynopsisManager {
         self.total.value_at(&self.model, now)
     }
 
-    /// Decayed count of the base cell containing `p`.
-    pub fn base_count_for(&self, now: u64, p: &DataPoint) -> Result<f64> {
-        self.base.count_for(&self.grid, &self.model, now, p)
-    }
-
     /// Prunes every store, evicting cells whose decayed count fell below
     /// `floor`. Returns the total number of evicted cells.
     ///
@@ -893,13 +834,7 @@ impl SynopsisManager {
         // Cells can be as old as `now`; extend the table once, up front,
         // so the scans below (parallel or not) only read it.
         self.weights.ensure(now.saturating_add(1));
-        let base_evicted = self.base.prune(&self.weights, now, floor);
-        if base_evicted > 0 {
-            self.base_version += 1;
-        }
-        let mut evicted = base_evicted;
-        self.publish_base();
-
+        let mut evicted = 0;
         let n_stores = self.stores.len();
         let mut per_store = vec![0usize; n_stores];
         let (min_stores, min_points) = self.pool_engage;
@@ -943,20 +878,14 @@ impl SynopsisManager {
         evicted
     }
 
-    /// Live cell count: (base cells, projected cells over all subspaces).
-    pub fn live_cells(&self) -> (usize, usize) {
-        let proj = self.stores.iter().map(ProjectedStore::len).sum();
-        (self.base.len(), proj)
+    /// Live projected cells over all subspaces.
+    pub fn live_cells(&self) -> usize {
+        self.stores.iter().map(ProjectedStore::len).sum()
     }
 
     /// Approximate heap footprint of all synopses, in bytes.
     pub fn approx_bytes(&self) -> usize {
-        self.base.approx_bytes()
-            + self
-                .stores
-                .iter()
-                .map(ProjectedStore::approx_bytes)
-                .sum::<usize>()
+        self.stores.iter().map(ProjectedStore::approx_bytes).sum()
     }
 
     /// Read access to one projected store (experiments and self-evolution
@@ -967,15 +896,10 @@ impl SynopsisManager {
             .map(|&ordinal| &self.stores[ordinal])
     }
 
-    /// Read access to the base store.
-    pub fn base_store(&self) -> &BaseStore {
-        &self.base
-    }
-
-    /// Captures the complete synopsis state — global weight, base cells,
-    /// and every projected store's columns in **registration order** (the
-    /// order that defines per-point result order, so a restored manager
-    /// reproduces verdicts bit-exactly).
+    /// Captures the complete synopsis state — global weight and every
+    /// projected store's columns in **registration order** (the order that
+    /// defines per-point result order, so a restored manager reproduces
+    /// verdicts bit-exactly).
     pub fn capture_state(&self) -> Value {
         self.capture_state_with(&SerialExecutor)
     }
@@ -989,7 +913,6 @@ impl SynopsisManager {
     pub fn capture_state_with(&self, exec: &dyn StoreExecutor) -> Value {
         let mut w = StateWriter::new();
         w.component("total", &self.total);
-        w.component("base", &self.base);
         let n = self.stores.len();
         let mut slots: Vec<Value> = vec![Value::Null; n];
         {
@@ -1019,7 +942,6 @@ impl SynopsisManager {
         SynopsisMark {
             epoch: self.epoch,
             ingest: self.ingest_version,
-            base: self.base_version,
             stores: self.versions.clone(),
         }
     }
@@ -1029,10 +951,10 @@ impl SynopsisManager {
     /// (subspace add/remove, restore): ordinals no longer line up, and the
     /// caller must fall back to a full capture.
     ///
-    /// The delta tree is `{total, stores_len, base (or Null), changed:
-    /// [{ordinal, store}…]}` — `total` is a few scalars and always
-    /// included; clean stores are skipped entirely, which is what makes
-    /// fleet-scale checkpoint cost proportional to change.
+    /// The delta tree is `{total, stores_len, changed: [{ordinal,
+    /// store}…]}` — `total` is a few scalars and always included; clean
+    /// stores are skipped entirely, which is what makes fleet-scale
+    /// checkpoint cost proportional to change.
     pub fn capture_state_delta_with(
         &self,
         exec: &dyn StoreExecutor,
@@ -1045,13 +967,6 @@ impl SynopsisManager {
         w.component("total", &self.total);
         w.u64("stores_len", self.stores.len() as u64);
         let ingested = self.ingest_version != mark.ingest;
-        if ingested || self.base_version != mark.base {
-            let mut bw = StateWriter::new();
-            self.base.capture(&mut bw);
-            w.value("base", bw.finish());
-        } else {
-            w.value("base", Value::Null);
-        }
         let dirty: Vec<usize> = (0..self.stores.len())
             .filter(|&i| ingested || self.versions[i] != mark.stores[i])
             .collect();
@@ -1086,53 +1001,50 @@ impl SynopsisManager {
     /// [`SynopsisManager::capture_state`]: existing stores are discarded
     /// and rebuilt from the snapshot in its registration order; the
     /// lock-free footprint mirror is re-derived in place (the shared
-    /// [`LiveCounters`] handle stays valid for monitoring readers).
+    /// [`LiveCounters`] handle stays valid for monitoring readers). The
+    /// new state is built on the side and swapped in whole, so a rejected
+    /// snapshot leaves the manager as it was.
     pub fn restore_state(&mut self, r: &StateReader<'_>) -> std::result::Result<(), PersistError> {
-        // Retract the current projected footprint from the mirror before
-        // dropping the stores (flush pending deltas first, as removal does).
-        for store in &mut self.stores {
-            let (dc, db) = store.publish_delta();
-            self.live.apply_projected(dc, db);
-        }
-        for store in &self.stores {
-            self.live
-                .apply_projected(-(store.len() as isize), -(store.approx_bytes() as isize));
-        }
-        self.stores.clear();
-        self.index.clear();
-        self.versions.clear();
-        self.epoch += 1;
-        self.base_version = 0;
-
-        r.restore_component("total", &mut self.total)?;
-        r.restore_component("base", &mut self.base)?;
-        if let Some((_, cell)) = self.base.iter().next() {
-            if cell.dims() != self.grid.dims() {
-                return Err(PersistError::custom(format!(
-                    "base cells have {} dimensions, the grid {}",
-                    cell.dims(),
-                    self.grid.dims()
-                )));
-            }
-        }
-        self.publish_base();
-
+        let mut total = self.total;
+        r.restore_component("total", &mut total)?;
+        let mut stores: Vec<ProjectedStore> = Vec::new();
+        let mut index = FxHashMap::default();
         for sr in r.nested_list("stores")? {
             let mask = sr.u64("mask")?;
             let subspace = Subspace::from_mask(mask)
                 .map_err(|e| PersistError::custom(format!("store subspace: {e}")))?;
+            // The mask comes from disk: a dimension the grid does not have
+            // would index past its bounds when the store is built.
+            if !subspace.fits(self.grid.dims()) {
+                return Err(PersistError::custom(format!(
+                    "store subspace mask {mask:#x} names a dimension outside the grid's {}",
+                    self.grid.dims()
+                )));
+            }
             let mut store = ProjectedStore::new(&self.grid, subspace);
             store.restore(&sr)?;
-            let (dc, db) = store.publish_delta();
-            self.live.apply_projected(dc, db);
-            if self.index.insert(mask, self.stores.len()).is_some() {
+            if index.insert(mask, stores.len()).is_some() {
                 return Err(PersistError::custom(format!(
                     "duplicate projected store for subspace mask {mask:#x}"
                 )));
             }
-            self.stores.push(store);
-            self.versions.push(0);
+            stores.push(store);
         }
+
+        // The mirror swaps over in place: the outgoing stores' footprint
+        // out, the incoming stores' in.
+        for store in &mut self.stores {
+            self.live.retract(store);
+        }
+        for store in &mut stores {
+            let (dc, db) = store.publish_delta();
+            self.live.apply_projected(dc, db);
+        }
+        self.total = total;
+        self.versions = vec![0; stores.len()];
+        self.stores = stores;
+        self.index = index;
+        self.epoch += 1;
         Ok(())
     }
 }
@@ -1204,11 +1116,8 @@ mod tests {
         let p = DataPoint::new(vec![0.3, 0.7]);
         let mut sink = Vec::new();
         let out = mgr.update_and_query(1, &p, &mut sink).unwrap();
-        assert_eq!(out.prior_base_count, 0.0);
         assert!((out.total_weight - 1.0).abs() < 1e-12);
-        let (base_cells, proj_cells) = mgr.live_cells();
-        assert_eq!(base_cells, 1);
-        assert_eq!(proj_cells, 2);
+        assert_eq!(mgr.live_cells(), 2);
         // PCS visible in both monitored subspaces.
         assert_eq!(sink.len(), 2);
         assert!(sink.iter().all(|e| e.pcs.rd > 0.0));
@@ -1242,7 +1151,7 @@ mod tests {
         // Pruning retracts counters.
         mgr.prune(100_000, 1e-6);
         assert_eq!(live.live_cells(), mgr.live_cells());
-        assert_eq!(live.live_cells(), (0, 0));
+        assert_eq!(live.live_cells(), 0);
         // Removing a subspace retracts its footprint.
         mgr.remove_subspace(&Subspace::from_dims([0]).unwrap());
         assert_eq!(live.approx_bytes(), mgr.approx_bytes());
@@ -1307,12 +1216,6 @@ mod tests {
                 expected_outcomes[i].total_weight.to_bits(),
                 "total at point {i}"
             );
-            assert_eq!(
-                outcomes[i].prior_base_count.to_bits(),
-                expected_outcomes[i].prior_base_count.to_bits(),
-                "prior at point {i}"
-            );
-            assert_eq!(outcomes[i].base_cell, expected_outcomes[i].base_cell);
         }
         assert_eq!(serial.live_cells(), batched.live_cells());
         let n = points.len() as u64;
@@ -1551,7 +1454,7 @@ mod tests {
         }
         assert_eq!(ran_on_err, 1, "rider still runs when the batch is rejected");
         assert!(collect.sorted().is_empty());
-        assert_eq!(mgr.live_cells(), (0, 0));
+        assert_eq!(mgr.live_cells(), 0);
     }
 
     #[test]
@@ -1583,15 +1486,15 @@ mod tests {
     fn prune_shrinks_all_stores() {
         let mut mgr = manager(2, 4);
         mgr.add_subspace(Subspace::from_dims([0]).unwrap());
+        mgr.add_subspace(Subspace::from_dims([0, 1]).unwrap());
         for i in 0..4 {
             let p = DataPoint::new(vec![(i as f64 + 0.5) / 4.0, 0.5]);
             mgr.update(0, &p).unwrap();
         }
-        let (b0, p0) = mgr.live_cells();
-        assert_eq!((b0, p0), (4, 4));
+        assert_eq!(mgr.live_cells(), 8);
         let evicted = mgr.prune(10_000, 1e-6);
         assert_eq!(evicted, 8);
-        assert_eq!(mgr.live_cells(), (0, 0));
+        assert_eq!(mgr.live_cells(), 0);
     }
 
     #[test]
@@ -1637,22 +1540,28 @@ mod tests {
         // empty table) makes, cell for cell.
         let grid = Grid::new(DomainBounds::unit(2), 6).unwrap();
         let tm = TimeModel::new(40, 0.02).unwrap();
-        let mut cached = BaseStore::new();
-        let mut plain = BaseStore::new();
+        let full = Subspace::full(2).unwrap();
+        let mut cached = ProjectedStore::new(&grid, full);
+        let mut plain = ProjectedStore::new(&grid, full);
+        let model_only = WeightCache::new(tm);
         for i in 0..200u64 {
             let p = DataPoint::new(vec![(i % 17) as f64 / 17.0, (i % 11) as f64 / 11.0]);
-            cached.insert(&grid, &tm, i, &p).unwrap();
-            plain.insert(&grid, &tm, i, &p).unwrap();
+            let base = grid.base_coords(&p).unwrap();
+            cached.update_and_screen(&grid, &model_only, i, &base, &p, 0.0);
+            plain.update_and_screen(&grid, &model_only, i, &base, &p, 0.0);
         }
         let mut wc = WeightCache::new(tm);
+        let mut evicted = 0;
         for now in [200u64, 260, 400] {
             wc.ensure(now + 1);
             let floor = 1e-2;
             let a = cached.prune(&wc, now, floor);
-            let b = plain.prune(&WeightCache::new(tm), now, floor);
+            let b = plain.prune(&model_only, now, floor);
             assert_eq!(a, b, "evictions at now={now}");
             assert_eq!(cached.len(), plain.len());
+            evicted += a;
         }
+        assert!(evicted > 0, "scenario must actually evict");
     }
 
     #[test]
@@ -1698,8 +1607,8 @@ mod tests {
     #[test]
     fn batch_with_invalid_point_leaves_manager_untouched() {
         // All-or-nothing: a NaN (or dimension mismatch) anywhere in the
-        // batch must be rejected before the base store, the global weight
-        // or any projected store mutates — otherwise the stores desync and
+        // batch must be rejected before the global weight or any projected
+        // store mutates — otherwise the stores desync and
         // RD is computed against a total weight the projected cells never
         // absorbed.
         let mut mgr = manager(2, 4);
@@ -1714,14 +1623,14 @@ mod tests {
             .update_and_query_batch(0, &points, &mut sinks, &mut outcomes)
             .unwrap_err();
         assert!(matches!(err, SpotError::NonFiniteValue { dim: 0 }));
-        assert_eq!(mgr.live_cells(), (0, 0));
+        assert_eq!(mgr.live_cells(), 0);
         assert_eq!(mgr.total_weight(0), 0.0);
         // Mismatched dimensionality mid-batch: same guarantee.
         let bad_dims = vec![DataPoint::new(vec![0.1, 0.1]), DataPoint::new(vec![0.1])];
         assert!(mgr
             .update_and_query_batch(0, &bad_dims, &mut sinks, &mut outcomes)
             .is_err());
-        assert_eq!(mgr.live_cells(), (0, 0));
+        assert_eq!(mgr.live_cells(), 0);
     }
 
     #[test]
@@ -1734,7 +1643,7 @@ mod tests {
             mgr.update_and_query(0, &bad, &mut sink),
             Err(SpotError::NonFiniteValue { dim: 1 })
         ));
-        assert_eq!(mgr.live_cells(), (0, 0));
+        assert_eq!(mgr.live_cells(), 0);
         assert_eq!(mgr.total_weight(0), 0.0);
     }
 
@@ -1757,14 +1666,13 @@ mod tests {
                 .collect()
         };
 
-        // Nothing mutated since the mark → no stores, Null base.
+        // Nothing mutated since the mark → no stores.
         let mark = mgr.capture_mark();
         let delta = mgr
             .capture_state_delta_with(&SerialExecutor, &mark)
             .unwrap();
         assert_eq!(changed_ordinals(&delta), Vec::<u64>::new());
         let r = StateReader::new(&delta).unwrap();
-        assert!(matches!(r.value("base").unwrap(), Value::Null));
         assert_eq!(r.u64("stores_len").unwrap(), 2);
 
         // Replaying into one store dirties exactly that ordinal.
@@ -1773,21 +1681,13 @@ mod tests {
             .capture_state_delta_with(&SerialExecutor, &mark)
             .unwrap();
         assert_eq!(changed_ordinals(&delta), vec![1]);
-        assert!(matches!(
-            StateReader::new(&delta).unwrap().value("base").unwrap(),
-            Value::Null
-        ));
 
-        // A processed point dirties the base and every store.
+        // A processed point dirties every store.
         mgr.update(2, &p).unwrap();
         let delta = mgr
             .capture_state_delta_with(&SerialExecutor, &mark)
             .unwrap();
         assert_eq!(changed_ordinals(&delta), vec![0, 1]);
-        assert!(matches!(
-            StateReader::new(&delta).unwrap().value("base").unwrap(),
-            Value::Object(_)
-        ));
 
         // A prune with nothing to evict dirties nothing.
         let mark = mgr.capture_mark();

@@ -5,12 +5,11 @@
 //! keyed by their literal `Vec<u16>` coordinate slices in an ordered map,
 //! decayed `D/LS/SS` per cell, PCS derived with the same arithmetic in the
 //! same operation order. Equality is asserted on the *bits* of the derived
-//! RD/IRSD and base counts — the packed keys must change addressing only,
-//! never a number.
+//! RD/IRSD — the packed keys must change addressing only, never a number.
 
 use spot_stream::{DecayedCounter, TimeModel, WeightCache};
 use spot_subspace::Subspace;
-use spot_synopsis::{BaseStore, Grid, Pcs, ProjectedStore, SynopsisManager};
+use spot_synopsis::{Grid, Pcs, ProjectedStore, SynopsisManager};
 use spot_types::{DataPoint, DomainBounds, DurableState, StateReader, StateWriter};
 use std::collections::BTreeMap;
 
@@ -217,34 +216,19 @@ fn packed_matches_reference_wide_granularities() {
 
 #[test]
 fn packed_matches_reference_wide_phi_fallback() {
-    // ϕ=40 at m=10 needs 160 bits for the base key — the fingerprint
-    // fallback regime. Projected keys here are still exact; the base store
-    // equivalence below covers the fingerprinted path.
+    // ϕ=40 at m=10: the full space needs 160 bits — the fingerprint
+    // fallback regime — while narrow projected keys stay exact. The full
+    // space goes through the same store as any other subspace.
     let subs = [
         Subspace::from_dims([0, 7, 19]).unwrap(),
         Subspace::from_dims([3, 11, 24, 38]).unwrap(),
+        Subspace::full(40).unwrap(),
     ];
+    assert!(!Grid::new(DomainBounds::unit(40), 10)
+        .unwrap()
+        .codec()
+        .is_exact(40));
     assert_equivalent(40, 10, &subs, 300);
-
-    // Base store: fingerprinted keys vs literal coordinate slices.
-    let grid = Grid::new(DomainBounds::unit(40), 10).unwrap();
-    assert!(!grid.codec().base_is_exact());
-    let tm = TimeModel::new(64, 0.05).unwrap();
-    let mut store = spot_synopsis::BaseStore::new();
-    let mut reference: BTreeMap<Vec<u16>, f64> = BTreeMap::new();
-    for (i, p) in stream(500, 40, 7).iter().enumerate() {
-        let now = i as u64;
-        let (_, _prior) = store.insert(&grid, &tm, now, p).unwrap();
-        let coords = grid.base_coords(p).unwrap();
-        let entry = reference.entry(coords).or_insert(0.0);
-        *entry += 1.0; // same-tick inserts only matter for the census below
-        let _ = now;
-    }
-    assert_eq!(
-        store.len(),
-        reference.len(),
-        "fingerprint collision detected"
-    );
 }
 
 #[test]
@@ -427,76 +411,6 @@ fn dense_and_hashed_stores_match_reference_through_prune_and_restore() {
     assert_lifecycle_equivalent(4, 64, Subspace::from_dims([2, 3]).unwrap(), 0);
 }
 
-/// Seed-style base store: literal coordinate keys in an ordered map, one
-/// heap-allocated `(D, LS, SS, last_tick)` per cell, every factor from the
-/// model's `powi`.
-#[derive(Clone, Default)]
-struct ReferenceBase {
-    cells: BTreeMap<Vec<u16>, RefCell>,
-}
-
-impl ReferenceBase {
-    /// Folds `p` in; returns the cell's decayed count before it.
-    fn insert(&mut self, model: &TimeModel, now: u64, coords: Vec<u16>, p: &DataPoint) -> f64 {
-        let dims = p.dims();
-        let (d, ls, ss, last) = self
-            .cells
-            .entry(coords)
-            .or_insert_with(|| (0.0, vec![0.0; dims], vec![0.0; dims], now));
-        let f = model.decay_between(*last, now);
-        let prior = *d * f;
-        if f != 1.0 {
-            *d *= f;
-            for v in ls.iter_mut().chain(ss.iter_mut()) {
-                *v *= f;
-            }
-        }
-        *last = now;
-        *d += 1.0;
-        for (i, &v) in p.values().iter().enumerate() {
-            ls[i] += v;
-            ss[i] += v * v;
-        }
-        prior
-    }
-
-    fn prune(&mut self, model: &TimeModel, now: u64, floor: f64) -> usize {
-        let before = self.cells.len();
-        self.cells
-            .retain(|_, (d, _, _, last)| *d * model.decay_between(*last, now) >= floor);
-        before - self.cells.len()
-    }
-}
-
-/// `(key, D bits, last tick, LS‖SS bits)` of every cell, key-sorted.
-type BaseCells = Vec<(u128, u64, u64, Vec<u64>)>;
-
-fn base_cells(store: &BaseStore) -> BaseCells {
-    let mut cells: BaseCells = store
-        .iter()
-        .map(|(key, cell)| {
-            let (ls, ss) = cell.moments();
-            let moments = ls.iter().chain(ss).map(|v| v.to_bits()).collect();
-            (key.0, cell.count().to_bits(), cell.last_tick(), moments)
-        })
-        .collect();
-    cells.sort_unstable();
-    cells
-}
-
-fn reference_cells(grid: &Grid, reference: &ReferenceBase) -> BaseCells {
-    let mut cells: BaseCells = reference
-        .cells
-        .iter()
-        .map(|(coords, (d, ls, ss, last))| {
-            let moments = ls.iter().chain(ss).map(|v| v.to_bits()).collect();
-            (grid.base_key(coords).0, d.to_bits(), *last, moments)
-        })
-        .collect();
-    cells.sort_unstable();
-    cells
-}
-
 /// A stream that revisits cells at any ϕ: arrivals are drawn from a fixed
 /// set of prototypes (uniform draws would never share a cell at ϕ=64).
 fn revisiting_stream(n: usize, dims: usize, prototypes: usize, seed: u64) -> Vec<DataPoint> {
@@ -506,105 +420,6 @@ fn revisiting_stream(n: usize, dims: usize, prototypes: usize, seed: u64) -> Vec
         .iter()
         .map(|u| protos[(u.value(0) * prototypes as f64) as usize % prototypes].clone())
         .collect()
-}
-
-/// The columnar base store through its whole life — insert, prune with
-/// swap-remove compaction, capture, restore, insert again — against the
-/// ordered-map model, every count and moment compared by bits.
-fn assert_base_lifecycle_equivalent(dims: usize, exact_keys: bool) {
-    let grid = Grid::new(DomainBounds::unit(dims), 10).unwrap();
-    assert_eq!(
-        grid.codec().base_is_exact(),
-        exact_keys,
-        "key kind at ϕ={dims}"
-    );
-    let tm = TimeModel::new(64, 0.05).unwrap();
-    // Shorter than the stream, so old cells take the model fallback.
-    let mut weights = WeightCache::new(tm);
-    weights.ensure(256);
-    let mut store = BaseStore::new();
-    let mut reference = ReferenceBase::default();
-    let step = |store: &mut BaseStore, reference: &mut ReferenceBase, now: u64, p: &DataPoint| {
-        let coords = grid.base_coords(p).unwrap();
-        let got = store.insert_at(grid.base_key(&coords), &weights, now, p);
-        let want = reference.insert(&tm, now, coords, p);
-        assert_eq!(
-            got.to_bits(),
-            want.to_bits(),
-            "ϕ={dims}: prior at tick {now}"
-        );
-    };
-
-    // Sixty prototypes early, then — much later — only a third of them:
-    // the prune evicts the rest, which sit scattered through the slots.
-    let wide = revisiting_stream(400, dims, 60, 0xBA5E ^ dims as u64);
-    for (i, p) in wide.iter().enumerate() {
-        step(&mut store, &mut reference, i as u64, p);
-    }
-    let narrow = revisiting_stream(200, dims, 60, 0xBA5E ^ dims as u64);
-    let narrow: Vec<&DataPoint> = narrow.iter().filter(|p| p.value(0) < 0.33).collect();
-    for (i, p) in narrow.iter().enumerate() {
-        step(&mut store, &mut reference, 900 + i as u64, p);
-    }
-    let now = 900 + narrow.len() as u64;
-    let populated = store.len();
-    assert_eq!(populated, reference.cells.len());
-    let evicted = store.prune(&weights, now, 1e-3);
-    assert_eq!(
-        evicted,
-        reference.prune(&tm, now, 1e-3),
-        "ϕ={dims}: evictions"
-    );
-    assert!(
-        evicted > 0 && evicted < populated,
-        "ϕ={dims}: prune must compact ({evicted} of {populated})"
-    );
-    assert_eq!(base_cells(&store), reference_cells(&grid, &reference));
-    for (key, cell) in store.iter() {
-        assert_eq!(
-            store.get(key),
-            Some(cell),
-            "ϕ={dims}: index after compaction"
-        );
-    }
-
-    // Capture → restore: the same cells and the same accounted bytes.
-    let mut w = StateWriter::new();
-    store.capture(&mut w);
-    let state = w.finish();
-    let mut restored = BaseStore::new();
-    restored
-        .restore(&StateReader::new(&state).unwrap())
-        .unwrap();
-    assert_eq!(base_cells(&restored), base_cells(&store));
-    assert_eq!(restored.approx_bytes(), store.approx_bytes());
-    assert_eq!(
-        store.approx_bytes(),
-        std::mem::size_of::<BaseStore>() + store.len() * BaseStore::cell_bytes(dims)
-    );
-
-    // Both keep absorbing the stream identically: old cells are found,
-    // evicted ones reopen as new cells.
-    let mut twin = reference.clone();
-    let tail = revisiting_stream(300, dims, 60, 0xBA5E ^ dims as u64);
-    for (i, p) in tail.iter().enumerate() {
-        let tick = now + 1 + i as u64;
-        step(&mut store, &mut reference, tick, p);
-        step(&mut restored, &mut twin, tick, p);
-    }
-    assert_eq!(base_cells(&store), reference_cells(&grid, &reference));
-    assert_eq!(base_cells(&restored), base_cells(&store));
-    let (mut a, mut b) = (StateWriter::new(), StateWriter::new());
-    store.capture(&mut a);
-    restored.capture(&mut b);
-    assert_eq!(a.finish(), b.finish(), "ϕ={dims}: captures after the tail");
-}
-
-#[test]
-fn columnar_base_store_matches_reference_through_prune_and_restore() {
-    assert_base_lifecycle_equivalent(4, true); // 16-bit packed keys
-    assert_base_lifecycle_equivalent(16, true); // 64-bit packed keys
-    assert_base_lifecycle_equivalent(64, false); // 256 bits: fingerprints
 }
 
 #[test]
@@ -636,7 +451,6 @@ fn idle_clock_past_the_table_cap_and_decay_underflow_matches_the_model() {
         .iter()
         .map(|&s| ReferenceStore::new(&grid, s))
         .collect();
-    let mut ref_base = ReferenceBase::default();
     let mut ref_total = DecayedCounter::new();
 
     let mut now = 0u64;
@@ -655,15 +469,9 @@ fn idle_clock_past_the_table_cap_and_decay_underflow_matches_the_model() {
             let label = format!("phase {phase}, point {i}");
             let out = per_point.update_and_query(now, p, &mut sink).unwrap();
             let coords = grid.base_coords(p).unwrap();
-            let prior = ref_base.insert(&tm, now, coords.clone(), p);
             ref_total.add(&tm, now, 1.0);
             let total = ref_total.value_at(&tm, now);
-            for (got, want) in [
-                (out.prior_base_count, prior),
-                (outcomes[i].prior_base_count, prior),
-                (out.total_weight, total),
-                (outcomes[i].total_weight, total),
-            ] {
+            for (got, want) in [(out.total_weight, total), (outcomes[i].total_weight, total)] {
                 assert_eq!(got.to_bits(), want.to_bits(), "{label}");
             }
             for (k, rs) in ref_stores.iter_mut().enumerate() {
@@ -678,11 +486,10 @@ fn idle_clock_past_the_table_cap_and_decay_underflow_matches_the_model() {
         }
         // Whatever survived the pause is exactly what the model keeps.
         let floor = 1e-3;
-        let want_evicted = ref_base.prune(&tm, now, floor)
-            + ref_stores
-                .iter_mut()
-                .map(|rs| rs.prune(&tm, now, floor))
-                .sum::<usize>();
+        let want_evicted = ref_stores
+            .iter_mut()
+            .map(|rs| rs.prune(&tm, now, floor))
+            .sum::<usize>();
         assert!(
             phase == 0 || want_evicted > 0,
             "phase {phase} evicts nothing"
@@ -690,11 +497,6 @@ fn idle_clock_past_the_table_cap_and_decay_underflow_matches_the_model() {
         assert_eq!(per_point.prune(now, floor), want_evicted, "phase {phase}");
         assert_eq!(batched.prune(now, floor), want_evicted, "phase {phase}");
         for mgr in [&per_point, &batched] {
-            assert_eq!(
-                base_cells(mgr.base_store()),
-                reference_cells(&grid, &ref_base),
-                "phase {phase}: base survivors"
-            );
             for (s, rs) in subspaces.iter().zip(&ref_stores) {
                 let mut got: Vec<Vec<u16>> = mgr
                     .projected_store(s)

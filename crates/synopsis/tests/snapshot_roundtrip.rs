@@ -1,7 +1,7 @@
 //! Snapshot v2 round-trip pins for the synopsis layer: serializing and
-//! restoring any populated `BaseStore` / `SynopsisManager` must be
-//! bit-exact — keys, SoA columns, decay weights, registration order —
-//! including the wide-ϕ fingerprint-key fallback.
+//! restoring any populated `SynopsisManager` must be bit-exact — keys, SoA
+//! columns, decay weights, registration order — including the wide-ϕ
+//! fingerprint-key fallback.
 
 use proptest::prelude::*;
 use serde::Value;
@@ -9,12 +9,6 @@ use spot_stream::{TimeModel, WeightCache};
 use spot_subspace::Subspace;
 use spot_synopsis::{Grid, ProjectedStore, SynopsisManager};
 use spot_types::{DataPoint, DomainBounds, DurableState, PersistError, StateReader, StateWriter};
-
-fn capture(c: &dyn DurableState) -> Value {
-    let mut w = StateWriter::new();
-    c.capture(&mut w);
-    w.finish()
-}
 
 /// Captures `mgr`, restores into a fresh manager of the same grid/model
 /// (no subspaces pre-registered — registration order must come from the
@@ -40,10 +34,6 @@ fn roundtrip_and_check(mgr: &SynopsisManager, now: u64, probes: &[DataPoint]) {
     );
     for p in probes {
         let base = mgr.grid().base_coords(p).unwrap();
-        assert_eq!(
-            mgr.base_count_for(now, p).unwrap().to_bits(),
-            restored.base_count_for(now, p).unwrap().to_bits()
-        );
         for s in mgr.subspaces() {
             let a = mgr.pcs(now, &base, &s).unwrap();
             let b = restored.pcs(now, &base, &s).unwrap();
@@ -68,8 +58,7 @@ fn roundtrip_and_check(mgr: &SynopsisManager, now: u64, probes: &[DataPoint]) {
     }
 
     // A second capture is byte-identical: capture → restore → capture is a
-    // fixed point (the base store's sorted columns make the encoding
-    // independent of hash-map history).
+    // fixed point.
     let again = restored.capture_state();
     assert_eq!(
         serde_json::to_string(&state).unwrap(),
@@ -114,51 +103,14 @@ proptest! {
         }
         roundtrip_and_check(&mgr, now, &points);
     }
-
-    #[test]
-    fn base_store_column_roundtrip_is_bit_exact(
-        raw in proptest::collection::vec(0.0f64..1.0, 9..90),
-    ) {
-        let dims = 3;
-        let grid = Grid::new(DomainBounds::unit(dims), 5).unwrap();
-        let model = TimeModel::new(50, 0.01).unwrap();
-        let mut store = spot_synopsis::BaseStore::new();
-        let points: Vec<DataPoint> = raw
-            .chunks_exact(dims)
-            .map(|c| DataPoint::new(c.to_vec()))
-            .collect();
-        for (i, p) in points.iter().enumerate() {
-            store.insert(&grid, &model, i as u64, p).unwrap();
-        }
-        let state = capture(&store);
-        let mut restored = spot_synopsis::BaseStore::new();
-        restored.restore(&StateReader::new(&state).unwrap()).unwrap();
-        prop_assert_eq!(store.len(), restored.len());
-        let now = points.len() as u64 + 7;
-        for (key, cell) in store.iter() {
-            let other = restored.get(key).expect("restored cell");
-            prop_assert_eq!(cell.count_at(&model, now).to_bits(), other.count_at(&model, now).to_bits());
-            prop_assert_eq!(cell.last_tick(), other.last_tick());
-            let (ls_a, ss_a) = cell.moments();
-            let (ls_b, ss_b) = other.moments();
-            for (a, b) in ls_a.iter().zip(ls_b).chain(ss_a.iter().zip(ss_b)) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
 }
 
 #[test]
 fn wide_phi_fingerprint_keys_roundtrip() {
-    // ϕ = 40 at m = 10 needs 160 bits: base keys take the fingerprint
-    // fallback. A 33-dim monitored subspace (> 128/4 packed-bit budget)
-    // forces fingerprinted *projected* keys too.
+    // ϕ = 40 at m = 10: a 33-dim monitored subspace (> 128/4 packed-bit
+    // budget) forces fingerprinted projected keys.
     let dims = 40usize;
     let grid = Grid::new(DomainBounds::unit(dims), 10).unwrap();
-    assert!(
-        !grid.codec().base_is_exact(),
-        "test premise: wide base keys"
-    );
     let model = TimeModel::new(120, 0.01).unwrap();
     let mut mgr = SynopsisManager::new(grid, model);
     mgr.add_subspace(Subspace::from_dims([0]).unwrap());
@@ -351,14 +303,6 @@ fn hostile_key_columns_are_typed_errors_not_panics() {
             .unwrap()
             .clone()
     });
-    w.value("base", {
-        let good = mgr.capture_state();
-        StateReader::new(&good)
-            .unwrap()
-            .value("base")
-            .unwrap()
-            .clone()
-    });
     w.nested_list("stores", vec![store_state(dense, &[9, 300])]);
     let forged = w.finish();
     let mut fresh = SynopsisManager::new(grid, model);
@@ -367,9 +311,56 @@ fn hostile_key_columns_are_typed_errors_not_panics() {
         .is_err());
 }
 
-/// The manager `fixtures/manager_state_pr13.json` was captured from, by
-/// the commit before the base store went columnar (PR 13, `8568efa`):
-/// 120 points over the box, 80 in one corner much later, one prune.
+#[test]
+fn a_store_mask_outside_the_grid_is_a_typed_error_and_changes_nothing() {
+    // Masks come from disk too. A store over dimension 40 of a 4-d grid
+    // would index past the grid's bounds as soon as it is built; the
+    // manager must refuse it first, and stay exactly as it was.
+    let grid = Grid::new(DomainBounds::unit(4), 10).unwrap();
+    let model = TimeModel::new(40, 0.01).unwrap();
+    let mut mgr = SynopsisManager::new(grid, model);
+    let kept = Subspace::from_dims([1, 3]).unwrap();
+    mgr.add_subspace(kept);
+    let p = DataPoint::new(vec![0.15, 0.85, 0.5, 0.25]);
+    mgr.update(1, &p).unwrap();
+    let before = mgr.capture_state();
+    let live = mgr.live_counters();
+    let footprint = (live.live_cells(), live.approx_bytes());
+
+    let good = StateReader::new(&before).unwrap();
+    for hostile in [
+        Subspace::from_dims([40]).unwrap(),
+        Subspace::from_dims([0, 4]).unwrap(),
+        Subspace::from_dims([63]).unwrap(),
+    ] {
+        let mut w = StateWriter::new();
+        w.value("total", good.value("total").unwrap().clone());
+        // A sound store first: nothing of a half-read tree may stick.
+        w.nested_list(
+            "stores",
+            vec![
+                store_state(Subspace::from_dims([0]).unwrap(), &[3]),
+                store_state(hostile, &[]),
+            ],
+        );
+        let err: PersistError = mgr
+            .restore_state(&StateReader::new(&w.finish()).unwrap())
+            .expect_err("a mask outside the grid must be refused");
+        assert!(err.to_string().contains("outside the grid"), "{err}");
+        assert_eq!(mgr.capture_state(), before, "{hostile}");
+        assert_eq!((live.live_cells(), live.approx_bytes()), footprint);
+    }
+    // Still the manager it was: same subspace, and it keeps ingesting.
+    assert_eq!(mgr.subspaces().collect::<Vec<_>>(), vec![kept]);
+    let mut sink = Vec::new();
+    mgr.update_and_query(2, &p, &mut sink).unwrap();
+    assert_eq!(sink.len(), 1);
+    assert!(sink[0].occupancy > 1.0, "the old cell is still there");
+}
+
+/// The manager `fixtures/manager_state_pr13.json` was captured from by
+/// PR 13 (`8568efa`), when a manager still kept a base store: 120 points
+/// over the box, 80 in one corner much later, one prune.
 fn fixture_manager() -> SynopsisManager {
     let grid = Grid::new(DomainBounds::unit(5), 10).unwrap();
     let mut mgr = SynopsisManager::new(grid, TimeModel::new(40, 0.01).unwrap());
@@ -393,119 +384,55 @@ fn fixture_manager() -> SynopsisManager {
     mgr
 }
 
+/// The fixture stream, continued.
+fn fixture_tail(i: u64) -> DataPoint {
+    DataPoint::new(
+        (0..5u64)
+            .map(|d| ((i * (3 * d + 2) + 7 * d) % 31) as f64 / 31.0)
+            .collect(),
+    )
+}
+
 #[test]
 fn state_captured_by_the_parent_commit_interchanges() {
-    // The capture format did not move with the store layout: a state the
-    // map-of-structs base store wrote restores into the columnar one and
-    // re-captures to the same bytes, and the same stream ingested by this
-    // build captures to those bytes too — checkpoints interchange in both
-    // directions.
+    // The fixture carries a `base` component no reader asks for any more:
+    // it restores with its base cells dropped, into exactly the state this
+    // build reaches on the same stream, and carries on bit-identically to
+    // a manager that never stopped.
     let fixture = include_str!("fixtures/manager_state_pr13.json");
     let state: Value = serde_json::from_str(fixture).unwrap();
-    let live = fixture_manager();
+    assert!(
+        StateReader::new(&state).unwrap().value("base").is_ok(),
+        "test premise: the fixture still carries base cells"
+    );
+    let mut live = fixture_manager();
     let mut restored = SynopsisManager::new(live.grid().clone(), *live.model());
     restored
         .restore_state(&StateReader::new(&state).unwrap())
         .unwrap();
+    let captured = serde_json::to_string(&restored.capture_state()).unwrap();
     assert_eq!(
-        serde_json::to_string(&restored.capture_state()).unwrap(),
-        fixture,
-        "restore → capture is not the identity on the parent's bytes"
-    );
-    assert_eq!(
+        captured,
         serde_json::to_string(&live.capture_state()).unwrap(),
-        fixture,
-        "this build captures the same stream differently"
+        "the restored fixture is not the state this build reaches"
     );
+    assert!(!captured.contains("\"base\""));
     assert_eq!(restored.live_cells(), live.live_cells());
     assert_eq!(restored.approx_bytes(), live.approx_bytes());
-}
 
-/// A base-store snapshot of `keys.len()` one-point, 2-dimensional cells.
-fn base_state(keys: &[u128], d: usize, last: usize, ls: usize, ss: usize) -> Value {
-    let mut w = StateWriter::new();
-    w.u64("dims", 2);
-    w.u128_col("keys", keys.iter().copied());
-    w.f64_bits_col("d", std::iter::repeat_n(1.0, d));
-    w.u64_col("last", std::iter::repeat_n(5, last));
-    w.f64_bits_col("ls", std::iter::repeat_n(0.5, ls));
-    w.f64_bits_col("ss", std::iter::repeat_n(0.25, ss));
-    w.finish()
-}
-
-#[test]
-fn hostile_base_columns_are_typed_errors_and_leave_the_store_alone() {
-    let grid = Grid::new(DomainBounds::unit(2), 10).unwrap();
-    let model = TimeModel::new(40, 0.01).unwrap();
-    let p = DataPoint::new(vec![0.15, 0.85]);
-    let mut store = spot_synopsis::BaseStore::new();
-    let (key, _) = store.insert(&grid, &model, 1, &p).unwrap();
-    let before = capture(&store);
-
-    let cases: [(&str, Value, &str); 6] = [
-        (
-            "duplicate key",
-            base_state(&[3, 17, 3], 3, 3, 6, 6),
-            "duplicate",
-        ),
-        ("short d", base_state(&[3, 17], 1, 2, 4, 4), "disagree"),
-        ("short last", base_state(&[3, 17], 2, 1, 4, 4), "disagree"),
-        ("short ls", base_state(&[3, 17], 2, 2, 3, 4), "disagree"),
-        ("short ss", base_state(&[3, 17], 2, 2, 4, 2), "disagree"),
-        (
-            "no keys, stray moments",
-            base_state(&[], 0, 0, 2, 2),
-            "disagree",
-        ),
-    ];
-    for (label, state, what) in cases {
-        let err: PersistError = store
-            .restore(&StateReader::new(&state).unwrap())
-            .expect_err(label);
-        assert!(
-            err.to_string().contains(what),
-            "{label}: expected a `{what}` error, got: {err}"
-        );
-        // Nothing of the refused snapshot stuck.
-        assert_eq!(capture(&store), before, "{label}");
-        assert_eq!(store.len(), 1);
-        assert!(
-            store.get(key).is_some(),
-            "{label}: the cell is still indexed"
-        );
+    let (mut sink_a, mut sink_b) = (Vec::new(), Vec::new());
+    for i in 0..200u64 {
+        let p = fixture_tail(i);
+        let a = live.update_and_query(481 + i, &p, &mut sink_a).unwrap();
+        let b = restored.update_and_query(481 + i, &p, &mut sink_b).unwrap();
+        assert_eq!(a.total_weight.to_bits(), b.total_weight.to_bits());
+        assert_eq!(sink_a.len(), sink_b.len());
+        for (x, y) in sink_a.iter().zip(&sink_b) {
+            assert_eq!(x.subspace, y.subspace);
+            assert_eq!(x.pcs.rd.to_bits(), y.pcs.rd.to_bits(), "point {i}");
+            assert_eq!(x.pcs.irsd.to_bits(), y.pcs.irsd.to_bits(), "point {i}");
+            assert_eq!(x.occupancy.to_bits(), y.occupancy.to_bits(), "point {i}");
+        }
     }
-    // An odd u128 lane count never gets as far as the column check.
-    let mut w = StateWriter::new();
-    w.u64("dims", 2);
-    w.u64_col("keys", [0, 3, 0]);
-    for col in ["d", "last", "ls", "ss"] {
-        w.u64_col(col, []);
-    }
-    assert!(store
-        .restore(&StateReader::new(&w.finish()).unwrap())
-        .is_err());
-    assert_eq!(capture(&store), before);
-
-    // The store still works, and a sound snapshot of the same shape loads.
-    let (again, prior) = store.insert(&grid, &model, 2, &p).unwrap();
-    assert_eq!(again, key);
-    assert!(prior > 0.0);
-    store
-        .restore(&StateReader::new(&base_state(&[3, 17], 2, 2, 4, 4)).unwrap())
-        .unwrap();
-    assert_eq!(store.len(), 2);
-
-    // A manager refuses base cells that are not as wide as its grid.
-    let mut mgr = SynopsisManager::new(Grid::new(DomainBounds::unit(3), 10).unwrap(), model);
-    mgr.update(1, &DataPoint::new(vec![0.1, 0.2, 0.3])).unwrap();
-    let good = mgr.capture_state();
-    let good = StateReader::new(&good).unwrap();
-    let mut w = StateWriter::new();
-    w.value("total", good.value("total").unwrap().clone());
-    w.value("base", base_state(&[3, 17], 2, 2, 4, 4));
-    w.nested_list("stores", vec![]);
-    let err = mgr
-        .restore_state(&StateReader::new(&w.finish()).unwrap())
-        .expect_err("2-d cells in a 3-d grid");
-    assert!(err.to_string().contains("dimensions"), "{err}");
+    assert_eq!(restored.capture_state(), live.capture_state());
 }

@@ -85,8 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let fp = detector.footprint();
     println!(
-        "synopsis memory: {} base cells + {} projected cells ≈ {} KiB",
-        fp.base_cells,
+        "synopsis memory: {} projected cells ≈ {} KiB",
         fp.projected_cells,
         fp.approx_bytes / 1024
     );

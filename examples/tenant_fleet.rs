@@ -105,11 +105,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stats = fleet.stats();
     let footprint = fleet.footprint();
     println!(
-        "fleet stats: processed={} outliers={} ({outliers} in the final drains) queued={} | {} base cells, {:.1} KiB",
+        "fleet stats: processed={} outliers={} ({outliers} in the final drains) queued={} | {} projected cells, {:.1} KiB",
         stats.processed,
         stats.outliers,
         stats.queued,
-        footprint.base_cells,
+        footprint.projected_cells,
         footprint.approx_bytes as f64 / 1024.0
     );
     assert_eq!(

@@ -146,7 +146,7 @@ fn memory_stays_bounded_on_long_streams() {
     let mut at_three_quarters = 0usize;
     for (i, r) in g.generate(20_000).into_iter().enumerate() {
         spot.process(&r.point).unwrap();
-        let cells = spot.footprint().total_cells();
+        let cells = spot.footprint().projected_cells;
         if i == 15_000 {
             at_three_quarters = cells;
         }
@@ -160,12 +160,53 @@ fn memory_stays_bounded_on_long_streams() {
     );
 }
 
-trait FootprintExt {
-    fn total_cells(&self) -> usize;
-}
-
-impl FootprintExt for spot::SynopsisFootprint {
-    fn total_cells(&self) -> usize {
-        self.base_cells + self.projected_cells
+#[test]
+fn the_state_of_a_wide_detector_is_its_projected_cells() {
+    // ϕ = 64: every point below is alone in its full-space cell, so a
+    // full-space table would hold one 1.1 KB cell per remembered point
+    // (≈ 20 MB of footprint and of checkpoint for this stream). The
+    // detector's state is its 64 one-dimensional stores instead.
+    let dims = 64;
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut point = || {
+        spot_types::DataPoint::new(
+            (0..dims)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    (x >> 11) as f64 / (1u64 << 53) as f64
+                })
+                .collect(),
+        )
+    };
+    let grid =
+        spot_synopsis::Grid::new(spot_types::DomainBounds::unit(dims), 10).expect("valid grid");
+    let mut cells = std::collections::HashSet::new();
+    let mut spot = SpotBuilder::new(spot_types::DomainBounds::unit(dims))
+        .fs_max_dimension(1)
+        .seed(9)
+        .build()
+        .unwrap();
+    for i in 0..20_000 {
+        let p = point();
+        assert!(
+            cells.insert(grid.base_coords(&p).unwrap()),
+            "test premise: point {i} shares a full-space cell"
+        );
+        spot.process(&p).unwrap();
     }
+    let footprint = spot.footprint();
+    assert!(footprint.projected_cells >= 64 * 10);
+    assert!(
+        footprint.approx_bytes < 1 << 20,
+        "footprint {} B",
+        footprint.approx_bytes
+    );
+    let checkpoint = spot.checkpoint().to_bytes();
+    assert!(
+        checkpoint.len() < 1 << 20,
+        "checkpoint {} B",
+        checkpoint.len()
+    );
 }

@@ -215,6 +215,6 @@ fn v1_and_v2_coexist_in_the_loader() {
     let warm = restore_from_json(&v2).unwrap();
     assert_eq!(cold.now(), 0);
     assert_eq!(warm.now(), spot.now());
-    assert_eq!(cold.footprint().base_cells, 0);
+    assert_eq!(cold.footprint().projected_cells, 0);
     assert_eq!(warm.footprint(), spot.footprint());
 }
