@@ -5,12 +5,17 @@
 //! counter-based exponential backoff, `429` responses are retried after
 //! the server's `Retry-After` hint, and partially-accepted ingest batches
 //! resume from the `enqueued` count the server reports — so a batch is
-//! never double-admitted and never silently truncated by a mid-batch
-//! rejection.
+//! never silently truncated by a mid-batch rejection.
+//!
+//! Delivery is **at-least-once**: when a fully written request loses its
+//! response, the transport retry resends it, and a server that admitted
+//! it admits it again. Ingest bodies are f64 lanes
+//! (`application/x-spot-points`); every other request is JSON.
 
 use crate::http::{percent_encode, read_response, ClientResponse, HttpLimits};
+use crate::points;
 use serde::Value;
-use spot_types::{DataPoint, TenantId};
+use spot_types::{DataPoint, SpotError, TenantId};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -71,6 +76,11 @@ pub enum ClientError {
     },
     /// The server broke the protocol (unparseable response).
     Protocol(String),
+    /// The call's input was refused locally; no byte was sent.
+    /// [`ServeClient::ingest`] gives [`SpotError::DimensionMismatch`]
+    /// when its points do not all share one width (`expected` is the first
+    /// point's width, `got` the first that differs).
+    Invalid(SpotError),
 }
 
 impl std::fmt::Display for ClientError {
@@ -82,6 +92,7 @@ impl std::fmt::Display for ClientError {
                 write!(f, "retries exhausted (last HTTP {status}: {body})")
             }
             ClientError::Protocol(msg) => write!(f, "protocol violation: {msg}"),
+            ClientError::Invalid(e) => write!(f, "refused before sending: {e}"),
         }
     }
 }
@@ -109,6 +120,8 @@ pub struct ServeClient {
     /// Per-request deadline (connect, write, and read of the response).
     timeout: Duration,
     conn: Option<(TcpStream, Vec<u8>)>,
+    /// The request being sent, head and body, rebuilt for each request.
+    out: Vec<u8>,
 }
 
 impl ServeClient {
@@ -120,6 +133,7 @@ impl ServeClient {
             limits: HttpLimits::default(),
             timeout: Duration::from_secs(5),
             conn: None,
+            out: Vec::new(),
         }
     }
 
@@ -145,12 +159,22 @@ impl ServeClient {
         path: &str,
         body: Option<&str>,
     ) -> Result<ClientResponse, ClientError> {
+        let body = body.unwrap_or("");
+        self.out.clear();
+        put_head(&mut self.out, method, path, None, body.len());
+        self.out.extend_from_slice(body.as_bytes());
+        self.send()
+    }
+
+    /// Sends the request in `out` with transport-level retry. A resend
+    /// after a lost response may be the request's second admission.
+    fn send(&mut self) -> Result<ClientResponse, ClientError> {
         let mut last_err = String::new();
         for attempt in 0..self.policy.max_attempts {
             if attempt > 0 {
                 std::thread::sleep(self.policy.backoff(attempt - 1));
             }
-            match self.request_once(method, path, body) {
+            match self.send_once() {
                 Ok(response) => return Ok(response),
                 Err(e) => {
                     // The connection is in an unknown state; reconnect.
@@ -162,12 +186,7 @@ impl ServeClient {
         Err(ClientError::Transport(last_err))
     }
 
-    fn request_once(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-    ) -> Result<ClientResponse, String> {
+    fn send_once(&mut self) -> Result<ClientResponse, String> {
         let deadline = Instant::now() + self.timeout;
         if self.conn.is_none() {
             let stream = TcpStream::connect_timeout(&self.addr, self.timeout)
@@ -177,11 +196,6 @@ impl ServeClient {
         }
         let (stream, carry) = self.conn.as_mut().expect("connection just ensured");
 
-        let body = body.unwrap_or("");
-        let request = format!(
-            "{method} {path} HTTP/1.1\r\nhost: spot\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len()
-        );
         let remaining = deadline
             .checked_duration_since(Instant::now())
             .unwrap_or(Duration::from_millis(1));
@@ -189,7 +203,7 @@ impl ServeClient {
             .set_write_timeout(Some(remaining.max(Duration::from_millis(1))))
             .map_err(|e| e.to_string())?;
         stream
-            .write_all(request.as_bytes())
+            .write_all(&self.out)
             .map_err(|e| format!("send: {e}"))?;
 
         let response = read_response(stream, carry, &self.limits, deadline)
@@ -225,22 +239,36 @@ impl ServeClient {
         expect_status(response, 200)
     }
 
-    /// Ingest a batch, absorbing backpressure: `429` waits out the
-    /// server's `Retry-After` (scaled by the policy unit, floored by the
-    /// backoff schedule) and resumes from the reported `enqueued` count;
-    /// `503` backs off and retries the remainder the same way.
+    /// Ingest a batch as f64 lanes, absorbing backpressure: `429` waits
+    /// out the server's `Retry-After` (scaled by the policy unit, floored
+    /// by the backoff schedule) and resumes from the reported `enqueued`
+    /// count; `503` backs off and retries the remainder the same way.
+    /// Points of differing widths are [`ClientError::Invalid`].
     pub fn ingest(
         &mut self,
         tenant: &TenantId,
         points: &[DataPoint],
     ) -> Result<IngestReport, ClientError> {
+        let dims = points.first().map_or(0, DataPoint::dims);
+        if let Some(odd) = points.iter().find(|p| p.dims() != dims) {
+            return Err(ClientError::Invalid(SpotError::DimensionMismatch {
+                expected: dims,
+                got: odd.dims(),
+            }));
+        }
+        let lane_dims = u32::try_from(dims)
+            .map_err(|_| ClientError::Invalid(SpotError::TooManyDimensions(dims)))?;
         let path = format!("/tenants/{}/ingest", percent_encode(tenant.as_str()));
         let mut report = IngestReport::default();
         let mut offset = 0usize;
         let mut attempt = 0u32;
         while offset < points.len() {
-            let body = format!("{{\"points\":{}}}", points_json(&points[offset..]));
-            let response = self.request("POST", &path, Some(&body))?;
+            let tail = &points[offset..];
+            let len = points::encoded_len(dims, tail.len());
+            self.out.clear();
+            put_head(&mut self.out, "POST", &path, Some(points::MEDIA_TYPE), len);
+            points::encode(&mut self.out, lane_dims, tail);
+            let response = self.send()?;
             report.requests += 1;
             let accepted = parse_enqueued(&response).unwrap_or(0);
             offset += accepted;
@@ -344,6 +372,16 @@ fn expect_status(response: ClientResponse, want: u16) -> Result<ClientResponse, 
             body: response.text(),
         })
     }
+}
+
+/// Appends a request head announcing a `len`-byte body.
+fn put_head(out: &mut Vec<u8>, method: &str, path: &str, media: Option<&str>, len: usize) {
+    let media = media.map_or(String::new(), |m| format!("content-type: {m}\r\n"));
+    write!(
+        out,
+        "{method} {path} HTTP/1.1\r\nhost: spot\r\n{media}content-length: {len}\r\n\r\n"
+    )
+    .expect("writing to a Vec cannot fail");
 }
 
 fn parse_enqueued(response: &ClientResponse) -> Option<usize> {

@@ -151,38 +151,43 @@ impl Response {
         }
     }
 
-    /// Serialize onto `stream` under `deadline`. `close` forces a
-    /// `Connection: close` header (the server also closes after writing).
+    /// Serialize onto `stream` under `deadline`, head and body in one
+    /// write. `close` forces a `Connection: close` header (the server also
+    /// closes after writing).
     pub fn write_to(
         &self,
         stream: &mut TcpStream,
         close: bool,
         deadline: Instant,
     ) -> std::io::Result<()> {
-        let mut head = format!(
+        arm_write(stream, deadline)?;
+        stream.write_all(&self.render(close))?;
+        stream.flush()
+    }
+
+    /// The message bytes: status line, headers, blank line, body.
+    fn render(&self, close: bool) -> Vec<u8> {
+        let mut out = Vec::with_capacity(128 + self.body.len());
+        write!(
+            out,
             "HTTP/1.1 {} {}\r\ncontent-length: {}\r\n",
             self.status,
             Response::reason(self.status),
             self.body.len()
-        );
+        )
+        .expect("writing to a Vec cannot fail");
         for (name, value) in &self.headers {
-            head.push_str(name);
-            head.push_str(": ");
-            head.push_str(value);
-            head.push_str("\r\n");
+            for part in [name.as_str(), ": ", value, "\r\n"] {
+                out.extend_from_slice(part.as_bytes());
+            }
         }
-        head.push_str(if close {
-            "connection: close\r\n\r\n"
+        out.extend_from_slice(if close {
+            b"connection: close\r\n\r\n"
         } else {
-            "connection: keep-alive\r\n\r\n"
+            b"connection: keep-alive\r\n\r\n"
         });
-        arm_write(stream, deadline)?;
-        stream.write_all(head.as_bytes())?;
-        if !self.body.is_empty() {
-            arm_write(stream, deadline)?;
-            stream.write_all(&self.body)?;
-        }
-        stream.flush()
+        out.extend_from_slice(&self.body);
+        out
     }
 }
 
@@ -662,6 +667,52 @@ mod tests {
         assert_eq!(Response::reason(200), "OK");
         assert_eq!(Response::reason(429), "Too Many Requests");
         assert_eq!(Response::reason(599), "Unknown");
+    }
+
+    #[test]
+    fn one_write_carries_the_head_and_body_of_two() {
+        // The head ‖ body pair `write_to` used to send as two writes.
+        fn two_writes(r: &Response, close: bool) -> Vec<u8> {
+            let mut head = format!(
+                "HTTP/1.1 {} {}\r\ncontent-length: {}\r\n",
+                r.status,
+                Response::reason(r.status),
+                r.body.len()
+            );
+            for (name, value) in &r.headers {
+                head.push_str(&format!("{name}: {value}\r\n"));
+            }
+            head.push_str(if close {
+                "connection: close\r\n\r\n"
+            } else {
+                "connection: keep-alive\r\n\r\n"
+            });
+            [head.into_bytes(), r.body.clone()].concat()
+        }
+        let statuses = [
+            200, 201, 400, 404, 405, 408, 409, 411, 413, 429, 431, 500, 501, 503, 599,
+        ];
+        for status in statuses {
+            for body in ["", "{\"enqueued\":16}"] {
+                let bare = Response {
+                    status,
+                    headers: Vec::new(),
+                    body: body.as_bytes().to_vec(),
+                };
+                let json = Response::json(status, body);
+                let extra = Response::json(status, body).header("retry-after", "2");
+                for response in [bare, json, extra] {
+                    for close in [false, true] {
+                        assert_eq!(
+                            response.render(close),
+                            two_writes(&response, close),
+                            "status {status}, close {close}, {:?}",
+                            response.headers
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

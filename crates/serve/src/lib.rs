@@ -21,10 +21,16 @@
 //!   tenant queues in arrival order, and takes a final durable
 //!   checkpoint.
 //!
+//! - **Points cross the wire as bits.** Ingest takes `Content-Type:
+//!   application/x-spot-points` (`dims: u32` LE, then f64 bit patterns
+//!   LE, the WAL's lanes), so `±∞` arrives as sent; any other content
+//!   type is the JSON body. Both pass one validation before admission.
+//!
 //! [`ServeClient`] is the matching in-tree client (deterministic
-//! exponential backoff, `Retry-After` honoring, resumable batch ingest),
-//! and [`netfault`] extends the runtime's deterministic fault-injection
-//! philosophy to the wire. See `docs/service.md` for the full protocol.
+//! exponential backoff, `Retry-After` honoring, resumable at-least-once
+//! batch ingest over f64 lanes), and [`netfault`] extends the runtime's
+//! deterministic fault-injection philosophy to the wire. See
+//! `docs/service.md` for the full protocol.
 //!
 //! ```no_run
 //! use spot_runtime::{FleetConfig, SpotFleet};
@@ -46,6 +52,7 @@
 pub mod client;
 pub mod http;
 pub mod netfault;
+mod points;
 mod router;
 mod server;
 

@@ -9,6 +9,7 @@
 //! worker is busy processing batches.
 
 use crate::http::{percent_decode, Method, Request, Response};
+use crate::points;
 use crate::server::AppState;
 use serde::Value;
 use spot::SpotBuilder;
@@ -72,9 +73,7 @@ pub(crate) fn route(state: &AppState, req: &Request) -> Response {
         (Method::Get, ["tenants", id, "stats"]) => with_tenant(id, |id| tenant_stats(state, id)),
         (Method::Put, ["tenants", id]) => with_tenant(id, |id| register(state, id, &req.body)),
         (Method::Delete, ["tenants", id]) => with_tenant(id, |id| evict(state, id)),
-        (Method::Post, ["tenants", id, "ingest"]) => {
-            with_tenant(id, |id| ingest(state, id, &req.body))
-        }
+        (Method::Post, ["tenants", id, "ingest"]) => with_tenant(id, |id| ingest(state, id, req)),
         (Method::Post, ["tenants", id, "drain"]) => with_tenant(id, |id| drain(state, id)),
         (Method::Post, ["tenants", id, "restore"]) => with_tenant(id, |id| restore(state, id)),
         (Method::Post, ["admin", "checkpoint"]) => checkpoint(state, query),
@@ -299,14 +298,35 @@ fn evict(state: &AppState, id: &TenantId) -> Response {
     }
 }
 
-fn ingest(state: &AppState, id: &TenantId, body: &[u8]) -> Response {
-    let doc = match parse_body(body) {
-        Ok(d) => d,
-        Err(r) => return r,
+/// One decoded ingest body: `n` points of `dims` coordinates, row-major
+/// in `lanes`.
+struct Batch {
+    dims: usize,
+    n: usize,
+    lanes: Vec<f64>,
+    /// JSON only: the width of the first row whose width differs from the
+    /// first row's. `lanes` holds the rows before it.
+    ragged: Option<usize>,
+}
+
+fn ingest(state: &AppState, id: &TenantId, req: &Request) -> Response {
+    // Only the exact binary media type selects lanes; anything else, or no
+    // header at all, is a JSON body.
+    let batch = if req.header("content-type") == Some(points::MEDIA_TYPE) {
+        points::decode(&req.body)
+            .map(|(dims, lanes)| Batch {
+                dims,
+                n: lanes.len() / dims,
+                lanes,
+                ragged: None,
+            })
+            .map_err(|e| error_body(400, e, Some(0)))
+    } else {
+        json_batch(&req.body)
     };
-    let points = match doc.get_field("points").and_then(as_points) {
-        Some(p) => p,
-        None => return error_body(400, "\"points\" must be an array of number arrays", None),
+    let batch = match batch {
+        Ok(b) => b,
+        Err(r) => return r,
     };
     // Validate the whole batch *before* admitting anything: the fleet
     // defers point validation to drain time, where one bad point discards
@@ -316,23 +336,25 @@ fn ingest(state: &AppState, id: &TenantId, body: &[u8]) -> Response {
         Ok(d) => d,
         Err(e) => return spot_error(&e, None),
     };
-    for point in &points {
-        if point.dims() != dims {
-            return spot_error(
-                &SpotError::DimensionMismatch {
-                    expected: dims,
-                    got: point.dims(),
-                },
-                Some(0),
-            );
-        }
-        if let Some(dim) = point.values().iter().position(|v| v.is_nan()) {
-            return spot_error(&SpotError::NonFiniteValue { dim }, Some(0));
-        }
+    // Row by row, a width check then a NaN scan: a uniform batch fails the
+    // width check on its first row or never, so this order is per-row order.
+    let mismatch = |got| SpotError::DimensionMismatch {
+        expected: dims,
+        got,
+    };
+    let invalid = if batch.n > 0 && batch.dims != dims {
+        Some(mismatch(batch.dims))
+    } else if let Some(at) = batch.lanes.iter().position(|v| v.is_nan()) {
+        Some(SpotError::NonFiniteValue { dim: at % dims })
+    } else {
+        batch.ragged.map(mismatch)
+    };
+    if let Some(e) = invalid {
+        return spot_error(&e, Some(0));
     }
     let mut enqueued = 0u64;
-    for point in points {
-        match state.fleet.try_ingest(id, point) {
+    for row in batch.lanes.chunks_exact(dims) {
+        match state.fleet.try_ingest(id, DataPoint::new(row.to_vec())) {
             Ok(true) => enqueued += 1,
             Ok(false) => {
                 // Queue full under the Block policy (Shed/Sample absorb the
@@ -456,6 +478,28 @@ fn error_body(status: u16, message: &str, enqueued: Option<u64>) -> Response {
         fields.push(("enqueued", Value::U64(n)));
     }
     Response::json(status, obj(fields))
+}
+
+/// The JSON ingest body, `{"points": [[number, …], …]}`, as a [`Batch`].
+fn json_batch(body: &[u8]) -> Result<Batch, Response> {
+    let points = parse_body(body)?
+        .get_field("points")
+        .and_then(as_points)
+        .ok_or_else(|| error_body(400, "\"points\" must be an array of number arrays", None))?;
+    let dims = points.first().map_or(0, DataPoint::dims);
+    let n = points.iter().take_while(|p| p.dims() == dims).count();
+    let lanes = points[..n]
+        .iter()
+        .flat_map(DataPoint::values)
+        .copied()
+        .collect();
+    let ragged = points.get(n).map(DataPoint::dims);
+    Ok(Batch {
+        dims,
+        n,
+        lanes,
+        ragged,
+    })
 }
 
 fn parse_body(body: &[u8]) -> Result<Value, Response> {
