@@ -12,7 +12,9 @@
 //! (exemplar-seeded pairs) recovers them; the full SST dominates.
 //!
 //! (A displaced-coordinate workload shows *no* spread between the rows —
-//! each displaced dim is already 1-dim-visible; see EXPERIMENTS.md.)
+//! `SyntheticGenerator::displaced_coordinate` moves every planted
+//! coordinate away from every cluster centre of its dimension, so each
+//! displaced dim is already 1-dim-visible.)
 
 use spot::{EvolutionConfig, Spot, SpotBuilder};
 use spot_bench::emit;

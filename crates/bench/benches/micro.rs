@@ -10,11 +10,8 @@ use spot_data::{SyntheticConfig, SyntheticGenerator};
 use spot_moga::{assign_rank_and_crowding, Individual, MogaConfig, ObjectiveArena, RankScratch};
 use spot_stream::TimeModel;
 use spot_subspace::Subspace;
-use spot_synopsis::{
-    CellConsumer, CellTouch, Grid, ProjectedStore, SerialExecutor, SynopsisManager,
-};
+use spot_synopsis::{CellConsumer, CellTouch, Grid, ProjectedStore, SynopsisManager};
 use spot_types::{DataPoint, DomainBounds};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 fn random_points(n: usize, dims: usize, seed: u64) -> Vec<DataPoint> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -52,23 +49,13 @@ fn touch_fixture(
     (mgr, pts)
 }
 
-/// The cheapest consumer there is: one RD sum per participant.
-struct SumRd(AtomicU64);
+/// The cheapest consumer there is: one RD sum.
+struct SumRd(f64);
 
 impl CellConsumer for SumRd {
-    type Lane = f64;
-
-    fn checkout(&self, _points: usize) -> f64 {
-        0.0
-    }
-
-    fn checkin(&self, lane: f64) {
-        self.0.store(lane.to_bits(), Ordering::Relaxed);
-    }
-
     #[inline]
-    fn cell(&self, lane: &mut f64, _: usize, _: &ProjectedStore, _: usize, touch: CellTouch) {
-        *lane += touch.rd;
+    fn cell(&mut self, _: usize, _: &ProjectedStore, _: usize, touch: CellTouch) {
+        self.0 += touch.rd;
     }
 }
 
@@ -93,12 +80,12 @@ fn bench_touch_kernel(c: &mut Criterion) {
     let (mut mgr, pts) = touch_fixture(16, 16, 120, 256);
     let mut start = 1u64;
     c.bench_function("touch_run256_phi16_136stores", |b| {
-        let sum = SumRd(AtomicU64::new(0));
+        let mut sum = SumRd(0.0);
         b.iter(|| {
-            mgr.update_and_screen_batch(start, black_box(&pts), &SerialExecutor, &sum, None)
+            mgr.update_and_screen_batch(start, black_box(&pts), &mut sum)
                 .unwrap();
             start += pts.len() as u64;
-            sum.0.load(Ordering::Relaxed)
+            sum.0
         })
     });
 }

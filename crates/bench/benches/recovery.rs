@@ -45,13 +45,10 @@ fn tenant_config(seed: u64) -> SpotConfig {
 }
 
 fn learned_fleet(tenants: usize, train: &[DataPoint]) -> (SpotFleet, Vec<TenantId>) {
-    let fleet = SpotFleet::with_workers(
-        FleetConfig {
-            queue_capacity: 256,
-            micro_batch: 256,
-        },
-        Some(0),
-    );
+    let fleet = SpotFleet::new(FleetConfig {
+        queue_capacity: 256,
+        micro_batch: 256,
+    });
     let ids: Vec<TenantId> = (0..tenants)
         .map(|t| TenantId::new(format!("tenant-{t:02}")).unwrap())
         .collect();

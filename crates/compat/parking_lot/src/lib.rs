@@ -27,16 +27,6 @@ impl<T> Mutex<T> {
         }
     }
 
-    /// Attempts to acquire the lock without blocking; `None` when another
-    /// thread holds it.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(g),
-            Err(std::sync::TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
     /// Consumes the mutex, returning the inner value.
     pub fn into_inner(self) -> T {
         match self.inner.into_inner() {
@@ -50,16 +40,6 @@ impl<T> Mutex<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-
-    #[test]
-    fn try_lock_reports_contention() {
-        let m = Mutex::new(5u8);
-        {
-            let _held = m.lock();
-            assert!(m.try_lock().is_none());
-        }
-        assert_eq!(*m.try_lock().expect("uncontended"), 5);
-    }
 
     #[test]
     fn basic_locking() {

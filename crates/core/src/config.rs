@@ -2,7 +2,6 @@
 
 use spot_moga::MogaConfig;
 use spot_stream::TimeModel;
-use spot_synopsis::ExecutorHandle;
 use spot_types::{DomainBounds, Result, SpotError};
 
 /// Outlier-ness thresholds applied to the PCS of a point's projected cell.
@@ -139,58 +138,6 @@ impl Default for DriftConfig {
     }
 }
 
-/// Dispatch-granularity tuning for the batch hot path. Every knob is a
-/// pure scheduling decision: results are bit-identical for every valid
-/// setting (the claim protocol guarantees one writer per unit regardless
-/// of who claims it), so these trade dispatch overhead against
-/// parallelism without affecting verdicts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
-pub struct TuningConfig {
-    /// Minimum monitored stores before a batch dispatch engages the
-    /// executor service's worker pool under machine-sized defaults (a
-    /// forced worker budget overrides this).
-    pub pool_min_stores: usize,
-    /// Minimum run points before a batch dispatch engages the pool.
-    pub pool_min_points: usize,
-    /// Points claimed per cursor hit in the sharded commit assembly.
-    pub commit_chunk: usize,
-}
-
-impl Default for TuningConfig {
-    fn default() -> Self {
-        TuningConfig {
-            pool_min_stores: 8,
-            pool_min_points: 8,
-            commit_chunk: 32,
-        }
-    }
-}
-
-// Hand-written so configurations captured before the tuning block existed
-// (and payloads that simply omit it) restore to the defaults instead of
-// failing — the in-tree serde derive has no missing-field fallback. Fields
-// are looked up by name, so a payload that still carries a knob this
-// struct no longer has restores too.
-impl serde::Deserialize for TuningConfig {
-    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
-        if matches!(v, serde::Value::Null) {
-            return Ok(TuningConfig::default());
-        }
-        let d = TuningConfig::default();
-        let field = |name: &str, fallback: usize| match v.get_field(name) {
-            Some(fv) => {
-                serde::Deserialize::from_value(fv).map_err(|e: serde::DeError| e.in_field(name))
-            }
-            None => Ok(fallback),
-        };
-        Ok(TuningConfig {
-            pool_min_stores: field("pool_min_stores", d.pool_min_stores)?,
-            pool_min_points: field("pool_min_points", d.pool_min_points)?,
-            commit_chunk: field("commit_chunk", d.commit_chunk)?,
-        })
-    }
-}
-
 /// Full SPOT configuration.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct SpotConfig {
@@ -222,8 +169,6 @@ pub struct SpotConfig {
     /// Seed for every stochastic component (detection is deterministic for
     /// a fixed seed and stream).
     pub seed: u64,
-    /// Batch-dispatch tuning (granularities and pool-engagement floors).
-    pub tuning: TuningConfig,
 }
 
 impl SpotConfig {
@@ -246,7 +191,6 @@ impl SpotConfig {
             prune_every: 2000,
             prune_floor: 1e-4,
             seed: 42,
-            tuning: TuningConfig::default(),
         }
     }
 
@@ -308,16 +252,6 @@ impl SpotConfig {
                 "reservoir must be positive".into(),
             ));
         }
-        if self.tuning.commit_chunk == 0 {
-            return Err(SpotError::InvalidConfig(
-                "commit chunk granularity must be positive".into(),
-            ));
-        }
-        if self.tuning.pool_min_stores == 0 || self.tuning.pool_min_points == 0 {
-            return Err(SpotError::InvalidConfig(
-                "pool-engagement floors must be positive (1 engages always)".into(),
-            ));
-        }
         Ok(())
     }
 }
@@ -326,10 +260,6 @@ impl SpotConfig {
 #[derive(Debug, Clone)]
 pub struct SpotBuilder {
     config: SpotConfig,
-    /// Executor service the built detector dispatches through (None = its
-    /// own, per the build's default). Runtime-only wiring: deliberately
-    /// not part of [`SpotConfig`], which stays serializable.
-    executor: Option<ExecutorHandle>,
 }
 
 impl SpotBuilder {
@@ -337,16 +267,7 @@ impl SpotBuilder {
     pub fn new(bounds: DomainBounds) -> Self {
         SpotBuilder {
             config: SpotConfig::new(bounds),
-            executor: None,
         }
-    }
-
-    /// Dispatches the built detector's batch work through `exec` — many
-    /// detectors sharing one handle share its single worker pool (the
-    /// fleet runtime's wiring). Results are bit-identical regardless.
-    pub fn executor(mut self, exec: ExecutorHandle) -> Self {
-        self.executor = Some(exec);
-        self
     }
 
     /// Grid granularity per dimension.
@@ -422,13 +343,6 @@ impl SpotBuilder {
         self
     }
 
-    /// Batch-dispatch tuning (validated; zero granularities or
-    /// pool-engagement floors are rejected at build).
-    pub fn tuning(mut self, tuning: TuningConfig) -> Self {
-        self.config.tuning = tuning;
-        self
-    }
-
     /// Finishes the configuration (validated).
     pub fn build_config(self) -> Result<SpotConfig> {
         self.config.validate()?;
@@ -437,12 +351,7 @@ impl SpotBuilder {
 
     /// Builds the detector directly.
     pub fn build(self) -> Result<crate::Spot> {
-        let executor = self.executor.clone();
-        let config = self.build_config()?;
-        match executor {
-            Some(exec) => crate::Spot::with_executor(config, exec),
-            None => crate::Spot::new(config),
-        }
+        crate::Spot::new(self.build_config()?)
     }
 }
 
@@ -486,78 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn tuning_misuse_guards_reject_zero_knobs() {
-        // A zero chunk granularity or pool-engagement floor would stall
-        // the commit assembly / make the engagement test vacuous; each
-        // knob is guarded independently.
-        let base = || SpotConfig::new(DomainBounds::unit(8));
-        for bad in [
-            TuningConfig {
-                commit_chunk: 0,
-                ..TuningConfig::default()
-            },
-            TuningConfig {
-                pool_min_stores: 0,
-                ..TuningConfig::default()
-            },
-            TuningConfig {
-                pool_min_points: 0,
-                ..TuningConfig::default()
-            },
-        ] {
-            let mut c = base();
-            c.tuning = bad;
-            assert!(c.validate().is_err(), "{bad:?} must be rejected");
-        }
-        // Floor of 1 is the documented "always engage" setting, not misuse.
-        let mut c = base();
-        c.tuning = TuningConfig {
-            pool_min_stores: 1,
-            pool_min_points: 1,
-            commit_chunk: 1,
-        };
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn tuning_restores_to_defaults_from_pre_tuning_checkpoints() {
-        // A checkpoint written before the tuning block existed has no
-        // "tuning" field: deserialization must fall back to defaults, and
-        // partial objects fill in the missing knobs.
-        let d: TuningConfig = serde::Deserialize::from_value(&serde::Value::Null).unwrap();
-        assert_eq!(d, TuningConfig::default());
-        let partial =
-            serde::Value::Object(vec![("commit_chunk".to_string(), serde::Value::U64(64))]);
-        let d: TuningConfig = serde::Deserialize::from_value(&partial).unwrap();
-        assert_eq!(d.commit_chunk, 64);
-        assert_eq!(d.pool_min_points, TuningConfig::default().pool_min_points);
-    }
-
-    #[test]
-    fn tuning_restores_from_checkpoints_carrying_the_retired_sweep_knob() {
-        // Checkpoints written while the verdict sweep was a dispatch of its
-        // own carry its chunk knob; they must keep restoring, the retired
-        // field ignored and the live ones honoured. (The retired name is
-        // spelled in two halves so a grep for it finds no live code.)
-        let retired = concat!("sweep", "_chunk").to_string();
-        let old = serde::Value::Object(vec![
-            ("pool_min_stores".to_string(), serde::Value::U64(4)),
-            ("pool_min_points".to_string(), serde::Value::U64(16)),
-            (retired, serde::Value::U64(48)),
-            ("commit_chunk".to_string(), serde::Value::U64(24)),
-        ]);
-        let d: TuningConfig = serde::Deserialize::from_value(&old).unwrap();
-        assert_eq!(
-            d,
-            TuningConfig {
-                pool_min_stores: 4,
-                pool_min_points: 16,
-                commit_chunk: 24,
-            }
-        );
-    }
-
-    #[test]
     fn builder_round_trip() {
         let cfg = SpotBuilder::new(DomainBounds::unit(6))
             .granularity(8)
@@ -568,11 +405,6 @@ mod tests {
             .os_capacity(7)
             .seed(9)
             .pruning(500, 1e-3)
-            .tuning(TuningConfig {
-                pool_min_stores: 4,
-                pool_min_points: 16,
-                commit_chunk: 24,
-            })
             .build_config()
             .unwrap();
         assert_eq!(cfg.granularity, 8);
@@ -583,8 +415,5 @@ mod tests {
         assert_eq!(cfg.os_capacity, 7);
         assert_eq!(cfg.seed, 9);
         assert_eq!(cfg.prune_every, 500);
-        assert_eq!(cfg.tuning.pool_min_stores, 4);
-        assert_eq!(cfg.tuning.pool_min_points, 16);
-        assert_eq!(cfg.tuning.commit_chunk, 24);
     }
 }

@@ -4,9 +4,7 @@ use crate::config::SpotConfig;
 use crate::drift::PageHinkley;
 use crate::evaluator::{SparsityProblem, SparsityScratch, TrainingEvaluator};
 use crate::sst::Sst;
-use crate::verdict::{
-    assemble_plans, EvalPlan, LearningReport, ScreenLane, SpotStats, Verdict, VerdictScreen,
-};
+use crate::verdict::{EvalPlan, LearningReport, SpotStats, Verdict, VerdictScreen};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Value;
@@ -14,15 +12,11 @@ use spot_clustering::{outlying_degrees, top_outlying_indices, OdConfig};
 use spot_moga::MogaConfig;
 use spot_stream::{LogicalClock, Reservoir};
 use spot_subspace::{genetic, ScoredSubspace, Subspace};
-use spot_synopsis::{
-    CellConsumer, ExecutorHandle, Grid, LiveCounters, OnceTask, SerialExecutor, SharedSlice,
-    StoreExecutor, SynopsisManager, SynopsisMark,
-};
+use spot_synopsis::{CellConsumer, Grid, LiveCounters, SynopsisManager, SynopsisMark};
 use spot_types::{
     DataPoint, Detection, FxHashSet, PersistError, Result, SpotError, StateReader, StateWriter,
     StreamDetector, StreamRecord,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -32,7 +26,7 @@ const RESERVOIR_SEED_SALT: u64 = 0x5EED_CAFE_D00D_F00D;
 
 /// Point-in-time snapshot of a detector's dirty-tracking counters, taken
 /// by [`Spot::capture_mark`] alongside a checkpoint. Opaque; its only use
-/// is as the baseline of a later [`Spot::delta_capture_with`].
+/// is as the baseline of a later [`Spot::delta_capture`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CaptureMark {
     mutations: u64,
@@ -40,7 +34,7 @@ pub struct CaptureMark {
     synopsis: SynopsisMark,
 }
 
-/// Outcome of [`Spot::delta_capture_with`].
+/// Outcome of [`Spot::delta_capture`].
 #[derive(Debug, Clone)]
 pub enum DeltaCapture {
     /// Nothing mutated since the mark — the previous checkpoint still
@@ -115,41 +109,25 @@ pub struct Spot {
     /// changed (learning, self-evolution, ablation, restore). A delta
     /// capture never spans a structure change — it falls back to full.
     structure_revision: u64,
-    /// The verdict rule as the shard loop's cell consumer, with the batch
-    /// path's participant lanes.
+    /// The verdict rule as the cell consumer of both ingest loops.
     screen: VerdictScreen,
     /// `(manager layout epoch, FS stores monitored at that epoch)` — the
     /// drift signal's denominator, recounted when the layout moves.
     monitored: (u64, u32),
-    /// Reused lane and plan of the single-point path.
-    point_lane: ScreenLane,
+    /// Reused plan of the single-point path.
     point_plan: EvalPlan,
-    /// Reused per-run plans of the batch path. A run's plans are assembled
-    /// before the next run is dispatched, so the commit that rides that
-    /// dispatch reads them while the lanes refill.
+    /// Reused per-run plans of the batch path.
     batch_plans: Vec<EvalPlan>,
 }
 
 impl Spot {
     /// Creates a detector from a validated configuration. FS is enumerated
-    /// immediately; CS/OS await the learning stage. The detector gets its
-    /// own executor service; use [`Spot::with_executor`] (or
-    /// `SpotBuilder::executor`) to share one service — and with it one
-    /// worker pool — across many detectors.
+    /// immediately; CS/OS await the learning stage.
     pub fn new(config: SpotConfig) -> Result<Self> {
-        Self::with_executor(config, ExecutorHandle::default_for_build())
-    }
-
-    /// [`Spot::new`] with an explicit executor service for the synopsis
-    /// shard phase and commit assembly. Detectors sharing a handle share its
-    /// single worker pool (the fleet runtime's wiring); verdicts are
-    /// bit-identical for every service configuration.
-    pub fn with_executor(config: SpotConfig, exec: ExecutorHandle) -> Result<Self> {
         config.validate()?;
         let phi = config.phi();
         let grid = Grid::new(config.bounds.clone(), config.granularity)?;
-        let mut manager = SynopsisManager::with_executor(grid, config.time_model, exec);
-        manager.set_pool_engagement(config.tuning.pool_min_stores, config.tuning.pool_min_points);
+        let manager = SynopsisManager::new(grid, config.time_model);
         let sst = Sst::new(
             phi,
             config.fs_max_dimension,
@@ -181,7 +159,6 @@ impl Spot {
             structure_revision: 0,
             screen,
             monitored: (0, 0),
-            point_lane: ScreenLane::default(),
             point_plan: EvalPlan::default(),
             batch_plans: Vec::new(),
         };
@@ -236,27 +213,6 @@ impl Spot {
     /// its `footprint()` from this.
     pub fn live_counters(&self) -> Arc<LiveCounters> {
         self.manager.live_counters()
-    }
-
-    /// Overrides the worker count of the executor service (`Some(0)`
-    /// forces serial, `None` restores machine-sized defaults).
-    /// Equivalence tests and deployments pinning thread budgets use this;
-    /// results are bit-identical for every setting. Affects every
-    /// detector sharing the service.
-    pub fn set_parallel_workers(&mut self, workers: Option<usize>) {
-        self.manager.set_parallel_workers(workers);
-    }
-
-    /// The executor service this detector's batch path dispatches through.
-    pub fn executor(&self) -> &ExecutorHandle {
-        self.manager.executor()
-    }
-
-    /// Replaces the executor service (the fleet runtime rewires restored
-    /// detectors onto its shared service with this). Safe at any quiescent
-    /// point: results are bit-identical for every executor.
-    pub fn set_executor(&mut self, exec: ExecutorHandle) {
-        self.manager.set_executor(exec);
     }
 
     /// Unsupervised learning stage (paper, Section II-C1): MOGA over the
@@ -407,11 +363,11 @@ impl Spot {
         // leaves the clock, the counters and the synopses where they were
         // (as `process_batch` does).
         let now = self.clock.now() + 1;
-        let (screen, lane) = (&self.screen, &mut self.point_lane);
-        lane.reset(1);
+        let screen = &mut self.screen;
+        screen.reset(1);
         self.manager
             .update_and_screen(now, point, |ordinal, store, touch| {
-                screen.cell(lane, ordinal, store, 0, touch)
+                screen.cell(ordinal, store, 0, touch)
             })?;
         self.clock.tick();
         self.mutations += 1;
@@ -419,11 +375,8 @@ impl Spot {
         // The plan is swapped out so the commit phase can borrow self
         // mutably; its capacity survives the round-trip.
         let mut plan = std::mem::take(&mut self.point_plan);
-        assemble_plans(
-            std::slice::from_mut(&mut self.point_lane),
-            monitored,
-            std::slice::from_mut(&mut plan),
-        );
+        self.screen
+            .assemble(monitored, std::slice::from_mut(&mut plan));
         let verdict = self.commit_point(now, point, &mut plan);
         self.point_plan = plan;
         Ok(verdict)
@@ -432,7 +385,7 @@ impl Spot {
     /// Number of FS stores feeding the drift signal — constant between
     /// layout changes of the manager, so it is recounted only when the
     /// layout epoch moved (self-evolution, OS growth, ablation, restore),
-    /// never accumulated per point or per participant.
+    /// never accumulated per point.
     fn monitored_stores(&mut self) -> u32 {
         let epoch = self.manager.layout_epoch();
         if self.monitored.0 != epoch {
@@ -448,52 +401,30 @@ impl Spot {
     }
 
     /// Batch detection: processes `points` as if fed one-by-one to
-    /// [`Spot::process`], but ingests them in maintenance-bounded runs so
-    /// the per-point synopsis work is a tight loop over pre-quantized
-    /// coordinates (and, with the `parallel` feature, fans the
-    /// subspace-disjoint store shards across the manager's persistent
-    /// worker pool).
-    ///
-    /// Evaluation is **two-phase** per run: the shard phase *screens*
-    /// every cell it touches against the thresholds (per-participant
-    /// accumulators, merged order-free into one immutable [`EvalPlan`]
-    /// per point), then a sequential *commit* applies the plans in point
-    /// order (counters, reservoir RNG, drift test, maintenance). When a
-    /// run's commit cannot mutate the synopses — no
-    /// maintenance tick inside it and no drift-triggered SST rewrite
-    /// possible — the **next run's shard ingestion overlaps the commit**
-    /// instead of waiting behind it.
+    /// [`Spot::process`], in maintenance-bounded runs of at most
+    /// [`Spot::BATCH_RUN`] points. A run is ingested store-major — every
+    /// point of the run into one store, then the next store — over
+    /// pre-quantized coordinates, and every touched cell is screened
+    /// against the thresholds as it is touched, into one plan per point.
+    /// Then the run is committed point by point with the commit
+    /// [`Spot::process`] runs (counters, outlier retention, reservoir,
+    /// drift test, maintenance). Runs never span a periodic-evolution or
+    /// prune tick: a run *ends on* such a tick, so maintenance runs at the
+    /// same point of the stream as one by one.
     ///
     /// Input validation is all-or-nothing: every point is checked for
     /// dimension mismatches and NaN values before anything is ingested.
     ///
-    /// Semantics match the one-by-one path exactly, with one documented
-    /// exception: a *drift-triggered* self-evolution that fires mid-run is
-    /// applied at the end of that run (at most [`Spot::BATCH_RUN`] points
-    /// late) rather than on the alarm's exact tick. Periodic evolution and
-    /// pruning stay on their exact ticks — runs never span a maintenance
-    /// boundary.
+    /// Verdicts, stats and synopses equal the one-by-one path's, with one
+    /// exception: a drift alarm that rewrites CS (evolution enabled, CS
+    /// non-empty). The commit of the alarm's point runs the
+    /// self-evolution on that tick, as one by one does, but the rest of
+    /// the run was already ingested and screened against the SST the run
+    /// started with, and a store the evolution adds is warmed from the
+    /// reservoir without those points. So up to [`Spot::BATCH_RUN`] − 1
+    /// later points can see the old SST, and where the runs begin (the
+    /// chunking of the calls) decides which.
     pub fn process_batch(&mut self, points: &[DataPoint]) -> Result<Vec<Verdict>> {
-        self.batch_impl(points, None)
-    }
-
-    /// [`Spot::process_batch`] with an explicit executor for the synopsis
-    /// shard phase — the entry `SharedSpot` uses to let producer threads
-    /// blocked on the detector lock claim shards cooperatively. Verdicts
-    /// and synopsis state are bit-identical for every executor.
-    pub fn process_batch_with(
-        &mut self,
-        points: &[DataPoint],
-        exec: &dyn StoreExecutor,
-    ) -> Result<Vec<Verdict>> {
-        self.batch_impl(points, Some(exec))
-    }
-
-    fn batch_impl(
-        &mut self,
-        points: &[DataPoint],
-        exec: Option<&dyn StoreExecutor>,
-    ) -> Result<Vec<Verdict>> {
         for p in points {
             if p.dims() != self.phi {
                 return Err(SpotError::DimensionMismatch {
@@ -511,49 +442,33 @@ impl Spot {
             return Ok(Vec::new());
         }
         self.mutations += 1;
-        // One executor serves the whole batch: the caller's (cooperative
-        // SharedSpot), the manager's persistent pool when the first run is
-        // wide enough (`parallel` feature), or the calling thread alone.
-        // Both the shard phase and the commit assembly dispatch through
-        // it. The width estimate is the *actual* first run length, so
-        // tight maintenance periods (tiny runs) never pay pool dispatch.
-        let first_run = self.run_len(self.clock.now() + 1, points.len());
-        let chosen = match exec {
-            Some(e) => BatchExec::External(e),
-            None => self.default_exec(first_run),
-        };
-
         let mut verdicts = Vec::with_capacity(points.len());
         let mut plans = std::mem::take(&mut self.batch_plans);
-        let result = self.batch_runs(points, chosen.as_dyn(), &mut plans, &mut verdicts);
+        let result = self.batch_runs(points, &mut plans, &mut verdicts);
         self.batch_plans = plans;
         result.map(|()| verdicts)
     }
 
-    /// The pipelined run loop behind [`Spot::batch_impl`]. Per run:
-    /// ingest + screen (shard phase) → plan assembly → commit
-    /// (sequential); whenever [`Spot::commit_is_manager_pure`] holds, the
-    /// commit of run *k* rides the shard dispatch of run *k + 1* as a
-    /// claim-once unit, so ingestion never waits behind evaluation.
+    /// The run loop behind [`Spot::process_batch`]. Per run: ingest +
+    /// screen, plan assembly, then the per-point commit.
     fn batch_runs(
         &mut self,
         points: &[DataPoint],
-        exec: &dyn StoreExecutor,
         plans: &mut Vec<EvalPlan>,
         verdicts: &mut Vec<Verdict>,
     ) -> Result<()> {
-        // A dispatch that unwound may have left filled lanes behind.
-        self.screen.discard();
-        let mut start = self.clock.now() + 1;
-        let mut len = self.run_len(start, points.len());
-        let (mut run, mut rest) = points.split_at(len);
-        self.manager
-            .update_and_screen_batch(start, run, exec, &self.screen, None)?;
-        loop {
+        let mut rest = points;
+        while !rest.is_empty() {
+            let start = self.clock.now() + 1;
+            let len = self.run_len(start, rest.len());
+            let (run, tail) = rest.split_at(len);
+            self.screen.reset(len);
+            self.manager
+                .update_and_screen_batch(start, run, &mut self.screen)?;
             self.stats.batch_runs += 1;
-            self.stats.batch_points += run.len() as u64;
-            // What is left of the old sweep: merging the participants'
-            // lanes into the run's plans.
+            self.stats.batch_points += len as u64;
+            // What is left of the old sweep: turning the screen's
+            // accumulators into the run's plans.
             let sweep_t0 = Instant::now();
             let monitored = self.monitored_stores();
             plans.truncate(len);
@@ -561,204 +476,19 @@ impl Spot {
             self.screen.assemble(monitored, plans);
             self.stats.sweep_nanos += sweep_t0.elapsed().as_nanos() as u64;
 
-            if rest.is_empty() {
-                self.commit_run(run, plans, verdicts, exec);
-                return Ok(());
-            }
-            let next_start = start + len as u64;
-            let next_len = self.run_len(next_start, rest.len());
-            let (next_run, next_rest) = rest.split_at(next_len);
-
-            if self.commit_is_manager_pure(start, len as u64, plans) {
-                self.stats.overlapped_runs += 1;
-                // Overlap: this run's commit becomes a claim-once rider on
-                // the next run's shard dispatch. Commit touches only
-                // detector state and this run's (already assembled)
-                // plans, ingestion only synopsis state and the screen's
-                // lanes, so the interleaving is unobservable
-                // (bit-identical to commit-then-ingest, which is exactly
-                // what a serial executor degrades to). The gate excluded
-                // every maintenance effect — no periodic/prune tick
-                // touches the run, and a drift alarm is possible only
-                // with CS empty, where self-evolution is a no-op — so the
-                // batched, effect-free commit applies verbatim.
-                let config = &self.config;
-                let stats = &mut self.stats;
-                let clock = &mut self.clock;
-                let reservoir = &mut self.reservoir;
-                let outlier_buffer = &mut self.outlier_buffer;
-                let drift = &mut self.drift;
-                let run_points = run;
-                let run_plans: &mut [EvalPlan] = plans;
-                let out: &mut Vec<Verdict> = verdicts;
-                let commit = OnceTask::new(move || {
-                    let t0 = Instant::now();
-                    let mut ctx = CommitCtx {
-                        config,
-                        stats,
-                        reservoir,
-                        outlier_buffer,
-                        drift,
-                    };
-                    // The rider stays serial inside its claim unit: it is
-                    // already one participant of the shard dispatch, and
-                    // nesting another dispatch would deadlock the pool.
-                    let chunk = config.tuning.commit_chunk;
-                    ctx.commit_run_batched(clock, run_points, run_plans, out, None, chunk);
-                    ctx.stats.commit_nanos += t0.elapsed().as_nanos() as u64;
-                });
-                self.manager.update_and_screen_batch(
-                    next_start,
-                    next_run,
-                    exec,
-                    &self.screen,
-                    Some(&commit),
-                )?;
-            } else {
-                self.commit_run(run, plans, verdicts, exec);
-                self.manager.update_and_screen_batch(
-                    next_start,
-                    next_run,
-                    exec,
-                    &self.screen,
-                    None,
-                )?;
-            }
-            (run, rest) = (next_run, next_rest);
-            (start, len) = (next_start, next_len);
-        }
-    }
-
-    /// Commit of a swept run, maintenance effects applied inline (the
-    /// non-overlapped path and every final run).
-    ///
-    /// Two shapes, bit-identical by construction:
-    ///
-    /// * **Batched** (the overwhelmingly common case): the order-free part
-    ///   of every point's commit — verdict assembly out of the swept plans
-    ///   — fans across `exec` in claim-chunks, then one sequential fold
-    ///   applies the Page–Hinkley observations in point order, merges the
-    ///   counters, replays the outlier retentions, offers the whole run to
-    ///   the reservoir in a single batched pass
-    ///   ([`Reservoir::offer_run`]), and advances the clock by arithmetic.
-    ///   Maintenance effects run after the fold — [`Spot::run_len`]
-    ///   guarantees a periodic/prune tick can only sit on the run's *last*
-    ///   point, exactly where the per-point path would apply it.
-    /// * **Exact fallback**: when a drift alarm inside the run would
-    ///   rewrite the SST mid-run (alarm + evolution enabled + CS
-    ///   non-empty, decided up front by replaying the plans' novelty
-    ///   signals on a scratch Page–Hinkley), the commit degrades to the
-    ///   original per-point loop, because a mid-run self-evolution reads
-    ///   the reservoir and outlier buffer *as of that point*.
-    fn commit_run(
-        &mut self,
-        run: &[DataPoint],
-        plans: &mut [EvalPlan],
-        verdicts: &mut Vec<Verdict>,
-        exec: &dyn StoreExecutor,
-    ) {
-        let t0 = Instant::now();
-        if self.run_commit_needs_exact(plans) {
-            for (i, p) in run.iter().enumerate() {
+            let commit_t0 = Instant::now();
+            for (p, plan) in run.iter().zip(plans.iter_mut()) {
                 let now = self.clock.tick();
-                let verdict = self.commit_point(now, p, &mut plans[i]);
-                verdicts.push(verdict);
+                verdicts.push(self.commit_point(now, p, plan));
             }
-            self.stats.commit_nanos += t0.elapsed().as_nanos() as u64;
-            return;
+            self.stats.commit_nanos += commit_t0.elapsed().as_nanos() as u64;
+            rest = tail;
         }
-        let end = self.clock.now() + run.len() as u64;
-        let chunk = self.config.tuning.commit_chunk;
-        let mut ctx = CommitCtx {
-            config: &self.config,
-            stats: &mut self.stats,
-            reservoir: &mut self.reservoir,
-            outlier_buffer: &mut self.outlier_buffer,
-            drift: &mut self.drift,
-        };
-        ctx.commit_run_batched(&mut self.clock, run, plans, verdicts, Some(exec), chunk);
-        // Maintenance on the run's final tick, in the order the per-point
-        // path applies it. A drift alarm inside a batched run implies CS
-        // is empty or evolution is off (the exact-fallback gate), so the
-        // drift-evolve effect is always a no-op here and is skipped.
-        if self.config.evolution.enabled && end.is_multiple_of(self.config.evolution.period) {
-            self.maintain_sst(false, true);
-        }
-        if self.config.prune_every > 0 && end.is_multiple_of(self.config.prune_every) {
-            self.stats.cells_pruned += self.manager.prune(end, self.config.prune_floor) as u64;
-        }
-        self.stats.commit_nanos += t0.elapsed().as_nanos() as u64;
+        Ok(())
     }
 
-    /// Whether committing this swept run must take the exact per-point
-    /// path: a drift alarm will fire inside it *and* the alarm triggers a
-    /// CS self-evolution that reads mid-run reservoir/outlier state.
-    /// Decided before the commit runs — the swept plans fully determine
-    /// every Page–Hinkley update (no RNG), so a replay on a scratch copy
-    /// is exact.
-    fn run_commit_needs_exact(&self, plans: &[EvalPlan]) -> bool {
-        if !self.config.drift.enabled || !self.config.evolution.enabled || self.sst.sizes().1 == 0 {
-            return false;
-        }
-        let mut ph = self.drift.clone();
-        plans.iter().any(|plan| {
-            plan.monitored > 0 && ph.observe(plan.monitored_fresh as f64 / plan.monitored as f64)
-        })
-    }
-
-    /// Whether committing the run `[start, start + len)` is guaranteed not
-    /// to mutate the synopsis manager or the SST — the gate for
-    /// overlapping the next run's shard ingestion with this commit.
-    /// Mutations come from maintenance ticks (periodic evolution, pruning;
-    /// excluded by tick arithmetic) and from a drift-triggered CS
-    /// self-evolution. The latter is decidable *before* the commit runs:
-    /// the swept `plans` fully determine every Page–Hinkley update the
-    /// commit will perform (no RNG is involved in the drift test), so a
-    /// cheap simulation over the run's novelty signals tells exactly
-    /// whether an alarm — and with it an SST rewrite — will fire. (A
-    /// fired alarm with CS empty is still pure: self-evolution of an
-    /// empty CS is a no-op, and CS cannot become non-empty mid-commit —
-    /// only `evolve_cs` of a non-empty CS or a learning stage populate
-    /// it.)
-    fn commit_is_manager_pure(&self, start: u64, len: u64, plans: &[EvalPlan]) -> bool {
-        // First multiple of `p` at or after `start`, inside the run?
-        let period_tick_inside = |p: u64| p > 0 && start.div_ceil(p) * p < start + len;
-        if self.config.evolution.enabled && period_tick_inside(self.config.evolution.period) {
-            return false;
-        }
-        if period_tick_inside(self.config.prune_every) {
-            return false;
-        }
-        if self.config.drift.enabled && self.config.evolution.enabled && self.sst.sizes().1 > 0 {
-            // Replay the commit's exact observe() sequence on a scratch
-            // copy of the drift detector (commits of earlier runs have
-            // already completed, so `self.drift` is the state this run's
-            // commit starts from).
-            let mut ph = self.drift.clone();
-            for plan in plans {
-                if plan.monitored > 0 {
-                    let novel = plan.monitored_fresh as f64 / plan.monitored as f64;
-                    if ph.observe(novel) {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// Default executor for [`Spot::process_batch`]: the service's shared
-    /// pool when the run is wide enough to pay for dispatch, the calling
-    /// thread otherwise.
-    fn default_exec(&mut self, run_points: usize) -> BatchExec<'static> {
-        match self.manager.batch_pool(run_points) {
-            Some(pool) => BatchExec::Pool(pool),
-            None => BatchExec::Serial(SerialExecutor),
-        }
-    }
-
-    /// Maximum points per internal batch run (bounds how late a
-    /// drift-triggered self-evolution can be applied).
+    /// Maximum points per internal batch run (bounds how many points a
+    /// drift-triggered self-evolution can miss; see [`Spot::process_batch`]).
     pub const BATCH_RUN: usize = 256;
 
     /// Length of the next batch run starting at `start`: capped at
@@ -784,25 +514,50 @@ impl Spot {
         len
     }
 
-    /// The sequential **commit** phase for one swept point: counters,
-    /// outlier retention, reservoir sampling, the drift test, and —
-    /// applied inline here — every maintenance effect (drift-triggered and
-    /// periodic self-evolution, OS growth, pruning). Consumes the plan's
-    /// findings into the verdict.
+    /// The sequential **commit** of one screened point, on both paths:
+    /// counters, outlier retention, reservoir sampling, the drift test,
+    /// and — applied inline here — every maintenance effect
+    /// (drift-triggered and periodic self-evolution, OS growth, pruning).
+    /// Consumes the plan's findings into the verdict.
     fn commit_point(&mut self, now: u64, point: &DataPoint, plan: &mut EvalPlan) -> Verdict {
-        let (verdict, effects) = CommitCtx {
-            config: &self.config,
-            stats: &mut self.stats,
-            reservoir: &mut self.reservoir,
-            outlier_buffer: &mut self.outlier_buffer,
-            drift: &mut self.drift,
+        self.stats.processed += 1;
+        if plan.outlier {
+            self.stats.outliers += 1;
+            push_outlier(
+                self.config.evolution.outlier_buffer,
+                &mut self.outlier_buffer,
+                now,
+                point,
+            );
         }
-        .commit_one(now, point, plan);
+        self.reservoir
+            .offer(self.config.evolution.reservoir, now, point);
+
+        // Concept drift on the projected-freshness signal.
+        let mut drift = false;
+        if self.config.drift.enabled && plan.monitored > 0 {
+            let novel = plan.monitored_fresh as f64 / plan.monitored as f64;
+            drift = self.drift.observe(novel);
+            if drift {
+                self.stats.drift_events += 1;
+            }
+        }
+        let verdict = Verdict {
+            tick: now,
+            outlier: plan.outlier,
+            score: plan.score,
+            findings: std::mem::take(&mut plan.findings),
+            drift,
+        };
+
         // Maintenance, in the order the pre-split evaluator applied it.
-        if effects.drift_evolve || effects.periodic {
-            self.maintain_sst(effects.drift_evolve, effects.periodic);
+        let evolution = &self.config.evolution;
+        let drift_evolve = drift && evolution.enabled;
+        let periodic = evolution.enabled && now.is_multiple_of(evolution.period);
+        if drift_evolve || periodic {
+            self.maintain_sst(drift_evolve, periodic);
         }
-        if effects.prune {
+        if self.config.prune_every > 0 && now.is_multiple_of(self.config.prune_every) {
             self.stats.cells_pruned += self.manager.prune(now, self.config.prune_floor) as u64;
         }
         verdict
@@ -825,11 +580,8 @@ impl Spot {
     }
 
     /// Captures the detector's complete runtime state — everything beyond
-    /// config + SST — as the `state` payload of a v2 checkpoint. The
-    /// synopsis stores are encoded through `exec` (one claim unit per
-    /// store), so a cooperative caller's helpers share the column-encoding
-    /// work. Read-only; any claim interleaving yields the identical tree.
-    pub(crate) fn capture_runtime_state(&self, exec: &dyn StoreExecutor) -> Value {
+    /// config + SST — as the `state` payload of a v2 checkpoint.
+    pub(crate) fn capture_runtime_state(&self) -> Value {
         let mut w = StateWriter::new();
         w.component("clock", &self.clock);
         w.bool("learned", self.learned);
@@ -838,13 +590,13 @@ impl Spot {
         w.component("drift", &self.drift);
         w.component("reservoir", &self.reservoir);
         w.point_list("outlier_buffer", &self.outlier_buffer);
-        w.value("synopsis", self.manager.capture_state_with(exec));
+        w.value("synopsis", self.manager.capture_state());
         w.finish()
     }
 
     /// Snapshots the detector's dirty-tracking counters at capture time.
     /// Take the mark under the same lock (and at the same instant) as the
-    /// capture itself; pair it with [`Spot::delta_capture_with`] on the
+    /// capture itself; pair it with [`Spot::delta_capture`] on the
     /// next checkpoint to encode only what changed in between.
     pub fn capture_mark(&self) -> CaptureMark {
         CaptureMark {
@@ -860,14 +612,14 @@ impl Spot {
     /// tiny and change with every point; the synopsis contributes only its
     /// dirtied stores. Falls back to [`DeltaCapture::Full`] whenever the
     /// SST structure moved, because ordinals would no longer line up.
-    pub fn delta_capture_with(&self, exec: &dyn StoreExecutor, mark: &CaptureMark) -> DeltaCapture {
+    pub fn delta_capture(&self, mark: &CaptureMark) -> DeltaCapture {
         if self.mutations == mark.mutations && self.structure_revision == mark.structure {
             return DeltaCapture::Unchanged;
         }
         if self.structure_revision != mark.structure {
             return DeltaCapture::Full;
         }
-        let Some(synopsis) = self.manager.capture_state_delta_with(exec, &mark.synopsis) else {
+        let Some(synopsis) = self.manager.capture_state_delta(&mark.synopsis) else {
             return DeltaCapture::Full;
         };
         let mut w = StateWriter::new();
@@ -1113,181 +865,6 @@ impl Spot {
     }
 }
 
-/// The effects a committed point demands beyond its own verdict — the
-/// state mutations that must run between points, applied by the caller
-/// (inline on the sequential paths; excluded by the overlap gate on the
-/// pipelined path, where `drift_evolve` is provably a no-op).
-#[derive(Debug, Default, Clone, Copy)]
-struct CommitEffects {
-    /// A drift alarm fired and evolution is enabled → CS self-evolution.
-    drift_evolve: bool,
-    /// This tick is a periodic-evolution tick → self-evolution + OS growth.
-    periodic: bool,
-    /// This tick is a pruning tick.
-    prune: bool,
-}
-
-/// The split-borrow bundle of every detector field the commit phase
-/// mutates — constructed over `&mut Spot` on the sequential paths, and
-/// captured field-by-field into the claim-once rider on the overlapped
-/// path (where `Spot::manager` is concurrently ingesting the next run).
-struct CommitCtx<'a> {
-    config: &'a SpotConfig,
-    stats: &'a mut SpotStats,
-    reservoir: &'a mut Reservoir,
-    outlier_buffer: &'a mut Vec<(u64, DataPoint)>,
-    drift: &'a mut PageHinkley,
-}
-
-impl CommitCtx<'_> {
-    /// Commits one swept point: the sequential, state-mutating half of
-    /// two-phase evaluation. Returns the verdict (taking the plan's
-    /// findings) plus the maintenance effects due on this tick.
-    fn commit_one(
-        &mut self,
-        now: u64,
-        point: &DataPoint,
-        plan: &mut EvalPlan,
-    ) -> (Verdict, CommitEffects) {
-        self.stats.processed += 1;
-        if plan.outlier {
-            self.stats.outliers += 1;
-            push_outlier(
-                self.config.evolution.outlier_buffer,
-                self.outlier_buffer,
-                now,
-                point,
-            );
-        }
-        self.reservoir
-            .offer(self.config.evolution.reservoir, now, point);
-
-        // Concept drift on the projected-freshness signal.
-        let mut effects = CommitEffects::default();
-        let mut drift_fired = false;
-        if self.config.drift.enabled && plan.monitored > 0 {
-            let novel = plan.monitored_fresh as f64 / plan.monitored as f64;
-            if self.drift.observe(novel) {
-                drift_fired = true;
-                self.stats.drift_events += 1;
-                if self.config.evolution.enabled {
-                    effects.drift_evolve = true;
-                }
-            }
-        }
-        if self.config.evolution.enabled && now.is_multiple_of(self.config.evolution.period) {
-            effects.periodic = true;
-        }
-        if self.config.prune_every > 0 && now.is_multiple_of(self.config.prune_every) {
-            effects.prune = true;
-        }
-        let verdict = Verdict {
-            tick: now,
-            outlier: plan.outlier,
-            score: plan.score,
-            findings: std::mem::take(&mut plan.findings),
-            drift: drift_fired,
-        };
-        (verdict, effects)
-    }
-
-    /// Commits a whole swept run in two passes instead of a per-point
-    /// loop, bit-identical to [`CommitCtx::commit_one`] over the run as
-    /// long as no mid-run maintenance effect fires (the callers' gates
-    /// guarantee that; a drift alarm is fine — it only flags the verdict).
-    ///
-    /// Pass 1 is **order-free**: each verdict is a pure function of its
-    /// own plan and tick, so assembly fans across `exec` in `chunk`-sized
-    /// claim units (or runs inline when the run is narrow or `exec` is
-    /// `None`). Pass 2 is the **sequential fold**: Page–Hinkley
-    /// observations in point order, counter merges, outlier retention in
-    /// point order, one batched reservoir pass, one clock advance.
-    fn commit_run_batched(
-        &mut self,
-        clock: &mut LogicalClock,
-        run: &[DataPoint],
-        plans: &mut [EvalPlan],
-        verdicts: &mut Vec<Verdict>,
-        exec: Option<&dyn StoreExecutor>,
-        chunk: usize,
-    ) {
-        let len = run.len();
-        let start = clock.now() + 1;
-
-        // Pass 1: order-free verdict assembly.
-        let base = verdicts.len();
-        verdicts.resize_with(base + len, || Verdict {
-            tick: 0,
-            outlier: false,
-            score: 0.0,
-            findings: Vec::new(),
-            drift: false,
-        });
-        let out = &mut verdicts[base..];
-        let assemble = |i: usize, plan: &mut EvalPlan| Verdict {
-            tick: start + i as u64,
-            outlier: plan.outlier,
-            score: plan.score,
-            findings: std::mem::take(&mut plan.findings),
-            drift: false,
-        };
-        match exec {
-            Some(e) if len > chunk => {
-                let chunks = len.div_ceil(chunk);
-                let cursor = AtomicUsize::new(0);
-                let shared_plans = SharedSlice::new(plans);
-                let shared_out = SharedSlice::new(out);
-                let work = || loop {
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    if k >= chunks {
-                        break;
-                    }
-                    let lo = k * chunk;
-                    let hi = (lo + chunk).min(len);
-                    for i in lo..hi {
-                        // SAFETY: `i` belongs to chunk `k`, claimed
-                        // exactly once; plans and out are disjoint slices.
-                        let plan = unsafe { shared_plans.get_mut(i) };
-                        let slot = unsafe { shared_out.get_mut(i) };
-                        *slot = assemble(i, plan);
-                    }
-                };
-                e.execute(&work);
-            }
-            _ => {
-                for (i, (slot, plan)) in out.iter_mut().zip(plans.iter_mut()).enumerate() {
-                    *slot = assemble(i, plan);
-                }
-            }
-        }
-
-        // Pass 2: the sequential fold. Page–Hinkley first — its updates
-        // are the only order-sensitive computation in a commit.
-        if self.config.drift.enabled {
-            for (slot, plan) in out.iter_mut().zip(plans.iter()) {
-                if plan.monitored > 0 {
-                    let novel = plan.monitored_fresh as f64 / plan.monitored as f64;
-                    if self.drift.observe(novel) {
-                        slot.drift = true;
-                        self.stats.drift_events += 1;
-                    }
-                }
-            }
-        }
-        self.stats.processed += len as u64;
-        let cap = self.config.evolution.outlier_buffer;
-        for (i, (slot, point)) in out.iter().zip(run).enumerate() {
-            if slot.outlier {
-                self.stats.outliers += 1;
-                push_outlier(cap, self.outlier_buffer, start + i as u64, point);
-            }
-        }
-        self.reservoir
-            .offer_run(self.config.evolution.reservoir, start, run);
-        clock.advance(len as u64);
-    }
-}
-
 /// Retains a detected outlier for OS growth — the clone happens only once
 /// the point is actually kept (a zero-capacity buffer never clones).
 fn push_outlier(cap: usize, buffer: &mut Vec<(u64, DataPoint)>, now: u64, p: &DataPoint) {
@@ -1298,27 +875,6 @@ fn push_outlier(cap: usize, buffer: &mut Vec<(u64, DataPoint)>, now: u64, p: &Da
         buffer.remove(0);
     }
     buffer.push((now, p.clone()));
-}
-
-/// The executor a batch call resolved to (owned where necessary so one
-/// choice serves every run of the batch).
-enum BatchExec<'a> {
-    /// Caller-supplied (e.g. the cooperative `SharedSpot` job board).
-    External(&'a dyn StoreExecutor),
-    /// The executor service's shared worker pool.
-    Pool(Arc<spot_synopsis::WorkerPool>),
-    /// The calling thread alone.
-    Serial(SerialExecutor),
-}
-
-impl BatchExec<'_> {
-    fn as_dyn(&self) -> &dyn StoreExecutor {
-        match self {
-            BatchExec::External(e) => *e,
-            BatchExec::Pool(pool) => &**pool,
-            BatchExec::Serial(serial) => serial,
-        }
-    }
 }
 
 /// τ estimate for leader clustering: half the mean pairwise distance over a
@@ -1610,7 +1166,7 @@ mod tests {
     #[test]
     fn nan_batch_rejection_leaves_scratch_state_clean() {
         // A rejected batch (NaN point) must not corrupt the reused
-        // screen lanes / batch_plans scratch buffers: every
+        // screen accumulators / batch_plans scratch buffers: every
         // subsequent batch must be bit-identical to a detector that never
         // saw the poisoned batch. The failed batch lands mid-stream, after
         // the scratch buffers are warm from earlier (larger) batches.
@@ -1693,13 +1249,13 @@ mod tests {
     #[test]
     fn batch_path_keeps_drift_denominator_and_raises_per_point_alarms() {
         // The drift signal is fresh FS cells / FS stores. The denominator
-        // is a constant of the run, carried beside the participants'
+        // is a constant of the run, carried beside the screen's
         // accumulators; losing it (monitored = 0) silently switches
         // Page–Hinkley off on the batch path, and no throughput or verdict
         // digest on a stationary stream would notice. Pin it: every batch
         // plan reports all FS stores — and only them, CS being monitored
         // too — and a shifting stream raises exactly the alarms the
-        // per-point path raises, under a serial and a fan-out executor.
+        // per-point path raises.
         use crate::config::DriftConfig;
         let build = || {
             let mut s = SpotBuilder::new(DomainBounds::unit(6))
@@ -1739,24 +1295,20 @@ mod tests {
             serial.stats()
         );
 
-        let pool = spot_synopsis::WorkerPool::new(2);
-        let execs: [&dyn StoreExecutor; 2] = [&SerialExecutor, &pool];
-        for exec in execs {
-            let mut batched = build();
-            let mut got = Vec::new();
-            for chunk in stream.chunks(97) {
-                got.extend(batched.process_batch_with(chunk, exec).unwrap());
-                assert!(!batched.batch_plans.is_empty());
-                for plan in &batched.batch_plans {
-                    assert_eq!(plan.monitored as usize, fs);
-                }
+        let mut batched = build();
+        let mut got = Vec::new();
+        for chunk in stream.chunks(97) {
+            got.extend(batched.process_batch(chunk).unwrap());
+            assert!(!batched.batch_plans.is_empty());
+            for plan in &batched.batch_plans {
+                assert_eq!(plan.monitored as usize, fs);
             }
-            assert_eq!(got.len(), want.len());
-            for (a, b) in want.iter().zip(&got) {
-                assert!(a.bitwise_eq(b), "tick {}: {a:?} vs {b:?}", a.tick);
-            }
-            assert_eq!(batched.stats().drift_events, serial.stats().drift_events);
         }
+        assert_eq!(got.len(), want.len());
+        for (a, b) in want.iter().zip(&got) {
+            assert!(a.bitwise_eq(b), "tick {}: {a:?} vs {b:?}", a.tick);
+        }
+        assert_eq!(batched.stats().drift_events, serial.stats().drift_events);
     }
 
     #[test]

@@ -26,6 +26,11 @@
 //! * **Online adaptation** — CS self-evolution, OS growth from detected
 //!   outliers, and Page–Hinkley concept-drift response.
 //!
+//! A detector runs on one thread at a time: [`Spot::process`] and
+//! [`Spot::process_batch`] are serial, and [`SharedSpot`] is one mutex
+//! around a detector with lock-free stats and footprint reads. Many
+//! streams run as many detectors (`spot-runtime`'s fleet).
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -62,7 +67,7 @@ pub mod verdict;
 
 pub use concurrent::SharedSpot;
 pub use config::{
-    DriftConfig, EvolutionConfig, LearningConfig, SpotBuilder, SpotConfig, Thresholds, TuningConfig,
+    DriftConfig, EvolutionConfig, LearningConfig, SpotBuilder, SpotConfig, Thresholds,
 };
 pub use detector::{CaptureMark, DeltaCapture, Spot, SynopsisFootprint};
 pub use drift::PageHinkley;
@@ -71,12 +76,8 @@ pub use snapshot::{
     restore_from_bytes, restore_from_json, SpotCheckpoint, SpotSnapshot, CHECKPOINT_BINARY_VERSION,
     CHECKPOINT_VERSION, SNAPSHOT_VERSION,
 };
-pub use spot_synopsis::ExecutorHandle;
 pub use sst::{Sst, SstComponent};
-pub use verdict::{
-    assemble_plans, EvalPlan, LearningReport, ScreenLane, SpotStats, SubspaceFinding, Verdict,
-    VerdictScreen,
-};
+pub use verdict::{EvalPlan, LearningReport, SpotStats, SubspaceFinding, Verdict, VerdictScreen};
 
 // Re-export the substrate crates so downstream users need a single
 // dependency.

@@ -19,9 +19,8 @@
 //! [`restore_from_json`] dispatches on the `version` field and rejects
 //! unknown versions with a typed error
 //! ([`SpotError::UnsupportedSnapshotVersion`]) instead of a deserialize
-//! panic. See
-//! `docs/persistence.md` for the format layout, the versioning policy and
-//! the non-blocking checkpoint protocol of `SharedSpot::checkpoint`.
+//! panic. See `docs/persistence.md` for the format layout and the
+//! versioning policy.
 //!
 //! # When is a cold (v1) restore good enough?
 //!
@@ -43,7 +42,6 @@ use crate::config::SpotConfig;
 use crate::detector::Spot;
 use crate::sst::Sst;
 use serde::{DeError, Deserialize, Serialize, Value};
-use spot_synopsis::{SerialExecutor, StoreExecutor};
 use spot_types::persist::binary;
 use spot_types::{Result, SpotError, StateReader};
 
@@ -184,7 +182,7 @@ impl SpotCheckpoint {
 
     /// Materializes the checkpoint a delta capture describes: `self` is
     /// the delta's base (the previous generation), `delta_state` is the
-    /// tree produced by `Spot::delta_capture_with`. The scalar layers are
+    /// tree produced by `Spot::delta_capture`. The scalar layers are
     /// replaced wholesale; the synopsis merge swaps in only the dirtied
     /// stores, keyed by registration ordinal, with the store's subspace
     /// mask cross-checked against the base so a delta can never silently
@@ -282,19 +280,10 @@ impl Spot {
     /// Captures the complete runtime state — the v2 checkpoint. The
     /// detector is not mutated; processing can resume immediately after.
     pub fn checkpoint(&self) -> SpotCheckpoint {
-        self.checkpoint_with(&SerialExecutor)
-    }
-
-    /// [`Spot::checkpoint`] with an explicit executor: every projected
-    /// store's column encoding is one claim unit on the capture cursor
-    /// (the same claim-once protocol the batch shard phase uses), so a
-    /// cooperative caller's blocked producers help capture instead of
-    /// convoying. `SharedSpot::checkpoint` rides this.
-    pub fn checkpoint_with(&self, exec: &dyn StoreExecutor) -> SpotCheckpoint {
         SpotCheckpoint {
             config: self.config().clone(),
             sst: self.sst().clone(),
-            state: self.capture_runtime_state(exec),
+            state: self.capture_runtime_state(),
         }
     }
 
@@ -724,7 +713,6 @@ mod tests {
 
     #[test]
     fn delta_capture_applies_onto_base_checkpoint_bit_exactly() {
-        use spot_synopsis::SerialExecutor;
         let mut spot = SpotBuilder::new(DomainBounds::unit(4))
             .seed(11)
             .build()
@@ -738,7 +726,7 @@ mod tests {
 
         // No mutation → Unchanged.
         assert!(matches!(
-            spot.delta_capture_with(&SerialExecutor, &mark),
+            spot.delta_capture(&mark),
             crate::detector::DeltaCapture::Unchanged
         ));
 
@@ -747,7 +735,7 @@ mod tests {
         for p in stream(40) {
             spot.process(&p).unwrap();
         }
-        match spot.delta_capture_with(&SerialExecutor, &mark) {
+        match spot.delta_capture(&mark) {
             crate::detector::DeltaCapture::Delta(d) => {
                 let merged = base.apply_state_delta(&d).unwrap();
                 let want = serde_json::to_string(&spot.checkpoint()).unwrap();
@@ -762,7 +750,7 @@ mod tests {
         let mark = spot.capture_mark();
         spot.clear_cs();
         assert!(matches!(
-            spot.delta_capture_with(&SerialExecutor, &mark),
+            spot.delta_capture(&mark),
             crate::detector::DeltaCapture::Full
         ));
 
@@ -773,9 +761,7 @@ mod tests {
         for p in stream(20) {
             spot.process(&p).unwrap();
         }
-        let crate::detector::DeltaCapture::Delta(d) =
-            spot.delta_capture_with(&SerialExecutor, &mark2)
-        else {
+        let crate::detector::DeltaCapture::Delta(d) = spot.delta_capture(&mark2) else {
             panic!("expected Delta after processing against a fresh mark");
         };
         let mut mangled = spot.checkpoint();
@@ -809,7 +795,6 @@ mod tests {
         // full tree and every delta. No reader asks for it: such a pair
         // merges, restores, and carries on bit-identically to the detector
         // that never stopped.
-        use spot_synopsis::SerialExecutor;
         let mut spot = SpotBuilder::new(DomainBounds::unit(4))
             .seed(11)
             .build()
@@ -823,9 +808,7 @@ mod tests {
         for p in stream(40) {
             spot.process(&p).unwrap();
         }
-        let crate::detector::DeltaCapture::Delta(mut delta) =
-            spot.delta_capture_with(&SerialExecutor, &mark)
-        else {
+        let crate::detector::DeltaCapture::Delta(mut delta) = spot.delta_capture(&mark) else {
             panic!("expected Delta");
         };
         let old_base = |d: u64| {
@@ -858,6 +841,75 @@ mod tests {
         let got = resumed.process_batch(&tail).unwrap();
         assert_verdicts_bitwise(&want, &got);
         assert_eq!(resumed.stats(), spot.stats());
+    }
+
+    #[test]
+    fn checkpoints_carrying_the_retired_tuning_and_overlap_fields_still_load() {
+        // Trees written while the batch path had executors carry a
+        // `config.tuning` block and a run-overlap counter in `stats`. No
+        // reader asks for either, so the format version does not move: a
+        // tree that still has them restores through both carriers and
+        // through `Spot::from_checkpoint`, and carries on bit-identically
+        // to the tree without them. (The retired counter's name is spelled
+        // in two halves so a grep for it finds no live code.)
+        let mut spot = SpotBuilder::new(DomainBounds::unit(4))
+            .seed(13)
+            .evolution(EvolutionConfig {
+                period: 400,
+                ..Default::default()
+            })
+            .pruning(300, 1e-4)
+            .build()
+            .unwrap();
+        spot.learn(&train()).unwrap();
+        spot.process_batch(&stream(700)).unwrap();
+        let fresh = spot.checkpoint();
+        let fresh_bytes = fresh.to_bytes();
+
+        let mut tree = fresh.to_value();
+        let tuning = Value::Object(vec![
+            ("pool_min_stores".to_string(), Value::U64(8)),
+            ("pool_min_points".to_string(), Value::U64(8)),
+            ("commit_chunk".to_string(), Value::U64(32)),
+        ]);
+        match field_mut(&mut tree, "config").unwrap() {
+            Value::Object(entries) => entries.push(("tuning".to_string(), tuning)),
+            other => panic!("config is not an object: {other:?}"),
+        }
+        let state = field_mut(&mut tree, "state").unwrap();
+        match field_mut(state, "stats").unwrap() {
+            Value::Object(entries) => {
+                let at = entries.iter().position(|(k, _)| k == "batch_runs").unwrap() + 1;
+                let retired = concat!("overlapped", "_runs").to_string();
+                entries.insert(at, (retired, Value::U64(2)));
+            }
+            other => panic!("stats is not an object: {other:?}"),
+        }
+        let json = serde_json::to_string(&tree).unwrap();
+        *field_mut(&mut tree, "version").unwrap() = Value::U64(CHECKPOINT_BINARY_VERSION as u64);
+        let binary = binary::encode_container(&tree);
+        assert_ne!(binary, fresh_bytes, "the patched tree must differ");
+
+        // One by one: the per-point path adds nothing to the batch timers,
+        // so the checkpoints after the tail are comparable byte for byte.
+        let tail = stream(2000);
+        let want: Vec<Verdict> = tail.iter().map(|p| spot.process(p).unwrap()).collect();
+        let restored = [
+            restore_from_bytes(json.as_bytes()).unwrap(),
+            restore_from_bytes(&binary).unwrap(),
+            Spot::from_checkpoint(&SpotCheckpoint::from_value(&tree).unwrap()).unwrap(),
+        ];
+        for mut r in restored {
+            assert_eq!(r.checkpoint().to_bytes(), fresh_bytes);
+            let got: Vec<Verdict> = tail.iter().map(|p| r.process(p).unwrap()).collect();
+            assert_verdicts_bitwise(&want, &got);
+            assert_eq!(r.stats(), spot.stats());
+            assert_eq!(
+                (r.stats().batch_points, r.stats().batch_runs),
+                (spot.stats().batch_points, spot.stats().batch_runs)
+            );
+            assert_eq!(r.checkpoint().to_bytes(), spot.checkpoint().to_bytes());
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::config::{SpotConfig, Thresholds};
 use spot_subspace::Subspace;
-use spot_synopsis::{CellConsumer, CellTouch, LanePool, ProjectedStore};
+use spot_synopsis::{CellConsumer, CellTouch, ProjectedStore};
 use spot_types::{DurableState, PersistError, StateReader, StateWriter};
 
 /// One subspace in which a point was found outlying, with the PCS values
@@ -37,7 +37,7 @@ pub struct Verdict {
 impl Verdict {
     /// Bit-exact equality: every field compared, float scores by their
     /// IEEE-754 bit patterns. This is the equivalence predicate the
-    /// executor-determinism and warm-restart suites pin — one definition,
+    /// batch-equivalence and warm-restart suites pin — one definition,
     /// so growing [`Verdict`] can never silently weaken those checks.
     pub fn bitwise_eq(&self, other: &Verdict) -> bool {
         let Verdict {
@@ -67,11 +67,11 @@ impl Verdict {
 
 /// The immutable product of the **screening** phase of two-phase verdict
 /// evaluation: everything derivable from the cells a point touched and the
-/// configuration alone — no detector state read or written. The shard loop
-/// screens every cell where it is touched ([`VerdictScreen`]);
-/// [`assemble_plans`] turns a run's merged accumulators into one plan per
-/// point, and the small sequential **commit** phase (RNG, drift,
-/// maintenance) applies the plans in point order.
+/// configuration alone — no detector state read or written. The ingest
+/// loops screen every cell where it is touched ([`VerdictScreen`]);
+/// [`VerdictScreen::assemble`] turns a run's accumulators into one plan
+/// per point, and the sequential **commit** (RNG, drift, maintenance)
+/// applies the plans in point order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EvalPlan {
     /// Flagged subspaces, sparsest (lowest RD) first — moved into the
@@ -98,7 +98,7 @@ impl EvalPlan {
     }
 }
 
-/// The verdict rule folded into the shard loop: the detector's
+/// The verdict rule folded into the ingest loops: the detector's
 /// [`CellConsumer`]. Per touched cell it keeps what a verdict needs and
 /// nothing else — the point's minimum RD, a freshness count over the FS
 /// stores, and, for the rare cell whose RD is under the threshold (the
@@ -115,25 +115,18 @@ impl EvalPlan {
 /// signal saturates; low-dimensional projections stay dense under a
 /// stable distribution and light up when it moves.) The signal's
 /// denominator — how many FS stores there are — is the same for every
-/// point of a run and is *not* accumulated here: [`assemble_plans`] takes
-/// it from the caller.
+/// point of a run and is *not* accumulated here: [`VerdictScreen::assemble`]
+/// takes it from the caller.
+///
+/// One accumulator serves both loop orders: [`VerdictScreen::reset`] for
+/// a run of `n` points, feed it every touched cell (point-major or
+/// store-major), then [`VerdictScreen::assemble`].
 #[derive(Debug)]
 pub struct VerdictScreen {
     thresholds: Thresholds,
     fs_max_dimension: usize,
     novelty_floor: f64,
-    /// Lanes of the batch path.
-    lanes: LanePool<ScreenLane>,
-}
-
-/// One participant's accumulators for a run: per point the minimum RD and
-/// fresh-cell count over the stores this participant claimed, plus the
-/// cells it flagged. Lanes merge order-free (`min`, `+`, concatenation
-/// under a total order), which is what makes plans independent of the
-/// executor.
-#[derive(Debug, Default)]
-pub struct ScreenLane {
-    /// Per point of the run; empty while the lane is idle.
+    /// Per point of the run being screened.
     points: Vec<PointScreen>,
     flagged: Vec<Flagged>,
 }
@@ -153,9 +146,19 @@ struct Flagged {
     finding: SubspaceFinding,
 }
 
-impl ScreenLane {
-    /// Readies the lane for a run of `points` points (none: the lane is
-    /// idle).
+impl VerdictScreen {
+    /// The screen for `config`'s thresholds, FS bound and novelty floor.
+    pub fn new(config: &SpotConfig) -> Self {
+        VerdictScreen {
+            thresholds: config.thresholds,
+            fs_max_dimension: config.fs_max_dimension,
+            novelty_floor: config.drift.novelty_floor,
+            points: Vec::new(),
+            flagged: Vec::new(),
+        }
+    }
+
+    /// Readies the accumulators for a run of `points` points.
     pub fn reset(&mut self, points: usize) {
         self.points.clear();
         self.points.resize(
@@ -167,57 +170,52 @@ impl ScreenLane {
         );
         self.flagged.clear();
     }
-}
 
-impl VerdictScreen {
-    /// The screen for `config`'s thresholds, FS bound and novelty floor.
-    pub fn new(config: &SpotConfig) -> Self {
-        VerdictScreen {
-            thresholds: config.thresholds,
-            fs_max_dimension: config.fs_max_dimension,
-            novelty_floor: config.drift.novelty_floor,
-            lanes: LanePool::default(),
-        }
-    }
-
-    /// [`assemble_plans`] over the lanes the last batch dispatch filled,
-    /// which then wait idle for the next one.
+    /// Assembles one [`EvalPlan`] per point of the run screened since the
+    /// last [`VerdictScreen::reset`]. `monitored` is the number of FS
+    /// stores feeding the drift signal — a constant of the run that the
+    /// caller counts once.
+    ///
+    /// The flagged cells sort by `(point, rd, registration ordinal)` — the
+    /// order a registration-order scan followed by a stable sort on RD
+    /// produces, whichever loop order fed them.
     pub fn assemble(&mut self, monitored: u32, plans: &mut [EvalPlan]) {
-        assemble_plans(self.lanes.filled(), monitored, plans);
-        self.lanes.recycle();
-    }
-
-    /// Discards whatever a dispatch that unwound left in the lanes.
-    pub fn discard(&mut self) {
-        self.lanes.recycle();
+        self.flagged.sort_unstable_by(|a, b| {
+            a.point
+                .cmp(&b.point)
+                .then_with(|| {
+                    a.finding
+                        .rd
+                        .partial_cmp(&b.finding.rd)
+                        .expect("RD values are not NaN")
+                })
+                .then_with(|| a.ordinal.cmp(&b.ordinal))
+        });
+        debug_assert_eq!(self.points.len(), plans.len());
+        let mut flagged = self.flagged.iter().peekable();
+        for (i, (plan, acc)) in plans.iter_mut().zip(&self.points).enumerate() {
+            plan.findings.clear();
+            while let Some(f) = flagged.next_if(|f| f.point as usize == i) {
+                plan.findings.push(f.finding);
+            }
+            plan.outlier = !plan.findings.is_empty();
+            plan.score = if acc.min_rd.is_finite() {
+                1.0 / (1.0 + acc.min_rd)
+            } else {
+                0.0
+            };
+            plan.monitored = monitored;
+            plan.monitored_fresh = acc.fresh;
+        }
     }
 }
 
 impl CellConsumer for VerdictScreen {
-    type Lane = ScreenLane;
-
-    fn checkout(&self, points: usize) -> ScreenLane {
-        let mut lane = self.lanes.checkout();
-        lane.reset(points);
-        lane
-    }
-
-    fn checkin(&self, lane: ScreenLane) {
-        self.lanes.checkin(lane);
-    }
-
-    /// Screens one touched cell into `lane`. (The per-point path calls
-    /// this directly, on a lane of its own.)
+    /// Screens one touched cell. (The per-point path calls this directly,
+    /// from the closure of `SynopsisManager::update_and_screen`.)
     #[inline]
-    fn cell(
-        &self,
-        lane: &mut ScreenLane,
-        ordinal: usize,
-        store: &ProjectedStore,
-        point: usize,
-        touch: CellTouch,
-    ) {
-        let acc = &mut lane.points[point];
+    fn cell(&mut self, ordinal: usize, store: &ProjectedStore, point: usize, touch: CellTouch) {
+        let acc = &mut self.points[point];
         acc.min_rd = acc.min_rd.min(touch.rd);
         if store.cardinality() <= self.fs_max_dimension && touch.occupancy < self.novelty_floor {
             acc.fresh += 1;
@@ -225,7 +223,7 @@ impl CellConsumer for VerdictScreen {
         if touch.rd < self.thresholds.rd {
             let irsd = store.irsd_of(&touch);
             if self.thresholds.irsd.is_none_or(|t| irsd < t) {
-                lane.flagged.push(Flagged {
+                self.flagged.push(Flagged {
                     point: point as u32,
                     ordinal: ordinal as u32,
                     finding: SubspaceFinding {
@@ -237,61 +235,6 @@ impl CellConsumer for VerdictScreen {
             }
         }
     }
-}
-
-/// Assembles one [`EvalPlan`] per point of a run from the lanes that
-/// screened it, and leaves every lane idle. `monitored` is the number of FS
-/// stores feeding the drift signal — a constant of the run that the caller
-/// counts once; it is deliberately not a lane accumulator, because a lane
-/// sees only the stores its participant happened to claim.
-///
-/// Lanes fold with `min` and `+`; the flagged cells of all lanes sort by
-/// `(point, rd, registration ordinal)` — the order a registration-order
-/// scan followed by a stable sort on RD produces, whichever participant
-/// flagged what.
-pub fn assemble_plans(lanes: &mut [ScreenLane], monitored: u32, plans: &mut [EvalPlan]) {
-    let mut active = lanes.iter_mut().filter(|lane| !lane.points.is_empty());
-    let Some(merged) = active.next() else {
-        // No store is monitored: nothing was screened.
-        plans.iter_mut().for_each(EvalPlan::clear);
-        return;
-    };
-    for lane in active {
-        for (acc, other) in merged.points.iter_mut().zip(&lane.points) {
-            acc.min_rd = acc.min_rd.min(other.min_rd);
-            acc.fresh += other.fresh;
-        }
-        merged.flagged.append(&mut lane.flagged);
-        lane.reset(0);
-    }
-    merged.flagged.sort_unstable_by(|a, b| {
-        a.point
-            .cmp(&b.point)
-            .then_with(|| {
-                a.finding
-                    .rd
-                    .partial_cmp(&b.finding.rd)
-                    .expect("RD values are not NaN")
-            })
-            .then_with(|| a.ordinal.cmp(&b.ordinal))
-    });
-    debug_assert_eq!(merged.points.len(), plans.len());
-    let mut flagged = merged.flagged.iter().peekable();
-    for (i, (plan, acc)) in plans.iter_mut().zip(&merged.points).enumerate() {
-        plan.findings.clear();
-        while let Some(f) = flagged.next_if(|f| f.point as usize == i) {
-            plan.findings.push(f.finding);
-        }
-        plan.outlier = !plan.findings.is_empty();
-        plan.score = if acc.min_rd.is_finite() {
-            1.0 / (1.0 + acc.min_rd)
-        } else {
-            0.0
-        };
-        plan.monitored = monitored;
-        plan.monitored_fresh = acc.fresh;
-    }
-    merged.reset(0);
 }
 
 /// Summary of a learning-stage run.
@@ -312,12 +255,12 @@ pub struct LearningReport {
 /// Running counters of a SPOT instance.
 ///
 /// The first six fields are *logical* counters: for a fixed seed and
-/// stream they are identical on every execution strategy (one-by-one,
-/// batched, pooled, cooperative), and equality compares **only them**.
-/// The remaining fields are eval-phase observability metrics — wall-clock
-/// timings and pipeline counters that legitimately differ between
-/// strategies and machines — excluded from `==` so equivalence tests can
-/// keep pinning the logical state bit-exactly.
+/// stream they are identical whether the points came one by one or in
+/// batches, and equality compares **only them**. The remaining fields are
+/// batch-path observability metrics — run counts and wall-clock timings
+/// that legitimately differ between chunkings and machines — excluded
+/// from `==` so equivalence tests can keep pinning the logical state
+/// bit-exactly.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SpotStats {
     /// Stream points processed by the detection stage.
@@ -337,16 +280,13 @@ pub struct SpotStats {
     pub batch_points: u64,
     /// Internal maintenance-bounded batch runs executed.
     pub batch_runs: u64,
-    /// Batch runs whose shard ingestion overlapped the previous run's
-    /// commit phase (run pipelining).
-    pub overlapped_runs: u64,
     /// Wall-clock nanoseconds batch runs spent assembling plans from the
-    /// screened lanes ([`assemble_plans`]). The thresholds are checked in
-    /// the shard loop, so this is what remains of the former verdict
-    /// sweep — a few tens of nanoseconds a point.
+    /// screen's accumulators ([`VerdictScreen::assemble`]). The thresholds
+    /// are checked in the ingest loop, so this is what remains of the
+    /// former verdict sweep — a few tens of nanoseconds a point.
     pub sweep_nanos: u64,
     /// Wall-clock nanoseconds spent in the sequential commit phase of
-    /// batch runs (overlapped commits still accrue here).
+    /// batch runs.
     pub commit_nanos: u64,
 }
 
@@ -395,7 +335,6 @@ impl DurableState for SpotStats {
         w.u64("cells_pruned", self.cells_pruned);
         w.u64("batch_points", self.batch_points);
         w.u64("batch_runs", self.batch_runs);
-        w.u64("overlapped_runs", self.overlapped_runs);
         w.u64("sweep_nanos", self.sweep_nanos);
         w.u64("commit_nanos", self.commit_nanos);
     }
@@ -409,7 +348,6 @@ impl DurableState for SpotStats {
         self.cells_pruned = r.u64("cells_pruned")?;
         self.batch_points = r.u64("batch_points")?;
         self.batch_runs = r.u64("batch_runs")?;
-        self.overlapped_runs = r.u64("overlapped_runs")?;
         self.sweep_nanos = r.u64("sweep_nanos")?;
         self.commit_nanos = r.u64("commit_nanos")?;
         Ok(())
@@ -458,7 +396,6 @@ mod tests {
         b.commit_nanos = 999;
         b.batch_points = 10;
         b.batch_runs = 1;
-        b.overlapped_runs = 1;
         assert_eq!(a, b, "timings and pipeline counters are observability only");
         a.outliers = 3;
         assert_ne!(a, b, "logical counters still compare");

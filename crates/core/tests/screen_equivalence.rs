@@ -1,25 +1,20 @@
 //! Screen ≡ report: the plans the detector assembles from the screened
-//! shard loop (thresholds folded into the loop, per-participant lanes,
-//! order-free merge) must equal what the retired two-pass evaluation
-//! produced — materialize every subspace's PCS, then sweep the list.
+//! ingest loops (thresholds folded into the loop, one accumulator) must
+//! equal what the retired two-pass evaluation produced — materialize every
+//! subspace's PCS, then sweep the list.
 //!
 //! `sweep_point` below is that sweep, kept verbatim as the reference. It
 //! runs over `SynopsisManager::update_and_query` sinks of a twin manager;
-//! the screened side runs the same stream through
-//! `update_and_screen_batch` under a serial and a fan-out executor and
-//! through the per-point `update_and_screen`.
+//! the screened side runs the same stream through the store-major
+//! `update_and_screen_batch` and through the per-point
+//! `update_and_screen`.
 
 use proptest::prelude::*;
 use spot::stream::TimeModel;
 use spot::subspace::Subspace;
-use spot::synopsis::{
-    CellConsumer, Grid, SerialExecutor, StoreExecutor, SubspacePcs, SynopsisManager,
-};
+use spot::synopsis::{CellConsumer, Grid, SubspacePcs, SynopsisManager};
 use spot::types::{DataPoint, DomainBounds};
-use spot::{
-    assemble_plans, EvalPlan, ScreenLane, SpotBuilder, SpotConfig, SubspaceFinding, VerdictScreen,
-};
-use std::sync::Barrier;
+use spot::{EvalPlan, SpotBuilder, SpotConfig, SubspaceFinding, VerdictScreen};
 
 /// The retired sweep phase for one point: thresholds and the drift signal
 /// from the per-subspace PCS list and the configuration alone.
@@ -52,26 +47,6 @@ fn sweep_point(config: &SpotConfig, entries: &[SubspacePcs], plan: &mut EvalPlan
     } else {
         0.0
     };
-}
-
-/// `helpers` scoped threads plus the caller, released together so the
-/// shards really spread over several lanes.
-struct FanOut(usize);
-
-impl StoreExecutor for FanOut {
-    fn execute(&self, work: &(dyn Fn() + Sync)) {
-        let barrier = Barrier::new(self.0 + 1);
-        std::thread::scope(|scope| {
-            for _ in 0..self.0 {
-                scope.spawn(|| {
-                    barrier.wait();
-                    work();
-                });
-            }
-            barrier.wait();
-            work();
-        });
-    }
 }
 
 fn assert_same_plans(want: &[EvalPlan], got: &[EvalPlan], label: &str) {
@@ -133,12 +108,11 @@ fn screened_batch_run(
     mgr: &mut SynopsisManager,
     config: &SpotConfig,
     screen: &mut VerdictScreen,
-    exec: &dyn StoreExecutor,
     start: u64,
     run: &[DataPoint],
 ) -> Vec<EvalPlan> {
-    mgr.update_and_screen_batch(start, run, exec, &*screen, None)
-        .unwrap();
+    screen.reset(run.len());
+    mgr.update_and_screen_batch(start, run, screen).unwrap();
     let mut plans = vec![EvalPlan::default(); run.len()];
     screen.assemble(monitored(mgr, config), &mut plans);
     plans
@@ -147,25 +121,20 @@ fn screened_batch_run(
 fn screened_point_run(
     mgr: &mut SynopsisManager,
     config: &SpotConfig,
-    screen: &VerdictScreen,
+    screen: &mut VerdictScreen,
     start: u64,
     run: &[DataPoint],
 ) -> Vec<EvalPlan> {
-    let mut lane = ScreenLane::default();
     run.iter()
         .enumerate()
         .map(|(i, p)| {
-            lane.reset(1);
+            screen.reset(1);
             mgr.update_and_screen(start + i as u64, p, |ordinal, store, touch| {
-                screen.cell(&mut lane, ordinal, store, 0, touch)
+                screen.cell(ordinal, store, 0, touch)
             })
             .unwrap();
             let mut plan = EvalPlan::default();
-            assemble_plans(
-                std::slice::from_mut(&mut lane),
-                monitored(mgr, config),
-                std::slice::from_mut(&mut plan),
-            );
+            screen.assemble(monitored(mgr, config), std::slice::from_mut(&mut plan));
             plan
         })
         .collect()
@@ -183,7 +152,6 @@ proptest! {
         irsd_level in 0.5f64..6.0,
         novelty_floor in 1.5f64..8.0,
         run_len in 7usize..60,
-        helpers in 2usize..5,
     ) {
         // Coarse grids and short streams: many cells hold the same count,
         // so subspaces of equal cardinality tie on RD all the time, and a
@@ -215,21 +183,17 @@ proptest! {
         let dropped = layout[3];
 
         let mut reference = manager(dims, granularity);
-        let mut serial = manager(dims, granularity);
-        let mut fanned = manager(dims, granularity);
+        let mut batched = manager(dims, granularity);
         let mut pointwise = manager(dims, granularity);
-        let mut screen_serial = VerdictScreen::new(&config);
-        let mut screen_fanned = VerdictScreen::new(&config);
-        let screen_point = VerdictScreen::new(&config);
-        let fan_out = FanOut(helpers);
-        prop_assert!(helpers + 1 >= 3);
+        let mut screen_batch = VerdictScreen::new(&config);
+        let mut screen_point = VerdictScreen::new(&config);
 
         let mut start = 1u64;
         for (r, run) in points.chunks(run_len).enumerate() {
             // Run 0: empty SST. Run 1: the layout arrives. Later: one
             // store is removed (ordinals shift down) and one added, each
-            // between two runs of the same lanes.
-            let mut managers = [&mut reference, &mut serial, &mut fanned, &mut pointwise];
+            // between two runs of the same screen.
+            let mut managers = [&mut reference, &mut batched, &mut pointwise];
             for mgr in managers.iter_mut() {
                 match r {
                     1 => layout.iter().for_each(|&s| { mgr.add_subspace(s); }),
@@ -242,100 +206,15 @@ proptest! {
             if r == 0 {
                 prop_assert!(want.iter().all(|p| *p == EvalPlan::default()));
             }
-            let got = screened_batch_run(
-                &mut serial, &config, &mut screen_serial, &SerialExecutor, start, run,
-            );
-            assert_same_plans(&want, &got, "serial executor");
-            let got = screened_batch_run(
-                &mut fanned, &config, &mut screen_fanned, &fan_out, start, run,
-            );
-            assert_same_plans(&want, &got, "fan-out executor");
-            let got = screened_point_run(&mut pointwise, &config, &screen_point, start, run);
+            let got = screened_batch_run(&mut batched, &config, &mut screen_batch, start, run);
+            assert_same_plans(&want, &got, "store-major batch path");
+            let got = screened_point_run(&mut pointwise, &config, &mut screen_point, start, run);
             assert_same_plans(&want, &got, "per-point path");
             start += run.len() as u64;
         }
         // Same cells, same synopses — the consumers only read.
         let state = reference.capture_state();
-        prop_assert_eq!(&state, &serial.capture_state());
-        prop_assert_eq!(&state, &fanned.capture_state());
+        prop_assert_eq!(&state, &batched.capture_state());
         prop_assert_eq!(&state, &pointwise.capture_state());
     }
-}
-
-#[test]
-fn plans_do_not_depend_on_which_lane_saw_which_store() {
-    // The fan-out arm above leaves the split of stores over lanes to the
-    // scheduler. Here it is forced: the same cells are dealt to 1, 2, 3
-    // and 5 lanes by fixed rules (including a lane that gets nothing and
-    // stays idle), and every deal must assemble the same plans — RD ties
-    // included, which only the (rd, ordinal) order resolves.
-    let dims = 4;
-    let config = SpotBuilder::new(DomainBounds::unit(dims))
-        .granularity(3)
-        .rd_threshold(1.6)
-        .irsd_threshold(None)
-        .fs_max_dimension(1)
-        .build_config()
-        .unwrap();
-    let subspaces: Vec<Subspace> = [
-        vec![2, 3],
-        vec![0],
-        vec![1],
-        vec![0, 1],
-        vec![3],
-        vec![1, 2],
-        vec![2],
-        vec![0, 3],
-    ]
-    .into_iter()
-    .map(|d| Subspace::from_dims(d).unwrap())
-    .collect();
-    let points: Vec<DataPoint> = (0..48)
-        .map(|i| {
-            DataPoint::new(
-                (0..dims)
-                    .map(|d| ((i * (2 * d + 3) + d) % 11) as f64 / 11.0)
-                    .collect(),
-            )
-        })
-        .collect();
-    let n = points.len();
-    let screen = VerdictScreen::new(&config);
-
-    let deal = |lanes_n: usize, lane_of: &dyn Fn(usize) -> usize| -> Vec<EvalPlan> {
-        let mut mgr = manager(dims, 3);
-        for &s in &subspaces {
-            mgr.add_subspace(s);
-        }
-        let mut lanes: Vec<ScreenLane> = (0..lanes_n).map(|_| ScreenLane::default()).collect();
-        let mut used = vec![false; lanes_n];
-        for (i, p) in points.iter().enumerate() {
-            mgr.update_and_screen(1 + i as u64, p, |ordinal, store, touch| {
-                let l = lane_of(ordinal);
-                if !used[l] {
-                    used[l] = true;
-                    lanes[l].reset(n);
-                }
-                screen.cell(&mut lanes[l], ordinal, store, i, touch);
-            })
-            .unwrap();
-        }
-        let mut plans = vec![EvalPlan::default(); n];
-        assemble_plans(&mut lanes, monitored(&mgr, &config), &mut plans);
-        plans
-    };
-
-    let want = deal(1, &|_| 0);
-    assert!(
-        want.iter().any(|p| p
-            .findings
-            .windows(2)
-            .any(|w| w[0].rd.to_bits() == w[1].rd.to_bits())),
-        "scenario must contain an RD tie between two findings"
-    );
-    assert!(want.iter().all(|p| p.monitored == 4));
-    assert_same_plans(&want, &deal(2, &|o| o % 2), "2 lanes, alternating");
-    assert_same_plans(&want, &deal(3, &|o| (o * 5 + 1) % 3), "3 lanes, scattered");
-    assert_same_plans(&want, &deal(3, &|o| 2 - o % 2), "3 lanes, lane 0 idle");
-    assert_same_plans(&want, &deal(5, &|o| 4 - o % 5), "5 lanes, reversed");
 }

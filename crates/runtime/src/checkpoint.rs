@@ -415,7 +415,7 @@ pub enum TenantEntry {
     /// checkpoint carries forward as-is.
     Unchanged,
     /// Only runtime state moved: the tree produced by
-    /// `Spot::delta_capture_with`, applied onto the parent's checkpoint
+    /// `Spot::delta_capture`, applied onto the parent's checkpoint
     /// with `SpotCheckpoint::apply_state_delta`.
     Delta(Value),
     /// Structure moved (or the tenant is new): a complete checkpoint.

@@ -9,8 +9,7 @@
 //! mid-`write` of record 12, keeping 5 bytes" — in the same spirit as the
 //! repo's `CounterRng`: no wall clock, no thread identity, no randomness
 //! at fire time. Armed via `SpotFleet::arm_faults`, the plan produces the
-//! same quarantine/shed/recovery trace on the serial executor and on any
-//! worker pool.
+//! same quarantine/shed/recovery trace on every run.
 //!
 //! Checkpoint *file* corruption is not injected here: it is a property of
 //! bytes at rest, not of execution order, so the store exposes it directly

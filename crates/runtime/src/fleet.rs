@@ -1,14 +1,13 @@
-//! The multi-tenant fleet: a registry of detectors on one shared executor.
+//! The multi-tenant fleet: a registry of independent detectors.
 //!
 //! # Fault containment
 //!
 //! Every path that runs tenant detector code (`process`, `process_batch`,
 //! `drain`, `pump`) executes under a panic guard. A panic — the tenant's
-//! own detector code, a worker-pool job re-raised on the dispatching
-//! thread, or an injected fault — is caught, converted into a typed
-//! [`SpotError::TenantPoisoned`], and **quarantines only that tenant**:
-//! co-tenants keep executing on the shared pool, bit-identical to a run
-//! where the faulted tenant never existed. A quarantined tenant's
+//! own detector code or an injected fault — is caught, converted into a
+//! typed [`SpotError::TenantPoisoned`], and **quarantines only that
+//! tenant**: co-tenants keep executing, bit-identical to a run where the
+//! faulted tenant never existed. A quarantined tenant's
 //! in-memory detector is untrusted (the panic may have torn it mid-update
 //! behind its non-poisoning lock), so every processing and checkpoint
 //! operation fails until the tenant is restored from a checkpoint — see
@@ -40,8 +39,8 @@ use spot::{
     SpotStats, SynopsisFootprint, Verdict,
 };
 use spot_stream::wal::read_wal_from;
-use spot_synopsis::{panic_message, ExecutorHandle, SerialExecutor, StoreExecutor};
 use spot_types::{DataPoint, Result, SpotError, TenantId};
+use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -189,7 +188,7 @@ impl Tenant {
         let phi = spot.config().phi();
         let (tx, rx) = bounded(capacity);
         Tenant {
-            shared: SharedSpot::with_service_executor(spot),
+            shared: SharedSpot::new(spot),
             tx,
             rx: Mutex::new(Some(rx)),
             queued: AtomicUsize::new(0),
@@ -282,7 +281,6 @@ struct DeltaState {
 }
 
 struct FleetInner {
-    exec: ExecutorHandle,
     config: FleetConfig,
     tenants: RwLock<HashMap<TenantId, Arc<Tenant>>>,
     /// Armed fault plan (tests only). `faults_armed` is the lock-free
@@ -310,43 +308,24 @@ struct FleetInner {
     delta_state: Mutex<Option<DeltaState>>,
 }
 
-/// A registry of named SPOT detectors sharing one executor service.
+/// A registry of named, independent SPOT detectors.
 ///
-/// Cloning the fleet clones a handle (tenants and executor are shared).
-/// Every tenant keeps full single-stream semantics — its own
-/// configuration, seed, SST, clock and stats — while all synopsis shard
-/// phases, verdict sweeps and checkpoint captures fan out over the one
-/// worker pool the shared [`ExecutorHandle`] owns. See the crate docs for
-/// the determinism guarantee and the module docs for fault containment.
+/// Cloning the fleet clones a handle (the tenants are shared). Every
+/// tenant keeps full single-stream semantics — its own configuration,
+/// seed, SST, clock and stats — and runs on whichever thread processes or
+/// drains it; different tenants run concurrently on different threads.
+/// See the crate docs for the determinism guarantee and the module docs
+/// for fault containment.
 #[derive(Clone)]
 pub struct SpotFleet {
     inner: Arc<FleetInner>,
 }
 
 impl SpotFleet {
-    /// A fleet on the build's default executor service: machine-sized pool
-    /// engagement with the `parallel` feature, serial otherwise.
+    /// An empty fleet.
     pub fn new(config: FleetConfig) -> Self {
-        Self::with_executor(config, ExecutorHandle::default_for_build())
-    }
-
-    /// A fleet with an explicit worker budget: `Some(0)` forces serial,
-    /// `Some(n)` an `n`-worker pool, `None` machine-sized defaults.
-    pub fn with_workers(config: FleetConfig, workers: Option<usize>) -> Self {
-        let exec = match workers {
-            Some(0) => ExecutorHandle::serial(),
-            Some(n) => ExecutorHandle::with_workers(n),
-            None => ExecutorHandle::auto(),
-        };
-        Self::with_executor(config, exec)
-    }
-
-    /// A fleet dispatching through a caller-supplied executor service
-    /// (e.g. one also shared with detectors outside the fleet).
-    pub fn with_executor(config: FleetConfig, exec: ExecutorHandle) -> Self {
         SpotFleet {
             inner: Arc::new(FleetInner {
-                exec,
                 config: FleetConfig {
                     queue_capacity: config.queue_capacity.max(1),
                     micro_batch: config.micro_batch.max(1),
@@ -362,12 +341,6 @@ impl SpotFleet {
                 delta_state: Mutex::new(None),
             }),
         }
-    }
-
-    /// The shared executor service. All tenants dispatch through it; its
-    /// `pools_spawned()` stays at ≤ 1 however many tenants register.
-    pub fn executor(&self) -> &ExecutorHandle {
-        &self.inner.exec
     }
 
     /// The fleet's (clamped) configuration.
@@ -407,26 +380,16 @@ impl SpotFleet {
         }
     }
 
-    /// Retargets the shared worker budget (see [`ExecutorHandle::set_workers`]).
-    /// Verdicts are bit-identical for every setting.
-    pub fn set_workers(&self, workers: Option<usize>) {
-        self.inner.exec.set_workers(workers);
-    }
-
     // ---- registry -------------------------------------------------------
 
-    /// Registers a new tenant with its own detector configuration. The
-    /// detector is built on the fleet's shared executor service. Errors
+    /// Registers a new tenant with its own detector configuration. Errors
     /// with [`SpotError::DuplicateTenant`] when the name is taken.
     pub fn register(&self, id: TenantId, config: SpotConfig) -> Result<()> {
-        let spot = Spot::with_executor(config, self.inner.exec.clone())?;
-        self.install(id, spot, false)
+        self.install(id, Spot::new(config)?, false)
     }
 
-    /// Registers a pre-built detector (it is rewired onto the fleet's
-    /// shared executor service — bit-identical, see [`Spot::set_executor`]).
-    pub fn register_spot(&self, id: TenantId, mut spot: Spot) -> Result<()> {
-        spot.set_executor(self.inner.exec.clone());
+    /// Registers a pre-built detector.
+    pub fn register_spot(&self, id: TenantId, spot: Spot) -> Result<()> {
         self.install(id, spot, false)
     }
 
@@ -706,8 +669,7 @@ impl SpotFleet {
     }
 
     /// Runs tenant detector work under the panic guard. A panic anywhere
-    /// inside — including one caught in a pool worker and re-raised on
-    /// this (dispatching) thread — quarantines this tenant only.
+    /// inside quarantines this tenant only.
     fn run_guarded(
         &self,
         id: &TenantId,
@@ -773,8 +735,7 @@ impl SpotFleet {
         Ok(verdicts.pop().expect("one verdict per point"))
     }
 
-    /// Processes a batch synchronously through the shared executor, under
-    /// the panic guard.
+    /// Processes a batch synchronously, under the panic guard.
     pub fn process_batch(&self, id: &TenantId, points: &[DataPoint]) -> Result<Vec<Verdict>> {
         self.admission_gate()?;
         let tenant = self.tenant(id)?;
@@ -1000,8 +961,8 @@ impl SpotFleet {
     }
 
     /// Drains up to one micro-batch (`FleetConfig::micro_batch` points)
-    /// from the tenant's queue and processes it through the shared
-    /// executor, returning the verdicts in arrival order. An empty queue
+    /// from the tenant's queue and processes it, returning the verdicts in
+    /// arrival order. An empty queue
     /// returns an empty vector. Call in a loop (or use
     /// [`SpotFleet::drain_fully`]) to exhaust a backlog.
     ///
@@ -1170,9 +1131,8 @@ impl SpotFleet {
 
     /// Captures a versioned checkpoint of every **healthy** tenant (sorted
     /// id order). Each tenant's capture is the standard v2
-    /// `SpotCheckpoint` — one claim unit per projected store, dispatched
-    /// over the shared pool when the service is pooled — so a tenant
-    /// restored from it is bit-exact, standalone or in any fleet.
+    /// `SpotCheckpoint`, so a tenant restored from it is bit-exact,
+    /// standalone or in any fleet.
     /// Quarantined/failed tenants are skipped: their in-memory state is
     /// untrusted and must not contaminate a checkpoint (restore them from
     /// a pre-fault shadow instead). Queued-but-undrained points are *not*
@@ -1186,11 +1146,6 @@ impl SpotFleet {
     /// [`CaptureMark`], taken under the same detector lock hold as the
     /// capture — the diff base a later delta checkpoint works from.
     fn checkpoint_marked(&self) -> (FleetCheckpoint, HashMap<TenantId, CaptureMark>) {
-        let pool = self.inner.exec.pool_for_capture();
-        let exec: &dyn StoreExecutor = match &pool {
-            Some(pool) => &**pool,
-            None => &SerialExecutor,
-        };
         let mut tenants = Vec::new();
         let mut wal_positions = Vec::new();
         let mut marks = HashMap::new();
@@ -1205,7 +1160,7 @@ impl SpotFleet {
             // recorded WAL watermark must be the stream position of *this*
             // capture, not of whatever processed concurrently after it.
             let (cp, processed, mark) = tenant.shared.with(|s| {
-                let cp = s.checkpoint_with(exec);
+                let cp = s.checkpoint();
                 let processed = s.stats().processed;
                 let mark = s.capture_mark();
                 (cp, processed, mark)
@@ -1276,11 +1231,6 @@ impl SpotFleet {
         {
             return self.checkpoint_durable(store);
         }
-        let pool = self.inner.exec.pool_for_capture();
-        let exec: &dyn StoreExecutor = match &pool {
-            Some(pool) => &**pool,
-            None => &SerialExecutor,
-        };
         let mut entries = Vec::new();
         let mut wal_positions = Vec::new();
         let mut marks = HashMap::new();
@@ -1294,13 +1244,13 @@ impl SpotFleet {
             let prev_mark = ds.marks.get(&id);
             let (entry, processed, mark) = tenant.shared.with(|s| {
                 let entry = match prev_mark {
-                    Some(prev) => match s.delta_capture_with(exec, prev) {
+                    Some(prev) => match s.delta_capture(prev) {
                         DeltaCapture::Unchanged => TenantEntry::Unchanged,
                         DeltaCapture::Delta(d) => TenantEntry::Delta(d),
-                        DeltaCapture::Full => TenantEntry::Full(s.checkpoint_with(exec)),
+                        DeltaCapture::Full => TenantEntry::Full(s.checkpoint()),
                     },
                     // New tenant since the parent generation: full capture.
-                    None => TenantEntry::Full(s.checkpoint_with(exec)),
+                    None => TenantEntry::Full(s.checkpoint()),
                 };
                 let processed = s.stats().processed;
                 let mark = s.capture_mark();
@@ -1387,12 +1337,7 @@ impl SpotFleet {
     pub fn checkpoint_tenant(&self, id: &TenantId) -> Result<SpotCheckpoint> {
         let tenant = self.tenant(id)?;
         self.gate(id, &tenant)?;
-        let pool = self.inner.exec.pool_for_capture();
-        let exec: &dyn StoreExecutor = match &pool {
-            Some(pool) => &**pool,
-            None => &SerialExecutor,
-        };
-        Ok(tenant.shared.with(|s| s.checkpoint_with(exec)))
+        Ok(tenant.shared.checkpoint())
     }
 
     /// Replaces a registered tenant's detector with one restored from a
@@ -1434,8 +1379,7 @@ impl SpotFleet {
         id: &TenantId,
         cp: &SpotCheckpoint,
     ) -> Result<ReviveOutcome> {
-        let mut spot = Spot::from_checkpoint(cp)?;
-        spot.set_executor(self.inner.exec.clone());
+        let spot = Spot::from_checkpoint(cp)?;
         let replacement = Arc::new(Tenant::fresh(spot, self.inner.config.queue_capacity));
         let mut carried = 0u64;
         // Hold the registry write lock across the backlog transfer so no
@@ -1524,32 +1468,19 @@ impl SpotFleet {
 
     /// Restores one tenant from a fleet checkpoint, **replacing** any
     /// detector currently registered under the id (or registering it
-    /// fresh). The restored detector is rewired onto this fleet's shared
-    /// executor service — restoring into a fleet with a different worker
-    /// count is bit-exact. Errors with [`SpotError::UnknownTenant`] when
-    /// the checkpoint holds no such tenant; the tenant's queue restarts
-    /// empty (use [`SpotFleet::revive_tenant`] to carry a backlog).
+    /// fresh). Errors with [`SpotError::UnknownTenant`] when the
+    /// checkpoint holds no such tenant; the tenant's queue restarts empty
+    /// (use [`SpotFleet::revive_tenant`] to carry a backlog).
     pub fn restore_tenant(&self, checkpoint: &FleetCheckpoint, id: &TenantId) -> Result<()> {
         let cp = checkpoint
             .get(id)
             .ok_or_else(|| SpotError::UnknownTenant(id.to_string()))?;
-        let mut spot = Spot::from_checkpoint(cp)?;
-        spot.set_executor(self.inner.exec.clone());
-        self.install(id.clone(), spot, true)
+        self.install(id.clone(), Spot::from_checkpoint(cp)?, true)
     }
 
     /// Builds a fleet holding every tenant of the checkpoint.
     pub fn from_checkpoint(checkpoint: &FleetCheckpoint, config: FleetConfig) -> Result<Self> {
-        Self::from_checkpoint_with(checkpoint, config, ExecutorHandle::default_for_build())
-    }
-
-    /// [`SpotFleet::from_checkpoint`] with an explicit executor service.
-    pub fn from_checkpoint_with(
-        checkpoint: &FleetCheckpoint,
-        config: FleetConfig,
-        exec: ExecutorHandle,
-    ) -> Result<Self> {
-        let fleet = Self::with_executor(config, exec);
+        let fleet = Self::new(config);
         for id in checkpoint.tenant_ids() {
             fleet.restore_tenant(checkpoint, &id)?;
         }
@@ -1579,23 +1510,16 @@ impl SpotFleet {
     /// [`SpotError::WalCorrupt`] on real damage — a checksum-valid log
     /// that contradicts the checkpoint, or corruption *before* the tail.
     pub fn recover(dir: impl AsRef<Path>, config: FleetConfig) -> Result<(Self, FleetRecovery)> {
-        Self::recover_with(
-            dir,
-            config,
-            WalTuning::default(),
-            ExecutorHandle::default_for_build(),
-            DEFAULT_CHECKPOINT_RETAIN,
-        )
+        Self::recover_with(dir, config, WalTuning::default(), DEFAULT_CHECKPOINT_RETAIN)
     }
 
-    /// [`SpotFleet::recover`] with explicit WAL tuning, executor service
-    /// and checkpoint retention (the recovered fleet keeps writing to the
-    /// same directory with these settings).
+    /// [`SpotFleet::recover`] with explicit WAL tuning and checkpoint
+    /// retention (the recovered fleet keeps writing to the same directory
+    /// with these settings).
     pub fn recover_with(
         dir: impl AsRef<Path>,
         config: FleetConfig,
         tuning: WalTuning,
-        exec: ExecutorHandle,
         retain: usize,
     ) -> Result<(Self, FleetRecovery)> {
         let dir = dir.as_ref();
@@ -1606,7 +1530,7 @@ impl SpotFleet {
             Some((g, cp)) => (Some(g), cp),
             None => (None, FleetCheckpoint::new(Vec::new())),
         };
-        let fleet = Self::from_checkpoint_with(&checkpoint, config, exec)?;
+        let fleet = Self::from_checkpoint(&checkpoint, config)?;
         let wal_root = dir.join("wal");
         *fleet.inner.wal.lock().unwrap_or_else(|e| e.into_inner()) = Some(WalSettings {
             root: wal_root.clone(),
@@ -1710,4 +1634,29 @@ fn write_lock<'a, K, V>(
     lock: &'a RwLock<HashMap<K, V>>,
 ) -> std::sync::RwLockWriteGuard<'a, HashMap<K, V>> {
     lock.write().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Renders a caught panic's payload for [`SpotError::TenantPoisoned`]:
+/// `&str` / `String` payloads verbatim (the common case — `panic!` with a
+/// message), anything else as an opaque marker.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn panic_message_renders_common_payloads() {
+        assert_eq!(panic_message(&"static"), "static");
+        assert_eq!(panic_message(&"owned".to_string()), "owned");
+        assert_eq!(panic_message(&42u32), "non-string panic payload");
+    }
 }

@@ -9,8 +9,7 @@
 //!
 //! * [`TenantHealth`] — the per-tenant state machine
 //!   (`Healthy → Quarantined → Healthy|Failed`): a panic quarantines only
-//!   the tenant that panicked; co-tenants keep executing on the shared
-//!   pool.
+//!   the tenant that panicked; co-tenants keep executing.
 //! * [`OverloadPolicy`] — what `SpotFleet::ingest` does when the tenant's
 //!   bounded queue is full: block (backpressure), shed, or deterministic
 //!   1-in-k sampling.

@@ -1,32 +1,32 @@
-//! # spot-runtime — many detectors, one shared executor
+//! # spot-runtime — many detectors, one thread each
 //!
 //! SPOT (ICDE 2008) frames detection as a per-stream engine; a production
 //! deployment serves *thousands* of independent streams — one detector per
-//! tenant/sensor/model. This crate multiplexes those detectors over shared
-//! compute:
+//! tenant/sensor/model. This crate multiplexes those detectors over the
+//! threads that call it:
 //!
 //! * [`SpotFleet`] — a registry of named, independently configured
-//!   detectors ([`spot_types::TenantId`] keys) that all dispatch their
-//!   synopsis shard phases and verdict sweeps through **one shared
-//!   [`spot_synopsis::ExecutorHandle`]** — at most one worker pool for the
-//!   whole fleet, however many tenants register.
+//!   detectors ([`spot_types::TenantId`] keys). Each detector runs serially
+//!   on whichever thread processes or drains it; different tenants run
+//!   concurrently on different threads. That is the whole concurrency
+//!   model: nothing inside one detector is split across threads.
 //! * **Per-tenant bounded ingestion queues** — [`SpotFleet::ingest`]
 //!   enqueues into a bounded channel (blocking once full: natural
 //!   backpressure), [`SpotFleet::drain`] processes queued points in
-//!   micro-batches through the shared executor.
+//!   micro-batches.
 //! * **Off-lock monitoring** — [`SpotFleet::stats`] and
 //!   [`SpotFleet::footprint`] aggregate every tenant's seqlock counters
 //!   and lock-free footprint mirror; they never take any tenant's
 //!   detector lock.
 //! * [`FleetCheckpoint`] — a versioned, per-tenant durable snapshot riding
 //!   the v2 `DurableState` substrate: each tenant's capture is the same
-//!   bit-exact `SpotCheckpoint` a standalone detector produces (one claim
-//!   unit per store on the shared pool), and restores are per-tenant with
-//!   typed errors for unknown tenants and unknown versions.
+//!   bit-exact `SpotCheckpoint` a standalone detector produces, and
+//!   restores are per-tenant with typed errors for unknown tenants and
+//!   unknown versions.
 //!
 //! **Determinism.** A tenant processed through the fleet emits bit-identical
 //! verdicts, stats and footprint to a standalone `Spot` with the same
-//! configuration and input, regardless of co-tenant load or worker count —
+//! configuration and input, regardless of co-tenant load —
 //! pinned by the proptest suite in `tests/fleet_determinism.rs`. See
 //! `docs/runtime.md` for the ownership model and tenant lifecycle.
 //!

@@ -7,9 +7,9 @@
 //! 1. **Shadowing.** Every healthy tenant gets a rolling in-memory shadow
 //!    checkpoint (the bit-exact v2 `SpotCheckpoint`), refreshed once the
 //!    tenant has processed [`SupervisorConfig::shadow_every`] more points
-//!    since the last shadow. Captures ride the existing checkpoint path —
-//!    one claim unit per projected store on the shared pool — and happen
-//!    only inside the supervision pass, never on the per-point hot path.
+//!    since the last shadow. Captures ride the existing checkpoint path
+//!    and happen only inside the supervision pass, never on the per-point
+//!    hot path.
 //! 2. **Recovery.** A quarantined tenant (see the fleet's panic isolation)
 //!    is restored from its shadow via [`SpotFleet::revive_tenant`] with a
 //!    bounded retry budget and deterministic exponential backoff counted

@@ -5,7 +5,7 @@
 //! * **Panic isolation** — a panic injected into one tenant mid-batch
 //!   surfaces as a typed `TenantPoisoned` error and quarantines that
 //!   tenant only; every co-tenant stays bit-identical to a fault-free
-//!   run, on the serial executor and on worker pools.
+//!   run.
 //! * **Self-healing** — the `Supervisor` restores the quarantined tenant
 //!   from its rolling shadow checkpoint within the retry budget, and
 //!   replaying exactly the reported `points_lost` window reconverges the
@@ -99,12 +99,13 @@ fn tid(s: &str) -> TenantId {
     TenantId::new(s).unwrap()
 }
 
-/// The headline acceptance scenario, parameterized over the executor: a
-/// panic injected into one tenant mid-batch leaves co-tenants
-/// bit-identical to a fault-free run, and the supervisor auto-recovers
-/// the faulted tenant from its shadow checkpoint; replaying the reported
-/// lost window reconverges with the uninterrupted stream.
-fn mid_batch_panic_scenario(workers: Option<usize>) {
+/// The headline acceptance scenario: a panic injected into one tenant
+/// mid-batch leaves co-tenants bit-identical to a fault-free run, and the
+/// supervisor auto-recovers the faulted tenant from its shadow checkpoint;
+/// replaying the reported lost window reconverges with the uninterrupted
+/// stream.
+#[test]
+fn mid_batch_panic_isolates_and_recovers_serial() {
     let dims = 4;
     let chunk = 64;
     let n = 320;
@@ -117,7 +118,7 @@ fn mid_batch_panic_scenario(workers: Option<usize>) {
     ];
     let faulted = &seeds[1].0;
 
-    let fleet = SpotFleet::with_workers(FleetConfig::default(), workers);
+    let fleet = SpotFleet::new(FleetConfig::default());
     for (id, seed) in &seeds {
         fleet
             .register(id.clone(), tenant_config(*seed, dims))
@@ -162,7 +163,7 @@ fn mid_batch_panic_scenario(workers: Option<usize>) {
     }
 
     // The injected panic surfaced as the typed quarantine error, with the
-    // panic payload preserved through the pool's re-raise path.
+    // panic payload preserved.
     match faulted_error.expect("the faulted tenant must error") {
         SpotError::TenantPoisoned { tenant, panic } => {
             assert_eq!(tenant, faulted.to_string());
@@ -228,26 +229,13 @@ fn mid_batch_panic_scenario(workers: Option<usize>) {
 }
 
 #[test]
-fn mid_batch_panic_isolates_and_recovers_serial() {
-    mid_batch_panic_scenario(Some(0));
-}
-
-#[test]
-fn mid_batch_panic_isolates_and_recovers_pooled() {
-    mid_batch_panic_scenario(Some(2));
-}
-
-#[test]
 fn pump_skips_and_reports_a_quarantined_tenant() {
     let dims = 3;
     let train = training(120, dims, 2);
-    let fleet = SpotFleet::with_workers(
-        FleetConfig {
-            queue_capacity: 64,
-            micro_batch: 16,
-        },
-        Some(0),
-    );
+    let fleet = SpotFleet::new(FleetConfig {
+        queue_capacity: 64,
+        micro_batch: 16,
+    });
     let a = tid("a-healthy");
     let b = tid("b-faulted");
     for (id, seed) in [(&a, 1u64), (&b, 2u64)] {
@@ -307,13 +295,10 @@ fn pump_skips_and_reports_a_quarantined_tenant() {
 fn supervisor_carries_the_backlog_into_the_recovered_tenant() {
     let dims = 3;
     let train = training(120, dims, 4);
-    let fleet = SpotFleet::with_workers(
-        FleetConfig {
-            queue_capacity: 64,
-            micro_batch: 8,
-        },
-        Some(0),
-    );
+    let fleet = SpotFleet::new(FleetConfig {
+        queue_capacity: 64,
+        micro_batch: 8,
+    });
     let b = tid("backlogged");
     fleet.register(b.clone(), tenant_config(6, dims)).unwrap();
     fleet.learn(&b, &train).unwrap();
@@ -343,13 +328,10 @@ fn supervisor_carries_the_backlog_into_the_recovered_tenant() {
 fn overload_policies_shed_and_sample_deterministically() {
     let dims = 3;
     let train = training(100, dims, 3);
-    let fleet = SpotFleet::with_workers(
-        FleetConfig {
-            queue_capacity: 4,
-            micro_batch: 4,
-        },
-        Some(0),
-    );
+    let fleet = SpotFleet::new(FleetConfig {
+        queue_capacity: 4,
+        micro_batch: 4,
+    });
     let shed_id = tid("shedding");
     let sample_id = tid("sampling");
     let block_id = tid("blocking");
@@ -421,7 +403,7 @@ fn overload_policies_shed_and_sample_deterministically() {
 fn recovery_budget_exhausts_into_failed_then_manual_revive_works() {
     let dims = 3;
     let train = training(120, dims, 9);
-    let fleet = SpotFleet::with_workers(FleetConfig::default(), Some(0));
+    let fleet = SpotFleet::new(FleetConfig::default());
     let b = tid("doomed");
     fleet.register(b.clone(), tenant_config(4, dims)).unwrap();
     fleet.learn(&b, &train).unwrap();
@@ -488,7 +470,7 @@ fn recovery_budget_exhausts_into_failed_then_manual_revive_works() {
 fn recovery_retries_through_backoff_and_reports_the_schedule() {
     let dims = 3;
     let train = training(120, dims, 9);
-    let fleet = SpotFleet::with_workers(FleetConfig::default(), Some(0));
+    let fleet = SpotFleet::new(FleetConfig::default());
     let b = tid("retrying");
     fleet.register(b.clone(), tenant_config(4, dims)).unwrap();
     fleet.learn(&b, &train).unwrap();
@@ -528,7 +510,7 @@ fn recovery_retries_through_backoff_and_reports_the_schedule() {
 fn quarantined_tenants_are_excluded_from_fleet_checkpoints() {
     let dims = 3;
     let train = training(120, dims, 7);
-    let fleet = SpotFleet::with_workers(FleetConfig::default(), Some(0));
+    let fleet = SpotFleet::new(FleetConfig::default());
     let a = tid("kept");
     let b = tid("poisoned");
     for (id, seed) in [(&a, 1u64), (&b, 2)] {
@@ -557,7 +539,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Chaos: a random fault plan (panic ordinal, faulted tenant, chunk
-    /// size, shadow cadence, worker count) over a multi-tenant fleet.
+    /// size, shadow cadence) over a multi-tenant fleet.
     /// Unaffected tenants are bit-identical to standalone; the recovered
     /// tenant, replaying from its reported shadow position, converges to
     /// the uninterrupted verdict stream.
@@ -568,13 +550,12 @@ proptest! {
         panic_ordinal in 0u64..180,
         chunk in 13usize..53,
         shadow_every in 20u64..120,
-        workers in 0usize..3,
     ) {
         let dims = 4;
         let n = 180usize;
         let train = training(130, dims, 17);
         let faulted_idx = faulted_idx % seeds.len();
-        let fleet = SpotFleet::with_workers(FleetConfig::default(), Some(workers));
+        let fleet = SpotFleet::new(FleetConfig::default());
         let ids: Vec<TenantId> = (0..seeds.len())
             .map(|i| TenantId::new(format!("c{i}")).unwrap())
             .collect();

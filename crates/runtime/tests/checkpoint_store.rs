@@ -55,7 +55,7 @@ fn stream(n: usize, dims: usize, salt: u64) -> Vec<DataPoint> {
 
 /// A small exercised fleet whose checkpoint has real synopsis content.
 fn seeded_fleet(dims: usize, n_tenants: usize) -> SpotFleet {
-    let fleet = SpotFleet::with_workers(FleetConfig::default(), Some(0));
+    let fleet = SpotFleet::new(FleetConfig::default());
     let train = training(120, dims, 5);
     for t in 0..n_tenants {
         let id = TenantId::new(format!("store-{t}")).unwrap();

@@ -55,13 +55,10 @@ fn point(i: u64) -> DataPoint {
 fn drain_fully_terminates_against_racing_producer() {
     const CAPACITY: usize = 64;
     const MICRO: usize = 8;
-    let fleet = SpotFleet::with_workers(
-        FleetConfig {
-            queue_capacity: CAPACITY,
-            micro_batch: MICRO,
-        },
-        Some(0),
-    );
+    let fleet = SpotFleet::new(FleetConfig {
+        queue_capacity: CAPACITY,
+        micro_batch: MICRO,
+    });
     let id = tid("racer");
     fleet.register(id.clone(), tenant_config(7)).unwrap();
     fleet.learn(&id, &training(64, 7)).unwrap();
@@ -113,13 +110,10 @@ fn drain_fully_terminates_against_racing_producer() {
 /// full queue with `UnknownTenant` — not strand it forever.
 #[test]
 fn evict_unblocks_producer_stuck_in_ingest() {
-    let fleet = SpotFleet::with_workers(
-        FleetConfig {
-            queue_capacity: 4,
-            micro_batch: 4,
-        },
-        Some(0),
-    );
+    let fleet = SpotFleet::new(FleetConfig {
+        queue_capacity: 4,
+        micro_batch: 4,
+    });
     let id = tid("doomed");
     fleet.register(id.clone(), tenant_config(11)).unwrap();
     fleet.learn(&id, &training(64, 11)).unwrap();
@@ -164,13 +158,10 @@ fn evict_unblocks_producer_stuck_in_ingest() {
 /// interleaving the scheduler produces.
 #[test]
 fn pump_skips_tenants_evicted_mid_pass() {
-    let fleet = SpotFleet::with_workers(
-        FleetConfig {
-            queue_capacity: 64,
-            micro_batch: 4,
-        },
-        Some(0),
-    );
+    let fleet = SpotFleet::new(FleetConfig {
+        queue_capacity: 64,
+        micro_batch: 4,
+    });
     let stable = tid("stable");
     fleet.register(stable.clone(), tenant_config(3)).unwrap();
     fleet.learn(&stable, &training(64, 3)).unwrap();

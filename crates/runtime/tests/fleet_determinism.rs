@@ -3,17 +3,13 @@
 //! Pins the contract of `SpotFleet`:
 //!
 //! * **Tenant determinism** — for each tenant, verdicts + stats +
-//!   footprint through the fleet (serial, pool(1/2/4), and with
-//!   concurrent co-tenant ingest) are bit-identical to a standalone
-//!   `Spot` with the same configuration and input.
-//! * **One pool** — an N-tenant fleet spawns exactly one `WorkerPool`,
-//!   shared by every tenant (asserted via the executor service's spawn
-//!   counter and handle identity).
+//!   footprint through the fleet (batched, queued, and with concurrent
+//!   co-tenant ingest) are bit-identical to a standalone `Spot` with the
+//!   same configuration and input.
 //! * **Off-lock monitoring** — `SpotFleet::stats()`/`footprint()` complete
 //!   while a tenant's detector lock is held.
 //! * **Durability** — `FleetCheckpoint` round-trips bit-exactly per
-//!   tenant through JSON, including restore into a fleet with a different
-//!   worker count; unknown tenants/versions are typed errors.
+//!   tenant through JSON; unknown tenants/versions are typed errors.
 
 use proptest::prelude::*;
 use spot::{EvolutionConfig, Spot, SpotBuilder, SpotConfig, Verdict};
@@ -102,74 +98,16 @@ fn standalone_verdicts(
 }
 
 #[test]
-fn n_tenant_fleet_spawns_exactly_one_pool() {
-    let fleet = SpotFleet::with_workers(FleetConfig::default(), Some(2));
-    let dims = 4;
-    let train = training(150, dims, 1);
-    for t in 0..16u64 {
-        let id = TenantId::new(format!("tenant-{t:02}")).unwrap();
-        fleet.register(id.clone(), tenant_config(t, dims)).unwrap();
-        fleet.learn(&id, &train).unwrap();
-    }
-    assert_eq!(fleet.len(), 16);
-    // Drive every tenant through the batch path so the pool engages.
-    let pts = stream(120, dims, 9);
-    for id in fleet.tenant_ids() {
-        fleet.process_batch(&id, &pts).unwrap();
-    }
-    assert_eq!(
-        fleet.executor().pools_spawned(),
-        1,
-        "16 tenants must share one worker pool"
-    );
-    // Every tenant's detector holds the same executor service.
-    let fleet_exec_id = fleet.executor().id();
-    for id in fleet.tenant_ids() {
-        let tenant_exec_id = fleet.with_tenant(&id, |s| s.executor().id()).unwrap();
-        assert_eq!(tenant_exec_id, fleet_exec_id, "tenant {id}");
-    }
-}
-
-#[test]
-fn tenant_verdicts_match_standalone_across_worker_counts() {
-    let dims = 4;
-    let train = training(200, dims, 3);
-    let pts = stream(260, dims, 5);
-    let (want, reference) = standalone_verdicts(17, dims, &train, &pts);
-
-    for workers in [Some(0), Some(1), Some(2), Some(4)] {
-        let fleet = SpotFleet::with_workers(FleetConfig::default(), workers);
-        let id = TenantId::new("t").unwrap();
-        fleet.register(id.clone(), tenant_config(17, dims)).unwrap();
-        fleet.learn(&id, &train).unwrap();
-        let mut got = Vec::new();
-        for chunk in pts.chunks(53) {
-            got.extend(fleet.process_batch(&id, chunk).unwrap());
-        }
-        assert_same_verdicts(&want, &got, &format!("workers={workers:?}"));
-        assert_eq!(fleet.tenant_stats(&id).unwrap(), *reference.stats());
-        assert_eq!(
-            fleet.tenant_footprint(&id).unwrap(),
-            reference.footprint(),
-            "workers={workers:?}"
-        );
-    }
-}
-
-#[test]
 fn queued_ingestion_matches_standalone() {
     let dims = 4;
     let train = training(180, dims, 2);
     let pts = stream(300, dims, 8);
     let (want, _) = standalone_verdicts(23, dims, &train, &pts);
 
-    let fleet = SpotFleet::with_workers(
-        FleetConfig {
-            queue_capacity: 64,
-            micro_batch: 48,
-        },
-        Some(1),
-    );
+    let fleet = SpotFleet::new(FleetConfig {
+        queue_capacity: 64,
+        micro_batch: 48,
+    });
     let id = TenantId::new("queued").unwrap();
     fleet.register(id.clone(), tenant_config(23, dims)).unwrap();
     fleet.learn(&id, &train).unwrap();
@@ -205,13 +143,10 @@ fn queued_ingestion_matches_standalone() {
 
 #[test]
 fn bounded_queue_enforces_backpressure() {
-    let fleet = SpotFleet::with_workers(
-        FleetConfig {
-            queue_capacity: 8,
-            micro_batch: 4,
-        },
-        Some(0),
-    );
+    let fleet = SpotFleet::new(FleetConfig {
+        queue_capacity: 8,
+        micro_batch: 4,
+    });
     let id = TenantId::new("slow").unwrap();
     fleet.register(id.clone(), tenant_config(1, 3)).unwrap();
     fleet.learn(&id, &training(120, 3, 1)).unwrap();
@@ -248,13 +183,10 @@ fn concurrent_drains_of_one_tenant_preserve_arrival_order() {
     let pts = stream(400, dims, 6);
     let (want, _) = standalone_verdicts(29, dims, &train, &pts);
 
-    let fleet = SpotFleet::with_workers(
-        FleetConfig {
-            queue_capacity: 128,
-            micro_batch: 32,
-        },
-        Some(1),
-    );
+    let fleet = SpotFleet::new(FleetConfig {
+        queue_capacity: 128,
+        micro_batch: 32,
+    });
     let id = TenantId::new("raced").unwrap();
     fleet.register(id.clone(), tenant_config(29, dims)).unwrap();
     fleet.learn(&id, &train).unwrap();
@@ -300,13 +232,10 @@ fn concurrent_drains_of_one_tenant_preserve_arrival_order() {
 
 #[test]
 fn evict_unblocks_a_producer_stuck_on_a_full_queue() {
-    let fleet = SpotFleet::with_workers(
-        FleetConfig {
-            queue_capacity: 4,
-            micro_batch: 4,
-        },
-        Some(0),
-    );
+    let fleet = SpotFleet::new(FleetConfig {
+        queue_capacity: 4,
+        micro_batch: 4,
+    });
     let id = TenantId::new("full").unwrap();
     fleet.register(id.clone(), tenant_config(3, 3)).unwrap();
     let p = DataPoint::new(vec![0.3, 0.3, 0.3]);
@@ -335,7 +264,7 @@ fn evict_unblocks_a_producer_stuck_on_a_full_queue() {
 #[test]
 fn concurrent_co_tenants_do_not_perturb_each_other() {
     // Every tenant ingests its own stream from its own thread, all
-    // through one pooled fleet; each must match its standalone reference
+    // through one fleet; each must match its standalone reference
     // bit-for-bit.
     let dims = 4;
     let tenants: Vec<(TenantId, u64)> = (0..4u64)
@@ -343,7 +272,7 @@ fn concurrent_co_tenants_do_not_perturb_each_other() {
         .collect();
     let train = training(160, dims, 4);
 
-    let fleet = SpotFleet::with_workers(FleetConfig::default(), Some(2));
+    let fleet = SpotFleet::new(FleetConfig::default());
     for (id, seed) in &tenants {
         fleet
             .register(id.clone(), tenant_config(*seed, dims))
@@ -374,7 +303,7 @@ fn concurrent_co_tenants_do_not_perturb_each_other() {
 
 #[test]
 fn fleet_stats_never_take_a_detector_lock() {
-    let fleet = SpotFleet::with_workers(FleetConfig::default(), Some(0));
+    let fleet = SpotFleet::new(FleetConfig::default());
     let a = TenantId::new("a").unwrap();
     let b = TenantId::new("b").unwrap();
     fleet.register(a.clone(), tenant_config(1, 3)).unwrap();
@@ -435,8 +364,8 @@ fn fleet_checkpoint_roundtrips_bit_exactly_per_tenant() {
         .map(|(_, seed)| stream(130, dims, seed ^ 0xF00))
         .collect();
 
-    // Capture a pooled fleet mid-stream…
-    let fleet = SpotFleet::with_workers(FleetConfig::default(), Some(2));
+    // Capture a fleet mid-stream…
+    let fleet = SpotFleet::new(FleetConfig::default());
     for ((id, seed), pts) in tenants.iter().zip(&head) {
         fleet
             .register(id.clone(), tenant_config(*seed, dims))
@@ -446,17 +375,11 @@ fn fleet_checkpoint_roundtrips_bit_exactly_per_tenant() {
     }
     let json = fleet.checkpoint().to_json();
 
-    // …restore through JSON into a fleet with a *different* worker count,
-    // continue each tenant, and compare against an uninterrupted
-    // standalone detector.
+    // …restore through JSON into a new fleet, continue each tenant, and
+    // compare against an uninterrupted standalone detector.
     let restored_cp = FleetCheckpoint::from_json(&json).unwrap();
     assert_eq!(restored_cp.len(), 3);
-    let restored = SpotFleet::from_checkpoint_with(
-        &restored_cp,
-        FleetConfig::default(),
-        spot_synopsis::ExecutorHandle::with_workers(1),
-    )
-    .unwrap();
+    let restored = SpotFleet::from_checkpoint(&restored_cp, FleetConfig::default()).unwrap();
     for (i, (id, seed)) in tenants.iter().enumerate() {
         let mut got = Vec::new();
         for chunk in tail[i].chunks(41) {
@@ -493,7 +416,7 @@ fn fleet_checkpoint_roundtrips_bit_exactly_per_tenant() {
 fn single_tenant_restore_replaces_in_place() {
     let dims = 3;
     let train = training(140, dims, 2);
-    let fleet = SpotFleet::with_workers(FleetConfig::default(), Some(0));
+    let fleet = SpotFleet::new(FleetConfig::default());
     let id = TenantId::new("solo").unwrap();
     fleet.register(id.clone(), tenant_config(7, dims)).unwrap();
     fleet.learn(&id, &train).unwrap();
@@ -535,7 +458,7 @@ fn checkpoint_versioning_errors_are_typed() {
         SpotError::SnapshotCorrupt(_)
     ));
     // Duplicate ids in the payload are rejected.
-    let fleet = SpotFleet::with_workers(FleetConfig::default(), Some(0));
+    let fleet = SpotFleet::new(FleetConfig::default());
     let id = TenantId::new("d").unwrap();
     fleet.register(id.clone(), tenant_config(1, 3)).unwrap();
     fleet.learn(&id, &training(100, 3, 1)).unwrap();
@@ -556,19 +479,18 @@ fn checkpoint_versioning_errors_are_typed() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The acceptance bar: any tenant mix, any worker count, concurrent
+    /// The acceptance bar: any tenant mix, any chunking, concurrent
     /// co-tenant ingest — every tenant is bit-identical to its standalone
-    /// reference, and the whole fleet shares at most one pool.
+    /// reference.
     #[test]
     fn fleet_tenants_are_bit_identical_to_standalone(
         seeds in proptest::collection::vec(0u64..500, 2..5),
-        workers in 0usize..5,
         n in 90usize..220,
         chunk in 17usize..71,
     ) {
         let dims = 4;
         let train = training(150, dims, 13);
-        let fleet = SpotFleet::with_workers(FleetConfig::default(), Some(workers));
+        let fleet = SpotFleet::new(FleetConfig::default());
         let ids: Vec<TenantId> = seeds
             .iter()
             .enumerate()
@@ -598,6 +520,5 @@ proptest! {
                 });
             }
         });
-        prop_assert!(fleet.executor().pools_spawned() <= 1);
     }
 }

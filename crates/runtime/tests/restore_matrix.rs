@@ -20,7 +20,6 @@ use spot_runtime::{
     Carrier, CheckpointStore, FleetCheckpoint, FleetConfig, FsyncPolicy, SpotFleet, TenantId,
     WalTuning,
 };
-use spot_synopsis::ExecutorHandle;
 use spot_types::{DataPoint, DomainBounds, SpotError};
 use std::path::PathBuf;
 
@@ -84,7 +83,7 @@ fn tid(name: &str) -> TenantId {
 
 /// A serial fleet with `n` learned, exercised tenants `m-0..m-(n-1)`.
 fn seeded_fleet(n_tenants: usize) -> SpotFleet {
-    let fleet = SpotFleet::with_workers(FleetConfig::default(), Some(0));
+    let fleet = SpotFleet::new(FleetConfig::default());
     let train = training(120, 5);
     for t in 0..n_tenants {
         let id = tid(&format!("m-{t}"));
@@ -345,13 +344,10 @@ fn recovery_replays_wal_tail_on_top_of_a_delta_chain() {
     let train = training(120, 5);
     let pts = stream(240, 1);
 
-    let fleet = SpotFleet::with_workers(
-        FleetConfig {
-            queue_capacity: 64,
-            micro_batch: 16,
-        },
-        Some(0),
-    );
+    let fleet = SpotFleet::new(FleetConfig {
+        queue_capacity: 64,
+        micro_batch: 16,
+    });
     let id = tid("tenant-a");
     fleet.register(id.clone(), tenant_config(3)).unwrap();
     fleet.learn(&id, &train).unwrap();
@@ -384,7 +380,6 @@ fn recovery_replays_wal_tail_on_top_of_a_delta_chain() {
             micro_batch: 16,
         },
         tuning,
-        ExecutorHandle::serial(),
         4,
     )
     .unwrap();
@@ -392,7 +387,7 @@ fn recovery_replays_wal_tail_on_top_of_a_delta_chain() {
     assert_eq!(recovered.tenant_stats(&id).unwrap().processed, 220);
 
     // The uncrashed twin.
-    let reference = SpotFleet::with_workers(FleetConfig::default(), Some(0));
+    let reference = SpotFleet::new(FleetConfig::default());
     reference.register(id.clone(), tenant_config(3)).unwrap();
     reference.learn(&id, &train).unwrap();
     reference.process_batch(&id, &pts[..220]).unwrap();

@@ -25,7 +25,6 @@ use spot_runtime::{
     TenantId, WalTuning,
 };
 use spot_stream::WalSource;
-use spot_synopsis::ExecutorHandle;
 use spot_types::{DataPoint, DomainBounds, SpotError};
 use std::path::{Path, PathBuf};
 
@@ -91,13 +90,10 @@ fn tid(name: &str) -> TenantId {
 /// `dir/wal`, plus its checkpoint store at `dir` — the layout
 /// `SpotFleet::recover` expects.
 fn walled_fleet(dir: &Path, tuning: WalTuning, train: &[DataPoint]) -> (SpotFleet, TenantId) {
-    let fleet = SpotFleet::with_workers(
-        FleetConfig {
-            queue_capacity: 64,
-            micro_batch: 16,
-        },
-        Some(0),
-    );
+    let fleet = SpotFleet::new(FleetConfig {
+        queue_capacity: 64,
+        micro_batch: 16,
+    });
     let id = tid("tenant-a");
     fleet.register(id.clone(), tenant_config(3)).unwrap();
     fleet.learn(&id, train).unwrap();
@@ -108,7 +104,7 @@ fn walled_fleet(dir: &Path, tuning: WalTuning, train: &[DataPoint]) -> (SpotFlee
 /// A reference (non-walled) fleet that learned identically and processed
 /// exactly `prefix` — the uncrashed twin recovery must match.
 fn reference_fleet(train: &[DataPoint], prefix: &[DataPoint]) -> (SpotFleet, TenantId) {
-    let fleet = SpotFleet::with_workers(FleetConfig::default(), Some(0));
+    let fleet = SpotFleet::new(FleetConfig::default());
     let id = tid("tenant-a");
     fleet.register(id.clone(), tenant_config(3)).unwrap();
     fleet.learn(&id, train).unwrap();
@@ -142,7 +138,6 @@ fn assert_recovers_to_prefix(
             micro_batch: 16,
         },
         tuning,
-        ExecutorHandle::serial(),
         4,
     )
     .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
@@ -231,14 +226,8 @@ fn recovery_survives_a_torn_newest_checkpoint() {
     // generation and replays the *longer* tail to the same end state.
     store.truncate(torn, 40).unwrap();
 
-    let (recovered, recovery) = SpotFleet::recover_with(
-        &dir,
-        FleetConfig::default(),
-        tuning,
-        ExecutorHandle::serial(),
-        4,
-    )
-    .unwrap();
+    let (recovered, recovery) =
+        SpotFleet::recover_with(&dir, FleetConfig::default(), tuning, 4).unwrap();
     assert_eq!(recovery.generation, Some(torn - 1));
     assert_eq!(recovery.rejected.len(), 1);
     assert_eq!(recovery.total_replayed(), 80);
@@ -442,14 +431,8 @@ fn crash_between_checkpoint_and_prune_is_recoverable() {
 
     // …recovery skips it (nothing to replay), and the *next* durable
     // checkpoint finally prunes.
-    let (recovered, recovery) = SpotFleet::recover_with(
-        &dir,
-        FleetConfig::default(),
-        tuning,
-        ExecutorHandle::serial(),
-        4,
-    )
-    .unwrap();
+    let (recovered, recovery) =
+        SpotFleet::recover_with(&dir, FleetConfig::default(), tuning, 4).unwrap();
     assert_eq!(recovery.total_replayed(), 0);
     assert_eq!(recovered.tenant_stats(&id).unwrap().processed, 24);
     recovered.checkpoint_durable(&store).unwrap();
@@ -552,14 +535,8 @@ fn recover_without_a_checkpoint_reports_unclaimed_logs() {
     }
     drop(fleet); // crash before any durable checkpoint
 
-    let (recovered, recovery) = SpotFleet::recover_with(
-        &dir,
-        FleetConfig::default(),
-        tuning,
-        ExecutorHandle::serial(),
-        4,
-    )
-    .unwrap();
+    let (recovered, recovery) =
+        SpotFleet::recover_with(&dir, FleetConfig::default(), tuning, 4).unwrap();
     assert!(recovery.generation.is_none());
     assert!(recovered.is_empty());
     assert_eq!(recovery.unclaimed, vec!["tenant-a".to_string()]);

@@ -243,7 +243,7 @@ fn register(state: &AppState, id: &TenantId, body: &[u8]) -> Response {
             }
         }
     };
-    let mut builder = SpotBuilder::new(bounds).executor(state.fleet.executor().clone());
+    let mut builder = SpotBuilder::new(bounds);
     if let Some(g) = doc.get_field("granularity").and_then(as_usize) {
         builder = builder.granularity(g.min(u16::MAX as usize) as u16);
     }

@@ -65,13 +65,10 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 /// A serial (deterministic) fleet with a small queue.
 fn serial_fleet(queue_capacity: usize, micro_batch: usize) -> SpotFleet {
-    SpotFleet::with_workers(
-        FleetConfig {
-            queue_capacity,
-            micro_batch,
-        },
-        Some(0),
-    )
+    SpotFleet::new(FleetConfig {
+        queue_capacity,
+        micro_batch,
+    })
 }
 
 /// Millisecond-scale retry policy so tests finish fast.

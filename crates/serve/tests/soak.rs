@@ -112,7 +112,7 @@ fn collecting_sink() -> (VerdictLog, VerdictSink) {
 /// Direct-ingestion twin: a fresh serial fleet that learns identically and
 /// processes exactly `prefix` points of tenant `i`'s stream.
 fn twin_verdicts(i: usize, total: usize, prefix: usize) -> Vec<Verdict> {
-    let fleet = SpotFleet::with_workers(FleetConfig::default(), Some(0));
+    let fleet = SpotFleet::new(FleetConfig::default());
     let id = tid(i);
     fleet
         .register(id.clone(), tenant_config(100 + i as u64))
@@ -139,13 +139,10 @@ fn assert_bitwise(want: &[Verdict], got: &[Verdict], label: &str) {
 #[test]
 fn soak_bit_identical_under_network_faults() {
     const POINTS: usize = 300;
-    let fleet = SpotFleet::with_workers(
-        FleetConfig {
-            queue_capacity: 32,
-            micro_batch: 8,
-        },
-        Some(0),
-    );
+    let fleet = SpotFleet::new(FleetConfig {
+        queue_capacity: 32,
+        micro_batch: 8,
+    });
     for i in 0..TENANTS {
         fleet
             .register(tid(i), tenant_config(100 + i as u64))
@@ -272,13 +269,10 @@ fn soak_graceful_shutdown_with_wal_loses_nothing_admitted() {
     const POINTS: usize = 400;
     let dir = temp_dir("shutdown");
     let store = CheckpointStore::open(&dir, 3).unwrap();
-    let fleet = SpotFleet::with_workers(
-        FleetConfig {
-            queue_capacity: 32,
-            micro_batch: 8,
-        },
-        Some(0),
-    );
+    let fleet = SpotFleet::new(FleetConfig {
+        queue_capacity: 32,
+        micro_batch: 8,
+    });
     for i in 0..TENANTS {
         fleet
             .register(tid(i), tenant_config(100 + i as u64))

@@ -49,13 +49,10 @@ fn stream(n: usize, salt: usize) -> Vec<DataPoint> {
 /// A serial (deterministic) fleet behind a server whose pump is off, so
 /// the queue only moves when a test drains it.
 fn served(queue_capacity: usize, micro_batch: usize) -> (SpotFleet, SpotServer) {
-    let fleet = SpotFleet::with_workers(
-        FleetConfig {
-            queue_capacity,
-            micro_batch,
-        },
-        Some(0),
-    );
+    let fleet = SpotFleet::new(FleetConfig {
+        queue_capacity,
+        micro_batch,
+    });
     let server = SpotServer::builder(fleet.clone())
         .pump(false)
         .bind("127.0.0.1:0")

@@ -19,7 +19,7 @@ pub mod wal;
 pub mod window;
 
 pub use clock::LogicalClock;
-pub use sample::{CounterRng, Reservoir, RunDraws};
+pub use sample::{CounterRng, Reservoir};
 pub use source::{ChannelSource, FnSource, PointStream, VecSource};
 pub use time::{DecayedCounter, TimeModel, WeightCache};
 pub use wal::{WalScan, WalSource};

@@ -8,8 +8,6 @@
 //! generator keyed on `(seed, point ordinal)`: the draw for the *n*-th
 //! offered point is a pure function of `n`, so
 //!
-//! * commits become point-parallelizable in principle (any subset of
-//!   ordinals can be evaluated independently),
 //! * reservoir state is trivially durable — the sample plus the ordinal
 //!   counter *is* the whole state, and
 //! * a restored detector continues the exact accept/replace sequence an
@@ -63,49 +61,6 @@ impl CounterRng {
     }
 }
 
-/// Order-free view of a run of consecutive reservoir offers.
-///
-/// [`Reservoir::offer`]'s accept/replace decision for the *i*-th point of
-/// a run is a pure function of `(seed, seen₀ + i + 1)` plus the fill level
-/// at the start of the run — no decision reads any other decision. This
-/// snapshot exposes exactly that function, so a run's draws can be
-/// evaluated in any order, on any thread, and in one batched pass
-/// ([`Reservoir::offer_run`]) with results bit-identical to `len` serial
-/// [`Reservoir::offer`] calls.
-#[derive(Debug, Clone, Copy)]
-pub struct RunDraws {
-    rng: CounterRng,
-    /// Items held when the run begins.
-    len0: usize,
-    /// Offers seen when the run begins.
-    seen0: u64,
-    cap: usize,
-}
-
-impl RunDraws {
-    /// The slot the `i`-th offer of the run lands in (`None` when the draw
-    /// rejects it). During the fill phase (`len0 + i < cap`) every offer
-    /// pushes a fresh slot; afterwards the counter-keyed draw for ordinal
-    /// `seen0 + i + 1` picks a replacement slot or rejects — exactly the
-    /// decision [`Reservoir::offer`] makes for the same offer.
-    #[inline]
-    pub fn slot(&self, i: usize) -> Option<usize> {
-        let held = self.len0 + i;
-        if held < self.cap {
-            return Some(held);
-        }
-        let ordinal = self.seen0 + i as u64 + 1;
-        let j = self.rng.index(ordinal, ordinal);
-        ((j as usize) < self.cap).then_some(j as usize)
-    }
-
-    /// Number of fill-phase offers at the head of a run of `len` points
-    /// (those push fresh slots rather than replacing).
-    pub fn fill_len(&self, len: usize) -> usize {
-        self.cap.saturating_sub(self.len0).min(len)
-    }
-}
-
 /// Algorithm-R reservoir over `(tick, point)` pairs with counter-based
 /// draws: the accept/replace decision for the *n*-th offer depends only on
 /// `(seed, n)`, never on earlier decisions.
@@ -115,9 +70,6 @@ pub struct Reservoir {
     items: Vec<(u64, DataPoint)>,
     /// Offers so far (the ordinal of the next offer is `seen + 1`).
     seen: u64,
-    /// Reused winner scratch for [`Reservoir::offer_run`] (`u32::MAX` =
-    /// slot untouched this run). Never part of the logical state.
-    scratch: Vec<u32>,
 }
 
 impl Reservoir {
@@ -127,19 +79,6 @@ impl Reservoir {
             rng: CounterRng::new(seed),
             items: Vec::new(),
             seen: 0,
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Snapshot of the draw function for a run of offers starting now (see
-    /// [`RunDraws`]). Copyable into a parallel commit phase: the decisions
-    /// it yields are exactly those the next offers would make.
-    pub fn run_draws(&self, cap: usize) -> RunDraws {
-        RunDraws {
-            rng: self.rng,
-            len0: self.items.len(),
-            seen0: self.seen,
-            cap,
         }
     }
 
@@ -153,49 +92,6 @@ impl Reservoir {
             let j = self.rng.index(self.seen, self.seen);
             if (j as usize) < cap {
                 self.items[j as usize] = (now, p.clone());
-            }
-        }
-    }
-
-    /// Offers a run of points arriving at the consecutive ticks
-    /// `start_now, start_now + 1, …` in one batched pass. State afterwards
-    /// (items, order, `seen`) is bit-identical to `points.len()` serial
-    /// [`Reservoir::offer`] calls — but each touched slot is written once,
-    /// by its *last* accepted offer, so points whose acceptance would be
-    /// overwritten later in the same run are never cloned at all.
-    pub fn offer_run(&mut self, cap: usize, start_now: u64, points: &[DataPoint]) {
-        let n = points.len();
-        let draws = self.run_draws(cap);
-        self.seen += n as u64;
-        let len0 = self.items.len();
-        let n_fill = draws.fill_len(n);
-        // Slots a replacement can touch: 0..cap, but never beyond the
-        // run-final fill level (replacements only start once the vec holds
-        // `cap` items).
-        let slots = cap.min(len0 + n_fill);
-        let win = &mut self.scratch;
-        win.clear();
-        win.resize(slots, u32::MAX);
-        // Backward scan claims each slot for its last writer.
-        for i in (n_fill..n).rev() {
-            if let Some(s) = draws.slot(i) {
-                if win[s] == u32::MAX {
-                    win[s] = i as u32;
-                }
-            }
-        }
-        // Fill phase: every offer pushes a fresh slot; its final content is
-        // the slot's winning replacement when one exists.
-        for i in 0..n_fill {
-            let w = win[len0 + i];
-            let src = if w == u32::MAX { i } else { w as usize };
-            self.items
-                .push((start_now + src as u64, points[src].clone()));
-        }
-        // Pre-existing slots overwritten by this run.
-        for (s, &w) in win.iter().enumerate().take(len0.min(slots)) {
-            if w != u32::MAX {
-                self.items[s] = (start_now + w as u64, points[w as usize].clone());
             }
         }
     }
@@ -351,118 +247,6 @@ mod tests {
                 .position(|(now, then)| now != *then);
             assert_eq!(changed_a, changed_b, "offer {i}");
         }
-    }
-
-    #[test]
-    fn offer_run_matches_serial_offers_bitwise() {
-        // Every (start fill level × run length) regime: empty reservoir,
-        // mid-fill, fill completing inside the run, steady-state
-        // replacement, and a cap smaller than the run.
-        for &(cap, warm, len) in &[
-            (8usize, 0usize, 3usize),
-            (8, 0, 8),
-            (8, 5, 7),
-            (8, 20, 64),
-            (4, 0, 100),
-            (1, 0, 17),
-            (256, 100, 256),
-        ] {
-            let mut serial = Reservoir::new(11);
-            let mut batched = Reservoir::new(11);
-            for i in 0..warm as u64 {
-                serial.offer(cap, i, &p(i as f64));
-                batched.offer(cap, i, &p(i as f64));
-            }
-            let start = warm as u64;
-            let run: Vec<DataPoint> = (0..len).map(|i| p(1000.0 + i as f64)).collect();
-            for (i, point) in run.iter().enumerate() {
-                serial.offer(cap, start + i as u64, point);
-            }
-            batched.offer_run(cap, start, &run);
-            assert_eq!(batched.seen(), serial.seen(), "cap {cap} warm {warm}");
-            assert_eq!(
-                batched.items(),
-                serial.items(),
-                "cap {cap} warm {warm} len {len}"
-            );
-        }
-    }
-
-    #[test]
-    fn run_draws_predict_serial_offer_slots() {
-        let cap = 6usize;
-        let mut res = Reservoir::new(77);
-        for i in 0..100u64 {
-            // Snapshot before the offer: slot(0) must name exactly the slot
-            // the live offer writes (or None when the offer is dropped).
-            let draws = res.run_draws(cap);
-            let predicted = draws.slot(0);
-            let before: Vec<u64> = res.items().iter().map(|(t, _)| *t).collect();
-            res.offer(cap, i, &p(i as f64));
-            let written = if res.items().len() > before.len() {
-                Some(res.items().len() - 1)
-            } else {
-                res.items()
-                    .iter()
-                    .map(|(t, _)| *t)
-                    .zip(&before)
-                    .position(|(now, then)| now != *then)
-            };
-            assert_eq!(predicted, written, "offer {i}");
-        }
-        // Deeper lookahead agrees with a batch applied on a clone.
-        let draws = res.run_draws(cap);
-        assert_eq!(draws.fill_len(10), 0);
-        for i in 0..10usize {
-            let mut probe = res.clone();
-            for j in 0..=i as u64 {
-                probe.offer(cap, 200 + j, &p(j as f64));
-            }
-            // The i-th decision is order-free: predictable without applying
-            // the first i offers.
-            let _ = draws.slot(i); // must not panic; value checked below
-        }
-        let run: Vec<DataPoint> = (0..10).map(|i| p(i as f64)).collect();
-        let mut serial = res.clone();
-        for (i, point) in run.iter().enumerate() {
-            serial.offer(cap, 200 + i as u64, point);
-        }
-        let mut batched = res.clone();
-        batched.offer_run(cap, 200, &run);
-        assert_eq!(batched.items(), serial.items());
-    }
-
-    #[test]
-    fn offer_run_clones_only_winning_points() {
-        // Steady state, long run over a tiny cap: far fewer than `len`
-        // slots exist, so at most `cap` clones can survive. (The dead-clone
-        // guarantee is structural — each slot is written once — this pins
-        // the observable consequence: final contents match serial.)
-        let cap = 2usize;
-        let mut serial = Reservoir::new(5);
-        let mut batched = Reservoir::new(5);
-        for i in 0..10u64 {
-            serial.offer(cap, i, &p(i as f64));
-            batched.offer(cap, i, &p(i as f64));
-        }
-        let run: Vec<DataPoint> = (0..500).map(|i| p(i as f64)).collect();
-        for (i, point) in run.iter().enumerate() {
-            serial.offer(cap, 10 + i as u64, point);
-        }
-        batched.offer_run(cap, 10, &run);
-        assert_eq!(batched.items(), serial.items());
-        assert_eq!(batched.len(), cap);
-    }
-
-    #[test]
-    fn offer_run_empty_is_a_no_op() {
-        let mut res = Reservoir::new(3);
-        res.offer(4, 0, &p(1.0));
-        let before: Vec<u64> = res.items().iter().map(|(t, _)| *t).collect();
-        res.offer_run(4, 1, &[]);
-        assert_eq!(res.seen(), 1);
-        let after: Vec<u64> = res.items().iter().map(|(t, _)| *t).collect();
-        assert_eq!(before, after);
     }
 
     #[test]

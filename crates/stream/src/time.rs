@@ -125,9 +125,9 @@ impl TimeModel {
 /// the age alone: not on the tick, not on the run, not on the cell. So one
 /// table indexed by age serves every cell touch of every store for the
 /// detector's whole lifetime. The owner extends it with
-/// [`WeightCache::ensure`] before it dispatches work at a new tick (one
-/// `powi` per tick until the cap, none afterwards); inside a dispatch the
-/// table is read-only and shared by every participant.
+/// [`WeightCache::ensure`] before it touches cells at a new tick (one
+/// `powi` per tick until the cap, none afterwards); inside a point, a run
+/// or a prune the table is read-only.
 ///
 /// Entry `a` is `model.weight_after(a)` itself — the function the
 /// model-only path calls — so a served factor is bit-identical to the
@@ -196,8 +196,7 @@ impl WeightCache {
     }
 
     /// `model.weight_after(age)`, served from the table when the age is in
-    /// range. Read-only — safe to call from parallel shards over one
-    /// shared table.
+    /// range. Read-only.
     #[inline]
     pub fn weight(&self, age: u64) -> f64 {
         if age < self.factors.len() as u64 {

@@ -95,11 +95,8 @@ impl Grid {
     /// The loop runs in fixed-width chunks of branch-free lanes
     /// (subtract, scale, saturating cast, clamp — no data-dependent
     /// control flow), a shape the autovectorizer can lift to SIMD for
-    /// wide-ϕ streams; `BENCH_parallel.json` carries the ϕ ∈ {8, 24, 64}
-    /// micro numbers. Under the `simd` feature the lane step is the
-    /// explicit [`crate::lanes`] kernel instead of the inlined scalar
-    /// chunk; both are bit-identical (parity proptests in `lanes` and
-    /// below). NaN detection is folded into the same lanes (a
+    /// wide-ϕ streams; the parity tests below pin it to
+    /// [`Grid::interval`]. NaN detection is folded into the same lanes (a
     /// per-element early exit would block vectorization); the offending
     /// dimension is only located on the cold error path.
     #[inline]
@@ -110,7 +107,8 @@ impl Grid {
                 got: p.dims(),
             });
         }
-        const LANES: usize = crate::lanes::LANES;
+        /// Lane width of one chunk: four f64s fill one AVX2 register.
+        const LANES: usize = 4;
         out.clear();
         out.reserve(self.dims());
         let values = p.values();
@@ -123,22 +121,12 @@ impl Grid {
         let mut lows = mins.chunks_exact(LANES);
         let mut scales = inv.chunks_exact(LANES);
         for ((v, mn), iw) in (&mut vals).zip(&mut lows).zip(&mut scales) {
-            #[cfg(feature = "simd")]
-            let lane = {
-                let (lane, nan) = crate::lanes::quantize_lanes(v, mn, iw, hi);
-                saw_nan |= nan;
-                lane
-            };
-            #[cfg(not(feature = "simd"))]
-            let lane = {
-                let mut lane = [0u16; LANES];
-                for k in 0..LANES {
-                    saw_nan |= v[k].is_nan();
-                    let rel = (v[k] - mn[k]) * iw[k];
-                    lane[k] = (rel as u64).min(hi) as u16;
-                }
-                lane
-            };
+            let mut lane = [0u16; LANES];
+            for k in 0..LANES {
+                saw_nan |= v[k].is_nan();
+                let rel = (v[k] - mn[k]) * iw[k];
+                lane[k] = (rel as u64).min(hi) as u16;
+            }
             out.extend_from_slice(&lane);
         }
         for ((&v, &mn), &iw) in vals
@@ -172,24 +160,12 @@ impl Grid {
         Ok(out)
     }
 
-    /// Key of the base cell with the given coordinates.
-    #[inline]
-    pub fn base_key(&self, coords: &[u16]) -> CellKey {
-        self.codec.base_key(coords)
-    }
-
     /// Key of the projection of base coordinates onto `subspace` — pure
     /// integer shifting, no allocation.
     #[inline]
     pub fn project_key(&self, base: &[u16], subspace: &Subspace) -> CellKey {
         debug_assert!(subspace.fits(self.dims()));
         self.codec.project_key(base, subspace)
-    }
-
-    /// Base-cell key of a point (coordinate buffer supplied by the caller).
-    pub fn key_of(&self, p: &DataPoint, scratch: &mut Vec<u16>) -> Result<CellKey> {
-        self.base_coords_into(p, scratch)?;
-        Ok(self.base_key(scratch))
     }
 
     /// Standard deviation of a uniform distribution over one cell interval
@@ -290,23 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn key_of_reuses_scratch() {
-        let g = grid(2, 4);
-        let mut scratch = Vec::new();
-        let k1 = g
-            .key_of(&DataPoint::new(vec![0.1, 0.1]), &mut scratch)
-            .unwrap();
-        let k2 = g
-            .key_of(&DataPoint::new(vec![0.1, 0.12]), &mut scratch)
-            .unwrap();
-        assert_eq!(k1, k2, "same cell, same key");
-        let k3 = g
-            .key_of(&DataPoint::new(vec![0.9, 0.9]), &mut scratch)
-            .unwrap();
-        assert_ne!(k1, k3);
-    }
-
-    #[test]
     fn uniform_sigma_values() {
         let g = grid(2, 10);
         let per_dim = 0.1 / 12f64.sqrt();
@@ -355,42 +314,6 @@ mod tests {
                 for (d, &v) in vals.iter().enumerate() {
                     assert_eq!(out[d], g.interval(d, v), "dims={dims} d={d} v={v}");
                 }
-            }
-        }
-    }
-
-    proptest! {
-        #[test]
-        fn lane_kernel_matches_fallback_chunk(
-            vals in proptest::collection::vec(-5.0f64..5.0, crate::lanes::LANES),
-            special in 0usize..5,
-            pos in 0usize..crate::lanes::LANES,
-            m in 2u16..50,
-        ) {
-            // The explicit lane kernel and the scalar fallback chunk must
-            // agree element-for-element whichever one `base_coords_into`
-            // compiled in — this pins the other path too. Clamped
-            // extremes are injected over the drawn lane (the stand-in
-            // proptest has no union strategies).
-            let mut vals = vals;
-            vals[pos] = match special {
-                1 => f64::INFINITY,
-                2 => f64::NEG_INFINITY,
-                3 => 1e18,
-                4 => -1e18,
-                _ => vals[pos],
-            };
-            let g = grid(crate::lanes::LANES, m);
-            let hi = m as u64 - 1;
-            let (lane, nan) = crate::lanes::quantize_lanes(
-                &vals,
-                g.bounds().mins(),
-                &g.inv_cell_width,
-                hi,
-            );
-            prop_assert!(!nan);
-            for (d, &v) in vals.iter().enumerate() {
-                prop_assert_eq!(lane[d], g.interval(d, v), "d={} v={}", d, v);
             }
         }
     }

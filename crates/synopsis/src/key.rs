@@ -10,19 +10,20 @@
 //!   `bits = ceil(log2(granularity))` bits; the key is the indices of the
 //!   participating dimensions (ascending) folded together with shifts.
 //!   Injective, reversible, and hashing is a couple of integer multiplies.
-//!   A key is packable whenever `|dims| · bits ≤ 128` — e.g. the full base
+//!   A key is packable whenever `|dims| · bits ≤ 128` — e.g. the full-space
 //!   key of a ϕ=32, m=10 grid (4 bits/dim → 128 bits), or any projected
 //!   key of cardinality ≤ 128/bits (with the default m=10, up to 32
 //!   dimensions — far above the SST's cardinality caps).
 //! * **Fingerprint (wide) mode** — when a key would need more than 128
-//!   bits (e.g. base cells at ϕ=64, m=10), the coordinates are folded into
+//!   bits (e.g. full-space cells at ϕ=64, m=10), the coordinates are folded into
 //!   a 128-bit double-lane multiply-rotate fingerprint instead. The key is
 //!   no longer reversible and two distinct cells could in principle
 //!   collide, but with 2¹²⁸ key space the expected collision count over
 //!   `n` live cells is ≈ n²/2¹²⁹ — for a billion-cell synopsis that is
 //!   ~10⁻²¹, far below the probability of a memory bit flip, so the
-//!   summaries behave identically to exact keys in practice. Base cells
-//!   are the only realistic wide case; projected subspaces stay exact.
+//!   summaries behave identically to exact keys in practice. Full-space
+//!   keys at high ϕ (a store over `Subspace::full(ϕ)`) are the only
+//!   realistic wide case; SST subspaces stay exact.
 //!
 //! [`KeyCodec`] decides the mode per key width and performs the
 //! packing/projection. It is constructed once per [`crate::Grid`].
@@ -71,22 +72,6 @@ impl KeyCodec {
         card as u32 * self.bits <= 128
     }
 
-    /// `true` when the full base key is exactly packed.
-    pub fn base_is_exact(&self) -> bool {
-        self.is_exact(self.dims)
-    }
-
-    /// Key of a full base-cell coordinate slice (all ϕ dimensions).
-    #[inline]
-    pub fn base_key(&self, coords: &[u16]) -> CellKey {
-        debug_assert_eq!(coords.len(), self.dims);
-        if self.base_is_exact() {
-            Self::pack_all(self.bits, coords)
-        } else {
-            Self::fingerprint(coords.iter().copied())
-        }
-    }
-
     /// Key of the projection of base coordinates onto `subspace`
     /// (participating dimensions ascending). Pure integer shifting in
     /// exact mode; no allocation in either mode.
@@ -104,7 +89,7 @@ impl KeyCodec {
     }
 
     /// Packs an arbitrary coordinate slice that fits exactly (test and
-    /// offline-evaluator use; hot paths go through [`KeyCodec::base_key`] /
+    /// offline-evaluator use; hot paths go through
     /// [`KeyCodec::project_key`]).
     #[inline]
     pub fn pack(&self, coords: &[u16]) -> CellKey {
@@ -178,15 +163,13 @@ mod tests {
     #[test]
     fn exactness_boundary() {
         // 4 bits/dim (m=10): exact through 32 dims, fingerprinted beyond.
-        let c = KeyCodec::new(32, 10);
-        assert!(c.base_is_exact());
         let c = KeyCodec::new(33, 10);
-        assert!(!c.base_is_exact());
         assert!(c.is_exact(32));
+        assert!(!c.is_exact(33));
         // 10 bits/dim (m=1024): exact through 12 dims.
-        let c = KeyCodec::new(12, 1024);
-        assert!(c.base_is_exact());
-        assert!(!KeyCodec::new(13, 1024).base_is_exact());
+        let c = KeyCodec::new(13, 1024);
+        assert!(c.is_exact(12));
+        assert!(!c.is_exact(13));
     }
 
     #[test]
@@ -226,8 +209,9 @@ mod tests {
             let coords: Vec<u16> =
                 coords.iter().map(|&c| c % granularity).collect();
             let codec = KeyCodec::new(coords.len(), granularity);
-            prop_assert!(codec.base_is_exact());
-            let key = codec.base_key(&coords);
+            let full = Subspace::full(coords.len()).unwrap();
+            prop_assert!(codec.is_exact(coords.len()));
+            let key = codec.project_key(&coords, &full);
             prop_assert_eq!(codec.unpack(key, coords.len()), coords);
         }
 
@@ -248,12 +232,13 @@ mod tests {
         ) {
             // phi=40 at m=10 needs 160 bits: the wide fallback path.
             let codec = KeyCodec::new(40, 10);
-            prop_assert!(!codec.base_is_exact());
-            let k1 = codec.base_key(&coords);
-            prop_assert_eq!(k1, codec.base_key(&coords));
+            let full = Subspace::full(40).unwrap();
+            prop_assert!(!codec.is_exact(40));
+            let k1 = codec.project_key(&coords, &full);
+            prop_assert_eq!(k1, codec.project_key(&coords, &full));
             let mut other = coords.clone();
             other[flip] = (other[flip] + 1) % 9;
-            prop_assert_ne!(codec.base_key(&other), k1);
+            prop_assert_ne!(codec.project_key(&other, &full), k1);
         }
     }
 }

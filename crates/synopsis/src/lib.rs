@@ -42,15 +42,15 @@
 //! [`SynopsisManager::update_and_screen`] (one point, a closure sees the
 //! cells in registration order) and
 //! [`SynopsisManager::update_and_screen_batch`] (a run of points, a
-//! [`CellConsumer`] sees them on whichever participant claimed the store)
-//! hand the touches over as they happen; no per-(point, subspace) result
-//! is stored. [`SynopsisManager::update_and_query`] and
+//! [`CellConsumer`] sees them store by store) hand the touches over as
+//! they happen; no per-(point, subspace) result is stored.
+//! [`SynopsisManager::update_and_query`] and
 //! [`SynopsisManager::update_and_query_batch`] are the full-report
 //! consumers of the same two loops — every cell's `(RD, IRSD)` pair into
 //! caller-reused sinks — for baselines and tools. The two loops run the
 //! same per-cell kernel ([`ProjectedStore::update_and_screen`]) and differ
-//! in loop order only: point-major for one point, store-major (one store's
-//! shard at a time) for a run.
+//! in loop order only: point-major for one point, store-major (every point
+//! of the run into one store, then the next store) for a run.
 //!
 //! No path reachable from them calls `powi` or the allocator on the
 //! steady state. Every renormalization factor `δ^age` comes from the
@@ -64,33 +64,20 @@
 //! swap-remove. Batch ingestion additionally amortizes the quantization
 //! scratch and advances the global weight in closed form.
 //!
-//! # The parallel runtime
-//!
-//! The batch path treats each per-subspace store as one shard of a
-//! subspace-disjoint SST partition, claimed heaviest-first from an atomic
-//! cursor by the participants of a [`StoreExecutor`] (see the `pool`
-//! module): the calling thread alone by default, the manager's persistent
-//! [`WorkerPool`] with the `parallel` feature, or external cooperating
-//! threads (e.g. `spot`'s `SharedSpot` producers). Every store has exactly
-//! one writer per run and sees points in arrival order, so all executors
-//! produce bit-identical synopses; a consumer accumulates per participant
-//! (its lanes, see [`LanePool`]) and merges with operations that do not
-//! depend on who claimed what, so its results are executor-independent too. [`LiveCounters`] mirrors the synopsis
-//! footprint into atomics for lock-free monitoring reads.
+//! Everything here runs on the caller's thread: a manager is one
+//! detector's state, and concurrency comes from running independent
+//! detectors on independent threads. [`LiveCounters`] mirrors the synopsis
+//! footprint into atomics so monitoring threads can read it without
+//! synchronizing with the thread that owns the manager.
 
 pub mod grid;
 pub mod key;
-pub mod lanes;
 pub mod manager;
 pub mod pcs;
-pub mod pool;
 
 pub use grid::Grid;
 pub use key::{CellKey, KeyCodec};
 pub use manager::{
-    CellConsumer, LanePool, LiveCounters, SubspacePcs, SynopsisManager, SynopsisMark, UpdateOutcome,
+    CellConsumer, LiveCounters, SubspacePcs, SynopsisManager, SynopsisMark, UpdateOutcome,
 };
 pub use pcs::{CellTouch, Pcs, PcsCell, ProjectedStore};
-pub use pool::{
-    panic_message, ExecutorHandle, OnceTask, SerialExecutor, SharedSlice, StoreExecutor, WorkerPool,
-};

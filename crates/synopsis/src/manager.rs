@@ -3,9 +3,6 @@
 
 use crate::grid::Grid;
 use crate::pcs::{CellTouch, Pcs, ProjectedStore};
-use crate::pool::{
-    ExecutorHandle, OnceTask, SerialExecutor, SharedSlice, StoreExecutor, WorkerPool,
-};
 use serde::Value;
 use spot_stream::{DecayedCounter, TimeModel, WeightCache};
 use spot_subspace::Subspace;
@@ -13,17 +10,15 @@ use spot_types::{
     DataPoint, DurableState, FxHashMap, PersistError, Result, SpotError, StateReader, StateWriter,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Lock-free mirror of the synopsis footprint, shared with monitoring
 /// readers (`spot`'s `SharedSpot` serves `footprint()` from it without
 /// taking the detector lock).
 ///
-/// Writers are the shard owners: whoever holds a store (the manager's own
-/// thread, a pool worker, or a cooperating producer) publishes that
-/// store's footprint delta after mutating it — shard-local bookkeeping,
-/// one atomic add per shard per run, and only when the footprint actually
-/// changed. Readers see values at most one in-flight run stale.
+/// The manager publishes a store's footprint delta after mutating it —
+/// one atomic add per store per point or run, and only when the footprint
+/// actually changed. Readers see values at most one in-flight run stale.
 #[derive(Debug, Default)]
 pub struct LiveCounters {
     projected_cells: AtomicUsize,
@@ -80,10 +75,10 @@ impl LiveCounters {
 /// the same loop (baselines, tools): every cell's `(RD, IRSD)` pair into
 /// a caller-reused sink.
 ///
-/// Stores live in **registration (ordinal) order** — the canonical order
-/// of per-point PCS results on every path (single-point, batch, pooled,
-/// cooperative), which is what makes the parallel paths bit-identical to
-/// the sequential one even when two subspaces tie on RD.
+/// Stores live in **registration (ordinal) order** — the order of
+/// per-point PCS results on both the single-point and the batch path, and
+/// the tie-break that keeps verdicts deterministic when two subspaces tie
+/// on RD.
 #[derive(Debug)]
 pub struct SynopsisManager {
     grid: Grid,
@@ -101,10 +96,6 @@ pub struct SynopsisManager {
     batch_coords: Vec<u16>,
     /// Reused per-run total-weight buffer (n entries).
     batch_totals: Vec<f64>,
-    /// Reused participant lanes of the full-report batch consumer.
-    report_lanes: LanePool<ReportLane>,
-    /// Reused shard claim order (store ordinals, heaviest first).
-    shard_order: Vec<u32>,
     /// Layout epoch: bumped whenever the registration-ordinal layout
     /// changes (subspace add/remove, restore). A delta capture is only
     /// valid against a mark from the same epoch — ordinals must mean the
@@ -119,15 +110,6 @@ pub struct SynopsisManager {
     /// inequality only, so a double bump on one path is harmless; what
     /// matters is that every mutation bumps.
     versions: Vec<u64>,
-    /// The shared executor service the batch path dispatches through (see
-    /// [`ExecutorHandle`]): clones — and every co-tenant manager of a
-    /// fleet — share the one lazily-spawned pool this handle owns.
-    exec: ExecutorHandle,
-    /// Pool-engagement floors for batch dispatch (min stores, min
-    /// points): per-manager scheduling tuning fed from the detector
-    /// configuration. Pure scheduling — results are bit-identical for
-    /// every setting.
-    pool_engage: (usize, usize),
     /// The age → `δ^age` table behind every cell renormalization (derived
     /// state, never persisted; see [`WeightCache`]). Extended to the tick
     /// at hand before a point, a run or a prune; read-only inside one.
@@ -146,13 +128,9 @@ impl Clone for SynopsisManager {
             scratch: Vec::with_capacity(self.grid.dims()),
             batch_coords: Vec::new(),
             batch_totals: Vec::new(),
-            report_lanes: LanePool::default(),
-            shard_order: Vec::new(),
             epoch: self.epoch,
             ingest_version: self.ingest_version,
             versions: self.versions.clone(),
-            exec: self.exec.clone(),
-            pool_engage: self.pool_engage,
             weights: WeightCache::new(self.model),
         };
         // The clone gets its own counters; re-derive them from the cloned
@@ -177,7 +155,7 @@ pub struct UpdateOutcome {
 /// A point-in-time snapshot of the synopsis dirty-tracking state, taken
 /// by [`SynopsisManager::capture_mark`] at capture time. Opaque to
 /// callers; its only use is as the baseline of a later
-/// [`SynopsisManager::capture_state_delta_with`].
+/// [`SynopsisManager::capture_state_delta`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SynopsisMark {
     epoch: u64,
@@ -197,142 +175,36 @@ pub struct SubspacePcs {
     pub occupancy: f64,
 }
 
-/// Receives every projected cell the batch shard loop touches
-/// ([`SynopsisManager::update_and_screen_batch`]). Shards are claimed by
-/// however many participants the executor brings, so a consumer
-/// accumulates into **lanes** — one per participant, handed out and taken
-/// back through the consumer — and merges them afterwards with operations
-/// that do not depend on which participant saw which store.
-pub trait CellConsumer: Sync {
-    /// One participant's accumulator.
-    type Lane: Send;
-
-    /// A lane ready for a run of `points` points. Called at most once per
-    /// participant per dispatch, and only by participants that claimed a
-    /// shard.
-    fn checkout(&self, points: usize) -> Self::Lane;
-
-    /// Takes a participant's lane back after its last shard.
-    fn checkin(&self, lane: Self::Lane);
-
+/// Receives every projected cell the batch loop touches
+/// ([`SynopsisManager::update_and_screen_batch`]): stores in registration
+/// order, each store's points in arrival order.
+pub trait CellConsumer {
     /// Point `point` of the run fell into a cell of store `ordinal`
-    /// (registration order). A participant feeds one store's points in
-    /// arrival order before it claims the next store; stores arrive in
-    /// claim order, not registration order.
-    fn cell(
-        &self,
-        lane: &mut Self::Lane,
-        ordinal: usize,
-        store: &ProjectedStore,
-        point: usize,
-        touch: CellTouch,
-    );
-}
-
-/// The lanes of a [`CellConsumer`] across dispatches: *idle* ones waiting
-/// for a participant, and the ones participants of the current dispatch
-/// handed back *filled*. The two are kept apart because a fast participant
-/// checks its lane in while a slow one has yet to check one out — and must
-/// not be handed the filled one.
-#[derive(Debug)]
-pub struct LanePool<L> {
-    /// `(idle, filled)`. Locked for a push or a pop only.
-    lanes: Mutex<(Vec<L>, Vec<L>)>,
-}
-
-impl<L> Default for LanePool<L> {
-    fn default() -> Self {
-        LanePool {
-            lanes: Mutex::new((Vec::new(), Vec::new())),
-        }
-    }
-}
-
-impl<L: Default> LanePool<L> {
-    /// An idle lane (as its last user left it), or a new one.
-    pub fn checkout(&self) -> L {
-        // A poisoned guard still guards two valid vectors.
-        let mut lanes = self.lanes.lock().unwrap_or_else(|e| e.into_inner());
-        lanes.0.pop().unwrap_or_default()
-    }
-
-    /// Hands a participant's lane back, filled.
-    pub fn checkin(&self, lane: L) {
-        let mut lanes = self.lanes.lock().unwrap_or_else(|e| e.into_inner());
-        lanes.1.push(lane);
-    }
-
-    /// The lanes handed back since the last [`LanePool::recycle`].
-    pub fn filled(&mut self) -> &mut [L] {
-        &mut self.lanes.get_mut().unwrap_or_else(|e| e.into_inner()).1
-    }
-
-    /// Makes every filled lane idle again — after the caller merged them,
-    /// or to discard what a dispatch that unwound left behind.
-    pub fn recycle(&mut self) {
-        let (idle, filled) = self.lanes.get_mut().unwrap_or_else(|e| e.into_inner());
-        idle.append(filled);
-    }
-}
-
-/// One participant's share of a full-report batch: the `(PCS, occupancy)`
-/// of every cell of the stores it claimed, store-major — segment `r`
-/// (`points` entries) belongs to store `ordinals[r]`.
-#[derive(Debug, Default)]
-struct ReportLane {
-    ordinals: Vec<usize>,
-    cells: Vec<(Pcs, f64)>,
+    /// (registration order).
+    fn cell(&mut self, ordinal: usize, store: &ProjectedStore, point: usize, touch: CellTouch);
 }
 
 /// The full-report consumer behind
-/// [`SynopsisManager::update_and_query_batch`].
-struct BatchReport {
-    lanes: LanePool<ReportLane>,
+/// [`SynopsisManager::update_and_query_batch`]: one row per point, filled
+/// in registration order because the stores arrive in it.
+struct BatchReport<'a> {
+    sinks: &'a mut [Vec<SubspacePcs>],
 }
 
-impl CellConsumer for BatchReport {
-    type Lane = ReportLane;
-
-    fn checkout(&self, _points: usize) -> ReportLane {
-        let mut lane = self.lanes.checkout();
-        lane.ordinals.clear();
-        lane.cells.clear();
-        lane
-    }
-
-    fn checkin(&self, lane: ReportLane) {
-        self.lanes.checkin(lane);
-    }
-
+impl CellConsumer for BatchReport<'_> {
     #[inline]
-    fn cell(
-        &self,
-        lane: &mut ReportLane,
-        ordinal: usize,
-        store: &ProjectedStore,
-        point: usize,
-        touch: CellTouch,
-    ) {
-        if point == 0 {
-            lane.ordinals.push(ordinal);
-        }
-        lane.cells.push((store.pcs_of(&touch), touch.occupancy));
+    fn cell(&mut self, _ordinal: usize, store: &ProjectedStore, point: usize, touch: CellTouch) {
+        self.sinks[point].push(SubspacePcs {
+            subspace: store.subspace(),
+            pcs: store.pcs_of(&touch),
+            occupancy: touch.occupancy,
+        });
     }
 }
 
 impl SynopsisManager {
-    /// Creates a manager with no monitored subspaces yet, on its own
-    /// executor service — machine-sized with the `parallel` feature,
-    /// serial otherwise. Use [`SynopsisManager::with_executor`] to share
-    /// one service across many managers.
+    /// Creates a manager with no monitored subspaces yet.
     pub fn new(grid: Grid, model: TimeModel) -> Self {
-        Self::with_executor(grid, model, ExecutorHandle::default_for_build())
-    }
-
-    /// Creates a manager dispatching its batch shard phase through `exec`.
-    /// Many managers sharing one handle share its single worker pool —
-    /// the fleet runtime's "N detectors, one executor" wiring.
-    pub fn with_executor(grid: Grid, model: TimeModel, exec: ExecutorHandle) -> Self {
         let scratch = Vec::with_capacity(grid.dims());
         SynopsisManager {
             grid,
@@ -344,13 +216,9 @@ impl SynopsisManager {
             scratch,
             batch_coords: Vec::new(),
             batch_totals: Vec::new(),
-            report_lanes: LanePool::default(),
-            shard_order: Vec::new(),
             epoch: 0,
             ingest_version: 0,
             versions: Vec::new(),
-            exec,
-            pool_engage: (8, 8),
             weights: WeightCache::new(model),
         }
     }
@@ -369,34 +237,6 @@ impl SynopsisManager {
     /// and byte counts without going through (or blocking on) the manager.
     pub fn live_counters(&self) -> Arc<LiveCounters> {
         Arc::clone(&self.live)
-    }
-
-    /// Overrides the worker count of the executor service: `Some(0)`
-    /// forces the serial path, `Some(n)` forces an `n`-worker pool even
-    /// for narrow batches (equivalence tests, tuning), `None` restores
-    /// machine-sized defaults. The pool is re-spawned lazily. Affects
-    /// every manager sharing this service.
-    pub fn set_parallel_workers(&mut self, workers: Option<usize>) {
-        self.exec.set_workers(workers);
-    }
-
-    /// Overrides the pool-engagement floors (minimum stores / minimum run
-    /// points before a machine-sized dispatch fans out). Scheduling only;
-    /// results are bit-identical for every setting.
-    pub fn set_pool_engagement(&mut self, min_stores: usize, min_points: usize) {
-        self.pool_engage = (min_stores, min_points);
-    }
-
-    /// The executor service this manager dispatches through.
-    pub fn executor(&self) -> &ExecutorHandle {
-        &self.exec
-    }
-
-    /// Replaces the executor service — the fleet runtime's rewiring hook
-    /// (results are bit-identical for every executor, so this is safe at
-    /// any quiescent point).
-    pub fn set_executor(&mut self, exec: ExecutorHandle) {
-        self.exec = exec;
     }
 
     /// Starts maintaining a projected store for `subspace`. No-op when
@@ -531,50 +371,12 @@ impl SynopsisManager {
     /// same per-subspace PCS list [`SynopsisManager::update_and_query`]
     /// would produce (rows are cleared and refilled; pass the same vector
     /// across batches to amortize its capacity).
-    ///
-    /// The per-subspace store work runs through the executor service: the
-    /// shared pool when the service engages (forced workers, or a
-    /// wide-enough run under the `parallel` feature's machine-sized
-    /// default), the [`SerialExecutor`] otherwise. Callers with their own
-    /// threads to contribute use
-    /// [`SynopsisManager::update_and_query_batch_with`].
     pub fn update_and_query_batch(
         &mut self,
         start_tick: u64,
         points: &[DataPoint],
         sinks: &mut Vec<Vec<SubspacePcs>>,
         outcomes: &mut Vec<UpdateOutcome>,
-    ) -> Result<()> {
-        if let Some(pool) = self.batch_pool(points.len()) {
-            return self.update_and_query_batch_with(start_tick, points, sinks, outcomes, &*pool);
-        }
-        self.update_and_query_batch_with(start_tick, points, sinks, outcomes, &SerialExecutor)
-    }
-
-    /// The executor the default batch path would pick for a run of
-    /// `points`: the service's shared pool when the run is wide enough to
-    /// pay for dispatch, `None` for the serial path. Exposed so the
-    /// detector can resolve one executor for every run of a batch.
-    pub fn batch_pool(&mut self, points: usize) -> Option<Arc<WorkerPool>> {
-        let (min_stores, min_points) = self.pool_engage;
-        self.exec
-            .pool_for_with(self.stores.len(), points, min_stores, min_points)
-    }
-
-    /// [`SynopsisManager::update_and_query_batch`] with an explicit
-    /// executor for the shard phase (see [`StoreExecutor`]): the SST's
-    /// stores form subspace-disjoint shards, claimed heaviest-first from
-    /// an atomic cursor by however many participants the executor brings.
-    /// Results are bit-identical for every executor — each shard has
-    /// exactly one writer, sees points in arrival order, and lands in its
-    /// registration-order slot.
-    pub fn update_and_query_batch_with(
-        &mut self,
-        start_tick: u64,
-        points: &[DataPoint],
-        sinks: &mut Vec<Vec<SubspacePcs>>,
-        outcomes: &mut Vec<UpdateOutcome>,
-        exec: &dyn StoreExecutor,
     ) -> Result<()> {
         // Exactly one (cleared) row per point: rows surviving from a larger
         // previous batch are dropped so a caller iterating `sinks` never
@@ -584,60 +386,16 @@ impl SynopsisManager {
         for sink in sinks.iter_mut() {
             sink.clear();
         }
-        let mut report = BatchReport {
-            lanes: std::mem::take(&mut self.report_lanes),
-        };
-        // A dispatch that unwound may have left filled lanes behind.
-        report.lanes.recycle();
-        let res = self.batch_loop(start_tick, points, Some(outcomes), exec, &report, None);
-        if res.is_ok() {
-            let lanes = report.lanes.filled();
-            // Merge in registration order — deterministic however the
-            // shards were claimed.
-            let n = points.len();
-            let mut segment_of = vec![(0usize, 0usize); self.stores.len()];
-            for (l, lane) in lanes.iter().enumerate() {
-                for (r, &ordinal) in lane.ordinals.iter().enumerate() {
-                    segment_of[ordinal] = (l, r);
-                }
-            }
-            for (store, &(l, r)) in self.stores.iter().zip(&segment_of) {
-                let subspace = store.subspace();
-                let segment = lanes
-                    .get(l)
-                    .and_then(|lane| lane.cells.get(r * n..(r + 1) * n))
-                    .unwrap_or(&[]);
-                for (sink, &(pcs, occupancy)) in sinks.iter_mut().zip(segment) {
-                    sink.push(SubspacePcs {
-                        subspace,
-                        pcs,
-                        occupancy,
-                    });
-                }
-            }
-            report.lanes.recycle();
-        }
-        self.report_lanes = report.lanes;
-        res
+        let mut report = BatchReport { sinks };
+        self.batch_loop(start_tick, points, Some(outcomes), &mut report)
     }
 
     /// Batch ingestion for a screening consumer — the detector's batch hot
     /// path. Points arrive at consecutive ticks `start_tick,
-    /// start_tick+1, …`; the per-subspace store work runs as
-    /// subspace-disjoint shards through `exec`, and every touched cell
-    /// goes to `consumer` on the participant that claimed its store (see
-    /// [`CellConsumer`]). Nothing per (point, subspace) is materialized
-    /// here. Synopsis state is bit-identical for every executor.
-    ///
-    /// `rider`, when given, is one extra claim unit — claimed exactly
-    /// once, ahead of the store shards. The detector uses it to overlap
-    /// the *previous* run's sequential commit phase with this run's shard
-    /// ingestion: commit work and shard work touch disjoint state, so
-    /// whichever participant claims the rider performs it while the rest
-    /// ingest, and the result is bit-identical to running the rider first.
-    /// The rider is guaranteed to have run by the time this returns —
-    /// on the error path too, where it runs on the calling thread before
-    /// the error propagates (the caller's commit must not be lost).
+    /// start_tick+1, …`; every touched cell goes to `consumer`, store by
+    /// store in registration order (see [`CellConsumer`]). Nothing per
+    /// (point, subspace) is materialized here. Synopsis state is
+    /// bit-identical to feeding the points one by one.
     ///
     /// Validation is all-or-nothing, as on every ingest path: a rejected
     /// batch leaves the manager untouched and the consumer uncalled.
@@ -645,33 +403,23 @@ impl SynopsisManager {
         &mut self,
         start_tick: u64,
         points: &[DataPoint],
-        exec: &dyn StoreExecutor,
-        consumer: &C,
-        rider: Option<&OnceTask<'_>>,
+        consumer: &mut C,
     ) -> Result<()> {
-        let res = self.batch_loop(start_tick, points, None, exec, consumer, rider);
-        if let (Err(_), Some(rider)) = (&res, rider) {
-            // Validation failed before the shard dispatch: the rider never
-            // entered the claim loop.
-            rider.run();
-        }
-        res
+        self.batch_loop(start_tick, points, None, consumer)
     }
 
     /// The one batch loop: validate + quantize, advance the global weight,
-    /// then dispatch the store shards, handing every touched cell to
-    /// `consumer`.
+    /// then run every point into each store in turn, handing every touched
+    /// cell to `consumer`.
     fn batch_loop<C: CellConsumer>(
         &mut self,
         start_tick: u64,
         points: &[DataPoint],
         outcomes: Option<&mut Vec<UpdateOutcome>>,
-        exec: &dyn StoreExecutor,
-        consumer: &C,
-        rider: Option<&OnceTask<'_>>,
+        consumer: &mut C,
     ) -> Result<()> {
-        // Phase A: quantize everything into the reused batch buffer. This
-        // is also the validation pass — a NaN or dimension mismatch at any
+        // Quantize everything into the reused batch buffer. This is also
+        // the validation pass — a NaN or dimension mismatch at any
         // position returns before *any* store mutates, so a rejected batch
         // leaves the manager exactly as it was (the same all-or-nothing
         // guarantee the single-point path gives).
@@ -687,8 +435,8 @@ impl SynopsisManager {
         }
 
         // No cell the run touches is older than its last tick: extend the
-        // weight table that far, once, so the dispatch below only reads
-        // it. The global weight advances by one geometric recurrence
+        // weight table that far, once, so the loop below only reads it.
+        // The global weight advances by one geometric recurrence
         // (bit-identical to per-point adds).
         self.weights
             .ensure(start_tick.saturating_add(points.len() as u64));
@@ -705,71 +453,23 @@ impl SynopsisManager {
             );
         }
 
-        // Size-aware claim order: heaviest shards first, so one oversized
-        // store overlaps the tail of the small ones instead of serializing
-        // the batch behind them.
-        let n_stores = self.stores.len();
-        self.shard_order.clear();
-        self.shard_order.extend(0..n_stores as u32);
-        let stores = &mut self.stores;
-        self.shard_order.sort_by_key(|&ordinal| {
-            let store = &stores[ordinal as usize];
-            (std::cmp::Reverse(shard_weight(store)), ordinal)
-        });
-
-        // Phase B: the shard phase.
-        {
-            let grid = &self.grid;
-            let weights = &self.weights;
-            let live = &*self.live;
-            let order = &self.shard_order[..];
-            let cursor = AtomicUsize::new(0);
-            let shared_stores = SharedSlice::new(&mut stores[..]);
-            let coords = &coords[..];
-            let totals = &totals[..];
-            // The rider (if any) is claim unit 0, ahead of the shards:
-            // under a serial executor it runs first (the exact sequential
-            // order), and with more participants it overlaps.
-            let extra = usize::from(rider.is_some());
-            let work = || {
-                let mut lane: Option<C::Lane> = None;
-                loop {
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    if k >= order.len() + extra {
-                        break;
-                    }
-                    if extra == 1 && k == 0 {
-                        if let Some(task) = rider {
-                            task.run();
-                        }
-                        continue;
-                    }
-                    let ordinal = order[k - extra] as usize;
-                    // SAFETY: `ordinal` comes from a unique claim of the
-                    // cursor over a permutation of 0..n_stores, so this
-                    // participant is the only one touching the store.
-                    let store = unsafe { shared_stores.get_mut(ordinal) };
-                    let lane = lane.get_or_insert_with(|| consumer.checkout(points.len()));
-                    for (i, p) in points.iter().enumerate() {
-                        let base = &coords[i * dims..(i + 1) * dims];
-                        let touch = store.update_and_screen(
-                            grid,
-                            weights,
-                            start_tick + i as u64,
-                            base,
-                            p,
-                            totals[i],
-                        );
-                        consumer.cell(lane, ordinal, store, i, touch);
-                    }
-                    let (dc, db) = store.publish_delta();
-                    live.apply_projected(dc, db);
-                }
-                if let Some(lane) = lane {
-                    consumer.checkin(lane);
-                }
-            };
-            exec.execute(&work);
+        // Store-major: each store sees the run's points in arrival order,
+        // and its cells stay hot across the run.
+        for (ordinal, store) in self.stores.iter_mut().enumerate() {
+            for (i, p) in points.iter().enumerate() {
+                let base = &coords[i * dims..(i + 1) * dims];
+                let touch = store.update_and_screen(
+                    &self.grid,
+                    &self.weights,
+                    start_tick + i as u64,
+                    base,
+                    p,
+                    totals[i],
+                );
+                consumer.cell(ordinal, store, i, touch);
+            }
+            let (dc, db) = store.publish_delta();
+            self.live.apply_projected(dc, db);
         }
 
         self.batch_coords = coords;
@@ -826,52 +526,17 @@ impl SynopsisManager {
     ///
     /// Decay factors come from the weight table the ingest paths use —
     /// one load per live cell, the same eviction decisions as the model.
-    /// The per-store scans (independent by construction — each touches one
-    /// store) fan out across the executor's worker pool when one is
-    /// engaged, using the same claim protocol as the shard phase; version
-    /// bumps and footprint publication stay sequential.
     pub fn prune(&mut self, now: u64, floor: f64) -> usize {
         // Cells can be as old as `now`; extend the table once, up front,
-        // so the scans below (parallel or not) only read it.
+        // so the scans below only read it.
         self.weights.ensure(now.saturating_add(1));
         let mut evicted = 0;
-        let n_stores = self.stores.len();
-        let mut per_store = vec![0usize; n_stores];
-        let (min_stores, min_points) = self.pool_engage;
-        match self
-            .exec
-            .pool_for_with(n_stores, n_stores, min_stores, min_points)
-        {
-            Some(pool) => {
-                let weights = &self.weights;
-                let cursor = AtomicUsize::new(0);
-                let shared_stores = SharedSlice::new(&mut self.stores[..]);
-                let shared_counts = SharedSlice::new(&mut per_store[..]);
-                let work = || loop {
-                    let ordinal = cursor.fetch_add(1, Ordering::Relaxed);
-                    if ordinal >= n_stores {
-                        break;
-                    }
-                    // SAFETY: `ordinal` comes from a unique claim of the
-                    // cursor over 0..n_stores, so this participant is the
-                    // only one touching this store and count slot.
-                    let store = unsafe { shared_stores.get_mut(ordinal) };
-                    let count = unsafe { shared_counts.get_mut(ordinal) };
-                    *count = store.prune(weights, now, floor);
-                };
-                pool.execute(&work);
-            }
-            None => {
-                for (ordinal, store) in self.stores.iter_mut().enumerate() {
-                    per_store[ordinal] = store.prune(&self.weights, now, floor);
-                }
-            }
-        }
         for (ordinal, store) in self.stores.iter_mut().enumerate() {
-            if per_store[ordinal] > 0 {
+            let n = store.prune(&self.weights, now, floor);
+            if n > 0 {
                 self.versions[ordinal] += 1;
             }
-            evicted += per_store[ordinal];
+            evicted += n;
             let (dc, db) = store.publish_delta();
             self.live.apply_projected(dc, db);
         }
@@ -901,43 +566,24 @@ impl SynopsisManager {
     /// defines per-point result order, so a restored manager reproduces
     /// verdicts bit-exactly).
     pub fn capture_state(&self) -> Value {
-        self.capture_state_with(&SerialExecutor)
-    }
-
-    /// [`SynopsisManager::capture_state`] with an explicit executor: each
-    /// projected store's column encoding is one claim unit on the shard
-    /// cursor, so a cooperative caller's helpers (or the worker pool)
-    /// capture stores concurrently — the same protocol the batch shard
-    /// phase rides. Capture is read-only per store; any claim interleaving
-    /// produces the identical tree.
-    pub fn capture_state_with(&self, exec: &dyn StoreExecutor) -> Value {
         let mut w = StateWriter::new();
         w.component("total", &self.total);
-        let n = self.stores.len();
-        let mut slots: Vec<Value> = vec![Value::Null; n];
-        {
-            let cursor = AtomicUsize::new(0);
-            let shared = SharedSlice::new(&mut slots[..]);
-            let stores = &self.stores;
-            let work = || loop {
-                let k = cursor.fetch_add(1, Ordering::Relaxed);
-                if k >= n {
-                    break;
-                }
+        let stores = self
+            .stores
+            .iter()
+            .map(|store| {
                 let mut sw = StateWriter::new();
-                stores[k].capture(&mut sw);
-                // SAFETY: `k` is a unique cursor claim over 0..n.
-                *unsafe { shared.get_mut(k) } = sw.finish();
-            };
-            exec.execute(&work);
-        }
-        w.nested_list("stores", slots);
+                store.capture(&mut sw);
+                sw.finish()
+            })
+            .collect();
+        w.nested_list("stores", stores);
         w.finish()
     }
 
     /// Snapshots the dirty-tracking state at capture time. Pair with
-    /// [`SynopsisManager::capture_state_delta_with`] on the *next* capture
-    /// to encode only what changed in between.
+    /// [`SynopsisManager::capture_state_delta`] on the *next* capture to
+    /// encode only what changed in between.
     pub fn capture_mark(&self) -> SynopsisMark {
         SynopsisMark {
             epoch: self.epoch,
@@ -955,11 +601,7 @@ impl SynopsisManager {
     /// store}…]}` — `total` is a few scalars and always included; clean
     /// stores are skipped entirely, which is what makes fleet-scale
     /// checkpoint cost proportional to change.
-    pub fn capture_state_delta_with(
-        &self,
-        exec: &dyn StoreExecutor,
-        mark: &SynopsisMark,
-    ) -> Option<Value> {
+    pub fn capture_state_delta(&self, mark: &SynopsisMark) -> Option<Value> {
         if mark.epoch != self.epoch || mark.stores.len() != self.stores.len() {
             return None;
         }
@@ -967,33 +609,18 @@ impl SynopsisManager {
         w.component("total", &self.total);
         w.u64("stores_len", self.stores.len() as u64);
         let ingested = self.ingest_version != mark.ingest;
-        let dirty: Vec<usize> = (0..self.stores.len())
+        let changed = (0..self.stores.len())
             .filter(|&i| ingested || self.versions[i] != mark.stores[i])
-            .collect();
-        let n = dirty.len();
-        let mut slots: Vec<Value> = vec![Value::Null; n];
-        {
-            let cursor = AtomicUsize::new(0);
-            let shared = SharedSlice::new(&mut slots[..]);
-            let stores = &self.stores;
-            let dirty = &dirty[..];
-            let work = || loop {
-                let k = cursor.fetch_add(1, Ordering::Relaxed);
-                if k >= n {
-                    break;
-                }
-                let ordinal = dirty[k];
+            .map(|ordinal| {
                 let mut sw = StateWriter::new();
                 sw.u64("ordinal", ordinal as u64);
                 let mut inner = StateWriter::new();
-                stores[ordinal].capture(&mut inner);
+                self.stores[ordinal].capture(&mut inner);
                 sw.value("store", inner.finish());
-                // SAFETY: `k` is a unique cursor claim over 0..n.
-                *unsafe { shared.get_mut(k) } = sw.finish();
-            };
-            exec.execute(&work);
-        }
-        w.nested_list("changed", slots);
+                sw.finish()
+            })
+            .collect();
+        w.nested_list("changed", changed);
         Some(w.finish())
     }
 
@@ -1047,14 +674,6 @@ impl SynopsisManager {
         self.epoch += 1;
         Ok(())
     }
-}
-
-/// Deterministic per-point cost estimate of a store: the moment stripe is
-/// `O(|s|)` and probes get colder as the cell population grows.
-fn shard_weight(store: &ProjectedStore) -> u64 {
-    let card = store.subspace().cardinality() as u64;
-    let occupancy_bits = (usize::BITS - store.len().leading_zeros()) as u64;
-    (2 + card) * (4 + occupancy_bits)
 }
 
 #[cfg(test)]
@@ -1248,9 +867,7 @@ mod tests {
 
     #[test]
     fn batch_matches_one_by_one_with_wide_sst() {
-        // Enough stores that the `parallel` feature's pool actually
-        // engages (≥ 8 on a multi-core machine); without the feature this
-        // covers the serial shard loop.
+        // A dozen stores of mixed cardinality over 100 points.
         let build = || {
             let mut mgr = manager(6, 5);
             for d in 0..6 {
@@ -1274,124 +891,24 @@ mod tests {
         batch_reference_check(build, &points);
     }
 
-    #[test]
-    fn forced_worker_counts_are_bit_identical() {
-        let build = |workers: Option<usize>| {
-            let mut mgr = manager(4, 5);
-            mgr.set_parallel_workers(workers);
-            for d in 0..4 {
-                mgr.add_subspace(Subspace::from_dims([d]).unwrap());
-                mgr.add_subspace(Subspace::from_dims([d, (d + 1) % 4]).unwrap());
-            }
-            mgr
-        };
-        let points: Vec<DataPoint> = (0..150)
-            .map(|i| {
-                DataPoint::new(
-                    (0..4)
-                        .map(|d| ((i * (d + 2) + 3 * d) % 23) as f64 / 23.0)
-                        .collect(),
-                )
-            })
-            .collect();
-        let run = |workers: Option<usize>| {
-            let mut mgr = build(workers);
-            let mut sinks = Vec::new();
-            let mut outcomes = Vec::new();
-            // Several runs so cells age across run boundaries.
-            for (chunk_idx, chunk) in points.chunks(40).enumerate() {
-                mgr.update_and_query_batch(
-                    (chunk_idx * 40) as u64,
-                    chunk,
-                    &mut sinks,
-                    &mut outcomes,
-                )
-                .unwrap();
-            }
-            let state: Vec<(u64, Pcs, f64)> = sinks
-                .iter()
-                .flatten()
-                .map(|e| (e.subspace.mask(), e.pcs, e.occupancy))
-                .collect();
-            (state, mgr.live_cells(), mgr.total_weight(200).to_bits())
-        };
-        let reference = run(Some(0));
-        for workers in [1usize, 2, 5] {
-            assert_eq!(run(Some(workers)), reference, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn lane_pool_never_hands_out_a_filled_lane() {
-        // A participant that finishes early checks its lane in while a
-        // late one has yet to check one out: the late one must get an idle
-        // lane, never the filled one (it would reset it and lose a store's
-        // worth of cells).
-        let mut pool: LanePool<Vec<u32>> = LanePool::default();
-        let mut early = pool.checkout();
-        early.push(7);
-        pool.checkin(early);
-        let late = pool.checkout();
-        assert!(late.is_empty(), "a filled lane was handed out again");
-        pool.checkin(late);
-        assert_eq!(pool.filled().len(), 2);
-        assert_eq!(pool.filled().concat(), vec![7]);
-        // Only recycling makes them available, as their user left them.
-        pool.recycle();
-        assert!(pool.filled().is_empty());
-        let mut reused = vec![pool.checkout(), pool.checkout()];
-        reused.sort();
-        assert_eq!(reused, vec![vec![], vec![7]]);
-    }
-
     /// Test consumer: every `(point, ordinal, PCS, occupancy)` it is
-    /// handed, across however many lanes.
+    /// handed, in the order it was handed them.
     #[derive(Default)]
-    struct Collect {
-        lanes: LanePool<Vec<Collected>>,
-    }
-
-    /// `(point, ordinal, PCS, occupancy)` of one touched cell.
-    type Collected = (usize, usize, Pcs, f64);
+    struct Collect(Vec<(usize, usize, Pcs, f64)>);
 
     impl CellConsumer for Collect {
-        type Lane = Vec<Collected>;
-
-        fn checkout(&self, _points: usize) -> Self::Lane {
-            self.lanes.checkout()
-        }
-
-        fn checkin(&self, lane: Self::Lane) {
-            self.lanes.checkin(lane);
-        }
-
-        fn cell(
-            &self,
-            lane: &mut Self::Lane,
-            ordinal: usize,
-            store: &ProjectedStore,
-            point: usize,
-            touch: CellTouch,
-        ) {
-            lane.push((point, ordinal, store.pcs_of(&touch), touch.occupancy));
-        }
-    }
-
-    impl Collect {
-        /// Everything collected, in (point, ordinal) order.
-        fn sorted(mut self) -> Vec<Collected> {
-            let mut all: Vec<_> = self.lanes.filled().concat();
-            all.sort_by_key(|&(point, ordinal, ..)| (point, ordinal));
-            all
+        fn cell(&mut self, ordinal: usize, store: &ProjectedStore, point: usize, touch: CellTouch) {
+            self.0
+                .push((point, ordinal, store.pcs_of(&touch), touch.occupancy));
         }
     }
 
     #[test]
-    fn prelude_rider_runs_exactly_once_and_results_match() {
-        // The screening dispatch must hand its consumer exactly the cells
-        // the full-report path reports, leave the same synopsis state, and
-        // run the rider exactly once — on the success path and on the
-        // all-or-nothing error path alike.
+    fn screening_batch_hands_the_consumer_every_reported_cell() {
+        // The screening loop must hand its consumer exactly the cells the
+        // full-report path reports — store by store, each store's points
+        // in arrival order — leave the same synopsis state, and on the
+        // all-or-nothing error path call the consumer not at all.
         let build = || {
             let mut mgr = manager(3, 4);
             mgr.add_subspace(Subspace::from_dims([0]).unwrap());
@@ -1413,7 +930,7 @@ mod tests {
         plain
             .update_and_query_batch(0, &points, &mut want_sinks, &mut want_outcomes)
             .unwrap();
-        let want: Vec<(usize, usize, Pcs, f64)> = want_sinks
+        let mut want: Vec<(usize, usize, Pcs, f64)> = want_sinks
             .iter()
             .enumerate()
             .flat_map(|(i, sink)| {
@@ -1422,39 +939,21 @@ mod tests {
                     .map(move |(ordinal, e)| (i, ordinal, e.pcs, e.occupancy))
             })
             .collect();
+        want.sort_by_key(|&(point, ordinal, ..)| (ordinal, point));
 
-        for workers in [0usize, 3] {
-            let mut mgr = build();
-            let collect = Collect::default();
-            let mut ran = 0u32;
-            {
-                let task = OnceTask::new(|| ran += 1);
-                let pool = WorkerPool::new(workers);
-                mgr.update_and_screen_batch(0, &points, &pool, &collect, Some(&task))
-                    .unwrap();
-            }
-            assert_eq!(ran, 1, "rider ran exactly once (workers={workers})");
-            assert_eq!(mgr.live_cells(), plain.live_cells());
-            assert_eq!(mgr.capture_state(), plain.capture_state());
-            assert_eq!(collect.sorted(), want, "workers={workers}");
-        }
-
-        // Error path: validation fails before dispatch, yet the rider
-        // (somebody's pending commit) must still be applied — and the
-        // consumer sees nothing.
         let mut mgr = build();
-        let collect = Collect::default();
-        let mut ran_on_err = 0u32;
-        {
-            let task = OnceTask::new(|| ran_on_err += 1);
-            let bad = vec![DataPoint::new(vec![0.1, 0.2, f64::NAN])];
-            assert!(mgr
-                .update_and_screen_batch(40, &bad, &SerialExecutor, &collect, Some(&task))
-                .is_err());
-        }
-        assert_eq!(ran_on_err, 1, "rider still runs when the batch is rejected");
-        assert!(collect.sorted().is_empty());
-        assert_eq!(mgr.live_cells(), 0);
+        let mut collect = Collect::default();
+        mgr.update_and_screen_batch(0, &points, &mut collect)
+            .unwrap();
+        assert_eq!(mgr.live_cells(), plain.live_cells());
+        assert_eq!(mgr.capture_state(), plain.capture_state());
+        assert_eq!(collect.0, want);
+
+        let mut collect = Collect::default();
+        let bad = vec![DataPoint::new(vec![0.1, 0.2, f64::NAN])];
+        assert!(mgr.update_and_screen_batch(40, &bad, &mut collect).is_err());
+        assert!(collect.0.is_empty());
+        assert_eq!(mgr.capture_state(), plain.capture_state());
     }
 
     #[test]
@@ -1495,43 +994,6 @@ mod tests {
         let evicted = mgr.prune(10_000, 1e-6);
         assert_eq!(evicted, 8);
         assert_eq!(mgr.live_cells(), 0);
-    }
-
-    #[test]
-    fn pooled_prune_is_bit_identical_to_serial() {
-        // Same stream into two managers; one prunes on a forced worker
-        // pool, one serially. Evicted counts and every surviving cell must
-        // match bit-for-bit (the sharded scan touches disjoint stores and
-        // the weight cache memoizes exact factors).
-        let build = || {
-            let mut mgr = manager(3, 5);
-            for d in 0..3 {
-                mgr.add_subspace(Subspace::from_dims([d]).unwrap());
-            }
-            for (a, b) in [(0usize, 1usize), (0, 2), (1, 2)] {
-                mgr.add_subspace(Subspace::from_dims([a, b]).unwrap());
-            }
-            for i in 0..400u64 {
-                let p = DataPoint::new(vec![
-                    (i % 13) as f64 / 13.0,
-                    (i % 7) as f64 / 7.0,
-                    (i % 5) as f64 / 5.0,
-                ]);
-                mgr.update(i, &p).unwrap();
-            }
-            mgr
-        };
-        let mut serial = build();
-        let mut pooled = build();
-        serial.set_parallel_workers(Some(0));
-        pooled.set_parallel_workers(Some(2));
-        let now = 5000;
-        let evicted_serial = serial.prune(now, 1e-3);
-        let evicted_pooled = pooled.prune(now, 1e-3);
-        assert_eq!(evicted_serial, evicted_pooled);
-        assert!(evicted_serial > 0, "scenario must actually evict");
-        assert_eq!(serial.live_cells(), pooled.live_cells());
-        assert_eq!(serial.capture_state(), pooled.capture_state());
     }
 
     #[test]
@@ -1668,46 +1130,34 @@ mod tests {
 
         // Nothing mutated since the mark → no stores.
         let mark = mgr.capture_mark();
-        let delta = mgr
-            .capture_state_delta_with(&SerialExecutor, &mark)
-            .unwrap();
+        let delta = mgr.capture_state_delta(&mark).unwrap();
         assert_eq!(changed_ordinals(&delta), Vec::<u64>::new());
         let r = StateReader::new(&delta).unwrap();
         assert_eq!(r.u64("stores_len").unwrap(), 2);
 
         // Replaying into one store dirties exactly that ordinal.
         mgr.replay_into(&s1, &[(1, p.clone())]).unwrap();
-        let delta = mgr
-            .capture_state_delta_with(&SerialExecutor, &mark)
-            .unwrap();
+        let delta = mgr.capture_state_delta(&mark).unwrap();
         assert_eq!(changed_ordinals(&delta), vec![1]);
 
         // A processed point dirties every store.
         mgr.update(2, &p).unwrap();
-        let delta = mgr
-            .capture_state_delta_with(&SerialExecutor, &mark)
-            .unwrap();
+        let delta = mgr.capture_state_delta(&mark).unwrap();
         assert_eq!(changed_ordinals(&delta), vec![0, 1]);
 
         // A prune with nothing to evict dirties nothing.
         let mark = mgr.capture_mark();
         assert_eq!(mgr.prune(2, 0.0), 0);
-        let delta = mgr
-            .capture_state_delta_with(&SerialExecutor, &mark)
-            .unwrap();
+        let delta = mgr.capture_state_delta(&mark).unwrap();
         assert_eq!(changed_ordinals(&delta), Vec::<u64>::new());
 
         // Layout changes invalidate outstanding marks.
         let mark = mgr.capture_mark();
         mgr.add_subspace(Subspace::from_dims([0, 1]).unwrap());
-        assert!(mgr
-            .capture_state_delta_with(&SerialExecutor, &mark)
-            .is_none());
+        assert!(mgr.capture_state_delta(&mark).is_none());
         let mark = mgr.capture_mark();
         mgr.remove_subspace(&s0);
-        assert!(mgr
-            .capture_state_delta_with(&SerialExecutor, &mark)
-            .is_none());
+        assert!(mgr.capture_state_delta(&mark).is_none());
     }
 
     #[test]

@@ -269,9 +269,9 @@ impl ProjectedStore {
 
     /// Difference between the store's current (cells, bytes) footprint and
     /// the last published one, marking the current values as published.
-    /// The single writer of a shard calls this after mutating the store
-    /// and folds the delta into the shared atomic counters — monitoring
-    /// readers never need the store itself.
+    /// The manager calls this after mutating the store and folds the
+    /// delta into the shared atomic counters — monitoring readers never
+    /// need the store itself.
     ///
     /// The footprint is a function of the cell count (see
     /// [`ProjectedStore::approx_bytes`]), so a store whose count stands
@@ -522,8 +522,7 @@ impl ProjectedStore {
     /// contiguous columns with swap-remove compaction — cheap enough to
     /// call on a short cadence — with factors from `weights`: one `powi`
     /// per *distinct age* over the detector's lifetime instead of one per
-    /// cell. Safe to run on store shards in parallel: the table is
-    /// read-only here.
+    /// cell. The table is read-only here.
     pub fn prune(&mut self, weights: &WeightCache, now: u64, floor: f64) -> usize {
         let factor = |last: u64| weights.decay_between(last, now);
         // Eviction-horizon screen: every slot carries weight >= 1 at its

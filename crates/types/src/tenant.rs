@@ -1,8 +1,8 @@
 //! Tenant identity for multi-detector deployments.
 //!
-//! The fleet runtime (`spot-runtime`) multiplexes many independently
-//! configured detectors — one per tenant/sensor/model — over one shared
-//! executor. [`TenantId`] is the registry key: a small, validated,
+//! The fleet runtime (`spot-runtime`) hosts many independently
+//! configured detectors — one per tenant/sensor/model — in one registry.
+//! [`TenantId`] is the registry key: a small, validated,
 //! cheaply-cloneable name that survives checkpoints (it is serialized into
 //! fleet checkpoints as a plain string).
 

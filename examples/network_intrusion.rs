@@ -18,7 +18,8 @@ use std::collections::HashMap;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Rare-attack regime: density-based detection targets *rare* events.
     // (At KDD's native skew the DoS flood is ~2% of ALL traffic; its cells
-    // become dense and it stops being an outlier — see EXPERIMENTS.md E4.)
+    // become dense and it stops being an outlier — see the E4 bench,
+    // `crates/bench/benches/e04_kdd_categories.rs`.)
     let mut generator = KddGenerator::new(KddConfig {
         attack_fraction: 0.01,
         family_weights: [0.4, 0.25, 0.2, 0.15],

@@ -1,5 +1,5 @@
-//! Multi-tenant fleet walkthrough: the full tenant lifecycle on one
-//! shared executor.
+//! Multi-tenant fleet walkthrough: the full tenant lifecycle of a fleet
+//! of independent detectors.
 //!
 //! Registers a handful of sensor tenants with different configurations,
 //! learns each from its own history, streams points through the bounded
@@ -46,15 +46,12 @@ fn sensor_stream(n: usize, salt: u64) -> Vec<DataPoint> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // One fleet, one shared executor service (2 pool workers here; any
-    // setting yields bit-identical verdicts).
-    let fleet = SpotFleet::with_workers(
-        FleetConfig {
-            queue_capacity: 512,
-            micro_batch: 256,
-        },
-        Some(2),
-    );
+    // One fleet; each tenant's detector runs on whichever thread
+    // processes or drains it.
+    let fleet = SpotFleet::new(FleetConfig {
+        queue_capacity: 512,
+        micro_batch: 256,
+    });
 
     // 1. Register + learn: each tenant is an independent detector.
     let tenants: Vec<TenantId> = (0..4)
@@ -69,11 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.moga_evaluations
         );
     }
-    println!(
-        "fleet: {} tenants, pools spawned so far: {}",
-        fleet.len(),
-        fleet.executor().pools_spawned()
-    );
+    println!("fleet: {} tenants", fleet.len());
 
     // 2. Ingest through the bounded queues and drain in micro-batches.
     for (t, id) in tenants.iter().enumerate() {
@@ -112,21 +105,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         footprint.projected_cells,
         footprint.approx_bytes as f64 / 1024.0
     );
-    assert_eq!(
-        fleet.executor().pools_spawned(),
-        1,
-        "all tenants share one worker pool"
-    );
 
-    // 4. Checkpoint the whole fleet, restore into a *serial* fleet, and
+    // 4. Checkpoint the whole fleet, restore it into a new fleet, and
     // verify one tenant continues bit-identically.
     let json = fleet.checkpoint().to_json();
     println!("fleet checkpoint: {} bytes of JSON", json.len());
-    let restored = SpotFleet::from_checkpoint_with(
-        &FleetCheckpoint::from_json(&json)?,
-        FleetConfig::default(),
-        spot::ExecutorHandle::serial(),
-    )?;
+    let restored =
+        SpotFleet::from_checkpoint(&FleetCheckpoint::from_json(&json)?, FleetConfig::default())?;
 
     let probe = sensor_stream(200, 999);
     let id = &tenants[0];
@@ -141,7 +126,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!(
-        "restore OK: {} post-restore verdicts bit-identical across worker counts",
+        "restore OK: {} post-restore verdicts bit-identical",
         got.len()
     );
 

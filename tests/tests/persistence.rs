@@ -2,8 +2,7 @@
 //! and pruning ticks, `checkpoint → restore → continue` must yield
 //! verdicts, stats and footprint **bit-identical** to an uninterrupted
 //! run — through serialized JSON text, on both the one-by-one and the
-//! batch path. (The `parallel`-feature executors are pinned separately in
-//! `spot`'s `parallel_determinism` suite.)
+//! batch path.
 
 use proptest::prelude::*;
 use spot::{restore_from_json, EvolutionConfig, Spot, SpotBuilder, Verdict};
@@ -109,8 +108,8 @@ proptest! {
         );
     }
 
-    /// Batch processing: the run pipeline (maintenance-bounded runs,
-    /// overlap gate) must be insensitive to where the checkpoint fell.
+    /// Batch processing: the maintenance-bounded runs must be insensitive
+    /// to where the checkpoint fell.
     #[test]
     fn resume_is_bit_exact_for_batches(
         seed in 0u64..1000,
