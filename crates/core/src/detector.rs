@@ -854,12 +854,15 @@ impl Spot {
             }
         }
         if warm && !added.is_empty() && !self.reservoir.is_empty() {
-            let mut replay = self.reservoir.items().to_vec();
-            replay.sort_by_key(|(tick, _)| *tick);
+            // The reservoir in tick order, by a stable sort of its indices.
+            let items = self.reservoir.items();
+            let mut order: Vec<usize> = (0..items.len()).collect();
+            order.sort_by_key(|&i| items[i].0);
             for s in added {
                 // Replay failures only leave a colder store; detection
                 // continues either way.
-                let _ = self.manager.replay_into(&s, &replay);
+                let replay = order.iter().map(|&i| (items[i].0, &items[i].1));
+                let _ = self.manager.replay_into(&s, replay);
             }
         }
     }

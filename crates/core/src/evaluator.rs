@@ -25,7 +25,6 @@
 //! steers the search toward concise outlying subspaces.
 
 use spot_moga::SubspaceProblem;
-use spot_subspace::subspace::MAX_DIMS;
 use spot_subspace::Subspace;
 use spot_synopsis::Grid;
 use spot_types::{DataPoint, Result, SpotError};
@@ -167,10 +166,12 @@ impl TrainingEvaluator {
     /// [`TrainingEvaluator::sparsity`] over caller-kept working memory —
     /// the form for callers that score subspace after subspace.
     ///
-    /// Cost: per *distinct* target cell, `|s| · ceil(n/64)` word ANDs plus,
-    /// unless the target is alone in it, `|s|` sums over its members and a
-    /// dozen divisions; a target whose cell was already scored is one table
-    /// look-up. Cells holding no target are never formed.
+    /// Cost: per *distinct* target cell, `|s| · ceil(n/64)` word ANDs and
+    /// one walk over its members per group of up to four dimensions of `s`
+    /// (one walk for every `|s| ≤ 4`, and none past the first when the
+    /// target is alone), plus a dozen divisions unless the target is alone;
+    /// a target whose cell was already scored is one table look-up. Cells
+    /// holding no target are never formed.
     pub fn sparsity_with(
         &self,
         s: Subspace,
@@ -183,21 +184,38 @@ impl TrainingEvaluator {
         }
     }
 
+    /// One instance of the scoring loop per lane count: `|s| ≤ LANES` is
+    /// scored in `|s|` lanes, a wider subspace in groups of `LANES`.
     fn mean_score(
         &self,
         s: Subspace,
         targets: impl Iterator<Item = usize>,
         scratch: &mut SparsityScratch,
     ) -> (f64, f64) {
-        let (n, words) = (self.n, self.words);
-        let (values, bitset_of, members) =
-            (&self.values[..], &self.bitset_of[..], &self.members[..]);
-        let mut dims = [0usize; MAX_DIMS];
-        let card = s.cardinality();
-        for (slot, d) in dims.iter_mut().zip(s.dims()) {
-            *slot = d;
+        match s.cardinality() {
+            1 => self.mean_score_in::<1>(s, targets, scratch),
+            2 => self.mean_score_in::<2>(s, targets, scratch),
+            3 => self.mean_score_in::<3>(s, targets, scratch),
+            _ => self.mean_score_in::<LANES>(s, targets, scratch),
         }
-        let dims = &dims[..card];
+    }
+
+    fn mean_score_in<const K: usize>(
+        &self,
+        s: Subspace,
+        targets: impl Iterator<Item = usize>,
+        scratch: &mut SparsityScratch,
+    ) -> (f64, f64) {
+        let (n, words) = (self.n, self.words);
+        let members = &self.members[..];
+        let values_of = |d: usize| &self.values[d * n..(d + 1) * n];
+        let bitsets_of = |d: usize| &self.bitset_of[d * n..(d + 1) * n];
+        // The first K dimensions of `s` — all of them unless |s| > LANES —
+        // with their columns sliced once, so the walk indexes them by point
+        // alone. `rest` iterates the dimensions past them, ascending.
+        let mut rest = s.dims();
+        let head: [usize; K] = std::array::from_fn(|_| rest.next().expect("|s| ≥ K"));
+        let (values, bitsets) = (head.map(values_of), head.map(bitsets_of));
         let cell_count = self.grid.cell_count_in(&s);
         let uniform_sigma = self.grid.uniform_sigma_in(&s);
         let normalized = |rd: f64, irsd: f64| (rd / (1.0 + rd), irsd / IRSD_CAP);
@@ -215,9 +233,6 @@ impl TrainingEvaluator {
         score_of.resize(n, NONE);
         scores.clear();
         let (cell, score_of) = (&mut cell[..], &mut score_of[..]);
-        // The running (LS, SS) of the cell being scored, per dimension of `s`.
-        let mut sums = [(0.0f64, 0.0f64); MAX_DIMS];
-        let sums = &mut sums[..card];
 
         let (mut rd_sum, mut irsd_sum, mut scored) = (0.0, 0.0, 0usize);
         for t in targets {
@@ -231,59 +246,52 @@ impl TrainingEvaluator {
             // First visit to t's cell. Its members: the AND of t's interval
             // bitset in every dimension of `s`.
             let id = scores.len() as u32;
-            let bitset = |d: usize| {
-                let at = bitset_of[d * n + t] as usize * words;
+            let bitset = |column: &[u32]| {
+                let at = column[t] as usize * words;
                 &members[at..at + words]
             };
-            cell.copy_from_slice(bitset(dims[0]));
-            for &d in &dims[1..] {
-                for (c, m) in cell.iter_mut().zip(bitset(d)) {
+            let head_bitsets = bitsets.map(bitset);
+            for (w, c) in cell.iter_mut().enumerate() {
+                *c = head_bitsets.iter().fold(!0, |word, b| word & b[w]);
+            }
+            for d in rest.clone() {
+                for (c, m) in cell.iter_mut().zip(bitset(bitsets_of(d))) {
                     *c &= m;
                 }
             }
-            // Most target cells hold the target alone, and telling takes no
-            // data-dependent branch per word.
-            let own = 1u64 << (t % 64);
-            cell[t / 64] ^= own;
-            let alone_in_cell = cell.iter().fold(0, |any, &w| any | w) == 0;
-            cell[t / 64] ^= own;
-            let score = if alone_in_cell {
-                score_of[t] = id;
+            // Walk the members once for the head, then once per further
+            // group of up to LANES dimensions; every walk adds its variance
+            // terms to `var` in the order of `s`. The target is a member of
+            // its own cell, so a count of one means it is alone there and
+            // no further group is walked.
+            let mut var = 0.0;
+            let mut count = walk(values, cell, score_of, id, &mut var);
+            let mut rest = rest.clone();
+            while count > 1 {
+                let (mut group, mut len) = ([0; LANES], 0);
+                for (g, d) in group.iter_mut().zip(&mut rest) {
+                    *g = d;
+                    len += 1;
+                }
+                let values = |k: usize| values_of(group[k]);
+                count = match len {
+                    0 => break,
+                    1 => walk::<1>(std::array::from_fn(values), cell, score_of, id, &mut var),
+                    2 => walk::<2>(std::array::from_fn(values), cell, score_of, id, &mut var),
+                    3 => walk::<3>(std::array::from_fn(values), cell, score_of, id, &mut var),
+                    _ => walk::<LANES>(std::array::from_fn(values), cell, score_of, id, &mut var),
+                };
+            }
+            let score = if count == 1 {
                 alone
             } else {
-                // One pass over the members, ascending; each adds its value
-                // to every dimension's sums — per dimension, the additions
-                // a sequential grouping pass over the batch makes for this
-                // cell, in its order.
-                sums.fill((0.0, 0.0));
-                let mut count = 0u32;
-                for (w, &word) in cell.iter().enumerate() {
-                    let mut bits = word;
-                    while bits != 0 {
-                        let i = w * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        count += 1;
-                        score_of[i] = id;
-                        for (sum, &d) in sums.iter_mut().zip(dims) {
-                            let v = values[d * n + i];
-                            sum.0 += v;
-                            sum.1 += v * v;
-                        }
-                    }
-                }
-                let count = f64::from(count);
-                let mut var = 0.0;
-                for &(ls, ss) in sums.iter() {
-                    let m = ls / count;
-                    var += (ss / count - m * m).max(0.0);
-                }
                 let sigma = var.sqrt();
                 let irsd = if sigma > f64::EPSILON {
                     (uniform_sigma / sigma).min(IRSD_CAP)
                 } else {
                     IRSD_CAP
                 };
-                normalized(count * cell_count / n as f64, irsd)
+                normalized(f64::from(count) * cell_count / n as f64, irsd)
             };
             scores.push(score);
             rd_sum += score.0;
@@ -294,6 +302,50 @@ impl TrainingEvaluator {
         }
         (rd_sum / scored as f64, irsd_sum / scored as f64)
     }
+}
+
+/// The widest lane count of the kernel: every subspace the online search
+/// visits (`max_cardinality` 4) is one walk per cell.
+const LANES: usize = 4;
+
+/// The sparsity kernel: walks the members of `cell` once, in ascending
+/// point order, tags each with the cell's score slot `id`, and adds its
+/// value along each of the `K` columns to that lane's `(LS, SS)` — per
+/// dimension, the additions a sequential grouping pass over the batch makes
+/// for this cell, in its order. Unless the cell holds a single point, adds
+/// the `K` dimensions' variance terms to `var`, in lane order. Returns the
+/// member count.
+fn walk<const K: usize>(
+    values: [&[f64]; K],
+    cell: &[u64],
+    score_of: &mut [u32],
+    id: u32,
+    var: &mut f64,
+) -> u32 {
+    let (mut ls, mut ss) = ([0.0f64; K], [0.0f64; K]);
+    let mut count = 0u32;
+    for (w, &word) in cell.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let i = w * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            count += 1;
+            score_of[i] = id;
+            for k in 0..K {
+                let v = values[k][i];
+                ls[k] += v;
+                ss[k] += v * v;
+            }
+        }
+    }
+    if count > 1 {
+        let count = f64::from(count);
+        for (ls, ss) in ls.into_iter().zip(ss) {
+            let m = ls / count;
+            *var += (ss / count - m * m).max(0.0);
+        }
+    }
+    count
 }
 
 /// MOGA problem: minimize the mean normalized RD and IRSD of the target

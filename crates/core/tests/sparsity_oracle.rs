@@ -169,12 +169,16 @@ fn check(rng: &mut StdRng, n: usize, phi: usize, granularity: u16) {
     let evaluator = TrainingEvaluator::new(grid.clone(), &points).unwrap();
     prop_assert_eq!(evaluator.len(), n);
 
-    // Cardinalities: the concise ones a search visits, the full space, and
-    // both sides of the packed-key boundary (beyond it the oracle groups by
+    // Cardinalities: the concise ones a search visits (the kernel's one
+    // group of 1..=4 lanes), a second group of every width (5: the first
+    // two-group subspace, 8: two full groups), the full space, and both
+    // sides of the packed-key boundary (beyond it the oracle groups by
     // 128-bit fingerprints).
     let exact = (128 / grid.codec().bits_per_dim() as usize).min(phi);
     prop_assert!(grid.codec().is_exact(exact));
-    let mut cards = vec![1, 2.min(phi), 3.min(phi), 4.min(phi), exact, phi];
+    let mut cards: Vec<usize> = (1..=8).map(|card: usize| card.min(phi)).collect();
+    cards.dedup();
+    cards.extend([exact, phi]);
     if exact < phi {
         prop_assert!(!grid.codec().is_exact(exact + 1));
         cards.push(exact + 1);
@@ -190,13 +194,16 @@ fn check(rng: &mut StdRng, n: usize, phi: usize, granularity: u16) {
         doubled.extend_from_slice(&some);
         let one_cell = &cells[rng.gen_range(0..n)];
         let singletons: Vec<usize> = (0..n).filter(|&i| cells[i].len() == 1).take(64).collect();
-        let target_sets: [Option<&[usize]>; 6] = [
+        // A maintenance tick's targets: the buffered outliers, indexed last.
+        let tail: Vec<usize> = (n - n.min(64)..n).collect();
+        let target_sets: [Option<&[usize]>; 7] = [
             None,
             Some(&[]),
             Some(&some),
             Some(&doubled),
             Some(one_cell),
             Some(&singletons),
+            Some(&tail),
         ];
         for targets in target_sets {
             let want = sparsity_naive(&grid, &points, s, targets);

@@ -45,8 +45,8 @@
 
 use crate::faults::{FaultInjector, WalFault};
 use spot_stream::wal::{
-    encode_record, encode_segment_header, record_frame_len, scan_wal_dir, segment_file_name,
-    SegmentHeader, WAL_HEADER_LEN, WAL_MAGIC,
+    encode_record, encode_segment_header, scan_wal_dir, segment_file_name, SegmentHeader,
+    WAL_HEADER_LEN, WAL_MAGIC,
 };
 use spot_types::{DataPoint, Result, SpotError, TenantId};
 use std::fs::{File, OpenOptions};
@@ -154,6 +154,10 @@ struct Writer {
     file: File,
     /// Active segment number.
     segment: u64,
+    /// Active segment's path (for error messages).
+    path: PathBuf,
+    /// The frame being appended, reused across appends.
+    frame: Vec<u8>,
     /// Valid bytes of the active segment (header + whole frames).
     segment_len: u64,
     /// Active-segment bytes known to be on stable storage.
@@ -234,6 +238,8 @@ impl TenantWal {
                 writer: Mutex::new(Writer {
                     file,
                     segment: last.number,
+                    path: last.path.clone(),
+                    frame: Vec::new(),
                     segment_len: last.valid_len as u64,
                     synced_len: last.valid_len as u64,
                     next_seq: scan.next_seq,
@@ -263,6 +269,8 @@ impl TenantWal {
                 writer: Mutex::new(Writer {
                     file,
                     segment: 1,
+                    path,
+                    frame: Vec::new(),
                     segment_len: WAL_HEADER_LEN as u64,
                     synced_len: WAL_HEADER_LEN as u64,
                     next_seq: 0,
@@ -385,17 +393,17 @@ impl WalAppender<'_> {
             )));
         }
         let seq = w.next_seq;
-        let mut frame = Vec::with_capacity(record_frame_len(point.dims()));
-        encode_record(seq, point, &mut frame);
+        w.frame.clear();
+        let frame_len = encode_record(seq, point, &mut w.frame);
         // Rotate *before* the append so a frame never splits across
         // segments; a segment always keeps at least one record however
         // small the threshold.
         if w.segment_len > WAL_HEADER_LEN as u64
-            && w.segment_len + frame.len() as u64 > wal.tuning.segment_bytes()
+            && w.segment_len + frame_len as u64 > wal.tuning.segment_bytes()
         {
             rotate(wal, w, tenant, faults)?;
         }
-        let path = wal.dir.join(segment_file_name(w.segment));
+        let (frame, path) = (&w.frame[..], &w.path);
         match faults.and_then(|f| f.take_wal_fault(tenant, seq)) {
             Some(WalFault::TornWrite { keep_bytes }) => {
                 // The crash lands mid-`write`: only a prefix of the frame
@@ -403,7 +411,7 @@ impl WalAppender<'_> {
                 let keep = keep_bytes.min(frame.len());
                 w.file
                     .write_all(&frame[..keep])
-                    .map_err(|e| io_err("write", &path, &e))?;
+                    .map_err(|e| io_err("write", path, &e))?;
                 let _ = w.file.sync_data();
                 Err(die(w, tenant, format!("injected torn write at seq {seq}")))
             }
@@ -412,11 +420,11 @@ impl WalAppender<'_> {
                 // everything since the last successful sync was only in
                 // the page cache and is lost.
                 w.file
-                    .write_all(&frame)
-                    .map_err(|e| io_err("write", &path, &e))?;
+                    .write_all(frame)
+                    .map_err(|e| io_err("write", path, &e))?;
                 w.file
                     .set_len(w.synced_len)
-                    .map_err(|e| io_err("truncate", &path, &e))?;
+                    .map_err(|e| io_err("truncate", path, &e))?;
                 let _ = w.file.sync_data();
                 Err(die(
                     w,
@@ -428,9 +436,9 @@ impl WalAppender<'_> {
                 // The record makes it to stable storage; the process dies
                 // before acknowledging (recovery must replay it).
                 w.file
-                    .write_all(&frame)
-                    .map_err(|e| io_err("write", &path, &e))?;
-                w.file.sync_data().map_err(|e| io_err("sync", &path, &e))?;
+                    .write_all(frame)
+                    .map_err(|e| io_err("write", path, &e))?;
+                w.file.sync_data().map_err(|e| io_err("sync", path, &e))?;
                 w.segment_len += frame.len() as u64;
                 w.synced_len = w.segment_len;
                 w.next_seq += 1;
@@ -442,8 +450,8 @@ impl WalAppender<'_> {
             }
             None => {
                 w.file
-                    .write_all(&frame)
-                    .map_err(|e| io_err("write", &path, &e))?;
+                    .write_all(frame)
+                    .map_err(|e| io_err("write", path, &e))?;
                 w.segment_len += frame.len() as u64;
                 w.next_seq += 1;
                 w.unsynced_records += 1;
@@ -453,7 +461,7 @@ impl WalAppender<'_> {
                     FsyncPolicy::OnRotate => false,
                 };
                 if due {
-                    w.file.sync_data().map_err(|e| io_err("sync", &path, &e))?;
+                    w.file.sync_data().map_err(|e| io_err("sync", path, &e))?;
                     w.synced_len = w.segment_len;
                     w.unsynced_records = 0;
                 }
@@ -479,10 +487,9 @@ fn rotate(
     tenant: &TenantId,
     faults: Option<&FaultInjector>,
 ) -> Result<()> {
-    let sealed = wal.dir.join(segment_file_name(w.segment));
     w.file
         .sync_data()
-        .map_err(|e| io_err("sync", &sealed, &e))?;
+        .map_err(|e| io_err("sync", &w.path, &e))?;
     w.synced_len = w.segment_len;
     w.unsynced_records = 0;
     let next = w.segment + 1;
@@ -505,6 +512,7 @@ fn rotate(
     file.sync_data().map_err(|e| io_err("sync", &path, &e))?;
     w.file = file;
     w.segment = next;
+    w.path = path;
     w.segment_len = WAL_HEADER_LEN as u64;
     w.synced_len = WAL_HEADER_LEN as u64;
     w.segments.push((next, w.next_seq));

@@ -442,7 +442,10 @@ mod tests {
 
     #[test]
     fn weight_cache_is_bitwise_identical_to_the_model() {
-        let tm = TimeModel::new(100, 0.01).unwrap();
+        // Opaque to the optimizer: a model built from literals would let an
+        // optimized build fold the model side's `powi` at compile time,
+        // while the cache computes it at run time, as the detector does.
+        let tm = std::hint::black_box(TimeModel::new(100, 0.01).unwrap());
         let mut wc = WeightCache::new(tm);
         wc.ensure(500);
         assert_eq!(wc.len(), 500);

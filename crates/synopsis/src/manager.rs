@@ -480,14 +480,18 @@ impl SynopsisManager {
 
     /// Warms the projected store of `subspace` by replaying timestamped
     /// points (e.g. the detector's reservoir sample) into it. Points must be
-    /// supplied in non-decreasing tick order; the global weight is *not*
-    /// touched — it already absorbed the points when they originally
-    /// arrived.
+    /// supplied as `(tick, point)` in non-decreasing tick order; the global
+    /// weight is *not* touched — it already absorbed the points when they
+    /// originally arrived.
     ///
     /// Used when SST self-evolution introduces a subspace mid-stream: a
     /// brand-new store would report every cell as empty (maximally sparse)
     /// and flood the detector with false alarms.
-    pub fn replay_into(&mut self, subspace: &Subspace, points: &[(u64, DataPoint)]) -> Result<()> {
+    pub fn replay_into<'p>(
+        &mut self,
+        subspace: &Subspace,
+        points: impl IntoIterator<Item = (u64, &'p DataPoint)>,
+    ) -> Result<()> {
         let Some(&ordinal) = self.index.get(&subspace.mask()) else {
             return Err(SpotError::InvalidConfig(format!(
                 "subspace {subspace} is not monitored"
@@ -498,7 +502,7 @@ impl SynopsisManager {
             self.grid.base_coords_into(p, &mut self.scratch)?;
             // Replay only fills the store; nobody reads the screen, so
             // the global weight it would be measured against is moot.
-            store.update_and_screen(&self.grid, &self.weights, *tick, &self.scratch, p, 0.0);
+            store.update_and_screen(&self.grid, &self.weights, tick, &self.scratch, p, 0.0);
         }
         let (dc, db) = store.publish_delta();
         self.live.apply_projected(dc, db);
@@ -1044,14 +1048,13 @@ mod tests {
         mgr.update(2, &p).unwrap();
         let s = Subspace::from_dims([1]).unwrap();
         mgr.add_subspace(s);
-        mgr.replay_into(&s, &[(1, p.clone()), (2, p.clone())])
-            .unwrap();
+        mgr.replay_into(&s, [(1, &p), (2, &p)]).unwrap();
         let base = mgr.grid().base_coords(&p).unwrap();
         let pcs = mgr.pcs(2, &base, &s).unwrap();
         assert!(pcs.rd > 0.0, "replayed store must not look empty");
         // Unknown subspace errors.
         let other = Subspace::from_dims([0]).unwrap();
-        assert!(mgr.replay_into(&other, &[]).is_err());
+        assert!(mgr.replay_into(&other, []).is_err());
     }
 
     #[test]
@@ -1136,7 +1139,7 @@ mod tests {
         assert_eq!(r.u64("stores_len").unwrap(), 2);
 
         // Replaying into one store dirties exactly that ordinal.
-        mgr.replay_into(&s1, &[(1, p.clone())]).unwrap();
+        mgr.replay_into(&s1, [(1, &p)]).unwrap();
         let delta = mgr.capture_state_delta(&mark).unwrap();
         assert_eq!(changed_ordinals(&delta), vec![1]);
 
