@@ -1,7 +1,7 @@
 //! Overall outlying degree of training points.
 //!
 //! Leader clustering is order-sensitive, so SPOT runs it "under different
-//! data order[s]" and aggregates. The outlying degree of a point blends two
+//! data order\[s\]" and aggregates. The outlying degree of a point blends two
 //! signals, averaged over the shuffled runs:
 //!
 //! * **membership** — points in small clusters are more outlying

@@ -149,7 +149,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use rand::Rng as _;
 
-    /// Size specification for [`vec`]: a fixed length or a range.
+    /// Size specification for [`vec()`]: a fixed length or a range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,
@@ -192,7 +192,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

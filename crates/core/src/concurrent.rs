@@ -339,9 +339,10 @@ mod tests {
     fn monitoring_reads_never_block_on_ingestion() {
         let shared = SharedSpot::new(maintenance_heavy_spot(9));
         let stop = Arc::new(AtomicBool::new(false));
+        let reading = Arc::new(AtomicBool::new(false));
         let monitor = {
             let shared = shared.clone();
-            let stop = Arc::clone(&stop);
+            let (stop, reading) = (Arc::clone(&stop), Arc::clone(&reading));
             std::thread::spawn(move || {
                 let mut reads = 0u64;
                 let mut max_processed = 0;
@@ -352,10 +353,16 @@ mod tests {
                     max_processed = stats.processed;
                     let _ = fp.approx_bytes;
                     reads += 1;
+                    reading.store(true, Ordering::Relaxed);
                 }
                 reads
             })
         };
+        // 400 points can be ingested before the monitor thread is first
+        // scheduled: start only once it is reading.
+        while !reading.load(Ordering::Relaxed) {
+            std::thread::yield_now();
+        }
         for chunk in stream(400, 4).chunks(50) {
             shared.process_batch(chunk).unwrap();
         }

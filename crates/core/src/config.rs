@@ -8,7 +8,7 @@ use spot_types::{DomainBounds, Result, SpotError};
 ///
 /// A point is a projected outlier in subspace `s` when `rd < rd` and — if
 /// `irsd` is set — `irsd < irsd` for the cell it falls into (the paper's
-/// "PCS of the cell it belongs to in one or more subspaces fall[s] under
+/// "PCS of the cell it belongs to in one or more subspaces fall\[s\] under
 /// certain pre-specified thresholds").
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Thresholds {

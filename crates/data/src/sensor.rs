@@ -29,7 +29,7 @@ pub struct SensorConfig {
     pub sensors: usize,
     /// Period of the shared diurnal cycle, in records.
     pub cycle: u64,
-    /// Amplitude of the diurnal cycle (readings are normalized to [0,1]).
+    /// Amplitude of the diurnal cycle (readings are normalized to `[0, 1]`).
     pub amplitude: f64,
     /// Per-reading Gaussian noise.
     pub noise: f64,

@@ -1220,7 +1220,7 @@ impl SpotFleet {
     /// unsound or unprofitable: no durable capture has run yet, the
     /// store's latest generation is not the one the marks describe
     /// (someone else checkpointed in between), or the chain has reached
-    /// [`SpotFleet::REBASE_EVERY`] links. WAL pruning behaves exactly as
+    /// `SpotFleet::REBASE_EVERY` (8) links. WAL pruning behaves exactly as
     /// in the full path. Returns the new generation.
     pub fn checkpoint_durable_delta(&self, store: &CheckpointStore) -> Result<u64> {
         let Some(ds) = self.get_delta_state() else {
@@ -1504,7 +1504,8 @@ impl SpotFleet {
     /// checkpoint (falls back a generation and replays the longer tail),
     /// a torn WAL tail (truncated at the last valid record — those final
     /// unsynced points are the only possible loss, bounded by the
-    /// [`FsyncPolicy`]), and a crash between checkpoint save and WAL prune
+    /// [`FsyncPolicy`](crate::FsyncPolicy)), and a crash between
+    /// checkpoint save and WAL prune
     /// (the stale log prefix behind the watermark is simply not replayed,
     /// then pruned at the next checkpoint). Errors with
     /// [`SpotError::WalCorrupt`] on real damage — a checksum-valid log

@@ -16,8 +16,8 @@
 //!
 //! * **Ordering invariant** — a point is enqueued iff its record was
 //!   appended first, in the same order. The fleet holds a tenant's
-//!   [`WalAppender`] across append + enqueue, so the log's sequence
-//!   numbers are exactly the tenant's arrival order, and WAL seq `n`
+//!   appender (its writer lock) across append + enqueue, so the log's
+//!   sequence numbers are exactly the tenant's arrival order, and WAL seq `n`
 //!   always corresponds to the detector's `processed` counter
 //!   `base_processed + n`. That identity is what lets a checkpoint's
 //!   stream position double as a replay watermark.
@@ -26,7 +26,7 @@
 //!   lost), `EveryN(n)` amortizes one sync over `n` records (the
 //!   default, `n = 256`), `OnRotate` syncs only at segment seal.
 //! * **Rotation & pruning** — segments rotate at
-//!   [`WalTuning::segment_bytes`]; a successful durable checkpoint
+//!   [`WalTuning`]'s `segment_bytes`; a successful durable checkpoint
 //!   ([`SpotFleet::checkpoint_durable`]) prunes sealed segments wholly
 //!   behind the checkpoint's watermark, bounding the log to roughly one
 //!   checkpoint interval of data.
@@ -179,8 +179,8 @@ struct Writer {
 /// serialized appender the fleet's ingestion paths share.
 ///
 /// Obtained via the fleet (`enable_wal` / `recover`); the fleet holds the
-/// [`WalAppender`] lock across append + enqueue so log order *is* arrival
-/// order — see the module docs for the invariant.
+/// appender's writer lock across append + enqueue so log order *is*
+/// arrival order — see the module docs for the invariant.
 pub struct TenantWal {
     dir: PathBuf,
     tuning: WalTuning,

@@ -48,9 +48,14 @@
 //! [`SynopsisManager::update_and_query_batch`] are the full-report
 //! consumers of the same two loops — every cell's `(RD, IRSD)` pair into
 //! caller-reused sinks — for baselines and tools. The two loops run the
-//! same per-cell kernel ([`ProjectedStore::update_and_screen`]) and differ
-//! in loop order only: point-major for one point, store-major (every point
-//! of the run into one store, then the next store) for a run.
+//! same touch kernel, [`ProjectedStore::update_and_screen_batch`], which
+//! takes a [`PointRun`] and loops over its points inside the store, and
+//! they differ in loop order only: point-major hands every store a run of
+//! one point, store-major hands every store the whole run (every point of
+//! the run into one store, then the next store). The kernel is generic
+//! over the store's width: one to four dimensions run an instance
+//! unrolled to that width, wider and fingerprinted stores one
+//! runtime-width instance of the same body, chosen once per call.
 //!
 //! No path reachable from them calls `powi` or the allocator on the
 //! steady state. Every renormalization factor `δ^age` comes from the
@@ -80,4 +85,4 @@ pub use key::{CellKey, KeyCodec};
 pub use manager::{
     CellConsumer, LiveCounters, SubspacePcs, SynopsisManager, SynopsisMark, UpdateOutcome,
 };
-pub use pcs::{CellTouch, Pcs, PcsCell, ProjectedStore};
+pub use pcs::{CellTouch, Pcs, PcsCell, PointRun, ProjectedStore};

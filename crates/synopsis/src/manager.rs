@@ -2,7 +2,7 @@
 //! subspace.
 
 use crate::grid::Grid;
-use crate::pcs::{CellTouch, Pcs, ProjectedStore};
+use crate::pcs::{CellTouch, Pcs, PointRun, ProjectedStore};
 use serde::Value;
 use spot_stream::{DecayedCounter, TimeModel, WeightCache};
 use spot_subspace::Subspace;
@@ -314,18 +314,18 @@ impl SynopsisManager {
         mut on_cell: impl FnMut(usize, &ProjectedStore, CellTouch),
     ) -> Result<UpdateOutcome> {
         let outcome = self.ingest_weight(now, p)?;
+        let run = PointRun {
+            start_tick: now,
+            coords: &self.scratch,
+            points: std::slice::from_ref(p),
+            totals: std::slice::from_ref(&outcome.total_weight),
+        };
         for (ordinal, store) in self.stores.iter_mut().enumerate() {
-            let touch = store.update_and_screen(
-                &self.grid,
-                &self.weights,
-                now,
-                &self.scratch,
-                p,
-                outcome.total_weight,
-            );
+            store.update_and_screen_batch(&self.grid, &self.weights, run, |store, _, touch| {
+                on_cell(ordinal, store, touch)
+            });
             let (dc, db) = store.publish_delta();
             self.live.apply_projected(dc, db);
-            on_cell(ordinal, store, touch);
         }
         self.ingest_version += 1;
         Ok(outcome)
@@ -453,21 +453,18 @@ impl SynopsisManager {
             );
         }
 
-        // Store-major: each store sees the run's points in arrival order,
-        // and its cells stay hot across the run.
+        // Store-major: each store takes the whole run in one call, sees
+        // its points in arrival order, and keeps its cells hot across it.
+        let run = PointRun {
+            start_tick,
+            coords: &coords,
+            points,
+            totals: &totals,
+        };
         for (ordinal, store) in self.stores.iter_mut().enumerate() {
-            for (i, p) in points.iter().enumerate() {
-                let base = &coords[i * dims..(i + 1) * dims];
-                let touch = store.update_and_screen(
-                    &self.grid,
-                    &self.weights,
-                    start_tick + i as u64,
-                    base,
-                    p,
-                    totals[i],
-                );
-                consumer.cell(ordinal, store, i, touch);
-            }
+            store.update_and_screen_batch(&self.grid, &self.weights, run, |store, i, touch| {
+                consumer.cell(ordinal, store, i, touch)
+            });
             let (dc, db) = store.publish_delta();
             self.live.apply_projected(dc, db);
         }
@@ -888,6 +885,42 @@ mod tests {
                 DataPoint::new(
                     (0..6)
                         .map(|d| ((i * (d + 3) + d) % 17) as f64 / 17.0)
+                        .collect(),
+                )
+            })
+            .collect();
+        batch_reference_check(build, &points);
+    }
+
+    #[test]
+    fn batch_matches_one_by_one_with_every_kernel_instance() {
+        // m=10 at ϕ=36: |s| = 1 and 2 are dense, 3 and 4 hash packed keys
+        // on their unrolled instances, |s| = 5 on the runtime-width one,
+        // and the full space (144 bits) is fingerprinted.
+        let dims = 36;
+        let build = || {
+            let mut mgr = manager(dims, 10);
+            let projected: [&[usize]; 5] = [
+                &[0],
+                &[5, 30],
+                &[1, 17, 35],
+                &[2, 9, 21, 33],
+                &[3, 10, 19, 27, 34],
+            ];
+            for s in projected {
+                mgr.add_subspace(Subspace::from_dims(s.iter().copied()).unwrap());
+            }
+            mgr.add_subspace(Subspace::full(dims).unwrap());
+            assert!(!mgr.grid().codec().is_exact(dims));
+            mgr
+        };
+        // A few prototypes, so full-space cells are revisited too.
+        let points: Vec<DataPoint> = (0..300usize)
+            .map(|i| {
+                let proto = if i % 5 == 4 { i % 23 } else { i % 7 };
+                DataPoint::new(
+                    (0..dims)
+                        .map(|d| ((proto * (d + 3) + d) % 17) as f64 / 17.0)
                         .collect(),
                 )
             })

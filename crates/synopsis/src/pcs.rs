@@ -88,6 +88,21 @@ const DENSE_KEY_BITS: u32 = 10;
 /// most `2^DENSE_KEY_BITS` cells, so the value can never be a live slot.
 const VACANT: u16 = u16::MAX;
 
+/// Width parameter of the touch kernel's runtime-width instance: stores of
+/// more than four dimensions, fingerprinted ones included, read their width
+/// from the store instead of from the type.
+const ANY_WIDTH: usize = 0;
+
+/// The exact key of the coordinates along `dims` (ascending), `bits` bits a
+/// group, most-significant group first — the fold [`Grid::project_key`]
+/// performs over the subspace's mask, over the store's cached dimensions.
+#[inline(always)]
+fn packed_key(dims: &[u8], base: &[u16], bits: u32) -> u128 {
+    dims.iter().fold(0u128, |key, &d| {
+        (key << bits) | u128::from(base[d as usize])
+    })
+}
+
 /// `key → slot` lookup of one store: derived state, rebuilt on restore and
 /// never captured.
 #[derive(Debug, Clone)]
@@ -199,6 +214,24 @@ pub struct CellTouch {
     pub occupancy: f64,
     /// Relative density of the cell (see [`Pcs::rd`]).
     pub rd: f64,
+}
+
+/// A run of quantized points arriving at consecutive ticks — what
+/// [`ProjectedStore::update_and_screen_batch`] folds in. Point `i` arrives
+/// at tick `start_tick + i`.
+#[derive(Debug, Clone, Copy)]
+pub struct PointRun<'a> {
+    /// Tick of the run's first point.
+    pub start_tick: u64,
+    /// The points' base-cell coordinates on the store's grid, `ϕ` per
+    /// point (coordinates from another grid may index outside a dense
+    /// store's table and panic).
+    pub coords: &'a [u16],
+    /// The points themselves.
+    pub points: &'a [DataPoint],
+    /// The stream's global decayed weight at each point's tick, point
+    /// included.
+    pub totals: &'a [f64],
 }
 
 /// All populated projected cells of one subspace.
@@ -327,16 +360,16 @@ impl ProjectedStore {
     }
 
     /// Folds one point into its projected cell at tick `now` and screens
-    /// the cell in the same access — the one touch kernel behind every
-    /// ingest path (per point, per run, replay). `base` must be the
-    /// point's base-cell coordinates on the same grid (coordinates from
-    /// another grid may index outside a dense store's table and panic);
-    /// `weights` supplies the cell's renormalization factor; `total` is
-    /// the stream's global decayed weight at `now` (point included).
-    /// Returns the cell's decayed occupancy (point included — the drift
-    /// detector's freshness signal) and RD; IRSD is
-    /// [`ProjectedStore::irsd_of`] the returned touch.
-    #[inline]
+    /// the cell in the same access: a run of one through
+    /// [`ProjectedStore::update_and_screen_batch`], the one touch kernel
+    /// behind every ingest path. `base` must be the point's base-cell
+    /// coordinates on the same grid (coordinates from another grid may
+    /// index outside a dense store's table and panic); `weights` supplies
+    /// the cell's renormalization factor; `total` is the stream's global
+    /// decayed weight at `now` (point included). Returns the cell's
+    /// decayed occupancy (point included — the drift detector's freshness
+    /// signal) and RD; IRSD is [`ProjectedStore::irsd_of`] the returned
+    /// touch.
     pub fn update_and_screen(
         &mut self,
         grid: &Grid,
@@ -346,17 +379,146 @@ impl ProjectedStore {
         point: &DataPoint,
         total: f64,
     ) -> CellTouch {
-        let slot = self.upsert(grid, weights, now, base, point);
-        self.screen_slot(slot, total)
+        let mut touched = None;
+        let run = PointRun {
+            start_tick: now,
+            coords: base,
+            points: std::slice::from_ref(point),
+            totals: &[total],
+        };
+        self.update_and_screen_batch(grid, weights, run, |_, _, touch| touched = Some(touch));
+        touched.expect("a run of one point touches one cell")
     }
 
-    #[inline]
-    fn screen_slot(&self, slot: usize, total: f64) -> CellTouch {
-        let d = self.d[slot];
-        CellTouch {
-            slot: slot as u32,
-            occupancy: d,
-            rd: self.rd_of(d, total),
+    /// Folds a run of points into their projected cells and hands every
+    /// touched cell to `on_touch` as `(store, i, touch)` right after point
+    /// `i` went in, before the next one does. This is the touch kernel of
+    /// every ingest path: the batch loop passes a run, the per-point loop
+    /// and [`ProjectedStore::update_and_screen`] a run of one. `weights`
+    /// supplies the renormalization factors and must reach the run's last
+    /// tick to serve them all from the table.
+    ///
+    /// The kernel is generic over the store's width and chosen once per
+    /// run: stores of one to four dimensions run an instance whose key
+    /// fold, moment decay and `LS`/`SS` adds are unrolled to that width,
+    /// wider and fingerprinted stores the runtime-width instance of the
+    /// same body. Each cell sees the same operations in the same order on
+    /// every instance and at every run length.
+    pub fn update_and_screen_batch(
+        &mut self,
+        grid: &Grid,
+        weights: &WeightCache,
+        run: PointRun<'_>,
+        on_touch: impl FnMut(&ProjectedStore, usize, CellTouch),
+    ) {
+        match self.card {
+            1 => self.touch_each::<1>(grid, weights, run, on_touch),
+            2 => self.touch_each::<2>(grid, weights, run, on_touch),
+            3 => self.touch_each::<3>(grid, weights, run, on_touch),
+            4 => self.touch_each::<4>(grid, weights, run, on_touch),
+            _ => self.touch_each::<ANY_WIDTH>(grid, weights, run, on_touch),
+        }
+    }
+
+    /// The touch kernel at width `K` ([`ANY_WIDTH`]: the store's own).
+    /// Per point: find the cell's slot (one table load, or one map probe
+    /// of the packed or fingerprinted key), or claim the next one for a
+    /// new key; decay an existing cell to the point's tick; add the point;
+    /// derive occupancy and RD. New cells extend the columns (the only
+    /// allocating path, taken once per distinct populated cell).
+    #[inline(always)]
+    fn touch_each<const K: usize>(
+        &mut self,
+        grid: &Grid,
+        weights: &WeightCache,
+        run: PointRun<'_>,
+        mut on_touch: impl FnMut(&ProjectedStore, usize, CellTouch),
+    ) {
+        let width = if K == ANY_WIDTH { self.card } else { K };
+        debug_assert_eq!(width, self.card);
+        let stride = 2 * width;
+        let phi = grid.dims();
+        let PointRun {
+            start_tick,
+            coords,
+            points,
+            totals,
+        } = run;
+        assert!(
+            coords.len() == points.len() * phi && totals.len() == points.len(),
+            "a run needs ϕ coordinates and one total per point"
+        );
+        let bits = grid.codec().bits_per_dim();
+        // Up to four dimensions a key is at most 64 bits: always packed.
+        let packed = K != ANY_WIDTH || grid.codec().is_exact(width);
+        let dims = &self.dims[..width];
+        if !points.is_empty() {
+            // Every touch of the run leaves its cell at a tick ≥ the first.
+            self.min_last_tick = self.min_last_tick.min(start_tick);
+        }
+        for (i, (point, &total)) in points.iter().zip(totals).enumerate() {
+            let now = start_tick + i as u64;
+            let base = &coords[i * phi..(i + 1) * phi];
+            let next = self.keys.len();
+            let (slot, new_key) = match &mut self.index {
+                SlotIndex::Dense(table) => {
+                    let k = packed_key(dims, base, bits) as usize;
+                    let entry = &mut table[k];
+                    if *entry == VACANT {
+                        *entry = next as u16;
+                        (next, Some(CellKey(k as u128)))
+                    } else {
+                        (*entry as usize, None)
+                    }
+                }
+                SlotIndex::Hashed(map) => {
+                    let key = if packed {
+                        CellKey(packed_key(dims, base, bits))
+                    } else {
+                        grid.project_key(base, &self.subspace)
+                    };
+                    match map.entry(key) {
+                        std::collections::hash_map::Entry::Occupied(e) => (*e.get() as usize, None),
+                        std::collections::hash_map::Entry::Vacant(e) => {
+                            e.insert(next as u32);
+                            (next, Some(key))
+                        }
+                    }
+                }
+            };
+            match new_key {
+                None => {
+                    let f = weights.decay_between(self.last_tick[slot], now);
+                    if f != 1.0 {
+                        self.d[slot] *= f;
+                        for v in &mut self.moments[slot * stride..(slot + 1) * stride] {
+                            *v *= f;
+                        }
+                    }
+                    self.last_tick[slot] = now;
+                }
+                Some(key) => {
+                    self.keys.push(key);
+                    self.d.push(0.0);
+                    self.last_tick.push(now);
+                    self.moments.extend(std::iter::repeat_n(0.0, stride));
+                }
+            }
+            self.d[slot] += 1.0;
+            let (ls, ss) = self.moments[slot * stride..(slot + 1) * stride].split_at_mut(width);
+            let values = point.values();
+            for (j, &d) in dims.iter().enumerate() {
+                let v = values[d as usize];
+                ls[j] += v;
+                ss[j] += v * v;
+            }
+            let occupancy = self.d[slot];
+            let touch = CellTouch {
+                slot: slot as u32,
+                occupancy,
+                rd: self.rd_of(occupancy, total),
+            };
+            on_touch(self, i, touch);
         }
     }
 
@@ -375,77 +537,6 @@ impl ProjectedStore {
             rd: touch.rd,
             irsd: self.irsd_of(touch),
         }
-    }
-
-    /// Inserts the point, returning its slot. An existing cell is decayed
-    /// to `now` first. New cells extend the columns (the only allocating
-    /// path, taken once per distinct populated cell).
-    #[inline]
-    fn upsert(
-        &mut self,
-        grid: &Grid,
-        weights: &WeightCache,
-        now: u64,
-        base: &[u16],
-        point: &DataPoint,
-    ) -> usize {
-        let stride = 2 * self.card;
-        let next = self.keys.len();
-        // Find the cell's slot, or claim the next one for a new key.
-        let (slot, new_key) = match &mut self.index {
-            SlotIndex::Dense(table) => {
-                let bits = grid.codec().bits_per_dim();
-                let mut k = 0usize;
-                for &d in self.dims.iter() {
-                    k = (k << bits) | base[d as usize] as usize;
-                }
-                let entry = &mut table[k];
-                if *entry == VACANT {
-                    *entry = next as u16;
-                    (next, Some(CellKey(k as u128)))
-                } else {
-                    (*entry as usize, None)
-                }
-            }
-            SlotIndex::Hashed(map) => {
-                let key = grid.project_key(base, &self.subspace);
-                match map.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(e) => (*e.get() as usize, None),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(next as u32);
-                        (next, Some(key))
-                    }
-                }
-            }
-        };
-        match new_key {
-            None => {
-                let f = weights.decay_between(self.last_tick[slot], now);
-                if f != 1.0 {
-                    self.d[slot] *= f;
-                    for v in &mut self.moments[slot * stride..(slot + 1) * stride] {
-                        *v *= f;
-                    }
-                }
-                self.last_tick[slot] = now;
-            }
-            Some(key) => {
-                self.keys.push(key);
-                self.d.push(0.0);
-                self.last_tick.push(now);
-                self.moments.extend(std::iter::repeat_n(0.0, stride));
-            }
-        }
-        self.min_last_tick = self.min_last_tick.min(now);
-        self.d[slot] += 1.0;
-        let stripe = &mut self.moments[slot * stride..(slot + 1) * stride];
-        let (ls, ss) = stripe.split_at_mut(self.card);
-        for (i, &d) in self.dims.iter().enumerate() {
-            let v = point.value(d as usize);
-            ls[i] += v;
-            ss[i] += v * v;
-        }
-        slot
     }
 
     /// PCS of the projected cell containing `base`, renormalized to `now`.

@@ -9,9 +9,9 @@
 
 use spot_stream::{DecayedCounter, TimeModel, WeightCache};
 use spot_subspace::Subspace;
-use spot_synopsis::{Grid, Pcs, ProjectedStore, SynopsisManager};
+use spot_synopsis::{CellTouch, Grid, Pcs, PointRun, ProjectedStore, SynopsisManager};
 use spot_types::{DataPoint, DomainBounds, DurableState, StateReader, StateWriter};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Seed-style projected store: boxed coordinate keys, separate update and
 /// query passes.
@@ -63,6 +63,12 @@ impl ReferenceStore {
             ls[i] += v;
             ss[i] += v * v;
         }
+    }
+
+    /// Decayed count of the cell containing `base` as last updated (the
+    /// occupancy a touch at that tick reports).
+    fn occupancy(&self, base: &[u16]) -> f64 {
+        self.cells[&self.project(base)].0
     }
 
     /// Evicts cells whose decayed count at `now` fell below `floor`.
@@ -510,5 +516,203 @@ fn idle_clock_past_the_table_cap_and_decay_underflow_matches_the_model() {
             }
         }
         assert_eq!(per_point.capture_state(), batched.capture_state());
+    }
+}
+
+/// One store beside its ordered-map model, fed the same points: one
+/// single-touch call a point when `runs` is `None`, else one run call per
+/// run of the given lengths, cycled.
+struct Twin<'g> {
+    grid: &'g Grid,
+    tm: TimeModel,
+    weights: WeightCache,
+    store: ProjectedStore,
+    reference: ReferenceStore,
+    runs: Option<&'static [usize]>,
+    label: String,
+}
+
+impl Twin<'_> {
+    /// Feeds `points` at ticks `start, start+1, …`, comparing every
+    /// touch's PCS and occupancy by bits as the store hands it over. Point
+    /// `i`'s global weight is `seen + i + 1`.
+    fn feed(&mut self, (start, seen): (u64, usize), points: &[DataPoint], stage: &str) {
+        let Twin {
+            grid,
+            tm,
+            weights,
+            store,
+            reference,
+            runs,
+            label,
+        } = self;
+        let phi = grid.dims();
+        let coords: Vec<u16> = points
+            .iter()
+            .flat_map(|p| grid.base_coords(p).unwrap())
+            .collect();
+        let totals: Vec<f64> = (0..points.len()).map(|i| (seen + i + 1) as f64).collect();
+        let mut check = |store: &ProjectedStore, i: usize, touch: CellTouch| {
+            let now = start + i as u64;
+            let base = &coords[i * phi..(i + 1) * phi];
+            reference.update(tm, now, base, &points[i]);
+            let want = reference.pcs(tm, now, base, totals[i]);
+            let got = store.pcs_of(&touch);
+            let at = format!("{label}, {stage}: tick {now}");
+            assert_eq!(got.rd.to_bits(), want.rd.to_bits(), "{at}: rd");
+            assert_eq!(got.irsd.to_bits(), want.irsd.to_bits(), "{at}: irsd");
+            assert_eq!(
+                touch.occupancy.to_bits(),
+                reference.occupancy(base).to_bits(),
+                "{at}: occupancy"
+            );
+        };
+        let Some(lens) = runs else {
+            for (i, p) in points.iter().enumerate() {
+                let now = start + i as u64;
+                weights.ensure(now + 1);
+                let base = &coords[i * phi..(i + 1) * phi];
+                let touch = store.update_and_screen(grid, weights, now, base, p, totals[i]);
+                check(store, i, touch);
+            }
+            return;
+        };
+        let mut i = 0;
+        for &len in lens.iter().cycle() {
+            if i == points.len() {
+                break;
+            }
+            let end = (i + len).min(points.len());
+            // As the manager does: the table reaches the run's last tick.
+            weights.ensure(start + end as u64);
+            let run = PointRun {
+                start_tick: start + i as u64,
+                coords: &coords[i * phi..end * phi],
+                points: &points[i..end],
+                totals: &totals[i..end],
+            };
+            store.update_and_screen_batch(grid, weights, run, |store, j, touch| {
+                check(store, i + j, touch)
+            });
+            i = end;
+        }
+    }
+
+    /// The store's captured columns against the model's cells, by bits:
+    /// every slot's key names a model cell (packed or fingerprinted as the
+    /// codec does) with the same count, tick and moments.
+    fn assert_columns_match(&self, stage: &str) {
+        let mut w = StateWriter::new();
+        self.store.capture(&mut w);
+        let state = w.finish();
+        let r = StateReader::new(&state).unwrap();
+        let keys = r.u128_col("keys").unwrap();
+        let d = r.f64_bits_col("d").unwrap();
+        let last = r.u64_col("last").unwrap();
+        let moments = r.f64_bits_col("moments").unwrap();
+        let label = format!("{}, {stage}", self.label);
+        let card = self.store.cardinality();
+        assert_eq!(keys.len(), self.reference.cells.len(), "{label}: cells");
+        let model: HashMap<u128, &RefCell> = self
+            .reference
+            .cells
+            .iter()
+            .map(|(coords, cell)| (self.grid.codec().pack(coords).0, cell))
+            .collect();
+        for (slot, key) in keys.iter().enumerate() {
+            let (want_d, ls, ss, want_last) = model[key];
+            assert_eq!(
+                d[slot].to_bits(),
+                want_d.to_bits(),
+                "{label}: d, slot {slot}"
+            );
+            assert_eq!(last[slot], *want_last, "{label}: tick, slot {slot}");
+            let stripe = &moments[slot * 2 * card..(slot + 1) * 2 * card];
+            let want: Vec<u64> = ls.iter().chain(ss).map(|v| v.to_bits()).collect();
+            let got: Vec<u64> = stripe.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "{label}: moments, slot {slot}");
+        }
+    }
+}
+
+#[test]
+fn every_kernel_instance_matches_reference_through_runs_prune_and_restore() {
+    // The touch kernel has an unrolled instance per width 1..=4 and one
+    // runtime-width instance. Each store below goes through the
+    // single-touch entry and through runs of 1, 7 and 256 ticks — before
+    // and after a prune that compacts it, and across a capture/restore.
+    // At ϕ=40, per granularity (`dense_up_to`: the widest dense store):
+    // * m=4, 2 bits a dimension: |s| = 1..=5 dense (|s|=5 on the runtime
+    //   width), the full space an exact 80-bit key;
+    // * m=10: |s| ≤ 2 dense, 3..=5 hashed, the full space fingerprinted;
+    // * m=32: |s|=2 is the 10-bit cut, 3..=5 hashed, full fingerprinted.
+    let dims = 40;
+    let tm = TimeModel::new(64, 0.05).unwrap();
+    let projected: [&[usize]; 5] = [
+        &[0],
+        &[3, 17],
+        &[1, 20, 39],
+        &[2, 9, 26, 33],
+        &[4, 11, 18, 25, 32],
+    ];
+    for (m, dense_up_to) in [(4u16, 5), (10, 2), (32, 2)] {
+        let grid = Grid::new(DomainBounds::unit(dims), m).unwrap();
+        let full = Subspace::full(dims).unwrap();
+        assert_eq!(grid.codec().is_exact(dims), m == 4);
+        let stores = projected
+            .iter()
+            .map(|s| Subspace::from_dims(s.iter().copied()).unwrap())
+            .chain([full]);
+        for s in stores {
+            let dense = s.cardinality() <= dense_up_to && s != full;
+            assert_eq!(empty_index_bytes(&grid, s) > 0, dense, "index of {s}");
+            for runs in [None, Some(&[1usize, 7, 256][..])] {
+                let mut twin = Twin {
+                    grid: &grid,
+                    tm,
+                    weights: WeightCache::new(tm),
+                    store: ProjectedStore::new(&grid, s),
+                    reference: ReferenceStore::new(&grid, s),
+                    runs,
+                    label: format!("m={m} s={s} runs={runs:?}"),
+                };
+                let seed = m as u64 ^ s.mask();
+                // The whole box, then — long after — one corner only, so
+                // the prune evicts cells scattered through the slot order.
+                let wide = revisiting_stream(300, dims, 40, 0xA11 ^ seed);
+                twin.feed((0, 0), &wide, "fill");
+                let corner: Vec<DataPoint> = revisiting_stream(264, dims, 12, 0xC0 ^ seed)
+                    .iter()
+                    .map(|p| DataPoint::new(p.values().iter().map(|v| v * 0.4).collect()))
+                    .collect();
+                twin.feed((600, 300), &corner, "corner");
+                let now = 900;
+                twin.weights.ensure(now + 1);
+                let populated = twin.store.len();
+                let evicted = twin.store.prune(&twin.weights, now, 1e-3);
+                assert_eq!(evicted, twin.reference.prune(&tm, now, 1e-3));
+                assert!(
+                    evicted > 0 && evicted < populated,
+                    "{}: prune must compact, {evicted} of {populated}",
+                    twin.label
+                );
+                twin.assert_columns_match("pruned");
+
+                // Capture → restore; the restored store then reopens
+                // evicted cells and revisits survivors.
+                let mut w = StateWriter::new();
+                twin.store.capture(&mut w);
+                let state = w.finish();
+                let mut restored = ProjectedStore::new(&grid, s);
+                restored
+                    .restore(&StateReader::new(&state).unwrap())
+                    .unwrap();
+                twin.store = restored;
+                twin.assert_columns_match("restored");
+                let tail = revisiting_stream(300, dims, 40, 0x7A1 ^ seed);
+                twin.feed((now + 1, 564), &tail, "tail");
+                twin.assert_columns_match("tail");
+            }
+        }
     }
 }

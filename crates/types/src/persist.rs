@@ -107,7 +107,8 @@ pub mod lanes {
 /// and lengths are bounds-checked against the remaining input *before*
 /// allocation, recursion depth is capped, and every malformed input path
 /// returns a typed [`PersistError`] — never a panic. The container frame
-/// (`SPOTBIN1` magic + payload + [`Checksum64`] trailer) seals a whole
+/// (`SPOTBIN1` magic + payload + [`Checksum64`](binary::Checksum64)
+/// trailer) seals a whole
 /// checkpoint file; see `docs/persistence.md` for the full layout.
 pub mod binary {
     use super::PersistError;
