@@ -12,7 +12,7 @@ use spot_clustering::{outlying_degrees, top_outlying_indices, OdConfig};
 use spot_moga::MogaConfig;
 use spot_stream::{LogicalClock, Reservoir};
 use spot_subspace::{genetic, ScoredSubspace, Subspace};
-use spot_synopsis::{CellConsumer, Grid, LiveCounters, SynopsisManager, SynopsisMark};
+use spot_synopsis::{CellConsumer, Grid, LiveCounters, SynopsisManager};
 use spot_types::{
     DataPoint, Detection, FxHashSet, PersistError, Result, SpotError, StateReader, StateWriter,
     StreamDetector, StreamRecord,
@@ -23,29 +23,6 @@ use std::time::Instant;
 /// Salt separating the reservoir's counter-based draw stream from the
 /// other seeded components.
 const RESERVOIR_SEED_SALT: u64 = 0x5EED_CAFE_D00D_F00D;
-
-/// Point-in-time snapshot of a detector's dirty-tracking counters, taken
-/// by [`Spot::capture_mark`] alongside a checkpoint. Opaque; its only use
-/// is as the baseline of a later [`Spot::delta_capture`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CaptureMark {
-    mutations: u64,
-    structure: u64,
-    synopsis: SynopsisMark,
-}
-
-/// Outcome of [`Spot::delta_capture`].
-#[derive(Debug, Clone)]
-pub enum DeltaCapture {
-    /// Nothing mutated since the mark — the previous checkpoint still
-    /// describes this detector exactly; record nothing.
-    Unchanged,
-    /// A state-delta tree: apply it to the previous checkpoint with
-    /// `SpotCheckpoint::apply_state_delta` to materialize the new state.
-    Delta(Value),
-    /// The structure changed since the mark; take a full checkpoint.
-    Full,
-}
 
 /// Memory snapshot of the synopses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,15 +77,6 @@ pub struct Spot {
     drift: PageHinkley,
     stats: SpotStats,
     learned: bool,
-    /// Monotone mutation counter: every state-mutating entry point bumps
-    /// it. A [`CaptureMark`] whose counter still matches proves the
-    /// detector is identical to its capture-time state — the fleet's
-    /// "skip this tenant entirely" delta-checkpoint signal.
-    mutations: u64,
-    /// Bumped whenever the SST or the monitored-store layout may have
-    /// changed (learning, self-evolution, ablation, restore). A delta
-    /// capture never spans a structure change — it falls back to full.
-    structure_revision: u64,
     /// The verdict rule as the cell consumer of both ingest loops.
     screen: VerdictScreen,
     /// `(manager layout epoch, FS stores monitored at that epoch)` — the
@@ -155,8 +123,6 @@ impl Spot {
             drift,
             stats: SpotStats::default(),
             learned: false,
-            mutations: 0,
-            structure_revision: 0,
             screen,
             monitored: (0, 0),
             point_plan: EvalPlan::default(),
@@ -240,8 +206,6 @@ impl Spot {
                 });
             }
         }
-        self.mutations += 1;
-        self.structure_revision += 1;
         let learning = self.config.learning.clone();
         // The evaluator indexes the training batch in place — no clone of
         // it is made.
@@ -370,7 +334,6 @@ impl Spot {
                 screen.cell(ordinal, store, 0, touch)
             })?;
         self.clock.tick();
-        self.mutations += 1;
         let monitored = self.monitored_stores();
         // The plan is swapped out so the commit phase can borrow self
         // mutably; its capacity survives the round-trip.
@@ -441,7 +404,6 @@ impl Spot {
         if points.is_empty() {
             return Ok(Vec::new());
         }
-        self.mutations += 1;
         let mut verdicts = Vec::with_capacity(points.len());
         let mut plans = std::mem::take(&mut self.batch_plans);
         let result = self.batch_runs(points, &mut plans, &mut verdicts);
@@ -571,8 +533,6 @@ impl Spot {
     /// Replaces the SST wholesale (snapshot restoration). Rebuilds lookup
     /// indices and reconciles the monitored stores.
     pub(crate) fn restore_sst(&mut self, mut sst: Sst, learned: bool) {
-        self.mutations += 1;
-        self.structure_revision += 1;
         sst.rebuild_index();
         self.sst = sst;
         self.learned = learned;
@@ -594,46 +554,6 @@ impl Spot {
         w.finish()
     }
 
-    /// Snapshots the detector's dirty-tracking counters at capture time.
-    /// Take the mark under the same lock (and at the same instant) as the
-    /// capture itself; pair it with [`Spot::delta_capture`] on the
-    /// next checkpoint to encode only what changed in between.
-    pub fn capture_mark(&self) -> CaptureMark {
-        CaptureMark {
-            mutations: self.mutations,
-            structure: self.structure_revision,
-            synopsis: self.manager.capture_mark(),
-        }
-    }
-
-    /// Attempts a delta capture against `mark` (a previous checkpoint's
-    /// [`Spot::capture_mark`]). The scalar layers (clock, RNG, stats,
-    /// drift, reservoir, outlier retention) are always included — they are
-    /// tiny and change with every point; the synopsis contributes only its
-    /// dirtied stores. Falls back to [`DeltaCapture::Full`] whenever the
-    /// SST structure moved, because ordinals would no longer line up.
-    pub fn delta_capture(&self, mark: &CaptureMark) -> DeltaCapture {
-        if self.mutations == mark.mutations && self.structure_revision == mark.structure {
-            return DeltaCapture::Unchanged;
-        }
-        if self.structure_revision != mark.structure {
-            return DeltaCapture::Full;
-        }
-        let Some(synopsis) = self.manager.capture_state_delta(&mark.synopsis) else {
-            return DeltaCapture::Full;
-        };
-        let mut w = StateWriter::new();
-        w.component("clock", &self.clock);
-        w.bool("learned", self.learned);
-        w.u64_col("rng", self.rng.state());
-        w.component("stats", &self.stats);
-        w.component("drift", &self.drift);
-        w.component("reservoir", &self.reservoir);
-        w.point_list("outlier_buffer", &self.outlier_buffer);
-        w.value("synopsis", synopsis);
-        DeltaCapture::Delta(w.finish())
-    }
-
     /// Restores the complete runtime state captured by
     /// [`Spot::capture_runtime_state`] into a freshly-constructed detector
     /// of the same configuration. The SST is installed without the usual
@@ -645,8 +565,6 @@ impl Spot {
         mut sst: Sst,
         r: &StateReader<'_>,
     ) -> std::result::Result<(), PersistError> {
-        self.mutations += 1;
-        self.structure_revision += 1;
         sst.rebuild_index();
         self.sst = sst;
         self.active = self.sst.iter_all().collect();
@@ -683,16 +601,12 @@ impl Spot {
     /// Empties the CS component (SST-ablation studies: e.g. an "FS+OS"
     /// configuration). The monitored stores are reconciled immediately.
     pub fn clear_cs(&mut self) {
-        self.mutations += 1;
-        self.structure_revision += 1;
         self.sst.clear_cs();
         self.sync_manager_subspaces(false);
     }
 
     /// Empties the OS component (SST-ablation studies).
     pub fn clear_os(&mut self) {
-        self.mutations += 1;
-        self.structure_revision += 1;
         self.sst.clear_os();
         self.sync_manager_subspaces(false);
     }
@@ -761,7 +675,6 @@ impl Spot {
         if entries.is_empty() {
             return;
         }
-        self.structure_revision += 1;
         self.stats.evolutions += 1;
         // Generate offspring of the current CS.
         let parents: Vec<Subspace> = entries.iter().map(|e| e.subspace).collect();
@@ -817,7 +730,6 @@ impl Spot {
         }
         self.stats.os_added += added;
         self.outlier_buffer.clear();
-        self.structure_revision += 1;
         if added > 0 {
             self.sync_manager_subspaces(true);
         }
@@ -1120,8 +1032,8 @@ mod tests {
     #[test]
     fn rejected_point_costs_no_tick_on_either_path() {
         // A detector that refused a NaN point must be indistinguishable
-        // from a twin that never saw it: same clock, counters and dirty
-        // marks, and the same verdicts from there on — across the
+        // from a twin that never saw it: same clock, counters and
+        // checkpoint bytes, and the same verdicts from there on — across the
         // evolution tick at 1000 and the prune tick at 2000.
         let stream = training(2300);
         let (warm, tail) = stream[200..].split_at(100);
@@ -1141,7 +1053,7 @@ mod tests {
             assert!(a.process(&bad).is_err());
             assert_eq!(a.now(), b.now(), "a rejected point burned a tick");
             assert_eq!(a.stats(), b.stats());
-            assert_eq!(a.capture_mark(), b.capture_mark());
+            assert_eq!(a.checkpoint().to_bytes(), b.checkpoint().to_bytes());
             let feed = |s: &mut Spot| -> Vec<Verdict> {
                 if batched {
                     s.process_batch(tail).unwrap()

@@ -69,7 +69,7 @@ pub use concurrent::SharedSpot;
 pub use config::{
     DriftConfig, EvolutionConfig, LearningConfig, SpotBuilder, SpotConfig, Thresholds,
 };
-pub use detector::{CaptureMark, DeltaCapture, Spot, SynopsisFootprint};
+pub use detector::{Spot, SynopsisFootprint};
 pub use drift::PageHinkley;
 pub use evaluator::{SparsityProblem, SparsityScratch, TrainingEvaluator};
 pub use snapshot::{

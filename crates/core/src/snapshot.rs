@@ -123,21 +123,6 @@ fn corrupt(e: impl std::fmt::Display) -> SpotError {
     SpotError::SnapshotCorrupt(e.to_string())
 }
 
-/// Mutable access to a named field of a state object (checkpoint merge
-/// helper); a missing field or non-object shape is a corruption error.
-fn field_mut<'a>(v: &'a mut Value, name: &str) -> Result<&'a mut Value> {
-    match v {
-        Value::Object(entries) => entries
-            .iter_mut()
-            .find(|(k, _)| k == name)
-            .map(|(_, val)| val)
-            .ok_or_else(|| corrupt(format!("checkpoint state missing field `{name}`"))),
-        other => Err(corrupt(format!(
-            "checkpoint state field `{name}`: parent is not an object ({other:?})"
-        ))),
-    }
-}
-
 impl SpotCheckpoint {
     /// Serializes the checkpoint on the binary column carrier (v3): the
     /// same value tree as the JSON text form, encoded through
@@ -178,73 +163,6 @@ impl SpotCheckpoint {
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         let tree = binary::read_container(bytes).map_err(corrupt)?;
         SpotCheckpoint::from_value(&tree).map_err(corrupt)
-    }
-
-    /// Materializes the checkpoint a delta capture describes: `self` is
-    /// the delta's base (the previous generation), `delta_state` is the
-    /// tree produced by `Spot::delta_capture`. The scalar layers are
-    /// replaced wholesale; the synopsis merge swaps in only the dirtied
-    /// stores, keyed by registration ordinal, with the store's subspace
-    /// mask cross-checked against the base so a delta can never silently
-    /// apply to the wrong generation.
-    pub fn apply_state_delta(&self, delta_state: &Value) -> Result<SpotCheckpoint> {
-        let d = StateReader::new(delta_state).map_err(corrupt)?;
-        let mut state = self.state.clone();
-        for field in [
-            "clock",
-            "learned",
-            "rng",
-            "stats",
-            "drift",
-            "reservoir",
-            "outlier_buffer",
-        ] {
-            let nv = d.value(field).map_err(corrupt)?;
-            *field_mut(&mut state, field)? = nv.clone();
-        }
-
-        let syn_delta = d.nested("synopsis").map_err(corrupt)?;
-        let stores_len = syn_delta.u64("stores_len").map_err(corrupt)? as usize;
-        let syn = field_mut(&mut state, "synopsis")?;
-        *field_mut(syn, "total")? = syn_delta.value("total").map_err(corrupt)?.clone();
-        let stores = field_mut(syn, "stores")?;
-        let Value::Array(items) = stores else {
-            return Err(corrupt("checkpoint synopsis `stores` is not an array"));
-        };
-        if items.len() != stores_len {
-            return Err(corrupt(format!(
-                "delta expects {stores_len} stores, base checkpoint has {}",
-                items.len()
-            )));
-        }
-        for entry in syn_delta.nested_list("changed").map_err(corrupt)? {
-            let ordinal = entry.u64("ordinal").map_err(corrupt)? as usize;
-            let store = entry.value("store").map_err(corrupt)?;
-            let slot = items.get_mut(ordinal).ok_or_else(|| {
-                corrupt(format!(
-                    "delta store ordinal {ordinal} out of range ({stores_len} stores)"
-                ))
-            })?;
-            let want_mask = StateReader::new(store)
-                .and_then(|r| r.u64("mask"))
-                .map_err(corrupt)?;
-            let have_mask = StateReader::new(slot)
-                .and_then(|r| r.u64("mask"))
-                .map_err(corrupt)?;
-            if want_mask != have_mask {
-                return Err(corrupt(format!(
-                    "delta store at ordinal {ordinal} is for subspace mask {want_mask:#x}, \
-                     base has {have_mask:#x} — delta applied to the wrong generation"
-                )));
-            }
-            *slot = store.clone();
-        }
-
-        Ok(SpotCheckpoint {
-            config: self.config.clone(),
-            sst: self.sst.clone(),
-            state,
-        })
     }
 }
 
@@ -362,6 +280,21 @@ mod tests {
     use crate::config::{EvolutionConfig, SpotBuilder};
     use crate::verdict::Verdict;
     use spot_types::{DataPoint, DomainBounds};
+
+    /// Mutable access to a named field of a state object; a missing field
+    /// or non-object shape is a corruption error.
+    fn field_mut<'a>(v: &'a mut Value, name: &str) -> Result<&'a mut Value> {
+        match v {
+            Value::Object(entries) => entries
+                .iter_mut()
+                .find(|(k, _)| k == name)
+                .map(|(_, val)| val)
+                .ok_or_else(|| corrupt(format!("checkpoint state missing field `{name}`"))),
+            other => Err(corrupt(format!(
+                "checkpoint state field `{name}`: parent is not an object ({other:?})"
+            ))),
+        }
+    }
 
     fn train() -> Vec<DataPoint> {
         (0..400)
@@ -530,6 +463,32 @@ mod tests {
         assert_verdicts_bitwise(&want, &got);
         assert_eq!(resumed.stats(), uninterrupted.stats());
         assert_eq!(resumed.footprint(), uninterrupted.footprint());
+    }
+
+    #[test]
+    fn checkpoint_bytes_depend_on_config_seed_and_stream_only() {
+        // Twins built apart and fed one stream through the batch path —
+        // whose stage timers read the wall clock — write the same bytes.
+        let build = || {
+            let mut s = SpotBuilder::new(DomainBounds::unit(4))
+                .seed(23)
+                .evolution(EvolutionConfig {
+                    period: 150,
+                    ..Default::default()
+                })
+                .build()
+                .unwrap();
+            s.learn(&train()).unwrap();
+            s
+        };
+        let (mut a, mut b) = (build(), build());
+        let pts = stream(400);
+        for chunk in pts.chunks(97) {
+            a.process_batch(chunk).unwrap();
+            b.process_batch(chunk).unwrap();
+        }
+        assert!(a.stats().batch_runs > 0);
+        assert_eq!(a.checkpoint().to_bytes(), b.checkpoint().to_bytes());
     }
 
     #[test]
@@ -711,77 +670,7 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn delta_capture_applies_onto_base_checkpoint_bit_exactly() {
-        let mut spot = SpotBuilder::new(DomainBounds::unit(4))
-            .seed(11)
-            .build()
-            .unwrap();
-        spot.learn(&train()).unwrap();
-        for p in stream(120) {
-            spot.process(&p).unwrap();
-        }
-        let base = spot.checkpoint();
-        let mark = spot.capture_mark();
-
-        // No mutation → Unchanged.
-        assert!(matches!(
-            spot.delta_capture(&mark),
-            crate::detector::DeltaCapture::Unchanged
-        ));
-
-        // Mutations without structure change → a delta that materializes
-        // the exact full checkpoint.
-        for p in stream(40) {
-            spot.process(&p).unwrap();
-        }
-        match spot.delta_capture(&mark) {
-            crate::detector::DeltaCapture::Delta(d) => {
-                let merged = base.apply_state_delta(&d).unwrap();
-                let want = serde_json::to_string(&spot.checkpoint()).unwrap();
-                let got = serde_json::to_string(&merged).unwrap();
-                assert_eq!(want, got, "delta-applied checkpoint must be bit-exact");
-                assert_eq!(merged.to_bytes(), spot.checkpoint().to_bytes());
-            }
-            other => panic!("expected Delta, got {other:?}"),
-        }
-
-        // Structure change → Full fallback.
-        let mark = spot.capture_mark();
-        spot.clear_cs();
-        assert!(matches!(
-            spot.delta_capture(&mark),
-            crate::detector::DeltaCapture::Full
-        ));
-
-        // A delta can never apply against the wrong base: a valid delta
-        // carries each changed store's subspace mask, so a base whose
-        // store at that ordinal answers to a different mask is refused.
-        let mark2 = spot.capture_mark();
-        for p in stream(20) {
-            spot.process(&p).unwrap();
-        }
-        let crate::detector::DeltaCapture::Delta(d) = spot.delta_capture(&mark2) else {
-            panic!("expected Delta after processing against a fresh mark");
-        };
-        let mut mangled = spot.checkpoint();
-        {
-            let syn = field_mut(&mut mangled.state, "synopsis").unwrap();
-            let stores = field_mut(syn, "stores").unwrap();
-            let Value::Array(items) = stores else {
-                panic!("stores is not an array")
-            };
-            let mask = field_mut(&mut items[0], "mask").unwrap();
-            *mask = Value::U64(0xdead_beef);
-        }
-        let err = mangled.apply_state_delta(&d).unwrap_err();
-        assert!(
-            err.to_string().contains("wrong generation"),
-            "unexpected error: {err}"
-        );
-    }
-
-    /// The `synopsis` object of a checkpoint or delta state tree.
+    /// The `synopsis` object of a checkpoint state tree.
     fn synopsis_entries(state: &mut Value) -> &mut Vec<(String, Value)> {
         match field_mut(state, "synopsis").unwrap() {
             Value::Object(entries) => entries,
@@ -790,48 +679,36 @@ mod tests {
     }
 
     #[test]
-    fn trees_that_still_carry_a_base_component_apply_and_restore() {
+    fn trees_that_still_carry_a_base_component_restore() {
         // Older builds wrote a `base` component into the synopsis of every
-        // full tree and every delta. No reader asks for it: such a pair
-        // merges, restores, and carries on bit-identically to the detector
-        // that never stopped.
+        // tree. No reader asks for it: such a tree restores and carries on
+        // bit-identically to the detector that never stopped.
         let mut spot = SpotBuilder::new(DomainBounds::unit(4))
             .seed(11)
             .build()
             .unwrap();
         spot.learn(&train()).unwrap();
-        for p in stream(120) {
+        for p in stream(160) {
             spot.process(&p).unwrap();
         }
-        let mut base = spot.checkpoint();
-        let mark = spot.capture_mark();
-        for p in stream(40) {
-            spot.process(&p).unwrap();
-        }
-        let crate::detector::DeltaCapture::Delta(mut delta) = spot.delta_capture(&mark) else {
-            panic!("expected Delta");
-        };
-        let old_base = |d: u64| {
-            Value::Object(vec![
-                ("dims".to_string(), Value::U64(4)),
-                (
-                    "keys".to_string(),
-                    Value::Array(vec![Value::U64(0), Value::U64(d)]),
-                ),
-                (
-                    "d".to_string(),
-                    Value::Array(vec![Value::U64(1.0f64.to_bits())]),
-                ),
-                ("last".to_string(), Value::Array(vec![Value::U64(d)])),
-                ("ls".to_string(), Value::Array(vec![Value::U64(0); 4])),
-                ("ss".to_string(), Value::Array(vec![Value::U64(0); 4])),
-            ])
-        };
-        synopsis_entries(&mut base.state).insert(1, ("base".to_string(), old_base(7)));
-        synopsis_entries(&mut delta).insert(2, ("base".to_string(), old_base(9)));
+        let old_base = Value::Object(vec![
+            ("dims".to_string(), Value::U64(4)),
+            (
+                "keys".to_string(),
+                Value::Array(vec![Value::U64(0), Value::U64(7)]),
+            ),
+            (
+                "d".to_string(),
+                Value::Array(vec![Value::U64(1.0f64.to_bits())]),
+            ),
+            ("last".to_string(), Value::Array(vec![Value::U64(7)])),
+            ("ls".to_string(), Value::Array(vec![Value::U64(0); 4])),
+            ("ss".to_string(), Value::Array(vec![Value::U64(0); 4])),
+        ]);
+        let mut old = spot.checkpoint();
+        synopsis_entries(&mut old.state).insert(1, ("base".to_string(), old_base));
 
-        let merged = base.apply_state_delta(&delta).unwrap();
-        let mut resumed = Spot::from_checkpoint(&merged).unwrap();
+        let mut resumed = Spot::from_checkpoint(&old).unwrap();
         assert_eq!(
             resumed.checkpoint().to_bytes(),
             spot.checkpoint().to_bytes()
@@ -890,10 +767,8 @@ mod tests {
         let binary = binary::encode_container(&tree);
         assert_ne!(binary, fresh_bytes, "the patched tree must differ");
 
-        // One by one: the per-point path adds nothing to the batch timers,
-        // so the checkpoints after the tail are comparable byte for byte.
         let tail = stream(2000);
-        let want: Vec<Verdict> = tail.iter().map(|p| spot.process(p).unwrap()).collect();
+        let want = spot.process_batch(&tail).unwrap();
         let restored = [
             restore_from_bytes(json.as_bytes()).unwrap(),
             restore_from_bytes(&binary).unwrap(),
@@ -901,7 +776,7 @@ mod tests {
         ];
         for mut r in restored {
             assert_eq!(r.checkpoint().to_bytes(), fresh_bytes);
-            let got: Vec<Verdict> = tail.iter().map(|p| r.process(p).unwrap()).collect();
+            let got = r.process_batch(&tail).unwrap();
             assert_verdicts_bitwise(&want, &got);
             assert_eq!(r.stats(), spot.stats());
             assert_eq!(

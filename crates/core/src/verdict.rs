@@ -260,7 +260,9 @@ pub struct LearningReport {
 /// batch-path observability metrics — run counts and wall-clock timings
 /// that legitimately differ between chunkings and machines — excluded
 /// from `==` so equivalence tests can keep pinning the logical state
-/// bit-exactly.
+/// bit-exactly. The two wall-clock timers are not persisted: a restored
+/// detector starts them at 0, so checkpoint bytes are a function of
+/// config, seed and stream only.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SpotStats {
     /// Stream points processed by the detection stage.
@@ -335,8 +337,6 @@ impl DurableState for SpotStats {
         w.u64("cells_pruned", self.cells_pruned);
         w.u64("batch_points", self.batch_points);
         w.u64("batch_runs", self.batch_runs);
-        w.u64("sweep_nanos", self.sweep_nanos);
-        w.u64("commit_nanos", self.commit_nanos);
     }
 
     fn restore(&mut self, r: &StateReader<'_>) -> Result<(), PersistError> {
@@ -348,8 +348,6 @@ impl DurableState for SpotStats {
         self.cells_pruned = r.u64("cells_pruned")?;
         self.batch_points = r.u64("batch_points")?;
         self.batch_runs = r.u64("batch_runs")?;
-        self.sweep_nanos = r.u64("sweep_nanos")?;
-        self.commit_nanos = r.u64("commit_nanos")?;
         Ok(())
     }
 }

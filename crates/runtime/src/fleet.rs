@@ -29,14 +29,14 @@
 //! [`SpotFleet::revive_tenant`] replays the lost window instead of
 //! dropping it.
 
-use crate::checkpoint::{CheckpointStore, FleetCheckpoint, FleetDelta, TenantEntry};
+use crate::checkpoint::{CheckpointStore, FleetCheckpoint};
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::health::{IngestOutcome, OverloadPolicy, QuarantineInfo, TenantHealth};
 use crate::wal::{tenant_dir_name, FleetRecovery, TenantWal, WalTuning};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use spot::{
-    CaptureMark, DeltaCapture, LearningReport, SharedSpot, Spot, SpotCheckpoint, SpotConfig,
-    SpotStats, SynopsisFootprint, Verdict,
+    LearningReport, SharedSpot, Spot, SpotCheckpoint, SpotConfig, SpotStats, SynopsisFootprint,
+    Verdict,
 };
 use spot_stream::wal::read_wal_from;
 use spot_types::{DataPoint, Result, SpotError, TenantId};
@@ -267,19 +267,6 @@ pub(crate) struct ReviveOutcome {
     pub(crate) walled: bool,
 }
 
-/// Where the last durable checkpoint left the fleet, for delta capture:
-/// the generation it produced, how many deltas extend it already (rebase
-/// bookkeeping), and each captured tenant's [`CaptureMark`] — the counters
-/// a later [`SpotFleet::checkpoint_durable_delta`] diffs against, taken
-/// under the same detector lock hold as the capture itself so the mark is
-/// exactly the captured stream position.
-#[derive(Clone)]
-struct DeltaState {
-    generation: u64,
-    chain_len: usize,
-    marks: HashMap<TenantId, CaptureMark>,
-}
-
 struct FleetInner {
     config: FleetConfig,
     tenants: RwLock<HashMap<TenantId, Arc<Tenant>>>,
@@ -302,10 +289,6 @@ struct FleetInner {
     /// WAL prune attempts that failed after a durable checkpoint
     /// (surfaced as [`FleetStats::wal_prune_failures`]).
     prune_failures: AtomicU64,
-    /// Capture marks from the last durable checkpoint, arming
-    /// [`SpotFleet::checkpoint_durable_delta`]. `None` until a durable
-    /// checkpoint ran in this process.
-    delta_state: Mutex<Option<DeltaState>>,
 }
 
 /// A registry of named, independent SPOT detectors.
@@ -338,7 +321,6 @@ impl SpotFleet {
                 panics: AtomicU64::new(0),
                 recoveries: AtomicU64::new(0),
                 prune_failures: AtomicU64::new(0),
-                delta_state: Mutex::new(None),
             }),
         }
     }
@@ -1139,16 +1121,8 @@ impl SpotFleet {
     /// part of the checkpoint (they have not been processed; drain first
     /// for a checkpoint at a chosen stream position).
     pub fn checkpoint(&self) -> FleetCheckpoint {
-        self.checkpoint_marked().0
-    }
-
-    /// [`SpotFleet::checkpoint`] plus each captured tenant's
-    /// [`CaptureMark`], taken under the same detector lock hold as the
-    /// capture — the diff base a later delta checkpoint works from.
-    fn checkpoint_marked(&self) -> (FleetCheckpoint, HashMap<TenantId, CaptureMark>) {
         let mut tenants = Vec::new();
         let mut wal_positions = Vec::new();
-        let mut marks = HashMap::new();
         for id in self.tenant_ids() {
             let Ok(tenant) = self.tenant(&id) else {
                 continue;
@@ -1159,19 +1133,15 @@ impl SpotFleet {
             // Capture + position read under one detector lock hold: the
             // recorded WAL watermark must be the stream position of *this*
             // capture, not of whatever processed concurrently after it.
-            let (cp, processed, mark) = tenant.shared.with(|s| {
-                let cp = s.checkpoint();
-                let processed = s.stats().processed;
-                let mark = s.capture_mark();
-                (cp, processed, mark)
-            });
+            let (cp, processed) = tenant
+                .shared
+                .with(|s| (s.checkpoint(), s.stats().processed));
             if let Some(wal) = tenant.wal_handle() {
                 wal_positions.push((id.clone(), processed.saturating_sub(wal.base_processed())));
             }
-            marks.insert(id.clone(), mark);
             tenants.push((id, cp));
         }
-        (FleetCheckpoint::with_wal(tenants, wal_positions), marks)
+        FleetCheckpoint::with_wal(tenants, wal_positions)
     }
 
     /// [`SpotFleet::checkpoint`] made durable: saves the capture into a
@@ -1183,18 +1153,9 @@ impl SpotFleet {
     /// but is counted in [`FleetStats::wal_prune_failures`]; the save
     /// itself is the durability point and its errors propagate. Returns
     /// the new checkpoint generation.
-    ///
-    /// A successful save also re-arms the delta machinery: subsequent
-    /// [`SpotFleet::checkpoint_durable_delta`] calls diff against this
-    /// generation.
     pub fn checkpoint_durable(&self, store: &CheckpointStore) -> Result<u64> {
-        let (cp, marks) = self.checkpoint_marked();
+        let cp = self.checkpoint();
         let generation = store.save(&cp)?;
-        self.set_delta_state(DeltaState {
-            generation,
-            chain_len: 0,
-            marks,
-        });
         if self.injector().is_some_and(|i| i.take_prune_crash()) {
             // The crash lands after the rename made the checkpoint
             // reachable but before any pruning: recovery must tolerate a
@@ -1206,103 +1167,10 @@ impl SpotFleet {
         Ok(generation)
     }
 
-    /// How many deltas may extend one full checkpoint before
-    /// [`SpotFleet::checkpoint_durable_delta`] rebases (writes a full
-    /// checkpoint again). Bounds both recovery's chain-resolution work
-    /// and the window a damaged anchor can poison.
-    const REBASE_EVERY: usize = 8;
-
-    /// A durable **delta** checkpoint: captures only what each tenant
-    /// dirtied since the last durable capture (per-store synopsis diffs
-    /// keyed by registration ordinal) and appends it to the store as a
-    /// chain extension of that generation. Falls back to a full
-    /// [`SpotFleet::checkpoint_durable`] whenever a delta would be
-    /// unsound or unprofitable: no durable capture has run yet, the
-    /// store's latest generation is not the one the marks describe
-    /// (someone else checkpointed in between), or the chain has reached
-    /// `SpotFleet::REBASE_EVERY` (8) links. WAL pruning behaves exactly as
-    /// in the full path. Returns the new generation.
+    /// Forwards to [`SpotFleet::checkpoint_durable`]: every generation is
+    /// a full checkpoint. Kept because `benchmark/` calls it by name.
     pub fn checkpoint_durable_delta(&self, store: &CheckpointStore) -> Result<u64> {
-        let Some(ds) = self.get_delta_state() else {
-            return self.checkpoint_durable(store);
-        };
-        if ds.chain_len + 1 >= Self::REBASE_EVERY
-            || store.generations()?.last().copied() != Some(ds.generation)
-        {
-            return self.checkpoint_durable(store);
-        }
-        let mut entries = Vec::new();
-        let mut wal_positions = Vec::new();
-        let mut marks = HashMap::new();
-        for id in self.tenant_ids() {
-            let Ok(tenant) = self.tenant(&id) else {
-                continue;
-            };
-            if tenant.state.load(Ordering::Acquire) != HEALTH_HEALTHY {
-                continue;
-            }
-            let prev_mark = ds.marks.get(&id);
-            let (entry, processed, mark) = tenant.shared.with(|s| {
-                let entry = match prev_mark {
-                    Some(prev) => match s.delta_capture(prev) {
-                        DeltaCapture::Unchanged => TenantEntry::Unchanged,
-                        DeltaCapture::Delta(d) => TenantEntry::Delta(d),
-                        DeltaCapture::Full => TenantEntry::Full(s.checkpoint()),
-                    },
-                    // New tenant since the parent generation: full capture.
-                    None => TenantEntry::Full(s.checkpoint()),
-                };
-                let processed = s.stats().processed;
-                let mark = s.capture_mark();
-                (entry, processed, mark)
-            });
-            if let Some(wal) = tenant.wal_handle() {
-                wal_positions.push((id.clone(), processed.saturating_sub(wal.base_processed())));
-            }
-            marks.insert(id.clone(), mark);
-            entries.push((id, entry));
-        }
-        let removed: Vec<TenantId> = ds
-            .marks
-            .keys()
-            .filter(|prev| !entries.iter().any(|(id, _)| id == *prev))
-            .cloned()
-            .collect();
-        let delta = FleetDelta::new(ds.generation, entries, removed, wal_positions.clone());
-        let generation = match store.save_delta(&delta) {
-            Ok(g) => g,
-            // Lost the race to another save between the eligibility check
-            // and the append: rebase with a full checkpoint.
-            Err(SpotError::InvalidConfig(_)) => return self.checkpoint_durable(store),
-            Err(e) => return Err(e),
-        };
-        self.set_delta_state(DeltaState {
-            generation,
-            chain_len: ds.chain_len + 1,
-            marks,
-        });
-        if self.injector().is_some_and(|i| i.take_prune_crash()) {
-            self.kill_wals("injected crash between checkpoint save and WAL prune");
-            return Ok(generation);
-        }
-        self.prune_wals(&wal_positions);
-        Ok(generation)
-    }
-
-    fn get_delta_state(&self) -> Option<DeltaState> {
-        self.inner
-            .delta_state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
-
-    fn set_delta_state(&self, state: DeltaState) {
-        *self
-            .inner
-            .delta_state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner()) = Some(state);
+        self.checkpoint_durable(store)
     }
 
     /// Prunes each listed tenant's WAL behind its checkpoint watermark,

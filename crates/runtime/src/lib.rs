@@ -43,9 +43,10 @@
 //!   recovery as a [`RecoveryReport`].
 //! * **Graceful degradation** — per-tenant [`OverloadPolicy`] (block /
 //!   shed / deterministic 1-in-k sampling) when a bounded queue fills.
-//! * **Crash-safe checkpoint files** — [`CheckpointStore`] writes
-//!   atomically (tmp + fsync + rename), seals envelopes with a checksum,
-//!   and recovers from the newest *valid* retained generation.
+//! * **Crash-safe checkpoint files** — [`CheckpointStore`] writes every
+//!   generation as a full checkpoint in a checksum-sealed binary
+//!   container, atomically (tmp + fsync + rename), and recovers from the
+//!   newest *valid* retained generation.
 //! * **Deterministic fault injection** — a [`FaultPlan`] scripts panics,
 //!   queue-full windows, recovery failures and WAL crashes (kill after
 //!   append, torn write, failed fsync, mid-rotation, between checkpoint
@@ -70,10 +71,7 @@ pub mod supervisor;
 pub mod wal;
 
 pub use archive::{ArchiveReplay, VerdictArchive};
-pub use checkpoint::{
-    Carrier, CheckpointStore, FleetCheckpoint, FleetDelta, TenantEntry,
-    FLEET_CHECKPOINT_BINARY_VERSION, FLEET_CHECKPOINT_VERSION,
-};
+pub use checkpoint::{CheckpointStore, FleetCheckpoint, FLEET_CHECKPOINT_VERSION};
 pub use faults::FaultPlan;
 pub use fleet::{FleetConfig, FleetFootprint, FleetStats, SpotFleet};
 pub use health::{IngestOutcome, OverloadPolicy, QuarantineInfo, RecoveryReport, TenantHealth};

@@ -3,8 +3,10 @@
 //! typed errors only, never a panic), and recovery from the newest valid
 //! retained generation.
 
+use serde::Value;
 use spot::{SpotBuilder, SpotConfig, Verdict};
-use spot_runtime::{Carrier, CheckpointStore, FleetCheckpoint, FleetConfig, SpotFleet, TenantId};
+use spot_runtime::{CheckpointStore, FleetConfig, SpotFleet, TenantId};
+use spot_types::persist::binary;
 use spot_types::{DataPoint, DomainBounds, SpotError};
 
 fn tenant_config(seed: u64, dims: usize) -> SpotConfig {
@@ -93,8 +95,8 @@ fn save_load_roundtrip_is_bit_exact() {
     let generation = store.save(&cp).unwrap();
     assert_eq!(generation, 1);
     let loaded = store.load(generation).unwrap();
-    // Byte-level fixed point survives the file trip (checksum included).
-    assert_eq!(cp.to_json(), loaded.to_json());
+    // Byte-level fixed point survives the file trip.
+    assert_eq!(cp.to_bytes(), loaded.to_bytes());
     // And the restored fleet continues bit-identically.
     let restored = SpotFleet::from_checkpoint(&loaded, FleetConfig::default()).unwrap();
     let id = TenantId::new("store-0").unwrap();
@@ -105,6 +107,24 @@ fn save_load_roundtrip_is_bit_exact() {
         assert!(a.bitwise_eq(b), "diverged at tick {}", a.tick);
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn twin_fleets_write_identical_checkpoint_files() {
+    // Checkpoint bytes are a function of config, seed and stream: two
+    // fleets built apart write byte-identical generations.
+    let files: Vec<Vec<u8>> = ["twin-a", "twin-b"]
+        .into_iter()
+        .map(|tag| {
+            let dir = temp_dir(tag);
+            let store = CheckpointStore::open(&dir, 3).unwrap();
+            let g = store.save(&seeded_fleet(4, 3).checkpoint()).unwrap();
+            let bytes = std::fs::read(dir.join(format!("fleet-{g:08}.ckpt"))).unwrap();
+            std::fs::remove_dir_all(&dir).unwrap();
+            bytes
+        })
+        .collect();
+    assert_eq!(files[0], files[1]);
 }
 
 #[test]
@@ -159,53 +179,42 @@ fn corruption_matrix_yields_typed_errors_and_previous_generation_recovers() {
     let dims = 4;
     let dir = temp_dir("matrix");
     let fleet = seeded_fleet(dims, 2);
-    // This matrix tampers with files as JSON text (version digits,
-    // checksum digits), so it pins the JSON carrier; the binary carrier's
-    // corruption matrix lives in tests/restore_matrix.rs.
-    let mut store = CheckpointStore::open(&dir, 8).unwrap();
-    store.set_carrier(Carrier::Json);
+    let store = CheckpointStore::open(&dir, 8).unwrap();
     let cp = fleet.checkpoint();
     let good = store.save(&cp).unwrap();
-    let good_json = store.load(good).unwrap().to_json();
+    let good_bytes = store.load(good).unwrap().to_bytes();
+    let path_of = |g: u64| store.dir().join(format!("fleet-{g:08}.ckpt"));
 
     // -- truncation (torn write without the atomic protocol) -------------
     let torn = store.save(&cp).unwrap();
-    store.truncate(torn, good_json.len() / 2).unwrap();
+    store.truncate(torn, good_bytes.len() / 2).unwrap();
     assert!(
         matches!(store.load(torn), Err(SpotError::SnapshotCorrupt(_))),
         "truncated file must be SnapshotCorrupt"
     );
 
     // -- single bit flips across the whole file --------------------------
-    // Every position is either caught (typed error) or provably harmless
-    // (the loaded checkpoint re-renders identically to the original).
+    // The container's checksum trailer seals every byte, so every flip is
+    // caught.
     let flipped = store.save(&cp).unwrap();
-    let len = good_json.len();
-    let mut caught = 0usize;
+    let len = std::fs::metadata(path_of(flipped)).unwrap().len() as usize;
     for offset in (0..len).step_by(97) {
         store.corrupt(flipped, offset, 0x10).unwrap();
-        match store.load(flipped) {
-            Err(e) => {
-                assert!(is_typed_snapshot_error(&e), "offset {offset}: {e:?}");
-                caught += 1;
-            }
-            Ok(cp_after) => assert_eq!(
-                cp_after.to_json(),
-                good_json,
-                "offset {offset}: silent corruption"
-            ),
-        }
+        let err = store.load(flipped).unwrap_err();
+        assert!(is_typed_snapshot_error(&err), "offset {offset}: {err:?}");
         // Undo the flip (XOR is involutive) so each offset is tested alone.
         store.corrupt(flipped, offset, 0x10).unwrap();
     }
-    assert!(caught > 0, "no flip was ever caught");
-    assert_eq!(store.load(flipped).unwrap().to_json(), good_json);
+    assert_eq!(store.load(flipped).unwrap().to_bytes(), good_bytes);
 
-    // -- bad version ------------------------------------------------------
+    // -- bad version (a well-sealed container declaring version 9) -------
     let bad_version = store.save(&cp).unwrap();
-    let path = store.dir().join(format!("fleet-{bad_version:08}.ckpt"));
-    let text = std::fs::read_to_string(&path).unwrap();
-    std::fs::write(&path, text.replacen("\"version\":2", "\"version\":9", 1)).unwrap();
+    let mut tree = binary::read_container(&std::fs::read(path_of(bad_version)).unwrap()).unwrap();
+    let Value::Object(fields) = &mut tree else {
+        panic!("envelope is not an object")
+    };
+    fields[0] = ("version".to_string(), Value::U64(9));
+    std::fs::write(path_of(bad_version), binary::encode_container(&tree)).unwrap();
     assert!(matches!(
         store.load(bad_version),
         Err(SpotError::UnsupportedSnapshotVersion(9))
@@ -213,16 +222,7 @@ fn corruption_matrix_yields_typed_errors_and_previous_generation_recovers() {
 
     // -- bad checksum (payload intact, seal wrong) ------------------------
     let bad_checksum = store.save(&cp).unwrap();
-    let path = store.dir().join(format!("fleet-{bad_checksum:08}.ckpt"));
-    let text = std::fs::read_to_string(&path).unwrap();
-    let tampered = {
-        // Flip one digit of the checksum value itself.
-        let at = text.find("\"checksum\":").unwrap() + "\"checksum\":".len();
-        let mut bytes = text.into_bytes();
-        bytes[at] = if bytes[at] == b'1' { b'2' } else { b'1' };
-        String::from_utf8(bytes).unwrap()
-    };
-    std::fs::write(&path, tampered).unwrap();
+    store.corrupt(bad_checksum, len - 1, 0x01).unwrap();
     match store.load(bad_checksum) {
         Err(SpotError::SnapshotCorrupt(msg)) => {
             assert!(msg.contains("checksum"), "unexpected reason: {msg}")
@@ -236,7 +236,7 @@ fn corruption_matrix_yields_typed_errors_and_previous_generation_recovers() {
     let scan = store.load_latest().unwrap();
     let (recovered_gen, recovered_cp) = scan.recovered.expect("an intact generation exists");
     assert_eq!(recovered_gen, flipped);
-    assert_eq!(recovered_cp.to_json(), good_json);
+    assert_eq!(recovered_cp.to_bytes(), good_bytes);
     assert_eq!(
         scan.rejected.iter().map(|(g, _)| *g).collect::<Vec<_>>(),
         vec![bad_checksum, bad_version]
@@ -292,37 +292,4 @@ fn open_sweeps_stray_tmp_files() {
     // A clean reopen sweeps nothing.
     assert_eq!(CheckpointStore::open(&dir, 3).unwrap().swept_tmp(), 0);
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn v1_envelope_without_wal_fields_is_accepted() {
-    // Envelopes written before the v2 WAL watermarks must keep loading:
-    // same tenants, empty watermark table.
-    let fleet = seeded_fleet(3, 1);
-    let json = fleet.checkpoint().to_json();
-    let legacy = json
-        .replacen("\"version\":2", "\"version\":1", 1)
-        .replacen("\"wal_checksum\":", "\"ignored\":", 1)
-        .replacen(",\"wal\":[]", "", 1);
-    assert!(!legacy.contains("\"wal\""));
-    let loaded = FleetCheckpoint::from_json(&legacy).unwrap();
-    assert_eq!(loaded.tenant_ids(), fleet.tenant_ids());
-    assert!(loaded.wal_positions().is_empty());
-    // Re-serialization upgrades it to the current version.
-    assert!(loaded.to_json().contains("\"version\":2"));
-}
-
-#[test]
-fn envelope_without_checksum_is_still_accepted() {
-    // Envelopes written before the checksum seal existed must keep
-    // loading (the field is optional on read, always written on save).
-    let fleet = seeded_fleet(3, 1);
-    let json = fleet.checkpoint().to_json();
-    let at = json.find("\"checksum\":").unwrap();
-    let end = at + json[at..].find(",\"tenants\"").unwrap() + 1;
-    let legacy = format!("{}{}", &json[..at], &json[end..]);
-    assert!(!legacy.contains("checksum"));
-    let loaded = FleetCheckpoint::from_json(&legacy).unwrap();
-    // Re-serialization re-seals it.
-    assert!(loaded.to_json().contains("\"checksum\":"));
 }

@@ -9,11 +9,14 @@
 //! * **Off-lock monitoring** — `SpotFleet::stats()`/`footprint()` complete
 //!   while a tenant's detector lock is held.
 //! * **Durability** — `FleetCheckpoint` round-trips bit-exactly per
-//!   tenant through JSON; unknown tenants/versions are typed errors.
+//!   tenant through its binary container; unknown tenants/versions are
+//!   typed errors.
 
 use proptest::prelude::*;
+use serde::{Serialize, Value};
 use spot::{EvolutionConfig, Spot, SpotBuilder, SpotConfig, Verdict};
-use spot_runtime::{FleetCheckpoint, FleetConfig, SpotFleet, TenantId};
+use spot_runtime::{FleetCheckpoint, FleetConfig, SpotFleet, TenantId, FLEET_CHECKPOINT_VERSION};
+use spot_types::persist::binary;
 use spot_types::{DataPoint, DomainBounds, SpotError};
 
 fn tenant_config(seed: u64, dims: usize) -> SpotConfig {
@@ -373,11 +376,11 @@ fn fleet_checkpoint_roundtrips_bit_exactly_per_tenant() {
         fleet.learn(id, &train).unwrap();
         fleet.process_batch(id, pts).unwrap();
     }
-    let json = fleet.checkpoint().to_json();
+    let bytes = fleet.checkpoint().to_bytes();
 
-    // …restore through JSON into a new fleet, continue each tenant, and
-    // compare against an uninterrupted standalone detector.
-    let restored_cp = FleetCheckpoint::from_json(&json).unwrap();
+    // …restore through the container into a new fleet, continue each
+    // tenant, and compare against an uninterrupted standalone detector.
+    let restored_cp = FleetCheckpoint::from_bytes(&bytes).unwrap();
     assert_eq!(restored_cp.len(), 3);
     let restored = SpotFleet::from_checkpoint(&restored_cp, FleetConfig::default()).unwrap();
     for (i, (id, seed)) in tenants.iter().enumerate() {
@@ -405,11 +408,11 @@ fn fleet_checkpoint_roundtrips_bit_exactly_per_tenant() {
     // Capture → restore → capture is a fixed point (on a fresh restore;
     // `restored` has advanced past the capture point above).
     let refreshed = SpotFleet::from_checkpoint(
-        &FleetCheckpoint::from_json(&json).unwrap(),
+        &FleetCheckpoint::from_bytes(&bytes).unwrap(),
         FleetConfig::default(),
     )
     .unwrap();
-    assert_eq!(refreshed.checkpoint().to_json(), json);
+    assert_eq!(refreshed.checkpoint().to_bytes(), bytes);
 }
 
 #[test]
@@ -440,21 +443,34 @@ fn single_tenant_restore_replaces_in_place() {
 
 #[test]
 fn checkpoint_versioning_errors_are_typed() {
+    let envelope = |version: u64, tenants: Vec<Value>| {
+        binary::encode_container(&Value::Object(vec![
+            ("version".to_string(), Value::U64(version)),
+            ("tenants".to_string(), Value::Array(tenants)),
+            ("wal".to_string(), Value::Array(Vec::new())),
+        ]))
+    };
+    let current = u64::from(FLEET_CHECKPOINT_VERSION);
     assert!(matches!(
-        FleetCheckpoint::from_json("not json").unwrap_err(),
+        FleetCheckpoint::from_bytes(b"not a container").unwrap_err(),
         SpotError::SnapshotCorrupt(_)
     ));
+    let unversioned = binary::encode_container(&Value::Object(vec![(
+        "tenants".to_string(),
+        Value::Array(Vec::new()),
+    )]));
     assert!(matches!(
-        FleetCheckpoint::from_json(r#"{"tenants":[]}"#).unwrap_err(),
+        FleetCheckpoint::from_bytes(&unversioned).unwrap_err(),
         SpotError::SnapshotCorrupt(_)
     ));
     assert_eq!(
-        FleetCheckpoint::from_json(r#"{"version":9,"tenants":[]}"#).unwrap_err(),
+        FleetCheckpoint::from_bytes(&envelope(9, Vec::new())).unwrap_err(),
         SpotError::UnsupportedSnapshotVersion(9)
     );
     // A valid envelope with a broken tenant payload is corrupt, not a panic.
+    let broken = Value::Object(vec![("id".to_string(), Value::Str("x".to_string()))]);
     assert!(matches!(
-        FleetCheckpoint::from_json(r#"{"version":1,"tenants":[{"id":"x"}]}"#).unwrap_err(),
+        FleetCheckpoint::from_bytes(&envelope(current, vec![broken])).unwrap_err(),
         SpotError::SnapshotCorrupt(_)
     ));
     // Duplicate ids in the payload are rejected.
@@ -462,16 +478,17 @@ fn checkpoint_versioning_errors_are_typed() {
     let id = TenantId::new("d").unwrap();
     fleet.register(id.clone(), tenant_config(1, 3)).unwrap();
     fleet.learn(&id, &training(100, 3, 1)).unwrap();
-    let json = fleet.checkpoint().to_json();
-    let entry = json
-        .split_once("\"tenants\":[")
-        .unwrap()
-        .1
-        .strip_suffix("]}")
-        .unwrap();
-    let doubled = format!("{{\"version\":1,\"tenants\":[{entry},{entry}]}}");
+    let entry = Value::Object(vec![
+        ("id".to_string(), Value::Str("d".to_string())),
+        (
+            "checkpoint".to_string(),
+            fleet.checkpoint_tenant(&id).unwrap().to_value(),
+        ),
+    ]);
+    let single = envelope(current, vec![entry.clone()]);
+    assert_eq!(FleetCheckpoint::from_bytes(&single).unwrap().len(), 1);
     assert!(matches!(
-        FleetCheckpoint::from_json(&doubled).unwrap_err(),
+        FleetCheckpoint::from_bytes(&envelope(current, vec![entry.clone(), entry])).unwrap_err(),
         SpotError::SnapshotCorrupt(_)
     ));
 }

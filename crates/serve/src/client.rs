@@ -324,14 +324,6 @@ impl ServeClient {
         expect_status(response, 200)
     }
 
-    /// Take an incremental (delta) checkpoint chained to the previous
-    /// generation; the server falls back to a full checkpoint when no
-    /// chain is armed or a rebase is due.
-    pub fn checkpoint_delta(&mut self) -> Result<ClientResponse, ClientError> {
-        let response = self.request("POST", "/admin/checkpoint?mode=delta", Some("{}"))?;
-        expect_status(response, 200)
-    }
-
     /// Restore a tenant from the newest valid checkpoint generation.
     pub fn restore(&mut self, tenant: &TenantId) -> Result<ClientResponse, ClientError> {
         let path = format!("/tenants/{}/restore", percent_encode(tenant.as_str()));

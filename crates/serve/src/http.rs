@@ -80,8 +80,7 @@ pub struct Request {
     /// Parsed method.
     pub method: Method,
     /// Raw request target (path), percent-encoded as received. The router
-    /// splits off any query string and hands it to routes that take
-    /// options (e.g. `/admin/checkpoint?mode=delta`).
+    /// splits off any query string before matching routes.
     pub target: String,
     /// Header fields with lower-cased names, in arrival order.
     pub headers: Vec<(String, String)>,

@@ -52,10 +52,10 @@ pub fn retry_after_secs(queued: usize, micro_batch: usize) -> u64 {
 /// Dispatch one request.
 pub(crate) fn route(state: &AppState, req: &Request) -> Response {
     state.counters.requests.fetch_add(1, Ordering::Relaxed);
-    let (path, query) = match req.target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (req.target.as_str(), ""),
-    };
+    let path = req
+        .target
+        .split_once('?')
+        .map_or(req.target.as_str(), |(p, _)| p);
     let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
     let draining = state.draining.load(Ordering::Acquire);
 
@@ -76,7 +76,7 @@ pub(crate) fn route(state: &AppState, req: &Request) -> Response {
         (Method::Post, ["tenants", id, "ingest"]) => with_tenant(id, |id| ingest(state, id, req)),
         (Method::Post, ["tenants", id, "drain"]) => with_tenant(id, |id| drain(state, id)),
         (Method::Post, ["tenants", id, "restore"]) => with_tenant(id, |id| restore(state, id)),
-        (Method::Post, ["admin", "checkpoint"]) => checkpoint(state, query),
+        (Method::Post, ["admin", "checkpoint"]) => checkpoint(state),
         (_, ["healthz" | "readyz" | "stats"]) | (_, ["admin", "checkpoint"]) => {
             error_body(405, "method not allowed", None)
         }
@@ -423,45 +423,13 @@ fn restore(state: &AppState, id: &TenantId) -> Response {
     }
 }
 
-fn checkpoint(state: &AppState, query: &str) -> Response {
+fn checkpoint(state: &AppState) -> Response {
     let store = match &state.store {
         Some(s) => s,
         None => return error_body(409, "no checkpoint store attached", None),
     };
-    // `?mode=delta` asks for an incremental generation (the fleet still
-    // rebases to a full checkpoint when the chain calls for it); the
-    // default is a full checkpoint.
-    let delta = match query
-        .split('&')
-        .find_map(|kv| kv.strip_prefix("mode="))
-        .unwrap_or("full")
-    {
-        "full" => false,
-        "delta" => true,
-        other => {
-            return error_body(
-                400,
-                &format!("unknown checkpoint mode {other:?}; expected \"full\" or \"delta\""),
-                None,
-            )
-        }
-    };
-    let result = if delta {
-        state.fleet.checkpoint_durable_delta(store)
-    } else {
-        state.fleet.checkpoint_durable(store)
-    };
-    match result {
-        Ok(generation) => Response::json(
-            200,
-            obj(vec![
-                ("generation", Value::U64(generation)),
-                (
-                    "delta",
-                    Value::Bool(store.is_delta(generation).unwrap_or(false)),
-                ),
-            ]),
-        ),
+    match state.fleet.checkpoint_durable(store) {
+        Ok(generation) => Response::json(200, obj(vec![("generation", Value::U64(generation))])),
         Err(e) => spot_error(&e, None),
     }
 }

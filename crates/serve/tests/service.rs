@@ -570,8 +570,8 @@ fn keep_alive_serves_sequential_and_pipelined_requests() {
 }
 
 #[test]
-fn delta_checkpoint_endpoint_chains_onto_the_full_generation() {
-    let dir = temp_dir("delta-endpoint");
+fn checkpoint_endpoint_writes_a_full_generation_per_call() {
+    let dir = temp_dir("checkpoint-endpoint");
     let store = CheckpointStore::open(&dir, 4).unwrap();
     let fleet = serial_fleet(64, 16);
     let server = SpotServer::builder(fleet.clone())
@@ -581,28 +581,23 @@ fn delta_checkpoint_endpoint_chains_onto_the_full_generation() {
         .unwrap();
     let mut client = ServeClient::new(server.local_addr()).with_policy(quick_policy());
 
-    let id = tid("chained");
+    let id = tid("checkpointed");
     client.register(&id, DIMS, 31, &training(64, 3)).unwrap();
     client.ingest(&id, &stream(20, 4)).unwrap();
     client.drain(&id).unwrap();
+    let body = client.checkpoint().unwrap().text();
+    assert_eq!(body, "{\"generation\":1}");
 
-    // With no chain armed, mode=delta falls back to a full checkpoint.
-    let body = client.checkpoint_delta().unwrap().text();
-    assert!(body.contains("\"generation\":1"), "body: {body}");
-    assert!(body.contains("\"delta\":false"), "body: {body}");
-
-    // Now the chain is armed: the next delta request writes a `.dck`.
+    // A query string does not change the route: the second call is the
+    // next full generation.
     client.ingest(&id, &stream(10, 5)).unwrap();
     client.drain(&id).unwrap();
-    let body = client.checkpoint_delta().unwrap().text();
-    assert!(body.contains("\"generation\":2"), "body: {body}");
-    assert!(body.contains("\"delta\":true"), "body: {body}");
-
-    // An unknown mode is a client error, not a silent full checkpoint.
     let response = client
-        .request("POST", "/admin/checkpoint?mode=sideways", Some("{}"))
+        .request("POST", "/admin/checkpoint?mode=delta", Some("{}"))
         .unwrap();
-    assert_eq!(response.status, 400);
+    assert_eq!(response.status, 200);
+    assert_eq!(response.text(), "{\"generation\":2}");
+    let live = fleet.checkpoint().to_bytes();
 
     // /stats carries the WAL prune-failure counter (zero on this box).
     let stats = client.stats().unwrap();
@@ -610,12 +605,9 @@ fn delta_checkpoint_endpoint_chains_onto_the_full_generation() {
 
     server.shutdown().unwrap();
 
-    // The chain resolves from disk: generation 2 is a delta whose
-    // resolution matches the live fleet at the time it was taken.
+    // Generation 2 is the live fleet at the time it was taken.
     let store = CheckpointStore::open(&dir, 4).unwrap();
-    assert!(store.is_delta(2).unwrap());
-    let resolved = store.load(2).unwrap();
-    assert!(resolved.get(&id).is_some());
+    assert_eq!(store.load(2).unwrap().to_bytes(), live);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -82,7 +82,5 @@ pub mod pcs;
 
 pub use grid::Grid;
 pub use key::{CellKey, KeyCodec};
-pub use manager::{
-    CellConsumer, LiveCounters, SubspacePcs, SynopsisManager, SynopsisMark, UpdateOutcome,
-};
+pub use manager::{CellConsumer, LiveCounters, SubspacePcs, SynopsisManager, UpdateOutcome};
 pub use pcs::{CellTouch, Pcs, PcsCell, PointRun, ProjectedStore};

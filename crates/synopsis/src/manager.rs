@@ -97,19 +97,9 @@ pub struct SynopsisManager {
     /// Reused per-run total-weight buffer (n entries).
     batch_totals: Vec<f64>,
     /// Layout epoch: bumped whenever the registration-ordinal layout
-    /// changes (subspace add/remove, restore). A delta capture is only
-    /// valid against a mark from the same epoch — ordinals must mean the
-    /// same store on both sides of the diff.
+    /// changes (subspace add/remove, restore); see
+    /// [`SynopsisManager::layout_epoch`].
     epoch: u64,
-    /// Bumped by every ingested point or run: each one lands in the global
-    /// weight and every projected store, so this one counter dirties them
-    /// all.
-    ingest_version: u64,
-    /// Per-store mutation versions beyond ingestion (replay, evictions),
-    /// parallel to `stores` (registration order). Comparisons test
-    /// inequality only, so a double bump on one path is harmless; what
-    /// matters is that every mutation bumps.
-    versions: Vec<u64>,
     /// The age → `δ^age` table behind every cell renormalization (derived
     /// state, never persisted; see [`WeightCache`]). Extended to the tick
     /// at hand before a point, a run or a prune; read-only inside one.
@@ -129,8 +119,6 @@ impl Clone for SynopsisManager {
             batch_coords: Vec::new(),
             batch_totals: Vec::new(),
             epoch: self.epoch,
-            ingest_version: self.ingest_version,
-            versions: self.versions.clone(),
             weights: WeightCache::new(self.model),
         };
         // The clone gets its own counters; re-derive them from the cloned
@@ -150,17 +138,6 @@ impl Clone for SynopsisManager {
 pub struct UpdateOutcome {
     /// Global decayed weight after this point arrived.
     pub total_weight: f64,
-}
-
-/// A point-in-time snapshot of the synopsis dirty-tracking state, taken
-/// by [`SynopsisManager::capture_mark`] at capture time. Opaque to
-/// callers; its only use is as the baseline of a later
-/// [`SynopsisManager::capture_state_delta`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SynopsisMark {
-    epoch: u64,
-    ingest: u64,
-    stores: Vec<u64>,
 }
 
 /// One monitored subspace's verdict inputs for the point just ingested.
@@ -217,8 +194,6 @@ impl SynopsisManager {
             batch_coords: Vec::new(),
             batch_totals: Vec::new(),
             epoch: 0,
-            ingest_version: 0,
-            versions: Vec::new(),
             weights: WeightCache::new(model),
         }
     }
@@ -250,7 +225,6 @@ impl SynopsisManager {
         self.live.apply_projected(dc, db);
         self.index.insert(subspace.mask(), self.stores.len());
         self.stores.push(store);
-        self.versions.push(0);
         self.epoch += 1;
         true
     }
@@ -269,7 +243,6 @@ impl SynopsisManager {
                 *slot -= 1;
             }
         }
-        self.versions.remove(ordinal);
         self.epoch += 1;
         true
     }
@@ -327,7 +300,6 @@ impl SynopsisManager {
             let (dc, db) = store.publish_delta();
             self.live.apply_projected(dc, db);
         }
-        self.ingest_version += 1;
         Ok(outcome)
     }
 
@@ -471,7 +443,6 @@ impl SynopsisManager {
 
         self.batch_coords = coords;
         self.batch_totals = totals;
-        self.ingest_version += 1;
         Ok(())
     }
 
@@ -503,7 +474,6 @@ impl SynopsisManager {
         }
         let (dc, db) = store.publish_delta();
         self.live.apply_projected(dc, db);
-        self.versions[ordinal] += 1;
         Ok(())
     }
 
@@ -532,12 +502,8 @@ impl SynopsisManager {
         // so the scans below only read it.
         self.weights.ensure(now.saturating_add(1));
         let mut evicted = 0;
-        for (ordinal, store) in self.stores.iter_mut().enumerate() {
-            let n = store.prune(&self.weights, now, floor);
-            if n > 0 {
-                self.versions[ordinal] += 1;
-            }
-            evicted += n;
+        for store in &mut self.stores {
+            evicted += store.prune(&self.weights, now, floor);
             let (dc, db) = store.publish_delta();
             self.live.apply_projected(dc, db);
         }
@@ -580,49 +546,6 @@ impl SynopsisManager {
             .collect();
         w.nested_list("stores", stores);
         w.finish()
-    }
-
-    /// Snapshots the dirty-tracking state at capture time. Pair with
-    /// [`SynopsisManager::capture_state_delta`] on the *next* capture to
-    /// encode only what changed in between.
-    pub fn capture_mark(&self) -> SynopsisMark {
-        SynopsisMark {
-            epoch: self.epoch,
-            ingest: self.ingest_version,
-            stores: self.versions.clone(),
-        }
-    }
-
-    /// Captures only the state dirtied since `mark` — the delta-checkpoint
-    /// primitive. Returns `None` when the layout changed since the mark
-    /// (subspace add/remove, restore): ordinals no longer line up, and the
-    /// caller must fall back to a full capture.
-    ///
-    /// The delta tree is `{total, stores_len, changed: [{ordinal,
-    /// store}…]}` — `total` is a few scalars and always included; clean
-    /// stores are skipped entirely, which is what makes fleet-scale
-    /// checkpoint cost proportional to change.
-    pub fn capture_state_delta(&self, mark: &SynopsisMark) -> Option<Value> {
-        if mark.epoch != self.epoch || mark.stores.len() != self.stores.len() {
-            return None;
-        }
-        let mut w = StateWriter::new();
-        w.component("total", &self.total);
-        w.u64("stores_len", self.stores.len() as u64);
-        let ingested = self.ingest_version != mark.ingest;
-        let changed = (0..self.stores.len())
-            .filter(|&i| ingested || self.versions[i] != mark.stores[i])
-            .map(|ordinal| {
-                let mut sw = StateWriter::new();
-                sw.u64("ordinal", ordinal as u64);
-                let mut inner = StateWriter::new();
-                self.stores[ordinal].capture(&mut inner);
-                sw.value("store", inner.finish());
-                sw.finish()
-            })
-            .collect();
-        w.nested_list("changed", changed);
-        Some(w.finish())
     }
 
     /// Restores the complete synopsis state captured by
@@ -669,7 +592,6 @@ impl SynopsisManager {
             self.live.apply_projected(dc, db);
         }
         self.total = total;
-        self.versions = vec![0; stores.len()];
         self.stores = stores;
         self.index = index;
         self.epoch += 1;
@@ -1143,57 +1065,6 @@ mod tests {
         ));
         assert_eq!(mgr.live_cells(), 0);
         assert_eq!(mgr.total_weight(0), 0.0);
-    }
-
-    #[test]
-    fn delta_capture_tracks_dirty_stores_only() {
-        let mut mgr = manager(2, 4);
-        let s0 = Subspace::from_dims([0]).unwrap();
-        let s1 = Subspace::from_dims([1]).unwrap();
-        mgr.add_subspace(s0);
-        mgr.add_subspace(s1);
-        let p = DataPoint::new(vec![0.5, 0.5]);
-        mgr.update(1, &p).unwrap();
-
-        let changed_ordinals = |delta: &Value| -> Vec<u64> {
-            let r = StateReader::new(delta).unwrap();
-            r.nested_list("changed")
-                .unwrap()
-                .iter()
-                .map(|sr| sr.u64("ordinal").unwrap())
-                .collect()
-        };
-
-        // Nothing mutated since the mark → no stores.
-        let mark = mgr.capture_mark();
-        let delta = mgr.capture_state_delta(&mark).unwrap();
-        assert_eq!(changed_ordinals(&delta), Vec::<u64>::new());
-        let r = StateReader::new(&delta).unwrap();
-        assert_eq!(r.u64("stores_len").unwrap(), 2);
-
-        // Replaying into one store dirties exactly that ordinal.
-        mgr.replay_into(&s1, [(1, &p)]).unwrap();
-        let delta = mgr.capture_state_delta(&mark).unwrap();
-        assert_eq!(changed_ordinals(&delta), vec![1]);
-
-        // A processed point dirties every store.
-        mgr.update(2, &p).unwrap();
-        let delta = mgr.capture_state_delta(&mark).unwrap();
-        assert_eq!(changed_ordinals(&delta), vec![0, 1]);
-
-        // A prune with nothing to evict dirties nothing.
-        let mark = mgr.capture_mark();
-        assert_eq!(mgr.prune(2, 0.0), 0);
-        let delta = mgr.capture_state_delta(&mark).unwrap();
-        assert_eq!(changed_ordinals(&delta), Vec::<u64>::new());
-
-        // Layout changes invalidate outstanding marks.
-        let mark = mgr.capture_mark();
-        mgr.add_subspace(Subspace::from_dims([0, 1]).unwrap());
-        assert!(mgr.capture_state_delta(&mark).is_none());
-        let mark = mgr.capture_mark();
-        mgr.remove_subspace(&s0);
-        assert!(mgr.capture_state_delta(&mark).is_none());
     }
 
     #[test]

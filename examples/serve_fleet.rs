@@ -3,13 +3,12 @@
 //! Starts a [`spot_serve::SpotServer`] over a [`SpotFleet`] with a durable
 //! checkpoint store attached, registers tenants over the wire, pushes
 //! deliberately more points than the queues hold so the client has to ride
-//! out `429 Retry-After` backpressure, takes a full binary checkpoint and
-//! then chains a delta onto it via `/admin/checkpoint?mode=delta`, reads
-//! lock-free stats, forces a drain, and finishes with a graceful shutdown
-//! that seals a final generation and leaves nothing queued. Afterwards the
-//! store's binary column containers (`.ckpt` full / `.dck` delta) are
-//! inspected directly and the newest chain is resolved back into a fleet
-//! checkpoint.
+//! out `429 Retry-After` backpressure, reads lock-free stats, forces a
+//! drain, takes a durable checkpoint via `/admin/checkpoint`, and finishes
+//! with a graceful shutdown that seals a final generation and leaves
+//! nothing queued. Afterwards the store's `.ckpt` generations — each a
+//! full fleet checkpoint in a binary column container — are listed and
+//! the newest is restored into a fleet.
 //!
 //! Run with `cargo run --release --example serve_fleet`.
 
@@ -117,14 +116,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("{id}: stats {}", client.tenant_stats(id)?);
     }
 
-    // 6. Durable checkpoints over the wire: a full generation first, then
-    //    more traffic on one tenant, then `mode=delta` — the server chains
-    //    an incremental generation holding only the dirtied tenant onto
-    //    the full one. Both land as binary column containers.
-    println!("full checkpoint: {}", client.checkpoint()?.text());
+    // 6. A durable checkpoint over the wire, then more traffic on one
+    //    tenant for the shutdown checkpoint to seal.
+    println!("checkpoint: {}", client.checkpoint()?.text());
     client.ingest(&tenants[0], &sensor_stream(200, 777))?;
     client.drain(&tenants[0])?;
-    println!("delta checkpoint: {}", client.checkpoint_delta()?.text());
 
     // 7. Graceful shutdown: stop accepting, finish in-flight requests,
     //    drain every queue, seal a final durable generation. Nothing
@@ -141,24 +137,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(report.undrained.is_empty());
     assert_eq!(fleet.stats().queued, 0);
 
-    // 8. Look at what the store actually holds: full `.ckpt` anchors and
-    //    `.dck` delta extensions, then resolve the newest chain back into
-    //    a complete fleet checkpoint exactly as cold recovery would.
+    // 8. Look at what the store holds — one full checkpoint per
+    //    generation — and restore the newest exactly as cold recovery
+    //    would.
     let store = CheckpointStore::open(&store_dir, 4)?;
     for g in store.generations()? {
-        let (kind, ext) = if store.is_delta(g)? {
-            ("delta", "dck")
-        } else {
-            ("full", "ckpt")
-        };
-        let bytes = std::fs::metadata(store_dir.join(format!("fleet-{g:08}.{ext}")))?.len();
-        println!("  generation {g}: {kind}, {bytes} bytes (binary column container)");
+        let bytes = std::fs::metadata(store_dir.join(format!("fleet-{g:08}.ckpt")))?.len();
+        println!("  generation {g}: {bytes} bytes (binary column container)");
     }
     let scan = store.load_latest()?;
-    let (generation, resolved) = scan.recovered.expect("newest chain must resolve");
+    let (generation, newest) = scan.recovered.expect("the newest generation must load");
+    let restored = SpotFleet::from_checkpoint(&newest, FleetConfig::default())?;
+    assert_eq!(restored.tenant_ids(), fleet.tenant_ids());
+    for id in &tenants {
+        assert_eq!(restored.tenant_stats(id)?, fleet.tenant_stats(id)?);
+    }
     println!(
-        "resolved generation {generation}: {} tenants recovered, {} rejected generations",
-        resolved.len(),
+        "restored generation {generation}: {} tenants, {} rejected generations",
+        restored.len(),
         scan.rejected.len()
     );
     let _ = std::fs::remove_dir_all(&store_dir);

@@ -108,10 +108,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Checkpoint the whole fleet, restore it into a new fleet, and
     // verify one tenant continues bit-identically.
-    let json = fleet.checkpoint().to_json();
-    println!("fleet checkpoint: {} bytes of JSON", json.len());
-    let restored =
-        SpotFleet::from_checkpoint(&FleetCheckpoint::from_json(&json)?, FleetConfig::default())?;
+    let bytes = fleet.checkpoint().to_bytes();
+    println!("fleet checkpoint: {} bytes (binary container)", bytes.len());
+    let restored = SpotFleet::from_checkpoint(
+        &FleetCheckpoint::from_bytes(&bytes)?,
+        FleetConfig::default(),
+    )?;
 
     let probe = sensor_stream(200, 999);
     let id = &tenants[0];
