@@ -12,12 +12,17 @@
 //! # File format
 //!
 //! Each segment `arc-<n:08>.seg` opens with the 8-byte magic `SPOTARC1`
-//! and a `u32` little-endian format version (currently 1), followed by
+//! and a `u32` little-endian format version (currently 2), followed by
 //! frames:
 //!
 //! ```text
-//! | len: u32 LE | payload: len bytes | fnv1a64(payload): u64 LE |
+//! | len: u32 LE | payload: len bytes | checksum64(payload): u64 LE |
 //! ```
+//!
+//! `checksum64` is `spot_types::persist::binary::checksum64`, the checksum
+//! of every framed file. Version 1 sealed frames with byte-wise FNV-1a; a
+//! version-1 segment is refused with a typed error (replay and `open`
+//! alike), never misread.
 //!
 //! A frame's payload is one batch of verdicts in column order, every lane
 //! a `u64` little-endian word (floats by their IEEE-754 bit patterns, so
@@ -47,16 +52,18 @@
 
 use spot::subspace::Subspace;
 use spot::{SubspaceFinding, Verdict};
-use spot_types::{fnv1a64, Result, SpotError};
+use spot_types::persist::binary::checksum64;
+use spot_types::{Result, SpotError};
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every archive segment.
 pub const ARCHIVE_MAGIC: &[u8; 8] = b"SPOTARC1";
 
-/// Archive segment format version.
-pub const ARCHIVE_VERSION: u32 = 1;
+/// Archive segment format version (2: frames sealed with
+/// `binary::checksum64`).
+pub const ARCHIVE_VERSION: u32 = 2;
 
 const SEG_PREFIX: &str = "arc-";
 const SEG_SUFFIX: &str = ".seg";
@@ -110,6 +117,22 @@ impl VerdictArchive {
         let current = segment_numbers(&dir)?.last().copied().unwrap_or(0).max(1);
         let path = segment_path(&dir, current);
         let exists = path.exists();
+        if exists {
+            // Appending v2 frames to a segment of another version would
+            // leave it unreadable: refuse it, as replay does.
+            let mut header = Vec::with_capacity(HEADER_LEN as usize);
+            File::open(&path)
+                .and_then(|f| f.take(HEADER_LEN).read_to_end(&mut header))
+                .map_err(|e| io_err("read", &path, &e))?;
+            if header.len() == HEADER_LEN as usize {
+                if let Some(why) = header_error(&header) {
+                    return Err(SpotError::SnapshotCorrupt(format!(
+                        "{}: {why}",
+                        path.display()
+                    )));
+                }
+            }
+        }
         let mut file = OpenOptions::new()
             .create(true)
             .append(true)
@@ -158,7 +181,7 @@ impl VerdictArchive {
         let mut frame = Vec::with_capacity(payload.len() + 12);
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        frame.extend_from_slice(&checksum64(&payload).to_le_bytes());
         self.file
             .write_all(&frame)
             .map_err(|e| io_err("append", &path, &e))?;
@@ -234,6 +257,19 @@ fn segment_numbers(dir: &Path) -> Result<Vec<u64>> {
     }
     numbers.sort_unstable();
     Ok(numbers)
+}
+
+/// What is wrong with a whole segment header, if anything. A version other
+/// than this build's is named: a v1 segment sealed its frames with
+/// another checksum, so it is refused rather than misread.
+fn header_error(header: &[u8]) -> Option<String> {
+    if header.len() < HEADER_LEN as usize || &header[..8] != ARCHIVE_MAGIC {
+        return Some("bad segment header".to_string());
+    }
+    let version = u32::from_le_bytes(header[8..12].try_into().expect("4-byte lane"));
+    (version != ARCHIVE_VERSION).then(|| {
+        format!("segment format version {version}, this build reads version {ARCHIVE_VERSION}")
+    })
 }
 
 fn write_header(file: &mut File, path: &Path) -> Result<()> {
@@ -339,17 +375,14 @@ fn read_segment(
     replay: &mut ArchiveReplay,
 ) -> Result<()> {
     let corrupt = |msg: String| SpotError::SnapshotCorrupt(format!("{}: {msg}", path.display()));
-    if bytes.len() < HEADER_LEN as usize
-        || &bytes[..8] != ARCHIVE_MAGIC
-        || bytes[8..12] != ARCHIVE_VERSION.to_le_bytes()
-    {
+    if let Some(why) = header_error(bytes) {
         // A header can only be torn on the final segment (rotation writes
         // it before any frame is acknowledged).
         if is_final && bytes.len() < HEADER_LEN as usize {
             replay.torn_tail = true;
             return Ok(());
         }
-        return Err(corrupt("bad segment header".into()));
+        return Err(corrupt(why));
     }
     let mut at = HEADER_LEN as usize;
     while at < bytes.len() {
@@ -361,7 +394,7 @@ fn read_segment(
             let payload = bytes.get(at + 4..at + 4 + len)?;
             let stored =
                 u64::from_le_bytes(bytes.get(at + 4 + len..at + 12 + len)?.try_into().ok()?);
-            (fnv1a64(payload) == stored).then_some((payload, at + 12 + len))
+            (checksum64(payload) == stored).then_some((payload, at + 12 + len))
         })();
         let Some((payload, next)) = whole else {
             if is_final {
@@ -460,6 +493,19 @@ mod tests {
         assert!(replay.segments > 1, "rotation never happened");
         assert!(!replay.torn_tail);
         assert_stream_eq(&want, &replay.verdicts);
+    }
+
+    #[test]
+    fn a_version_1_archive_is_refused_not_misread() {
+        let dir = temp_dir("v1");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut bytes = ARCHIVE_MAGIC.to_vec();
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        std::fs::write(segment_path(&dir, 1), &bytes).unwrap();
+        let refused = |e: SpotError| matches!(e, SpotError::SnapshotCorrupt(ref m) if m.contains("version 1"));
+        assert!(refused(VerdictArchive::replay(&dir).unwrap_err()));
+        assert!(refused(VerdictArchive::open(&dir).unwrap_err()));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

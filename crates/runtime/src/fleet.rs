@@ -18,8 +18,8 @@
 //!
 //! # Durability
 //!
-//! With [`SpotFleet::enable_wal`] every admitted point is appended to a
-//! per-tenant write-ahead log *before* it is enqueued or processed (see
+//! With [`SpotFleet::enable_wal`] every admitted point is appended to the
+//! fleet's write-ahead log *before* it is enqueued or processed (see
 //! [`crate::wal`]). [`SpotFleet::checkpoint_durable`] saves a fleet
 //! checkpoint that records each tenant's WAL watermark and prunes sealed
 //! segments behind it; [`SpotFleet::recover`] rebuilds the fleet from the
@@ -32,7 +32,7 @@
 use crate::checkpoint::{CheckpointStore, FleetCheckpoint};
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::health::{IngestOutcome, OverloadPolicy, QuarantineInfo, TenantHealth};
-use crate::wal::{tenant_dir_name, FleetRecovery, TenantWal, WalTuning};
+use crate::wal::{FleetRecovery, FleetWal, WalTuning};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use spot::{
     LearningReport, SharedSpot, Spot, SpotCheckpoint, SpotConfig, SpotStats, SynopsisFootprint,
@@ -45,7 +45,7 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 /// Fleet-wide knobs. `Default` gives a 1024-point queue per tenant and
 /// 256-point micro-batches (matching `Spot::BATCH_RUN`, so one drain pass
@@ -110,6 +110,10 @@ pub struct FleetStats {
     /// succeeds — but a counter that keeps climbing means the log is not
     /// shrinking and disk usage is unbounded, which operators must see.
     pub wal_prune_failures: u64,
+    /// Syncs the fleet's WAL writer has issued (0 without a WAL): the
+    /// `FsyncPolicy` syncs plus segment seals and headers, control frames
+    /// and checkpoint syncs. One sync covers every tenant's records.
+    pub wal_syncs: u64,
 }
 
 /// Aggregated synopsis memory over every tenant — from each tenant's
@@ -171,11 +175,11 @@ struct Tenant {
     shed: AtomicU64,
     /// Points admitted through the `Sample` survivor slot.
     sampled_kept: AtomicU64,
-    /// The tenant's write-ahead log, when the fleet has one enabled.
-    /// `wal_on` is the lock-free hot-path mirror — with no WAL, ingestion
-    /// checks one atomic and never touches the mutex.
-    wal: Mutex<Option<Arc<TenantWal>>>,
-    wal_on: AtomicBool,
+    /// Held across validate → append → enqueue with a WAL, so the tenant's
+    /// log order is its arrival order; per tenant, so a blocked producer
+    /// or a replay never stalls a co-tenant. A revive's replacement shares
+    /// it.
+    admission: Arc<Mutex<()>>,
     /// The detector's dimensionality (φ), captured at install so
     /// admission-side validators ([`SpotFleet::tenant_dims`]) never touch
     /// the detector lock.
@@ -199,24 +203,28 @@ impl Tenant {
             overflow_seen: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             sampled_kept: AtomicU64::new(0),
-            wal: Mutex::new(None),
-            wal_on: AtomicBool::new(false),
+            admission: Arc::new(Mutex::new(())),
             phi,
         }
     }
 
-    /// The tenant's WAL handle, when one is attached (one atomic load on
-    /// the common no-WAL path).
-    fn wal_handle(&self) -> Option<Arc<TenantWal>> {
-        if !self.wal_on.load(Ordering::Acquire) {
-            return None;
+    /// `Spot::process_batch`'s admission rule — width φ, no NaN (±∞ is
+    /// admitted) — checked before a point is logged or queued.
+    fn admit(&self, point: &DataPoint) -> Result<()> {
+        if point.dims() != self.phi {
+            return Err(SpotError::DimensionMismatch {
+                expected: self.phi,
+                got: point.dims(),
+            });
         }
-        self.wal.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        match point.values().iter().position(|v| v.is_nan()) {
+            Some(dim) => Err(SpotError::NonFiniteValue { dim }),
+            None => Ok(()),
+        }
     }
 
-    fn attach_wal(&self, wal: Arc<TenantWal>) {
-        *self.wal.lock().unwrap_or_else(|e| e.into_inner()) = Some(wal);
-        self.wal_on.store(true, Ordering::Release);
+    fn admission(&self) -> std::sync::MutexGuard<'_, ()> {
+        self.admission.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn policy(&self) -> OverloadPolicy {
@@ -247,14 +255,6 @@ impl Tenant {
     }
 }
 
-/// Fleet-wide WAL settings, set once by `enable_wal`/`recover`: tenants
-/// registered later get their log attached automatically.
-#[derive(Clone)]
-struct WalSettings {
-    root: PathBuf,
-    tuning: WalTuning,
-}
-
 /// What one [`SpotFleet::revive_tenant`] actually brought forward — the
 /// supervisor uses the split to account `points_lost` correctly.
 #[derive(Debug, Clone, Copy)]
@@ -275,8 +275,9 @@ struct FleetInner {
     /// plan is actually armed.
     faults: Mutex<Option<Arc<FaultInjector>>>,
     faults_armed: AtomicBool,
-    /// WAL root + tuning once the fleet's ingestion WAL is enabled.
-    wal: Mutex<Option<WalSettings>>,
+    /// The fleet's ingestion WAL, set once by `enable_wal` or `recover`;
+    /// the hot path reads it without a lock.
+    wal: OnceLock<Arc<FleetWal>>,
     /// Admission gate for graceful shutdown: once set, every
     /// `ingest`/`try_ingest`/`process`/`process_batch` call errors with
     /// [`SpotError::ShuttingDown`] while drains keep working — the drain
@@ -316,7 +317,7 @@ impl SpotFleet {
                 tenants: RwLock::new(HashMap::new()),
                 faults: Mutex::new(None),
                 faults_armed: AtomicBool::new(false),
-                wal: Mutex::new(None),
+                wal: OnceLock::new(),
                 shutting_down: AtomicBool::new(false),
                 panics: AtomicU64::new(0),
                 recoveries: AtomicU64::new(0),
@@ -377,21 +378,16 @@ impl SpotFleet {
 
     fn install(&self, id: TenantId, spot: Spot, replace: bool) -> Result<()> {
         let tenant = Arc::new(Tenant::fresh(spot, self.inner.config.queue_capacity));
-        // With a fleet WAL enabled, every tenant gets a log at install
-        // time: opened fresh (base = the detector's current stream
-        // position) or resumed from an existing directory (restore paths).
-        if let Some(settings) = self.wal_settings() {
-            let base = tenant.shared.stats().processed;
-            let wal = TenantWal::open(
-                settings.root.join(tenant_dir_name(&id)),
-                base,
-                settings.tuning,
-            )?;
-            tenant.attach_wal(Arc::new(wal));
-        }
         let mut map = write_lock(&self.inner.tenants);
         if !replace && map.contains_key(&id) {
             return Err(SpotError::DuplicateTenant(id.to_string()));
+        }
+        // With the WAL enabled every tenant gets a stream at install time:
+        // attached fresh (base = the detector's current stream position)
+        // or resumed when the log already has one (restore paths). Under
+        // the registry lock, so `enable_wal` cannot miss it.
+        if let Some(wal) = self.wal() {
+            wal.attach(&id, tenant.shared.stats().processed)?;
         }
         map.insert(id, tenant);
         Ok(())
@@ -402,7 +398,13 @@ impl SpotFleet {
     /// blocked in [`SpotFleet::ingest`] on the evicted tenant's full
     /// queue unblock with `UnknownTenant` (the queue's receiving half is
     /// dropped here, failing their pending `send`).
+    /// With the WAL, a synced "evicted" frame first closes the tenant's
+    /// stream: registering the id again starts a fresh one.
     pub fn evict(&self, id: &TenantId) -> Result<()> {
+        self.tenant(id)?;
+        if let Some(wal) = self.wal() {
+            wal.evict(id)?;
+        }
         let tenant = write_lock(&self.inner.tenants)
             .remove(id)
             .ok_or_else(|| SpotError::UnknownTenant(id.to_string()))?;
@@ -410,12 +412,6 @@ impl SpotFleet {
         // an `Arc<Tenant>` of its own — dropping the registry's Arc alone
         // would leave the receiver alive inside that clone.
         *tenant.rx.lock().unwrap_or_else(|e| e.into_inner()) = None;
-        // An evicted tenant's log is dead weight (its detector is gone);
-        // delete it so a future registration under the same id starts a
-        // fresh log instead of resuming a stranger's.
-        if let Some(settings) = self.wal_settings() {
-            let _ = std::fs::remove_dir_all(settings.root.join(tenant_dir_name(id)));
-        }
         Ok(())
     }
 
@@ -510,77 +506,74 @@ impl SpotFleet {
             .clone()
     }
 
-    fn wal_settings(&self) -> Option<WalSettings> {
-        self.inner
-            .wal
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+    fn wal(&self) -> Option<&Arc<FleetWal>> {
+        self.inner.wal.get()
     }
 
     // ---- the ingestion WAL ----------------------------------------------
 
     /// Enables the durable ingestion write-ahead log for this fleet: every
     /// point admitted from now on — `ingest`, `try_ingest`, `process`,
-    /// `process_batch` — is appended to a per-tenant segmented log under
-    /// `root` *before* it is enqueued or processed, so
+    /// `process_batch` — is appended to one segmented log under `root`,
+    /// shared by every tenant, *before* it is enqueued or processed, so
     /// [`SpotFleet::recover`] can replay everything the crash took (see
     /// `crate::wal` and `docs/persistence.md`).
     ///
-    /// Every currently registered tenant gets a log based at its current
-    /// stream position (resuming an existing directory when one is
-    /// present), and tenants registered later are covered automatically.
-    /// Call before ingestion starts: enabling errors with
+    /// Every currently registered tenant gets a stream based at its
+    /// current stream position (resuming its stream when `root` already
+    /// holds a log), and tenants registered later are covered
+    /// automatically. Call before ingestion starts: enabling errors with
     /// [`SpotError::InvalidConfig`] when the WAL is already enabled or any
     /// tenant has queued-but-undrained points (those would never get log
-    /// records).
+    /// records), and with [`SpotError::WalCorrupt`] when `root` holds the
+    /// per-tenant log directories older builds wrote.
     pub fn enable_wal(&self, root: impl Into<PathBuf>, tuning: WalTuning) -> Result<()> {
         let root = root.into();
+        // The registry lock keeps registrations out until every tenant
+        // has its stream and the log is published.
+        let map = write_lock(&self.inner.tenants);
+        if self.wal().is_some() {
+            return Err(SpotError::InvalidConfig(
+                "the ingestion WAL is already enabled for this fleet".to_string(),
+            ));
+        }
+        let mut ids: Vec<&TenantId> = map.keys().collect();
+        ids.sort();
+        if let Some(id) = ids
+            .iter()
+            .find(|id| map[**id].queued.load(Ordering::Relaxed) > 0)
         {
-            let mut slot = self.inner.wal.lock().unwrap_or_else(|e| e.into_inner());
-            if slot.is_some() {
-                return Err(SpotError::InvalidConfig(
-                    "the ingestion WAL is already enabled for this fleet".to_string(),
-                ));
-            }
-            *slot = Some(WalSettings {
-                root: root.clone(),
-                tuning,
-            });
+            return Err(SpotError::InvalidConfig(format!(
+                "tenant {id} has queued points; drain the fleet before enabling the WAL"
+            )));
         }
-        for id in self.tenant_ids() {
-            let Ok(tenant) = self.tenant(&id) else {
-                continue;
-            };
-            if tenant.queued.load(Ordering::Relaxed) > 0 {
-                return Err(SpotError::InvalidConfig(format!(
-                    "tenant {id} has queued points; drain the fleet before enabling the WAL"
-                )));
-            }
-            let base = tenant.shared.stats().processed;
-            let wal = TenantWal::open(root.join(tenant_dir_name(&id)), base, tuning)?;
-            tenant.attach_wal(Arc::new(wal));
+        let (wal, _) = FleetWal::open(&root, tuning, |_| false)?;
+        for id in ids {
+            wal.attach(id, map[id].shared.stats().processed)?;
         }
+        let _ = self.inner.wal.set(Arc::new(wal));
         Ok(())
     }
 
     /// `true` once [`SpotFleet::enable_wal`] (or recovery) armed the
     /// ingestion WAL.
     pub fn wal_enabled(&self) -> bool {
-        self.wal_settings().is_some()
+        self.wal().is_some()
     }
 
-    /// One tenant's WAL write position: records ever appended to its log
-    /// (`None` when the fleet has no WAL). The replay watermark a
-    /// checkpoint would record is `processed - base`, not this.
+    /// One tenant's WAL write position: records ever appended to its
+    /// stream in the fleet's log (`None` when the fleet has no WAL). The
+    /// replay watermark a checkpoint would record is `processed - base`,
+    /// not this.
     pub fn wal_position(&self, id: &TenantId) -> Result<Option<u64>> {
-        Ok(self.tenant(id)?.wal_handle().map(|w| w.position()))
+        self.tenant(id)?;
+        Ok(self.wal().and_then(|w| w.position(id)))
     }
 
-    /// One tenant's live WAL segment-file count (`None` without a WAL) —
+    /// The fleet log's live segment-file count (`None` without a WAL) —
     /// the observable pruning makes shrink.
-    pub fn wal_segment_count(&self, id: &TenantId) -> Result<Option<usize>> {
-        Ok(self.tenant(id)?.wal_handle().map(|w| w.segment_count()))
+    pub fn wal_segment_count(&self) -> Option<usize> {
+        self.wal().map(|w| w.segment_count())
     }
 
     /// Consults the armed fault plan for one recovery attempt (supervisor
@@ -724,10 +717,10 @@ impl SpotFleet {
         self.process_guarded(id, &tenant, points)
     }
 
-    /// The synchronous processing paths' WAL hook: with a log attached the
-    /// points are appended *before* the detector runs (still under the
-    /// appender lock, so log order is processing order), which means a
-    /// panic mid-batch leaves them durable — [`SpotFleet::revive_tenant`]
+    /// The synchronous processing paths' WAL hook: with a log the points
+    /// are validated (a batch the detector would reject is refused whole)
+    /// and appended *before* the detector runs, under the admission lock,
+    /// so a panic mid-batch leaves them durable — [`SpotFleet::revive_tenant`]
     /// and [`SpotFleet::recover`] re-derive the lost verdicts from the
     /// log. The health gate runs before the append so a quarantined
     /// tenant's rejected points do not haunt the log.
@@ -737,14 +730,15 @@ impl SpotFleet {
         tenant: &Tenant,
         points: &[DataPoint],
     ) -> Result<Vec<Verdict>> {
-        let Some(wal) = tenant.wal_handle() else {
+        let Some(wal) = self.wal() else {
             return self.run_guarded(id, tenant, points);
         };
+        points.iter().try_for_each(|p| tenant.admit(p))?;
         let faults = self.injector();
-        let mut ap = wal.appender();
+        let _admission = tenant.admission();
         self.gate(id, tenant)?;
         for point in points {
-            ap.append(id, point, faults.as_deref())?;
+            wal.append(id, point, faults.as_deref())?;
         }
         self.run_guarded(id, tenant, points)
     }
@@ -755,18 +749,21 @@ impl SpotFleet {
     /// co-tenants) and always returns [`IngestOutcome::Enqueued`]; `Shed`
     /// and `Sample` never block and may return [`IngestOutcome::Shed`].
     /// Quarantined tenants still enqueue — the backlog is carried into the
-    /// recovered tenant by [`SpotFleet::revive_tenant`].
+    /// recovered tenant by [`SpotFleet::revive_tenant`]. A point the
+    /// detector would reject (width ≠ φ, a NaN) is refused with its typed
+    /// error before it is logged or queued.
     pub fn ingest(&self, id: &TenantId, point: DataPoint) -> Result<IngestOutcome> {
         self.admission_gate()?;
         let tenant = self.tenant(id)?;
+        tenant.admit(&point)?;
         let policy = tenant.policy();
         // Scripted queue-full windows apply to the non-blocking policies
         // only: a blocking send on a queue with room returns immediately,
         // so a faked "full" has no observable Block behavior to test.
         let forced_full = !matches!(policy, OverloadPolicy::Block)
             && self.injector().is_some_and(|i| i.ingest_forced_full(id));
-        if let Some(wal) = tenant.wal_handle() {
-            return self.ingest_walled(id, &tenant, &wal, point, policy, forced_full);
+        if let Some(wal) = self.wal() {
+            return self.ingest_walled(id, &tenant, wal, point, policy, forced_full);
         }
         match policy {
             OverloadPolicy::Block => {
@@ -819,30 +816,33 @@ impl SpotFleet {
     /// Non-blocking enqueue: `Ok(false)` when the queue is at capacity.
     /// Policy-independent (never sheds, never consults the fault plan for
     /// queue windows — injected WAL crashes still fire, as they would on
-    /// any append).
+    /// any append). Validates like [`SpotFleet::ingest`].
     pub fn try_ingest(&self, id: &TenantId, point: DataPoint) -> Result<bool> {
         self.admission_gate()?;
         let tenant = self.tenant(id)?;
-        let Some(wal) = tenant.wal_handle() else {
+        tenant.admit(&point)?;
+        let Some(wal) = self.wal() else {
             return Ok(self.enqueue_nonblocking(id, &tenant, point)?.is_none());
         };
         let faults = self.injector();
-        let mut ap = wal.appender();
+        let _admission = tenant.admission();
         if tenant.queued.load(Ordering::Relaxed) >= self.inner.config.queue_capacity {
             return Ok(false);
         }
-        ap.append(id, &point, faults.as_deref())?;
+        wal.append(id, &point, faults.as_deref())?;
         self.enqueue_blocking(id, &tenant, point)?;
         Ok(true)
     }
 
-    /// The queued ingestion path with a WAL attached: the point is
-    /// appended to the log *before* it is enqueued, and the appender lock
-    /// is held across both so the log's sequence order is exactly the
-    /// queue's arrival order — the invariant that makes `processed -
-    /// base_processed` a valid replay watermark. Shed points are *not*
+    /// The queued ingestion path with a WAL: the point is appended to the
+    /// log *before* it is enqueued, and the tenant's admission lock is held
+    /// across both so the tenant's sequence order is exactly its queue's
+    /// arrival order — the invariant that makes `processed -
+    /// base_processed` a valid replay watermark. The log's writer lock is
+    /// taken only inside the append, so a producer blocked here on this
+    /// tenant's full queue stalls no co-tenant. Shed points are *not*
     /// logged (they are not admitted, so recovery must not resurrect
-    /// them). Capacity is pre-checked under the appender lock — producers
+    /// them). Capacity is pre-checked under the admission lock — producers
     /// are serialized by it, so a positive check cannot be invalidated
     /// before the enqueue (drains only make room) and the blocking send
     /// returns immediately.
@@ -850,18 +850,18 @@ impl SpotFleet {
         &self,
         id: &TenantId,
         tenant: &Tenant,
-        wal: &TenantWal,
+        wal: &FleetWal,
         point: DataPoint,
         policy: OverloadPolicy,
         forced_full: bool,
     ) -> Result<IngestOutcome> {
         let faults = self.injector();
-        let mut ap = wal.appender();
+        let _admission = tenant.admission();
         let full = forced_full
             || tenant.queued.load(Ordering::Relaxed) >= self.inner.config.queue_capacity;
         match policy {
             OverloadPolicy::Block => {
-                ap.append(id, &point, faults.as_deref())?;
+                wal.append(id, &point, faults.as_deref())?;
                 self.enqueue_blocking(id, tenant, point)?;
                 Ok(IngestOutcome::Enqueued)
             }
@@ -871,20 +871,20 @@ impl SpotFleet {
                     tenant.shed.fetch_add(1, Ordering::Relaxed);
                     return Ok(IngestOutcome::Shed);
                 }
-                ap.append(id, &point, faults.as_deref())?;
+                wal.append(id, &point, faults.as_deref())?;
                 self.enqueue_blocking(id, tenant, point)?;
                 Ok(IngestOutcome::Enqueued)
             }
             OverloadPolicy::Sample { keep_one_in } => {
                 let k = u64::from(keep_one_in.max(1));
                 if !full {
-                    ap.append(id, &point, faults.as_deref())?;
+                    wal.append(id, &point, faults.as_deref())?;
                     self.enqueue_blocking(id, tenant, point)?;
                     return Ok(IngestOutcome::Enqueued);
                 }
                 let n = tenant.overflow_seen.fetch_add(1, Ordering::Relaxed);
                 if n.is_multiple_of(k) {
-                    ap.append(id, &point, faults.as_deref())?;
+                    wal.append(id, &point, faults.as_deref())?;
                     self.enqueue_blocking(id, tenant, point)?;
                     tenant.sampled_kept.fetch_add(1, Ordering::Relaxed);
                     Ok(IngestOutcome::Enqueued)
@@ -934,10 +934,9 @@ impl SpotFleet {
     }
 
     /// The tenant's dimensionality (φ), without touching the detector
-    /// lock. Admission-side validators use this to reject malformed
-    /// points *before* they are queued — the detector's own validation
-    /// runs at drain time, where a bad point discards its whole
-    /// micro-batch (see [`SpotFleet::drain`]).
+    /// lock — the width [`SpotFleet::ingest`] admits. Admission-side
+    /// validators (the HTTP router) use it to reject a malformed batch
+    /// before ingesting any of it.
     pub fn tenant_dims(&self, id: &TenantId) -> Result<usize> {
         Ok(self.tenant(id)?.phi)
     }
@@ -948,12 +947,14 @@ impl SpotFleet {
     /// returns an empty vector. Call in a loop (or use
     /// [`SpotFleet::drain_fully`]) to exhaust a backlog.
     ///
-    /// An error (e.g. a NaN point → [`SpotError::NonFiniteValue`])
-    /// discards the dequeued micro-batch: the detector's all-or-nothing
-    /// validation rejected it wholesale, and a poisoned batch cannot be
-    /// replayed. Validate upstream when inputs are untrusted. A
-    /// quarantined tenant errors with [`SpotError::TenantPoisoned`]
-    /// *without* dequeuing — its backlog is preserved for recovery.
+    /// Every queued point passed the detector's admission rule at
+    /// [`SpotFleet::ingest`], so a healthy tenant's drain does not reject
+    /// a micro-batch. A panic while processing it quarantines the tenant
+    /// ([`SpotError::TenantPoisoned`]); with a WAL the batch is replayed
+    /// from the log by [`SpotFleet::revive_tenant`], without one it is
+    /// lost. A quarantined tenant errors with
+    /// [`SpotError::TenantPoisoned`] *without* dequeuing — its backlog is
+    /// preserved for recovery.
     pub fn drain(&self, id: &TenantId) -> Result<Vec<Verdict>> {
         let tenant = self.tenant(id)?;
         self.drain_tenant(id, &tenant)
@@ -1053,6 +1054,7 @@ impl SpotFleet {
             panics: self.inner.panics.load(Ordering::Relaxed),
             recoveries: self.inner.recoveries.load(Ordering::Relaxed),
             wal_prune_failures: self.inner.prune_failures.load(Ordering::Relaxed),
+            wal_syncs: self.wal().map_or(0, |w| w.syncs()),
             ..FleetStats::default()
         };
         for t in &tenants {
@@ -1136,34 +1138,41 @@ impl SpotFleet {
             let (cp, processed) = tenant
                 .shared
                 .with(|s| (s.checkpoint(), s.stats().processed));
-            if let Some(wal) = tenant.wal_handle() {
-                wal_positions.push((id.clone(), processed.saturating_sub(wal.base_processed())));
+            if let Some(base) = self.wal().and_then(|w| w.base_processed(&id)) {
+                wal_positions.push((id.clone(), processed.saturating_sub(base)));
             }
             tenants.push((id, cp));
         }
         FleetCheckpoint::with_wal(tenants, wal_positions)
     }
 
-    /// [`SpotFleet::checkpoint`] made durable: saves the capture into a
-    /// [`CheckpointStore`] and then prunes every tenant's WAL behind the
-    /// watermark the checkpoint recorded — sealed segments whose records
-    /// are all covered by the saved state are deleted, which is what keeps
-    /// log growth bounded by checkpoint cadence. A pruning failure does
-    /// not fail the checkpoint (retained segments only cost replay time)
-    /// but is counted in [`FleetStats::wal_prune_failures`]; the save
-    /// itself is the durability point and its errors propagate. Returns
-    /// the new checkpoint generation.
+    /// [`SpotFleet::checkpoint`] made durable: syncs the WAL (so every
+    /// record behind the watermarks the capture records is on stable
+    /// storage), saves the capture into a [`CheckpointStore`], and then
+    /// prunes the log — sealed segments whose every record is covered by
+    /// the saved state are deleted, which is what keeps log growth bounded
+    /// by checkpoint cadence. A pruning failure does not fail the
+    /// checkpoint (retained segments only cost replay time) but is counted
+    /// in [`FleetStats::wal_prune_failures`]; the save itself is the
+    /// durability point and its errors propagate. Returns the new
+    /// checkpoint generation.
     pub fn checkpoint_durable(&self, store: &CheckpointStore) -> Result<u64> {
         let cp = self.checkpoint();
+        if let Some(wal) = self.wal() {
+            wal.sync()?;
+        }
         let generation = store.save(&cp)?;
+        let Some(wal) = self.wal() else {
+            return Ok(generation);
+        };
         if self.injector().is_some_and(|i| i.take_prune_crash()) {
             // The crash lands after the rename made the checkpoint
             // reachable but before any pruning: recovery must tolerate a
             // WAL that still holds records from *before* the watermark.
-            self.kill_wals("injected crash between checkpoint save and WAL prune");
-            return Ok(generation);
+            wal.kill("injected crash between checkpoint save and WAL prune");
+        } else if wal.prune(cp.wal_positions()).is_err() {
+            self.inner.prune_failures.fetch_add(1, Ordering::Relaxed);
         }
-        self.prune_wals(cp.wal_positions());
         Ok(generation)
     }
 
@@ -1171,31 +1180,6 @@ impl SpotFleet {
     /// a full checkpoint. Kept because `benchmark/` calls it by name.
     pub fn checkpoint_durable_delta(&self, store: &CheckpointStore) -> Result<u64> {
         self.checkpoint_durable(store)
-    }
-
-    /// Prunes each listed tenant's WAL behind its checkpoint watermark,
-    /// counting (not swallowing) failures.
-    fn prune_wals(&self, positions: &[(TenantId, u64)]) {
-        for (id, watermark) in positions {
-            let Ok(tenant) = self.tenant(id) else {
-                continue;
-            };
-            if let Some(wal) = tenant.wal_handle() {
-                if wal.prune_to(*watermark).is_err() {
-                    self.inner.prune_failures.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-
-    /// Marks every tenant's WAL writer dead (crash simulation support).
-    fn kill_wals(&self, reason: &str) {
-        let tenants: Vec<Arc<Tenant>> = read_lock(&self.inner.tenants).values().cloned().collect();
-        for t in &tenants {
-            if let Some(wal) = t.wal_handle() {
-                wal.kill(reason);
-            }
-        }
     }
 
     /// Captures one healthy tenant's checkpoint (the supervisor's shadow
@@ -1225,9 +1209,9 @@ impl SpotFleet {
     /// backlog alike — is replayed through the normal processing path,
     /// re-deriving bit-identical verdicts; the returned count is the
     /// records replayed. Either way the overload policy and counters
-    /// survive. The appender lock is held from the swap through the
-    /// replay, so producers blocked on it resume only once the log and
-    /// queue agree again.
+    /// survive. The tenant's admission lock is held from the swap through
+    /// the replay, so its producers resume only once the log and queue
+    /// agree again; co-tenants keep ingesting throughout.
     ///
     /// Without a WAL, points a producer ingests during the swap itself may
     /// land in the retiring queue and be dropped with it — drive recovery
@@ -1248,7 +1232,6 @@ impl SpotFleet {
         cp: &SpotCheckpoint,
     ) -> Result<ReviveOutcome> {
         let spot = Spot::from_checkpoint(cp)?;
-        let replacement = Arc::new(Tenant::fresh(spot, self.inner.config.queue_capacity));
         let mut carried = 0u64;
         // Hold the registry write lock across the backlog transfer so no
         // new `ingest` can resolve the retiring entry mid-swap.
@@ -1257,7 +1240,10 @@ impl SpotFleet {
             .get(id)
             .cloned()
             .ok_or_else(|| SpotError::UnknownTenant(id.to_string()))?;
-        let wal = old.wal_handle();
+        let mut replacement = Tenant::fresh(spot, self.inner.config.queue_capacity);
+        replacement.admission = old.admission.clone();
+        let replacement = Arc::new(replacement);
+        let wal = self.wal();
         {
             let guard = old.rx.lock().unwrap_or_else(|e| e.into_inner());
             if let Some(old_rx) = guard.as_ref() {
@@ -1286,23 +1272,20 @@ impl SpotFleet {
         replacement
             .sampled_kept
             .store(old.sampled_kept.load(Ordering::Relaxed), Ordering::Relaxed);
-        if let Some(w) = &wal {
-            replacement.attach_wal(w.clone());
-        }
         map.insert(id.clone(), replacement.clone());
-        // Take the appender *before* releasing the registry lock: it
-        // serializes the replay against producers, so anything admitted
-        // after it releases is past the replayed tail and nothing is
-        // processed twice. (A producer already blocked in
+        // Take the admission lock *before* releasing the registry lock: it
+        // serializes the replay against this tenant's producers, so
+        // anything admitted after it releases is past the replayed tail and
+        // nothing is processed twice. (A producer already blocked in
         // `enqueue_blocking` against the *retiring* queue is the
         // pre-existing swap caveat documented above.)
-        let ap = wal.as_ref().map(|w| w.appender());
+        let admission = wal.map(|_| replacement.admission());
         drop(map);
         let mut replayed = 0u64;
-        if let Some(w) = &wal {
+        if let Some(w) = wal {
             replayed = self.replay_wal_tail(id, &replacement, w)?;
         }
-        drop(ap);
+        drop(admission);
         self.inner.recoveries.fetch_add(1, Ordering::Relaxed);
         Ok(ReviveOutcome {
             carried,
@@ -1316,15 +1299,10 @@ impl SpotFleet {
     /// were replayed. The re-derived verdicts are dropped — replay exists
     /// to rebuild detector state; determinism guarantees they are
     /// bit-identical to what the original stream produced (or would have).
-    fn replay_wal_tail(&self, id: &TenantId, tenant: &Tenant, wal: &TenantWal) -> Result<u64> {
+    fn replay_wal_tail(&self, id: &TenantId, tenant: &Tenant, wal: &FleetWal) -> Result<u64> {
         let processed = tenant.shared.stats().processed;
-        let watermark = processed.checked_sub(wal.base_processed()).ok_or_else(|| {
-            SpotError::WalCorrupt(format!(
-                "tenant {id}: restored stream position {processed} precedes the log base {}",
-                wal.base_processed()
-            ))
-        })?;
-        let tail = read_wal_from(wal.dir(), watermark)?;
+        let base = wal.base_processed(id).unwrap_or(processed);
+        let tail = read_wal_from(wal.dir(), id, watermark(id, processed, base)?)?;
         let mut replayed = 0u64;
         for chunk in tail.chunks(self.inner.config.micro_batch) {
             let points: Vec<DataPoint> = chunk.iter().map(|(_, p)| p.clone()).collect();
@@ -1360,15 +1338,15 @@ impl SpotFleet {
     /// Rebuilds a fleet from a durable state directory after a crash:
     /// restores the newest valid checkpoint from `dir` (the
     /// [`CheckpointStore`] layout, sweeping stray `.tmp` files), then
-    /// replays each tenant's WAL tail — everything admitted after that
-    /// checkpoint — through the normal enqueue/drain path. Because replay
+    /// replays each tenant's tail of the fleet's WAL — everything admitted
+    /// after that checkpoint — through the normal enqueue/drain path. Because replay
     /// re-derives state from the same points in the same order, the
     /// recovered fleet's subsequent verdict stream is **bit-identical** to
     /// an uncrashed run's: with the WAL enabled, a crash loses no admitted
     /// point.
     ///
     /// Works on every on-disk shape a crash can leave: no checkpoint at
-    /// all (empty fleet, WAL dirs reported unclaimed), a torn newest
+    /// all (empty fleet, the log's streams reported unclaimed), a torn newest
     /// checkpoint (falls back a generation and replays the longer tail),
     /// a torn WAL tail (truncated at the last valid record — those final
     /// unsynced points are the only possible loss, bounded by the
@@ -1377,7 +1355,9 @@ impl SpotFleet {
     /// (the stale log prefix behind the watermark is simply not replayed,
     /// then pruned at the next checkpoint). Errors with
     /// [`SpotError::WalCorrupt`] on real damage — a checksum-valid log
-    /// that contradicts the checkpoint, or corruption *before* the tail.
+    /// that contradicts the checkpoint, or corruption *before* the tail —
+    /// and on the per-tenant log directories older builds wrote (their
+    /// records are acknowledged points; see `docs/persistence.md`).
     pub fn recover(dir: impl AsRef<Path>, config: FleetConfig) -> Result<(Self, FleetRecovery)> {
         Self::recover_with(dir, config, WalTuning::default(), DEFAULT_CHECKPOINT_RETAIN)
     }
@@ -1400,11 +1380,13 @@ impl SpotFleet {
             None => (None, FleetCheckpoint::new(Vec::new())),
         };
         let fleet = Self::from_checkpoint(&checkpoint, config)?;
-        let wal_root = dir.join("wal");
-        *fleet.inner.wal.lock().unwrap_or_else(|e| e.into_inner()) = Some(WalSettings {
-            root: wal_root.clone(),
-            tuning,
-        });
+        // Only the restored tenants' records are loaded: an unclaimed
+        // stream is reported, never replayed.
+        let restored = fleet.tenant_ids();
+        let keep = |t: &str| restored.iter().any(|id| id.as_str() == t);
+        let (wal, wal_scan) = FleetWal::open(&dir.join("wal"), tuning, keep)?;
+        let wal = fleet.inner.wal.get_or_init(|| Arc::new(wal));
+        let mut streams = wal_scan.streams;
         let mut recovery = FleetRecovery {
             generation,
             rejected: scan.rejected,
@@ -1418,21 +1400,15 @@ impl SpotFleet {
             .micro_batch
             .min(fleet.inner.config.queue_capacity)
             .max(1);
-        for id in fleet.tenant_ids() {
+        for id in restored {
             let tenant = fleet.tenant(&id)?;
             let processed = tenant.shared.stats().processed;
-            let wal = Arc::new(TenantWal::open(
-                wal_root.join(tenant_dir_name(&id)),
-                processed,
-                tuning,
-            )?);
-            let watermark = processed.checked_sub(wal.base_processed()).ok_or_else(|| {
-                SpotError::WalCorrupt(format!(
-                    "tenant {id}: checkpointed stream position {processed} precedes the log \
-                     base {}",
-                    wal.base_processed()
-                ))
-            })?;
+            let log = streams.remove(&id);
+            let base = match &log {
+                Some(log) => log.base_processed,
+                None => wal.attach(&id, processed)?,
+            };
+            let watermark = watermark(&id, processed, base)?;
             // Cross-check against the position the checkpoint recorded: a
             // mismatch means the log and the checkpoint are not from the
             // same run (an operator mixed directories) — replaying would
@@ -1446,41 +1422,39 @@ impl SpotFleet {
                     )));
                 }
             }
-            let tail = read_wal_from(wal.dir(), watermark)?;
-            tenant.attach_wal(wal);
+            let Some(log) = log else {
+                continue;
+            };
+            let tail = log.into_tail(&id, watermark)?;
             if tail.is_empty() {
                 continue;
             }
             // Replay through the normal enqueue → drain path — the same
             // micro-batched guarded processing a live stream gets.
-            let mut replayed = 0u64;
             for batch in tail.chunks(chunk) {
                 for (_, point) in batch {
                     fleet.enqueue_blocking(&id, &tenant, point.clone())?;
                 }
                 fleet.drain_fully(&id)?;
-                replayed += batch.len() as u64;
             }
-            recovery.replayed.push((id.clone(), replayed));
+            recovery.replayed.push((id.clone(), tail.len() as u64));
         }
-        // WAL directories with no tenant in the restored checkpoint:
-        // surfaced, never silently deleted (the log may be the only
-        // surviving copy of that tenant's data).
-        let claimed: Vec<String> = fleet.tenant_ids().iter().map(tenant_dir_name).collect();
-        if let Ok(entries) = std::fs::read_dir(&wal_root) {
-            for entry in entries.flatten() {
-                if !entry.path().is_dir() {
-                    continue;
-                }
-                let name = entry.file_name().to_string_lossy().into_owned();
-                if !claimed.contains(&name) {
-                    recovery.unclaimed.push(name);
-                }
-            }
-        }
-        recovery.unclaimed.sort();
+        // Streams with no tenant in the restored checkpoint: surfaced, and
+        // left open in the log so they pin their segments (the log may be
+        // the only surviving copy of that tenant's data).
+        recovery.unclaimed = streams.into_keys().collect();
         Ok((fleet, recovery))
     }
+}
+
+/// A tenant's replay watermark: the seq in its WAL stream of the first
+/// point its detector has not processed.
+fn watermark(id: &TenantId, processed: u64, base: u64) -> Result<u64> {
+    processed.checked_sub(base).ok_or_else(|| {
+        SpotError::WalCorrupt(format!(
+            "tenant {id}: stream position {processed} precedes the log base {base}"
+        ))
+    })
 }
 
 /// Checkpoint generations [`SpotFleet::recover`] keeps by default.

@@ -53,12 +53,13 @@
 //!   and prune) at exact ordinals, so chaos tests replay bit-identically.
 //!   See `docs/robustness.md`.
 //!
-//! **Durability.** [`SpotFleet::enable_wal`] arms a per-tenant segmented
-//! write-ahead log: every admitted point is appended (checksummed,
-//! fsync-policy-bounded) *before* it is enqueued, checkpoints record each
-//! tenant's replay watermark and prune sealed segments behind it, and
-//! [`SpotFleet::recover`] restores the newest valid checkpoint then
-//! replays the WAL tail through the normal drain path — the post-crash
+//! **Durability.** [`SpotFleet::enable_wal`] arms the fleet's segmented
+//! write-ahead log, one log every tenant appends to: every admitted point
+//! is appended (checksummed, fsync-policy-bounded per tenant, one sync
+//! covering every tenant) *before* it is enqueued, checkpoints record
+//! each tenant's replay watermark and prune sealed segments behind them,
+//! and [`SpotFleet::recover`] restores the newest valid checkpoint then
+//! replays each tenant's WAL tail through the normal drain path — the post-crash
 //! verdict stream is bit-identical to an uncrashed run and no admitted
 //! point is lost. See [`wal`] and `docs/persistence.md`.
 

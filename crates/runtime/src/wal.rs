@@ -2,73 +2,67 @@
 //! one-pass problem.
 //!
 //! SPOT is a one-pass detector — a point lost at ingestion is gone
-//! forever. The WAL closes that window: with [`SpotFleet::enable_wal`]
-//! every admitted point is appended to a per-tenant segmented log
-//! **before** it enters the tenant's queue, so after any crash
-//! [`SpotFleet::recover`] can restore the newest checkpoint and replay
-//! the log tail through the normal processing path, reconverging
-//! bit-identically with the uninterrupted run (`points_lost == 0`).
+//! forever. With [`SpotFleet::enable_wal`] every admitted point is
+//! appended to the fleet's log **before** it enters its tenant's queue, so
+//! after any crash [`SpotFleet::recover`] restores the newest checkpoint
+//! and replays each tenant's tail through the normal processing path,
+//! reconverging bit-identically with the uninterrupted run.
 //!
-//! The byte-level segment format (checksummed length-prefixed frames,
-//! IEEE-754 bit lanes, torn-tail truncation) lives in
-//! [`spot_stream::wal`], shared with the offline
-//! [`spot_stream::WalSource`] replayer; this module owns the *writer*:
+//! The byte format lives in [`spot_stream::wal`], shared with the offline
+//! [`spot_stream::WalSource`]; this module owns the writer, [`FleetWal`]:
 //!
-//! * **Ordering invariant** — a point is enqueued iff its record was
-//!   appended first, in the same order. The fleet holds a tenant's
-//!   appender (its writer lock) across append + enqueue, so the log's
-//!   sequence numbers are exactly the tenant's arrival order, and WAL seq `n`
-//!   always corresponds to the detector's `processed` counter
-//!   `base_processed + n`. That identity is what lets a checkpoint's
-//!   stream position double as a replay watermark.
-//! * **[`FsyncPolicy`]** — durability/throughput trade per fleet:
-//!   `EveryRecord` syncs each append (no acknowledged point is ever
-//!   lost), `EveryN(n)` amortizes one sync over `n` records (the
-//!   default, `n = 256`), `OnRotate` syncs only at segment seal.
-//! * **Rotation & pruning** — segments rotate at
-//!   [`WalTuning`]'s `segment_bytes`; a successful durable checkpoint
-//!   ([`SpotFleet::checkpoint_durable`]) prunes sealed segments wholly
-//!   behind the checkpoint's watermark, bounding the log to roughly one
-//!   checkpoint interval of data.
-//! * **Deterministic crash injection** — [`crate::FaultPlan`]'s WAL hooks
-//!   (kill-after-append, torn write, failed fsync, crash-mid-rotation,
-//!   crash-before-prune) damage the file state exactly as a real crash
-//!   would and then mark the writer dead, so chaos tests can drive
-//!   recovery from every crash point without an actual `kill -9`.
+//! * **One log, one stream per tenant.** Every tenant appends to the same
+//!   segment file; a record carries its tenant and that tenant's own
+//!   sequence number. The fleet holds a tenant's admission lock across
+//!   append + enqueue, so the tenant's seq `n` is its detector's point
+//!   `base_processed + n` — what lets a checkpoint's stream position double
+//!   as a replay watermark. The writer lock covers only the `write` and a
+//!   sync that is due.
+//! * **[`FsyncPolicy`]** bounds, per tenant, the acknowledged records a
+//!   power cut can take back. One sync covers every tenant's records, so
+//!   interleaved tenants share it.
+//! * **Rotation & pruning.** Segments rotate at [`WalTuning`]'s
+//!   `segment_bytes`; a durable checkpoint deletes the sealed segments
+//!   whose records all lie behind their tenant's watermark.
+//! * **Deterministic crash injection.** [`crate::FaultPlan`]'s WAL hooks
+//!   damage the files exactly as a real crash would, then kill the writer
+//!   — for every tenant, as a process death would.
 //!
-//! See `docs/persistence.md` § "The ingestion WAL" for the format and
-//! `docs/robustness.md` for the recovery protocol.
+//! See `docs/persistence.md` § "The ingestion WAL".
 //!
 //! [`SpotFleet::enable_wal`]: crate::SpotFleet::enable_wal
 //! [`SpotFleet::recover`]: crate::SpotFleet::recover
-//! [`SpotFleet::checkpoint_durable`]: crate::SpotFleet::checkpoint_durable
 
 use crate::faults::{FaultInjector, WalFault};
 use spot_stream::wal::{
-    encode_record, encode_segment_header, scan_wal_dir, segment_file_name, SegmentHeader,
-    WAL_HEADER_LEN, WAL_MAGIC,
+    encode_attach, encode_evict, encode_record, encode_segment_header, parse_segment_file_name,
+    scan_wal_dir, segment_file_name, StreamAnchor, WalScan, WAL_MAGIC,
 };
-use spot_types::{DataPoint, Result, SpotError, TenantId};
+use spot_types::{DataPoint, FxHashMap, Result, SpotError, TenantId};
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// When the WAL writer forces appended records onto stable storage.
 ///
-/// Whatever the policy, a segment is always synced when it is sealed
-/// (rotation) and records are written straight to the file descriptor
-/// (no userspace buffering) — the policy only controls how many
-/// *acknowledged* records a poorly-timed power cut can take back.
+/// Records always go straight to the file descriptor (no userspace
+/// buffering) and a segment is always synced when sealed; the policy only
+/// bounds how many *acknowledged* records of one tenant a power cut can
+/// take back. A sync covers the whole log, so it restarts every tenant's
+/// count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// `fsync` after every record: an acknowledged point is durable.
     EveryRecord,
-    /// `fsync` once per `n` records (clamped to at least 1): at most
-    /// `n - 1` acknowledged points are exposed to a power cut.
+    /// `fsync` as soon as any tenant has `n` records (at least 1) since
+    /// the last sync: at most `n - 1` acknowledged points of each tenant
+    /// are exposed. Round-robin traffic over `T` tenants syncs once per
+    /// `T·(n − 1) + 1` records, one tenant's traffic once per `n`.
     EveryN(u32),
-    /// `fsync` only when a segment is sealed: the active segment's tail
-    /// rides on the OS page cache.
+    /// `fsync` only when a segment is sealed.
     OnRotate,
 }
 
@@ -78,14 +72,16 @@ impl Default for FsyncPolicy {
     }
 }
 
-/// WAL writer knobs. `Default`: `EveryN(256)` fsync, 1 MiB segments.
+/// Knobs of the fleet's one log writer. `Default`: `EveryN(256)` fsync,
+/// 1 MiB segments.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WalTuning {
     /// Durability policy for appends.
     pub fsync: FsyncPolicy,
-    /// Rotation threshold: a segment holding at least one record is
-    /// sealed before an append would push it past this many bytes
-    /// (0 is treated as 1 — every record gets its own segment).
+    /// Rotation threshold: a segment holding a frame is sealed before an
+    /// append would push it past this many bytes (0 means
+    /// [`WalTuning::DEFAULT_SEGMENT_BYTES`]; 1 gives every frame its own
+    /// segment).
     pub segment_bytes: u64,
 }
 
@@ -101,30 +97,14 @@ impl WalTuning {
     }
 }
 
-/// Escapes a tenant id into a filesystem-safe directory name: ASCII
-/// alphanumerics, `.`, `_` and `-` pass through, every other byte becomes
-/// `%XX` (so ids containing `/`, `%` or spaces cannot collide or escape
-/// the WAL root).
-pub fn tenant_dir_name(id: &TenantId) -> String {
-    let raw = id.as_str();
-    let mut out = String::with_capacity(raw.len());
-    for &b in raw.as_bytes() {
-        match b {
-            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'.' | b'_' | b'-' => out.push(b as char),
-            other => out.push_str(&format!("%{other:02X}")),
-        }
-    }
-    out
-}
-
 /// What [`SpotFleet::recover`](crate::SpotFleet::recover) did: which
 /// checkpoint generation it restored, what it rejected on the way there,
 /// and how much WAL tail it replayed per tenant.
 #[derive(Debug)]
 pub struct FleetRecovery {
     /// The checkpoint generation restored, or `None` when the store held
-    /// no valid checkpoint (the fleet starts empty; WAL dirs of tenants
-    /// that were never checkpointed show up in `unclaimed`).
+    /// no valid checkpoint (the fleet starts empty; the log's streams show
+    /// up in `unclaimed`).
     pub generation: Option<u64>,
     /// Checkpoint generations rejected during the scan (newest first)
     /// with the typed error each produced.
@@ -132,12 +112,11 @@ pub struct FleetRecovery {
     /// Per tenant (sorted): WAL records replayed through the normal
     /// processing path to close the checkpoint → crash window.
     pub replayed: Vec<(TenantId, u64)>,
-    /// WAL directories whose tenant is absent from the restored
-    /// checkpoint (registered after the last durable checkpoint, or no
-    /// checkpoint at all). Their logs are left untouched on disk — a
+    /// Tenants with a stream in the log but none in the restored
+    /// checkpoint, sorted. Their records stay and pin their segments — a
     /// detector cannot be rebuilt without its configuration; re-register
     /// the tenant and replay via [`spot_stream::WalSource`] manually.
-    pub unclaimed: Vec<String>,
+    pub unclaimed: Vec<TenantId>,
     /// Stray `.ckpt.tmp` files swept by the store on open.
     pub swept_tmp: usize,
 }
@@ -149,139 +128,175 @@ impl FleetRecovery {
     }
 }
 
-/// The active segment's writer state, behind the appender mutex.
-struct Writer {
-    file: File,
-    /// Active segment number.
-    segment: u64,
-    /// Active segment's path (for error messages).
-    path: PathBuf,
-    /// The frame being appended, reused across appends.
-    frame: Vec<u8>,
-    /// Valid bytes of the active segment (header + whole frames).
-    segment_len: u64,
-    /// Active-segment bytes known to be on stable storage.
-    synced_len: u64,
-    /// Sequence number the next append gets.
+/// One tenant's open stream in the log.
+#[derive(Debug)]
+struct Stream {
+    /// Tells this stream from earlier ones under the same id.
+    epoch: u64,
+    base: u64,
     next_seq: u64,
     /// Records appended since the last sync.
-    unsynced_records: u32,
-    /// Live segments, oldest first: `(number, first_seq)`. The last entry
-    /// is the active segment.
-    segments: Vec<(u64, u64)>,
+    unsynced: u32,
+    /// Whether the active segment holds a record of this stream.
+    in_active: bool,
+}
+
+/// The writer state, behind the writer lock.
+#[derive(Debug)]
+struct Writer {
+    file: File,
+    /// Active segment: number, path, header length, valid length, and
+    /// the length known to be on stable storage.
+    segment: u64,
+    path: PathBuf,
+    header_len: u64,
+    segment_len: u64,
+    synced_len: u64,
+    /// The frame being appended, reused across appends.
+    frame: Vec<u8>,
+    streams: FxHashMap<TenantId, Stream>,
+    /// Sealed segments, oldest first: number, and `(epoch, end)` of every
+    /// stream with records in it.
+    sealed: Vec<(u64, Vec<(u64, u64)>)>,
+    /// The last stream epoch handed out.
+    epochs: u64,
     /// `Some(reason)` after an injected crash: the simulated process is
-    /// dead, every further append fails. Recovery goes through
-    /// [`crate::SpotFleet::recover`] on the on-disk state.
+    /// dead and every further write fails.
     dead: Option<String>,
 }
 
-/// One tenant's write-ahead log: a directory of segment files plus the
-/// serialized appender the fleet's ingestion paths share.
-///
-/// Obtained via the fleet (`enable_wal` / `recover`); the fleet holds the
-/// appender's writer lock across append + enqueue so log order *is*
-/// arrival order — see the module docs for the invariant.
-pub struct TenantWal {
-    dir: PathBuf,
-    tuning: WalTuning,
-    base_processed: u64,
-    writer: Mutex<Writer>,
+impl Writer {
+    fn alive(&self) -> Result<()> {
+        match &self.dead {
+            Some(reason) => Err(SpotError::Io(format!("wal writer is dead: {reason}"))),
+            None => Ok(()),
+        }
+    }
 }
 
-impl std::fmt::Debug for TenantWal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TenantWal")
-            .field("dir", &self.dir)
-            .field("base_processed", &self.base_processed)
-            .finish_non_exhaustive()
-    }
+/// The fleet's write-ahead log: one directory of segment files every
+/// tenant appends to, behind one writer lock. Obtained via the fleet
+/// (`enable_wal` / `recover`); see the module docs for the locking.
+#[derive(Debug)]
+pub struct FleetWal {
+    dir: PathBuf,
+    tuning: WalTuning,
+    writer: Mutex<Writer>,
+    /// Syncs issued ([`crate::FleetStats::wal_syncs`]).
+    syncs: AtomicU64,
 }
 
 fn io_err(action: &str, path: &Path, e: &std::io::Error) -> SpotError {
     SpotError::Io(format!("{action} {}: {e}", path.display()))
 }
 
-impl TenantWal {
-    /// Opens (resuming) or creates a tenant's log. A resumed log keeps
-    /// its recorded `base_processed`; `base_if_fresh` seeds a new one —
-    /// it must be the tenant's `processed` counter at attach time, and
-    /// with an existing log the caller's position must lie inside it
-    /// (checked by replay, not here). Resume repairs crash residue:
-    /// trailing torn-rotation segment files are deleted and a torn final
-    /// record is truncated away.
-    pub(crate) fn open(dir: PathBuf, base_if_fresh: u64, tuning: WalTuning) -> Result<TenantWal> {
-        std::fs::create_dir_all(&dir).map_err(|e| io_err("create", &dir, &e))?;
-        if let Some(scan) = scan_wal_dir(&dir)? {
-            for path in &scan.dropped {
-                std::fs::remove_file(path).map_err(|e| io_err("remove", path, &e))?;
-            }
-            let last = scan
-                .segments
-                .last()
-                .expect("scan holds at least one segment");
-            if last.torn_bytes > 0 {
-                let file = OpenOptions::new()
-                    .write(true)
-                    .open(&last.path)
-                    .map_err(|e| io_err("open", &last.path, &e))?;
-                file.set_len(last.valid_len as u64)
-                    .map_err(|e| io_err("truncate", &last.path, &e))?;
-                file.sync_data()
-                    .map_err(|e| io_err("sync", &last.path, &e))?;
-            }
-            let file = OpenOptions::new()
-                .append(true)
-                .open(&last.path)
-                .map_err(|e| io_err("open", &last.path, &e))?;
-            Ok(TenantWal {
-                base_processed: scan.base_processed,
-                writer: Mutex::new(Writer {
-                    file,
-                    segment: last.number,
-                    path: last.path.clone(),
-                    frame: Vec::new(),
-                    segment_len: last.valid_len as u64,
-                    synced_len: last.valid_len as u64,
-                    next_seq: scan.next_seq,
-                    unsynced_records: 0,
-                    segments: scan
-                        .segments
-                        .iter()
-                        .map(|s| (s.number, s.header.first_seq))
-                        .collect(),
-                    dead: None,
-                }),
-                dir,
-                tuning,
-            })
-        } else {
-            let path = dir.join(segment_file_name(1));
-            let mut file = File::create(&path).map_err(|e| io_err("create", &path, &e))?;
-            let header = encode_segment_header(SegmentHeader {
-                base_processed: base_if_fresh,
-                first_seq: 0,
-            });
-            file.write_all(&header)
-                .map_err(|e| io_err("write", &path, &e))?;
-            file.sync_data().map_err(|e| io_err("sync", &path, &e))?;
-            Ok(TenantWal {
-                base_processed: base_if_fresh,
-                writer: Mutex::new(Writer {
-                    file,
-                    segment: 1,
-                    path,
-                    frame: Vec::new(),
-                    segment_len: WAL_HEADER_LEN as u64,
-                    synced_len: WAL_HEADER_LEN as u64,
-                    next_seq: 0,
-                    unsynced_records: 0,
-                    segments: vec![(1, 0)],
-                    dead: None,
-                }),
-                dir,
-                tuning,
-            })
+/// Creates segment `number` with `table` in its header, synced. A file
+/// this call created but could not finish is removed (best effort), so a
+/// later scan does not take it for the active segment.
+fn create_segment(dir: &Path, number: u64, table: &[StreamAnchor]) -> Result<(File, PathBuf, u64)> {
+    let path = dir.join(segment_file_name(number));
+    let header = encode_segment_header(table);
+    let mut file = File::create(&path).map_err(|e| io_err("create", &path, &e))?;
+    if let Err(e) = file.write_all(&header).and_then(|()| file.sync_data()) {
+        let _ = std::fs::remove_file(&path);
+        return Err(io_err("write", &path, &e));
+    }
+    Ok((file, path, header.len() as u64))
+}
+
+/// Older builds kept one `SPOTWAL1` log directory per tenant under the
+/// WAL root. Those records are acknowledged points, so starting a log
+/// beside them would lose them silently: refuse, naming the directory.
+fn refuse_per_tenant_logs(dir: &Path) -> Result<()> {
+    let entries = std::fs::read_dir(dir).map_err(|e| io_err("list", dir, &e))?;
+    for path in entries.flatten().map(|e| e.path()) {
+        let names = std::fs::read_dir(&path).into_iter().flatten().flatten();
+        if names
+            .filter_map(|f| f.file_name().into_string().ok())
+            .any(|name| parse_segment_file_name(&name).is_some())
+        {
+            return Err(SpotError::WalCorrupt(format!(
+                "{}: a per-tenant log written by an older build; this build keeps one log per \
+                 fleet — recover and checkpoint with the older build, or move the directory aside",
+                path.display()
+            )));
         }
+    }
+    Ok(())
+}
+
+impl FleetWal {
+    /// Opens the log at `dir`, resuming what is there or starting its first
+    /// segment, and returns it with the scan it resumed from (the records
+    /// of the tenants `keep` picks included, for recovery to replay).
+    /// Resume repairs crash residue: trailing torn-rotation files are
+    /// deleted and a torn final frame is truncated away. Refuses the
+    /// per-tenant logs older builds left under `dir`.
+    pub(crate) fn open(
+        dir: &Path,
+        tuning: WalTuning,
+        keep: impl Fn(&str) -> bool,
+    ) -> Result<(FleetWal, WalScan)> {
+        std::fs::create_dir_all(dir).map_err(|e| io_err("create", dir, &e))?;
+        refuse_per_tenant_logs(dir)?;
+        let mut syncs = 0;
+        let scan = match scan_wal_dir(dir, &keep)? {
+            Some(scan) => scan,
+            None => {
+                create_segment(dir, 1, &[])?;
+                syncs += 1;
+                scan_wal_dir(dir, &keep)?.expect("segment 1 was just written")
+            }
+        };
+        for path in &scan.dropped {
+            std::fs::remove_file(path).map_err(|e| io_err("remove", path, &e))?;
+        }
+        let (last, sealed) = scan.segments.split_last().expect("a scan holds a segment");
+        let file = OpenOptions::new()
+            .append(true)
+            .open(&last.path)
+            .map_err(|e| io_err("open", &last.path, &e))?;
+        if last.torn_bytes > 0 {
+            file.set_len(last.valid_len as u64)
+                .and_then(|()| file.sync_data())
+                .map_err(|e| io_err("truncate", &last.path, &e))?;
+            syncs += 1;
+        }
+        let streams = scan.streams.iter().map(|(id, log)| {
+            let stream = Stream {
+                epoch: log.epoch,
+                base: log.base_processed,
+                next_seq: log.next_seq,
+                unsynced: 0,
+                in_active: last.holds.iter().any(|&(e, _)| e == log.epoch),
+            };
+            (id.clone(), stream)
+        });
+        let holds = scan.segments.iter().flat_map(|s| &s.holds);
+        let writer = Writer {
+            file,
+            segment: last.number,
+            path: last.path.clone(),
+            header_len: last.header_len as u64,
+            segment_len: last.valid_len as u64,
+            synced_len: last.valid_len as u64,
+            frame: Vec::new(),
+            streams: streams.collect(),
+            sealed: sealed.iter().map(|s| (s.number, s.holds.clone())).collect(),
+            epochs: holds
+                .map(|&(e, _)| e)
+                .chain(scan.streams.values().map(|l| l.epoch))
+                .max()
+                .unwrap_or(0),
+            dead: None,
+        };
+        let wal = FleetWal {
+            dir: dir.to_path_buf(),
+            tuning,
+            writer: Mutex::new(writer),
+            syncs: AtomicU64::new(syncs),
+        };
+        Ok((wal, scan))
     }
 
     /// The log's directory.
@@ -289,234 +304,282 @@ impl TenantWal {
         &self.dir
     }
 
-    /// The detector `processed` counter WAL seq 0 corresponds to.
-    pub fn base_processed(&self) -> u64 {
-        self.base_processed
+    /// Sequence number `tenant`'s next record gets (= records ever
+    /// appended to its stream), or `None` when it has no open stream.
+    pub fn position(&self, tenant: &TenantId) -> Option<u64> {
+        self.lock().streams.get(tenant).map(|s| s.next_seq)
     }
 
-    /// Sequence number the next appended record will get (= records ever
-    /// appended to this log).
-    pub fn position(&self) -> u64 {
-        self.lock().next_seq
-    }
-
-    /// Sequence number of the oldest retained record (> 0 after pruning).
-    pub fn oldest_retained(&self) -> u64 {
-        self.lock().segments[0].1
+    /// The detector `processed` counter `tenant`'s seq 0 corresponds to.
+    pub fn base_processed(&self, tenant: &TenantId) -> Option<u64> {
+        self.lock().streams.get(tenant).map(|s| s.base)
     }
 
     /// Live segment files.
     pub fn segment_count(&self) -> usize {
-        self.lock().segments.len()
+        self.lock().sealed.len() + 1
     }
 
-    /// `true` after an injected crash killed this writer.
-    pub fn is_dead(&self) -> bool {
-        self.lock().dead.is_some()
+    /// Every sync issued since the log was opened: policy syncs, segment
+    /// seals and headers, control frames, checkpoint syncs.
+    pub fn syncs(&self) -> u64 {
+        self.syncs.load(Ordering::Relaxed)
     }
 
     fn lock(&self) -> MutexGuard<'_, Writer> {
         self.writer.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Locks the appender. The fleet holds the returned guard across
-    /// append + enqueue so no other producer can interleave.
-    pub(crate) fn appender(&self) -> WalAppender<'_> {
-        WalAppender {
-            wal: self,
-            writer: self.lock(),
+    /// Opens `tenant`'s stream based at `base_if_fresh` (the detector's
+    /// `processed` counter) with a synced attach frame, or resumes the
+    /// stream open under the id (restore paths, an unclaimed stream).
+    /// Returns the stream's base.
+    pub(crate) fn attach(&self, tenant: &TenantId, base_if_fresh: u64) -> Result<u64> {
+        let mut guard = self.lock();
+        let w = &mut *guard;
+        if let Some(s) = w.streams.get(tenant) {
+            return Ok(s.base);
         }
+        w.alive()?;
+        let anchor = StreamAnchor {
+            tenant: tenant.clone(),
+            base_processed: base_if_fresh,
+            first_seq: 0,
+        };
+        w.frame.clear();
+        encode_attach(&anchor, &mut w.frame);
+        self.write_control(w, tenant)?;
+        // The frame is in the file: the stream opens even if the sync
+        // fails, so a retried attach resumes it instead of writing a second
+        // attach the scan would reject.
+        w.epochs += 1;
+        let stream = Stream {
+            epoch: w.epochs,
+            base: base_if_fresh,
+            next_seq: 0,
+            unsynced: 0,
+            in_active: false,
+        };
+        w.streams.insert(tenant.clone(), stream);
+        self.sync_locked(w)?;
+        Ok(base_if_fresh)
     }
 
-    /// Deletes sealed segments every record of which lies strictly below
-    /// `watermark` (a segment is deletable when the *next* segment starts
-    /// at or below the watermark). The active segment is never deleted.
-    /// Returns the number of segments removed; a dead writer prunes
-    /// nothing.
-    pub(crate) fn prune_to(&self, watermark: u64) -> Result<usize> {
+    /// Closes `tenant`'s stream with a synced evict frame: a later
+    /// registration under the id starts a fresh stream, the closed one's
+    /// records stop holding their segments, and appends for the tenant
+    /// fail with [`SpotError::UnknownTenant`].
+    pub(crate) fn evict(&self, tenant: &TenantId) -> Result<()> {
+        let mut guard = self.lock();
+        let w = &mut *guard;
+        if !w.streams.contains_key(tenant) {
+            return Ok(());
+        }
+        w.alive()?;
+        w.frame.clear();
+        encode_evict(tenant, &mut w.frame);
+        self.write_control(w, tenant)?;
+        // As in `attach`: the written frame closed the stream, synced or not.
+        w.streams.remove(tenant);
+        self.sync_locked(w)
+    }
+
+    /// Writes the control frame in `w.frame`, rotating first when due. The
+    /// caller updates the stream map to match before syncing.
+    fn write_control(&self, w: &mut Writer, tenant: &TenantId) -> Result<()> {
+        self.rotate_if_due(w, tenant, None)?;
+        write_frame(w)
+    }
+
+    /// Appends one record to `tenant`'s stream (rotating first when due),
+    /// applies the fsync policy, and returns the record's sequence number.
+    /// The caller holds the tenant's admission lock. An injected crash
+    /// from `faults` damages the file as a real crash would, kills the
+    /// writer and returns [`SpotError::Io`]: the caller must *not* enqueue
+    /// the point.
+    pub(crate) fn append(
+        &self,
+        tenant: &TenantId,
+        point: &DataPoint,
+        faults: Option<&FaultInjector>,
+    ) -> Result<u64> {
+        let mut guard = self.lock();
+        let w = &mut *guard;
+        w.alive()?;
+        let Some(seq) = w.streams.get(tenant).map(|s| s.next_seq) else {
+            return Err(SpotError::UnknownTenant(tenant.to_string()));
+        };
+        w.frame.clear();
+        encode_record(tenant, seq, point, &mut w.frame);
+        self.rotate_if_due(w, tenant, faults)?;
+        if let Some(fault) = faults.and_then(|f| f.take_wal_fault(tenant, seq)) {
+            return Err(crash(w, fault, format!("{tenant} seq {seq}")));
+        }
+        write_frame(w)?;
+        let s = w.streams.get_mut(tenant).expect("stream checked above");
+        s.next_seq += 1;
+        s.in_active = true;
+        let due = match self.tuning.fsync {
+            FsyncPolicy::EveryRecord => true,
+            FsyncPolicy::EveryN(n) => {
+                s.unsynced += 1;
+                s.unsynced >= n.max(1)
+            }
+            FsyncPolicy::OnRotate => false,
+        };
+        if due {
+            self.sync_locked(w)?;
+        }
+        Ok(seq)
+    }
+
+    /// Forces everything appended so far onto stable storage (a no-op when
+    /// nothing is pending, or on a dead writer).
+    pub(crate) fn sync(&self) -> Result<()> {
         let mut w = self.lock();
+        if w.dead.is_some() || w.synced_len == w.segment_len {
+            return Ok(());
+        }
+        self.sync_locked(&mut w)
+    }
+
+    fn sync_locked(&self, w: &mut Writer) -> Result<()> {
+        w.file
+            .sync_data()
+            .map_err(|e| io_err("sync", &w.path, &e))?;
+        w.synced_len = w.segment_len;
+        w.streams.values_mut().for_each(|s| s.unsynced = 0);
+        self.syncs.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Seals the active segment (sync) and opens the next, its header
+    /// anchoring every open stream, when the frame in `w.frame` would push
+    /// a non-empty segment past the threshold — so a frame never splits
+    /// across segments. An injected rotation crash leaves the next
+    /// segment's header half-written, the residue recovery drops. The
+    /// writer's state changes only once the next segment is on disk: after
+    /// a failed rotation the active segment stays active, and unlisted.
+    fn rotate_if_due(
+        &self,
+        w: &mut Writer,
+        tenant: &TenantId,
+        faults: Option<&FaultInjector>,
+    ) -> Result<()> {
+        let fits = w.segment_len + w.frame.len() as u64 <= self.tuning.segment_bytes();
+        if fits || w.segment_len == w.header_len {
+            return Ok(());
+        }
+        self.sync_locked(w)?;
+        let next = w.segment + 1;
+        if faults.is_some_and(|f| f.take_rotation_crash(tenant)) {
+            let path = self.dir.join(segment_file_name(next));
+            std::fs::write(&path, &WAL_MAGIC[..4]).map_err(|e| io_err("write", &path, &e))?;
+            return Err(die(
+                w,
+                format!("injected crash mid-rotation to segment {next}"),
+            ));
+        }
+        let mut table: Vec<StreamAnchor> = w
+            .streams
+            .iter()
+            .map(|(id, s)| StreamAnchor {
+                tenant: id.clone(),
+                base_processed: s.base,
+                first_seq: s.next_seq,
+            })
+            .collect();
+        table.sort_by(|a, b| a.tenant.cmp(&b.tenant));
+        let (file, path, header_len) = create_segment(&self.dir, next, &table)?;
+        self.syncs.fetch_add(1, Ordering::Relaxed);
+        let holds = w.streams.values_mut();
+        let holds =
+            holds.filter_map(|s| std::mem::take(&mut s.in_active).then_some((s.epoch, s.next_seq)));
+        w.sealed.push((w.segment, holds.collect()));
+        (w.file, w.segment, w.path) = (file, next, path);
+        (w.header_len, w.segment_len, w.synced_len) = (header_len, header_len, header_len);
+        Ok(())
+    }
+
+    /// Deletes every sealed segment whose records all lie behind their
+    /// stream's watermark: `watermarks` lists `(tenant, seq)`, the
+    /// tenant's records below `seq` being covered by a checkpoint. Records
+    /// of a closed stream (evicted, or an earlier stream under the id)
+    /// count as behind; an open stream without a watermark — unclaimed, or
+    /// skipped by the capture — pins every segment holding its records.
+    /// The active segment is never deleted; a dead writer deletes nothing.
+    /// Returns the number of segments removed.
+    pub(crate) fn prune(&self, watermarks: &[(TenantId, u64)]) -> Result<usize> {
+        let mut guard = self.lock();
+        let w = &mut *guard;
         if w.dead.is_some() {
             return Ok(0);
         }
+        let marks: HashMap<&TenantId, u64> = watermarks.iter().map(|(t, m)| (t, *m)).collect();
+        let open: HashMap<u64, Option<u64>> = w
+            .streams
+            .iter()
+            .map(|(id, s)| (s.epoch, marks.get(id).copied()))
+            .collect();
+        let behind = |holds: &[(u64, u64)]| {
+            holds.iter().all(|(epoch, end)| match open.get(epoch) {
+                None => true,
+                Some(mark) => mark.is_some_and(|m| *end <= m),
+            })
+        };
         let mut deleted = 0;
-        while w.segments.len() >= 2 && w.segments[1].1 <= watermark {
-            let path = self.dir.join(segment_file_name(w.segments[0].0));
+        while let Some(i) = w.sealed.iter().position(|(_, holds)| behind(holds)) {
+            let path = self.dir.join(segment_file_name(w.sealed[i].0));
             std::fs::remove_file(&path).map_err(|e| io_err("remove", &path, &e))?;
-            w.segments.remove(0);
+            w.sealed.remove(i);
             deleted += 1;
         }
         Ok(deleted)
     }
 
-    /// Marks the writer dead (an injected crash outside the append path,
-    /// e.g. crash-between-checkpoint-and-prune).
+    /// Kills the writer (an injected crash outside the append path, e.g.
+    /// between a checkpoint and its prune).
     pub(crate) fn kill(&self, reason: &str) {
         let mut w = self.lock();
-        if w.dead.is_none() {
-            w.dead = Some(reason.to_string());
-        }
+        w.dead.get_or_insert_with(|| reason.to_string());
     }
 }
 
-/// The locked appender: while a fleet ingestion path holds one, no other
-/// producer can append to (or reorder against) this tenant's log.
-pub(crate) struct WalAppender<'a> {
-    wal: &'a TenantWal,
-    writer: MutexGuard<'a, Writer>,
-}
-
-impl WalAppender<'_> {
-    /// Sequence number the next append gets.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn next_seq(&self) -> u64 {
-        self.writer.next_seq
-    }
-
-    /// Appends one record (rotating first when due), applies the fsync
-    /// policy, and returns the record's sequence number. `faults`
-    /// supplies the armed crash plan, if any; an injected crash damages
-    /// the file exactly as a real crash would, marks the writer dead and
-    /// returns [`SpotError::Io`] — the caller must *not* enqueue the
-    /// point (a real crash would have taken the process down before the
-    /// enqueue).
-    pub(crate) fn append(
-        &mut self,
-        tenant: &TenantId,
-        point: &DataPoint,
-        faults: Option<&FaultInjector>,
-    ) -> Result<u64> {
-        let wal = self.wal;
-        let w = &mut *self.writer;
-        if let Some(reason) = &w.dead {
-            return Err(SpotError::Io(format!(
-                "wal writer for tenant {tenant} is dead: {reason}"
-            )));
-        }
-        let seq = w.next_seq;
-        w.frame.clear();
-        let frame_len = encode_record(seq, point, &mut w.frame);
-        // Rotate *before* the append so a frame never splits across
-        // segments; a segment always keeps at least one record however
-        // small the threshold.
-        if w.segment_len > WAL_HEADER_LEN as u64
-            && w.segment_len + frame_len as u64 > wal.tuning.segment_bytes()
-        {
-            rotate(wal, w, tenant, faults)?;
-        }
-        let (frame, path) = (&w.frame[..], &w.path);
-        match faults.and_then(|f| f.take_wal_fault(tenant, seq)) {
-            Some(WalFault::TornWrite { keep_bytes }) => {
-                // The crash lands mid-`write`: only a prefix of the frame
-                // reaches the file.
-                let keep = keep_bytes.min(frame.len());
-                w.file
-                    .write_all(&frame[..keep])
-                    .map_err(|e| io_err("write", path, &e))?;
-                let _ = w.file.sync_data();
-                Err(die(w, tenant, format!("injected torn write at seq {seq}")))
-            }
-            Some(WalFault::FailFsync) => {
-                // The sync fails and the process goes down with it:
-                // everything since the last successful sync was only in
-                // the page cache and is lost.
-                w.file
-                    .write_all(frame)
-                    .map_err(|e| io_err("write", path, &e))?;
-                w.file
-                    .set_len(w.synced_len)
-                    .map_err(|e| io_err("truncate", path, &e))?;
-                let _ = w.file.sync_data();
-                Err(die(
-                    w,
-                    tenant,
-                    format!("injected fsync failure at seq {seq}"),
-                ))
-            }
-            Some(WalFault::KillAfterAppend) => {
-                // The record makes it to stable storage; the process dies
-                // before acknowledging (recovery must replay it).
-                w.file
-                    .write_all(frame)
-                    .map_err(|e| io_err("write", path, &e))?;
-                w.file.sync_data().map_err(|e| io_err("sync", path, &e))?;
-                w.segment_len += frame.len() as u64;
-                w.synced_len = w.segment_len;
-                w.next_seq += 1;
-                Err(die(
-                    w,
-                    tenant,
-                    format!("injected kill after appending seq {seq}"),
-                ))
-            }
-            None => {
-                w.file
-                    .write_all(frame)
-                    .map_err(|e| io_err("write", path, &e))?;
-                w.segment_len += frame.len() as u64;
-                w.next_seq += 1;
-                w.unsynced_records += 1;
-                let due = match wal.tuning.fsync {
-                    FsyncPolicy::EveryRecord => true,
-                    FsyncPolicy::EveryN(n) => w.unsynced_records >= n.max(1),
-                    FsyncPolicy::OnRotate => false,
-                };
-                if due {
-                    w.file.sync_data().map_err(|e| io_err("sync", path, &e))?;
-                    w.synced_len = w.segment_len;
-                    w.unsynced_records = 0;
-                }
-                Ok(seq)
-            }
-        }
-    }
-}
-
-/// Marks the writer dead and builds the error the simulated crash
-/// surfaces.
-fn die(w: &mut Writer, tenant: &TenantId, reason: String) -> SpotError {
-    w.dead = Some(reason.clone());
-    SpotError::Io(format!("injected crash ({reason}) for tenant {tenant}"))
-}
-
-/// Seals the active segment (sync) and opens the next one. An injected
-/// rotation crash leaves the next segment's header half-written — the
-/// residue [`spot_stream::wal::scan_wal_dir`] drops on recovery.
-fn rotate(
-    wal: &TenantWal,
-    w: &mut Writer,
-    tenant: &TenantId,
-    faults: Option<&FaultInjector>,
-) -> Result<()> {
+fn write_frame(w: &mut Writer) -> Result<()> {
     w.file
-        .sync_data()
-        .map_err(|e| io_err("sync", &w.path, &e))?;
-    w.synced_len = w.segment_len;
-    w.unsynced_records = 0;
-    let next = w.segment + 1;
-    let path = wal.dir.join(segment_file_name(next));
-    if faults.is_some_and(|f| f.take_rotation_crash(tenant)) {
-        std::fs::write(&path, &WAL_MAGIC[..4]).map_err(|e| io_err("write", &path, &e))?;
-        return Err(die(
-            w,
-            tenant,
-            format!("injected crash mid-rotation to segment {next}"),
-        ));
-    }
-    let mut file = File::create(&path).map_err(|e| io_err("create", &path, &e))?;
-    let header = encode_segment_header(SegmentHeader {
-        base_processed: wal.base_processed,
-        first_seq: w.next_seq,
-    });
-    file.write_all(&header)
-        .map_err(|e| io_err("write", &path, &e))?;
-    file.sync_data().map_err(|e| io_err("sync", &path, &e))?;
-    w.file = file;
-    w.segment = next;
-    w.path = path;
-    w.segment_len = WAL_HEADER_LEN as u64;
-    w.synced_len = WAL_HEADER_LEN as u64;
-    w.segments.push((next, w.next_seq));
+        .write_all(&w.frame)
+        .map_err(|e| io_err("write", &w.path, &e))?;
+    w.segment_len += w.frame.len() as u64;
     Ok(())
+}
+
+/// Damages the file as a crash during this append would, and kills the
+/// writer. The write and sync results are moot: the process is "dead".
+fn crash(w: &mut Writer, fault: WalFault, at: String) -> SpotError {
+    let (frame, synced) = (&w.frame[..], w.synced_len);
+    let _ = match fault {
+        // The crash lands mid-`write`: a prefix of the frame reaches the file.
+        WalFault::TornWrite { keep_bytes } => {
+            w.file.write_all(&frame[..keep_bytes.min(frame.len())])
+        }
+        // The sync fails and the process goes down with it: everything since
+        // the last successful sync — any tenant's — never reaches the disk.
+        WalFault::FailFsync => w
+            .file
+            .write_all(frame)
+            .and_then(|()| w.file.set_len(synced)),
+        // The record reaches stable storage; the process dies before the
+        // point is acknowledged, so recovery must replay it.
+        WalFault::KillAfterAppend => w.file.write_all(frame),
+    }
+    .and_then(|()| w.file.sync_data());
+    die(w, format!("injected {fault:?} at {at}"))
+}
+
+/// Kills the writer and builds the error the simulated crash surfaces.
+fn die(w: &mut Writer, reason: String) -> SpotError {
+    w.dead = Some(reason.clone());
+    SpotError::Io(format!("injected crash: {reason}"))
 }
 
 #[cfg(test)]
@@ -538,6 +601,10 @@ mod tests {
         DataPoint::new(vec![v, 1.0 - v])
     }
 
+    fn open(dir: &Path, tuning: WalTuning) -> FleetWal {
+        FleetWal::open(dir, tuning, |_| false).unwrap().0
+    }
+
     #[test]
     fn append_resume_roundtrip_preserves_every_record() {
         let dir = temp_dir("resume");
@@ -545,82 +612,194 @@ mod tests {
             fsync: FsyncPolicy::EveryRecord,
             ..WalTuning::default()
         };
-        let t = tid("a");
+        let (a, b) = (tid("a"), tid("b"));
         {
-            let wal = TenantWal::open(dir.clone(), 7, tuning).unwrap();
-            let mut ap = wal.appender();
+            let wal = open(&dir, tuning);
+            assert_eq!(wal.attach(&a, 7).unwrap(), 7);
+            assert_eq!(wal.attach(&b, 0).unwrap(), 0);
             for i in 0..5 {
-                assert_eq!(ap.append(&t, &pt(i as f64 * 0.1), None).unwrap(), i);
+                assert_eq!(wal.append(&a, &pt(i as f64 * 0.1), None).unwrap(), i);
+                assert_eq!(wal.append(&b, &pt(0.5), None).unwrap(), i);
             }
         }
-        // Reopen: positions and base survive, appends continue the seq.
-        let wal = TenantWal::open(dir.clone(), 999, tuning).unwrap();
-        assert_eq!(wal.base_processed(), 7);
-        assert_eq!(wal.position(), 5);
-        {
-            let mut ap = wal.appender();
-            assert_eq!(ap.next_seq(), 5);
-            ap.append(&t, &pt(0.9), None).unwrap();
-        }
-        let records = read_wal_from(&dir, 0).unwrap();
+        // Reopen: bases and positions survive, a resumed attach keeps the
+        // recorded base, and appends continue each tenant's seq.
+        let wal = open(&dir, tuning);
+        assert_eq!(wal.attach(&a, 999).unwrap(), 7);
+        assert_eq!(
+            (wal.base_processed(&a), wal.position(&a)),
+            (Some(7), Some(5))
+        );
+        assert_eq!(wal.append(&a, &pt(0.9), None).unwrap(), 5);
+        let records = read_wal_from(&dir, &a, 0).unwrap();
         assert_eq!(records.len(), 6);
         assert_eq!(records[5].0, 5);
         assert_eq!(records[5].1.values()[0].to_bits(), 0.9f64.to_bits());
+        assert_eq!(read_wal_from(&dir, &b, 0).unwrap().len(), 5);
+        // An unattached tenant cannot append.
+        assert!(matches!(
+            wal.append(&tid("c"), &pt(0.1), None),
+            Err(SpotError::UnknownTenant(_))
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn rotation_and_prune_respect_watermark() {
         let dir = temp_dir("rotate");
-        // Tiny segments: every record rotates.
+        // Tiny segments: every frame rotates.
         let tuning = WalTuning {
             fsync: FsyncPolicy::OnRotate,
             segment_bytes: 1,
         };
-        let t = tid("a");
-        let wal = TenantWal::open(dir.clone(), 0, tuning).unwrap();
-        {
-            let mut ap = wal.appender();
-            for i in 0..4 {
-                ap.append(&t, &pt(i as f64 * 0.2), None).unwrap();
-            }
+        let (a, b) = (tid("a"), tid("b"));
+        let wal = open(&dir, tuning);
+        wal.attach(&a, 0).unwrap();
+        wal.attach(&b, 0).unwrap();
+        for i in 0..4 {
+            wal.append(&a, &pt(i as f64 * 0.2), None).unwrap();
         }
-        assert_eq!(wal.segment_count(), 4);
-        // Watermark 2: segments holding seqs 0 and 1 are deletable.
-        assert_eq!(wal.prune_to(2).unwrap(), 2);
-        assert_eq!(wal.oldest_retained(), 2);
+        wal.append(&b, &pt(0.5), None).unwrap();
+        // Segments: [attach a] [attach b] [a0] [a1] [a2] [a3] [b0].
+        assert_eq!(wal.segment_count(), 7);
+        // b without a watermark pins nothing it has no records in; a's
+        // watermark 2 frees the segments holding a0 and a1 (and the
+        // record-free ones before them).
+        assert_eq!(wal.prune(&[(a.clone(), 2)]).unwrap(), 4);
         // Replay from the watermark still works; from before it errors.
-        assert_eq!(read_wal_from(&dir, 2).unwrap().len(), 2);
-        assert!(read_wal_from(&dir, 0).is_err());
-        // The active segment is never pruned.
-        assert_eq!(wal.prune_to(u64::MAX).unwrap(), 1);
+        assert_eq!(read_wal_from(&dir, &a, 2).unwrap().len(), 2);
+        assert!(read_wal_from(&dir, &a, 0).is_err());
+        // The active segment is never pruned; b's record stays with it.
+        assert_eq!(
+            wal.prune(&[(a.clone(), u64::MAX), (b.clone(), 0)]).unwrap(),
+            2
+        );
         assert_eq!(wal.segment_count(), 1);
+        assert_eq!(read_wal_from(&dir, &b, 0).unwrap().len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn tenant_dir_names_escape_and_cannot_collide() {
-        assert_eq!(tenant_dir_name(&tid("plain-id_0.9")), "plain-id_0.9");
-        assert_eq!(tenant_dir_name(&tid("a/b")), "a%2Fb");
-        // A literal "%2F" in an id escapes its '%', so it cannot collide
-        // with the escaped form of "a/b".
-        assert_eq!(tenant_dir_name(&tid("a%2Fb")), "a%252Fb");
-        assert_ne!(tenant_dir_name(&tid("a/b")), tenant_dir_name(&tid("a%2Fb")));
     }
 
     #[test]
     fn dead_writer_rejects_appends_and_skips_prune() {
         let dir = temp_dir("dead");
-        let t = tid("a");
-        let wal = TenantWal::open(dir.clone(), 0, WalTuning::default()).unwrap();
-        wal.appender().append(&t, &pt(0.5), None).unwrap();
+        let a = tid("a");
+        let wal = open(&dir, WalTuning::default());
+        wal.attach(&a, 0).unwrap();
+        wal.append(&a, &pt(0.5), None).unwrap();
         wal.kill("test crash");
-        assert!(wal.is_dead());
         assert!(matches!(
-            wal.appender().append(&t, &pt(0.5), None),
+            wal.append(&a, &pt(0.5), None),
             Err(SpotError::Io(_))
         ));
-        assert_eq!(wal.prune_to(u64::MAX).unwrap(), 0);
+        assert!(matches!(wal.attach(&tid("b"), 0), Err(SpotError::Io(_))));
+        assert_eq!(wal.prune(&[(a, u64::MAX)]).unwrap(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_evicted_stream_restarts_fresh_and_frees_its_segments() {
+        let dir = temp_dir("evict");
+        let tuning = WalTuning {
+            fsync: FsyncPolicy::EveryRecord,
+            segment_bytes: 1,
+        };
+        let a = tid("a");
+        let wal = open(&dir, tuning);
+        wal.attach(&a, 3).unwrap();
+        for i in 0..3 {
+            wal.append(&a, &pt(i as f64), None).unwrap();
+        }
+        wal.evict(&a).unwrap();
+        assert!(matches!(
+            wal.append(&a, &pt(0.0), None),
+            Err(SpotError::UnknownTenant(_))
+        ));
+        assert_eq!(wal.attach(&a, 50).unwrap(), 50);
+        assert_eq!(wal.append(&a, &pt(9.0), None).unwrap(), 0);
+        // The first stream's records count as behind without a watermark
+        // of their own; the new stream's (in the active segment) stay.
+        let sealed = wal.segment_count() - 1;
+        assert_eq!(wal.prune(&[]).unwrap(), sealed);
+        drop(wal);
+        let wal = open(&dir, tuning);
+        assert_eq!(
+            (wal.base_processed(&a), wal.position(&a)),
+            (Some(50), Some(1))
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_rotation_neither_lists_nor_prunes_the_active_segment() {
+        let dir = temp_dir("rotfail");
+        let tuning = WalTuning {
+            fsync: FsyncPolicy::EveryRecord,
+            segment_bytes: 1,
+        };
+        let (a, b) = (tid("a"), tid("b"));
+        let wal = open(&dir, tuning);
+        wal.attach(&a, 0).unwrap();
+        wal.attach(&b, 0).unwrap();
+        wal.append(&b, &pt(0.5), None).unwrap();
+        // Segments: [attach a] [attach b] [b0], the last one active. A
+        // directory squatting on the next segment's name makes every
+        // rotation fail.
+        let active = dir.join(segment_file_name(3));
+        let squatter = dir.join(segment_file_name(4));
+        std::fs::create_dir(&squatter).unwrap();
+        for _ in 0..2 {
+            assert!(matches!(
+                wal.append(&a, &pt(0.1), None),
+                Err(SpotError::Io(_))
+            ));
+        }
+        assert_eq!(wal.segment_count(), 3);
+        // Only the two sealed segments go: the active one is not listed,
+        // however often its rotation failed.
+        assert_eq!(wal.prune(&[(a.clone(), u64::MAX)]).unwrap(), 2);
+        assert!(active.exists());
+        // Once rotation works again the segment is sealed once, and b's
+        // record (b has no watermark) pins it.
+        std::fs::remove_dir(&squatter).unwrap();
+        assert_eq!(wal.append(&a, &pt(0.1), None).unwrap(), 0);
+        assert_eq!(wal.prune(&[(a.clone(), u64::MAX)]).unwrap(), 0);
+        assert!(active.exists());
+        drop(wal);
+        assert_eq!(read_wal_from(&dir, &a, 0).unwrap().len(), 1);
+        assert_eq!(read_wal_from(&dir, &b, 0).unwrap().len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_control_frame_whose_sync_fails_is_never_written_twice() {
+        use std::io::Read;
+        use std::os::fd::OwnedFd;
+        let dir = temp_dir("ctlsync");
+        let wal = open(&dir, WalTuning::default());
+        // A pipe takes writes but refuses `fdatasync`: every control frame
+        // reaches it and every sync after one fails.
+        let (mut reader, writer) = std::io::pipe().unwrap();
+        let log = std::mem::replace(&mut wal.lock().file, File::from(OwnedFd::from(writer)));
+        let c = tid("c");
+        assert!(matches!(wal.attach(&c, 4), Err(SpotError::Io(_))));
+        // The attach frame was written, so the stream is open: a retry
+        // resumes it instead of writing a second attach.
+        assert_eq!(wal.attach(&c, 9).unwrap(), 4);
+        assert!(matches!(wal.evict(&c), Err(SpotError::Io(_))));
+        wal.evict(&c).unwrap();
+        assert_eq!(wal.position(&c), None);
+        drop(std::mem::replace(&mut wal.lock().file, log));
+        let mut written = Vec::new();
+        reader.read_to_end(&mut written).unwrap();
+        let mut expected = Vec::new();
+        let anchor = StreamAnchor {
+            tenant: c.clone(),
+            base_processed: 4,
+            first_seq: 0,
+        };
+        encode_attach(&anchor, &mut expected);
+        encode_evict(&c, &mut expected);
+        assert_eq!(written, expected);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -163,6 +163,7 @@ fn stats(state: &AppState, draining: bool) -> Response {
                     ("panics", Value::U64(fs.panics)),
                     ("recoveries", Value::U64(fs.recoveries)),
                     ("wal_prune_failures", Value::U64(fs.wal_prune_failures)),
+                    ("wal_syncs", Value::U64(fs.wal_syncs)),
                     ("approx_bytes", Value::U64(fp.approx_bytes as u64)),
                 ]),
             ),

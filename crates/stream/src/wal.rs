@@ -1,282 +1,305 @@
-//! Write-ahead-log segment format and replay reader.
-//!
-//! The ingestion WAL (written by `spot-runtime`, see `docs/persistence.md`
-//! § "The ingestion WAL") is a per-tenant sequence of **segment files**,
-//! each a fixed header followed by checksummed, length-prefixed binary
-//! record frames. This module owns the byte-level format — encoding,
-//! decoding, torn-tail detection — and the offline replay reader
-//! ([`WalSource`], a [`crate::PointStream`] over a tenant's log). The
-//! *writer* (rotation, fsync policy, pruning) lives in `spot-runtime`,
-//! next to the fleet it protects; both sides share this codec so a log is
-//! readable with no runtime in sight.
-//!
-//! # On-disk layout
+//! Write-ahead-log segment format and replay reader: the byte format of
+//! the fleet's one ingestion log (`docs/persistence.md` § "The ingestion
+//! WAL") and [`WalSource`], a [`crate::PointStream`] over one tenant's
+//! records. The writer lives in `spot-runtime`.
 //!
 //! ```text
-//! <tenant-dir>/wal-00000001.seg
-//! <tenant-dir>/wal-00000002.seg        (highest number = active segment)
+//! <root>/wal-<number:08>.seg            (highest number = active segment)
 //!
-//! segment   := header record*
-//! header    := magic[8]="SPOTWAL1" version:u32 base_processed:u64 first_seq:u64
-//! record    := len:u32 payload[len] checksum:u64      (FNV-1a 64 of payload)
-//! payload   := seq:u64 dims:u32 value_bits:u64 × dims (IEEE-754 bit lanes)
+//! segment := magic[8]="SPOTWAL2" version:u32 frame(table) frame*
+//! frame   := len:u32 payload[len] checksum:u64   (binary::checksum64 of payload)
+//! payload := kind:u8 body
+//!   point  (0) := tenant seq:u64 dims:u32 value_bits:u64 × dims
+//!   attach (1) := anchor              evict (2) := tenant
+//!   table  (3) := count:u32 anchor × count
+//! anchor  := tenant base_processed:u64 first_seq:u64
+//! tenant  := id_len:u16 id[id_len]                  (UTF-8)
 //! ```
 //!
-//! All scalars are little-endian lanes ([`spot_types::persist::lanes`]);
-//! float attributes are raw bit patterns, so replay is bit-exact for every
-//! value including `±0.0`, subnormals and the infinities clamped stream
-//! values may carry.
+//! Floats travel as IEEE-754 bit patterns, so replay is bit-exact. A
+//! tenant's *stream* runs from the attach that opens it to the evict that
+//! closes it; its seq `n` is the detector's point `base_processed + n`.
+//! Each segment's table re-anchors the open streams, so a segment stays
+//! readable once older ones are pruned.
 //!
-//! # Torn tails vs corruption
-//!
-//! A crash can stop the writer mid-frame. Recovery distinguishes two
-//! situations:
-//!
-//! * **Torn tail** — the *final* segment ends inside a frame (incomplete
-//!   length prefix, or a frame extending past EOF), its final frame fails
-//!   its checksum, or the segment is shorter than its header (a crash
-//!   during rotation). These are the expected residue of a kill at an
-//!   arbitrary byte; the scan silently truncates to the last whole valid
-//!   record. Un-acknowledged bytes are dropped; everything before them
-//!   replays.
-//! * **Corruption** — damage that cannot be a crash artifact: an invalid
-//!   frame in a *sealed* (non-final) segment, a checksum-valid record
-//!   whose payload does not decode, or a sequence-number discontinuity.
-//!   These yield [`SpotError::WalCorrupt`]; they are never repaired
-//!   silently, because records after the damage may have been
-//!   acknowledged.
+//! In the *final* segment an incomplete or checksum-failing frame, or a
+//! header cut short by a crash mid-rotation, is crash residue and is
+//! truncated away. The same damage in a sealed segment, a checksum-valid
+//! frame that does not decode, a sequence gap, or a table that contradicts
+//! the segment before it is [`SpotError::WalCorrupt`] — never repaired
+//! silently, as records after it may have been acknowledged.
 
-use spot_types::persist::{fnv1a64, lanes};
-use spot_types::{DataPoint, Result, SpotError, StreamRecord};
+use spot_types::persist::{binary::checksum64, lanes};
+use spot_types::{DataPoint, Result, SpotError, StreamRecord, TenantId};
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every WAL segment file.
-pub const WAL_MAGIC: [u8; 8] = *b"SPOTWAL1";
+pub const WAL_MAGIC: [u8; 8] = *b"SPOTWAL2";
 
 /// WAL segment format version.
-pub const WAL_SEGMENT_VERSION: u32 = 1;
+pub const WAL_SEGMENT_VERSION: u32 = 2;
 
-/// Byte length of a segment header (magic + version + base + first_seq).
-pub const WAL_HEADER_LEN: usize = 8 + 4 + 8 + 8;
+/// Byte length of a segment's fixed prefix (magic + version).
+pub const WAL_PREFIX_LEN: usize = 8 + 4;
 
-/// Hard upper bound on one record's payload length. A length prefix above
-/// this is structurally impossible (it would imply a ≥ 87M-dimension
-/// point) and is treated as a torn/corrupt frame instead of an allocation
-/// request.
+/// Upper bound on one frame's payload: a longer length prefix is torn
+/// garbage, never an allocation request.
 pub const MAX_WAL_RECORD: u32 = 1 << 26;
 
-/// File-name prefix of a segment (`wal-<number:08>.seg`).
-pub const SEGMENT_PREFIX: &str = "wal-";
+const KIND_POINT: u8 = 0;
+const KIND_ATTACH: u8 = 1;
+const KIND_EVICT: u8 = 2;
+const KIND_TABLE: u8 = 3;
 
-/// File-name suffix of a segment.
-pub const SEGMENT_SUFFIX: &str = ".seg";
-
-/// Builds the file name of segment `number`.
+/// Builds the file name of segment `number` (`wal-<number:08>.seg`).
 pub fn segment_file_name(number: u64) -> String {
-    format!("{SEGMENT_PREFIX}{number:08}{SEGMENT_SUFFIX}")
+    format!("wal-{number:08}.seg")
 }
 
 /// Parses a segment file name back into its number.
 pub fn parse_segment_file_name(name: &str) -> Option<u64> {
-    name.strip_prefix(SEGMENT_PREFIX)?
-        .strip_suffix(SEGMENT_SUFFIX)?
+    name.strip_prefix("wal-")?
+        .strip_suffix(".seg")?
         .parse()
         .ok()
 }
 
-/// A decoded segment header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SegmentHeader {
-    /// The tenant detector's `processed` counter at the instant the WAL
-    /// was attached — the stream position record seq 0 maps to. Constant
-    /// across all segments of one log.
+/// Where one tenant's stream stands: a segment table entry or an attach
+/// frame.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StreamAnchor {
+    /// The tenant the stream belongs to.
+    pub tenant: TenantId,
+    /// The detector's `processed` counter when the stream was attached —
+    /// the position record seq 0 maps to.
     pub base_processed: u64,
-    /// Sequence number of the first record this segment holds.
+    /// Sequence number of the stream's next record at this point.
     pub first_seq: u64,
 }
 
-/// Encodes a segment header into its fixed-width byte form.
-pub fn encode_segment_header(h: SegmentHeader) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(WAL_HEADER_LEN);
-    buf.extend_from_slice(&WAL_MAGIC);
-    lanes::put_u32(&mut buf, WAL_SEGMENT_VERSION);
-    lanes::put_u64(&mut buf, h.base_processed);
-    lanes::put_u64(&mut buf, h.first_seq);
-    buf
-}
-
-/// Decodes a segment header. `None` means the bytes cannot be a complete
-/// valid header (too short, wrong magic, unknown version) — for a final
-/// segment that is a torn rotation, for a sealed one it is corruption;
-/// the caller knows which.
-pub fn decode_segment_header(bytes: &[u8]) -> Option<SegmentHeader> {
-    if bytes.len() < WAL_HEADER_LEN || bytes[..8] != WAL_MAGIC {
-        return None;
-    }
-    if lanes::get_u32(bytes, 8)? != WAL_SEGMENT_VERSION {
-        return None;
-    }
-    Some(SegmentHeader {
-        base_processed: lanes::get_u64(bytes, 12)?,
-        first_seq: lanes::get_u64(bytes, 20)?,
-    })
-}
-
-/// Appends one record frame (`len + payload + checksum`) for `(seq,
-/// point)` to `buf` and returns the frame's byte length.
-pub fn encode_record(seq: u64, point: &DataPoint, buf: &mut Vec<u8>) -> usize {
-    let payload_len = 8 + 4 + 8 * point.dims();
+/// Appends one frame of `kind` whose body `body` writes; returns the
+/// frame's byte length.
+fn put_frame(buf: &mut Vec<u8>, kind: u8, body: impl FnOnce(&mut Vec<u8>)) -> usize {
     let start = buf.len();
-    lanes::put_u32(buf, payload_len as u32);
-    lanes::put_u64(buf, seq);
-    lanes::put_u32(buf, point.dims() as u32);
-    for &v in point.values() {
-        lanes::put_f64_bits(buf, v);
-    }
-    let checksum = fnv1a64(&buf[start + 4..start + 4 + payload_len]);
+    lanes::put_u32(buf, 0);
+    buf.push(kind);
+    body(buf);
+    let len = (buf.len() - start - 4) as u32;
+    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    let checksum = checksum64(&buf[start + 4..]);
     lanes::put_u64(buf, checksum);
     buf.len() - start
 }
 
-/// Byte length of the frame [`encode_record`] produces for a
-/// `dims`-dimensional point.
-pub fn record_frame_len(dims: usize) -> usize {
-    4 + (8 + 4 + 8 * dims) + 8
+fn put_tenant(buf: &mut Vec<u8>, tenant: &TenantId) {
+    let id = tenant.as_str().as_bytes();
+    buf.extend_from_slice(&(id.len() as u16).to_le_bytes());
+    buf.extend_from_slice(id);
 }
 
-/// Result of scanning one segment's bytes.
-#[derive(Debug, Clone)]
-pub struct SegmentScan {
-    /// The decoded header.
-    pub header: SegmentHeader,
-    /// Every whole valid record, in order.
-    pub records: Vec<(u64, DataPoint)>,
-    /// Byte offset one past the last valid record (the truncation point a
-    /// writer resuming on this segment must cut back to).
-    pub valid_len: usize,
-    /// Bytes after `valid_len` dropped as a torn tail (0 for a clean
-    /// segment).
-    pub torn_bytes: usize,
+fn put_anchor(buf: &mut Vec<u8>, anchor: &StreamAnchor) {
+    put_tenant(buf, &anchor.tenant);
+    lanes::put_u64(buf, anchor.base_processed);
+    lanes::put_u64(buf, anchor.first_seq);
 }
 
-/// Why a frame could not be read at some offset.
+/// Encodes a segment header: the fixed prefix, then the table of every
+/// stream open when the segment begins.
+pub fn encode_segment_header(table: &[StreamAnchor]) -> Vec<u8> {
+    let mut buf = WAL_MAGIC.to_vec();
+    lanes::put_u32(&mut buf, WAL_SEGMENT_VERSION);
+    put_frame(&mut buf, KIND_TABLE, |b| {
+        lanes::put_u32(b, table.len() as u32);
+        table.iter().for_each(|a| put_anchor(b, a));
+    });
+    buf
+}
+
+/// Appends the frame of `tenant`'s record `seq` to `buf`; returns its
+/// byte length.
+pub fn encode_record(tenant: &TenantId, seq: u64, point: &DataPoint, buf: &mut Vec<u8>) -> usize {
+    put_frame(buf, KIND_POINT, |b| {
+        put_tenant(b, tenant);
+        lanes::put_u64(b, seq);
+        lanes::put_u32(b, point.dims() as u32);
+        point
+            .values()
+            .iter()
+            .for_each(|&v| lanes::put_f64_bits(b, v));
+    })
+}
+
+/// Appends the control frame that opens `anchor`'s stream.
+pub fn encode_attach(anchor: &StreamAnchor, buf: &mut Vec<u8>) -> usize {
+    put_frame(buf, KIND_ATTACH, |b| put_anchor(b, anchor))
+}
+
+/// Appends the control frame that closes `tenant`'s stream (eviction).
+pub fn encode_evict(tenant: &TenantId, buf: &mut Vec<u8>) -> usize {
+    put_frame(buf, KIND_EVICT, |b| put_tenant(b, tenant))
+}
+
+/// One decoded frame; a point borrows the segment bytes.
+enum Frame<'a> {
+    Point {
+        tenant: &'a str,
+        seq: u64,
+        values: &'a [u8],
+    },
+    Attach(StreamAnchor),
+    Evict(&'a str),
+    Table(Vec<StreamAnchor>),
+}
+
+/// A read cursor over a checksum-verified payload.
+struct Cursor<'a>(&'a [u8]);
+
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, rest) = self.0.split_at_checked(n)?;
+        self.0 = rest;
+        Some(head)
+    }
+
+    /// An `N`-byte little-endian unsigned integer.
+    fn int<const N: usize>(&mut self) -> Option<u64> {
+        let mut word = [0u8; 8];
+        word[..N].copy_from_slice(self.take(N)?);
+        Some(u64::from_le_bytes(word))
+    }
+
+    fn tenant(&mut self) -> Option<&'a str> {
+        let len = self.int::<2>()? as usize;
+        std::str::from_utf8(self.take(len)?).ok()
+    }
+
+    fn anchor(&mut self) -> Option<StreamAnchor> {
+        Some(StreamAnchor {
+            tenant: TenantId::new(self.tenant()?).ok()?,
+            base_processed: self.int::<8>()?,
+            first_seq: self.int::<8>()?,
+        })
+    }
+}
+
+fn parse_payload(payload: &[u8]) -> Option<Frame<'_>> {
+    let (&kind, body) = payload.split_first()?;
+    let mut c = Cursor(body);
+    let frame = match kind {
+        KIND_POINT => {
+            let tenant = c.tenant()?;
+            let seq = c.int::<8>()?;
+            let dims = c.int::<4>()? as usize;
+            let values = c.take(dims.checked_mul(8)?)?;
+            Frame::Point {
+                tenant,
+                seq,
+                values,
+            }
+        }
+        KIND_ATTACH => Frame::Attach(c.anchor()?),
+        KIND_EVICT => Frame::Evict(c.tenant()?),
+        KIND_TABLE => Frame::Table(
+            (0..c.int::<4>()?)
+                .map(|_| c.anchor())
+                .collect::<Option<_>>()?,
+        ),
+        _ => return None,
+    };
+    c.0.is_empty().then_some(frame)
+}
+
+/// Why a frame could not be read.
 enum FrameStop {
-    /// The segment ends inside the frame (length prefix or body
-    /// incomplete) or the final frame's checksum fails — a crash artifact
-    /// if this is the last readable data, corruption otherwise.
+    /// Incomplete or checksum-failing: a crash artifact if it is the last
+    /// readable data, corruption otherwise.
     Torn(String),
-    /// The frame is structurally impossible even though its bytes are all
-    /// present (undecodable payload under a valid checksum, seq gap).
+    /// All bytes present and checksum-valid, yet impossible.
     Corrupt(String),
 }
 
-/// Scans one segment. `is_final` selects the torn-tail policy: in the
-/// final (active) segment an incomplete or checksum-failing trailing
-/// frame is silently truncated; in a sealed segment any damage is
-/// [`SpotError::WalCorrupt`]. `expect_first_seq` (when `Some`) pins the
-/// header's `first_seq` — a gap between segments is corruption.
-pub fn scan_segment(
-    bytes: &[u8],
-    is_final: bool,
-    expect_first_seq: Option<u64>,
-) -> Result<SegmentScan> {
-    let Some(header) = decode_segment_header(bytes) else {
-        return Err(SpotError::WalCorrupt(
-            "segment header missing, wrong magic, or unknown version".to_string(),
-        ));
+/// Reads the frame at `at`, returning it with its byte length.
+fn read_frame(bytes: &[u8], at: usize) -> std::result::Result<(Frame<'_>, usize), FrameStop> {
+    let torn = |why: &str| Err(FrameStop::Torn(why.to_string()));
+    let Some(len) = lanes::get_u32(bytes, at).map(|n| n as usize) else {
+        return torn("incomplete length prefix");
     };
-    if let Some(want) = expect_first_seq {
-        if header.first_seq != want {
-            return Err(SpotError::WalCorrupt(format!(
-                "segment first_seq {} does not continue the log (expected {want})",
-                header.first_seq
-            )));
-        }
+    if len == 0 || len > MAX_WAL_RECORD as usize {
+        return torn("implausible frame length");
     }
-    let mut records = Vec::new();
-    let mut at = WAL_HEADER_LEN;
-    let mut next_seq = header.first_seq;
-    loop {
-        if at == bytes.len() {
-            return Ok(SegmentScan {
-                header,
-                records,
-                valid_len: at,
-                torn_bytes: 0,
-            });
-        }
-        match read_frame(bytes, at, next_seq) {
-            Ok((record, frame_len)) => {
-                records.push(record);
-                next_seq += 1;
-                at += frame_len;
-            }
-            Err(FrameStop::Torn(_)) if is_final => {
-                return Ok(SegmentScan {
-                    header,
-                    records,
-                    valid_len: at,
-                    torn_bytes: bytes.len() - at,
-                });
-            }
-            Err(FrameStop::Torn(why)) => {
-                return Err(SpotError::WalCorrupt(format!(
-                    "sealed segment damaged at byte {at}: {why}"
-                )));
-            }
-            Err(FrameStop::Corrupt(why)) => {
-                return Err(SpotError::WalCorrupt(format!("record at byte {at}: {why}")));
-            }
-        }
+    let Some(payload) = bytes.get(at + 4..at + 4 + len) else {
+        return torn("frame extends past the end of the segment");
+    };
+    if lanes::get_u64(bytes, at + 4 + len) != Some(checksum64(payload)) {
+        return torn("incomplete checksum or checksum mismatch");
+    }
+    // The checksum verified: the payload is what the writer sealed, so a
+    // payload that does not decode is corruption, never a crash artifact.
+    match parse_payload(payload) {
+        Some(frame) => Ok((frame, 4 + len + 8)),
+        None => Err(FrameStop::Corrupt(format!(
+            "checksum-valid {len}-byte frame does not decode"
+        ))),
     }
 }
 
-/// Reads one frame at `at`; `expect_seq` pins the record's sequence
-/// number (an in-order log has no gaps).
-fn read_frame(
-    bytes: &[u8],
-    at: usize,
-    expect_seq: u64,
-) -> std::result::Result<((u64, DataPoint), usize), FrameStop> {
-    let Some(len) = lanes::get_u32(bytes, at) else {
-        return Err(FrameStop::Torn("incomplete length prefix".to_string()));
-    };
-    if !(12..=MAX_WAL_RECORD).contains(&len) || (len - 12) % 8 != 0 {
-        // Garbage length prefixes are indistinguishable from a torn
-        // partial write of the prefix itself.
-        return Err(FrameStop::Torn(format!("implausible frame length {len}")));
+/// Reads a segment's header: its table and byte length. Shorter than the
+/// fixed prefix is `Torn` (a crash mid-rotation); a foreign magic or
+/// version is `Corrupt` — a log this build does not read is refused, never
+/// dropped.
+fn read_header(bytes: &[u8]) -> std::result::Result<(Vec<StreamAnchor>, usize), FrameStop> {
+    if bytes.len() < WAL_PREFIX_LEN {
+        return Err(FrameStop::Torn(
+            "segment shorter than its header".to_string(),
+        ));
     }
-    let body = at + 4;
-    let Some(payload) = bytes.get(body..body + len as usize) else {
-        return Err(FrameStop::Torn(format!(
-            "frame of {len} bytes extends past end of segment"
-        )));
-    };
-    let Some(stored) = lanes::get_u64(bytes, body + len as usize) else {
-        return Err(FrameStop::Torn("incomplete checksum".to_string()));
-    };
-    if fnv1a64(payload) != stored {
-        return Err(FrameStop::Torn("checksum mismatch".to_string()));
+    if bytes[..8] != WAL_MAGIC || lanes::get_u32(bytes, 8) != Some(WAL_SEGMENT_VERSION) {
+        return Err(FrameStop::Corrupt(
+            "not a SPOTWAL2 segment (wrong magic or version)".to_string(),
+        ));
     }
-    // The checksum verified: the payload is exactly what the writer
-    // sealed, so any structural problem below is real corruption (or a
-    // writer bug), never a crash artifact.
-    let seq = lanes::get_u64(payload, 0).expect("payload ≥ 12 bytes");
-    let dims = lanes::get_u32(payload, 8).expect("payload ≥ 12 bytes") as usize;
-    if 12 + 8 * dims != len as usize {
-        return Err(FrameStop::Corrupt(format!(
-            "checksum-valid record declares {dims} dims in a {len}-byte payload"
-        )));
+    match read_frame(bytes, WAL_PREFIX_LEN)? {
+        (Frame::Table(table), len) => Ok((table, WAL_PREFIX_LEN + len)),
+        _ => Err(FrameStop::Corrupt(
+            "segment does not open with its table".to_string(),
+        )),
     }
-    if seq != expect_seq {
-        return Err(FrameStop::Corrupt(format!(
-            "sequence discontinuity: record carries seq {seq}, log position is {expect_seq}"
-        )));
+}
+
+/// One tenant's stream as a scan found it at the end of the log.
+#[derive(Debug, Clone)]
+pub struct TenantLog {
+    /// Scan-local stream ordinal ([`SegmentInfo::holds`] keys): a tenant
+    /// evicted and registered again has a new one.
+    pub epoch: u64,
+    /// The detector position record seq 0 maps to.
+    pub base_processed: u64,
+    /// Oldest retained seq: records `first_seq..next_seq` are on disk.
+    pub first_seq: u64,
+    /// Sequence number the stream's next record gets.
+    pub next_seq: u64,
+    /// The retained records `(seq, point)`, when the scan kept this
+    /// tenant's (empty otherwise).
+    pub records: Vec<(u64, DataPoint)>,
+}
+
+impl TenantLog {
+    /// The records from `from_seq` on. [`SpotError::WalCorrupt`] when
+    /// `from_seq` was pruned or lies past the stream's end (records a
+    /// checkpoint counted are missing).
+    pub fn into_tail(mut self, tenant: &TenantId, from_seq: u64) -> Result<Vec<(u64, DataPoint)>> {
+        if !(self.first_seq..=self.next_seq).contains(&from_seq) {
+            return Err(SpotError::WalCorrupt(format!(
+                "tenant {tenant}: replay from seq {from_seq} requested, but the log holds \
+                 seqs {}..{}",
+                self.first_seq, self.next_seq
+            )));
+        }
+        let skip = ((from_seq - self.first_seq) as usize).min(self.records.len());
+        self.records.drain(..skip);
+        Ok(self.records)
     }
-    let values: Vec<f64> = (0..dims)
-        .map(|d| lanes::get_f64_bits(payload, 12 + 8 * d).expect("length checked"))
-        .collect();
-    Ok(((seq, DataPoint::new(values)), 4 + len as usize + 8))
 }
 
 /// One live segment file of a scanned log.
@@ -286,181 +309,269 @@ pub struct SegmentInfo {
     pub number: u64,
     /// Full path of the file.
     pub path: PathBuf,
-    /// Decoded header.
-    pub header: SegmentHeader,
-    /// Byte offset one past the last valid record.
+    /// Byte length of the header (prefix + table frame).
+    pub header_len: usize,
+    /// Byte offset one past the last valid frame.
     pub valid_len: usize,
     /// Torn bytes dropped after `valid_len` (final segment only).
     pub torn_bytes: usize,
-    /// Number of whole valid records in the segment.
-    pub records: usize,
+    /// `(epoch, end)` of every stream with records here: `end` is one past
+    /// its last record in this segment.
+    pub holds: Vec<(u64, u64)>,
 }
 
-/// A fully scanned per-tenant WAL directory.
+/// A fully scanned fleet WAL directory.
 #[derive(Debug, Clone)]
 pub struct WalScan {
-    /// The log's base stream position (see [`SegmentHeader`]).
-    pub base_processed: u64,
-    /// Sequence number of the oldest retained record (> 0 after pruning).
-    pub first_seq: u64,
-    /// Sequence number the next appended record will get.
-    pub next_seq: u64,
-    /// Live segments, oldest first. The last entry is the active segment.
+    /// Live segments, oldest first; the last is the active segment.
     pub segments: Vec<SegmentInfo>,
-    /// Trailing segment files dropped whole because a crash during
-    /// rotation left their header incomplete (paths, for deletion by a
-    /// resuming writer).
+    /// Trailing segment files a crash mid-rotation left without a whole
+    /// header, dropped (a resuming writer deletes them).
     pub dropped: Vec<PathBuf>,
-    /// Total torn bytes truncated across the scan.
-    pub torn_bytes: u64,
+    /// Every stream open at the end of the log, by tenant.
+    pub streams: BTreeMap<TenantId, TenantLog>,
 }
 
-impl WalScan {
-    /// Total whole valid records across all live segments.
-    pub fn records(&self) -> u64 {
-        self.next_seq - self.first_seq
+/// A stream as the scan carries it from frame to frame.
+struct Open {
+    log: TenantLog,
+    keep: bool,
+    /// Segment number of the stream's last record, and its `holds` slot.
+    last: Option<(u64, usize)>,
+}
+
+fn open_stream(anchor: &StreamAnchor, epoch: &mut u64, keep: &impl Fn(&str) -> bool) -> Open {
+    *epoch += 1;
+    let log = TenantLog {
+        epoch: *epoch,
+        base_processed: anchor.base_processed,
+        first_seq: anchor.first_seq,
+        next_seq: anchor.first_seq,
+        records: Vec::new(),
+    };
+    Open {
+        log,
+        keep: keep(anchor.tenant.as_str()),
+        last: None,
     }
+}
+
+/// Applies a segment's table. Right after the previous segment the table
+/// restates the open streams exactly. After pruned segments (or at the
+/// log's start) it re-anchors them: a stream with the same base that has
+/// not gone back continues (its records before the skipped range are
+/// dropped), any other entry opens a new stream, and a stream the table
+/// omits was evicted in the pruned range.
+fn apply_table(
+    open: &mut HashMap<TenantId, Open>,
+    table: Vec<StreamAnchor>,
+    contiguous: bool,
+    epoch: &mut u64,
+    keep: &impl Fn(&str) -> bool,
+) -> std::result::Result<(), String> {
+    let mut carried = std::mem::take(open);
+    for anchor in table {
+        let same_base = |s: &Open| s.log.base_processed == anchor.base_processed;
+        let stream = match carried.remove(&anchor.tenant) {
+            Some(s) if same_base(&s) && s.log.next_seq == anchor.first_seq => s,
+            Some(mut s) if !contiguous && same_base(&s) && s.log.next_seq < anchor.first_seq => {
+                s.log.records.clear();
+                s.log.first_seq = anchor.first_seq;
+                s.log.next_seq = anchor.first_seq;
+                s
+            }
+            _ if contiguous => {
+                return Err(format!(
+                    "table entry of {} does not continue the previous segment",
+                    anchor.tenant
+                ))
+            }
+            _ => open_stream(&anchor, epoch, keep),
+        };
+        open.insert(anchor.tenant, stream);
+    }
+    match carried.keys().next() {
+        Some(id) if contiguous => Err(format!("table omits {id}, open in the previous segment")),
+        _ => Ok(()),
+    }
+}
+
+/// Applies one body frame of segment `number`.
+fn apply_frame(
+    open: &mut HashMap<TenantId, Open>,
+    frame: Frame<'_>,
+    number: u64,
+    holds: &mut Vec<(u64, u64)>,
+    epoch: &mut u64,
+    keep: &impl Fn(&str) -> bool,
+) -> std::result::Result<(), String> {
+    match frame {
+        Frame::Point {
+            tenant,
+            seq,
+            values,
+        } => {
+            let Some(s) = open.get_mut(tenant) else {
+                return Err(format!("record of {tenant}, which has no open stream"));
+            };
+            if seq != s.log.next_seq {
+                return Err(format!(
+                    "sequence discontinuity: {tenant}'s record carries seq {seq}, its stream is \
+                     at {}",
+                    s.log.next_seq
+                ));
+            }
+            if s.keep {
+                let lanes = values.chunks_exact(8);
+                let point = lanes.map(|b| f64::from_le_bytes(b.try_into().expect("8-byte lane")));
+                s.log.records.push((seq, DataPoint::new(point.collect())));
+            }
+            s.log.next_seq += 1;
+            let slot = match s.last {
+                Some((n, slot)) if n == number => slot,
+                _ => {
+                    holds.push((s.log.epoch, 0));
+                    holds.len() - 1
+                }
+            };
+            holds[slot].1 = s.log.next_seq;
+            s.last = Some((number, slot));
+        }
+        Frame::Attach(anchor) if !open.contains_key(&anchor.tenant) => {
+            let stream = open_stream(&anchor, epoch, keep);
+            open.insert(anchor.tenant, stream);
+        }
+        Frame::Attach(anchor) => return Err(format!("attach of {}, already open", anchor.tenant)),
+        Frame::Evict(tenant) => {
+            open.remove(tenant)
+                .ok_or_else(|| format!("eviction of {tenant}, which has no open stream"))?;
+        }
+        Frame::Table(_) => return Err("table inside a segment body".to_string()),
+    }
+    Ok(())
 }
 
 fn io_err(action: &str, path: &Path, e: &std::io::Error) -> SpotError {
     SpotError::Io(format!("{action} {}: {e}", path.display()))
 }
 
-/// Scans a tenant's WAL directory without mutating it: orders the segment
-/// files, drops trailing torn-rotation files, applies the torn-tail
-/// policy to the final live segment, and verifies cross-segment sequence
-/// continuity. Returns `None` when the directory holds no segment files
-/// (or does not exist).
-pub fn scan_wal_dir(dir: &Path) -> Result<Option<WalScan>> {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(io_err("list", dir, &e)),
-    };
+fn corrupt_in(path: &Path, msg: impl std::fmt::Display) -> SpotError {
+    SpotError::WalCorrupt(format!("{}: {msg}", path.display()))
+}
+
+/// Scans a fleet WAL directory without mutating it: orders the segments,
+/// drops trailing torn-rotation files, applies the torn-tail policy to the
+/// final segment, and checks every stream's continuity. `keep` picks the
+/// tenants whose records are loaded into [`TenantLog::records`]. `None`
+/// when the directory holds no segment (or does not exist). A segment
+/// that vanishes while listed (pruned by a live writer) counts as pruned.
+pub fn scan_wal_dir(dir: &Path, keep: impl Fn(&str) -> bool) -> Result<Option<WalScan>> {
     let mut numbers = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| io_err("list", dir, &e))?;
-        if let Some(n) = entry.file_name().to_str().and_then(parse_segment_file_name) {
-            numbers.push(n);
-        }
-    }
-    if numbers.is_empty() {
-        return Ok(None);
-    }
-    numbers.sort_unstable();
-    // A crash during rotation can leave trailing segment files whose
-    // header never completed; drop them whole (they hold nothing valid)
-    // so the *previous* segment becomes the final one and gets the
-    // torn-tail policy.
-    let mut dropped = Vec::new();
-    while let Some(&last) = numbers.last() {
-        let path = dir.join(segment_file_name(last));
-        let bytes = std::fs::read(&path).map_err(|e| io_err("read", &path, &e))?;
-        if decode_segment_header(&bytes).is_some() {
-            break;
-        }
-        dropped.push(path);
-        numbers.pop();
-    }
-    if numbers.is_empty() {
-        return Ok(None);
-    }
-    let mut segments = Vec::with_capacity(numbers.len());
-    let mut base_processed = 0;
-    let mut first_seq = 0;
-    let mut expect_seq: Option<u64> = None;
-    let mut torn_bytes = 0u64;
-    let final_index = numbers.len() - 1;
-    for (i, &number) in numbers.iter().enumerate() {
-        let path = dir.join(segment_file_name(number));
-        let bytes = std::fs::read(&path).map_err(|e| io_err("read", &path, &e))?;
-        let scan =
-            scan_segment(&bytes, i == final_index, expect_seq).map_err(|e| wal_err_in(&path, e))?;
-        if i == 0 {
-            base_processed = scan.header.base_processed;
-            first_seq = scan.header.first_seq;
-        } else if scan.header.base_processed != base_processed {
-            return Err(SpotError::WalCorrupt(format!(
-                "{}: base_processed {} differs from the log's {base_processed}",
-                path.display(),
-                scan.header.base_processed
-            )));
-        }
-        torn_bytes += scan.torn_bytes as u64;
-        expect_seq = Some(scan.header.first_seq + scan.records.len() as u64);
-        segments.push(SegmentInfo {
-            number,
-            path,
-            header: scan.header,
-            valid_len: scan.valid_len,
-            torn_bytes: scan.torn_bytes,
-            records: scan.records.len(),
-        });
-    }
-    Ok(Some(WalScan {
-        base_processed,
-        first_seq,
-        next_seq: expect_seq.expect("at least one segment scanned"),
-        segments,
-        dropped,
-        torn_bytes,
-    }))
-}
-
-fn wal_err_in(path: &Path, e: SpotError) -> SpotError {
-    match e {
-        SpotError::WalCorrupt(msg) => SpotError::WalCorrupt(format!("{}: {msg}", path.display())),
-        other => other,
-    }
-}
-
-/// Reads every record of a tenant's log with sequence number ≥
-/// `from_seq`, applying the same torn-tail policy as [`scan_wal_dir`].
-/// Errors with [`SpotError::WalCorrupt`] when `from_seq` predates the
-/// oldest retained record (those records were pruned — the log cannot
-/// serve a replay from before its retention window).
-pub fn read_wal_from(dir: &Path, from_seq: u64) -> Result<Vec<(u64, DataPoint)>> {
-    let Some(scan) = scan_wal_dir(dir)? else {
-        return Ok(Vec::new());
-    };
-    if from_seq < scan.first_seq {
-        return Err(SpotError::WalCorrupt(format!(
-            "replay from seq {from_seq} requested, but the log was pruned up to {}",
-            scan.first_seq
-        )));
-    }
-    let mut out = Vec::new();
-    let final_index = scan.segments.len() - 1;
-    for (i, seg) in scan.segments.iter().enumerate() {
-        let end = seg.header.first_seq + seg.records as u64;
-        if end <= from_seq {
-            continue;
-        }
-        let bytes = std::fs::read(&seg.path).map_err(|e| io_err("read", &seg.path, &e))?;
-        let parsed = scan_segment(&bytes, i == final_index, Some(seg.header.first_seq))
-            .map_err(|e| wal_err_in(&seg.path, e))?;
-        for (seq, point) in parsed.records {
-            if seq >= from_seq {
-                out.push((seq, point));
+    match std::fs::read_dir(dir) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+        Err(e) => return Err(io_err("list", dir, &e)),
+        Ok(entries) => {
+            for entry in entries {
+                let name = entry.map_err(|e| io_err("list", dir, &e))?.file_name();
+                numbers.extend(name.to_str().and_then(parse_segment_file_name));
             }
         }
     }
-    Ok(out)
+    numbers.sort_unstable();
+    let mut dropped = Vec::new();
+    while let Some(&last) = numbers.last() {
+        let path = dir.join(segment_file_name(last));
+        match std::fs::read(&path) {
+            Ok(bytes) if matches!(read_header(&bytes), Err(FrameStop::Torn(_))) => {
+                dropped.push(path);
+                numbers.pop();
+            }
+            _ => break,
+        }
+    }
+    let (mut open, mut epoch, mut previous) = (HashMap::new(), 0u64, None::<u64>);
+    let mut segments = Vec::with_capacity(numbers.len());
+    for (i, &number) in numbers.iter().enumerate() {
+        let path = dir.join(segment_file_name(number));
+        let bytes = match std::fs::read(&path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
+            other => other.map_err(|e| io_err("read", &path, &e))?,
+        };
+        let (table, header_len) = read_header(&bytes).map_err(|stop| match stop {
+            FrameStop::Torn(why) | FrameStop::Corrupt(why) => corrupt_in(&path, why),
+        })?;
+        let contiguous = previous.is_some_and(|p| p + 1 == number);
+        apply_table(&mut open, table, contiguous, &mut epoch, &keep)
+            .map_err(|why| corrupt_in(&path, why))?;
+        let (mut at, mut holds) = (header_len, Vec::new());
+        while at < bytes.len() {
+            let (frame, len) = match read_frame(&bytes, at) {
+                Ok(read) => read,
+                Err(FrameStop::Torn(_)) if i + 1 == numbers.len() => break,
+                Err(FrameStop::Torn(why)) => {
+                    return Err(corrupt_in(
+                        &path,
+                        format!("sealed segment damaged at byte {at}: {why}"),
+                    ))
+                }
+                Err(FrameStop::Corrupt(why)) => {
+                    return Err(corrupt_in(&path, format!("byte {at}: {why}")))
+                }
+            };
+            apply_frame(&mut open, frame, number, &mut holds, &mut epoch, &keep)
+                .map_err(|why| corrupt_in(&path, format!("byte {at}: {why}")))?;
+            at += len;
+        }
+        let torn_bytes = bytes.len() - at;
+        segments.push(SegmentInfo {
+            number,
+            path,
+            header_len,
+            valid_len: at,
+            torn_bytes,
+            holds,
+        });
+        previous = Some(number);
+    }
+    if segments.is_empty() {
+        return Ok(None);
+    }
+    let streams = open.into_iter().map(|(id, s)| (id, s.log)).collect();
+    Ok(Some(WalScan {
+        segments,
+        dropped,
+        streams,
+    }))
 }
 
-/// Offline replay of one tenant's WAL as a stream source.
+/// `tenant`'s stream in the log at `dir`, with its records.
+fn tenant_log(dir: &Path, tenant: &TenantId) -> Result<Option<TenantLog>> {
+    let scan = scan_wal_dir(dir, |t| t == tenant.as_str())?;
+    Ok(scan.and_then(|mut s| s.streams.remove(tenant)))
+}
+
+/// `tenant`'s records with seq ≥ `from_seq` in the log at `dir` (see
+/// [`TenantLog::into_tail`]); a tenant with no open stream reads as empty.
+pub fn read_wal_from(
+    dir: &Path,
+    tenant: &TenantId,
+    from_seq: u64,
+) -> Result<Vec<(u64, DataPoint)>> {
+    match tenant_log(dir, tenant)? {
+        Some(log) => log.into_tail(tenant, from_seq),
+        None => Ok(Vec::new()),
+    }
+}
+
+/// Offline replay of one tenant's records in a fleet WAL, as a stream
+/// source.
 ///
-/// `WalSource` iterates a log directory's records as [`StreamRecord`]s —
-/// the record's WAL sequence number becomes the stream sequence — so any
-/// consumer of the [`crate::PointStream`] trait (the detection loop, a
-/// baseline, an audit script) can re-run a tenant's exact ingestion
-/// history with no fleet in sight. Bit-exact: attribute values round-trip
-/// as IEEE-754 bit patterns.
-///
-/// The source applies the standard torn-tail policy (a half-written final
-/// record is dropped, sealed-segment damage errors at open time) and
-/// loads the log eagerly at `open` — WAL tails are bounded by checkpoint
-/// pruning, so the whole tail fits comfortably in memory.
+/// `WalSource` yields the tenant's records as [`StreamRecord`]s — the
+/// record's seq in the tenant's stream becomes the stream sequence — so
+/// any [`crate::PointStream`] consumer (the detection loop, a baseline, an
+/// audit script) can re-run a tenant's exact ingestion history with no
+/// fleet in sight, bit-exactly. It applies the standard torn-tail policy
+/// and loads the tail eagerly at `open`: checkpoint pruning bounds it.
 #[derive(Debug)]
 pub struct WalSource {
     records: std::vec::IntoIter<(u64, DataPoint)>,
@@ -468,33 +579,33 @@ pub struct WalSource {
 }
 
 impl WalSource {
-    /// Opens a tenant's log directory for replay from its oldest retained
-    /// record.
-    pub fn open(dir: impl AsRef<Path>) -> Result<Self> {
-        Self::open_from(dir, 0)
+    /// Opens `tenant`'s stream in the log at `dir` from its oldest retained
+    /// record. No stream there (or no directory) is an empty source.
+    pub fn open(dir: impl AsRef<Path>, tenant: &TenantId) -> Result<Self> {
+        Self::load(dir.as_ref(), tenant, None)
     }
 
-    /// Opens a tenant's log directory for replay from sequence number
-    /// `from_seq` (clamped up to the oldest retained record **only** when
-    /// `from_seq` is 0 — an explicit position inside the pruned range is
-    /// an error).
-    pub fn open_from(dir: impl AsRef<Path>, from_seq: u64) -> Result<Self> {
-        let dir = dir.as_ref();
-        let scan = scan_wal_dir(dir)?;
-        let base_processed = scan.as_ref().map_or(0, |s| s.base_processed);
-        let effective = match &scan {
-            Some(scan) if from_seq == 0 => scan.first_seq,
-            _ => from_seq,
+    /// Opens `tenant`'s stream from seq `from_seq` (an error when pruned).
+    pub fn open_from(dir: impl AsRef<Path>, tenant: &TenantId, from_seq: u64) -> Result<Self> {
+        Self::load(dir.as_ref(), tenant, Some(from_seq))
+    }
+
+    fn load(dir: &Path, tenant: &TenantId, from_seq: Option<u64>) -> Result<Self> {
+        let Some(log) = tenant_log(dir, tenant)? else {
+            return Ok(WalSource {
+                records: Vec::new().into_iter(),
+                base_processed: 0,
+            });
         };
-        let records = read_wal_from(dir, effective)?;
+        let (base_processed, from) = (log.base_processed, from_seq.unwrap_or(log.first_seq));
         Ok(WalSource {
-            records: records.into_iter(),
+            records: log.into_tail(tenant, from)?.into_iter(),
             base_processed,
         })
     }
 
-    /// The log's base stream position: the detector `processed` counter
-    /// that record seq 0 corresponds to.
+    /// The stream's base: the detector `processed` counter record seq 0
+    /// corresponds to.
     pub fn base_processed(&self) -> u64 {
         self.base_processed
     }
@@ -531,197 +642,318 @@ mod tests {
         DataPoint::new(vs.to_vec())
     }
 
-    fn segment_bytes(header: SegmentHeader, records: &[(u64, DataPoint)]) -> Vec<u8> {
-        let mut buf = encode_segment_header(header);
-        for (seq, p) in records {
-            encode_record(*seq, p, &mut buf);
+    fn tid(s: &str) -> TenantId {
+        TenantId::new(s).unwrap()
+    }
+
+    fn anchor(tenant: &str, base: u64, first_seq: u64) -> StreamAnchor {
+        StreamAnchor {
+            tenant: tid(tenant),
+            base_processed: base,
+            first_seq,
+        }
+    }
+
+    /// A segment: `table` in the header, then point records.
+    fn segment(table: &[StreamAnchor], records: &[(&str, u64, DataPoint)]) -> Vec<u8> {
+        let mut buf = encode_segment_header(table);
+        for (t, seq, p) in records {
+            encode_record(&tid(t), *seq, p, &mut buf);
         }
         buf
     }
 
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("spot-walscan-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Writes `segments` as files 1, 2, … of a fresh directory.
+    fn log_dir(tag: &str, segments: &[Vec<u8>]) -> PathBuf {
+        let dir = temp_dir(tag);
+        for (i, bytes) in segments.iter().enumerate() {
+            std::fs::write(dir.join(segment_file_name(i as u64 + 1)), bytes).unwrap();
+        }
+        dir
+    }
+
+    fn scan_all(dir: &Path) -> Result<WalScan> {
+        scan_wal_dir(dir, |_| true).map(|s| s.expect("segments present"))
+    }
+
+    fn seqs(scan: &WalScan, t: &str) -> Vec<u64> {
+        scan.streams[t].records.iter().map(|(s, _)| *s).collect()
+    }
+
     #[test]
     fn header_roundtrip_and_rejection() {
-        let h = SegmentHeader {
-            base_processed: 42,
-            first_seq: 7,
-        };
-        let bytes = encode_segment_header(h);
-        assert_eq!(bytes.len(), WAL_HEADER_LEN);
-        assert_eq!(decode_segment_header(&bytes), Some(h));
-        // Truncated, wrong magic, unknown version → None.
-        assert_eq!(decode_segment_header(&bytes[..WAL_HEADER_LEN - 1]), None);
+        let table = [anchor("a", 42, 7), anchor("b/ü", 0, 0)];
+        let bytes = encode_segment_header(&table);
+        let (got, len) = read_header(&bytes).ok().unwrap();
+        assert_eq!(len, bytes.len());
+        assert_eq!(got.len(), 2);
+        assert_eq!(got, table);
+        // Shorter than the prefix: a torn rotation. A cut table frame is
+        // torn too; a foreign magic or version is refused.
+        assert!(matches!(
+            read_header(&bytes[..WAL_PREFIX_LEN - 1]),
+            Err(FrameStop::Torn(_))
+        ));
+        assert!(matches!(
+            read_header(&bytes[..bytes.len() - 1]),
+            Err(FrameStop::Torn(_))
+        ));
         let mut bad = bytes.clone();
-        bad[0] ^= 0x40;
-        assert_eq!(decode_segment_header(&bad), None);
+        bad[7] = b'1';
+        assert!(matches!(read_header(&bad), Err(FrameStop::Corrupt(_))));
         let mut bad = bytes.clone();
         bad[8] = 99;
-        assert_eq!(decode_segment_header(&bad), None);
+        assert!(matches!(read_header(&bad), Err(FrameStop::Corrupt(_))));
     }
 
     #[test]
     fn record_roundtrip_bit_exact() {
         let specials = pt(&[0.1, -0.0, f64::INFINITY, f64::MIN_POSITIVE / 2.0, 1e308]);
-        let bytes = segment_bytes(
-            SegmentHeader {
-                base_processed: 3,
-                first_seq: 0,
-            },
-            &[(0, specials.clone()), (1, pt(&[1.0; 5]))],
+        let dir = log_dir(
+            "roundtrip",
+            &[segment(
+                &[anchor("a", 3, 0), anchor("b", 9, 0)],
+                &[
+                    ("a", 0, specials.clone()),
+                    ("b", 0, pt(&[1.0; 5])),
+                    ("a", 1, pt(&[2.0])),
+                ],
+            )],
         );
-        let scan = scan_segment(&bytes, true, Some(0)).unwrap();
-        assert_eq!(scan.records.len(), 2);
-        assert_eq!(scan.torn_bytes, 0);
-        assert_eq!(scan.valid_len, bytes.len());
-        for (a, b) in specials.values().iter().zip(scan.records[0].1.values()) {
+        let scan = scan_all(&dir).unwrap();
+        assert_eq!(scan.segments[0].torn_bytes, 0);
+        assert_eq!(seqs(&scan, "a"), vec![0, 1]);
+        assert_eq!(seqs(&scan, "b"), vec![0]);
+        assert_eq!(scan.streams["b"].base_processed, 9);
+        for (a, b) in specials
+            .values()
+            .iter()
+            .zip(scan.streams["a"].records[0].1.values())
+        {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn torn_tail_truncates_only_in_final_segment() {
-        let header = SegmentHeader {
-            base_processed: 0,
-            first_seq: 0,
-        };
-        let records: Vec<(u64, DataPoint)> = (0..4).map(|i| (i, pt(&[i as f64, 0.5]))).collect();
-        let clean = segment_bytes(header, &records);
-        let frame = record_frame_len(2);
+        let table = [anchor("a", 0, 0), anchor("b", 0, 0)];
+        let records: Vec<(&str, u64, DataPoint)> = (0..4)
+            .map(|i| (["a", "b"][i % 2], i as u64 / 2, pt(&[i as f64, 0.5])))
+            .collect();
+        let clean = segment(&table, &records);
+        let frame = encode_record(&tid("b"), 1, &records[3].2, &mut Vec::new());
+        let next = encode_segment_header(&[anchor("a", 0, 2), anchor("b", 0, 2)]);
         // Cut at every byte inside the last frame: the final-segment scan
-        // always yields exactly the first 3 records.
+        // always keeps exactly the first 3 records.
         for cut in (clean.len() - frame + 1)..clean.len() {
-            let torn = &clean[..cut];
-            let scan = scan_segment(torn, true, Some(0)).unwrap();
-            assert_eq!(scan.records.len(), 3, "cut at {cut}");
-            assert_eq!(scan.valid_len, clean.len() - frame);
-            assert_eq!(scan.torn_bytes, cut - scan.valid_len);
+            let dir = log_dir("torn", &[clean[..cut].to_vec()]);
+            let scan = scan_all(&dir).unwrap();
+            assert_eq!(
+                (seqs(&scan, "a"), seqs(&scan, "b")),
+                (vec![0, 1], vec![0]),
+                "cut {cut}"
+            );
+            assert_eq!(scan.segments[0].valid_len, clean.len() - frame);
+            assert_eq!(scan.segments[0].torn_bytes, cut - (clean.len() - frame));
             // The same damage in a sealed segment is corruption.
-            assert!(matches!(
-                scan_segment(torn, false, Some(0)),
-                Err(SpotError::WalCorrupt(_))
-            ));
+            let dir = log_dir("torn-sealed", &[clean[..cut].to_vec(), next.clone()]);
+            assert!(matches!(scan_all(&dir), Err(SpotError::WalCorrupt(_))));
         }
+        let _ = std::fs::remove_dir_all(temp_dir("torn"));
+        let _ = std::fs::remove_dir_all(temp_dir("torn-sealed"));
     }
 
     #[test]
     fn final_frame_checksum_mismatch_is_torn_mid_log_is_corrupt() {
-        let header = SegmentHeader {
-            base_processed: 0,
-            first_seq: 0,
-        };
-        let records: Vec<(u64, DataPoint)> = (0..3).map(|i| (i, pt(&[i as f64]))).collect();
-        let clean = segment_bytes(header, &records);
-        let frame = record_frame_len(1);
-        // Flip a payload bit in the last record: torn tail (dropped).
+        let table = [anchor("a", 0, 0)];
+        let records: Vec<(&str, u64, DataPoint)> =
+            (0..3).map(|i| ("a", i, pt(&[i as f64]))).collect();
+        let clean = segment(&table, &records);
+        let header = encode_segment_header(&table).len();
+        let frame = (clean.len() - header) / 3;
+        let next = encode_segment_header(&[anchor("a", 0, 3)]);
+        // Flip a value bit in the last record: a torn tail (dropped).
         let mut bytes = clean.clone();
-        let last_payload = bytes.len() - frame + 4;
-        bytes[last_payload + 13] ^= 1;
-        let scan = scan_segment(&bytes, true, Some(0)).unwrap();
-        assert_eq!(scan.records.len(), 2);
-        assert_eq!(scan.torn_bytes, frame);
+        let last = bytes.len() - 10;
+        bytes[last] ^= 1;
+        let dir = log_dir("flip-last", &[bytes]);
+        let scan = scan_all(&dir).unwrap();
+        assert_eq!(seqs(&scan, "a"), vec![0, 1]);
+        assert_eq!(scan.segments[0].torn_bytes, frame);
         // Flip the same bit in the *first* record. In the final segment a
         // bad frame is always the truncation point (frame lengths vary, so
         // re-synchronising past it is not possible); everything after is
         // dropped. In a sealed segment the same damage is corruption.
         let mut bytes = clean;
-        bytes[WAL_HEADER_LEN + 4 + 13] ^= 1;
-        let scan = scan_segment(&bytes, true, Some(0)).unwrap();
-        assert_eq!(scan.records.len(), 0);
-        assert_eq!(scan.valid_len, WAL_HEADER_LEN);
-        assert!(matches!(
-            scan_segment(&bytes, false, Some(0)),
-            Err(SpotError::WalCorrupt(_))
-        ));
+        bytes[header + frame - 10] ^= 1;
+        let dir = log_dir("flip-first", &[bytes.clone()]);
+        let scan = scan_all(&dir).unwrap();
+        assert!(seqs(&scan, "a").is_empty());
+        assert_eq!(scan.segments[0].valid_len, header);
+        let dir = log_dir("flip-sealed", &[bytes, next]);
+        assert!(matches!(scan_all(&dir), Err(SpotError::WalCorrupt(_))));
+        for tag in ["flip-last", "flip-first", "flip-sealed"] {
+            let _ = std::fs::remove_dir_all(temp_dir(tag));
+        }
     }
 
     #[test]
     fn sequence_discontinuity_is_corrupt_even_with_valid_checksums() {
-        let header = SegmentHeader {
-            base_processed: 0,
-            first_seq: 0,
-        };
-        let bytes = segment_bytes(header, &[(0, pt(&[1.0])), (2, pt(&[2.0]))]);
-        let err = scan_segment(&bytes, true, Some(0)).unwrap_err();
+        let table = [anchor("a", 0, 0), anchor("b", 0, 0)];
+        // b's stream skips seq 1; a's is fine.
+        let bytes = segment(
+            &table,
+            &[
+                ("a", 0, pt(&[1.0])),
+                ("b", 0, pt(&[1.0])),
+                ("b", 2, pt(&[2.0])),
+            ],
+        );
+        let dir = log_dir("gap", &[bytes]);
+        let err = scan_all(&dir).unwrap_err();
         assert!(matches!(err, SpotError::WalCorrupt(ref m) if m.contains("discontinuity")));
+        // A record of a tenant with no open stream, and a table that does
+        // not continue the segment before it, are corrupt too.
+        let dir = log_dir("stranger", &[segment(&table, &[("c", 0, pt(&[1.0]))])]);
+        assert!(matches!(scan_all(&dir), Err(SpotError::WalCorrupt(_))));
+        let dir = log_dir(
+            "table",
+            &[
+                segment(&table, &[("a", 0, pt(&[1.0]))]),
+                encode_segment_header(&[anchor("a", 0, 0), anchor("b", 0, 0)]),
+            ],
+        );
+        assert!(matches!(scan_all(&dir), Err(SpotError::WalCorrupt(ref m)) if m.contains("table")));
+        for tag in ["gap", "stranger", "table"] {
+            let _ = std::fs::remove_dir_all(temp_dir(tag));
+        }
     }
 
     #[test]
     fn dir_scan_orders_segments_and_drops_torn_rotation() {
-        let dir = std::env::temp_dir().join(format!("spot-walscan-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let h1 = SegmentHeader {
-            base_processed: 5,
-            first_seq: 0,
-        };
-        let h2 = SegmentHeader {
-            base_processed: 5,
-            first_seq: 2,
-        };
-        std::fs::write(
-            dir.join(segment_file_name(1)),
-            segment_bytes(h1, &[(0, pt(&[0.0])), (1, pt(&[1.0]))]),
-        )
-        .unwrap();
-        std::fs::write(
-            dir.join(segment_file_name(2)),
-            segment_bytes(h2, &[(2, pt(&[2.0]))]),
-        )
-        .unwrap();
+        let s1 = segment(
+            &[anchor("a", 5, 0)],
+            &[("a", 0, pt(&[0.0])), ("a", 1, pt(&[1.0]))],
+        );
+        let s2 = segment(&[anchor("a", 5, 2)], &[("a", 2, pt(&[2.0]))]);
         // Crash mid-rotation: segment 3's header never completed.
-        std::fs::write(dir.join(segment_file_name(3)), &WAL_MAGIC[..5]).unwrap();
-        let scan = scan_wal_dir(&dir).unwrap().unwrap();
-        assert_eq!(scan.base_processed, 5);
-        assert_eq!((scan.first_seq, scan.next_seq), (0, 3));
+        let dir = log_dir("dirscan", &[s1, s2, WAL_MAGIC[..5].to_vec()]);
+        let scan = scan_all(&dir).unwrap();
+        let a = &scan.streams["a"];
+        assert_eq!((a.base_processed, a.first_seq, a.next_seq), (5, 0, 3));
         assert_eq!(scan.segments.len(), 2);
         assert_eq!(scan.dropped.len(), 1);
-        assert_eq!(scan.records(), 3);
+        assert_eq!(scan.segments[1].holds, vec![(a.epoch, 3)]);
         // Replay from the middle.
-        let tail = read_wal_from(&dir, 1).unwrap();
+        let tail = read_wal_from(&dir, &tid("a"), 1).unwrap();
         assert_eq!(tail.iter().map(|(s, _)| *s).collect::<Vec<_>>(), vec![1, 2]);
-        // Replay from before the retention window errors once pruned.
+        // Replay from before the retention window errors once pruned, and
+        // so does a position past the stream's end.
         std::fs::remove_file(dir.join(segment_file_name(1))).unwrap();
         assert!(matches!(
-            read_wal_from(&dir, 0),
+            read_wal_from(&dir, &tid("a"), 0),
             Err(SpotError::WalCorrupt(_))
         ));
+        assert!(matches!(
+            read_wal_from(&dir, &tid("a"), 4),
+            Err(SpotError::WalCorrupt(_))
+        ));
+        assert_eq!(read_wal_from(&dir, &tid("a"), 3).unwrap().len(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn wal_source_replays_as_point_stream() {
-        let dir = std::env::temp_dir().join(format!("spot-walsrc-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let header = SegmentHeader {
-            base_processed: 9,
-            first_seq: 0,
-        };
-        let records: Vec<(u64, DataPoint)> =
-            (0..6).map(|i| (i, pt(&[i as f64 * 0.25, -0.0]))).collect();
+    fn streams_end_at_eviction_and_reanchor_after_pruned_segments() {
+        let t = |s: &str| tid(s);
+        let mut s1 = segment(
+            &[anchor("a", 0, 0), anchor("b", 4, 0)],
+            &[("a", 0, pt(&[0.0]))],
+        );
+        encode_record(&t("b"), 0, &pt(&[1.0]), &mut s1);
+        encode_evict(&t("b"), &mut s1);
+        encode_attach(&anchor("b", 100, 0), &mut s1);
+        encode_record(&t("b"), 0, &pt(&[2.0]), &mut s1);
+        let dir = log_dir("evict", &[s1.clone()]);
+        let scan = scan_all(&dir).unwrap();
+        // The second incarnation of b replaces the first.
+        let b = &scan.streams["b"];
+        assert_eq!((b.base_processed, b.next_seq), (100, 1));
+        assert_eq!(b.records[0].1.values()[0], 2.0);
+        // Both incarnations hold segment 1, under different epochs.
+        assert_eq!(scan.segments[0].holds.len(), 3);
+        // A record after the eviction frame is corrupt.
+        let mut bad = segment(&[anchor("a", 0, 0)], &[]);
+        encode_evict(&t("a"), &mut bad);
+        encode_record(&t("a"), 0, &pt(&[0.0]), &mut bad);
+        let dir = log_dir("evict-bad", &[bad]);
+        assert!(matches!(scan_all(&dir), Err(SpotError::WalCorrupt(_))));
+
+        // Segment 2 pruned: segment 3's table re-anchors a (same base,
+        // later position: its older records are dropped) and drops b
+        // (evicted in the pruned range).
+        let dir = temp_dir("reanchor");
+        std::fs::write(dir.join(segment_file_name(1)), &s1).unwrap();
         std::fs::write(
-            dir.join(segment_file_name(1)),
-            segment_bytes(header, &records),
+            dir.join(segment_file_name(3)),
+            segment(&[anchor("a", 0, 5)], &[("a", 5, pt(&[5.0]))]),
         )
         .unwrap();
-        let src = WalSource::open(&dir).unwrap();
+        let scan = scan_all(&dir).unwrap();
+        assert!(!scan.streams.contains_key("b"));
+        let a = &scan.streams["a"];
+        assert_eq!((a.first_seq, a.next_seq), (5, 6));
+        assert_eq!(seqs(&scan, "a"), vec![5]);
+        for tag in ["evict", "evict-bad", "reanchor"] {
+            let _ = std::fs::remove_dir_all(temp_dir(tag));
+        }
+    }
+
+    #[test]
+    fn wal_source_replays_as_point_stream() {
+        let records: Vec<(&str, u64, DataPoint)> = (0..12)
+            .map(|i| {
+                (
+                    ["a", "b"][i % 2],
+                    i as u64 / 2,
+                    pt(&[i as f64 * 0.25, -0.0]),
+                )
+            })
+            .collect();
+        let dir = log_dir(
+            "walsrc",
+            &[segment(&[anchor("a", 9, 0), anchor("b", 0, 0)], &records)],
+        );
+        let src = WalSource::open(&dir, &tid("a")).unwrap();
         assert_eq!(src.base_processed(), 9);
         assert_eq!(src.len(), 6);
         fn consume(stream: impl crate::PointStream) -> Vec<StreamRecord> {
             stream.collect()
         }
         let recs = consume(src);
-        assert_eq!(recs.len(), 6);
         for (i, r) in recs.iter().enumerate() {
             assert_eq!(r.seq, i as u64);
-            assert_eq!(r.point.values()[0].to_bits(), (i as f64 * 0.25).to_bits());
+            assert_eq!(
+                r.point.values()[0].to_bits(),
+                (2.0 * i as f64 * 0.25).to_bits()
+            );
         }
         // open_from an explicit tail position.
-        let tail: Vec<_> = WalSource::open_from(&dir, 4).unwrap().collect();
+        let tail: Vec<_> = WalSource::open_from(&dir, &tid("b"), 4).unwrap().collect();
         assert_eq!(tail.len(), 2);
         assert_eq!(tail[0].seq, 4);
-        // An empty/missing dir is an empty stream, not an error.
-        let empty = WalSource::open(dir.join("nope")).unwrap();
-        assert!(empty.is_empty());
+        // A tenant with no stream, or a missing dir, is an empty stream.
+        assert!(WalSource::open(&dir, &tid("c")).unwrap().is_empty());
+        assert!(WalSource::open(dir.join("nope"), &tid("a"))
+            .unwrap()
+            .is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -22,7 +22,7 @@ pub use bounds::DomainBounds;
 pub use error::{Result, SpotError};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use label::{AnomalyInfo, Label};
-pub use persist::{fnv1a64, DurableState, PersistError, StateReader, StateWriter};
+pub use persist::{DurableState, PersistError, StateReader, StateWriter};
 pub use point::{DataPoint, LabeledRecord, StreamRecord};
 pub use tenant::TenantId;
 

@@ -24,24 +24,6 @@
 use crate::error::SpotError;
 use serde::Value;
 
-/// FNV-1a 64-bit hash — the persistence layer's integrity checksum.
-///
-/// Checkpoint envelopes embed the hash of their payload so that on-disk
-/// corruption (a flipped bit in a stored bit pattern, a truncated column)
-/// is detected at load time as a typed error instead of silently
-/// restoring a wrong value. FNV-1a is not cryptographic; it guards
-/// against storage faults, not adversaries.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
-}
-
 /// Little-endian binary lanes — the persistence layer's byte-level
 /// encoding discipline, shared by the ingestion WAL's record frames.
 ///
@@ -220,12 +202,15 @@ pub mod binary {
     /// Word-wise FNV-1a over eight interleaved streams: words 0,8,16,…
     /// fold into stream 0, words 1,9,17,… into stream 1, and so on (final
     /// partial word zero-padded); the digest folds the eight stream
-    /// hashes and then the total length into one final FNV chain. Same
-    /// fault-detection role as [`super::fnv1a64`] at a fraction of the
-    /// cost: word-wise instead of byte-wise, and the eight independent
-    /// multiply chains pipeline where a single chain is latency-bound —
-    /// a multi-megabyte container trailer must not cost more than the
-    /// encode itself.
+    /// hashes and then the total length into one final FNV chain. The
+    /// integrity checksum of every framed file — checkpoint containers,
+    /// WAL frames, verdict-archive frames — so on-disk corruption (a
+    /// flipped bit in a stored bit pattern, a truncated column) is a typed
+    /// error at load time instead of a silently wrong value. Word-wise,
+    /// and the eight independent multiply chains pipeline where a single
+    /// chain is latency-bound — a multi-megabyte container trailer must
+    /// not cost more than the encode itself. Not cryptographic: it guards
+    /// against storage faults, not adversaries.
     #[derive(Debug, Clone)]
     pub struct Checksum64 {
         streams: [u64; 8],
@@ -1223,18 +1208,15 @@ mod tests {
     }
 
     #[test]
-    fn fnv1a64_is_stable_and_sensitive() {
-        // Reference vectors for the canonical FNV-1a 64 parameters.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-        // A single flipped bit anywhere changes the hash.
-        let base = b"[42,7,9]".to_vec();
-        let want = fnv1a64(&base);
+    fn checksum64_is_sensitive_to_every_bit() {
+        // A single flipped bit anywhere in a WAL-record-sized payload
+        // changes the checksum.
+        let base: Vec<u8> = (0..140u8).map(|b| b.wrapping_mul(37)).collect();
+        let want = binary::checksum64(&base);
         for i in 0..base.len() * 8 {
             let mut flipped = base.clone();
             flipped[i / 8] ^= 1 << (i % 8);
-            assert_ne!(fnv1a64(&flipped), want, "bit {i}");
+            assert_ne!(binary::checksum64(&flipped), want, "bit {i}");
         }
     }
 

@@ -64,6 +64,14 @@ impl AsRef<str> for TenantId {
     }
 }
 
+/// Ids hash and compare as their text, so maps keyed by `TenantId` can
+/// be probed with a borrowed `&str` (the WAL scanner's decoded frames).
+impl std::borrow::Borrow<str> for TenantId {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
 impl TryFrom<&str> for TenantId {
     type Error = SpotError;
 
