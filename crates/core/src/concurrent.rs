@@ -160,9 +160,9 @@ impl SharedSpot {
         r
     }
 
-    /// Captures a complete v2 checkpoint of the detector (see
+    /// Captures a complete checkpoint of the detector (see
     /// [`Spot::checkpoint`]) under the detector lock. The expensive part
-    /// of persistence (rendering the checkpoint to JSON or bytes, writing
+    /// of persistence (rendering the checkpoint to bytes, writing
     /// it out) happens on the returned value, outside the lock.
     pub fn checkpoint(&self) -> SpotCheckpoint {
         self.inner.core.lock().checkpoint()

@@ -530,17 +530,8 @@ impl Spot {
         self.process(&record.point)
     }
 
-    /// Replaces the SST wholesale (snapshot restoration). Rebuilds lookup
-    /// indices and reconciles the monitored stores.
-    pub(crate) fn restore_sst(&mut self, mut sst: Sst, learned: bool) {
-        sst.rebuild_index();
-        self.sst = sst;
-        self.learned = learned;
-        self.sync_manager_subspaces(false);
-    }
-
     /// Captures the detector's complete runtime state — everything beyond
-    /// config + SST — as the `state` payload of a v2 checkpoint.
+    /// config + SST — as the `state` payload of a checkpoint.
     pub(crate) fn capture_runtime_state(&self) -> Value {
         let mut w = StateWriter::new();
         w.component("clock", &self.clock);

@@ -72,10 +72,7 @@ pub use config::{
 pub use detector::{Spot, SynopsisFootprint};
 pub use drift::PageHinkley;
 pub use evaluator::{SparsityProblem, SparsityScratch, TrainingEvaluator};
-pub use snapshot::{
-    restore_from_bytes, restore_from_json, SpotCheckpoint, SpotSnapshot, CHECKPOINT_BINARY_VERSION,
-    CHECKPOINT_VERSION, SNAPSHOT_VERSION,
-};
+pub use snapshot::{restore_from_bytes, SpotCheckpoint, CHECKPOINT_BINARY_VERSION};
 pub use sst::{Sst, SstComponent};
 pub use verdict::{EvalPlan, LearningReport, SpotStats, SubspaceFinding, Verdict, VerdictScreen};
 

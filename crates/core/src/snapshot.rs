@@ -1,42 +1,21 @@
-//! Detector state persistence: template snapshots (v1) and full
-//! warm-restart checkpoints (v2).
+//! Detector state persistence: full warm-restart checkpoints.
 //!
-//! Two formats, one loader:
+//! A [`SpotCheckpoint`] holds the complete runtime state — SoA store
+//! columns and packed cell keys, the global decayed weight, drift-test
+//! state, the reservoir and outlier retention, counters, RNG state and the
+//! stream clock — in a compact column-oriented encoding (floats as
+//! IEEE-754 bit patterns; see `spot_types::persist`). A detector restored
+//! from it produces **bit-identical verdicts and stats** to one that never
+//! restarted. Each layer serializes itself through the
+//! [`spot_types::DurableState`] capture/restore trait; the checkpoint
+//! merely composes the layers.
 //!
-//! * **v1 — [`SpotSnapshot`]**: configuration + learned SST only. A
-//!   detector restored from it starts with *cold synopses* and re-warms
-//!   from the live stream.
-//! * **v2 — [`SpotCheckpoint`]**: the complete runtime state — SoA store
-//!   columns and packed cell keys, the global decayed weight, drift-test
-//!   state, the reservoir and outlier retention, counters, RNG state and
-//!   the stream clock — in a compact column-oriented encoding (floats as
-//!   IEEE-754 bit patterns; see `spot_types::persist`). A detector
-//!   restored from a v2 checkpoint produces **bit-identical verdicts and
-//!   stats** to one that never restarted. Each layer serializes itself
-//!   through the [`spot_types::DurableState`] capture/restore trait; the
-//!   checkpoint merely composes the layers.
-//!
-//! [`restore_from_json`] dispatches on the `version` field and rejects
-//! unknown versions with a typed error
-//! ([`SpotError::UnsupportedSnapshotVersion`]) instead of a deserialize
-//! panic. See `docs/persistence.md` for the format layout and the
-//! versioning policy.
-//!
-//! # When is a cold (v1) restore good enough?
-//!
-//! Under the (ω, ε) time model, pre-restart synopsis mass decays by
-//! `δ^t = ε^{t/ω}`: only after a **full window of ω ticks** does the lost
-//! state's influence drop to the ε approximation floor. A cold restore is
-//! therefore operationally equivalent to a warm one only when ω is small
-//! relative to the tolerable re-warm budget — for the default ω = 6000
-//! that is thousands of points during which verdicts are degraded (empty
-//! cells read as maximally sparse, so the false-alarm rate spikes until
-//! the grid re-populates). And decay never restores the *non-decaying*
-//! state a v1 snapshot drops: the Page–Hinkley statistics, the reservoir
-//! sample that scores self-evolution, and the outlier buffer all influence
-//! maintenance decisions long after ω ticks. Long-running deployments
-//! should checkpoint with v2; v1 remains the right tool for shipping a
-//! learned template to a fresh deployment site.
+//! The one carrier is the sealed `SPOTBIN1` binary container
+//! ([`SpotCheckpoint::to_bytes`]); [`restore_from_bytes`] rejects unknown
+//! versions with a typed error
+//! ([`SpotError::UnsupportedSnapshotVersion`]) and damaged bytes with
+//! [`SpotError::SnapshotCorrupt`], never a panic. See
+//! `docs/persistence.md` for the format layout and the versioning policy.
 
 use crate::config::SpotConfig;
 use crate::detector::Spot;
@@ -45,35 +24,17 @@ use serde::{DeError, Deserialize, Serialize, Value};
 use spot_types::persist::binary;
 use spot_types::{Result, SpotError, StateReader};
 
-/// Durable state of a SPOT instance, v1: configuration + learned template.
-/// Restores with cold synopses (see the module docs for when that is
-/// acceptable).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SpotSnapshot {
-    /// Format version for forward compatibility.
-    pub version: u32,
-    /// Full configuration.
-    pub config: SpotConfig,
-    /// The learned Sparse Subspace Template.
-    pub sst: Sst,
-}
-
-/// v1 snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 1;
-
-/// v2 checkpoint format version (JSON text carrier).
-pub const CHECKPOINT_VERSION: u32 = 2;
-
-/// v3 checkpoint format version: the same value tree as v2, carried in
-/// the binary column container (`spot_types::persist::binary`). v2 and v3
-/// are interchangeable at load time — the version field selects the
-/// carrier, not the content.
+/// Checkpoint format version: the value tree carried in the binary column
+/// container (`spot_types::persist::binary`).
 pub const CHECKPOINT_BINARY_VERSION: u32 = 3;
 
-/// Durable state of a SPOT instance, v2: configuration + SST + the
-/// complete runtime state. [`Spot::from_checkpoint`] restores it
-/// bit-exactly — the restored detector continues the stream as if it had
-/// never stopped.
+/// The version stamp of the tenant trees inside fleet envelopes written
+/// before the JSON carrier was retired: the same tree, read alike.
+const LEGACY_TREE_VERSION: u32 = 2;
+
+/// Durable state of a SPOT instance: configuration + SST + the complete
+/// runtime state. [`Spot::from_checkpoint`] restores it bit-exactly — the
+/// restored detector continues the stream as if it had never stopped.
 #[derive(Debug, Clone)]
 pub struct SpotCheckpoint {
     /// Full configuration.
@@ -85,25 +46,13 @@ pub struct SpotCheckpoint {
     state: Value,
 }
 
-impl Serialize for SpotCheckpoint {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("version".to_string(), Value::U64(CHECKPOINT_VERSION as u64)),
-            ("config".to_string(), self.config.to_value()),
-            ("sst".to_string(), self.sst.to_value()),
-            ("state".to_string(), self.state.clone()),
-        ])
-    }
-}
-
 impl Deserialize for SpotCheckpoint {
     fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
         let version = u32::from_value(v.get_field("version").unwrap_or(&Value::Null))
             .map_err(|e| e.in_field("version"))?;
-        if version != CHECKPOINT_VERSION && version != CHECKPOINT_BINARY_VERSION {
+        if version != CHECKPOINT_BINARY_VERSION && version != LEGACY_TREE_VERSION {
             return Err(DeError::custom(format!(
-                "expected checkpoint version {CHECKPOINT_VERSION} or \
-                 {CHECKPOINT_BINARY_VERSION}, found {version}"
+                "expected checkpoint version {CHECKPOINT_BINARY_VERSION}, found {version}"
             )));
         }
         Ok(SpotCheckpoint {
@@ -124,11 +73,9 @@ fn corrupt(e: impl std::fmt::Display) -> SpotError {
 }
 
 impl SpotCheckpoint {
-    /// Serializes the checkpoint on the binary column carrier (v3): the
-    /// same value tree as the JSON text form, encoded through
-    /// `spot_types::persist::binary` and sealed in a checksummed container
-    /// frame. Load with [`SpotCheckpoint::from_bytes`] or the
-    /// carrier-sniffing [`restore_from_bytes`].
+    /// Serializes the checkpoint into a sealed binary container: its value
+    /// tree encoded through `spot_types::persist::binary`, checksummed.
+    /// Load with [`SpotCheckpoint::from_bytes`] or [`restore_from_bytes`].
     pub fn to_bytes(&self) -> Vec<u8> {
         // Field-borrowed encode: the multi-megabyte `state` tree is
         // encoded in place, never deep-cloned into an owned envelope.
@@ -143,8 +90,8 @@ impl SpotCheckpoint {
         ])
     }
 
-    /// The checkpoint's value tree with the v3 (binary-carrier) version
-    /// stamp — what [`SpotCheckpoint::to_bytes`] encodes.
+    /// The checkpoint's value tree — what [`SpotCheckpoint::to_bytes`]
+    /// encodes, and what a fleet envelope embeds per tenant.
     pub fn to_value_binary(&self) -> Value {
         Value::Object(vec![
             (
@@ -157,9 +104,9 @@ impl SpotCheckpoint {
         ])
     }
 
-    /// Deserializes a binary-carrier (v3) checkpoint container. Corruption
-    /// anywhere — magic, checksum trailer, payload structure — is a typed
-    /// error, never a panic.
+    /// Deserializes a checkpoint container. Corruption anywhere — magic,
+    /// checksum trailer, payload structure — is a typed error, never a
+    /// panic.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         let tree = binary::read_container(bytes).map_err(corrupt)?;
         SpotCheckpoint::from_value(&tree).map_err(corrupt)
@@ -167,36 +114,8 @@ impl SpotCheckpoint {
 }
 
 impl Spot {
-    /// Captures the durable template (configuration + SST) — the v1
-    /// snapshot. Cheap; drops all runtime state by design.
-    pub fn snapshot(&self) -> SpotSnapshot {
-        SpotSnapshot {
-            version: SNAPSHOT_VERSION,
-            config: self.config().clone(),
-            sst: self.sst().clone(),
-        }
-    }
-
-    /// Restores a detector from a v1 snapshot: same configuration, same
-    /// SST, cold synopses (see module docs). The detector reports
-    /// `is_learned() == true` when the snapshot carried learned CS/OS.
-    /// Snapshots declaring any other version are rejected with
-    /// [`SpotError::UnsupportedSnapshotVersion`].
-    pub fn from_snapshot(snapshot: SpotSnapshot) -> Result<Self> {
-        if snapshot.version != SNAPSHOT_VERSION {
-            return Err(SpotError::UnsupportedSnapshotVersion(snapshot.version));
-        }
-        let learned = {
-            let (_, cs, os) = snapshot.sst.sizes();
-            cs + os > 0
-        };
-        let mut spot = Spot::new(snapshot.config)?;
-        spot.restore_sst(snapshot.sst, learned);
-        Ok(spot)
-    }
-
-    /// Captures the complete runtime state — the v2 checkpoint. The
-    /// detector is not mutated; processing can resume immediately after.
+    /// Captures the complete runtime state. The detector is not mutated;
+    /// processing can resume immediately after.
     pub fn checkpoint(&self) -> SpotCheckpoint {
         SpotCheckpoint {
             config: self.config().clone(),
@@ -205,9 +124,9 @@ impl Spot {
         }
     }
 
-    /// Restores a detector from a v2 checkpoint, bit-exactly: verdicts,
-    /// stats and footprint continue as if the detector had never stopped
-    /// (pinned by the warm-restart proptest suites).
+    /// Restores a detector from a checkpoint, bit-exactly: verdicts, stats
+    /// and footprint continue as if the detector had never stopped (pinned
+    /// by the warm-restart proptest suites).
     pub fn from_checkpoint(checkpoint: &SpotCheckpoint) -> Result<Self> {
         let mut spot = Spot::new(checkpoint.config.clone())?;
         let reader = StateReader::new(&checkpoint.state)
@@ -217,61 +136,27 @@ impl Spot {
     }
 }
 
-/// Restores a detector from serialized snapshot text of **any** supported
-/// version: v1 restores cold (template only), v2 restores warm
-/// (bit-exact). Unknown versions yield
-/// [`SpotError::UnsupportedSnapshotVersion`]; structurally broken payloads
-/// yield [`SpotError::SnapshotCorrupt`] — never a panic.
-pub fn restore_from_json(text: &str) -> Result<Spot> {
-    let value: Value =
-        serde_json::from_str(text).map_err(|e| SpotError::SnapshotCorrupt(e.to_string()))?;
-    restore_from_value(&value)
-}
-
-/// Restores a detector from serialized snapshot **bytes** of any supported
-/// carrier and version: the binary container (v3) is recognized by its
-/// magic prefix; anything else is treated as JSON text (v1 cold, v2 warm).
-/// The same typed-error guarantees as [`restore_from_json`] apply — a
-/// truncated or bit-flipped binary frame yields
-/// [`SpotError::SnapshotCorrupt`], never a panic.
+/// Restores a detector from the bytes of a sealed checkpoint container
+/// ([`SpotCheckpoint::to_bytes`]). A version other than
+/// [`CHECKPOINT_BINARY_VERSION`] yields
+/// [`SpotError::UnsupportedSnapshotVersion`]; anything else that is not a
+/// whole, valid container — a truncated or bit-flipped frame, a broken
+/// payload — yields [`SpotError::SnapshotCorrupt`], never a panic.
 pub fn restore_from_bytes(bytes: &[u8]) -> Result<Spot> {
-    if binary::is_container(bytes) {
-        let value = binary::read_container(bytes).map_err(corrupt)?;
-        restore_from_value(&value)
-    } else {
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| corrupt("snapshot is neither a binary container nor UTF-8 JSON"))?;
-        restore_from_json(text)
-    }
-}
-
-fn restore_from_value(value: &Value) -> Result<Spot> {
+    let value = binary::read_container(bytes).map_err(corrupt)?;
     let version = match value.get_field("version") {
         Some(&Value::U64(n)) => u32::try_from(n).unwrap_or(u32::MAX),
         Some(other) => {
-            return Err(SpotError::SnapshotCorrupt(format!(
+            return Err(corrupt(format!(
                 "version field is not an integer: {other:?}"
             )))
         }
-        None => {
-            return Err(SpotError::SnapshotCorrupt(
-                "missing version field".to_string(),
-            ))
-        }
+        None => return Err(corrupt("missing version field")),
     };
-    match version {
-        SNAPSHOT_VERSION => {
-            let snapshot = SpotSnapshot::from_value(value)
-                .map_err(|e| SpotError::SnapshotCorrupt(e.to_string()))?;
-            Spot::from_snapshot(snapshot)
-        }
-        CHECKPOINT_VERSION | CHECKPOINT_BINARY_VERSION => {
-            let checkpoint = SpotCheckpoint::from_value(value)
-                .map_err(|e| SpotError::SnapshotCorrupt(e.to_string()))?;
-            Spot::from_checkpoint(&checkpoint)
-        }
-        other => Err(SpotError::UnsupportedSnapshotVersion(other)),
+    if version != CHECKPOINT_BINARY_VERSION {
+        return Err(SpotError::UnsupportedSnapshotVersion(version));
     }
+    Spot::from_checkpoint(&SpotCheckpoint::from_value(&value).map_err(corrupt)?)
 }
 
 #[cfg(test)]
@@ -340,12 +225,7 @@ mod tests {
             .build()
             .unwrap();
         spot.learn(&train()).unwrap();
-        let snap = spot.snapshot();
-        assert_eq!(snap.version, SNAPSHOT_VERSION);
-
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: SpotSnapshot = serde_json::from_str(&json).unwrap();
-        let restored = Spot::from_snapshot(back).unwrap();
+        let restored = restore_from_bytes(&spot.checkpoint().to_bytes()).unwrap();
 
         assert!(restored.is_learned());
         assert_eq!(restored.sst().sizes(), spot.sst().sizes());
@@ -361,9 +241,8 @@ mod tests {
             .build()
             .unwrap();
         spot.learn(&train()).unwrap();
-        let snap = spot.snapshot();
-        let mut restored = Spot::from_snapshot(snap).unwrap();
-        // Warm the cold synopses with a recent batch, then detect.
+        let mut restored = restore_from_bytes(&spot.checkpoint().to_bytes()).unwrap();
+        // Feed a recent batch, then detect.
         for p in train() {
             restored.process(&p).unwrap();
         }
@@ -380,7 +259,7 @@ mod tests {
     #[test]
     fn unlearned_snapshot_restores_unlearned() {
         let spot = SpotBuilder::new(DomainBounds::unit(4)).build().unwrap();
-        let restored = Spot::from_snapshot(spot.snapshot()).unwrap();
+        let restored = restore_from_bytes(&spot.checkpoint().to_bytes()).unwrap();
         assert!(!restored.is_learned());
         let (fs, cs, os) = restored.sst().sizes();
         assert_eq!(fs, 4 + 6);
@@ -389,10 +268,10 @@ mod tests {
 
     #[test]
     fn checkpoint_resume_is_bit_exact() {
-        // The v2 acceptance bar: snapshot mid-stream (through JSON text),
-        // restore, continue — verdicts, stats and footprint must be
-        // bit-identical to the uninterrupted detector, across evolution
-        // and pruning ticks.
+        // The acceptance bar: checkpoint mid-stream (through the typed
+        // `from_bytes`), restore, continue — verdicts, stats and footprint
+        // must be bit-identical to the uninterrupted detector, across
+        // evolution and pruning ticks.
         let build = || {
             let mut s = SpotBuilder::new(DomainBounds::unit(4))
                 .seed(17)
@@ -418,9 +297,10 @@ mod tests {
         for p in &pts[..230] {
             got.push(first_half.process(p).unwrap());
         }
-        let json = serde_json::to_string(&first_half.checkpoint()).unwrap();
+        let bytes = first_half.checkpoint().to_bytes();
         drop(first_half); // the "crash"
-        let mut resumed = restore_from_json(&json).unwrap();
+        let checkpoint = SpotCheckpoint::from_bytes(&bytes).unwrap();
+        let mut resumed = Spot::from_checkpoint(&checkpoint).unwrap();
         for p in &pts[230..] {
             got.push(resumed.process(p).unwrap());
         }
@@ -493,7 +373,7 @@ mod tests {
 
     #[test]
     fn checkpoint_of_restored_detector_matches_original() {
-        // capture → restore → capture is a fixed point (same JSON bytes).
+        // capture → restore → capture is a fixed point (same bytes).
         let mut spot = SpotBuilder::new(DomainBounds::unit(4))
             .seed(5)
             .build()
@@ -502,62 +382,31 @@ mod tests {
         for p in stream(150) {
             spot.process(&p).unwrap();
         }
-        let first = serde_json::to_string(&spot.checkpoint()).unwrap();
-        let restored = restore_from_json(&first).unwrap();
-        let second = serde_json::to_string(&restored.checkpoint()).unwrap();
-        assert_eq!(first, second);
-    }
-
-    #[test]
-    fn v1_json_still_loads_cold() {
-        // Migration path: a v1 snapshot (config + SST only) loads through
-        // the universal loader with today's cold-synopsis semantics.
-        let mut spot = SpotBuilder::new(DomainBounds::unit(4))
-            .seed(3)
-            .build()
-            .unwrap();
-        spot.learn(&train()).unwrap();
-        for p in stream(50) {
-            spot.process(&p).unwrap();
-        }
-        let json = serde_json::to_string(&spot.snapshot()).unwrap();
-        let restored = restore_from_json(&json).unwrap();
-        assert!(restored.is_learned());
-        assert_eq!(restored.now(), 0, "v1 restores cold: clock resets");
-        assert_eq!(restored.footprint().projected_cells, 0, "synopses are cold");
-        let a: Vec<u64> = spot.sst().iter_all().map(|s| s.mask()).collect();
-        let b: Vec<u64> = restored.sst().iter_all().map(|s| s.mask()).collect();
-        assert_eq!(a, b);
+        let first = spot.checkpoint().to_bytes();
+        let restored = restore_from_bytes(&first).unwrap();
+        assert_eq!(restored.checkpoint().to_bytes(), first);
     }
 
     #[test]
     fn unknown_versions_are_rejected_with_typed_errors() {
         let spot = SpotBuilder::new(DomainBounds::unit(4)).build().unwrap();
-        // A struct claiming a future version is refused, not misread.
-        let mut snap = spot.snapshot();
-        snap.version = 3;
-        assert_eq!(
-            Spot::from_snapshot(snap).unwrap_err(),
-            SpotError::UnsupportedSnapshotVersion(3)
-        );
-        // Same through the text loader — including absurd versions.
-        let json = r#"{"version":9,"config":{},"sst":{}}"#;
-        assert_eq!(
-            restore_from_json(json).unwrap_err(),
-            SpotError::UnsupportedSnapshotVersion(9)
-        );
-        let json = format!(r#"{{"version":{}}}"#, u64::MAX);
-        assert_eq!(
-            restore_from_json(&json).unwrap_err(),
-            SpotError::UnsupportedSnapshotVersion(u32::MAX)
-        );
+        // A container claiming another version is refused, not misread —
+        // including absurd versions and the retired JSON carrier's 1 and 2.
+        for (version, named) in [(9, 9), (1, 1), (2, 2), (u64::MAX, u32::MAX)] {
+            let mut tree = spot.checkpoint().to_value_binary();
+            *field_mut(&mut tree, "version").unwrap() = Value::U64(version);
+            assert_eq!(
+                restore_from_bytes(&binary::encode_container(&tree)).unwrap_err(),
+                SpotError::UnsupportedSnapshotVersion(named)
+            );
+        }
     }
 
     #[test]
     fn binary_checkpoint_resume_is_bit_exact() {
-        // v3 acceptance bar, mirroring the JSON test: checkpoint through
-        // the binary container mid-stream, restore, continue — verdicts
-        // and stats bit-identical to the uninterrupted detector.
+        // The same bar through `restore_from_bytes`: checkpoint through the
+        // binary container mid-stream, restore, continue — verdicts and
+        // stats bit-identical to the uninterrupted detector.
         let build = || {
             let mut s = SpotBuilder::new(DomainBounds::unit(4))
                 .seed(17)
@@ -592,44 +441,6 @@ mod tests {
         assert_verdicts_bitwise(&want, &got);
         assert_eq!(resumed.stats(), uninterrupted.stats());
         assert_eq!(resumed.footprint(), uninterrupted.footprint());
-
-        // Binary is the compact carrier: meaningfully smaller than the
-        // JSON rendering of the same checkpoint.
-        let json = serde_json::to_string(&resumed.checkpoint()).unwrap();
-        let bin = resumed.checkpoint().to_bytes();
-        assert!(
-            bin.len() * 2 < json.len(),
-            "binary {} vs json {}",
-            bin.len(),
-            json.len()
-        );
-    }
-
-    #[test]
-    fn binary_checkpoint_is_a_fixed_point_across_carriers() {
-        // capture → (binary) restore → capture must reproduce identical
-        // bytes on BOTH carriers, and a JSON-restored detector must emit
-        // the same binary bytes as a binary-restored one.
-        let mut spot = SpotBuilder::new(DomainBounds::unit(4))
-            .seed(5)
-            .build()
-            .unwrap();
-        spot.learn(&train()).unwrap();
-        for p in stream(150) {
-            spot.process(&p).unwrap();
-        }
-        let first_bin = spot.checkpoint().to_bytes();
-        let first_json = serde_json::to_string(&spot.checkpoint()).unwrap();
-
-        let from_bin = restore_from_bytes(&first_bin).unwrap();
-        assert_eq!(from_bin.checkpoint().to_bytes(), first_bin);
-        assert_eq!(
-            serde_json::to_string(&from_bin.checkpoint()).unwrap(),
-            first_json
-        );
-
-        let from_json = restore_from_bytes(first_json.as_bytes()).unwrap();
-        assert_eq!(from_json.checkpoint().to_bytes(), first_bin);
     }
 
     #[test]
@@ -663,7 +474,7 @@ mod tests {
                 "flip at {at}"
             );
         }
-        // Bytes that are neither container nor UTF-8.
+        // Bytes that are not a container at all.
         assert!(matches!(
             restore_from_bytes(&[0xff, 0xfe, 0x01]).unwrap_err(),
             SpotError::SnapshotCorrupt(_)
@@ -725,7 +536,7 @@ mod tests {
         // Trees written while the batch path had executors carry a
         // `config.tuning` block and a run-overlap counter in `stats`. No
         // reader asks for either, so the format version does not move: a
-        // tree that still has them restores through both carriers and
+        // tree that still has them restores through the container and
         // through `Spot::from_checkpoint`, and carries on bit-identically
         // to the tree without them. (The retired counter's name is spelled
         // in two halves so a grep for it finds no live code.)
@@ -743,7 +554,7 @@ mod tests {
         let fresh = spot.checkpoint();
         let fresh_bytes = fresh.to_bytes();
 
-        let mut tree = fresh.to_value();
+        let mut tree = fresh.to_value_binary();
         let tuning = Value::Object(vec![
             ("pool_min_stores".to_string(), Value::U64(8)),
             ("pool_min_points".to_string(), Value::U64(8)),
@@ -762,15 +573,12 @@ mod tests {
             }
             other => panic!("stats is not an object: {other:?}"),
         }
-        let json = serde_json::to_string(&tree).unwrap();
-        *field_mut(&mut tree, "version").unwrap() = Value::U64(CHECKPOINT_BINARY_VERSION as u64);
         let binary = binary::encode_container(&tree);
         assert_ne!(binary, fresh_bytes, "the patched tree must differ");
 
         let tail = stream(2000);
         let want = spot.process_batch(&tail).unwrap();
         let restored = [
-            restore_from_bytes(json.as_bytes()).unwrap(),
             restore_from_bytes(&binary).unwrap(),
             Spot::from_checkpoint(&SpotCheckpoint::from_value(&tree).unwrap()).unwrap(),
         ];
@@ -806,16 +614,11 @@ mod tests {
             // Dimension 40 of a 4-d stream.
             *field_mut(&mut items[0], "mask").unwrap() = Value::U64(1 << 40);
         }
-        for bytes in [
-            hostile.to_bytes(),
-            serde_json::to_string(&hostile).unwrap().into_bytes(),
-        ] {
-            let err = restore_from_bytes(&bytes).unwrap_err();
-            assert!(
-                matches!(&err, SpotError::SnapshotCorrupt(m) if m.contains("outside the grid")),
-                "unexpected error: {err}"
-            );
-        }
+        let err = restore_from_bytes(&hostile.to_bytes()).unwrap_err();
+        assert!(
+            matches!(&err, SpotError::SnapshotCorrupt(m) if m.contains("outside the grid")),
+            "unexpected error: {err}"
+        );
         assert!(matches!(
             Spot::from_checkpoint(&hostile),
             Err(SpotError::SnapshotCorrupt(_))
@@ -830,29 +633,30 @@ mod tests {
 
     #[test]
     fn corrupt_payloads_error_instead_of_panicking() {
-        assert!(matches!(
-            restore_from_json("not json").unwrap_err(),
-            SpotError::SnapshotCorrupt(_)
-        ));
-        assert!(matches!(
-            restore_from_json(r#"{"no_version":true}"#).unwrap_err(),
-            SpotError::SnapshotCorrupt(_)
-        ));
-        assert!(matches!(
-            restore_from_json(r#"{"version":"two"}"#).unwrap_err(),
-            SpotError::SnapshotCorrupt(_)
-        ));
-        // A v2 header with a mangled state payload.
         let mut spot = SpotBuilder::new(DomainBounds::unit(4))
             .seed(3)
             .build()
             .unwrap();
         spot.learn(&train()).unwrap();
-        let json = serde_json::to_string(&spot.checkpoint()).unwrap();
-        let broken = json.replace("\"rng\"", "\"gnr\"");
-        assert!(matches!(
-            restore_from_json(&broken).unwrap_err(),
-            SpotError::SnapshotCorrupt(_)
-        ));
+        // Whole containers whose trees are not checkpoints: no object, no
+        // version, a version that is not an integer, a mangled state.
+        let tree = spot.checkpoint().to_value_binary();
+        let mut no_version = tree.clone();
+        *field_mut(&mut no_version, "version").unwrap() = Value::Null;
+        let mut mangled = tree.clone();
+        let state = field_mut(&mut mangled, "state").unwrap();
+        *field_mut(state, "rng").unwrap() = Value::Str("gnr".to_string());
+        let trees = [
+            Value::Array(vec![]),
+            Value::Object(vec![("no_version".to_string(), Value::Bool(true))]),
+            no_version,
+            mangled,
+        ];
+        for tree in trees {
+            assert!(matches!(
+                restore_from_bytes(&binary::encode_container(&tree)).unwrap_err(),
+                SpotError::SnapshotCorrupt(_)
+            ));
+        }
     }
 }

@@ -361,10 +361,10 @@ fn checkpoint_resume_is_bit_identical() {
         .iter()
         .map(|p| first_half.process(p).unwrap())
         .collect();
-    let json = serde_json::to_string(&first_half.checkpoint()).unwrap();
+    let bytes = first_half.checkpoint().to_bytes();
     drop(first_half); // the "crash"
 
-    let resume = || spot::restore_from_json(&json).unwrap();
+    let resume = || spot::restore_from_bytes(&bytes).unwrap();
     {
         let mut r = resume();
         let mut got = prefix.clone();

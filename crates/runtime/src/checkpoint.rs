@@ -1,4 +1,4 @@
-//! Fleet-level durable state: a versioned container of per-tenant v2
+//! Fleet-level durable state: a versioned container of per-tenant
 //! checkpoints.
 //!
 //! A [`FleetCheckpoint`] composes, per tenant, exactly the
@@ -15,13 +15,13 @@
 //! envelope versions yield [`SpotError::UnsupportedSnapshotVersion`],
 //! structurally broken or torn files yield [`SpotError::SnapshotCorrupt`]
 //! — never a panic. The per-tenant payloads version independently (they
-//! carry the v2 `SpotCheckpoint` version field), so a future detector
+//! carry the `SpotCheckpoint` version field), so a future detector
 //! format slots in without changing the envelope. [`CheckpointStore`]
 //! layers crash-safe *files* on top: atomic tmp + fsync + rename writes, a
 //! bounded window of retained generations, and recovery that scans for
 //! the newest valid file.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Value};
 use spot::SpotCheckpoint;
 use spot_types::persist::binary;
 use spot_types::{Result, SpotError, TenantId};
@@ -31,7 +31,7 @@ use std::path::{Path, PathBuf};
 /// `SPOTBIN1` container. The only version the loader accepts.
 pub const FLEET_CHECKPOINT_VERSION: u32 = 3;
 
-/// Durable state of a whole fleet: one v2 [`SpotCheckpoint`] per tenant,
+/// Durable state of a whole fleet: one [`SpotCheckpoint`] per tenant,
 /// sorted by tenant id, plus (when the ingestion WAL is enabled) each
 /// tenant's WAL replay watermark — the log sequence number recovery
 /// resumes replay from, equal to the tenant's `processed` counter minus
@@ -125,7 +125,7 @@ impl FleetCheckpoint {
             .map(|(id, cp)| {
                 Value::Object(vec![
                     ("id".to_string(), Value::Str(id.to_string())),
-                    ("checkpoint".to_string(), cp.to_value()),
+                    ("checkpoint".to_string(), cp.to_value_binary()),
                 ])
             })
             .collect();

@@ -71,6 +71,9 @@ pub mod health;
 pub mod supervisor;
 pub mod wal;
 
+#[cfg(test)]
+mod segment_logs;
+
 pub use archive::{ArchiveReplay, VerdictArchive};
 pub use checkpoint::{CheckpointStore, FleetCheckpoint, FLEET_CHECKPOINT_VERSION};
 pub use faults::FaultPlan;

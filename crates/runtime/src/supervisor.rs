@@ -5,7 +5,7 @@
 //! ([`Supervisor::tick`]) alongside the normal service loop:
 //!
 //! 1. **Shadowing.** Every healthy tenant gets a rolling in-memory shadow
-//!    checkpoint (the bit-exact v2 `SpotCheckpoint`), refreshed once the
+//!    checkpoint (the bit-exact `SpotCheckpoint`), refreshed once the
 //!    tenant has processed [`SupervisorConfig::shadow_every`] more points
 //!    since the last shadow. Captures ride the existing checkpoint path
 //!    and happen only inside the supervision pass, never on the per-point

@@ -8,8 +8,11 @@
 //! and replays each tenant's tail through the normal processing path,
 //! reconverging bit-identically with the uninterrupted run.
 //!
-//! The byte format lives in [`spot_stream::wal`], shared with the offline
-//! [`spot_stream::WalSource`]; this module owns the writer, [`FleetWal`]:
+//! The segment log under it is [`spot_types::framed`] (segment files,
+//! frames, torn tails, rotation, sync); its payloads live in
+//! [`spot_stream::wal`], shared with the offline
+//! [`spot_stream::WalSource`]. This module owns the writer, [`FleetWal`]:
+//! its stream table, the fsync policy, holds, pruning and fault injection.
 //!
 //! * **One log, one stream per tenant.** Every tenant appends to the same
 //!   segment file; a record carries its tenant and that tenant's own
@@ -35,12 +38,12 @@
 
 use crate::faults::{FaultInjector, WalFault};
 use spot_stream::wal::{
-    encode_attach, encode_evict, encode_record, encode_segment_header, parse_segment_file_name,
-    scan_wal_dir, segment_file_name, StreamAnchor, WalScan, WAL_MAGIC,
+    encode_attach, encode_evict, encode_record, encode_table, scan_wal_dir, StreamAnchor, WalScan,
+    WAL_LOG, WAL_MAGIC,
 };
+use spot_types::framed::{io_err, SegmentWriter};
 use spot_types::{DataPoint, FxHashMap, Result, SpotError, TenantId};
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -144,14 +147,7 @@ struct Stream {
 /// The writer state, behind the writer lock.
 #[derive(Debug)]
 struct Writer {
-    file: File,
-    /// Active segment: number, path, header length, valid length, and
-    /// the length known to be on stable storage.
-    segment: u64,
-    path: PathBuf,
-    header_len: u64,
-    segment_len: u64,
-    synced_len: u64,
+    log: SegmentWriter,
     /// The frame being appended, reused across appends.
     frame: Vec<u8>,
     streams: FxHashMap<TenantId, Stream>,
@@ -186,35 +182,13 @@ pub struct FleetWal {
     syncs: AtomicU64,
 }
 
-fn io_err(action: &str, path: &Path, e: &std::io::Error) -> SpotError {
-    SpotError::Io(format!("{action} {}: {e}", path.display()))
-}
-
-/// Creates segment `number` with `table` in its header, synced. A file
-/// this call created but could not finish is removed (best effort), so a
-/// later scan does not take it for the active segment.
-fn create_segment(dir: &Path, number: u64, table: &[StreamAnchor]) -> Result<(File, PathBuf, u64)> {
-    let path = dir.join(segment_file_name(number));
-    let header = encode_segment_header(table);
-    let mut file = File::create(&path).map_err(|e| io_err("create", &path, &e))?;
-    if let Err(e) = file.write_all(&header).and_then(|()| file.sync_data()) {
-        let _ = std::fs::remove_file(&path);
-        return Err(io_err("write", &path, &e));
-    }
-    Ok((file, path, header.len() as u64))
-}
-
 /// Older builds kept one `SPOTWAL1` log directory per tenant under the
 /// WAL root. Those records are acknowledged points, so starting a log
 /// beside them would lose them silently: refuse, naming the directory.
 fn refuse_per_tenant_logs(dir: &Path) -> Result<()> {
     let entries = std::fs::read_dir(dir).map_err(|e| io_err("list", dir, &e))?;
     for path in entries.flatten().map(|e| e.path()) {
-        let names = std::fs::read_dir(&path).into_iter().flatten().flatten();
-        if names
-            .filter_map(|f| f.file_name().into_string().ok())
-            .any(|name| parse_segment_file_name(&name).is_some())
-        {
+        if WAL_LOG.list(&path).is_ok_and(|n| !n.is_empty()) {
             return Err(SpotError::WalCorrupt(format!(
                 "{}: a per-tenant log written by an older build; this build keeps one log per \
                  fleet — recover and checkpoint with the older build, or move the directory aside",
@@ -228,10 +202,8 @@ fn refuse_per_tenant_logs(dir: &Path) -> Result<()> {
 impl FleetWal {
     /// Opens the log at `dir`, resuming what is there or starting its first
     /// segment, and returns it with the scan it resumed from (the records
-    /// of the tenants `keep` picks included, for recovery to replay).
-    /// Resume repairs crash residue: trailing torn-rotation files are
-    /// deleted and a torn final frame is truncated away. Refuses the
-    /// per-tenant logs older builds left under `dir`.
+    /// of the tenants `keep` picks included, for recovery to replay), crash
+    /// residue repaired. Refuses the per-tenant logs older builds left.
     pub(crate) fn open(
         dir: &Path,
         tuning: WalTuning,
@@ -239,62 +211,38 @@ impl FleetWal {
     ) -> Result<(FleetWal, WalScan)> {
         std::fs::create_dir_all(dir).map_err(|e| io_err("create", dir, &e))?;
         refuse_per_tenant_logs(dir)?;
-        let mut syncs = 0;
-        let scan = match scan_wal_dir(dir, &keep)? {
-            Some(scan) => scan,
-            None => {
-                create_segment(dir, 1, &[])?;
-                syncs += 1;
-                scan_wal_dir(dir, &keep)?.expect("segment 1 was just written")
-            }
-        };
-        for path in &scan.dropped {
-            std::fs::remove_file(path).map_err(|e| io_err("remove", path, &e))?;
-        }
-        let (last, sealed) = scan.segments.split_last().expect("a scan holds a segment");
-        let file = OpenOptions::new()
-            .append(true)
-            .open(&last.path)
-            .map_err(|e| io_err("open", &last.path, &e))?;
-        if last.torn_bytes > 0 {
-            file.set_len(last.valid_len as u64)
-                .and_then(|()| file.sync_data())
-                .map_err(|e| io_err("truncate", &last.path, &e))?;
-            syncs += 1;
-        }
+        let scan = scan_wal_dir(dir, &keep)?;
+        let mut empty_table = Vec::new();
+        encode_table(&[], &mut empty_table)?;
+        let log = SegmentWriter::resume(dir, WAL_LOG, &scan.log, &empty_table)?;
+        let numbers = scan.log.segments.iter().map(|s| s.number);
+        let mut sealed: Vec<_> = numbers.zip(scan.holds.iter().cloned()).collect();
+        let active = sealed.pop().map(|(_, holds)| holds).unwrap_or_default();
         let streams = scan.streams.iter().map(|(id, log)| {
             let stream = Stream {
                 epoch: log.epoch,
                 base: log.base_processed,
                 next_seq: log.next_seq,
                 unsynced: 0,
-                in_active: last.holds.iter().any(|&(e, _)| e == log.epoch),
+                in_active: active.iter().any(|&(e, _)| e == log.epoch),
             };
             (id.clone(), stream)
         });
-        let holds = scan.segments.iter().flat_map(|s| &s.holds);
+        let epochs = scan.holds.iter().flatten().map(|&(e, _)| e);
+        let epochs = epochs.chain(scan.streams.values().map(|l| l.epoch)).max();
         let writer = Writer {
-            file,
-            segment: last.number,
-            path: last.path.clone(),
-            header_len: last.header_len as u64,
-            segment_len: last.valid_len as u64,
-            synced_len: last.valid_len as u64,
             frame: Vec::new(),
             streams: streams.collect(),
-            sealed: sealed.iter().map(|s| (s.number, s.holds.clone())).collect(),
-            epochs: holds
-                .map(|&(e, _)| e)
-                .chain(scan.streams.values().map(|l| l.epoch))
-                .max()
-                .unwrap_or(0),
+            sealed,
+            epochs: epochs.unwrap_or(0),
             dead: None,
+            log,
         };
         let wal = FleetWal {
             dir: dir.to_path_buf(),
             tuning,
+            syncs: AtomicU64::new(writer.log.syncs()),
             writer: Mutex::new(writer),
-            syncs: AtomicU64::new(syncs),
         };
         Ok((wal, scan))
     }
@@ -347,7 +295,7 @@ impl FleetWal {
             first_seq: 0,
         };
         w.frame.clear();
-        encode_attach(&anchor, &mut w.frame);
+        encode_attach(&anchor, &mut w.frame)?;
         self.write_control(w, tenant)?;
         // The frame is in the file: the stream opens even if the sync
         // fails, so a retried attach resumes it instead of writing a second
@@ -377,7 +325,7 @@ impl FleetWal {
         }
         w.alive()?;
         w.frame.clear();
-        encode_evict(tenant, &mut w.frame);
+        encode_evict(tenant, &mut w.frame)?;
         self.write_control(w, tenant)?;
         // As in `attach`: the written frame closed the stream, synced or not.
         w.streams.remove(tenant);
@@ -388,7 +336,7 @@ impl FleetWal {
     /// caller updates the stream map to match before syncing.
     fn write_control(&self, w: &mut Writer, tenant: &TenantId) -> Result<()> {
         self.rotate_if_due(w, tenant, None)?;
-        write_frame(w)
+        w.log.write(&w.frame)
     }
 
     /// Appends one record to `tenant`'s stream (rotating first when due),
@@ -410,12 +358,12 @@ impl FleetWal {
             return Err(SpotError::UnknownTenant(tenant.to_string()));
         };
         w.frame.clear();
-        encode_record(tenant, seq, point, &mut w.frame);
+        encode_record(tenant, seq, point, &mut w.frame)?;
         self.rotate_if_due(w, tenant, faults)?;
         if let Some(fault) = faults.and_then(|f| f.take_wal_fault(tenant, seq)) {
             return Err(crash(w, fault, format!("{tenant} seq {seq}")));
         }
-        write_frame(w)?;
+        w.log.write(&w.frame)?;
         let s = w.streams.get_mut(tenant).expect("stream checked above");
         s.next_seq += 1;
         s.in_active = true;
@@ -437,48 +385,43 @@ impl FleetWal {
     /// nothing is pending, or on a dead writer).
     pub(crate) fn sync(&self) -> Result<()> {
         let mut w = self.lock();
-        if w.dead.is_some() || w.synced_len == w.segment_len {
+        if w.dead.is_some() || w.log.is_synced() {
             return Ok(());
         }
         self.sync_locked(&mut w)
     }
 
     fn sync_locked(&self, w: &mut Writer) -> Result<()> {
-        w.file
-            .sync_data()
-            .map_err(|e| io_err("sync", &w.path, &e))?;
-        w.synced_len = w.segment_len;
+        let synced = w.log.sync();
+        self.syncs.store(w.log.syncs(), Ordering::Relaxed);
+        synced?;
         w.streams.values_mut().for_each(|s| s.unsynced = 0);
-        self.syncs.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
     /// Seals the active segment (sync) and opens the next, its header
-    /// anchoring every open stream, when the frame in `w.frame` would push
-    /// a non-empty segment past the threshold — so a frame never splits
-    /// across segments. An injected rotation crash leaves the next
-    /// segment's header half-written, the residue recovery drops. The
-    /// writer's state changes only once the next segment is on disk: after
-    /// a failed rotation the active segment stays active, and unlisted.
+    /// anchoring every open stream, when the frame in `w.frame` is due
+    /// ([`SegmentWriter::rotation_due`]). An injected rotation crash lands
+    /// after the seal and leaves the next header half-written, the residue
+    /// recovery drops. After a failed rotation the active segment stays
+    /// active, and unlisted.
     fn rotate_if_due(
         &self,
         w: &mut Writer,
         tenant: &TenantId,
         faults: Option<&FaultInjector>,
     ) -> Result<()> {
-        let fits = w.segment_len + w.frame.len() as u64 <= self.tuning.segment_bytes();
-        if fits || w.segment_len == w.header_len {
+        let threshold = self.tuning.segment_bytes();
+        if !w.log.rotation_due(w.frame.len(), threshold) {
             return Ok(());
         }
         self.sync_locked(w)?;
-        let next = w.segment + 1;
+        let (sealed, next) = (w.log.number(), w.log.number() + 1);
         if faults.is_some_and(|f| f.take_rotation_crash(tenant)) {
-            let path = self.dir.join(segment_file_name(next));
+            let path = WAL_LOG.path(&self.dir, next);
             std::fs::write(&path, &WAL_MAGIC[..4]).map_err(|e| io_err("write", &path, &e))?;
-            return Err(die(
-                w,
-                format!("injected crash mid-rotation to segment {next}"),
-            ));
+            let reason = format!("injected crash mid-rotation to segment {next}");
+            return Err(die(w, reason));
         }
         let mut table: Vec<StreamAnchor> = w
             .streams
@@ -490,14 +433,15 @@ impl FleetWal {
             })
             .collect();
         table.sort_by(|a, b| a.tenant.cmp(&b.tenant));
-        let (file, path, header_len) = create_segment(&self.dir, next, &table)?;
-        self.syncs.fetch_add(1, Ordering::Relaxed);
+        let mut header = Vec::new();
+        encode_table(&table, &mut header)?;
+        let rotated = w.log.rotate(&header);
+        self.syncs.store(w.log.syncs(), Ordering::Relaxed);
+        rotated?;
         let holds = w.streams.values_mut();
         let holds =
             holds.filter_map(|s| std::mem::take(&mut s.in_active).then_some((s.epoch, s.next_seq)));
-        w.sealed.push((w.segment, holds.collect()));
-        (w.file, w.segment, w.path) = (file, next, path);
-        (w.header_len, w.segment_len, w.synced_len) = (header_len, header_len, header_len);
+        w.sealed.push((sealed, holds.collect()));
         Ok(())
     }
 
@@ -529,7 +473,7 @@ impl FleetWal {
         };
         let mut deleted = 0;
         while let Some(i) = w.sealed.iter().position(|(_, holds)| behind(holds)) {
-            let path = self.dir.join(segment_file_name(w.sealed[i].0));
+            let path = WAL_LOG.path(&self.dir, w.sealed[i].0);
             std::fs::remove_file(&path).map_err(|e| io_err("remove", &path, &e))?;
             w.sealed.remove(i);
             deleted += 1;
@@ -545,34 +489,22 @@ impl FleetWal {
     }
 }
 
-fn write_frame(w: &mut Writer) -> Result<()> {
-    w.file
-        .write_all(&w.frame)
-        .map_err(|e| io_err("write", &w.path, &e))?;
-    w.segment_len += w.frame.len() as u64;
-    Ok(())
-}
-
 /// Damages the file as a crash during this append would, and kills the
 /// writer. The write and sync results are moot: the process is "dead".
 fn crash(w: &mut Writer, fault: WalFault, at: String) -> SpotError {
-    let (frame, synced) = (&w.frame[..], w.synced_len);
+    let (frame, synced) = (&w.frame[..], w.log.synced_len());
+    let file = w.log.file_mut();
     let _ = match fault {
         // The crash lands mid-`write`: a prefix of the frame reaches the file.
-        WalFault::TornWrite { keep_bytes } => {
-            w.file.write_all(&frame[..keep_bytes.min(frame.len())])
-        }
+        WalFault::TornWrite { keep_bytes } => file.write_all(&frame[..keep_bytes.min(frame.len())]),
         // The sync fails and the process goes down with it: everything since
         // the last successful sync — any tenant's — never reaches the disk.
-        WalFault::FailFsync => w
-            .file
-            .write_all(frame)
-            .and_then(|()| w.file.set_len(synced)),
+        WalFault::FailFsync => file.write_all(frame).and_then(|()| file.set_len(synced)),
         // The record reaches stable storage; the process dies before the
         // point is acknowledged, so recovery must replay it.
-        WalFault::KillAfterAppend => w.file.write_all(frame),
+        WalFault::KillAfterAppend => file.write_all(frame),
     }
-    .and_then(|()| w.file.sync_data());
+    .and_then(|()| file.sync_data());
     die(w, format!("injected {fault:?} at {at}"))
 }
 
@@ -586,6 +518,7 @@ fn die(w: &mut Writer, reason: String) -> SpotError {
 mod tests {
     use super::*;
     use spot_stream::wal::read_wal_from;
+    use std::fs::File;
 
     fn tid(s: &str) -> TenantId {
         TenantId::new(s).expect("valid tenant id")
@@ -744,8 +677,8 @@ mod tests {
         // Segments: [attach a] [attach b] [b0], the last one active. A
         // directory squatting on the next segment's name makes every
         // rotation fail.
-        let active = dir.join(segment_file_name(3));
-        let squatter = dir.join(segment_file_name(4));
+        let active = WAL_LOG.path(&dir, 3);
+        let squatter = WAL_LOG.path(&dir, 4);
         std::fs::create_dir(&squatter).unwrap();
         for _ in 0..2 {
             assert!(matches!(
@@ -779,7 +712,8 @@ mod tests {
         // A pipe takes writes but refuses `fdatasync`: every control frame
         // reaches it and every sync after one fails.
         let (mut reader, writer) = std::io::pipe().unwrap();
-        let log = std::mem::replace(&mut wal.lock().file, File::from(OwnedFd::from(writer)));
+        let pipe = File::from(OwnedFd::from(writer));
+        let log = std::mem::replace(wal.lock().log.file_mut(), pipe);
         let c = tid("c");
         assert!(matches!(wal.attach(&c, 4), Err(SpotError::Io(_))));
         // The attach frame was written, so the stream is open: a retry
@@ -788,7 +722,7 @@ mod tests {
         assert!(matches!(wal.evict(&c), Err(SpotError::Io(_))));
         wal.evict(&c).unwrap();
         assert_eq!(wal.position(&c), None);
-        drop(std::mem::replace(&mut wal.lock().file, log));
+        drop(std::mem::replace(wal.lock().log.file_mut(), log));
         let mut written = Vec::new();
         reader.read_to_end(&mut written).unwrap();
         let mut expected = Vec::new();
@@ -797,8 +731,8 @@ mod tests {
             base_processed: 4,
             first_seq: 0,
         };
-        encode_attach(&anchor, &mut expected);
-        encode_evict(&c, &mut expected);
+        encode_attach(&anchor, &mut expected).unwrap();
+        encode_evict(&c, &mut expected).unwrap();
         assert_eq!(written, expected);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -13,7 +13,7 @@
 //!   typed errors.
 
 use proptest::prelude::*;
-use serde::{Serialize, Value};
+use serde::Value;
 use spot::{EvolutionConfig, Spot, SpotBuilder, SpotConfig, Verdict};
 use spot_runtime::{FleetCheckpoint, FleetConfig, SpotFleet, TenantId, FLEET_CHECKPOINT_VERSION};
 use spot_types::persist::binary;
@@ -482,7 +482,7 @@ fn checkpoint_versioning_errors_are_typed() {
         ("id".to_string(), Value::Str("d".to_string())),
         (
             "checkpoint".to_string(),
-            fleet.checkpoint_tenant(&id).unwrap().to_value(),
+            fleet.checkpoint_tenant(&id).unwrap().to_value_binary(),
         ),
     ]);
     let single = envelope(current, vec![entry.clone()]);

@@ -1,13 +1,13 @@
-//! Write-ahead-log segment format and replay reader: the byte format of
-//! the fleet's one ingestion log (`docs/persistence.md` § "The ingestion
-//! WAL") and [`WalSource`], a [`crate::PointStream`] over one tenant's
-//! records. The writer lives in `spot-runtime`.
+//! The ingestion WAL's schema over a segment log ([`spot_types::framed`]):
+//! the payloads of the fleet's one log (`docs/persistence.md` § "The
+//! ingestion WAL"), the scan that checks each tenant's stream continuity,
+//! and [`WalSource`], a [`crate::PointStream`] over one tenant's records.
+//! The writer lives in `spot-runtime`.
 //!
 //! ```text
 //! <root>/wal-<number:08>.seg            (highest number = active segment)
 //!
 //! segment := magic[8]="SPOTWAL2" version:u32 frame(table) frame*
-//! frame   := len:u32 payload[len] checksum:u64   (binary::checksum64 of payload)
 //! payload := kind:u8 body
 //!   point  (0) := tenant seq:u64 dims:u32 value_bits:u64 × dims
 //!   attach (1) := anchor              evict (2) := tenant
@@ -19,20 +19,19 @@
 //! Floats travel as IEEE-754 bit patterns, so replay is bit-exact. A
 //! tenant's *stream* runs from the attach that opens it to the evict that
 //! closes it; its seq `n` is the detector's point `base_processed + n`.
-//! Each segment's table re-anchors the open streams, so a segment stays
-//! readable once older ones are pruned.
+//! Each segment's table (its one header frame) re-anchors the open
+//! streams, so a segment stays readable once older ones are pruned.
 //!
-//! In the *final* segment an incomplete or checksum-failing frame, or a
-//! header cut short by a crash mid-rotation, is crash residue and is
-//! truncated away. The same damage in a sealed segment, a checksum-valid
-//! frame that does not decode, a sequence gap, or a table that contradicts
-//! the segment before it is [`SpotError::WalCorrupt`] — never repaired
-//! silently, as records after it may have been acknowledged.
+//! On top of the segment log's torn-tail rules, a sequence gap, a frame of
+//! a tenant with no open stream, or a table that contradicts the segment
+//! before it is [`SpotError::WalCorrupt`] — never repaired silently, as
+//! records after it may have been acknowledged.
 
-use spot_types::persist::{binary::checksum64, lanes};
+use spot_types::framed::{self, put_frame, Scan, Schema};
+use spot_types::persist::lanes;
 use spot_types::{DataPoint, Result, SpotError, StreamRecord, TenantId};
 use std::collections::{BTreeMap, HashMap};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Magic bytes opening every WAL segment file.
 pub const WAL_MAGIC: [u8; 8] = *b"SPOTWAL2";
@@ -40,30 +39,20 @@ pub const WAL_MAGIC: [u8; 8] = *b"SPOTWAL2";
 /// WAL segment format version.
 pub const WAL_SEGMENT_VERSION: u32 = 2;
 
-/// Byte length of a segment's fixed prefix (magic + version).
-pub const WAL_PREFIX_LEN: usize = 8 + 4;
-
-/// Upper bound on one frame's payload: a longer length prefix is torn
-/// garbage, never an allocation request.
-pub const MAX_WAL_RECORD: u32 = 1 << 26;
+/// The WAL's segment log: `wal-<n:08>.seg` files opening with `SPOTWAL2`
+/// v2 and a table frame.
+pub static WAL_LOG: Schema = Schema {
+    prefix: "wal",
+    magic: WAL_MAGIC,
+    version: WAL_SEGMENT_VERSION,
+    header_frames: 1,
+    corrupt: SpotError::WalCorrupt,
+};
 
 const KIND_POINT: u8 = 0;
 const KIND_ATTACH: u8 = 1;
 const KIND_EVICT: u8 = 2;
 const KIND_TABLE: u8 = 3;
-
-/// Builds the file name of segment `number` (`wal-<number:08>.seg`).
-pub fn segment_file_name(number: u64) -> String {
-    format!("wal-{number:08}.seg")
-}
-
-/// Parses a segment file name back into its number.
-pub fn parse_segment_file_name(name: &str) -> Option<u64> {
-    name.strip_prefix("wal-")?
-        .strip_suffix(".seg")?
-        .parse()
-        .ok()
-}
 
 /// Where one tenant's stream stands: a segment table entry or an attach
 /// frame.
@@ -78,20 +67,6 @@ pub struct StreamAnchor {
     pub first_seq: u64,
 }
 
-/// Appends one frame of `kind` whose body `body` writes; returns the
-/// frame's byte length.
-fn put_frame(buf: &mut Vec<u8>, kind: u8, body: impl FnOnce(&mut Vec<u8>)) -> usize {
-    let start = buf.len();
-    lanes::put_u32(buf, 0);
-    buf.push(kind);
-    body(buf);
-    let len = (buf.len() - start - 4) as u32;
-    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
-    let checksum = checksum64(&buf[start + 4..]);
-    lanes::put_u64(buf, checksum);
-    buf.len() - start
-}
-
 fn put_tenant(buf: &mut Vec<u8>, tenant: &TenantId) {
     let id = tenant.as_str().as_bytes();
     buf.extend_from_slice(&(id.len() as u16).to_le_bytes());
@@ -104,22 +79,26 @@ fn put_anchor(buf: &mut Vec<u8>, anchor: &StreamAnchor) {
     lanes::put_u64(buf, anchor.first_seq);
 }
 
-/// Encodes a segment header: the fixed prefix, then the table of every
-/// stream open when the segment begins.
-pub fn encode_segment_header(table: &[StreamAnchor]) -> Vec<u8> {
-    let mut buf = WAL_MAGIC.to_vec();
-    lanes::put_u32(&mut buf, WAL_SEGMENT_VERSION);
-    put_frame(&mut buf, KIND_TABLE, |b| {
+/// Appends a segment's header frame: the table of every stream open when
+/// the segment begins.
+pub fn encode_table(table: &[StreamAnchor], buf: &mut Vec<u8>) -> Result<usize> {
+    put_frame(buf, |b| {
+        b.push(KIND_TABLE);
         lanes::put_u32(b, table.len() as u32);
         table.iter().for_each(|a| put_anchor(b, a));
-    });
-    buf
+    })
 }
 
 /// Appends the frame of `tenant`'s record `seq` to `buf`; returns its
 /// byte length.
-pub fn encode_record(tenant: &TenantId, seq: u64, point: &DataPoint, buf: &mut Vec<u8>) -> usize {
-    put_frame(buf, KIND_POINT, |b| {
+pub fn encode_record(
+    tenant: &TenantId,
+    seq: u64,
+    point: &DataPoint,
+    buf: &mut Vec<u8>,
+) -> Result<usize> {
+    put_frame(buf, |b| {
+        b.push(KIND_POINT);
         put_tenant(b, tenant);
         lanes::put_u64(b, seq);
         lanes::put_u32(b, point.dims() as u32);
@@ -131,13 +110,19 @@ pub fn encode_record(tenant: &TenantId, seq: u64, point: &DataPoint, buf: &mut V
 }
 
 /// Appends the control frame that opens `anchor`'s stream.
-pub fn encode_attach(anchor: &StreamAnchor, buf: &mut Vec<u8>) -> usize {
-    put_frame(buf, KIND_ATTACH, |b| put_anchor(b, anchor))
+pub fn encode_attach(anchor: &StreamAnchor, buf: &mut Vec<u8>) -> Result<usize> {
+    put_frame(buf, |b| {
+        b.push(KIND_ATTACH);
+        put_anchor(b, anchor);
+    })
 }
 
 /// Appends the control frame that closes `tenant`'s stream (eviction).
-pub fn encode_evict(tenant: &TenantId, buf: &mut Vec<u8>) -> usize {
-    put_frame(buf, KIND_EVICT, |b| put_tenant(b, tenant))
+pub fn encode_evict(tenant: &TenantId, buf: &mut Vec<u8>) -> Result<usize> {
+    put_frame(buf, |b| {
+        b.push(KIND_EVICT);
+        put_tenant(b, tenant);
+    })
 }
 
 /// One decoded frame; a point borrows the segment bytes.
@@ -210,67 +195,10 @@ fn parse_payload(payload: &[u8]) -> Option<Frame<'_>> {
     c.0.is_empty().then_some(frame)
 }
 
-/// Why a frame could not be read.
-enum FrameStop {
-    /// Incomplete or checksum-failing: a crash artifact if it is the last
-    /// readable data, corruption otherwise.
-    Torn(String),
-    /// All bytes present and checksum-valid, yet impossible.
-    Corrupt(String),
-}
-
-/// Reads the frame at `at`, returning it with its byte length.
-fn read_frame(bytes: &[u8], at: usize) -> std::result::Result<(Frame<'_>, usize), FrameStop> {
-    let torn = |why: &str| Err(FrameStop::Torn(why.to_string()));
-    let Some(len) = lanes::get_u32(bytes, at).map(|n| n as usize) else {
-        return torn("incomplete length prefix");
-    };
-    if len == 0 || len > MAX_WAL_RECORD as usize {
-        return torn("implausible frame length");
-    }
-    let Some(payload) = bytes.get(at + 4..at + 4 + len) else {
-        return torn("frame extends past the end of the segment");
-    };
-    if lanes::get_u64(bytes, at + 4 + len) != Some(checksum64(payload)) {
-        return torn("incomplete checksum or checksum mismatch");
-    }
-    // The checksum verified: the payload is what the writer sealed, so a
-    // payload that does not decode is corruption, never a crash artifact.
-    match parse_payload(payload) {
-        Some(frame) => Ok((frame, 4 + len + 8)),
-        None => Err(FrameStop::Corrupt(format!(
-            "checksum-valid {len}-byte frame does not decode"
-        ))),
-    }
-}
-
-/// Reads a segment's header: its table and byte length. Shorter than the
-/// fixed prefix is `Torn` (a crash mid-rotation); a foreign magic or
-/// version is `Corrupt` — a log this build does not read is refused, never
-/// dropped.
-fn read_header(bytes: &[u8]) -> std::result::Result<(Vec<StreamAnchor>, usize), FrameStop> {
-    if bytes.len() < WAL_PREFIX_LEN {
-        return Err(FrameStop::Torn(
-            "segment shorter than its header".to_string(),
-        ));
-    }
-    if bytes[..8] != WAL_MAGIC || lanes::get_u32(bytes, 8) != Some(WAL_SEGMENT_VERSION) {
-        return Err(FrameStop::Corrupt(
-            "not a SPOTWAL2 segment (wrong magic or version)".to_string(),
-        ));
-    }
-    match read_frame(bytes, WAL_PREFIX_LEN)? {
-        (Frame::Table(table), len) => Ok((table, WAL_PREFIX_LEN + len)),
-        _ => Err(FrameStop::Corrupt(
-            "segment does not open with its table".to_string(),
-        )),
-    }
-}
-
 /// One tenant's stream as a scan found it at the end of the log.
 #[derive(Debug, Clone)]
 pub struct TenantLog {
-    /// Scan-local stream ordinal ([`SegmentInfo::holds`] keys): a tenant
+    /// Scan-local stream ordinal ([`WalScan::holds`] entries): a tenant
     /// evicted and registered again has a new one.
     pub epoch: u64,
     /// The detector position record seq 0 maps to.
@@ -302,32 +230,15 @@ impl TenantLog {
     }
 }
 
-/// One live segment file of a scanned log.
-#[derive(Debug, Clone)]
-pub struct SegmentInfo {
-    /// Segment number (file `wal-<number:08>.seg`).
-    pub number: u64,
-    /// Full path of the file.
-    pub path: PathBuf,
-    /// Byte length of the header (prefix + table frame).
-    pub header_len: usize,
-    /// Byte offset one past the last valid frame.
-    pub valid_len: usize,
-    /// Torn bytes dropped after `valid_len` (final segment only).
-    pub torn_bytes: usize,
-    /// `(epoch, end)` of every stream with records here: `end` is one past
-    /// its last record in this segment.
-    pub holds: Vec<(u64, u64)>,
-}
-
 /// A fully scanned fleet WAL directory.
 #[derive(Debug, Clone)]
 pub struct WalScan {
-    /// Live segments, oldest first; the last is the active segment.
-    pub segments: Vec<SegmentInfo>,
-    /// Trailing segment files a crash mid-rotation left without a whole
-    /// header, dropped (a resuming writer deletes them).
-    pub dropped: Vec<PathBuf>,
+    /// The segment log: live segments (the last is the active one), torn
+    /// bytes, dropped torn-rotation files.
+    pub log: Scan,
+    /// Per live segment, `(epoch, end)` of every stream with records in
+    /// it: `end` is one past the stream's last record there.
+    pub holds: Vec<Vec<(u64, u64)>>,
     /// Every stream open at the end of the log, by tenant.
     pub streams: BTreeMap<TenantId, TenantLog>,
 }
@@ -451,103 +362,43 @@ fn apply_frame(
     Ok(())
 }
 
-fn io_err(action: &str, path: &Path, e: &std::io::Error) -> SpotError {
-    SpotError::Io(format!("{action} {}: {e}", path.display()))
-}
-
-fn corrupt_in(path: &Path, msg: impl std::fmt::Display) -> SpotError {
-    SpotError::WalCorrupt(format!("{}: {msg}", path.display()))
-}
-
-/// Scans a fleet WAL directory without mutating it: orders the segments,
-/// drops trailing torn-rotation files, applies the torn-tail policy to the
-/// final segment, and checks every stream's continuity. `keep` picks the
-/// tenants whose records are loaded into [`TenantLog::records`]. `None`
-/// when the directory holds no segment (or does not exist). A segment
-/// that vanishes while listed (pruned by a live writer) counts as pruned.
-pub fn scan_wal_dir(dir: &Path, keep: impl Fn(&str) -> bool) -> Result<Option<WalScan>> {
-    let mut numbers = Vec::new();
-    match std::fs::read_dir(dir) {
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => return Err(io_err("list", dir, &e)),
-        Ok(entries) => {
-            for entry in entries {
-                let name = entry.map_err(|e| io_err("list", dir, &e))?.file_name();
-                numbers.extend(name.to_str().and_then(parse_segment_file_name));
-            }
-        }
-    }
-    numbers.sort_unstable();
-    let mut dropped = Vec::new();
-    while let Some(&last) = numbers.last() {
-        let path = dir.join(segment_file_name(last));
-        match std::fs::read(&path) {
-            Ok(bytes) if matches!(read_header(&bytes), Err(FrameStop::Torn(_))) => {
-                dropped.push(path);
-                numbers.pop();
-            }
-            _ => break,
-        }
-    }
+/// Scans a fleet WAL directory without mutating it: the segment log's
+/// torn-tail rules, then every stream's continuity. `keep` picks the
+/// tenants whose records are loaded into [`TenantLog::records`]. A
+/// directory without segments (or none at all) scans empty.
+pub fn scan_wal_dir(dir: &Path, keep: impl Fn(&str) -> bool) -> Result<WalScan> {
     let (mut open, mut epoch, mut previous) = (HashMap::new(), 0u64, None::<u64>);
-    let mut segments = Vec::with_capacity(numbers.len());
-    for (i, &number) in numbers.iter().enumerate() {
-        let path = dir.join(segment_file_name(number));
-        let bytes = match std::fs::read(&path) {
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-            other => other.map_err(|e| io_err("read", &path, &e))?,
-        };
-        let (table, header_len) = read_header(&bytes).map_err(|stop| match stop {
-            FrameStop::Torn(why) | FrameStop::Corrupt(why) => corrupt_in(&path, why),
-        })?;
-        let contiguous = previous.is_some_and(|p| p + 1 == number);
-        apply_table(&mut open, table, contiguous, &mut epoch, &keep)
-            .map_err(|why| corrupt_in(&path, why))?;
-        let (mut at, mut holds) = (header_len, Vec::new());
-        while at < bytes.len() {
-            let (frame, len) = match read_frame(&bytes, at) {
-                Ok(read) => read,
-                Err(FrameStop::Torn(_)) if i + 1 == numbers.len() => break,
-                Err(FrameStop::Torn(why)) => {
-                    return Err(corrupt_in(
-                        &path,
-                        format!("sealed segment damaged at byte {at}: {why}"),
-                    ))
-                }
-                Err(FrameStop::Corrupt(why)) => {
-                    return Err(corrupt_in(&path, format!("byte {at}: {why}")))
-                }
-            };
-            apply_frame(&mut open, frame, number, &mut holds, &mut epoch, &keep)
-                .map_err(|why| corrupt_in(&path, format!("byte {at}: {why}")))?;
-            at += len;
+    let mut holds: Vec<Vec<(u64, u64)>> = Vec::new();
+    let log = framed::scan(dir, &WAL_LOG, false, |number, index, payload| {
+        let len = payload.len();
+        match parse_payload(payload) {
+            Some(Frame::Table(table)) if index == 0 => {
+                let contiguous = previous.is_some_and(|p| p + 1 == number);
+                previous = Some(number);
+                holds.push(Vec::new());
+                apply_table(&mut open, table, contiguous, &mut epoch, &keep)
+            }
+            Some(_) if index == 0 => Err("segment does not open with its table".to_string()),
+            Some(frame) => {
+                let holds = holds.last_mut().expect("a table opened the segment");
+                apply_frame(&mut open, frame, number, holds, &mut epoch, &keep)
+            }
+            None => Err(format!("checksum-valid {len}-byte frame does not decode")),
         }
-        let torn_bytes = bytes.len() - at;
-        segments.push(SegmentInfo {
-            number,
-            path,
-            header_len,
-            valid_len: at,
-            torn_bytes,
-            holds,
-        });
-        previous = Some(number);
-    }
-    if segments.is_empty() {
-        return Ok(None);
-    }
+    })?;
     let streams = open.into_iter().map(|(id, s)| (id, s.log)).collect();
-    Ok(Some(WalScan {
-        segments,
-        dropped,
+    Ok(WalScan {
+        log,
+        holds,
         streams,
-    }))
+    })
 }
 
 /// `tenant`'s stream in the log at `dir`, with its records.
 fn tenant_log(dir: &Path, tenant: &TenantId) -> Result<Option<TenantLog>> {
-    let scan = scan_wal_dir(dir, |t| t == tenant.as_str())?;
-    Ok(scan.and_then(|mut s| s.streams.remove(tenant)))
+    Ok(scan_wal_dir(dir, |t| t == tenant.as_str())?
+        .streams
+        .remove(tenant))
 }
 
 /// `tenant`'s records with seq ≥ `from_seq` in the log at `dir` (see
@@ -557,10 +408,8 @@ pub fn read_wal_from(
     tenant: &TenantId,
     from_seq: u64,
 ) -> Result<Vec<(u64, DataPoint)>> {
-    match tenant_log(dir, tenant)? {
-        Some(log) => log.into_tail(tenant, from_seq),
-        None => Ok(Vec::new()),
-    }
+    let log = tenant_log(dir, tenant)?;
+    log.map_or(Ok(Vec::new()), |log| log.into_tail(tenant, from_seq))
 }
 
 /// Offline replay of one tenant's records in a fleet WAL, as a stream
@@ -637,6 +486,7 @@ impl Iterator for WalSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn pt(vs: &[f64]) -> DataPoint {
         DataPoint::new(vs.to_vec())
@@ -656,9 +506,10 @@ mod tests {
 
     /// A segment: `table` in the header, then point records.
     fn segment(table: &[StreamAnchor], records: &[(&str, u64, DataPoint)]) -> Vec<u8> {
-        let mut buf = encode_segment_header(table);
+        let mut buf = [&WAL_MAGIC[..], &WAL_SEGMENT_VERSION.to_le_bytes()].concat();
+        encode_table(table, &mut buf).unwrap();
         for (t, seq, p) in records {
-            encode_record(&tid(t), *seq, p, &mut buf);
+            encode_record(&tid(t), *seq, p, &mut buf).unwrap();
         }
         buf
     }
@@ -674,13 +525,13 @@ mod tests {
     fn log_dir(tag: &str, segments: &[Vec<u8>]) -> PathBuf {
         let dir = temp_dir(tag);
         for (i, bytes) in segments.iter().enumerate() {
-            std::fs::write(dir.join(segment_file_name(i as u64 + 1)), bytes).unwrap();
+            std::fs::write(WAL_LOG.path(&dir, i as u64 + 1), bytes).unwrap();
         }
         dir
     }
 
     fn scan_all(dir: &Path) -> Result<WalScan> {
-        scan_wal_dir(dir, |_| true).map(|s| s.expect("segments present"))
+        scan_wal_dir(dir, |_| true)
     }
 
     fn seqs(scan: &WalScan, t: &str) -> Vec<u64> {
@@ -690,29 +541,23 @@ mod tests {
     #[test]
     fn header_roundtrip_and_rejection() {
         let table = [anchor("a", 42, 7), anchor("b/ü", 0, 0)];
-        let bytes = encode_segment_header(&table);
-        let (got, len) = read_header(&bytes).ok().unwrap();
-        assert_eq!(len, bytes.len());
-        assert_eq!(got.len(), 2);
-        assert_eq!(got, table);
-        // Shorter than the prefix: a torn rotation. A cut table frame is
-        // torn too; a foreign magic or version is refused.
-        assert!(matches!(
-            read_header(&bytes[..WAL_PREFIX_LEN - 1]),
-            Err(FrameStop::Torn(_))
-        ));
-        assert!(matches!(
-            read_header(&bytes[..bytes.len() - 1]),
-            Err(FrameStop::Torn(_))
-        ));
-        let mut bad = bytes.clone();
-        bad[7] = b'1';
-        assert!(matches!(read_header(&bad), Err(FrameStop::Corrupt(_))));
-        let mut bad = bytes.clone();
-        bad[8] = 99;
-        assert!(matches!(read_header(&bad), Err(FrameStop::Corrupt(_))));
+        let bytes = segment(&table, &[]);
+        let scan = scan_all(&log_dir("header", std::slice::from_ref(&bytes))).unwrap();
+        let got = scan.streams.iter();
+        let got: Vec<_> = got
+            .map(|(id, l)| (id.as_str(), l.base_processed, l.next_seq))
+            .collect();
+        assert_eq!(got, [("a", 42, 7), ("b/ü", 0, 0)]);
+        // A segment that does not open with its table is refused.
+        let mut bad = segment(&[], &[]);
+        bad.truncate(12);
+        encode_evict(&tid("a"), &mut bad).unwrap();
+        let dir = log_dir("header-bad", &[bad]);
+        assert!(matches!(scan_all(&dir), Err(SpotError::WalCorrupt(ref m)) if m.contains("table")));
+        for tag in ["header", "header-bad"] {
+            let _ = std::fs::remove_dir_all(temp_dir(tag));
+        }
     }
-
     #[test]
     fn record_roundtrip_bit_exact() {
         let specials = pt(&[0.1, -0.0, f64::INFINITY, f64::MIN_POSITIVE / 2.0, 1e308]);
@@ -728,7 +573,7 @@ mod tests {
             )],
         );
         let scan = scan_all(&dir).unwrap();
-        assert_eq!(scan.segments[0].torn_bytes, 0);
+        assert!(!scan.log.torn());
         assert_eq!(seqs(&scan, "a"), vec![0, 1]);
         assert_eq!(seqs(&scan, "b"), vec![0]);
         assert_eq!(scan.streams["b"].base_processed, 9);
@@ -740,69 +585,6 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn torn_tail_truncates_only_in_final_segment() {
-        let table = [anchor("a", 0, 0), anchor("b", 0, 0)];
-        let records: Vec<(&str, u64, DataPoint)> = (0..4)
-            .map(|i| (["a", "b"][i % 2], i as u64 / 2, pt(&[i as f64, 0.5])))
-            .collect();
-        let clean = segment(&table, &records);
-        let frame = encode_record(&tid("b"), 1, &records[3].2, &mut Vec::new());
-        let next = encode_segment_header(&[anchor("a", 0, 2), anchor("b", 0, 2)]);
-        // Cut at every byte inside the last frame: the final-segment scan
-        // always keeps exactly the first 3 records.
-        for cut in (clean.len() - frame + 1)..clean.len() {
-            let dir = log_dir("torn", &[clean[..cut].to_vec()]);
-            let scan = scan_all(&dir).unwrap();
-            assert_eq!(
-                (seqs(&scan, "a"), seqs(&scan, "b")),
-                (vec![0, 1], vec![0]),
-                "cut {cut}"
-            );
-            assert_eq!(scan.segments[0].valid_len, clean.len() - frame);
-            assert_eq!(scan.segments[0].torn_bytes, cut - (clean.len() - frame));
-            // The same damage in a sealed segment is corruption.
-            let dir = log_dir("torn-sealed", &[clean[..cut].to_vec(), next.clone()]);
-            assert!(matches!(scan_all(&dir), Err(SpotError::WalCorrupt(_))));
-        }
-        let _ = std::fs::remove_dir_all(temp_dir("torn"));
-        let _ = std::fs::remove_dir_all(temp_dir("torn-sealed"));
-    }
-
-    #[test]
-    fn final_frame_checksum_mismatch_is_torn_mid_log_is_corrupt() {
-        let table = [anchor("a", 0, 0)];
-        let records: Vec<(&str, u64, DataPoint)> =
-            (0..3).map(|i| ("a", i, pt(&[i as f64]))).collect();
-        let clean = segment(&table, &records);
-        let header = encode_segment_header(&table).len();
-        let frame = (clean.len() - header) / 3;
-        let next = encode_segment_header(&[anchor("a", 0, 3)]);
-        // Flip a value bit in the last record: a torn tail (dropped).
-        let mut bytes = clean.clone();
-        let last = bytes.len() - 10;
-        bytes[last] ^= 1;
-        let dir = log_dir("flip-last", &[bytes]);
-        let scan = scan_all(&dir).unwrap();
-        assert_eq!(seqs(&scan, "a"), vec![0, 1]);
-        assert_eq!(scan.segments[0].torn_bytes, frame);
-        // Flip the same bit in the *first* record. In the final segment a
-        // bad frame is always the truncation point (frame lengths vary, so
-        // re-synchronising past it is not possible); everything after is
-        // dropped. In a sealed segment the same damage is corruption.
-        let mut bytes = clean;
-        bytes[header + frame - 10] ^= 1;
-        let dir = log_dir("flip-first", &[bytes.clone()]);
-        let scan = scan_all(&dir).unwrap();
-        assert!(seqs(&scan, "a").is_empty());
-        assert_eq!(scan.segments[0].valid_len, header);
-        let dir = log_dir("flip-sealed", &[bytes, next]);
-        assert!(matches!(scan_all(&dir), Err(SpotError::WalCorrupt(_))));
-        for tag in ["flip-last", "flip-first", "flip-sealed"] {
-            let _ = std::fs::remove_dir_all(temp_dir(tag));
-        }
     }
 
     #[test]
@@ -828,7 +610,7 @@ mod tests {
             "table",
             &[
                 segment(&table, &[("a", 0, pt(&[1.0]))]),
-                encode_segment_header(&[anchor("a", 0, 0), anchor("b", 0, 0)]),
+                segment(&[anchor("a", 0, 0), anchor("b", 0, 0)], &[]),
             ],
         );
         assert!(matches!(scan_all(&dir), Err(SpotError::WalCorrupt(ref m)) if m.contains("table")));
@@ -838,49 +620,16 @@ mod tests {
     }
 
     #[test]
-    fn dir_scan_orders_segments_and_drops_torn_rotation() {
-        let s1 = segment(
-            &[anchor("a", 5, 0)],
-            &[("a", 0, pt(&[0.0])), ("a", 1, pt(&[1.0]))],
-        );
-        let s2 = segment(&[anchor("a", 5, 2)], &[("a", 2, pt(&[2.0]))]);
-        // Crash mid-rotation: segment 3's header never completed.
-        let dir = log_dir("dirscan", &[s1, s2, WAL_MAGIC[..5].to_vec()]);
-        let scan = scan_all(&dir).unwrap();
-        let a = &scan.streams["a"];
-        assert_eq!((a.base_processed, a.first_seq, a.next_seq), (5, 0, 3));
-        assert_eq!(scan.segments.len(), 2);
-        assert_eq!(scan.dropped.len(), 1);
-        assert_eq!(scan.segments[1].holds, vec![(a.epoch, 3)]);
-        // Replay from the middle.
-        let tail = read_wal_from(&dir, &tid("a"), 1).unwrap();
-        assert_eq!(tail.iter().map(|(s, _)| *s).collect::<Vec<_>>(), vec![1, 2]);
-        // Replay from before the retention window errors once pruned, and
-        // so does a position past the stream's end.
-        std::fs::remove_file(dir.join(segment_file_name(1))).unwrap();
-        assert!(matches!(
-            read_wal_from(&dir, &tid("a"), 0),
-            Err(SpotError::WalCorrupt(_))
-        ));
-        assert!(matches!(
-            read_wal_from(&dir, &tid("a"), 4),
-            Err(SpotError::WalCorrupt(_))
-        ));
-        assert_eq!(read_wal_from(&dir, &tid("a"), 3).unwrap().len(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn streams_end_at_eviction_and_reanchor_after_pruned_segments() {
         let t = |s: &str| tid(s);
         let mut s1 = segment(
             &[anchor("a", 0, 0), anchor("b", 4, 0)],
             &[("a", 0, pt(&[0.0]))],
         );
-        encode_record(&t("b"), 0, &pt(&[1.0]), &mut s1);
-        encode_evict(&t("b"), &mut s1);
-        encode_attach(&anchor("b", 100, 0), &mut s1);
-        encode_record(&t("b"), 0, &pt(&[2.0]), &mut s1);
+        encode_record(&t("b"), 0, &pt(&[1.0]), &mut s1).unwrap();
+        encode_evict(&t("b"), &mut s1).unwrap();
+        encode_attach(&anchor("b", 100, 0), &mut s1).unwrap();
+        encode_record(&t("b"), 0, &pt(&[2.0]), &mut s1).unwrap();
         let dir = log_dir("evict", &[s1.clone()]);
         let scan = scan_all(&dir).unwrap();
         // The second incarnation of b replaces the first.
@@ -888,11 +637,11 @@ mod tests {
         assert_eq!((b.base_processed, b.next_seq), (100, 1));
         assert_eq!(b.records[0].1.values()[0], 2.0);
         // Both incarnations hold segment 1, under different epochs.
-        assert_eq!(scan.segments[0].holds.len(), 3);
+        assert_eq!(scan.holds[0].len(), 3);
         // A record after the eviction frame is corrupt.
         let mut bad = segment(&[anchor("a", 0, 0)], &[]);
-        encode_evict(&t("a"), &mut bad);
-        encode_record(&t("a"), 0, &pt(&[0.0]), &mut bad);
+        encode_evict(&t("a"), &mut bad).unwrap();
+        encode_record(&t("a"), 0, &pt(&[0.0]), &mut bad).unwrap();
         let dir = log_dir("evict-bad", &[bad]);
         assert!(matches!(scan_all(&dir), Err(SpotError::WalCorrupt(_))));
 
@@ -900,9 +649,9 @@ mod tests {
         // later position: its older records are dropped) and drops b
         // (evicted in the pruned range).
         let dir = temp_dir("reanchor");
-        std::fs::write(dir.join(segment_file_name(1)), &s1).unwrap();
+        std::fs::write(WAL_LOG.path(&dir, 1), &s1).unwrap();
         std::fs::write(
-            dir.join(segment_file_name(3)),
+            WAL_LOG.path(&dir, 3),
             segment(&[anchor("a", 0, 5)], &[("a", 5, pt(&[5.0]))]),
         )
         .unwrap();
@@ -911,6 +660,12 @@ mod tests {
         let a = &scan.streams["a"];
         assert_eq!((a.first_seq, a.next_seq), (5, 6));
         assert_eq!(seqs(&scan, "a"), vec![5]);
+        assert_eq!(scan.holds[1], vec![(a.epoch, 6)]);
+        // Replay from a pruned seq, or past the stream's end, errors.
+        let tail = |from| read_wal_from(&dir, &t("a"), from);
+        assert_eq!(tail(6).unwrap().len(), 0);
+        assert!(matches!(tail(4), Err(SpotError::WalCorrupt(_))));
+        assert!(matches!(tail(7), Err(SpotError::WalCorrupt(_))));
         for tag in ["evict", "evict-bad", "reanchor"] {
             let _ = std::fs::remove_dir_all(temp_dir(tag));
         }

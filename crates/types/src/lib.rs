@@ -11,6 +11,7 @@
 
 pub mod bounds;
 pub mod error;
+pub mod framed;
 pub mod fxhash;
 pub mod label;
 pub mod persist;

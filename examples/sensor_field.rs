@@ -1,11 +1,11 @@
-//! Sensor-field monitoring with snapshot/restore.
+//! Sensor-field monitoring with checkpoint/restore.
 //!
 //! Streams readings from a simulated sensor network (diurnal cycle,
 //! coupled neighbours) through SPOT, detecting three fault families —
 //! including *correlation breaks*, where both readings are individually
 //! plausible and only the joint 2-sensor projection is anomalous (the
-//! textbook projected outlier). Midway, the detector is snapshotted,
-//! "restarted" from the snapshot, and continues monitoring.
+//! textbook projected outlier). Midway, the detector is checkpointed,
+//! "restarted" from the checkpoint bytes, and continues monitoring.
 //!
 //! Run with:
 //! ```text
@@ -58,14 +58,10 @@ fn resume_smoke() -> Result<(), Box<dyn std::error::Error>> {
         resumable.process(&r.point)?;
     }
 
-    // Persist → "crash" → restore from the sealed container alone. The
-    // JSON carrier is rendered too so the size comparison stays visible.
-    let checkpoint = resumable.checkpoint();
-    let bytes = checkpoint.to_bytes();
-    let json_len = serde_json::to_string(&checkpoint)?.len();
+    // Persist → "crash" → restore from the sealed container alone.
+    let bytes = resumable.checkpoint().to_bytes();
     println!(
-        "checkpoint at tick {}: {} bytes on the binary column carrier \
-         (v3; {json_len} bytes as v2 JSON)",
+        "checkpoint at tick {}: {} bytes on the binary column carrier",
         resumable.now(),
         bytes.len()
     );
@@ -145,18 +141,15 @@ fn template_restart_demo() -> Result<(), Box<dyn std::error::Error>> {
         &mut false_alarms,
     )?;
 
-    // Operational restart: persist the learned template, rebuild, resume.
-    let snapshot = detector.snapshot();
+    // Operational restart: persist the full state, rebuild, resume.
+    let bytes = detector.checkpoint().to_bytes();
     println!(
-        "snapshot taken at tick {} (SST sizes {:?}); restarting detector…",
+        "checkpoint taken at tick {} ({} bytes, SST sizes {:?}); restarting detector…",
         detector.now(),
+        bytes.len(),
         detector.sst().sizes()
     );
-    let mut detector = Spot::from_snapshot(snapshot)?;
-    // Re-warm the cold synopses with a short stretch treated as burn-in.
-    for record in generator.generate(1500) {
-        detector.process(&record.point)?;
-    }
+    let mut detector = spot::restore_from_bytes(&bytes)?;
     run(
         &mut detector,
         &mut generator,
@@ -165,7 +158,7 @@ fn template_restart_demo() -> Result<(), Box<dyn std::error::Error>> {
         &mut false_alarms,
     )?;
 
-    println!("\nfault detection across 12k monitored readings (+1.5k burn-in):");
+    println!("\nfault detection across 12k monitored readings:");
     let mut fams: Vec<_> = caught.iter().collect();
     fams.sort();
     for (family, (hit, total)) in fams {

@@ -1,11 +1,11 @@
 //! Warm-restart acceptance suite: for random streams crossing evolution
 //! and pruning ticks, `checkpoint → restore → continue` must yield
 //! verdicts, stats and footprint **bit-identical** to an uninterrupted
-//! run — through serialized JSON text, on both the one-by-one and the
-//! batch path.
+//! run — through the sealed checkpoint bytes, on both the one-by-one and
+//! the batch path.
 
 use proptest::prelude::*;
-use spot::{restore_from_json, EvolutionConfig, Spot, SpotBuilder, Verdict};
+use spot::{restore_from_bytes, EvolutionConfig, Spot, SpotBuilder, Verdict};
 use spot_types::{DataPoint, DomainBounds};
 
 const DIMS: usize = 4;
@@ -91,9 +91,9 @@ proptest! {
 
         let mut before = detector(seed, evolution_period, prune_every);
         let mut got: Vec<Verdict> = pts[..cut].iter().map(|p| before.process(p).unwrap()).collect();
-        let json = serde_json::to_string(&before.checkpoint()).unwrap();
+        let bytes = before.checkpoint().to_bytes();
         drop(before);
-        let mut resumed = restore_from_json(&json).unwrap();
+        let mut resumed = restore_from_bytes(&bytes).unwrap();
         got.extend(pts[cut..].iter().map(|p| resumed.process(p).unwrap()));
 
         assert_verdicts_bitwise(&want, &got);
@@ -103,8 +103,8 @@ proptest! {
         // Maintenance-relevant hidden state is equal too: both detectors
         // checkpoint to the same bytes.
         prop_assert_eq!(
-            serde_json::to_string(&resumed.checkpoint()).unwrap(),
-            serde_json::to_string(&uninterrupted.checkpoint()).unwrap()
+            resumed.checkpoint().to_bytes(),
+            uninterrupted.checkpoint().to_bytes()
         );
     }
 
@@ -132,9 +132,9 @@ proptest! {
         for c in pts[..cut].chunks(chunk) {
             got.extend(before.process_batch(c).unwrap());
         }
-        let json = serde_json::to_string(&before.checkpoint()).unwrap();
+        let bytes = before.checkpoint().to_bytes();
         drop(before);
-        let mut resumed = restore_from_json(&json).unwrap();
+        let mut resumed = restore_from_bytes(&bytes).unwrap();
         for c in pts[cut..].chunks(chunk) {
             got.extend(resumed.process_batch(c).unwrap());
         }
@@ -191,8 +191,7 @@ fn resume_preserves_drift_response() {
         .iter()
         .map(|p| before.process(p).unwrap())
         .collect();
-    let json = serde_json::to_string(&before.checkpoint()).unwrap();
-    let mut resumed = restore_from_json(&json).unwrap();
+    let mut resumed = restore_from_bytes(&before.checkpoint().to_bytes()).unwrap();
     got.extend(pts[180..].iter().map(|p| resumed.process(p).unwrap()));
 
     assert_verdicts_bitwise(&want, &got);
@@ -200,20 +199,4 @@ fn resume_preserves_drift_response() {
         resumed.stats().drift_events,
         uninterrupted.stats().drift_events
     );
-}
-
-#[test]
-fn v1_and_v2_coexist_in_the_loader() {
-    let mut spot = detector(9, 80, 60);
-    for p in stream(120, 1) {
-        spot.process(&p).unwrap();
-    }
-    let v1 = serde_json::to_string(&spot.snapshot()).unwrap();
-    let v2 = serde_json::to_string(&spot.checkpoint()).unwrap();
-    let cold = restore_from_json(&v1).unwrap();
-    let warm = restore_from_json(&v2).unwrap();
-    assert_eq!(cold.now(), 0);
-    assert_eq!(warm.now(), spot.now());
-    assert_eq!(cold.footprint().projected_cells, 0);
-    assert_eq!(warm.footprint(), spot.footprint());
 }
