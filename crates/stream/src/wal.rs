@@ -588,6 +588,71 @@ mod tests {
     }
 
     #[test]
+    fn torn_tail_truncates_only_in_final_segment() {
+        let table = [anchor("a", 0, 0), anchor("b", 0, 0)];
+        let records: Vec<(&str, u64, DataPoint)> = (0..4)
+            .map(|i| (["a", "b"][i % 2], i as u64 / 2, pt(&[i as f64, 0.5])))
+            .collect();
+        let clean = segment(&table, &records);
+        let frame = encode_record(&tid("b"), 1, &records[3].2, &mut Vec::new()).unwrap();
+        let next = segment(&[anchor("a", 0, 2), anchor("b", 0, 2)], &[]);
+        // Cut at every byte inside the last frame: the final-segment scan
+        // always keeps exactly the first 3 records.
+        for cut in (clean.len() - frame + 1)..clean.len() {
+            let dir = log_dir("torn", &[clean[..cut].to_vec()]);
+            let scan = scan_all(&dir).unwrap();
+            assert_eq!(
+                (seqs(&scan, "a"), seqs(&scan, "b")),
+                (vec![0, 1], vec![0]),
+                "cut {cut}"
+            );
+            assert!(scan.log.torn());
+            let last = &scan.log.segments[0];
+            assert_eq!(last.valid_len(), (clean.len() - frame) as u64);
+            assert_eq!(last.torn_bytes(), (cut - (clean.len() - frame)) as u64);
+            // The same damage in a sealed segment is corruption.
+            let dir = log_dir("torn-sealed", &[clean[..cut].to_vec(), next.clone()]);
+            assert!(matches!(scan_all(&dir), Err(SpotError::WalCorrupt(_))));
+        }
+        let _ = std::fs::remove_dir_all(temp_dir("torn"));
+        let _ = std::fs::remove_dir_all(temp_dir("torn-sealed"));
+    }
+
+    #[test]
+    fn final_frame_checksum_mismatch_is_torn_mid_log_is_corrupt() {
+        let table = [anchor("a", 0, 0)];
+        let records: Vec<(&str, u64, DataPoint)> =
+            (0..3).map(|i| ("a", i, pt(&[i as f64]))).collect();
+        let clean = segment(&table, &records);
+        let header = segment(&table, &[]).len();
+        let frame = (clean.len() - header) / 3;
+        let next = segment(&[anchor("a", 0, 3)], &[]);
+        // Flip a value bit in the last record: a torn tail (dropped).
+        let mut bytes = clean.clone();
+        let last = bytes.len() - 10;
+        bytes[last] ^= 1;
+        let dir = log_dir("flip-last", &[bytes]);
+        let scan = scan_all(&dir).unwrap();
+        assert_eq!(seqs(&scan, "a"), vec![0, 1]);
+        assert_eq!(scan.log.segments[0].torn_bytes(), frame as u64);
+        // Flip the same bit in the *first* record. In the final segment a
+        // bad frame is always the truncation point (frame lengths vary, so
+        // re-synchronising past it is not possible); everything after is
+        // dropped. In a sealed segment the same damage is corruption.
+        let mut bytes = clean;
+        bytes[header + frame - 10] ^= 1;
+        let dir = log_dir("flip-first", &[bytes.clone()]);
+        let scan = scan_all(&dir).unwrap();
+        assert!(seqs(&scan, "a").is_empty());
+        assert_eq!(scan.log.segments[0].valid_len(), header as u64);
+        let dir = log_dir("flip-sealed", &[bytes, next]);
+        assert!(matches!(scan_all(&dir), Err(SpotError::WalCorrupt(_))));
+        for tag in ["flip-last", "flip-first", "flip-sealed"] {
+            let _ = std::fs::remove_dir_all(temp_dir(tag));
+        }
+    }
+
+    #[test]
     fn sequence_discontinuity_is_corrupt_even_with_valid_checksums() {
         let table = [anchor("a", 0, 0), anchor("b", 0, 0)];
         // b's stream skips seq 1; a's is fine.

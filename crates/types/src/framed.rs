@@ -161,6 +161,18 @@ pub struct Segment {
     torn_bytes: u64,
 }
 
+impl Segment {
+    /// Byte offset one past the last whole frame.
+    pub fn valid_len(&self) -> u64 {
+        self.valid_len
+    }
+
+    /// Torn bytes after [`Segment::valid_len`] (final segment only).
+    pub fn torn_bytes(&self) -> u64 {
+        self.torn_bytes
+    }
+}
+
 /// A scanned segment log.
 #[derive(Debug, Clone)]
 pub struct Scan {
