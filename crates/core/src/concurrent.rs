@@ -1,7 +1,7 @@
 //! Thread-safe detector handle for producer/consumer deployments.
 //!
 //! A live deployment has one or more producer threads pulling from network
-//! feeds (see `spot_stream::ChannelSource`) while monitoring threads read
+//! feeds while monitoring threads read
 //! verdict statistics or run `explain` on demand. [`SharedSpot`] wraps the
 //! detector for all of them: one mutex serializes the detector's work —
 //! SPOT is a one-pass, per-point algorithm, and a detector runs on one

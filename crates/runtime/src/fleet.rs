@@ -33,7 +33,6 @@ use crate::checkpoint::{CheckpointStore, FleetCheckpoint};
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::health::{IngestOutcome, OverloadPolicy, QuarantineInfo, TenantHealth};
 use crate::wal::{FleetRecovery, FleetWal, WalTuning};
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use spot::{
     LearningReport, SharedSpot, Spot, SpotCheckpoint, SpotConfig, SpotStats, SynopsisFootprint,
     Verdict,
@@ -41,11 +40,11 @@ use spot::{
 use spot_stream::wal::read_wal_from;
 use spot_types::{DataPoint, Result, SpotError, TenantId};
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
 
 /// Fleet-wide knobs. `Default` gives a 1024-point queue per tenant and
 /// 256-point micro-batches (matching `Spot::BATCH_RUN`, so one drain pass
@@ -137,74 +136,179 @@ const HEALTH_HEALTHY: u8 = 0;
 const HEALTH_QUARANTINED: u8 = 1;
 const HEALTH_FAILED: u8 = 2;
 
-// `Tenant::policy_kind` values (with `policy_k` carrying Sample's k).
-const POLICY_BLOCK: u8 = 0;
-const POLICY_SHED: u8 = 1;
-const POLICY_SAMPLE: u8 = 2;
+/// One tenant registration's ingest side: the bounded queue where an
+/// admitted point waits for its verdict, the admission lock, and the
+/// overload policy with its counters. It lives as long as the
+/// registration: a revive or a restore replaces the [`Tenant`] around it,
+/// so the backlog stays where it is and a producer waiting for room wakes
+/// into the queue that is actually drained. Eviction closes it.
+///
+/// Lock order: `admission` → `drains` → the registry → `queue`. The queue
+/// lock is held only to push or pop — never across a WAL write or a
+/// detector call, so a drain never waits behind a producer's fsync.
+struct Inlet {
+    capacity: usize,
+    queue: Mutex<VecDeque<DataPoint>>,
+    /// Exact occupancy, written under the queue lock: the lock-free read
+    /// behind [`SpotFleet::queue_len`] and [`FleetStats::queued`].
+    len: AtomicUsize,
+    /// `false` once the tenant is evicted; written under the queue lock.
+    open: AtomicBool,
+    /// Signalled when a full queue gains room, and when the queue is
+    /// cleared or closed.
+    room: Condvar,
+    /// Held from the policy decision through the log append and the push,
+    /// so the tenant's WAL order is its queue order; per tenant, so a
+    /// producer's fsync or a replay never stalls a co-tenant. A producer
+    /// waiting for room releases it. Every push, clear and close happens
+    /// under it, so its holder sees the queue only shrink.
+    admission: Mutex<Admission>,
+    /// Held by a drain from pop to commit, so the tenant's points commit
+    /// in arrival order; a revive or restore holds it while it swaps the
+    /// detector.
+    drains: Mutex<()>,
+    /// Points dropped by `Shed`/`Sample`.
+    shed: AtomicU64,
+    /// Points admitted through the `Sample` survivor slot.
+    sampled_kept: AtomicU64,
+}
 
-/// One registered tenant: the detector handle plus its bounded queue and
-/// supervision-plane state.
+/// The overload policy and the sampler's state, under the admission lock.
+#[derive(Default)]
+struct Admission {
+    policy: OverloadPolicy,
+    /// Full-queue encounters (drives the deterministic 1-in-k sampler).
+    overflow_seen: u64,
+}
+
+impl Inlet {
+    fn new(capacity: usize) -> Inlet {
+        Inlet {
+            capacity,
+            queue: Mutex::new(VecDeque::new()),
+            len: AtomicUsize::new(0),
+            open: AtomicBool::new(true),
+            room: Condvar::new(),
+            admission: Mutex::new(Admission::default()),
+            drains: Mutex::new(()),
+            shed: AtomicU64::new(0),
+            sampled_kept: AtomicU64::new(0),
+        }
+    }
+
+    fn admission(&self) -> MutexGuard<'_, Admission> {
+        lock(&self.admission)
+    }
+
+    fn len(&self) -> usize {
+        self.len.load(Ordering::Relaxed)
+    }
+
+    /// Whether the queue has room, for the admission lock's holder;
+    /// `None` once the inlet is closed.
+    fn has_room(&self) -> Option<bool> {
+        self.open
+            .load(Ordering::Relaxed)
+            .then(|| self.len() < self.capacity)
+    }
+
+    /// Waits for room holding no lock, then re-takes admission: the room
+    /// lasts until the returned guard's holder pushes. `None` once the
+    /// inlet is closed.
+    fn wait_for_room<'a>(
+        &'a self,
+        mut admission: MutexGuard<'a, Admission>,
+    ) -> Option<MutexGuard<'a, Admission>> {
+        let waiting = |q: &mut VecDeque<DataPoint>| {
+            self.open.load(Ordering::Relaxed) && q.len() >= self.capacity
+        };
+        loop {
+            let mut queue = lock(&self.queue);
+            if !waiting(&mut queue) {
+                return self.open.load(Ordering::Relaxed).then_some(admission);
+            }
+            drop(admission);
+            drop(
+                self.room
+                    .wait_while(queue, waiting)
+                    .unwrap_or_else(|e| e.into_inner()),
+            );
+            admission = self.admission();
+        }
+    }
+
+    /// Appends a point its caller found room for under the admission lock.
+    fn push(&self, point: DataPoint) {
+        let mut queue = lock(&self.queue);
+        queue.push_back(point);
+        self.len.store(queue.len(), Ordering::Relaxed);
+    }
+
+    /// Takes up to `max` points off the front in one lock hold.
+    fn pop(&self, max: usize) -> Vec<DataPoint> {
+        let mut queue = lock(&self.queue);
+        let was_full = queue.len() >= self.capacity;
+        let n = max.min(queue.len());
+        let batch: Vec<DataPoint> = queue.drain(..n).collect();
+        self.len.store(queue.len(), Ordering::Relaxed);
+        drop(queue);
+        // Producers wait only on a full queue.
+        if was_full && n > 0 {
+            self.room.notify_all();
+        }
+        batch
+    }
+
+    /// Drops the backlog — closing the inlet too when `close` — and wakes
+    /// every producer waiting for room (into `UnknownTenant` once closed).
+    /// The caller holds the admission lock.
+    fn clear(&self, close: bool) {
+        let mut queue = lock(&self.queue);
+        queue.clear();
+        self.len.store(0, Ordering::Relaxed);
+        if close {
+            self.open.store(false, Ordering::Relaxed);
+        }
+        drop(queue);
+        self.room.notify_all();
+    }
+}
+
+/// What a full queue does to a point in the admission body.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum OnFull {
+    /// The tenant's [`OverloadPolicy`] decides ([`SpotFleet::ingest`]).
+    Policy,
+    /// Refused uncounted ([`SpotFleet::try_ingest`]).
+    Refuse,
+}
+
+/// One registered tenant's detector side — the detector handle and its
+/// health — around the registration's [`Inlet`]. A revive or a restore
+/// replaces it whole and keeps the inlet.
 struct Tenant {
     shared: SharedSpot,
-    tx: Sender<DataPoint>,
-    /// Drains are exclusive per tenant (points must commit in arrival
-    /// order, so the guard is held through processing); concurrent drains
-    /// of *different* tenants proceed freely. `None` after eviction — the
-    /// dropped receiver is what unblocks producers stuck in a full-queue
-    /// `send` (their `SendError` becomes `UnknownTenant`).
-    rx: Mutex<Option<Receiver<DataPoint>>>,
-    /// Points currently queued: incremented *before* the enqueue (rolled
-    /// back on failure), decremented per dequeued point — so the counter
-    /// never lags the channel and a concurrent drain cannot wrap it below
-    /// zero. May transiently overcount by the producers currently blocked
-    /// in `send`. A lock-free occupancy mirror for [`SpotFleet::stats`]
-    /// (the channel itself exposes no length).
-    queued: AtomicUsize,
     /// Full health state (quarantine reason, counters). Taken only on the
     /// unhealthy path and on transitions; `state` is the hot-path mirror.
     health: Mutex<TenantHealth>,
     /// Lock-free mirror of the health discriminant (`HEALTH_*`).
     state: AtomicU8,
-    /// Overload policy, packed into atomics so `ingest` never locks:
-    /// `policy_kind` is a `POLICY_*` tag, `policy_k` Sample's `keep_one_in`.
-    policy_kind: AtomicU8,
-    policy_k: AtomicU32,
-    /// Full-queue encounters (drives the deterministic 1-in-k sampler).
-    overflow_seen: AtomicU64,
-    /// Points dropped by `Shed`/`Sample`.
-    shed: AtomicU64,
-    /// Points admitted through the `Sample` survivor slot.
-    sampled_kept: AtomicU64,
-    /// Held across validate → append → enqueue with a WAL, so the tenant's
-    /// log order is its arrival order; per tenant, so a blocked producer
-    /// or a replay never stalls a co-tenant. A revive's replacement shares
-    /// it.
-    admission: Arc<Mutex<()>>,
     /// The detector's dimensionality (φ), captured at install so
     /// admission-side validators ([`SpotFleet::tenant_dims`]) never touch
     /// the detector lock.
     phi: usize,
+    inlet: Arc<Inlet>,
 }
 
 impl Tenant {
-    /// A fresh healthy tenant with default (`Block`) overload policy.
-    fn fresh(spot: Spot, capacity: usize) -> Tenant {
-        let phi = spot.config().phi();
-        let (tx, rx) = bounded(capacity);
+    /// A healthy detector side around `inlet`.
+    fn new(spot: Spot, inlet: Arc<Inlet>) -> Tenant {
         Tenant {
+            phi: spot.config().phi(),
             shared: SharedSpot::new(spot),
-            tx,
-            rx: Mutex::new(Some(rx)),
-            queued: AtomicUsize::new(0),
             health: Mutex::new(TenantHealth::Healthy),
             state: AtomicU8::new(HEALTH_HEALTHY),
-            policy_kind: AtomicU8::new(POLICY_BLOCK),
-            policy_k: AtomicU32::new(1),
-            overflow_seen: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            sampled_kept: AtomicU64::new(0),
-            admission: Arc::new(Mutex::new(())),
-            phi,
+            inlet,
         }
     }
 
@@ -223,30 +327,6 @@ impl Tenant {
         }
     }
 
-    fn admission(&self) -> std::sync::MutexGuard<'_, ()> {
-        self.admission.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn policy(&self) -> OverloadPolicy {
-        match self.policy_kind.load(Ordering::Relaxed) {
-            POLICY_SHED => OverloadPolicy::Shed,
-            POLICY_SAMPLE => OverloadPolicy::Sample {
-                keep_one_in: self.policy_k.load(Ordering::Relaxed).max(1),
-            },
-            _ => OverloadPolicy::Block,
-        }
-    }
-
-    fn set_policy(&self, policy: OverloadPolicy) {
-        let (kind, k) = match policy {
-            OverloadPolicy::Block => (POLICY_BLOCK, 1),
-            OverloadPolicy::Shed => (POLICY_SHED, 1),
-            OverloadPolicy::Sample { keep_one_in } => (POLICY_SAMPLE, keep_one_in.max(1)),
-        };
-        self.policy_k.store(k, Ordering::Relaxed);
-        self.policy_kind.store(kind, Ordering::Relaxed);
-    }
-
     fn health_snapshot(&self) -> TenantHealth {
         self.health
             .lock()
@@ -259,7 +339,8 @@ impl Tenant {
 /// supervisor uses the split to account `points_lost` correctly.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ReviveOutcome {
-    /// Backlog points moved queue-to-queue (always 0 with a WAL).
+    /// Backlog left in place for the new detector (always 0 with a WAL,
+    /// whose revive replays the log tail instead).
     pub(crate) carried: u64,
     /// WAL records replayed past the restored position (0 without a WAL).
     pub(crate) replayed: u64,
@@ -368,18 +449,15 @@ impl SpotFleet {
     /// Registers a new tenant with its own detector configuration. Errors
     /// with [`SpotError::DuplicateTenant`] when the name is taken.
     pub fn register(&self, id: TenantId, config: SpotConfig) -> Result<()> {
-        self.install(id, Spot::new(config)?, false)
+        self.install(id, Spot::new(config)?)
     }
 
-    /// Registers a pre-built detector.
-    pub fn register_spot(&self, id: TenantId, spot: Spot) -> Result<()> {
-        self.install(id, spot, false)
-    }
-
-    fn install(&self, id: TenantId, spot: Spot, replace: bool) -> Result<()> {
-        let tenant = Arc::new(Tenant::fresh(spot, self.inner.config.queue_capacity));
+    /// Registers `spot` under a new id, around a fresh inlet.
+    fn install(&self, id: TenantId, spot: Spot) -> Result<()> {
+        let inlet = Arc::new(Inlet::new(self.inner.config.queue_capacity));
+        let tenant = Arc::new(Tenant::new(spot, inlet));
         let mut map = write_lock(&self.inner.tenants);
-        if !replace && map.contains_key(&id) {
+        if map.contains_key(&id) {
             return Err(SpotError::DuplicateTenant(id.to_string()));
         }
         // With the WAL enabled every tenant gets a stream at install time:
@@ -395,23 +473,25 @@ impl SpotFleet {
 
     /// Removes a tenant, dropping its detector and discarding any points
     /// still queued. Errors with [`SpotError::UnknownTenant`]. Producers
-    /// blocked in [`SpotFleet::ingest`] on the evicted tenant's full
-    /// queue unblock with `UnknownTenant` (the queue's receiving half is
-    /// dropped here, failing their pending `send`).
+    /// waiting in [`SpotFleet::ingest`] for room in the evicted tenant's
+    /// queue return `UnknownTenant` (the eviction closes the queue).
     /// With the WAL, a synced "evicted" frame first closes the tenant's
-    /// stream: registering the id again starts a fresh one.
+    /// stream — after every record the tenant logged, since the frame is
+    /// written under its admission lock: registering the id again starts
+    /// a fresh stream.
     pub fn evict(&self, id: &TenantId) -> Result<()> {
-        self.tenant(id)?;
+        let inlet = Arc::clone(&self.tenant(id)?.inlet);
+        let _admission = inlet.admission();
         if let Some(wal) = self.wal() {
             wal.evict(id)?;
         }
-        let tenant = write_lock(&self.inner.tenants)
-            .remove(id)
-            .ok_or_else(|| SpotError::UnknownTenant(id.to_string()))?;
-        // Disconnect the channel even if a blocked producer still holds
-        // an `Arc<Tenant>` of its own — dropping the registry's Arc alone
-        // would leave the receiver alive inside that clone.
-        *tenant.rx.lock().unwrap_or_else(|e| e.into_inner()) = None;
+        let mut map = write_lock(&self.inner.tenants);
+        if !holds(&map, id, &inlet) {
+            return Err(SpotError::UnknownTenant(id.to_string()));
+        }
+        map.remove(id);
+        drop(map);
+        inlet.clear(true);
         Ok(())
     }
 
@@ -471,13 +551,14 @@ impl SpotFleet {
     /// normalized to `1`). The policy survives [`SpotFleet::revive_tenant`]
     /// but not `restore_tenant`/`register` (those are fresh registrations).
     pub fn set_overload_policy(&self, id: &TenantId, policy: OverloadPolicy) -> Result<()> {
-        self.tenant(id)?.set_policy(policy);
+        let policy = match policy {
+            OverloadPolicy::Sample { keep_one_in } => OverloadPolicy::Sample {
+                keep_one_in: keep_one_in.max(1),
+            },
+            other => other,
+        };
+        self.tenant(id)?.inlet.admission().policy = policy;
         Ok(())
-    }
-
-    /// One tenant's current overload policy.
-    pub fn overload_policy(&self, id: &TenantId) -> Result<OverloadPolicy> {
-        Ok(self.tenant(id)?.policy())
     }
 
     /// Arms a deterministic [`FaultPlan`] (replacing any previous plan,
@@ -539,10 +620,7 @@ impl SpotFleet {
         }
         let mut ids: Vec<&TenantId> = map.keys().collect();
         ids.sort();
-        if let Some(id) = ids
-            .iter()
-            .find(|id| map[**id].queued.load(Ordering::Relaxed) > 0)
-        {
+        if let Some(id) = ids.iter().find(|id| map[**id].inlet.len() > 0) {
             return Err(SpotError::InvalidConfig(format!(
                 "tenant {id} has queued points; drain the fleet before enabling the WAL"
             )));
@@ -735,7 +813,7 @@ impl SpotFleet {
         };
         points.iter().try_for_each(|p| tenant.admit(p))?;
         let faults = self.injector();
-        let _admission = tenant.admission();
+        let _admission = tenant.inlet.admission();
         self.gate(id, tenant)?;
         for point in points {
             wal.append(id, point, faults.as_deref())?;
@@ -747,70 +825,15 @@ impl SpotFleet {
     /// default `Block` policy this **blocks** while the queue is full
     /// (backpressure: a slow tenant stalls its own producers, never the
     /// co-tenants) and always returns [`IngestOutcome::Enqueued`]; `Shed`
-    /// and `Sample` never block and may return [`IngestOutcome::Shed`].
-    /// Quarantined tenants still enqueue — the backlog is carried into the
-    /// recovered tenant by [`SpotFleet::revive_tenant`]. A point the
-    /// detector would reject (width ≠ φ, a NaN) is refused with its typed
-    /// error before it is logged or queued.
+    /// never blocks, `Sample` blocks only for its 1-in-k survivor, and
+    /// both may return [`IngestOutcome::Shed`]. Quarantined tenants still
+    /// enqueue — the
+    /// backlog stays in the tenant's queue through
+    /// [`SpotFleet::revive_tenant`]. A point the detector would reject
+    /// (width ≠ φ, a NaN) is refused with its typed error before it is
+    /// logged or queued.
     pub fn ingest(&self, id: &TenantId, point: DataPoint) -> Result<IngestOutcome> {
-        self.admission_gate()?;
-        let tenant = self.tenant(id)?;
-        tenant.admit(&point)?;
-        let policy = tenant.policy();
-        // Scripted queue-full windows apply to the non-blocking policies
-        // only: a blocking send on a queue with room returns immediately,
-        // so a faked "full" has no observable Block behavior to test.
-        let forced_full = !matches!(policy, OverloadPolicy::Block)
-            && self.injector().is_some_and(|i| i.ingest_forced_full(id));
-        if let Some(wal) = self.wal() {
-            return self.ingest_walled(id, &tenant, wal, point, policy, forced_full);
-        }
-        match policy {
-            OverloadPolicy::Block => {
-                self.enqueue_blocking(id, &tenant, point)?;
-                Ok(IngestOutcome::Enqueued)
-            }
-            OverloadPolicy::Shed => {
-                let rejected = if forced_full {
-                    Some(point)
-                } else {
-                    self.enqueue_nonblocking(id, &tenant, point)?
-                };
-                match rejected {
-                    None => Ok(IngestOutcome::Enqueued),
-                    Some(_) => {
-                        tenant.overflow_seen.fetch_add(1, Ordering::Relaxed);
-                        tenant.shed.fetch_add(1, Ordering::Relaxed);
-                        Ok(IngestOutcome::Shed)
-                    }
-                }
-            }
-            OverloadPolicy::Sample { keep_one_in } => {
-                let k = u64::from(keep_one_in.max(1));
-                let rejected = if forced_full {
-                    Some(point)
-                } else {
-                    self.enqueue_nonblocking(id, &tenant, point)?
-                };
-                match rejected {
-                    None => Ok(IngestOutcome::Enqueued),
-                    Some(point) => {
-                        // Deterministic 1-in-k: admit full-queue encounters
-                        // 0, k, 2k, … — a pure function of the encounter
-                        // ordinal, independent of clocks and scheduling.
-                        let n = tenant.overflow_seen.fetch_add(1, Ordering::Relaxed);
-                        if n % k == 0 {
-                            self.enqueue_blocking(id, &tenant, point)?;
-                            tenant.sampled_kept.fetch_add(1, Ordering::Relaxed);
-                            Ok(IngestOutcome::Enqueued)
-                        } else {
-                            tenant.shed.fetch_add(1, Ordering::Relaxed);
-                            Ok(IngestOutcome::Shed)
-                        }
-                    }
-                }
-            }
-        }
+        self.enqueue(id, point, OnFull::Policy)
     }
 
     /// Non-blocking enqueue: `Ok(false)` when the queue is at capacity.
@@ -818,119 +841,73 @@ impl SpotFleet {
     /// queue windows — injected WAL crashes still fire, as they would on
     /// any append). Validates like [`SpotFleet::ingest`].
     pub fn try_ingest(&self, id: &TenantId, point: DataPoint) -> Result<bool> {
+        Ok(self.enqueue(id, point, OnFull::Refuse)? == IngestOutcome::Enqueued)
+    }
+
+    /// The one admission body behind `ingest` and `try_ingest`, with or
+    /// without a WAL. Under the tenant's admission lock it decides policy
+    /// × full once, appends the point to the log if the fleet has one,
+    /// then pushes it — so the tenant's log order is its queue order, the
+    /// invariant that makes `processed - base_processed` a valid replay
+    /// watermark. A point that must wait for room (`Block`, `Sample`'s
+    /// survivor) waits holding no lock and is logged only once it has
+    /// its slot. Shed points are never logged: they were not admitted, so
+    /// recovery must not resurrect them.
+    fn enqueue(&self, id: &TenantId, point: DataPoint, on_full: OnFull) -> Result<IngestOutcome> {
         self.admission_gate()?;
         let tenant = self.tenant(id)?;
         tenant.admit(&point)?;
-        let Some(wal) = self.wal() else {
-            return Ok(self.enqueue_nonblocking(id, &tenant, point)?.is_none());
-        };
+        let inlet = &tenant.inlet;
         let faults = self.injector();
-        let _admission = tenant.admission();
-        if tenant.queued.load(Ordering::Relaxed) >= self.inner.config.queue_capacity {
-            return Ok(false);
-        }
-        wal.append(id, &point, faults.as_deref())?;
-        self.enqueue_blocking(id, &tenant, point)?;
-        Ok(true)
-    }
-
-    /// The queued ingestion path with a WAL: the point is appended to the
-    /// log *before* it is enqueued, and the tenant's admission lock is held
-    /// across both so the tenant's sequence order is exactly its queue's
-    /// arrival order — the invariant that makes `processed -
-    /// base_processed` a valid replay watermark. The log's writer lock is
-    /// taken only inside the append, so a producer blocked here on this
-    /// tenant's full queue stalls no co-tenant. Shed points are *not*
-    /// logged (they are not admitted, so recovery must not resurrect
-    /// them). Capacity is pre-checked under the admission lock — producers
-    /// are serialized by it, so a positive check cannot be invalidated
-    /// before the enqueue (drains only make room) and the blocking send
-    /// returns immediately.
-    fn ingest_walled(
-        &self,
-        id: &TenantId,
-        tenant: &Tenant,
-        wal: &FleetWal,
-        point: DataPoint,
-        policy: OverloadPolicy,
-        forced_full: bool,
-    ) -> Result<IngestOutcome> {
-        let faults = self.injector();
-        let _admission = tenant.admission();
-        let full = forced_full
-            || tenant.queued.load(Ordering::Relaxed) >= self.inner.config.queue_capacity;
-        match policy {
-            OverloadPolicy::Block => {
-                wal.append(id, &point, faults.as_deref())?;
-                self.enqueue_blocking(id, tenant, point)?;
-                Ok(IngestOutcome::Enqueued)
-            }
-            OverloadPolicy::Shed => {
-                if full {
-                    tenant.overflow_seen.fetch_add(1, Ordering::Relaxed);
-                    tenant.shed.fetch_add(1, Ordering::Relaxed);
+        let closed = || SpotError::UnknownTenant(id.to_string());
+        let mut admission = inlet.admission();
+        let policy = admission.policy;
+        // Scripted queue-full windows apply to the non-blocking policies
+        // only: a `Block` producer on a queue with room returns at once,
+        // so a faked "full" has no observable `Block` behavior to test.
+        let forced_full = on_full == OnFull::Policy
+            && policy != OverloadPolicy::Block
+            && faults.as_ref().is_some_and(|i| i.ingest_forced_full(id));
+        let full = forced_full || !inlet.has_room().ok_or_else(closed)?;
+        let mut sampled = false;
+        if full {
+            match (on_full, policy) {
+                (OnFull::Refuse, _) => return Ok(IngestOutcome::Shed),
+                (OnFull::Policy, OverloadPolicy::Block) => {}
+                (OnFull::Policy, OverloadPolicy::Shed) => {
+                    admission.overflow_seen += 1;
+                    inlet.shed.fetch_add(1, Ordering::Relaxed);
                     return Ok(IngestOutcome::Shed);
                 }
-                wal.append(id, &point, faults.as_deref())?;
-                self.enqueue_blocking(id, tenant, point)?;
-                Ok(IngestOutcome::Enqueued)
-            }
-            OverloadPolicy::Sample { keep_one_in } => {
-                let k = u64::from(keep_one_in.max(1));
-                if !full {
-                    wal.append(id, &point, faults.as_deref())?;
-                    self.enqueue_blocking(id, tenant, point)?;
-                    return Ok(IngestOutcome::Enqueued);
-                }
-                let n = tenant.overflow_seen.fetch_add(1, Ordering::Relaxed);
-                if n.is_multiple_of(k) {
-                    wal.append(id, &point, faults.as_deref())?;
-                    self.enqueue_blocking(id, tenant, point)?;
-                    tenant.sampled_kept.fetch_add(1, Ordering::Relaxed);
-                    Ok(IngestOutcome::Enqueued)
-                } else {
-                    tenant.shed.fetch_add(1, Ordering::Relaxed);
-                    Ok(IngestOutcome::Shed)
+                (OnFull::Policy, OverloadPolicy::Sample { keep_one_in }) => {
+                    // Deterministic 1-in-k: admit full-queue encounters
+                    // 0, k, 2k, … — a pure function of the encounter
+                    // ordinal, independent of clocks and scheduling.
+                    let n = admission.overflow_seen;
+                    admission.overflow_seen += 1;
+                    if !n.is_multiple_of(u64::from(keep_one_in)) {
+                        inlet.shed.fetch_add(1, Ordering::Relaxed);
+                        return Ok(IngestOutcome::Shed);
+                    }
+                    sampled = true;
                 }
             }
+            admission = inlet.wait_for_room(admission).ok_or_else(closed)?;
         }
-    }
-
-    fn enqueue_blocking(&self, id: &TenantId, tenant: &Tenant, point: DataPoint) -> Result<()> {
-        // Count before the send so a drain that pops the point immediately
-        // can never decrement a counter that was not yet incremented.
-        tenant.queued.fetch_add(1, Ordering::Relaxed);
-        tenant.tx.send(point).map_err(|_| {
-            tenant.queued.fetch_sub(1, Ordering::Relaxed);
-            SpotError::UnknownTenant(id.to_string())
-        })
-    }
-
-    /// `Ok(None)`: enqueued. `Ok(Some(point))`: queue full, point handed
-    /// back to the caller (for the sampler's survivor slot).
-    fn enqueue_nonblocking(
-        &self,
-        id: &TenantId,
-        tenant: &Tenant,
-        point: DataPoint,
-    ) -> Result<Option<DataPoint>> {
-        tenant.queued.fetch_add(1, Ordering::Relaxed);
-        match tenant.tx.try_send(point) {
-            Ok(()) => Ok(None),
-            Err(TrySendError::Full(point)) => {
-                tenant.queued.fetch_sub(1, Ordering::Relaxed);
-                Ok(Some(point))
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                tenant.queued.fetch_sub(1, Ordering::Relaxed);
-                Err(SpotError::UnknownTenant(id.to_string()))
-            }
+        if let Some(wal) = self.wal() {
+            wal.append(id, &point, faults.as_deref())?;
         }
+        inlet.push(point);
+        drop(admission);
+        if sampled {
+            inlet.sampled_kept.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(IngestOutcome::Enqueued)
     }
 
     /// Points currently queued for `id`.
     pub fn queue_len(&self, id: &TenantId) -> Result<usize> {
-        Ok(self.tenant(id)?.queued.load(Ordering::Relaxed))
+        Ok(self.tenant(id)?.inlet.len())
     }
 
     /// The tenant's dimensionality (φ), without touching the detector
@@ -968,10 +945,7 @@ impl SpotFleet {
     /// the next call.
     pub fn drain_fully(&self, id: &TenantId) -> Result<Vec<Verdict>> {
         let tenant = self.tenant(id)?;
-        // `queued` may transiently overcount by producers mid-`send`; the
-        // empty-batch break below keeps that harmless (the drain ends as
-        // soon as the channel runs dry).
-        let mut remaining = tenant.queued.load(Ordering::Relaxed);
+        let mut remaining = tenant.inlet.len();
         let mut verdicts = Vec::new();
         while remaining > 0 {
             let batch = self.drain_tenant(id, &tenant)?;
@@ -1011,42 +985,36 @@ impl SpotFleet {
     }
 
     fn drain_tenant(&self, id: &TenantId, tenant: &Tenant) -> Result<Vec<Verdict>> {
-        // Gate *before* touching the queue: a quarantined tenant must not
-        // consume its backlog — those points are carried into the
-        // recovered tenant by `revive_tenant`.
+        // Lock-free exits first, as the pump polls every tenant. A
+        // quarantined tenant keeps its backlog for the revived detector.
         self.gate(id, tenant)?;
-        // The rx guard is held through processing: it is what serializes
-        // concurrent drains of this tenant, and releasing it between the
-        // pop and the process_batch would let a second drainer commit a
-        // later micro-batch first, breaking arrival order. Producers are
-        // unaffected — they block on the channel's capacity, not this
-        // lock. A panic inside `run_guarded` is caught *inside* this
-        // frame, so the guard is released normally and the queue stays
-        // drainable after recovery.
-        let rx = tenant.rx.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(rx) = rx.as_ref() else {
-            // Evicted while this caller still held an Arc to the entry.
+        if tenant.inlet.len() == 0 {
             return Ok(Vec::new());
-        };
-        let mut batch: Vec<DataPoint> = Vec::new();
-        while batch.len() < self.inner.config.micro_batch {
-            match rx.try_recv() {
-                Ok(p) => {
-                    tenant.queued.fetch_sub(1, Ordering::Relaxed);
-                    batch.push(p);
-                }
-                Err(_) => break,
-            }
         }
-        self.run_guarded(id, tenant, &batch)
+        // Held from pop to commit: a second drainer committing a later
+        // micro-batch first would break arrival order. A revive or restore
+        // swaps the detector only while holding it, so the detector
+        // registered now — not necessarily `tenant`'s — is the one to
+        // commit to. A panic inside `run_guarded` is caught inside this
+        // frame, so the guard is released normally.
+        let _drains = lock(&tenant.inlet.drains);
+        let tenant = match self.tenant(id) {
+            Ok(current) if Arc::ptr_eq(&current.inlet, &tenant.inlet) => current,
+            // Evicted while this caller still held the entry.
+            _ => return Ok(Vec::new()),
+        };
+        self.gate(id, &tenant)?;
+        let batch = tenant.inlet.pop(self.inner.config.micro_batch);
+        self.run_guarded(id, &tenant, &batch)
     }
 
     // ---- monitoring (never takes a detector lock) -----------------------
 
     /// Aggregated logical counters + queue occupancy + supervision
     /// counters over every tenant. Reads each tenant's stats seqlock,
-    /// queue counter and health/overload atomics only — never any detector
-    /// lock, so dashboards cannot stall (or be stalled by) ingestion.
+    /// queue length mirror and health/overload atomics only — never any
+    /// detector lock, so dashboards cannot stall (or be stalled by)
+    /// ingestion.
     pub fn stats(&self) -> FleetStats {
         let tenants: Vec<Arc<Tenant>> = read_lock(&self.inner.tenants).values().cloned().collect();
         let mut agg = FleetStats {
@@ -1064,15 +1032,15 @@ impl SpotFleet {
                 HEALTH_FAILED => agg.failed += 1,
                 _ => {}
             }
-            agg.queued += t.queued.load(Ordering::Relaxed);
+            agg.queued += t.inlet.len();
             agg.processed += s.processed;
             agg.outliers += s.outliers;
             agg.evolutions += s.evolutions;
             agg.os_added += s.os_added;
             agg.drift_events += s.drift_events;
             agg.cells_pruned += s.cells_pruned;
-            agg.shed += t.shed.load(Ordering::Relaxed);
-            agg.sampled_kept += t.sampled_kept.load(Ordering::Relaxed);
+            agg.shed += t.inlet.shed.load(Ordering::Relaxed);
+            agg.sampled_kept += t.inlet.sampled_kept.load(Ordering::Relaxed);
         }
         agg
     }
@@ -1199,24 +1167,19 @@ impl SpotFleet {
     /// on a healthy tenant (a forced rollback). Errors with
     /// [`SpotError::UnknownTenant`] when `id` is not registered.
     ///
-    /// Without a WAL the queued backlog is moved into the new queue
-    /// (arrival order preserved — both queues share one capacity bound, so
-    /// it always fits) and the returned count is the backlog carried; the
-    /// window between the checkpoint's stream position and the fault is
-    /// gone. **With a WAL** the log *is* the backlog: the retiring queue
-    /// is discarded (every point in it is also in the log) and the log
-    /// tail past the restored position — lost window, failed batch and
-    /// backlog alike — is replayed through the normal processing path,
-    /// re-deriving bit-identical verdicts; the returned count is the
-    /// records replayed. Either way the overload policy and counters
-    /// survive. The tenant's admission lock is held from the swap through
-    /// the replay, so its producers resume only once the log and queue
-    /// agree again; co-tenants keep ingesting throughout.
-    ///
-    /// Without a WAL, points a producer ingests during the swap itself may
-    /// land in the retiring queue and be dropped with it — drive recovery
-    /// from the thread that also services the tenant, or pause its
-    /// producers.
+    /// The new detector takes over the tenant's queue, overload policy and
+    /// counters. Without a WAL the backlog stays in place (arrival order
+    /// preserved) and the returned count is its length; the window between
+    /// the checkpoint's stream position and the fault is gone. **With a
+    /// WAL** the log *is* the backlog: the queue is cleared (every point in
+    /// it is also in the log) and the log tail past the restored position
+    /// — lost window, failed batch and backlog alike — is replayed through
+    /// the guarded processing path, re-deriving bit-identical verdicts;
+    /// the returned count is the records replayed. The tenant's admission
+    /// and drain locks are held from the swap through the replay, so its
+    /// producers and drains resume only once the log and queue agree
+    /// again; a producer waiting for room holds neither and wakes into the
+    /// same queue. Co-tenants keep ingesting throughout.
     pub fn revive_tenant(&self, id: &TenantId, cp: &SpotCheckpoint) -> Result<u64> {
         let outcome = self.revive_tenant_inner(id, cp)?;
         Ok(if outcome.walled {
@@ -1232,60 +1195,18 @@ impl SpotFleet {
         cp: &SpotCheckpoint,
     ) -> Result<ReviveOutcome> {
         let spot = Spot::from_checkpoint(cp)?;
-        let mut carried = 0u64;
-        // Hold the registry write lock across the backlog transfer so no
-        // new `ingest` can resolve the retiring entry mid-swap.
-        let mut map = write_lock(&self.inner.tenants);
-        let old = map
-            .get(id)
-            .cloned()
-            .ok_or_else(|| SpotError::UnknownTenant(id.to_string()))?;
-        let mut replacement = Tenant::fresh(spot, self.inner.config.queue_capacity);
-        replacement.admission = old.admission.clone();
-        let replacement = Arc::new(replacement);
+        let inlet = Arc::clone(&self.tenant(id)?.inlet);
+        let _admission = inlet.admission();
+        let _drains = lock(&inlet.drains);
+        let tenant = self.swap_detector(id, &inlet, spot)?;
         let wal = self.wal();
-        {
-            let guard = old.rx.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(old_rx) = guard.as_ref() {
-                while let Ok(p) = old_rx.try_recv() {
-                    old.queued.fetch_sub(1, Ordering::Relaxed);
-                    // Walled: the point is in the log at a sequence past
-                    // the restored position — the replay below re-admits
-                    // it; copying it into the new queue too would process
-                    // it twice.
-                    if wal.is_none() && replacement.tx.try_send(p).is_ok() {
-                        carried += 1;
-                    }
-                }
+        let (carried, replayed) = match wal {
+            Some(w) => {
+                inlet.clear(false);
+                (0, self.replay_wal_tail(id, &tenant, w)?)
             }
-        }
-        replacement
-            .queued
-            .store(carried as usize, Ordering::Relaxed);
-        replacement.set_policy(old.policy());
-        replacement
-            .overflow_seen
-            .store(old.overflow_seen.load(Ordering::Relaxed), Ordering::Relaxed);
-        replacement
-            .shed
-            .store(old.shed.load(Ordering::Relaxed), Ordering::Relaxed);
-        replacement
-            .sampled_kept
-            .store(old.sampled_kept.load(Ordering::Relaxed), Ordering::Relaxed);
-        map.insert(id.clone(), replacement.clone());
-        // Take the admission lock *before* releasing the registry lock: it
-        // serializes the replay against this tenant's producers, so
-        // anything admitted after it releases is past the replayed tail and
-        // nothing is processed twice. (A producer already blocked in
-        // `enqueue_blocking` against the *retiring* queue is the
-        // pre-existing swap caveat documented above.)
-        let admission = wal.map(|_| replacement.admission());
-        drop(map);
-        let mut replayed = 0u64;
-        if let Some(w) = wal {
-            replayed = self.replay_wal_tail(id, &replacement, w)?;
-        }
-        drop(admission);
+            None => (inlet.len() as u64, 0),
+        };
         self.inner.recoveries.fetch_add(1, Ordering::Relaxed);
         Ok(ReviveOutcome {
             carried,
@@ -1294,34 +1215,67 @@ impl SpotFleet {
         })
     }
 
+    /// Registers a new detector side for `id` around its current `inlet`
+    /// (the caller holds the inlet's admission and drain locks). Errors
+    /// with [`SpotError::UnknownTenant`] when `id` no longer holds that
+    /// inlet — evicted meanwhile.
+    fn swap_detector(&self, id: &TenantId, inlet: &Arc<Inlet>, spot: Spot) -> Result<Arc<Tenant>> {
+        let mut map = write_lock(&self.inner.tenants);
+        if !holds(&map, id, inlet) {
+            return Err(SpotError::UnknownTenant(id.to_string()));
+        }
+        let tenant = Arc::new(Tenant::new(spot, Arc::clone(inlet)));
+        map.insert(id.clone(), Arc::clone(&tenant));
+        Ok(tenant)
+    }
+
     /// Replays a tenant's WAL records past its detector's current stream
-    /// position through the guarded processing path, returning how many
-    /// were replayed. The re-derived verdicts are dropped — replay exists
-    /// to rebuild detector state; determinism guarantees they are
-    /// bit-identical to what the original stream produced (or would have).
+    /// position, returning how many were replayed.
     fn replay_wal_tail(&self, id: &TenantId, tenant: &Tenant, wal: &FleetWal) -> Result<u64> {
         let processed = tenant.shared.stats().processed;
         let base = wal.base_processed(id).unwrap_or(processed);
         let tail = read_wal_from(wal.dir(), id, watermark(id, processed, base)?)?;
-        let mut replayed = 0u64;
-        for chunk in tail.chunks(self.inner.config.micro_batch) {
+        self.replay(id, tenant, &tail)
+    }
+
+    /// Runs logged points through the guarded processing path in the
+    /// chunks a drain would pop, returning how many ran. The re-derived
+    /// verdicts are dropped — replay exists to rebuild detector state;
+    /// determinism guarantees they are bit-identical to what the original
+    /// stream produced (or would have).
+    fn replay(&self, id: &TenantId, tenant: &Tenant, tail: &[(u64, DataPoint)]) -> Result<u64> {
+        let config = self.inner.config;
+        for chunk in tail.chunks(config.micro_batch.min(config.queue_capacity)) {
             let points: Vec<DataPoint> = chunk.iter().map(|(_, p)| p.clone()).collect();
             self.run_guarded(id, tenant, &points)?;
-            replayed += points.len() as u64;
         }
-        Ok(replayed)
+        Ok(tail.len() as u64)
     }
 
     /// Restores one tenant from a fleet checkpoint, **replacing** any
     /// detector currently registered under the id (or registering it
     /// fresh). Errors with [`SpotError::UnknownTenant`] when the
-    /// checkpoint holds no such tenant; the tenant's queue restarts empty
-    /// (use [`SpotFleet::revive_tenant`] to carry a backlog).
+    /// checkpoint holds no such tenant. A replaced tenant is a fresh
+    /// registration: its queue restarts empty and its overload policy and
+    /// counters reset (use [`SpotFleet::revive_tenant`] to keep a
+    /// backlog); a producer waiting for room wakes into the emptied queue.
     pub fn restore_tenant(&self, checkpoint: &FleetCheckpoint, id: &TenantId) -> Result<()> {
         let cp = checkpoint
             .get(id)
             .ok_or_else(|| SpotError::UnknownTenant(id.to_string()))?;
-        self.install(id.clone(), Spot::from_checkpoint(cp)?, true)
+        let spot = Spot::from_checkpoint(cp)?;
+        let Ok(old) = self.tenant(id) else {
+            return self.install(id.clone(), spot);
+        };
+        let inlet = &old.inlet;
+        let mut admission = inlet.admission();
+        let _drains = lock(&inlet.drains);
+        self.swap_detector(id, inlet, spot)?;
+        *admission = Admission::default();
+        inlet.shed.store(0, Ordering::Relaxed);
+        inlet.sampled_kept.store(0, Ordering::Relaxed);
+        inlet.clear(false);
+        Ok(())
     }
 
     /// Builds a fleet holding every tenant of the checkpoint.
@@ -1339,7 +1293,8 @@ impl SpotFleet {
     /// restores the newest valid checkpoint from `dir` (the
     /// [`CheckpointStore`] layout, sweeping stray `.tmp` files), then
     /// replays each tenant's tail of the fleet's WAL — everything admitted
-    /// after that checkpoint — through the normal enqueue/drain path. Because replay
+    /// after that checkpoint — through the guarded micro-batches a drain
+    /// runs. Because replay
     /// re-derives state from the same points in the same order, the
     /// recovered fleet's subsequent verdict stream is **bit-identical** to
     /// an uncrashed run's: with the WAL enabled, a crash loses no admitted
@@ -1394,12 +1349,6 @@ impl SpotFleet {
             unclaimed: Vec::new(),
             swept_tmp,
         };
-        let chunk = fleet
-            .inner
-            .config
-            .micro_batch
-            .min(fleet.inner.config.queue_capacity)
-            .max(1);
         for id in restored {
             let tenant = fleet.tenant(&id)?;
             let processed = tenant.shared.stats().processed;
@@ -1429,15 +1378,8 @@ impl SpotFleet {
             if tail.is_empty() {
                 continue;
             }
-            // Replay through the normal enqueue → drain path — the same
-            // micro-batched guarded processing a live stream gets.
-            for batch in tail.chunks(chunk) {
-                for (_, point) in batch {
-                    fleet.enqueue_blocking(&id, &tenant, point.clone())?;
-                }
-                fleet.drain_fully(&id)?;
-            }
-            recovery.replayed.push((id.clone(), tail.len() as u64));
+            let replayed = fleet.replay(&id, &tenant, &tail)?;
+            recovery.replayed.push((id.clone(), replayed));
         }
         // Streams with no tenant in the restored checkpoint: surfaced, and
         // left open in the log so they pin their segments (the log may be
@@ -1479,6 +1421,16 @@ fn write_lock<'a, K, V>(
     lock.write().unwrap_or_else(|e| e.into_inner())
 }
 
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Whether `id` is registered around `inlet` (not evicted, and not
+/// evicted and registered again).
+fn holds(map: &HashMap<TenantId, Arc<Tenant>>, id: &TenantId, inlet: &Arc<Inlet>) -> bool {
+    map.get(id).is_some_and(|t| Arc::ptr_eq(&t.inlet, inlet))
+}
+
 /// Renders a caught panic's payload for [`SpotError::TenantPoisoned`]:
 /// `&str` / `String` payloads verbatim (the common case — `panic!` with a
 /// message), anything else as an opaque marker.
@@ -1495,6 +1447,84 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn pt(x: f64) -> DataPoint {
+        DataPoint::new(vec![x])
+    }
+
+    /// Admits `x` the way the admission body does: wait for room, push.
+    fn admit(inlet: &Inlet, x: f64) -> bool {
+        let admission = inlet.admission();
+        match inlet.wait_for_room(admission) {
+            Some(_admission) => {
+                inlet.push(pt(x));
+                true
+            }
+            None => false,
+        }
+    }
+
+    #[test]
+    fn inlet_pops_in_arrival_order_and_counts_exactly() {
+        let inlet = Inlet::new(4);
+        for x in 0..3 {
+            assert!(admit(&inlet, f64::from(x)));
+        }
+        assert_eq!(inlet.len(), 3);
+        let first: Vec<f64> = inlet.pop(2).iter().map(|p| p.values()[0]).collect();
+        assert_eq!(first, [0.0, 1.0]);
+        assert_eq!(inlet.len(), 1);
+        assert_eq!(inlet.pop(8).len(), 1);
+        assert_eq!(inlet.len(), 0);
+        assert!(inlet.pop(8).is_empty());
+    }
+
+    #[test]
+    fn inlet_reports_full_apart_from_closed() {
+        let inlet = Inlet::new(1);
+        assert_eq!(inlet.has_room(), Some(true));
+        assert!(admit(&inlet, 0.0));
+        assert_eq!(inlet.has_room(), Some(false));
+        inlet.clear(false);
+        assert_eq!(inlet.has_room(), Some(true));
+        inlet.clear(true);
+        assert_eq!(inlet.has_room(), None);
+    }
+
+    #[test]
+    fn closing_the_inlet_refuses_a_producer_waiting_for_room() {
+        let inlet = Arc::new(Inlet::new(1));
+        assert!(admit(&inlet, 0.0));
+        let producer = {
+            let inlet = Arc::clone(&inlet);
+            std::thread::spawn(move || admit(&inlet, 1.0))
+        };
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(!producer.is_finished(), "a full queue must make it wait");
+        inlet.clear(true);
+        assert!(!producer.join().unwrap(), "a closed inlet admits nothing");
+        assert_eq!(inlet.len(), 0);
+        assert!(!admit(&inlet, 2.0));
+    }
+
+    #[test]
+    fn inlet_never_exceeds_capacity_under_slow_consumer() {
+        const CAP: usize = 3;
+        const N: usize = 200;
+        let inlet = Arc::new(Inlet::new(CAP));
+        let producer = {
+            let inlet = Arc::clone(&inlet);
+            std::thread::spawn(move || (0..N).all(|x| admit(&inlet, x as f64)))
+        };
+        let mut seen = Vec::new();
+        while seen.len() < N {
+            assert!(inlet.len() <= CAP);
+            seen.extend(inlet.pop(2).iter().map(|p| p.values()[0] as usize));
+            std::thread::yield_now();
+        }
+        assert!(producer.join().unwrap());
+        assert_eq!(seen, (0..N).collect::<Vec<_>>());
+    }
 
     #[test]
     fn panic_message_renders_common_payloads() {

@@ -143,10 +143,11 @@ pub struct RecoveryReport {
     /// the uninterrupted stream. **With the ingestion WAL enabled the
     /// recovery replays that window from the log and this is `0`.**
     pub points_lost: u64,
-    /// Queued-but-undrained points carried over from the quarantined
-    /// entry's queue into the recovered tenant's queue (arrival order
-    /// preserved). `0` with a WAL — the backlog is replayed from the log
-    /// instead (counted in `replayed`).
+    /// Queued-but-undrained points the recovered tenant took over: the
+    /// tenant's queue outlives the detector swap, so the backlog stays in
+    /// place (arrival order preserved). `0` with a WAL — the queue is
+    /// cleared and the backlog replayed from the log instead (counted in
+    /// `replayed`).
     pub backlog_carried: u64,
     /// WAL records replayed to rebuild the lost window and backlog (`0`
     /// without a WAL).

@@ -10,10 +10,12 @@
 //!   on whichever thread processes or drains it; different tenants run
 //!   concurrently on different threads. That is the whole concurrency
 //!   model: nothing inside one detector is split across threads.
-//! * **Per-tenant bounded ingestion queues** — [`SpotFleet::ingest`]
-//!   enqueues into a bounded channel (blocking once full: natural
-//!   backpressure), [`SpotFleet::drain`] processes queued points in
-//!   micro-batches.
+//! * **Per-tenant bounded ingestion queues** — one per registration:
+//!   [`SpotFleet::ingest`] pushes into the tenant's bounded queue
+//!   (blocking once full: natural backpressure), [`SpotFleet::drain`]
+//!   processes queued points in micro-batches. The queue outlives a
+//!   detector swap: a revive keeps the backlog, a restore empties it,
+//!   and neither strands a producer waiting for room.
 //! * **Off-lock monitoring** — [`SpotFleet::stats`] and
 //!   [`SpotFleet::footprint`] aggregate every tenant's seqlock counters
 //!   and lock-free footprint mirror; they never take any tenant's
@@ -59,7 +61,7 @@
 //! covering every tenant) *before* it is enqueued, checkpoints record
 //! each tenant's replay watermark and prune sealed segments behind them,
 //! and [`SpotFleet::recover`] restores the newest valid checkpoint then
-//! replays each tenant's WAL tail through the normal drain path — the post-crash
+//! replays each tenant's WAL tail in drain-sized micro-batches — the post-crash
 //! verdict stream is bit-identical to an uncrashed run and no admitted
 //! point is lost. See [`wal`] and `docs/persistence.md`.
 

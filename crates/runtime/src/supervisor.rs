@@ -20,7 +20,7 @@
 //!    [`TenantHealth::Failed`] state.
 //!
 //! The recovered tenant resumes from the shadow's stream position with
-//! its queued backlog carried over; the verdicts between the shadow and
+//! its queued backlog still in place; the verdicts between the shadow and
 //! the fault are lost (the report's `points_lost` window) — replaying
 //! exactly that window reconverges with the uninterrupted stream, which
 //! the chaos suite pins bit-for-bit. **With the ingestion WAL enabled**
@@ -256,17 +256,6 @@ impl Supervisor {
                 }
             }
         }
-    }
-
-    /// Forces an immediate shadow refresh for one tenant (e.g. right
-    /// before a risky reconfiguration). Errors when the tenant is unknown
-    /// or not healthy.
-    pub fn shadow_now(&self, id: &TenantId) -> Result<()> {
-        let cp = self.fleet.checkpoint_tenant(id)?;
-        let processed = self.fleet.tenant_stats(id)?.processed;
-        let mut guards = self.guards.lock().unwrap_or_else(|e| e.into_inner());
-        guards.entry(id.clone()).or_default().shadow = Some((processed, cp));
-        Ok(())
     }
 
     /// The stream position (`processed` counter) of a tenant's current

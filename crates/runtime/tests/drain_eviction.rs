@@ -1,12 +1,17 @@
-//! Drain/eviction races: `drain_fully` against a producer that never
-//! stops, eviction under a producer blocked in `ingest`, and `pump`
-//! sweeping while tenants vanish mid-pass.
+//! Drain/eviction races and the queue's lifecycle: `drain_fully` against
+//! a producer that never stops, eviction under a producer blocked in
+//! `ingest`, `pump` sweeping while tenants vanish mid-pass, and what a
+//! revive, a restore, an eviction or a durable checkpoint does to a
+//! producer waiting for room in a full queue.
 
 use spot::{SpotBuilder, SpotConfig};
-use spot_runtime::{FleetConfig, SpotFleet};
-use spot_types::{DataPoint, DomainBounds, SpotError, TenantId};
+use spot_runtime::{CheckpointStore, FleetConfig, IngestOutcome, SpotFleet, WalTuning};
+use spot_stream::WalSource;
+use spot_types::{DataPoint, DomainBounds, Result, SpotError, TenantId};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 const DIMS: usize = 3;
@@ -210,4 +215,177 @@ fn pump_skips_tenants_evicted_mid_pass() {
 
     // The stable co-tenant was drained in full across all rounds.
     assert_eq!(fleet.tenant_stats(&stable).unwrap().processed, 50 * 8);
+}
+
+// ---- the queue's lifecycle under a producer waiting for room ------------
+
+const DEADLINE: Duration = Duration::from_secs(5);
+
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("spot-queue-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Joins `handle`, failing the test if it has not finished by the
+/// deadline (a bare `join` would hang the suite on a stranded thread).
+fn join_within<T>(handle: JoinHandle<T>, what: &str) -> T {
+    let deadline = Instant::now() + DEADLINE;
+    while !handle.is_finished() {
+        assert!(Instant::now() < deadline, "{what} did not return in time");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    handle.join().unwrap()
+}
+
+/// A learned tenant behind a 2-point queue (`Block` policy), with the
+/// WAL under `wal` when given.
+fn two_slot_fleet(name: &str, wal: Option<&PathBuf>) -> (SpotFleet, TenantId) {
+    let fleet = SpotFleet::new(FleetConfig {
+        queue_capacity: 2,
+        micro_batch: 4,
+    });
+    let id = tid(name);
+    fleet.register(id.clone(), tenant_config(5)).unwrap();
+    fleet.learn(&id, &training(64, 5)).unwrap();
+    if let Some(root) = wal {
+        fleet.enable_wal(root, WalTuning::default()).unwrap();
+    }
+    (fleet, id)
+}
+
+/// Fills the 2-point queue with points 1 and 2, then spawns a producer
+/// whose point 3 finds it full, and returns once that producer waits.
+fn wedge_producer(fleet: &SpotFleet, id: &TenantId) -> JoinHandle<Result<IngestOutcome>> {
+    for i in 1..=2 {
+        assert_eq!(fleet.ingest(id, point(i)).unwrap(), IngestOutcome::Enqueued);
+    }
+    let producer = {
+        let fleet = fleet.clone();
+        let id = id.clone();
+        std::thread::spawn(move || fleet.ingest(&id, point(3)))
+    };
+    std::thread::sleep(Duration::from_millis(30));
+    assert!(
+        !producer.is_finished(),
+        "the third point should wait for room"
+    );
+    producer
+}
+
+/// Drains until `producer` has returned and the queue is empty; returns
+/// the verdicts drained and the producer's outcome.
+fn drain_out(
+    fleet: &SpotFleet,
+    id: &TenantId,
+    producer: JoinHandle<Result<IngestOutcome>>,
+) -> (usize, Result<IngestOutcome>) {
+    let deadline = Instant::now() + DEADLINE;
+    let mut drained = 0;
+    loop {
+        drained += fleet.drain(id).map_or(0, |v| v.len());
+        if producer.is_finished() && fleet.queue_len(id).unwrap_or(0) == 0 {
+            return (drained, producer.join().unwrap());
+        }
+        assert!(Instant::now() < deadline, "the producer never returned");
+        std::thread::yield_now();
+    }
+}
+
+/// Without a WAL a revive keeps the backlog in place: the producer that
+/// was waiting for room when the detector was swapped lands in the queue
+/// the revived detector drains, so every point acknowledged `Enqueued`
+/// gets its verdict.
+#[test]
+fn revive_without_wal_processes_every_enqueued_point() {
+    let (fleet, id) = two_slot_fleet("revive-plain", None);
+    let cp = fleet.checkpoint_tenant(&id).unwrap();
+    let base = fleet.tenant_stats(&id).unwrap().processed;
+    let producer = wedge_producer(&fleet, &id);
+
+    assert_eq!(fleet.revive_tenant(&id, &cp).unwrap(), 2, "carried");
+    let (drained, outcome) = drain_out(&fleet, &id, producer);
+    assert_eq!(outcome.unwrap(), IngestOutcome::Enqueued);
+    assert_eq!(drained, 3, "an acknowledged point was dropped");
+    assert_eq!(fleet.tenant_stats(&id).unwrap().processed, base + 3);
+}
+
+/// A restore is a fresh registration — the queue restarts empty — but a
+/// producer waiting for room in the replaced queue returns into the new
+/// one instead of waiting forever.
+#[test]
+fn restore_releases_a_producer_waiting_for_room() {
+    let (fleet, id) = two_slot_fleet("restore", None);
+    let producer = wedge_producer(&fleet, &id);
+
+    fleet.restore_tenant(&fleet.checkpoint(), &id).unwrap();
+    let outcome = join_within(producer, "a producer waiting across restore_tenant");
+    assert_eq!(outcome.unwrap(), IngestOutcome::Enqueued);
+    assert_eq!(fleet.queue_len(&id).unwrap(), 1);
+    assert_eq!(fleet.drain_fully(&id).unwrap().len(), 1);
+}
+
+/// With a WAL a revive replays the log tail instead of keeping the
+/// queue: whether the waiting producer's point is logged before the
+/// revive (and replayed) or after (and drained), it is processed exactly
+/// once, and logged exactly once.
+#[test]
+fn walled_revive_processes_every_admitted_point_once() {
+    let root = temp_dir("revive-walled");
+    let (fleet, id) = two_slot_fleet("revive-walled", Some(&root));
+    let cp = fleet.checkpoint_tenant(&id).unwrap();
+    let base = fleet.tenant_stats(&id).unwrap().processed;
+    let producer = wedge_producer(&fleet, &id);
+
+    let replayed = fleet.revive_tenant(&id, &cp).unwrap();
+    let (drained, outcome) = drain_out(&fleet, &id, producer);
+    assert_eq!(outcome.unwrap(), IngestOutcome::Enqueued);
+    assert_eq!(replayed as usize + drained, 3);
+    assert_eq!(fleet.tenant_stats(&id).unwrap().processed, base + 3);
+    assert_eq!(WalSource::open(&root, &id).unwrap().len(), 3);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A producer waiting for room holds no lock the tenant's lifecycle
+/// calls need: a revive, an eviction and a durable checkpoint of that
+/// tenant each return promptly, with and without a WAL, and the producer
+/// then completes (`UnknownTenant` after the eviction).
+#[test]
+fn lifecycle_calls_complete_while_a_producer_waits_for_room() {
+    #[derive(Debug, Clone, Copy)]
+    enum Call {
+        Revive,
+        Evict,
+        CheckpointDurable,
+    }
+    for walled in [false, true] {
+        for call in [Call::Revive, Call::Evict, Call::CheckpointDurable] {
+            let what = format!("{call:?} (WAL: {walled})");
+            let root = temp_dir(&format!("{call:?}-{walled}"));
+            let wal = walled.then(|| root.join("wal"));
+            let (fleet, id) = two_slot_fleet("waited-on", wal.as_ref());
+            let cp = fleet.checkpoint_tenant(&id).unwrap();
+            let store = CheckpointStore::open(&root, 4).unwrap();
+            let producer = wedge_producer(&fleet, &id);
+
+            let caller = {
+                let (fleet, id) = (fleet.clone(), id.clone());
+                std::thread::spawn(move || match call {
+                    Call::Revive => fleet.revive_tenant(&id, &cp).map(drop),
+                    Call::Evict => fleet.evict(&id),
+                    Call::CheckpointDurable => fleet.checkpoint_durable(&store).map(drop),
+                })
+            };
+            join_within(caller, &what).unwrap_or_else(|e| panic!("{what}: {e}"));
+            let (_, outcome) = drain_out(&fleet, &id, producer);
+            match call {
+                Call::Evict => assert!(
+                    matches!(outcome, Err(SpotError::UnknownTenant(_))),
+                    "{what}: {outcome:?}"
+                ),
+                _ => assert_eq!(outcome.unwrap(), IngestOutcome::Enqueued, "{what}"),
+            }
+            let _ = std::fs::remove_dir_all(&root);
+        }
+    }
 }

@@ -329,10 +329,9 @@ fn ingest(state: &AppState, id: &TenantId, req: &Request) -> Response {
         Ok(b) => b,
         Err(r) => return r,
     };
-    // Validate the whole batch *before* admitting anything: the fleet
-    // defers point validation to drain time, where one bad point discards
-    // its entire micro-batch — the HTTP boundary is exactly the untrusted
-    // upstream its docs tell to validate at.
+    // Validate the whole batch *before* admitting anything, so a batch is
+    // all-or-nothing: the fleet refuses a bad point at admission too, but
+    // only that point — the ones before it would already be queued.
     let dims = match state.fleet.tenant_dims(id) {
         Ok(d) => d,
         Err(e) => return spot_error(&e, None),

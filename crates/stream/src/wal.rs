@@ -1,7 +1,8 @@
 //! The ingestion WAL's schema over a segment log ([`spot_types::framed`]):
 //! the payloads of the fleet's one log (`docs/persistence.md` § "The
 //! ingestion WAL"), the scan that checks each tenant's stream continuity,
-//! and [`WalSource`], a [`crate::PointStream`] over one tenant's records.
+//! and [`WalSource`], an iterator of [`StreamRecord`]s over one tenant's
+//! records.
 //! The writer lives in `spot-runtime`.
 //!
 //! ```text
@@ -417,8 +418,8 @@ pub fn read_wal_from(
 ///
 /// `WalSource` yields the tenant's records as [`StreamRecord`]s — the
 /// record's seq in the tenant's stream becomes the stream sequence — so
-/// any [`crate::PointStream`] consumer (the detection loop, a baseline, an
-/// audit script) can re-run a tenant's exact ingestion history with no
+/// any consumer of an `Iterator<Item = StreamRecord>` (the detection loop,
+/// a baseline, an audit script) can re-run a tenant's exact ingestion history with no
 /// fleet in sight, bit-exactly. It applies the standard torn-tail policy
 /// and loads the tail eagerly at `open`: checkpoint pruning bounds it.
 #[derive(Debug)]
@@ -431,22 +432,13 @@ impl WalSource {
     /// Opens `tenant`'s stream in the log at `dir` from its oldest retained
     /// record. No stream there (or no directory) is an empty source.
     pub fn open(dir: impl AsRef<Path>, tenant: &TenantId) -> Result<Self> {
-        Self::load(dir.as_ref(), tenant, None)
-    }
-
-    /// Opens `tenant`'s stream from seq `from_seq` (an error when pruned).
-    pub fn open_from(dir: impl AsRef<Path>, tenant: &TenantId, from_seq: u64) -> Result<Self> {
-        Self::load(dir.as_ref(), tenant, Some(from_seq))
-    }
-
-    fn load(dir: &Path, tenant: &TenantId, from_seq: Option<u64>) -> Result<Self> {
-        let Some(log) = tenant_log(dir, tenant)? else {
+        let Some(log) = tenant_log(dir.as_ref(), tenant)? else {
             return Ok(WalSource {
                 records: Vec::new().into_iter(),
                 base_processed: 0,
             });
         };
-        let (base_processed, from) = (log.base_processed, from_seq.unwrap_or(log.first_seq));
+        let (base_processed, from) = (log.base_processed, log.first_seq);
         Ok(WalSource {
             records: log.into_tail(tenant, from)?.into_iter(),
             base_processed,
@@ -754,7 +746,7 @@ mod tests {
         let src = WalSource::open(&dir, &tid("a")).unwrap();
         assert_eq!(src.base_processed(), 9);
         assert_eq!(src.len(), 6);
-        fn consume(stream: impl crate::PointStream) -> Vec<StreamRecord> {
+        fn consume(stream: impl Iterator<Item = StreamRecord>) -> Vec<StreamRecord> {
             stream.collect()
         }
         let recs = consume(src);
@@ -765,10 +757,6 @@ mod tests {
                 (2.0 * i as f64 * 0.25).to_bits()
             );
         }
-        // open_from an explicit tail position.
-        let tail: Vec<_> = WalSource::open_from(&dir, &tid("b"), 4).unwrap().collect();
-        assert_eq!(tail.len(), 2);
-        assert_eq!(tail[0].seq, 4);
         // A tenant with no stream, or a missing dir, is an empty stream.
         assert!(WalSource::open(&dir, &tid("c")).unwrap().is_empty());
         assert!(WalSource::open(dir.join("nope"), &tid("a"))
