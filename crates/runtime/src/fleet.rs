@@ -163,8 +163,9 @@ struct Inlet {
     /// waiting for room releases it. Every push, clear and close happens
     /// under it, so its holder sees the queue only shrink.
     admission: Mutex<Admission>,
-    /// Held by a drain from pop to commit, so the tenant's points commit
-    /// in arrival order; a revive or restore holds it while it swaps the
+    /// Held by a drain from pop to commit and delivery, so the tenant's
+    /// points commit, and reach [`SpotFleet::drain_with`]'s caller, in
+    /// arrival order; a revive or restore holds it while it swaps the
     /// detector.
     drains: Mutex<()>,
     /// Points dropped by `Shed`/`Sample`.
@@ -934,7 +935,23 @@ impl SpotFleet {
     /// preserved for recovery.
     pub fn drain(&self, id: &TenantId) -> Result<Vec<Verdict>> {
         let tenant = self.tenant(id)?;
-        self.drain_tenant(id, &tenant)
+        self.drain_tenant(id, &tenant, |_| {})
+    }
+
+    /// [`SpotFleet::drain`] that hands the micro-batch's verdicts to
+    /// `deliver` while the tenant's drain lock is still held, and returns
+    /// how many it handed over. Per tenant, `deliver` therefore runs in
+    /// commit order and never concurrently, whichever threads drain — the
+    /// ordering a verdict consumer fed from several drainers needs, with
+    /// no lock of its own. Different tenants' calls run concurrently.
+    ///
+    /// `deliver` sees each committed micro-batch exactly once and is not
+    /// called for an empty one. It runs under the drain lock, so it must
+    /// not drain, revive or restore the same tenant; a panic in it unwinds
+    /// to the caller after the batch committed.
+    pub fn drain_with(&self, id: &TenantId, deliver: impl FnOnce(&[Verdict])) -> Result<usize> {
+        let tenant = self.tenant(id)?;
+        Ok(self.drain_tenant(id, &tenant, deliver)?.len())
     }
 
     /// Drains the tenant's current backlog (micro-batch at a time). The
@@ -943,12 +960,17 @@ impl SpotFleet {
     /// into an unbounded loop (the livelock the old drain-until-empty
     /// contract had). Points enqueued while the drain runs are left for
     /// the next call.
+    ///
+    /// On an error (the tenant quarantined mid-backlog) the micro-batches
+    /// committed before it are **not** returned: their verdicts are lost
+    /// to the caller, though the detector counted them. A caller that must
+    /// see every committed verdict drains with [`SpotFleet::drain_with`].
     pub fn drain_fully(&self, id: &TenantId) -> Result<Vec<Verdict>> {
         let tenant = self.tenant(id)?;
         let mut remaining = tenant.inlet.len();
         let mut verdicts = Vec::new();
         while remaining > 0 {
-            let batch = self.drain_tenant(id, &tenant)?;
+            let batch = self.drain_tenant(id, &tenant, |_| {})?;
             if batch.is_empty() {
                 break;
             }
@@ -976,7 +998,7 @@ impl SpotFleet {
             let Ok(tenant) = self.tenant(&id) else {
                 continue;
             };
-            match self.drain_tenant(&id, &tenant) {
+            match self.drain_tenant(&id, &tenant, |_| {}) {
                 Ok(verdicts) if verdicts.is_empty() => {}
                 result => out.push((id, result)),
             }
@@ -984,19 +1006,28 @@ impl SpotFleet {
         out
     }
 
-    fn drain_tenant(&self, id: &TenantId, tenant: &Tenant) -> Result<Vec<Verdict>> {
+    /// The one drain body: pops and commits up to one micro-batch and
+    /// hands a non-empty batch's verdicts to `deliver` before the drain
+    /// lock is released.
+    fn drain_tenant(
+        &self,
+        id: &TenantId,
+        tenant: &Tenant,
+        deliver: impl FnOnce(&[Verdict]),
+    ) -> Result<Vec<Verdict>> {
         // Lock-free exits first, as the pump polls every tenant. A
         // quarantined tenant keeps its backlog for the revived detector.
         self.gate(id, tenant)?;
         if tenant.inlet.len() == 0 {
             return Ok(Vec::new());
         }
-        // Held from pop to commit: a second drainer committing a later
-        // micro-batch first would break arrival order. A revive or restore
-        // swaps the detector only while holding it, so the detector
-        // registered now — not necessarily `tenant`'s — is the one to
-        // commit to. A panic inside `run_guarded` is caught inside this
-        // frame, so the guard is released normally.
+        // Held from pop to delivery: a second drainer committing or
+        // delivering a later micro-batch first would break arrival order.
+        // A revive or restore swaps the detector only while holding it, so
+        // the detector registered now — not necessarily `tenant`'s — is
+        // the one to commit to. A panic inside `run_guarded` is caught
+        // inside this frame; one in `deliver` poisons the lock, which
+        // every taker ignores.
         let _drains = lock(&tenant.inlet.drains);
         let tenant = match self.tenant(id) {
             Ok(current) if Arc::ptr_eq(&current.inlet, &tenant.inlet) => current,
@@ -1005,7 +1036,11 @@ impl SpotFleet {
         };
         self.gate(id, &tenant)?;
         let batch = tenant.inlet.pop(self.inner.config.micro_batch);
-        self.run_guarded(id, &tenant, &batch)
+        let verdicts = self.run_guarded(id, &tenant, &batch)?;
+        if !verdicts.is_empty() {
+            deliver(&verdicts);
+        }
+        Ok(verdicts)
     }
 
     // ---- monitoring (never takes a detector lock) -----------------------

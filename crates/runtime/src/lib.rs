@@ -13,9 +13,11 @@
 //! * **Per-tenant bounded ingestion queues** — one per registration:
 //!   [`SpotFleet::ingest`] pushes into the tenant's bounded queue
 //!   (blocking once full: natural backpressure), [`SpotFleet::drain`]
-//!   processes queued points in micro-batches. The queue outlives a
-//!   detector swap: a revive keeps the backlog, a restore empties it,
-//!   and neither strands a producer waiting for room.
+//!   processes queued points in micro-batches, and
+//!   [`SpotFleet::drain_with`] also hands each batch's verdicts to a
+//!   consumer in commit order, whichever thread drains. The queue
+//!   outlives a detector swap: a revive keeps the backlog, a restore
+//!   empties it, and neither strands a producer waiting for room.
 //! * **Off-lock monitoring** — [`SpotFleet::stats`] and
 //!   [`SpotFleet::footprint`] aggregate every tenant's seqlock counters
 //!   and lock-free footprint mirror; they never take any tenant's

@@ -2,15 +2,16 @@
 //! a producer that never stops, eviction under a producer blocked in
 //! `ingest`, `pump` sweeping while tenants vanish mid-pass, and what a
 //! revive, a restore, an eviction or a durable checkpoint does to a
-//! producer waiting for room in a full queue.
+//! producer waiting for room in a full queue; and `drain_with`'s delivery
+//! order when two threads drain one tenant.
 
-use spot::{SpotBuilder, SpotConfig};
+use spot::{Spot, SpotBuilder, SpotConfig, Verdict};
 use spot_runtime::{CheckpointStore, FleetConfig, IngestOutcome, SpotFleet, WalTuning};
 use spot_stream::WalSource;
 use spot_types::{DataPoint, DomainBounds, Result, SpotError, TenantId};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -215,6 +216,74 @@ fn pump_skips_tenants_evicted_mid_pass() {
 
     // The stable co-tenant was drained in full across all rounds.
     assert_eq!(fleet.tenant_stats(&stable).unwrap().processed, 50 * 8);
+}
+
+/// Two threads drain one tenant through `drain_with` while a producer
+/// ingests: the deliveries never interleave or reorder — each one's ticks
+/// continue where the previous delivery's stopped — and their
+/// concatenation is bit-identical to a standalone detector's verdicts.
+/// The test starts its own drainers, so it races on a single core too.
+#[test]
+fn drain_with_delivers_in_commit_order_across_drainers() {
+    const POINTS: u64 = 3_000;
+    let fleet = SpotFleet::new(FleetConfig {
+        queue_capacity: 64,
+        micro_batch: 8,
+    });
+    let id = tid("ordered");
+    fleet.register(id.clone(), tenant_config(11)).unwrap();
+    fleet.learn(&id, &training(64, 11)).unwrap();
+    let mut standalone = Spot::new(tenant_config(11)).unwrap();
+    standalone.learn(&training(64, 11)).unwrap();
+    let want: Vec<_> = (0..POINTS)
+        .map(|i| standalone.process(&point(i)).unwrap())
+        .collect();
+
+    let delivered = Arc::new(Mutex::new(Vec::new()));
+    let producer = {
+        let (fleet, id) = (fleet.clone(), id.clone());
+        std::thread::spawn(move || {
+            for i in 0..POINTS {
+                fleet.ingest(&id, point(i)).unwrap();
+            }
+        })
+    };
+    let drainers: Vec<_> = (0..2)
+        .map(|_| {
+            let (fleet, id) = (fleet.clone(), id.clone());
+            let delivered = Arc::clone(&delivered);
+            std::thread::spawn(move || {
+                let deadline = Instant::now() + DEADLINE;
+                while (delivered.lock().unwrap().len() as u64) < POINTS {
+                    assert!(Instant::now() < deadline, "the drainers stalled");
+                    let n = fleet
+                        .drain_with(&id, |verdicts| {
+                            let mut log = delivered.lock().unwrap();
+                            let next = log
+                                .last()
+                                .map_or(verdicts[0].tick, |v: &Verdict| v.tick + 1);
+                            assert_eq!(verdicts[0].tick, next, "a delivery overtook another");
+                            assert!(verdicts.windows(2).all(|w| w[1].tick == w[0].tick + 1));
+                            log.extend_from_slice(verdicts);
+                        })
+                        .unwrap();
+                    if n == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+            })
+        })
+        .collect();
+    join_within(producer, "the producer");
+    for drainer in drainers {
+        join_within(drainer, "a drainer");
+    }
+
+    let got = delivered.lock().unwrap();
+    assert_eq!(got.len(), want.len());
+    for (a, b) in want.iter().zip(got.iter()) {
+        assert!(a.bitwise_eq(b), "diverged at tick {}", a.tick);
+    }
 }
 
 // ---- the queue's lifecycle under a producer waiting for room ------------

@@ -185,6 +185,10 @@ fn stats(state: &AppState, draining: bool) -> Response {
                         "forced_closes",
                         Value::U64(c.forced_closes.load(Ordering::Relaxed)),
                     ),
+                    (
+                        "sink_panics",
+                        Value::U64(c.sink_panics.load(Ordering::Relaxed)),
+                    ),
                 ]),
             ),
         ]),
@@ -374,26 +378,19 @@ fn ingest(state: &AppState, id: &TenantId, req: &Request) -> Response {
 }
 
 fn drain(state: &AppState, id: &TenantId) -> Response {
-    // The sink lock serializes this with the pump thread so a configured
-    // verdict sink observes every tenant's verdicts in arrival order.
-    let _order = state.sink_lock.lock().unwrap_or_else(|e| e.into_inner());
-    match state.fleet.drain_fully(id) {
-        Ok(verdicts) => {
-            let outliers = verdicts.iter().filter(|v| v.outlier).count();
-            let drained = verdicts.len();
-            if let Some(sink) = &state.sink {
-                if !verdicts.is_empty() {
-                    sink(id, &verdicts);
-                }
-            }
-            Response::json(
-                200,
-                obj(vec![
-                    ("drained", Value::U64(drained as u64)),
-                    ("outliers", Value::U64(outliers as u64)),
-                ]),
-            )
-        }
+    let (mut drained, mut outliers) = (0, 0);
+    let counted = state.drain_backlog(id, |verdicts| {
+        drained += verdicts.len() as u64;
+        outliers += verdicts.iter().filter(|v| v.outlier).count() as u64;
+    });
+    match counted {
+        Ok(()) => Response::json(
+            200,
+            obj(vec![
+                ("drained", Value::U64(drained)),
+                ("outliers", Value::U64(outliers)),
+            ]),
+        ),
         Err(e) => spot_error(&e, None),
     }
 }

@@ -1,5 +1,5 @@
-//! The SPOT fleet HTTP server: bounded accept, worker pool, pump thread,
-//! and the graceful shutdown protocol.
+//! The SPOT fleet HTTP server: bounded accept, worker pool, one pump
+//! thread per available core, and the graceful shutdown protocol.
 //!
 //! Robustness invariants (see `docs/service.md`):
 //!
@@ -12,10 +12,12 @@
 //!   within [`ServeConfig::write_timeout`], and idle keep-alive
 //!   connections are reclaimed after [`ServeConfig::idle_timeout`].
 //! - **Ordered verdict delivery.** A configured [`VerdictSink`] observes
-//!   every tenant's verdicts in exact arrival order: the pump thread, the
-//!   HTTP drain route, and the shutdown drain all serialize through one
-//!   sink lock, and the fleet's per-tenant receiver mutex orders the
-//!   drains themselves.
+//!   every tenant's verdicts in exact arrival order: the pump threads, the
+//!   HTTP drain route and the shutdown drain all deliver through
+//!   [`SpotFleet::drain_with`], inside the tenant's drain lock, so one
+//!   tenant's batches reach the sink in commit order while different
+//!   tenants are delivered in parallel. A panicking sink is caught and
+//!   counted ([`ServerStats::sink_panics`]); delivery goes on.
 //! - **Graceful shutdown loses nothing admitted.** [`SpotServer::shutdown`]
 //!   stops accepting, closes idle connections, lets in-flight requests
 //!   finish under [`ServeConfig::drain_deadline`] (then force-closes the
@@ -30,13 +32,18 @@ use spot_runtime::{CheckpointStore, SpotFleet};
 use spot_types::{Result, SpotError, TenantId};
 use std::collections::{HashMap, VecDeque};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Verdict consumer fed by the pump thread and the drain paths, always in
-/// per-tenant arrival order.
+/// Verdict consumer fed by the pump threads and the drain paths.
+///
+/// It may be called concurrently for different tenants, never for one
+/// tenant: each tenant's micro-batches arrive in arrival order, each
+/// exactly once. A call that panics is caught and counted in
+/// [`ServerStats::sink_panics`]; its batch counts as delivered.
 pub type VerdictSink = Arc<dyn Fn(&TenantId, &[Verdict]) + Send + Sync>;
 
 /// Tunables for one server instance.
@@ -58,7 +65,7 @@ pub struct ServeConfig {
     /// How long [`SpotServer::shutdown`] waits for in-flight requests
     /// before force-closing their connections.
     pub drain_deadline: Duration,
-    /// Pump thread sleep between passes that found no verdicts.
+    /// How long a pump thread sleeps after a pass that moved nothing.
     pub pump_interval: Duration,
     /// Wire-level input limits.
     pub limits: HttpLimits,
@@ -89,13 +96,13 @@ pub(crate) struct ServerCounters {
     pub timeouts: AtomicU64,
     pub bad_requests: AtomicU64,
     pub forced_closes: AtomicU64,
+    pub sink_panics: AtomicU64,
 }
 
 /// Snapshot of the server counters (see [`SpotServer::stats`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ServerStats {
-    /// Connections accepted (including ones later shed is **not** counted
-    /// here; shed connections are rejected at accept time).
+    /// Connections accepted, including the ones then shed at the cap.
     pub accepted: u64,
     /// Connections rejected at accept time because the cap was reached.
     pub shed_connections: u64,
@@ -107,6 +114,8 @@ pub struct ServerStats {
     pub bad_requests: u64,
     /// Connections force-closed by the shutdown drain deadline.
     pub forced_closes: u64,
+    /// Verdict sink calls that panicked (caught; delivery went on).
+    pub sink_panics: u64,
     /// Connections currently being served.
     pub active_connections: usize,
     /// Accepted connections waiting for a worker.
@@ -138,8 +147,39 @@ pub(crate) struct AppState {
     pub draining: AtomicBool,
     pub counters: ServerCounters,
     pub sink: Option<VerdictSink>,
-    /// Serializes every drain-and-deliver so the sink sees arrival order.
-    pub sink_lock: Mutex<()>,
+}
+
+impl AppState {
+    /// Hands one committed micro-batch to the sink, catching a panic.
+    fn deliver(&self, id: &TenantId, verdicts: &[Verdict]) {
+        let Some(sink) = &self.sink else { return };
+        if catch_unwind(AssertUnwindSafe(|| sink(id, verdicts))).is_err() {
+            self.counters.sink_panics.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Drains `id`'s current backlog into the sink, each micro-batch as it
+    /// commits, passing it to `seen` too. The queued count is taken once,
+    /// as in [`SpotFleet::drain_fully`]; an error leaves the batches
+    /// before it delivered.
+    pub(crate) fn drain_backlog(
+        &self,
+        id: &TenantId,
+        mut seen: impl FnMut(&[Verdict]),
+    ) -> Result<()> {
+        let mut remaining = self.fleet.queue_len(id)?;
+        while remaining > 0 {
+            let n = self.fleet.drain_with(id, |verdicts| {
+                seen(verdicts);
+                self.deliver(id, verdicts);
+            })?;
+            if n == 0 {
+                break;
+            }
+            remaining = remaining.saturating_sub(n);
+        }
+        Ok(())
+    }
 }
 
 struct ConnEntry {
@@ -196,9 +236,9 @@ impl ServerBuilder {
         self
     }
 
-    /// Enable/disable the background pump thread (default on). With the
-    /// pump off, verdicts only move on explicit `/drain` requests and at
-    /// shutdown — useful for deterministic tests.
+    /// Enable/disable the background pump threads, one per available core
+    /// (default on). With the pump off, verdicts only move on explicit
+    /// `/drain` requests and at shutdown — useful for deterministic tests.
     pub fn pump(mut self, enabled: bool) -> Self {
         self.pump = enabled;
         self
@@ -222,7 +262,6 @@ impl ServerBuilder {
                 draining: AtomicBool::new(false),
                 counters: ServerCounters::default(),
                 sink: self.sink,
-                sink_lock: Mutex::new(()),
             },
             config: self.config,
             queue: Mutex::new(VecDeque::new()),
@@ -254,23 +293,25 @@ impl ServerBuilder {
                     .map_err(|e| SpotError::Io(e.to_string()))?,
             );
         }
-        let pump = if self.pump {
-            let shared = Arc::clone(&shared);
-            Some(
-                std::thread::Builder::new()
-                    .name("spot-serve-pump".to_string())
-                    .spawn(move || pump_loop(&shared))
-                    .map_err(|e| SpotError::Io(e.to_string()))?,
-            )
+        let pumps = if self.pump {
+            std::thread::available_parallelism().map_or(1, usize::from)
         } else {
-            None
+            0
         };
+        for k in 0..pumps {
+            let shared = Arc::clone(&shared);
+            threads.push(
+                std::thread::Builder::new()
+                    .name(format!("spot-serve-pump-{k}"))
+                    .spawn(move || pump_loop(&shared, k, pumps))
+                    .map_err(|e| SpotError::Io(e.to_string()))?,
+            );
+        }
 
         Ok(SpotServer {
             shared,
             addr,
             threads,
-            pump,
             stopped: false,
         })
     }
@@ -283,7 +324,6 @@ pub struct SpotServer {
     shared: Arc<Shared>,
     addr: SocketAddr,
     threads: Vec<JoinHandle<()>>,
-    pump: Option<JoinHandle<()>>,
     stopped: bool,
 }
 
@@ -324,6 +364,7 @@ impl SpotServer {
             timeouts: c.timeouts.load(Ordering::Relaxed),
             bad_requests: c.bad_requests.load(Ordering::Relaxed),
             forced_closes: c.forced_closes.load(Ordering::Relaxed),
+            sink_panics: c.sink_panics.load(Ordering::Relaxed),
             active_connections: self.shared.active.load(Ordering::Relaxed),
             queued_connections: lock(&self.shared.queue).len(),
         }
@@ -337,9 +378,9 @@ impl SpotServer {
     ///    [`ServeConfig::drain_deadline`] for in-flight requests, then
     ///    force-close stragglers.
     /// 3. Stop the worker and pump threads.
-    /// 4. Drain every tenant queue into the verdict sink (arrival order
-    ///    preserved) — the admission gate guarantees the backlog is
-    ///    frozen, so nothing admitted is missed.
+    /// 4. Drain every tenant queue into the verdict sink, each tenant's
+    ///    micro-batches in arrival order — the admission gate guarantees
+    ///    the backlog is frozen, so nothing admitted is missed.
     /// 5. Take a final durable checkpoint when a store is attached: after
     ///    this, a process exit loses nothing the WAL admitted.
     /// 6. Re-open fleet admission (the in-process fleet outlives the
@@ -381,21 +422,15 @@ impl SpotServer {
         // fail their reads, queued connections are closed on sight).
         self.stop_threads();
 
-        // 4. Frozen-backlog drain, in sink order.
+        // 4. Frozen-backlog drain.
         let mut drained = 0u64;
         let mut undrained = Vec::new();
         for id in app.fleet.tenant_ids() {
-            let _order = lock(&app.sink_lock);
-            match app.fleet.drain_fully(&id) {
-                Ok(verdicts) => {
-                    drained += verdicts.len() as u64;
-                    if let Some(sink) = &app.sink {
-                        if !verdicts.is_empty() {
-                            sink(&id, &verdicts);
-                        }
-                    }
-                }
-                Err(_) => undrained.push(id),
+            if app
+                .drain_backlog(&id, |v| drained += v.len() as u64)
+                .is_err()
+            {
+                undrained.push(id);
             }
         }
 
@@ -429,9 +464,6 @@ impl SpotServer {
         shared.stop_pump.store(true, Ordering::Release);
         shared.queue_cv.notify_all();
         for handle in self.threads.drain(..) {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.pump.take() {
             let _ = handle.join();
         }
     }
@@ -586,30 +618,23 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// Background verdict mover: micro-batch drain per tenant per pass (the
-/// fleet's fairness unit), delivering to the sink under the order lock.
-fn pump_loop(shared: &Shared) {
+/// Background verdict mover `k` of `n`: one micro-batch (the fleet's
+/// fairness unit) per tenant per pass, over the tenants at positions ≡ k
+/// (mod n) in the sorted id list, so the threads' tenants are disjoint.
+/// The tenant's drain lock, not the split, orders its delivery: a tenant
+/// that changes thread when registrations change stays ordered.
+fn pump_loop(shared: &Shared, k: usize, n: usize) {
     let app = &shared.app;
-    loop {
-        if shared.stop_pump.load(Ordering::Acquire) {
-            return;
-        }
+    while !shared.stop_pump.load(Ordering::Acquire) {
         let mut moved = false;
-        for id in app.fleet.tenant_ids() {
+        for id in app.fleet.tenant_ids().iter().skip(k).step_by(n) {
             if shared.stop_pump.load(Ordering::Acquire) {
                 return;
             }
-            let _order = lock(&app.sink_lock);
             // Evicted or quarantined mid-pass → skip; the supervisor (or
             // an explicit restore) owns unhealthy tenants.
-            if let Ok(verdicts) = app.fleet.drain(&id) {
-                if !verdicts.is_empty() {
-                    moved = true;
-                    if let Some(sink) = &app.sink {
-                        sink(&id, &verdicts);
-                    }
-                }
-            }
+            let delivered = app.fleet.drain_with(id, |v| app.deliver(id, v));
+            moved |= delivered.is_ok_and(|count| count > 0);
         }
         if !moved {
             std::thread::sleep(shared.config.pump_interval);

@@ -2,16 +2,19 @@
 //! shedding, keep-alive, and the graceful shutdown protocol — all
 //! exercised over real sockets against a live server.
 
-use spot_runtime::{CheckpointStore, FleetConfig, SpotFleet};
+use spot::{SpotBuilder, Verdict};
+use spot_runtime::{CheckpointStore, FaultPlan, FleetConfig, SpotFleet};
 use spot_serve::{
     inject, retry_after_secs, FaultOutcome, HttpLimits, NetFault, RetryPolicy, ServeClient,
-    ServeConfig, SpotServer,
+    ServeConfig, SpotServer, VerdictSink,
 };
-use spot_types::{DataPoint, TenantId};
+use spot_types::{DataPoint, DomainBounds, TenantId};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 const DIMS: usize = 3;
 
@@ -680,6 +683,112 @@ fn draining_server_refuses_new_work_with_503() {
     fleet.end_shutdown();
     let report = client.ingest(&id, &stream(5, 12)).unwrap();
     assert_eq!(report.enqueued, 5);
+
+    server.shutdown().unwrap();
+}
+
+/// A sink that panics is caught on the pump thread that called it: the
+/// panic is counted on `/stats`, its batch counts as delivered, and the
+/// pump keeps moving verdicts — the queue never fills behind a dead pump.
+#[test]
+fn a_panicking_sink_is_counted_and_the_pump_keeps_delivering() {
+    const POSTS: usize = 20;
+    let fleet = serial_fleet(64, 16);
+    let calls = Arc::new(AtomicU64::new(0));
+    let lost = Arc::new(AtomicU64::new(0));
+    let seen = Arc::new(AtomicU64::new(0));
+    let sink: VerdictSink = {
+        let (calls, lost, seen) = (Arc::clone(&calls), Arc::clone(&lost), Arc::clone(&seen));
+        Arc::new(move |_: &TenantId, verdicts: &[Verdict]| {
+            if calls.fetch_add(1, Ordering::SeqCst) == 0 {
+                lost.store(verdicts.len() as u64, Ordering::SeqCst);
+                panic!("sink fault");
+            }
+            seen.fetch_add(verdicts.len() as u64, Ordering::SeqCst);
+        })
+    };
+    let server = SpotServer::builder(fleet.clone())
+        .verdict_sink(sink)
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let mut client = ServeClient::new(server.local_addr()).with_policy(quick_policy());
+    let id = tid("kappa");
+    client.register(&id, DIMS, 29, &training(64, 13)).unwrap();
+
+    let points = stream(POSTS * 16, 14);
+    for chunk in points.chunks(16) {
+        let report = client.ingest(&id, chunk).unwrap();
+        assert_eq!(report.enqueued, 16);
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while lost.load(Ordering::SeqCst) + seen.load(Ordering::SeqCst) < points.len() as u64 {
+        assert!(
+            Instant::now() < deadline,
+            "delivery stalled after the sink panicked: {} of {} verdicts",
+            lost.load(Ordering::SeqCst) + seen.load(Ordering::SeqCst),
+            points.len()
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(fleet.queue_len(&id).unwrap(), 0);
+    assert_eq!(server.stats().sink_panics, 1);
+    assert!(lost.load(Ordering::SeqCst) > 0);
+    let stats = client.stats().unwrap();
+    assert!(stats.contains("\"sink_panics\":1"), "stats: {stats}");
+
+    server.shutdown().unwrap();
+}
+
+/// A `/drain` that meets a fault mid-backlog still delivers the
+/// micro-batches committed before it, then reports the fault: 48 points
+/// queued, micro-batch 16, a panic at the 41st point — the sink receives
+/// the first 32 verdicts, bit-identical to direct processing, and the
+/// route answers 503.
+#[test]
+fn a_drain_that_faults_delivers_the_batches_committed_before_it() {
+    let config = SpotBuilder::new(DomainBounds::unit(DIMS))
+        .seed(31)
+        .build_config()
+        .unwrap();
+    let id = tid("theta");
+    let points = stream(48, 15);
+    let fleet = serial_fleet(64, 16);
+    fleet.register(id.clone(), config.clone()).unwrap();
+    fleet.learn(&id, &training(64, 15)).unwrap();
+    let twin = serial_fleet(64, 16);
+    twin.register(id.clone(), config).unwrap();
+    twin.learn(&id, &training(64, 15)).unwrap();
+    let want = twin.process_batch(&id, &points[..32]).unwrap();
+
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let sink: VerdictSink = {
+        let log = Arc::clone(&log);
+        Arc::new(move |_: &TenantId, verdicts: &[Verdict]| {
+            log.lock().unwrap().extend_from_slice(verdicts);
+        })
+    };
+    let server = SpotServer::builder(fleet.clone())
+        .verdict_sink(sink)
+        .pump(false)
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let mut client = ServeClient::new(server.local_addr()).with_policy(quick_policy());
+    assert_eq!(client.ingest(&id, &points).unwrap().enqueued, 48);
+    fleet.arm_faults(FaultPlan::new().panic_at(id.clone(), 40));
+
+    let err = client.drain(&id).unwrap_err();
+    assert!(
+        matches!(err, spot_serve::ClientError::Status { status: 503, .. }),
+        "{err}"
+    );
+    assert!(fleet.health(&id).unwrap().is_quarantined());
+    let got = log.lock().unwrap();
+    assert_eq!(got.len(), 32, "committed verdicts were dropped");
+    for (a, b) in want.iter().zip(got.iter()) {
+        assert!(a.bitwise_eq(b), "diverged at tick {}", a.tick);
+    }
+    drop(got);
 
     server.shutdown().unwrap();
 }

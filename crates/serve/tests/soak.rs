@@ -8,7 +8,8 @@
 //!   hop adds exactly nothing to the math.
 //! * That identity survives injected wire faults (torn request lines,
 //!   mid-body disconnects, stalled reads tripping the deadline, accept
-//!   storms) running *during* the soak.
+//!   storms) and `/drain` calls racing the pump threads, all running
+//!   *during* the soak.
 //! * A mid-soak graceful shutdown with the WAL enabled loses zero
 //!   admitted points: everything the server acknowledged (and everything
 //!   it admitted without managing to acknowledge) is drained, verdicted,
@@ -23,6 +24,7 @@ use spot_types::{DataPoint, DomainBounds, TenantId};
 use std::collections::HashMap;
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -133,9 +135,9 @@ fn assert_bitwise(want: &[Verdict], got: &[Verdict], label: &str) {
 }
 
 /// Headline soak: 8 tenants × 1 persistent ingest connection each (plus
-/// fault and storm connections on top), scripted wire faults running
-/// throughout — and the verdict stream stays bit-identical to direct
-/// ingestion.
+/// a `/drain` connection racing the pump threads, and fault and storm
+/// connections on top), scripted wire faults running throughout — and the
+/// verdict stream stays bit-identical to direct ingestion.
 #[test]
 fn soak_bit_identical_under_network_faults() {
     const POINTS: usize = 300;
@@ -184,6 +186,24 @@ fn soak_bit_identical_under_network_faults() {
         }));
     }
 
+    // `/drain` calls race the pump threads over every tenant while the
+    // producers run; the tenant's drain lock must keep its sink stream in
+    // arrival order whichever thread delivers a batch.
+    let producing = Arc::new(AtomicBool::new(true));
+    let drainer = {
+        let producing = Arc::clone(&producing);
+        std::thread::spawn(move || {
+            let mut client = ServeClient::new(addr).with_policy(soak_policy());
+            let mut drains = 0u64;
+            while producing.load(Ordering::Acquire) {
+                for i in 0..TENANTS {
+                    drains += u64::from(client.drain(&tid(i)).is_ok());
+                }
+            }
+            drains
+        })
+    };
+
     // Scripted fault storm alongside the producers: fixed schedule, real
     // sockets, zero randomness.
     let fault_thread = std::thread::spawn(move || {
@@ -219,6 +239,9 @@ fn soak_bit_identical_under_network_faults() {
         sent += producer.join().expect("producer thread must not panic");
     }
     fault_thread.join().expect("fault thread must not panic");
+    producing.store(false, Ordering::Release);
+    let drains = drainer.join().expect("drain thread must not panic");
+    assert!(drains > 0, "no /drain call raced the pump");
     assert_eq!(
         sent,
         (TENANTS * POINTS) as u64,

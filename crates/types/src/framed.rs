@@ -16,10 +16,11 @@
 //! * [`SegmentWriter::resume`] deletes residue and truncates a torn tail
 //!   (synced) before it appends.
 //! * A segment holding a frame is sealed (synced) before a frame would
-//!   push it past the threshold; the next segment's header is synced
-//!   before it becomes active.
+//!   push it past the threshold; the next segment's header, and then the
+//!   directory holding its entry, are synced before it becomes active.
 //! * Sync is `fdatasync`: an append-only segment changes only its data and
-//!   its length, and `fdatasync` persists both.
+//!   its length, and `fdatasync` persists both. A new file's name lives in
+//!   its directory, which is `fsync`ed once when the file is created.
 //!
 //! See `docs/persistence.md` § "Segment logs".
 
@@ -263,7 +264,8 @@ pub struct SegmentWriter {
     header_len: u64,
     len: u64,
     synced_len: u64,
-    /// Syncs issued: new segments, repairs, [`SegmentWriter::sync`]s.
+    /// Syncs issued: new segments (one each, data and directory entry
+    /// together), repairs, [`SegmentWriter::sync`]s.
     syncs: u64,
 }
 
@@ -382,9 +384,11 @@ impl SegmentWriter {
     }
 }
 
-/// Creates segment `number` — prefix and `header` in one `write`, synced.
-/// A file this call created but could not finish is removed (best effort),
-/// so a later scan does not take it for the active segment.
+/// Creates segment `number` — prefix and `header` in one `write`, synced —
+/// then syncs `dir`, so the new file's entry survives a power cut with the
+/// records later written to it. A file this call created but could not
+/// finish, or whose entry could not be synced, is removed (best effort), so
+/// a later scan does not take it for the active segment.
 fn create(dir: &Path, schema: &Schema, number: u64, header: &[u8]) -> Result<(File, u64)> {
     let path = schema.path(dir, number);
     let bytes = [&schema.magic[..], &schema.version.to_le_bytes(), header].concat();
@@ -392,6 +396,10 @@ fn create(dir: &Path, schema: &Schema, number: u64, header: &[u8]) -> Result<(Fi
     if let Err(e) = file.write_all(&bytes).and_then(|()| file.sync_data()) {
         let _ = std::fs::remove_file(&path);
         return Err(io_err("write", &path, &e));
+    }
+    if let Err(e) = File::open(dir).and_then(|d| d.sync_all()) {
+        let _ = std::fs::remove_file(&path);
+        return Err(io_err("sync", dir, &e));
     }
     Ok((file, bytes.len() as u64))
 }

@@ -46,7 +46,7 @@ fn sensor_stream(n: usize, salt: u64) -> Vec<DataPoint> {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A small fleet with deliberately tight queues, served over HTTP.
     //    The verdict sink is the server's outlier delivery path: it rides
-    //    the pump thread, off every detector lock. A checkpoint store in a
+    //    the pump threads, off every detector lock. A checkpoint store in a
     //    scratch directory arms `/admin/checkpoint` and the final durable
     //    checkpoint on shutdown; every file it writes is a binary column
     //    container.
