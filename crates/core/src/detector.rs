@@ -12,12 +12,11 @@ use spot_clustering::{outlying_degrees, top_outlying_indices, OdConfig};
 use spot_moga::MogaConfig;
 use spot_stream::{LogicalClock, Reservoir};
 use spot_subspace::{genetic, ScoredSubspace, Subspace};
-use spot_synopsis::{CellConsumer, Grid, LiveCounters, SynopsisManager};
+use spot_synopsis::{CellConsumer, Grid, SynopsisManager};
 use spot_types::{
     DataPoint, Detection, FxHashSet, PersistError, Result, SpotError, StateReader, StateWriter,
     StreamDetector, StreamRecord,
 };
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Salt separating the reservoir's counter-based draw stream from the
@@ -171,14 +170,6 @@ impl Spot {
             projected_cells: self.manager.live_cells(),
             approx_bytes: self.manager.approx_bytes(),
         }
-    }
-
-    /// The synopses' lock-free footprint mirror (see [`LiveCounters`]):
-    /// monitoring threads read live cell/byte counts from it without
-    /// synchronizing with — or stalling — ingestion. `SharedSpot` serves
-    /// its `footprint()` from this.
-    pub fn live_counters(&self) -> Arc<LiveCounters> {
-        self.manager.live_counters()
     }
 
     /// Unsupervised learning stage (paper, Section II-C1): MOGA over the

@@ -27,9 +27,10 @@
 //!   outliers, and Page–Hinkley concept-drift response.
 //!
 //! A detector runs on one thread at a time: [`Spot::process`] and
-//! [`Spot::process_batch`] are serial, and [`SharedSpot`] is one mutex
-//! around a detector with lock-free stats and footprint reads. Many
-//! streams run as many detectors (`spot-runtime`'s fleet).
+//! [`Spot::process_batch`] are serial, and this crate holds no
+//! synchronization. Many streams run as many detectors: `spot-runtime`'s
+//! fleet puts each behind a mutex of its own and serves monitoring threads
+//! a snapshot of its stats and footprint.
 //!
 //! ## Quickstart
 //!
@@ -56,7 +57,6 @@
 //! }
 //! ```
 
-pub mod concurrent;
 pub mod config;
 pub mod detector;
 pub mod drift;
@@ -65,7 +65,6 @@ pub mod snapshot;
 pub mod sst;
 pub mod verdict;
 
-pub use concurrent::SharedSpot;
 pub use config::{
     DriftConfig, EvolutionConfig, LearningConfig, SpotBuilder, SpotConfig, Thresholds,
 };

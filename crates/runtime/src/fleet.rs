@@ -9,8 +9,9 @@
 //! tenant**: co-tenants keep executing, bit-identical to a run where the
 //! faulted tenant never existed. A quarantined tenant's
 //! in-memory detector is untrusted (the panic may have torn it mid-update
-//! behind its non-poisoning lock), so every processing and checkpoint
-//! operation fails until the tenant is restored from a checkpoint — see
+//! behind its lock, whose poisoning the fleet ignores), so every
+//! processing and checkpoint operation fails until the tenant is restored
+//! from a checkpoint — see
 //! [`SpotFleet::revive_tenant`] and the [`crate::Supervisor`] that
 //! automates restoration. Ingestion keeps enqueuing for a quarantined
 //! tenant (subject to its [`OverloadPolicy`]) so the backlog survives into
@@ -34,8 +35,7 @@ use crate::faults::{FaultInjector, FaultPlan};
 use crate::health::{IngestOutcome, OverloadPolicy, QuarantineInfo, TenantHealth};
 use crate::wal::{FleetRecovery, FleetWal, WalTuning};
 use spot::{
-    LearningReport, SharedSpot, Spot, SpotCheckpoint, SpotConfig, SpotStats, SynopsisFootprint,
-    Verdict,
+    LearningReport, Spot, SpotCheckpoint, SpotConfig, SpotStats, SynopsisFootprint, Verdict,
 };
 use spot_stream::wal::read_wal_from;
 use spot_types::{DataPoint, Result, SpotError, TenantId};
@@ -70,10 +70,10 @@ impl Default for FleetConfig {
 }
 
 /// Aggregated logical counters over every tenant, plus queue occupancy and
-/// the supervision plane's fault/overload counters. Served entirely from
-/// lock-free mirrors (each tenant's stats seqlock, queue counter, health
-/// tag and overload atomics) — reading it never blocks, or is blocked by,
-/// ingestion.
+/// the supervision plane's fault/overload counters. Served from each
+/// tenant's monitoring snapshot (published after every detector operation,
+/// so up to one operation — one micro-batch — old), queue counter, health
+/// tag and overload atomics; reading it never takes a detector lock.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FleetStats {
     /// Registered tenants.
@@ -116,7 +116,7 @@ pub struct FleetStats {
 }
 
 /// Aggregated synopsis memory over every tenant — from each tenant's
-/// lock-free `LiveCounters` mirror; never touches a detector lock.
+/// monitoring snapshot; never touches a detector lock.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FleetFootprint {
     /// Registered tenants.
@@ -284,11 +284,19 @@ enum OnFull {
     Refuse,
 }
 
-/// One registered tenant's detector side — the detector handle and its
-/// health — around the registration's [`Inlet`]. A revive or a restore
-/// replaces it whole and keeps the inlet.
+/// One registered tenant's detector side — the detector, its monitoring
+/// snapshot and its health — around the registration's [`Inlet`]. A
+/// revive or a restore replaces it whole and keeps the inlet.
 struct Tenant {
-    shared: SharedSpot,
+    /// The detector: one thread at a time runs it. A panic inside leaves
+    /// the lock poisoned around torn state; [`lock`] takes it anyway and
+    /// the health gate keeps the torn state unobservable.
+    spot: Mutex<Spot>,
+    /// What monitoring reads instead of the detector: its stats and
+    /// footprint as of the last completed operation. Written under the
+    /// detector lock, after the operation returns, so a panicking one
+    /// publishes nothing.
+    snapshot: Mutex<(SpotStats, SynopsisFootprint)>,
     /// Full health state (quarantine reason, counters). Taken only on the
     /// unhealthy path and on transitions; `state` is the hot-path mirror.
     health: Mutex<TenantHealth>,
@@ -306,7 +314,8 @@ impl Tenant {
     fn new(spot: Spot, inlet: Arc<Inlet>) -> Tenant {
         Tenant {
             phi: spot.config().phi(),
-            shared: SharedSpot::new(spot),
+            snapshot: Mutex::new((*spot.stats(), spot.footprint())),
+            spot: Mutex::new(spot),
             health: Mutex::new(TenantHealth::Healthy),
             state: AtomicU8::new(HEALTH_HEALTHY),
             inlet,
@@ -326,6 +335,23 @@ impl Tenant {
             Some(dim) => Err(SpotError::NonFiniteValue { dim }),
             None => Ok(()),
         }
+    }
+
+    /// Runs `f` on the detector, then publishes the snapshot.
+    fn with<R>(&self, f: impl FnOnce(&mut Spot) -> R) -> R {
+        let mut spot = lock(&self.spot);
+        let r = f(&mut spot);
+        let snapshot = (*spot.stats(), spot.footprint());
+        *lock(&self.snapshot) = snapshot;
+        r
+    }
+
+    fn stats(&self) -> SpotStats {
+        lock(&self.snapshot).0
+    }
+
+    fn footprint(&self) -> SynopsisFootprint {
+        lock(&self.snapshot).1
     }
 
     fn health_snapshot(&self) -> TenantHealth {
@@ -466,7 +492,7 @@ impl SpotFleet {
         // or resumed when the log already has one (restore paths). Under
         // the registry lock, so `enable_wal` cannot miss it.
         if let Some(wal) = self.wal() {
-            wal.attach(&id, tenant.shared.stats().processed)?;
+            wal.attach(&id, tenant.stats().processed)?;
         }
         map.insert(id, tenant);
         Ok(())
@@ -628,7 +654,7 @@ impl SpotFleet {
         }
         let (wal, _) = FleetWal::open(&root, tuning, |_| false)?;
         for id in ids {
-            wal.attach(id, map[id].shared.stats().processed)?;
+            wal.attach(id, map[id].stats().processed)?;
         }
         let _ = self.inner.wal.set(Arc::new(wal));
         Ok(())
@@ -700,10 +726,9 @@ impl SpotFleet {
         reason: String,
         failed_batch: u64,
     ) -> SpotError {
-        // The stats seqlock still holds the last *stable* publication: the
-        // panicked operation never reached its publish step, so this read
-        // cannot observe (or spin on) a torn write.
-        let processed = tenant.shared.stats().processed;
+        // The snapshot holds the last completed operation's counters: the
+        // panicked one never reached its publish step.
+        let processed = tenant.stats().processed;
         {
             let mut health = tenant.health.lock().unwrap_or_else(|e| e.into_inner());
             if health.is_healthy() {
@@ -741,7 +766,7 @@ impl SpotFleet {
         // detector is never touched again until replaced from a checkpoint,
         // so the torn state the unwind leaves behind is unobservable.
         let outcome = catch_unwind(AssertUnwindSafe(|| match injected {
-            Some(off) => tenant.shared.with(|s| {
+            Some(off) => tenant.with(|s| {
                 // Apply the pre-fault prefix first so the panic fires with
                 // the detector genuinely mid-batch behind its lock — the
                 // torn state a real fault produces.
@@ -753,8 +778,8 @@ impl SpotFleet {
                     points.len()
                 ))
             }),
-            None if points.len() == 1 => tenant.shared.process(&points[0]).map(|v| vec![v]),
-            None => tenant.shared.process_batch(points),
+            None if points.len() == 1 => tenant.with(|s| s.process(&points[0])).map(|v| vec![v]),
+            None => tenant.with(|s| s.process_batch(points)),
         }));
         match outcome {
             Ok(result) => result,
@@ -775,7 +800,7 @@ impl SpotFleet {
     pub fn learn(&self, id: &TenantId, training: &[DataPoint]) -> Result<LearningReport> {
         let tenant = self.tenant(id)?;
         self.gate(id, &tenant)?;
-        tenant.shared.learn(training)
+        tenant.with(|s| s.learn(training))
     }
 
     /// Processes one point synchronously (bypasses the queue; do not mix
@@ -1046,10 +1071,11 @@ impl SpotFleet {
     // ---- monitoring (never takes a detector lock) -----------------------
 
     /// Aggregated logical counters + queue occupancy + supervision
-    /// counters over every tenant. Reads each tenant's stats seqlock,
-    /// queue length mirror and health/overload atomics only — never any
-    /// detector lock, so dashboards cannot stall (or be stalled by)
-    /// ingestion.
+    /// counters over every tenant. Reads each tenant's monitoring
+    /// snapshot, queue length mirror and health/overload atomics only —
+    /// never any detector lock, so dashboards cannot stall (or be stalled
+    /// by) ingestion. A tenant's counters are those of its last completed
+    /// operation: up to one micro-batch behind one in progress.
     pub fn stats(&self) -> FleetStats {
         let tenants: Vec<Arc<Tenant>> = read_lock(&self.inner.tenants).values().cloned().collect();
         let mut agg = FleetStats {
@@ -1061,7 +1087,7 @@ impl SpotFleet {
             ..FleetStats::default()
         };
         for t in &tenants {
-            let s = t.shared.stats();
+            let s = t.stats();
             match t.state.load(Ordering::Acquire) {
                 HEALTH_QUARANTINED => agg.quarantined += 1,
                 HEALTH_FAILED => agg.failed += 1,
@@ -1080,12 +1106,15 @@ impl SpotFleet {
         agg
     }
 
-    /// One tenant's logical counters (lock-free seqlock read).
+    /// One tenant's logical counters, from its monitoring snapshot (never
+    /// the detector lock).
     pub fn tenant_stats(&self, id: &TenantId) -> Result<SpotStats> {
-        Ok(self.tenant(id)?.shared.stats())
+        Ok(self.tenant(id)?.stats())
     }
 
-    /// Aggregated synopsis memory over every tenant (lock-free mirrors).
+    /// Aggregated synopsis memory over every tenant, from each tenant's
+    /// monitoring snapshot (never a detector lock). At quiescence it is
+    /// the exact sum of [`Spot::footprint`].
     pub fn footprint(&self) -> FleetFootprint {
         let tenants: Vec<Arc<Tenant>> = read_lock(&self.inner.tenants).values().cloned().collect();
         let mut agg = FleetFootprint {
@@ -1093,25 +1122,27 @@ impl SpotFleet {
             ..FleetFootprint::default()
         };
         for t in &tenants {
-            let f = t.shared.footprint();
+            let f = t.footprint();
             agg.projected_cells += f.projected_cells;
             agg.approx_bytes += f.approx_bytes;
         }
         agg
     }
 
-    /// One tenant's synopsis footprint (lock-free mirror read).
+    /// One tenant's synopsis footprint, from its monitoring snapshot
+    /// (never the detector lock).
     pub fn tenant_footprint(&self, id: &TenantId) -> Result<SynopsisFootprint> {
-        Ok(self.tenant(id)?.shared.footprint())
+        Ok(self.tenant(id)?.footprint())
     }
 
     /// Runs a closure with exclusive access to one tenant's detector (the
     /// escape hatch for anything the fleet API does not cover). Not
     /// health-gated and not panic-guarded: the caller sees the detector as
     /// it is, torn state included — check [`SpotFleet::health`] first when
-    /// that matters.
+    /// that matters. The monitoring snapshot is published when `f`
+    /// returns.
     pub fn with_tenant<R>(&self, id: &TenantId, f: impl FnOnce(&mut Spot) -> R) -> Result<R> {
-        Ok(self.tenant(id)?.shared.with(f))
+        Ok(self.tenant(id)?.with(f))
     }
 
     // ---- durability -----------------------------------------------------
@@ -1138,9 +1169,10 @@ impl SpotFleet {
             // Capture + position read under one detector lock hold: the
             // recorded WAL watermark must be the stream position of *this*
             // capture, not of whatever processed concurrently after it.
-            let (cp, processed) = tenant
-                .shared
-                .with(|s| (s.checkpoint(), s.stats().processed));
+            let (cp, processed) = {
+                let spot = lock(&tenant.spot);
+                (spot.checkpoint(), spot.stats().processed)
+            };
             if let Some(base) = self.wal().and_then(|w| w.base_processed(&id)) {
                 wal_positions.push((id.clone(), processed.saturating_sub(base)));
             }
@@ -1192,7 +1224,10 @@ impl SpotFleet {
     pub fn checkpoint_tenant(&self, id: &TenantId) -> Result<SpotCheckpoint> {
         let tenant = self.tenant(id)?;
         self.gate(id, &tenant)?;
-        Ok(tenant.shared.checkpoint())
+        // Only the capture holds the detector lock; rendering it to bytes
+        // and writing those happen on the returned value.
+        let cp = lock(&tenant.spot).checkpoint();
+        Ok(cp)
     }
 
     /// Replaces a registered tenant's detector with one restored from a
@@ -1267,7 +1302,7 @@ impl SpotFleet {
     /// Replays a tenant's WAL records past its detector's current stream
     /// position, returning how many were replayed.
     fn replay_wal_tail(&self, id: &TenantId, tenant: &Tenant, wal: &FleetWal) -> Result<u64> {
-        let processed = tenant.shared.stats().processed;
+        let processed = tenant.stats().processed;
         let base = wal.base_processed(id).unwrap_or(processed);
         let tail = read_wal_from(wal.dir(), id, watermark(id, processed, base)?)?;
         self.replay(id, tenant, &tail)
@@ -1386,7 +1421,7 @@ impl SpotFleet {
         };
         for id in restored {
             let tenant = fleet.tenant(&id)?;
-            let processed = tenant.shared.stats().processed;
+            let processed = tenant.stats().processed;
             let log = streams.remove(&id);
             let base = match &log {
                 Some(log) => log.base_processed,
@@ -1437,13 +1472,12 @@ fn watermark(id: &TenantId, processed: u64, base: u64) -> Result<u64> {
 /// Checkpoint generations [`SpotFleet::recover`] keeps by default.
 const DEFAULT_CHECKPOINT_RETAIN: usize = 4;
 
-// Lock-poisoning policy (audited with the supervision plane): every std
-// lock in this module recovers the guard with `into_inner` instead of
-// panicking. The compat `parking_lot` Mutex guarding each detector does
-// the same, which means a panic inside detector code leaves a *usable
-// lock around torn state* — that is exactly why a caught panic
-// quarantines the tenant: the health gate, not lock poisoning, is what
-// keeps torn state unobservable.
+// Lock-poisoning policy (audited with the supervision plane): every lock
+// in this module, the detector's included, recovers the guard with
+// `into_inner` instead of panicking. A panic inside detector code
+// therefore leaves a *usable lock around torn state* — that is exactly
+// why a caught panic quarantines the tenant: the health gate, not lock
+// poisoning, is what keeps torn state unobservable.
 fn read_lock<'a, K, V>(
     lock: &'a RwLock<HashMap<K, V>>,
 ) -> std::sync::RwLockReadGuard<'a, HashMap<K, V>> {

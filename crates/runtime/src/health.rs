@@ -27,9 +27,9 @@ pub struct QuarantineInfo {
     /// The panic payload, rendered to text (`&str`/`String` payloads
     /// verbatim).
     pub reason: String,
-    /// The tenant's `processed` counter at quarantine time (last stable
-    /// seqlock publication — the in-flight batch is *not* included; it
-    /// never completed).
+    /// The tenant's `processed` counter at quarantine time, from its
+    /// monitoring snapshot — the in-flight batch is *not* included; it
+    /// never completed, so it published nothing.
     pub processed: u64,
     /// Points in the batch whose processing panicked. The caller received
     /// an error for them, not verdicts; they are part of the lost window.

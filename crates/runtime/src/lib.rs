@@ -19,9 +19,9 @@
 //!   outlives a detector swap: a revive keeps the backlog, a restore
 //!   empties it, and neither strands a producer waiting for room.
 //! * **Off-lock monitoring** — [`SpotFleet::stats`] and
-//!   [`SpotFleet::footprint`] aggregate every tenant's seqlock counters
-//!   and lock-free footprint mirror; they never take any tenant's
-//!   detector lock.
+//!   [`SpotFleet::footprint`] aggregate every tenant's monitoring
+//!   snapshot (its stats and footprint as of its last completed
+//!   operation); they never take any tenant's detector lock.
 //! * [`FleetCheckpoint`] — a versioned, per-tenant durable snapshot riding
 //!   the v2 `DurableState` substrate: each tenant's capture is the same
 //!   bit-exact `SpotCheckpoint` a standalone detector produces, and
@@ -75,6 +75,8 @@ pub mod health;
 pub mod supervisor;
 pub mod wal;
 
+#[cfg(test)]
+mod concurrent;
 #[cfg(test)]
 mod segment_logs;
 

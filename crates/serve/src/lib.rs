@@ -14,8 +14,8 @@
 //!   expire, and accepted connections are capped with accept-time `503`
 //!   shedding.
 //! - **Observability never blocks.** `/healthz`, `/readyz`, `/stats`, and
-//!   per-tenant stats ride the fleet's lock-free monitoring plane
-//!   (seqlock snapshots + atomic mirrors), never a detector lock.
+//!   per-tenant stats ride the fleet's monitoring plane (per-tenant
+//!   stats snapshots + atomic mirrors), never a detector lock.
 //! - **Shutdown loses nothing admitted.** The graceful drain gates
 //!   admission, finishes in-flight requests under a deadline, drains all
 //!   tenant queues in arrival order, and takes a final durable

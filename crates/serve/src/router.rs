@@ -3,8 +3,8 @@
 //! Every handler is a pure function of the shared [`AppState`] and one
 //! parsed request; connection concerns (deadlines, keep-alive, shedding)
 //! live in `server.rs`. The observability routes (`/healthz`, `/readyz`,
-//! `/stats`, per-tenant stats) ride only the lock-free monitoring plane —
-//! seqlock stats snapshots, `LiveCounters`, and atomic queue/health
+//! `/stats`, per-tenant stats) ride only the monitoring plane — each
+//! tenant's stats-and-footprint snapshot and the atomic queue/health
 //! mirrors — never a detector lock, so they stay responsive while every
 //! worker is busy processing batches.
 
@@ -361,10 +361,11 @@ fn ingest(state: &AppState, id: &TenantId, req: &Request) -> Response {
         match state.fleet.try_ingest(id, DataPoint::new(row.to_vec())) {
             Ok(true) => enqueued += 1,
             Ok(false) => {
-                // Queue full under the Block policy (Shed/Sample absorb the
-                // point and return true). 429 carries how far we got plus a
-                // Retry-After derived from the backlog, so a well-behaved
-                // client resumes from the tail after the pump catches up.
+                // Queue full: `try_ingest` refuses under every overload
+                // policy (none sheds or samples a served point). 429
+                // carries how far we got plus a Retry-After derived from
+                // the backlog, so a well-behaved client resumes from the
+                // tail after the pump catches up.
                 let queued = state.fleet.queue_len(id).unwrap_or(0);
                 let config = state.fleet.config();
                 let secs = retry_after_secs(queued, config.micro_batch);

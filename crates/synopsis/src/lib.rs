@@ -69,11 +69,13 @@
 //! swap-remove. Batch ingestion additionally amortizes the quantization
 //! scratch and advances the global weight in closed form.
 //!
-//! Everything here runs on the caller's thread: a manager is one
-//! detector's state, and concurrency comes from running independent
-//! detectors on independent threads. [`LiveCounters`] mirrors the synopsis
-//! footprint into atomics so monitoring threads can read it without
-//! synchronizing with the thread that owns the manager.
+//! Everything here runs on the caller's thread and holds no
+//! synchronization: a manager is one detector's state, and concurrency
+//! comes from running independent detectors on independent threads. The
+//! footprint ([`SynopsisManager::live_cells`],
+//! [`SynopsisManager::approx_bytes`]) is an exact sweep over the stores;
+//! a thread that wants it without the manager reads a copy its owner
+//! published.
 
 pub mod grid;
 pub mod key;
@@ -82,5 +84,5 @@ pub mod pcs;
 
 pub use grid::Grid;
 pub use key::{CellKey, KeyCodec};
-pub use manager::{CellConsumer, LiveCounters, SubspacePcs, SynopsisManager, UpdateOutcome};
+pub use manager::{CellConsumer, SubspacePcs, SynopsisManager, UpdateOutcome};
 pub use pcs::{CellTouch, Pcs, PcsCell, PointRun, ProjectedStore};

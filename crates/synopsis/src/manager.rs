@@ -9,57 +9,6 @@ use spot_subspace::Subspace;
 use spot_types::{
     DataPoint, DurableState, FxHashMap, PersistError, Result, SpotError, StateReader, StateWriter,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
-/// Lock-free mirror of the synopsis footprint, shared with monitoring
-/// readers (`spot`'s `SharedSpot` serves `footprint()` from it without
-/// taking the detector lock).
-///
-/// The manager publishes a store's footprint delta after mutating it —
-/// one atomic add per store per point or run, and only when the footprint
-/// actually changed. Readers see values at most one in-flight run stale.
-#[derive(Debug, Default)]
-pub struct LiveCounters {
-    projected_cells: AtomicUsize,
-    projected_bytes: AtomicUsize,
-}
-
-impl LiveCounters {
-    /// Live projected cells over all subspaces.
-    pub fn live_cells(&self) -> usize {
-        self.projected_cells.load(Ordering::Relaxed)
-    }
-
-    /// Approximate heap footprint of all synopses, in bytes.
-    pub fn approx_bytes(&self) -> usize {
-        self.projected_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Takes a departing store's whole footprint out: its unpublished delta
-    /// and what it had published cancel to minus what it holds now.
-    fn retract(&self, store: &mut ProjectedStore) {
-        let (dc, db) = store.publish_delta();
-        self.apply_projected(
-            dc - store.len() as isize,
-            db - store.approx_bytes() as isize,
-        );
-    }
-
-    /// Folds a (cells, bytes) delta in. Two's-complement wrapping makes
-    /// `fetch_add` of a negative delta a subtraction.
-    fn apply_projected(&self, dc: isize, db: isize) {
-        if dc != 0 {
-            self.projected_cells
-                .fetch_add(dc as usize, Ordering::Relaxed);
-        }
-        if db != 0 {
-            self.projected_bytes
-                .fetch_add(db as usize, Ordering::Relaxed);
-        }
-    }
-}
-
 /// Bundles every decayed synopsis SPOT maintains online.
 ///
 /// [`SynopsisManager::update_and_screen`] is the per-point hot path of the
@@ -88,8 +37,6 @@ pub struct SynopsisManager {
     /// Subspace mask → ordinal in `stores`.
     index: FxHashMap<u64, usize>,
     total: DecayedCounter,
-    /// Lock-free footprint mirror (see [`LiveCounters`]).
-    live: Arc<LiveCounters>,
     /// Reused quantization buffer (ϕ entries).
     scratch: Vec<u16>,
     /// Reused batch quantization buffer (n·ϕ entries).
@@ -108,28 +55,18 @@ pub struct SynopsisManager {
 
 impl Clone for SynopsisManager {
     fn clone(&self) -> Self {
-        let mut cloned = SynopsisManager {
+        SynopsisManager {
             grid: self.grid.clone(),
             model: self.model,
             stores: self.stores.clone(),
             index: self.index.clone(),
             total: self.total,
-            live: Arc::new(LiveCounters::default()),
             scratch: Vec::with_capacity(self.grid.dims()),
             batch_coords: Vec::new(),
             batch_totals: Vec::new(),
             epoch: self.epoch,
             weights: WeightCache::new(self.model),
-        };
-        // The clone gets its own counters; re-derive them from the cloned
-        // stores so subsequent deltas stay consistent.
-        for store in &mut cloned.stores {
-            store.publish_delta();
         }
-        let cells: usize = cloned.stores.iter().map(ProjectedStore::len).sum();
-        let bytes: usize = cloned.stores.iter().map(ProjectedStore::approx_bytes).sum();
-        cloned.live.apply_projected(cells as isize, bytes as isize);
-        cloned
     }
 }
 
@@ -189,7 +126,6 @@ impl SynopsisManager {
             stores: Vec::new(),
             index: FxHashMap::default(),
             total: DecayedCounter::new(),
-            live: Arc::new(LiveCounters::default()),
             scratch,
             batch_coords: Vec::new(),
             batch_totals: Vec::new(),
@@ -208,23 +144,14 @@ impl SynopsisManager {
         &self.model
     }
 
-    /// The lock-free footprint mirror. Clone the `Arc` to read live cell
-    /// and byte counts without going through (or blocking on) the manager.
-    pub fn live_counters(&self) -> Arc<LiveCounters> {
-        Arc::clone(&self.live)
-    }
-
     /// Starts maintaining a projected store for `subspace`. No-op when
     /// already monitored. Returns `true` when newly added.
     pub fn add_subspace(&mut self, subspace: Subspace) -> bool {
         if self.index.contains_key(&subspace.mask()) {
             return false;
         }
-        let mut store = ProjectedStore::new(&self.grid, subspace);
-        let (dc, db) = store.publish_delta();
-        self.live.apply_projected(dc, db);
         self.index.insert(subspace.mask(), self.stores.len());
-        self.stores.push(store);
+        self.stores.push(ProjectedStore::new(&self.grid, subspace));
         self.epoch += 1;
         true
     }
@@ -236,8 +163,7 @@ impl SynopsisManager {
         let Some(ordinal) = self.index.remove(&subspace.mask()) else {
             return false;
         };
-        let mut store = self.stores.remove(ordinal);
-        self.live.retract(&mut store);
+        self.stores.remove(ordinal);
         for slot in self.index.values_mut() {
             if *slot > ordinal {
                 *slot -= 1;
@@ -297,8 +223,6 @@ impl SynopsisManager {
             store.update_and_screen_batch(&self.grid, &self.weights, run, |store, _, touch| {
                 on_cell(ordinal, store, touch)
             });
-            let (dc, db) = store.publish_delta();
-            self.live.apply_projected(dc, db);
         }
         Ok(outcome)
     }
@@ -437,8 +361,6 @@ impl SynopsisManager {
             store.update_and_screen_batch(&self.grid, &self.weights, run, |store, i, touch| {
                 consumer.cell(ordinal, store, i, touch)
             });
-            let (dc, db) = store.publish_delta();
-            self.live.apply_projected(dc, db);
         }
 
         self.batch_coords = coords;
@@ -472,8 +394,6 @@ impl SynopsisManager {
             // the global weight it would be measured against is moot.
             store.update_and_screen(&self.grid, &self.weights, tick, &self.scratch, p, 0.0);
         }
-        let (dc, db) = store.publish_delta();
-        self.live.apply_projected(dc, db);
         Ok(())
     }
 
@@ -501,13 +421,10 @@ impl SynopsisManager {
         // Cells can be as old as `now`; extend the table once, up front,
         // so the scans below only read it.
         self.weights.ensure(now.saturating_add(1));
-        let mut evicted = 0;
-        for store in &mut self.stores {
-            evicted += store.prune(&self.weights, now, floor);
-            let (dc, db) = store.publish_delta();
-            self.live.apply_projected(dc, db);
-        }
-        evicted
+        self.stores
+            .iter_mut()
+            .map(|store| store.prune(&self.weights, now, floor))
+            .sum()
     }
 
     /// Live projected cells over all subspaces.
@@ -550,10 +467,8 @@ impl SynopsisManager {
 
     /// Restores the complete synopsis state captured by
     /// [`SynopsisManager::capture_state`]: existing stores are discarded
-    /// and rebuilt from the snapshot in its registration order; the
-    /// lock-free footprint mirror is re-derived in place (the shared
-    /// [`LiveCounters`] handle stays valid for monitoring readers). The
-    /// new state is built on the side and swapped in whole, so a rejected
+    /// and rebuilt from the snapshot in its registration order. The new
+    /// state is built on the side and swapped in whole, so a rejected
     /// snapshot leaves the manager as it was.
     pub fn restore_state(&mut self, r: &StateReader<'_>) -> std::result::Result<(), PersistError> {
         let mut total = self.total;
@@ -580,16 +495,6 @@ impl SynopsisManager {
                 )));
             }
             stores.push(store);
-        }
-
-        // The mirror swaps over in place: the outgoing stores' footprint
-        // out, the incoming stores' in.
-        for store in &mut self.stores {
-            self.live.retract(store);
-        }
-        for store in &mut stores {
-            let (dc, db) = store.publish_delta();
-            self.live.apply_projected(dc, db);
         }
         self.total = total;
         self.stores = stores;
@@ -665,38 +570,6 @@ mod tests {
         assert!(sink.iter().all(|e| e.pcs.rd > 0.0));
         assert!(sink.iter().any(|e| e.subspace == s0));
         assert!(sink.iter().any(|e| e.subspace == s01));
-    }
-
-    #[test]
-    fn live_counters_mirror_exact_sweeps() {
-        let mut mgr = manager(2, 4);
-        mgr.add_subspace(Subspace::from_dims([0]).unwrap());
-        mgr.add_subspace(Subspace::from_dims([0, 1]).unwrap());
-        let live = mgr.live_counters();
-        let mut sink = Vec::new();
-        for i in 0..40u64 {
-            let p = DataPoint::new(vec![(i % 7) as f64 / 7.0, ((i * 3) % 5) as f64 / 5.0]);
-            mgr.update_and_query(i, &p, &mut sink).unwrap();
-            assert_eq!(live.live_cells(), mgr.live_cells(), "tick {i}");
-        }
-        assert_eq!(live.approx_bytes(), mgr.approx_bytes());
-        // Batch path keeps the mirror in sync too.
-        let pts: Vec<DataPoint> = (0..30)
-            .map(|i| DataPoint::new(vec![(i % 4) as f64 / 4.0, (i % 9) as f64 / 9.0]))
-            .collect();
-        let mut sinks = Vec::new();
-        let mut outcomes = Vec::new();
-        mgr.update_and_query_batch(40, &pts, &mut sinks, &mut outcomes)
-            .unwrap();
-        assert_eq!(live.live_cells(), mgr.live_cells());
-        assert_eq!(live.approx_bytes(), mgr.approx_bytes());
-        // Pruning retracts counters.
-        mgr.prune(100_000, 1e-6);
-        assert_eq!(live.live_cells(), mgr.live_cells());
-        assert_eq!(live.live_cells(), 0);
-        // Removing a subspace retracts its footprint.
-        mgr.remove_subspace(&Subspace::from_dims([0]).unwrap());
-        assert_eq!(live.approx_bytes(), mgr.approx_bytes());
     }
 
     #[test]
@@ -1065,19 +938,5 @@ mod tests {
         ));
         assert_eq!(mgr.live_cells(), 0);
         assert_eq!(mgr.total_weight(0), 0.0);
-    }
-
-    #[test]
-    fn clone_gets_independent_counters() {
-        let mut mgr = manager(2, 4);
-        mgr.add_subspace(Subspace::from_dims([0]).unwrap());
-        mgr.update(0, &DataPoint::new(vec![0.3, 0.3])).unwrap();
-        let mut cloned = mgr.clone();
-        let clone_live = cloned.live_counters();
-        assert_eq!(clone_live.live_cells(), mgr.live_cells());
-        cloned.update(1, &DataPoint::new(vec![0.9, 0.9])).unwrap();
-        assert_eq!(clone_live.live_cells(), cloned.live_cells());
-        // The original's counters were not disturbed by the clone.
-        assert_eq!(mgr.live_counters().live_cells(), mgr.live_cells());
     }
 }

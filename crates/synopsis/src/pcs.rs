@@ -269,10 +269,6 @@ pub struct ProjectedStore {
     cell_count: f64,
     /// `σ_uniform(s)` — precomputed IRSD numerator.
     uniform_sigma: f64,
-    /// Cell count last mirrored into the manager's lock-free counters.
-    published_cells: usize,
-    /// Byte footprint last mirrored into the manager's lock-free counters.
-    published_bytes: usize,
 }
 
 impl ProjectedStore {
@@ -295,37 +291,7 @@ impl ProjectedStore {
             moments: Vec::new(),
             cell_count: grid.cell_count_in(&subspace),
             uniform_sigma: grid.uniform_sigma_in(&subspace),
-            published_cells: 0,
-            published_bytes: 0,
         }
-    }
-
-    /// Difference between the store's current (cells, bytes) footprint and
-    /// the last published one, marking the current values as published.
-    /// The manager calls this after mutating the store and folds the
-    /// delta into the shared atomic counters — monitoring readers never
-    /// need the store itself.
-    ///
-    /// The footprint is a function of the cell count (see
-    /// [`ProjectedStore::approx_bytes`]), so a store whose count stands
-    /// where it was last published — the steady state of the per-point
-    /// path — answers without computing it.
-    #[inline]
-    pub(crate) fn publish_delta(&mut self) -> (isize, isize) {
-        let cells = self.len();
-        // `published_bytes` is 0 only before the first publication (an
-        // empty store already weighs its own struct).
-        if cells == self.published_cells && self.published_bytes != 0 {
-            return (0, 0);
-        }
-        let bytes = self.approx_bytes();
-        let delta = (
-            cells as isize - self.published_cells as isize,
-            bytes as isize - self.published_bytes as isize,
-        );
-        self.published_cells = cells;
-        self.published_bytes = bytes;
-        delta
     }
 
     /// The subspace this store projects onto.
@@ -896,25 +862,6 @@ mod tests {
                 cb.count_at(&tm, 500).to_bits()
             );
         }
-    }
-
-    #[test]
-    fn publish_delta_tracks_growth_and_pruning() {
-        let (grid, tm) = setup(1, 4);
-        let s = Subspace::from_dims([0]).unwrap();
-        let mut store = ProjectedStore::new(&grid, s);
-        let (c0, b0) = store.publish_delta();
-        assert_eq!(c0, 0);
-        assert!(b0 >= 0);
-        update(&mut store, &grid, &tm, 0, &DataPoint::new(vec![0.1]));
-        update(&mut store, &grid, &tm, 0, &DataPoint::new(vec![0.9]));
-        let (dc, db) = store.publish_delta();
-        assert_eq!(dc, 2);
-        assert!(db > 0);
-        assert_eq!(store.publish_delta(), (0, 0), "no change, no delta");
-        store.prune(&WeightCache::new(tm), 100 * 20, 1e-6);
-        let (dc, _) = store.publish_delta();
-        assert_eq!(dc, -2);
     }
 
     #[test]

@@ -324,8 +324,7 @@ fn a_store_mask_outside_the_grid_is_a_typed_error_and_changes_nothing() {
     let p = DataPoint::new(vec![0.15, 0.85, 0.5, 0.25]);
     mgr.update(1, &p).unwrap();
     let before = mgr.capture_state();
-    let live = mgr.live_counters();
-    let footprint = (live.live_cells(), live.approx_bytes());
+    let footprint = (mgr.live_cells(), mgr.approx_bytes());
 
     let good = StateReader::new(&before).unwrap();
     for hostile in [
@@ -348,7 +347,7 @@ fn a_store_mask_outside_the_grid_is_a_typed_error_and_changes_nothing() {
             .expect_err("a mask outside the grid must be refused");
         assert!(err.to_string().contains("outside the grid"), "{err}");
         assert_eq!(mgr.capture_state(), before, "{hostile}");
-        assert_eq!((live.live_cells(), live.approx_bytes()), footprint);
+        assert_eq!((mgr.live_cells(), mgr.approx_bytes()), footprint);
     }
     // Still the manager it was: same subspace, and it keeps ingesting.
     assert_eq!(mgr.subspaces().collect::<Vec<_>>(), vec![kept]);

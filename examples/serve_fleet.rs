@@ -3,7 +3,7 @@
 //! Starts a [`spot_serve::SpotServer`] over a [`SpotFleet`] with a durable
 //! checkpoint store attached, registers tenants over the wire, pushes
 //! deliberately more points than the queues hold so the client has to ride
-//! out `429 Retry-After` backpressure, reads lock-free stats, forces a
+//! out `429 Retry-After` backpressure, reads off-lock stats, forces a
 //! drain, takes a durable checkpoint via `/admin/checkpoint`, and finishes
 //! with a graceful shutdown that seals a final generation and leaves
 //! nothing queued. Afterwards the store's `.ckpt` generations — each a
@@ -109,8 +109,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // 5. Force the tail out synchronously and read per-tenant stats off
-    //    the lock-free counters.
+    // 5. Force the tail out synchronously and read per-tenant stats from
+    //    each tenant's monitoring snapshot.
     for id in &tenants {
         client.drain(id)?;
         println!("{id}: stats {}", client.tenant_stats(id)?);
