@@ -6,7 +6,7 @@
 //! Recovery trials use the deterministic fault-injection harness
 //! (`FaultPlan::panic_at`) so every trial quarantines at the same stream
 //! ordinal; the measured interval is the supervision pass that revives
-//! the tenant from its rolling shadow checkpoint, including the
+//! the tenant from its restore point, including the
 //! bit-exact detector rebuild and backlog transfer.
 //!
 //! `SPOT_BENCH_RECOVERY_TRIALS` (e.g. `"3"`) restricts the trial count
@@ -66,7 +66,8 @@ struct RecoveryTrial {
     trial: usize,
     /// Stream ordinal (within the faulted tenant) of the injected panic.
     panic_ordinal: u64,
-    /// Verdicts in the shadow → fault window (what replay must cover).
+    /// Verdicts in the restore point → fault window (what replay must
+    /// cover).
     points_lost: u64,
     /// Queued backlog transferred into the revived tenant.
     backlog_carried: u64,

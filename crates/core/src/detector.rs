@@ -24,7 +24,7 @@ use std::time::Instant;
 const RESERVOIR_SEED_SALT: u64 = 0x5EED_CAFE_D00D_F00D;
 
 /// Memory snapshot of the synopses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SynopsisFootprint {
     /// Always 0: no base store is kept. `benchmark/` reads the field by
     /// name; it goes with that package's next revision.

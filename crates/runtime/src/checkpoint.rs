@@ -26,6 +26,7 @@ use spot::SpotCheckpoint;
 use spot_types::persist::binary;
 use spot_types::{Result, SpotError, TenantId};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Fleet checkpoint envelope version: `{version, tenants, wal}` in a
 /// `SPOTBIN1` container. The only version the loader accepts.
@@ -35,10 +36,11 @@ pub const FLEET_CHECKPOINT_VERSION: u32 = 3;
 /// sorted by tenant id, plus (when the ingestion WAL is enabled) each
 /// tenant's WAL replay watermark — the log sequence number recovery
 /// resumes replay from, equal to the tenant's `processed` counter minus
-/// the log's `base_processed`.
+/// the log's `base_processed`. A tenant's capture is shared with the
+/// fleet that took it, which keeps it as the tenant's restore point.
 #[derive(Debug, Clone)]
 pub struct FleetCheckpoint {
-    tenants: Vec<(TenantId, SpotCheckpoint)>,
+    tenants: Vec<(TenantId, Arc<SpotCheckpoint>)>,
     wal: Vec<(TenantId, u64)>,
 }
 
@@ -53,9 +55,13 @@ impl FleetCheckpoint {
     /// Wraps per-tenant checkpoints together with per-tenant WAL replay
     /// watermarks (both sorted by id, duplicates dropped).
     pub fn with_wal(
-        mut tenants: Vec<(TenantId, SpotCheckpoint)>,
+        tenants: Vec<(TenantId, impl Into<Arc<SpotCheckpoint>>)>,
         mut wal: Vec<(TenantId, u64)>,
     ) -> Self {
+        let mut tenants: Vec<_> = tenants
+            .into_iter()
+            .map(|(id, cp)| (id, cp.into()))
+            .collect();
         tenants.sort_by(|a, b| a.0.cmp(&b.0));
         tenants.dedup_by(|a, b| a.0 == b.0);
         wal.sort_by(|a, b| a.0.cmp(&b.0));
@@ -84,6 +90,11 @@ impl FleetCheckpoint {
 
     /// The checkpoint of one tenant, if present.
     pub fn get(&self, id: &TenantId) -> Option<&SpotCheckpoint> {
+        self.shared(id).map(Arc::as_ref)
+    }
+
+    /// [`FleetCheckpoint::get`], as the handle a restore point keeps.
+    pub(crate) fn shared(&self, id: &TenantId) -> Option<&Arc<SpotCheckpoint>> {
         self.tenants
             .binary_search_by(|(t, _)| t.cmp(id))
             .ok()

@@ -17,6 +17,17 @@
 //! tenant (subject to its [`OverloadPolicy`]) so the backlog survives into
 //! recovery.
 //!
+//! # Restore points
+//!
+//! Every registration keeps its last capture ([`SpotFleet::checkpoint`],
+//! [`SpotFleet::checkpoint_durable`], [`SpotFleet::checkpoint_tenant`])
+//! or install as its restore point; a revive starts from it. Revive,
+//! restore, [`SpotFleet::from_checkpoint`] and recovery put a checkpoint
+//! into a tenant through one step: it builds the detector, replays the
+//! tenant's log tail past the checkpoint into it when the fleet has a
+//! WAL, and only then swaps it in — so a failed replay leaves the tenant
+//! as it was, and a successful one leaves no admitted point behind.
+//!
 //! # Durability
 //!
 //! With [`SpotFleet::enable_wal`] every admitted point is appended to the
@@ -27,8 +38,8 @@
 //! newest valid checkpoint and replays the WAL tail, making the post-crash
 //! verdict stream bit-identical to an uncrashed run — no admitted point is
 //! lost. In-process faults get the same treatment: a WAL-backed
-//! [`SpotFleet::revive_tenant`] replays the lost window instead of
-//! dropping it.
+//! [`SpotFleet::revive_tenant`] or [`SpotFleet::restore_tenant`] replays
+//! the log to its end instead of dropping the window.
 
 use crate::checkpoint::{CheckpointStore, FleetCheckpoint};
 use crate::faults::{FaultInjector, FaultPlan};
@@ -43,7 +54,7 @@ use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
 
 /// Fleet-wide knobs. `Default` gives a 1024-point queue per tenant and
@@ -73,7 +84,7 @@ impl Default for FleetConfig {
 /// the supervision plane's fault/overload counters. Served from each
 /// tenant's monitoring snapshot (published after every detector operation,
 /// so up to one operation — one micro-batch — old), queue counter, health
-/// tag and overload atomics; reading it never takes a detector lock.
+/// and overload atomics; reading it never takes a detector lock.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FleetStats {
     /// Registered tenants.
@@ -100,7 +111,8 @@ pub struct FleetStats {
     pub shed: u64,
     /// Points admitted by the `Sample` policy's 1-in-k survivor slot.
     pub sampled_kept: u64,
-    /// Tenant panics caught (each moved one tenant to quarantine).
+    /// Tenant panics caught (each quarantined the detector it hit; one in a
+    /// revive's or restore's replay fails that call instead).
     pub panics: u64,
     /// Successful tenant restorations ([`SpotFleet::revive_tenant`]).
     pub recoveries: u64,
@@ -130,22 +142,20 @@ pub struct FleetFootprint {
     pub approx_bytes: usize,
 }
 
-// `Tenant::state` mirror values — a lock-free fast gate so healthy-path
-// operations never touch the health mutex.
-const HEALTH_HEALTHY: u8 = 0;
-const HEALTH_QUARANTINED: u8 = 1;
-const HEALTH_FAILED: u8 = 2;
+/// A checkpoint a tenant can be revived from, with its stream position.
+type RestorePoint = (u64, Arc<SpotCheckpoint>);
 
-/// One tenant registration's ingest side: the bounded queue where an
-/// admitted point waits for its verdict, the admission lock, and the
-/// overload policy with its counters. It lives as long as the
-/// registration: a revive or a restore replaces the [`Tenant`] around it,
-/// so the backlog stays where it is and a producer waiting for room wakes
-/// into the queue that is actually drained. Eviction closes it.
+/// One tenant registration: the bounded queue where an admitted point
+/// waits for its verdict, the admission lock, the overload policy with its
+/// counters, the monitoring snapshot and the restore point. It lives as
+/// long as the registration: a revive or a restore replaces the [`Tenant`]
+/// around it, so the backlog stays where it is and a producer waiting for
+/// room wakes into the queue that is actually drained. Eviction closes it.
 ///
-/// Lock order: `admission` → `drains` → the registry → `queue`. The queue
-/// lock is held only to push or pop — never across a WAL write or a
-/// detector call, so a drain never waits behind a producer's fsync.
+/// Lock order: `admission` → `drains` → the registry → `queue`, and a
+/// detector → `snapshot` / `restore_point`. The queue lock is held only to
+/// push or pop — never across a WAL write or a detector call, so a drain
+/// never waits behind a producer's fsync.
 struct Inlet {
     capacity: usize,
     queue: Mutex<VecDeque<DataPoint>>,
@@ -165,13 +175,21 @@ struct Inlet {
     admission: Mutex<Admission>,
     /// Held by a drain from pop to commit and delivery, so the tenant's
     /// points commit, and reach [`SpotFleet::drain_with`]'s caller, in
-    /// arrival order; a revive or restore holds it while it swaps the
-    /// detector.
+    /// arrival order; a revive or restore holds it while it replays and
+    /// swaps the detector.
     drains: Mutex<()>,
     /// Points dropped by `Shed`/`Sample`.
     shed: AtomicU64,
     /// Points admitted through the `Sample` survivor slot.
     sampled_kept: AtomicU64,
+    /// What monitoring reads instead of the detector: its stats and
+    /// footprint as of the last completed operation. Written under the
+    /// detector lock, after the operation returns, so a panicking one
+    /// publishes nothing; a replay publishes its progress, and a failed
+    /// install puts back what was shown before it.
+    snapshot: Mutex<(SpotStats, SynopsisFootprint)>,
+    /// The last capture or install, which a revive starts from.
+    restore_point: Mutex<Option<RestorePoint>>,
 }
 
 /// The overload policy and the sampler's state, under the admission lock.
@@ -194,6 +212,8 @@ impl Inlet {
             drains: Mutex::new(()),
             shed: AtomicU64::new(0),
             sampled_kept: AtomicU64::new(0),
+            snapshot: Mutex::new(Default::default()),
+            restore_point: Mutex::new(None),
         }
     }
 
@@ -284,24 +304,17 @@ enum OnFull {
     Refuse,
 }
 
-/// One registered tenant's detector side — the detector, its monitoring
-/// snapshot and its health — around the registration's [`Inlet`]. A
-/// revive or a restore replaces it whole and keeps the inlet.
+/// One registered tenant's detector side — the detector and its health —
+/// around the registration's [`Inlet`]. A revive or a restore replaces it
+/// whole and keeps the inlet.
 struct Tenant {
     /// The detector: one thread at a time runs it. A panic inside leaves
     /// the lock poisoned around torn state; [`lock`] takes it anyway and
     /// the health gate keeps the torn state unobservable.
     spot: Mutex<Spot>,
-    /// What monitoring reads instead of the detector: its stats and
-    /// footprint as of the last completed operation. Written under the
-    /// detector lock, after the operation returns, so a panicking one
-    /// publishes nothing.
-    snapshot: Mutex<(SpotStats, SynopsisFootprint)>,
-    /// Full health state (quarantine reason, counters). Taken only on the
-    /// unhealthy path and on transitions; `state` is the hot-path mirror.
+    /// The tenant's health, quarantine reason included. The only copy:
+    /// taken on its own, never under the detector lock.
     health: Mutex<TenantHealth>,
-    /// Lock-free mirror of the health discriminant (`HEALTH_*`).
-    state: AtomicU8,
     /// The detector's dimensionality (φ), captured at install so
     /// admission-side validators ([`SpotFleet::tenant_dims`]) never touch
     /// the detector lock.
@@ -310,14 +323,14 @@ struct Tenant {
 }
 
 impl Tenant {
-    /// A healthy detector side around `inlet`.
+    /// A healthy detector side around `inlet`, which shows its snapshot
+    /// from now on.
     fn new(spot: Spot, inlet: Arc<Inlet>) -> Tenant {
+        *lock(&inlet.snapshot) = snapshot(&spot);
         Tenant {
             phi: spot.config().phi(),
-            snapshot: Mutex::new((*spot.stats(), spot.footprint())),
             spot: Mutex::new(spot),
             health: Mutex::new(TenantHealth::Healthy),
-            state: AtomicU8::new(HEALTH_HEALTHY),
             inlet,
         }
     }
@@ -341,38 +354,42 @@ impl Tenant {
     fn with<R>(&self, f: impl FnOnce(&mut Spot) -> R) -> R {
         let mut spot = lock(&self.spot);
         let r = f(&mut spot);
-        let snapshot = (*spot.stats(), spot.footprint());
-        *lock(&self.snapshot) = snapshot;
+        let shown = snapshot(&spot);
+        *lock(&self.inlet.snapshot) = shown;
         r
     }
 
     fn stats(&self) -> SpotStats {
-        lock(&self.snapshot).0
+        lock(&self.inlet.snapshot).0
     }
 
     fn footprint(&self) -> SynopsisFootprint {
-        lock(&self.snapshot).1
+        lock(&self.inlet.snapshot).1
     }
 
-    fn health_snapshot(&self) -> TenantHealth {
-        self.health
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+    fn health(&self) -> TenantHealth {
+        lock(&self.health).clone()
+    }
+
+    /// Captures the detector and makes the capture the registration's
+    /// restore point. The detector lock is held until the restore point is
+    /// set, so restore points follow capture order.
+    fn capture(&self) -> RestorePoint {
+        let spot = lock(&self.spot);
+        let point = (spot.stats().processed, Arc::new(spot.checkpoint()));
+        *lock(&self.inlet.restore_point) = Some(point.clone());
+        point
     }
 }
 
-/// What one [`SpotFleet::revive_tenant`] actually brought forward — the
-/// supervisor uses the split to account `points_lost` correctly.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ReviveOutcome {
-    /// Backlog left in place for the new detector (always 0 with a WAL,
-    /// whose revive replays the log tail instead).
-    pub(crate) carried: u64,
-    /// WAL records replayed past the restored position (0 without a WAL).
-    pub(crate) replayed: u64,
-    /// Whether the tenant has a WAL (replay-based recovery).
-    pub(crate) walled: bool,
+/// What an install does to the registration it lands in.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Install {
+    /// Keeps the overload policy, the counters and, without a WAL, the
+    /// backlog.
+    Revive,
+    /// Resets them, as a fresh registration would have them.
+    Restore,
 }
 
 struct FleetInner {
@@ -476,25 +493,32 @@ impl SpotFleet {
     /// Registers a new tenant with its own detector configuration. Errors
     /// with [`SpotError::DuplicateTenant`] when the name is taken.
     pub fn register(&self, id: TenantId, config: SpotConfig) -> Result<()> {
-        self.install(id, Spot::new(config)?)
+        let spot = Spot::new(config)?;
+        let inlet = Arc::new(Inlet::new(self.inner.config.queue_capacity));
+        self.install(&id, Arc::new(Tenant::new(spot, inlet)), true)
     }
 
-    /// Registers `spot` under a new id, around a fresh inlet.
-    fn install(&self, id: TenantId, spot: Spot) -> Result<()> {
-        let inlet = Arc::new(Inlet::new(self.inner.config.queue_capacity));
-        let tenant = Arc::new(Tenant::new(spot, inlet));
+    /// Puts `tenant` into the registry under `id`: as a new registration
+    /// when `fresh`, else in place of the detector side around the same
+    /// inlet. Errors with [`SpotError::DuplicateTenant`] when a fresh id is
+    /// taken, and with [`SpotError::UnknownTenant`] when `id` no longer
+    /// holds the inlet (evicted meanwhile).
+    fn install(&self, id: &TenantId, tenant: Arc<Tenant>, fresh: bool) -> Result<()> {
         let mut map = write_lock(&self.inner.tenants);
-        if map.contains_key(&id) {
+        if fresh && map.contains_key(id) {
             return Err(SpotError::DuplicateTenant(id.to_string()));
+        }
+        if !fresh && !holds(&map, id, &tenant.inlet) {
+            return Err(SpotError::UnknownTenant(id.to_string()));
         }
         // With the WAL enabled every tenant gets a stream at install time:
         // attached fresh (base = the detector's current stream position)
-        // or resumed when the log already has one (restore paths). Under
-        // the registry lock, so `enable_wal` cannot miss it.
+        // or resumed when the log already has one. Under the registry
+        // lock, so `enable_wal` cannot miss it.
         if let Some(wal) = self.wal() {
-            wal.attach(&id, tenant.stats().processed)?;
+            wal.attach(id, tenant.stats().processed)?;
         }
-        map.insert(id, tenant);
+        map.insert(id.clone(), tenant);
         Ok(())
     }
 
@@ -557,26 +581,24 @@ impl SpotFleet {
 
     /// One tenant's health state (quarantine reason and counters included).
     pub fn health(&self, id: &TenantId) -> Result<TenantHealth> {
-        Ok(self.tenant(id)?.health_snapshot())
+        Ok(self.tenant(id)?.health())
     }
 
     /// One tenant's health discriminant as a static label —
-    /// `"healthy"`/`"quarantined"`/`"failed"` — read from the lock-free
-    /// state mirror. The monitoring-plane variant of
-    /// [`SpotFleet::health`]: it can never block on (or be blocked by)
-    /// the health mutex or any detector lock.
+    /// `"healthy"`/`"quarantined"`/`"failed"`. Like [`SpotFleet::health`]
+    /// it takes only the health lock, never a detector lock.
     pub fn health_tag(&self, id: &TenantId) -> Result<&'static str> {
-        Ok(match self.tenant(id)?.state.load(Ordering::Acquire) {
-            HEALTH_QUARANTINED => "quarantined",
-            HEALTH_FAILED => "failed",
-            _ => "healthy",
+        Ok(match *lock(&self.tenant(id)?.health) {
+            TenantHealth::Healthy => "healthy",
+            TenantHealth::Quarantined(_) => "quarantined",
+            TenantHealth::Failed(_) => "failed",
         })
     }
 
     /// Sets one tenant's overload policy (effective for subsequent
     /// [`SpotFleet::ingest`] calls; `Sample { keep_one_in: 0 }` is
     /// normalized to `1`). The policy survives [`SpotFleet::revive_tenant`]
-    /// but not `restore_tenant`/`register` (those are fresh registrations).
+    /// but not `restore_tenant`/`register`.
     pub fn set_overload_policy(&self, id: &TenantId, policy: OverloadPolicy) -> Result<()> {
         let policy = match policy {
             OverloadPolicy::Sample { keep_one_in } => OverloadPolicy::Sample {
@@ -691,22 +713,24 @@ impl SpotFleet {
     /// (supervisor hook, called when the retry budget is exhausted).
     pub(crate) fn mark_failed(&self, id: &TenantId) -> Result<()> {
         let tenant = self.tenant(id)?;
-        let mut health = tenant.health.lock().unwrap_or_else(|e| e.into_inner());
+        let mut health = lock(&tenant.health);
         if let TenantHealth::Quarantined(info) = &*health {
             *health = TenantHealth::Failed(info.clone());
-            tenant.state.store(HEALTH_FAILED, Ordering::Release);
         }
         Ok(())
     }
 
-    /// The lock-free unhealthy gate: errors with the tenant's quarantine
-    /// reason when it is not `Healthy`.
+    /// The stream position of `id`'s restore point (supervisor hook).
+    pub(crate) fn restore_position(&self, id: &TenantId) -> Option<u64> {
+        let inlet = Arc::clone(&self.tenant(id).ok()?.inlet);
+        let point = lock(&inlet.restore_point);
+        point.as_ref().map(|(at, _)| *at)
+    }
+
+    /// The health gate: errors with the tenant's quarantine reason when it
+    /// is not `Healthy`.
     fn gate(&self, id: &TenantId, tenant: &Tenant) -> Result<()> {
-        if tenant.state.load(Ordering::Acquire) == HEALTH_HEALTHY {
-            return Ok(());
-        }
-        let health = tenant.health.lock().unwrap_or_else(|e| e.into_inner());
-        match &*health {
+        match &*lock(&tenant.health) {
             TenantHealth::Healthy => Ok(()),
             TenantHealth::Quarantined(info) | TenantHealth::Failed(info) => {
                 Err(SpotError::TenantPoisoned {
@@ -730,14 +754,13 @@ impl SpotFleet {
         // panicked one never reached its publish step.
         let processed = tenant.stats().processed;
         {
-            let mut health = tenant.health.lock().unwrap_or_else(|e| e.into_inner());
+            let mut health = lock(&tenant.health);
             if health.is_healthy() {
                 *health = TenantHealth::Quarantined(QuarantineInfo {
                     reason: reason.clone(),
                     processed,
                     failed_batch,
                 });
-                tenant.state.store(HEALTH_QUARANTINED, Ordering::Release);
                 self.inner.panics.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -808,17 +831,14 @@ impl SpotFleet {
     /// drained first — verdict order is arrival order either way). Runs
     /// under the panic guard: a panic quarantines this tenant only.
     pub fn process(&self, id: &TenantId, point: &DataPoint) -> Result<Verdict> {
-        self.admission_gate()?;
-        let tenant = self.tenant(id)?;
-        let mut verdicts = self.process_guarded(id, &tenant, std::slice::from_ref(point))?;
+        let mut verdicts = self.process_batch(id, std::slice::from_ref(point))?;
         Ok(verdicts.pop().expect("one verdict per point"))
     }
 
     /// Processes a batch synchronously, under the panic guard.
     pub fn process_batch(&self, id: &TenantId, points: &[DataPoint]) -> Result<Vec<Verdict>> {
         self.admission_gate()?;
-        let tenant = self.tenant(id)?;
-        self.process_guarded(id, &tenant, points)
+        self.process_guarded(id, points)
     }
 
     /// The synchronous processing paths' WAL hook: with a log the points
@@ -828,23 +848,25 @@ impl SpotFleet {
     /// and [`SpotFleet::recover`] re-derive the lost verdicts from the
     /// log. The health gate runs before the append so a quarantined
     /// tenant's rejected points do not haunt the log.
-    fn process_guarded(
-        &self,
-        id: &TenantId,
-        tenant: &Tenant,
-        points: &[DataPoint],
-    ) -> Result<Vec<Verdict>> {
+    fn process_guarded(&self, id: &TenantId, points: &[DataPoint]) -> Result<Vec<Verdict>> {
+        let tenant = self.tenant(id)?;
         let Some(wal) = self.wal() else {
-            return self.run_guarded(id, tenant, points);
+            return self.run_guarded(id, &tenant, points);
         };
         points.iter().try_for_each(|p| tenant.admit(p))?;
         let faults = self.injector();
         let _admission = tenant.inlet.admission();
-        self.gate(id, tenant)?;
+        // A revive or restore may have swapped the detector while this
+        // caller waited: the points go to the one registered now.
+        let tenant = match self.tenant(id) {
+            Ok(current) if Arc::ptr_eq(&current.inlet, &tenant.inlet) => current,
+            _ => return Err(SpotError::UnknownTenant(id.to_string())),
+        };
+        self.gate(id, &tenant)?;
         for point in points {
             wal.append(id, point, faults.as_deref())?;
         }
-        self.run_guarded(id, tenant, points)
+        self.run_guarded(id, &tenant, points)
     }
 
     /// Enqueues one point under the tenant's [`OverloadPolicy`]. With the
@@ -1072,7 +1094,7 @@ impl SpotFleet {
 
     /// Aggregated logical counters + queue occupancy + supervision
     /// counters over every tenant. Reads each tenant's monitoring
-    /// snapshot, queue length mirror and health/overload atomics only —
+    /// snapshot, queue length mirror, health and overload atomics only —
     /// never any detector lock, so dashboards cannot stall (or be stalled
     /// by) ingestion. A tenant's counters are those of its last completed
     /// operation: up to one micro-batch behind one in progress.
@@ -1088,10 +1110,10 @@ impl SpotFleet {
         };
         for t in &tenants {
             let s = t.stats();
-            match t.state.load(Ordering::Acquire) {
-                HEALTH_QUARANTINED => agg.quarantined += 1,
-                HEALTH_FAILED => agg.failed += 1,
-                _ => {}
+            match *lock(&t.health) {
+                TenantHealth::Healthy => {}
+                TenantHealth::Quarantined(_) => agg.quarantined += 1,
+                TenantHealth::Failed(_) => agg.failed += 1,
             }
             agg.queued += t.inlet.len();
             agg.processed += s.processed;
@@ -1150,12 +1172,12 @@ impl SpotFleet {
     /// Captures a versioned checkpoint of every **healthy** tenant (sorted
     /// id order). Each tenant's capture is the standard v2
     /// `SpotCheckpoint`, so a tenant restored from it is bit-exact,
-    /// standalone or in any fleet.
-    /// Quarantined/failed tenants are skipped: their in-memory state is
-    /// untrusted and must not contaminate a checkpoint (restore them from
-    /// a pre-fault shadow instead). Queued-but-undrained points are *not*
-    /// part of the checkpoint (they have not been processed; drain first
-    /// for a checkpoint at a chosen stream position).
+    /// standalone or in any fleet, and becomes that tenant's restore
+    /// point. Quarantined/failed tenants are skipped: their in-memory
+    /// state is untrusted and must not contaminate a checkpoint (revive
+    /// them from their restore point instead). Queued-but-undrained points
+    /// are *not* part of the checkpoint (they have not been processed;
+    /// drain first for a checkpoint at a chosen stream position).
     pub fn checkpoint(&self) -> FleetCheckpoint {
         let mut tenants = Vec::new();
         let mut wal_positions = Vec::new();
@@ -1163,16 +1185,12 @@ impl SpotFleet {
             let Ok(tenant) = self.tenant(&id) else {
                 continue;
             };
-            if tenant.state.load(Ordering::Acquire) != HEALTH_HEALTHY {
+            if !lock(&tenant.health).is_healthy() {
                 continue;
             }
-            // Capture + position read under one detector lock hold: the
-            // recorded WAL watermark must be the stream position of *this*
+            // The recorded WAL watermark is the stream position of *this*
             // capture, not of whatever processed concurrently after it.
-            let (cp, processed) = {
-                let spot = lock(&tenant.spot);
-                (spot.checkpoint(), spot.stats().processed)
-            };
+            let (processed, cp) = tenant.capture();
             if let Some(base) = self.wal().and_then(|w| w.base_processed(&id)) {
                 wal_positions.push((id.clone(), processed.saturating_sub(base)));
             }
@@ -1186,7 +1204,9 @@ impl SpotFleet {
     /// storage), saves the capture into a [`CheckpointStore`], and then
     /// prunes the log — sealed segments whose every record is covered by
     /// the saved state are deleted, which is what keeps log growth bounded
-    /// by checkpoint cadence. A pruning failure does not fail the
+    /// by checkpoint cadence. Each watermark comes from the capture that
+    /// is now its tenant's restore point, so a revive still finds its
+    /// tail. A pruning failure does not fail the
     /// checkpoint (retained segments only cost replay time) but is counted
     /// in [`FleetStats::wal_prune_failures`]; the save itself is the
     /// durability point and its errors propagate. Returns the new
@@ -1217,95 +1237,138 @@ impl SpotFleet {
         self.checkpoint_durable(store)
     }
 
-    /// Captures one healthy tenant's checkpoint (the supervisor's shadow
-    /// primitive). Errors with [`SpotError::TenantPoisoned`] when the
-    /// tenant is quarantined/failed — a torn detector must never be
-    /// checkpointed.
-    pub fn checkpoint_tenant(&self, id: &TenantId) -> Result<SpotCheckpoint> {
+    /// Captures one healthy tenant's checkpoint and makes it the tenant's
+    /// restore point (what the [`crate::Supervisor`] refreshes). Errors
+    /// with [`SpotError::TenantPoisoned`] when the tenant is
+    /// quarantined/failed — a torn detector must never be checkpointed.
+    pub fn checkpoint_tenant(&self, id: &TenantId) -> Result<Arc<SpotCheckpoint>> {
         let tenant = self.tenant(id)?;
         self.gate(id, &tenant)?;
-        // Only the capture holds the detector lock; rendering it to bytes
-        // and writing those happen on the returned value.
-        let cp = lock(&tenant.spot).checkpoint();
-        Ok(cp)
+        Ok(tenant.capture().1)
     }
 
-    /// Replaces a registered tenant's detector with one restored from a
-    /// checkpoint, **carrying forward** everything the fault did not
-    /// destroy, and marking it healthy. This is the recovery primitive the
-    /// [`crate::Supervisor`] drives for quarantined tenants; it also works
-    /// on a healthy tenant (a forced rollback). Errors with
-    /// [`SpotError::UnknownTenant`] when `id` is not registered.
+    /// Replaces a registered tenant's detector with one rebuilt from its
+    /// restore point — the last capture or install — **carrying forward**
+    /// everything the fault did not destroy, and marking it healthy. This
+    /// is the recovery primitive the [`crate::Supervisor`] drives for
+    /// quarantined tenants; it also works on a healthy tenant. Errors with
+    /// [`SpotError::UnknownTenant`] when `id` is not registered and with
+    /// [`SpotError::InvalidConfig`] when it has no restore point yet.
     ///
     /// The new detector takes over the tenant's queue, overload policy and
     /// counters. Without a WAL the backlog stays in place (arrival order
     /// preserved) and the returned count is its length; the window between
-    /// the checkpoint's stream position and the fault is gone. **With a
-    /// WAL** the log *is* the backlog: the queue is cleared (every point in
-    /// it is also in the log) and the log tail past the restored position
-    /// — lost window, failed batch and backlog alike — is replayed through
-    /// the guarded processing path, re-deriving bit-identical verdicts;
-    /// the returned count is the records replayed. The tenant's admission
-    /// and drain locks are held from the swap through the replay, so its
-    /// producers and drains resume only once the log and queue agree
-    /// again; a producer waiting for room holds neither and wakes into the
-    /// same queue. Co-tenants keep ingesting throughout.
-    pub fn revive_tenant(&self, id: &TenantId, cp: &SpotCheckpoint) -> Result<u64> {
-        let outcome = self.revive_tenant_inner(id, cp)?;
-        Ok(if outcome.walled {
-            outcome.replayed
-        } else {
-            outcome.carried
-        })
+    /// the restore point and the fault is gone. **With a WAL** the log
+    /// *is* the backlog: the log tail past the restore point — lost
+    /// window, failed batch and backlog alike — is replayed into the new
+    /// detector before it is swapped in, re-deriving bit-identical
+    /// verdicts, the queue is cleared, and the returned count is the
+    /// records replayed. A replay that fails (a pruned tail, a panic)
+    /// leaves the tenant as it was. The tenant's admission and drain locks
+    /// are held throughout, so its producers and drains resume only once
+    /// the log and queue agree again; a producer waiting for room holds
+    /// neither and wakes into the same queue. Co-tenants keep ingesting
+    /// throughout.
+    pub fn revive_tenant(&self, id: &TenantId) -> Result<u64> {
+        let inlet = Arc::clone(&self.tenant(id)?.inlet);
+        let point = lock(&inlet.restore_point).clone();
+        let Some((_, cp)) = point else {
+            return Err(SpotError::InvalidConfig(format!(
+                "tenant {id} has no restore point: checkpoint it before reviving it"
+            )));
+        };
+        let n = self.install_checkpoint(id, cp, Install::Revive, |wal, from| {
+            read_wal_from(wal.dir(), id, from)
+        })?;
+        self.inner.recoveries.fetch_add(1, Ordering::Relaxed);
+        Ok(n)
     }
 
-    pub(crate) fn revive_tenant_inner(
+    /// Restores one tenant from a fleet checkpoint, **replacing** any
+    /// detector currently registered under the id (or registering it
+    /// fresh). Errors with [`SpotError::UnknownTenant`] when the
+    /// checkpoint holds no such tenant. A replaced tenant's overload
+    /// policy and counters reset and its queue is emptied (use
+    /// [`SpotFleet::revive_tenant`] to keep them); a producer waiting for
+    /// room wakes into the emptied queue. **With a WAL** the log tail past
+    /// the checkpoint is replayed into the restored detector before it is
+    /// swapped in, so no admitted point is rolled back; a tail that was
+    /// pruned errors with [`SpotError::WalCorrupt`] and leaves the tenant
+    /// as it was.
+    pub fn restore_tenant(&self, checkpoint: &FleetCheckpoint, id: &TenantId) -> Result<()> {
+        let cp = checkpoint
+            .shared(id)
+            .ok_or_else(|| SpotError::UnknownTenant(id.to_string()))?;
+        self.install_checkpoint(id, Arc::clone(cp), Install::Restore, |wal, from| {
+            read_wal_from(wal.dir(), id, from)
+        })
+        .map(drop)
+    }
+
+    /// Builds a fleet holding every tenant of the checkpoint.
+    pub fn from_checkpoint(checkpoint: &FleetCheckpoint, config: FleetConfig) -> Result<Self> {
+        let fleet = Self::new(config);
+        for id in checkpoint.tenant_ids() {
+            fleet.restore_tenant(checkpoint, &id)?;
+        }
+        Ok(fleet)
+    }
+
+    /// The one way a checkpoint becomes a tenant's detector. Builds the
+    /// detector; with a WAL, replays into it the tenant's log records past
+    /// the checkpoint's position, as `tail` reads them; then registers it
+    /// — fresh, or in place of the current detector under its admission
+    /// and drain locks — and makes the checkpoint the restore point. Any
+    /// error before the swap leaves the registration as it was. Returns
+    /// the records replayed with a WAL, else the backlog kept.
+    fn install_checkpoint(
         &self,
         id: &TenantId,
-        cp: &SpotCheckpoint,
-    ) -> Result<ReviveOutcome> {
-        let spot = Spot::from_checkpoint(cp)?;
-        let inlet = Arc::clone(&self.tenant(id)?.inlet);
-        let _admission = inlet.admission();
-        let _drains = lock(&inlet.drains);
-        let tenant = self.swap_detector(id, &inlet, spot)?;
+        cp: Arc<SpotCheckpoint>,
+        how: Install,
+        tail: impl FnOnce(&FleetWal, u64) -> Result<Vec<(u64, DataPoint)>>,
+    ) -> Result<u64> {
+        let spot = Spot::from_checkpoint(&cp)?;
+        let at = spot.stats().processed;
         let wal = self.wal();
-        let (carried, replayed) = match wal {
-            Some(w) => {
-                inlet.clear(false);
-                (0, self.replay_wal_tail(id, &tenant, w)?)
+        let current = self.tenant(id).ok().map(|t| Arc::clone(&t.inlet));
+        let inlet = current
+            .clone()
+            .unwrap_or_else(|| Arc::new(Inlet::new(self.inner.config.queue_capacity)));
+        let mut admission = inlet.admission();
+        let _drains = lock(&inlet.drains);
+        let shown = *lock(&inlet.snapshot);
+        let tenant = Arc::new(Tenant::new(spot, Arc::clone(&inlet)));
+        let replayed = match wal {
+            Some(wal) => {
+                let base = wal.base_processed(id).unwrap_or(at);
+                watermark(id, at, base)
+                    .and_then(|from| tail(wal, from))
+                    .and_then(|points| self.replay(id, &tenant, &points))
             }
-            None => (inlet.len() as u64, 0),
+            None => Ok(0),
         };
-        self.inner.recoveries.fetch_add(1, Ordering::Relaxed);
-        Ok(ReviveOutcome {
-            carried,
-            replayed,
-            walled: wal.is_some(),
-        })
-    }
-
-    /// Registers a new detector side for `id` around its current `inlet`
-    /// (the caller holds the inlet's admission and drain locks). Errors
-    /// with [`SpotError::UnknownTenant`] when `id` no longer holds that
-    /// inlet — evicted meanwhile.
-    fn swap_detector(&self, id: &TenantId, inlet: &Arc<Inlet>, spot: Spot) -> Result<Arc<Tenant>> {
-        let mut map = write_lock(&self.inner.tenants);
-        if !holds(&map, id, inlet) {
-            return Err(SpotError::UnknownTenant(id.to_string()));
+        let installed =
+            replayed.and_then(|n| self.install(id, tenant, current.is_none()).map(|()| n));
+        if installed.is_err() {
+            *lock(&inlet.snapshot) = shown;
         }
-        let tenant = Arc::new(Tenant::new(spot, Arc::clone(inlet)));
-        map.insert(id.clone(), Arc::clone(&tenant));
-        Ok(tenant)
-    }
-
-    /// Replays a tenant's WAL records past its detector's current stream
-    /// position, returning how many were replayed.
-    fn replay_wal_tail(&self, id: &TenantId, tenant: &Tenant, wal: &FleetWal) -> Result<u64> {
-        let processed = tenant.stats().processed;
-        let base = wal.base_processed(id).unwrap_or(processed);
-        let tail = read_wal_from(wal.dir(), id, watermark(id, processed, base)?)?;
-        self.replay(id, tenant, &tail)
+        let replayed = installed?;
+        *lock(&inlet.restore_point) = Some((at, cp));
+        if how == Install::Restore {
+            *admission = Admission::default();
+            inlet.shed.store(0, Ordering::Relaxed);
+            inlet.sampled_kept.store(0, Ordering::Relaxed);
+        }
+        // With a WAL every queued point was also in the replayed tail.
+        if wal.is_some() || how == Install::Restore {
+            inlet.clear(false);
+        }
+        Ok(if wal.is_some() {
+            replayed
+        } else {
+            inlet.len() as u64
+        })
     }
 
     /// Runs logged points through the guarded processing path in the
@@ -1320,41 +1383,6 @@ impl SpotFleet {
             self.run_guarded(id, tenant, &points)?;
         }
         Ok(tail.len() as u64)
-    }
-
-    /// Restores one tenant from a fleet checkpoint, **replacing** any
-    /// detector currently registered under the id (or registering it
-    /// fresh). Errors with [`SpotError::UnknownTenant`] when the
-    /// checkpoint holds no such tenant. A replaced tenant is a fresh
-    /// registration: its queue restarts empty and its overload policy and
-    /// counters reset (use [`SpotFleet::revive_tenant`] to keep a
-    /// backlog); a producer waiting for room wakes into the emptied queue.
-    pub fn restore_tenant(&self, checkpoint: &FleetCheckpoint, id: &TenantId) -> Result<()> {
-        let cp = checkpoint
-            .get(id)
-            .ok_or_else(|| SpotError::UnknownTenant(id.to_string()))?;
-        let spot = Spot::from_checkpoint(cp)?;
-        let Ok(old) = self.tenant(id) else {
-            return self.install(id.clone(), spot);
-        };
-        let inlet = &old.inlet;
-        let mut admission = inlet.admission();
-        let _drains = lock(&inlet.drains);
-        self.swap_detector(id, inlet, spot)?;
-        *admission = Admission::default();
-        inlet.shed.store(0, Ordering::Relaxed);
-        inlet.sampled_kept.store(0, Ordering::Relaxed);
-        inlet.clear(false);
-        Ok(())
-    }
-
-    /// Builds a fleet holding every tenant of the checkpoint.
-    pub fn from_checkpoint(checkpoint: &FleetCheckpoint, config: FleetConfig) -> Result<Self> {
-        let fleet = Self::new(config);
-        for id in checkpoint.tenant_ids() {
-            fleet.restore_tenant(checkpoint, &id)?;
-        }
-        Ok(fleet)
     }
 
     // ---- crash recovery -------------------------------------------------
@@ -1404,13 +1432,13 @@ impl SpotFleet {
             Some((g, cp)) => (Some(g), cp),
             None => (None, FleetCheckpoint::new(Vec::new())),
         };
-        let fleet = Self::from_checkpoint(&checkpoint, config)?;
-        // Only the restored tenants' records are loaded: an unclaimed
+        // Only the checkpoint's tenants' records are loaded: an unclaimed
         // stream is reported, never replayed.
-        let restored = fleet.tenant_ids();
+        let restored = checkpoint.tenant_ids();
         let keep = |t: &str| restored.iter().any(|id| id.as_str() == t);
         let (wal, wal_scan) = FleetWal::open(&dir.join("wal"), tuning, keep)?;
-        let wal = fleet.inner.wal.get_or_init(|| Arc::new(wal));
+        let fleet = Self::new(config);
+        let _ = fleet.inner.wal.set(Arc::new(wal));
         let mut streams = wal_scan.streams;
         let mut recovery = FleetRecovery {
             generation,
@@ -1420,36 +1448,23 @@ impl SpotFleet {
             swept_tmp,
         };
         for id in restored {
-            let tenant = fleet.tenant(&id)?;
-            let processed = tenant.stats().processed;
+            let cp = checkpoint.shared(&id).expect("a listed tenant");
             let log = streams.remove(&id);
-            let base = match &log {
-                Some(log) => log.base_processed,
-                None => wal.attach(&id, processed)?,
+            // A watermark other than the one the checkpoint recorded means
+            // the log and the checkpoint are not from the same run (an
+            // operator mixed directories) — replaying would silently
+            // corrupt the detector.
+            let tail = |_: &FleetWal, from| match checkpoint.wal_position(&id) {
+                Some(recorded) if recorded != from => Err(SpotError::WalCorrupt(format!(
+                    "tenant {id}: checkpoint generation {generation:?} records WAL position \
+                     {recorded} but the log on disk implies {from}"
+                ))),
+                _ => log.map_or(Ok(Vec::new()), |log| log.into_tail(&id, from)),
             };
-            let watermark = watermark(&id, processed, base)?;
-            // Cross-check against the position the checkpoint recorded: a
-            // mismatch means the log and the checkpoint are not from the
-            // same run (an operator mixed directories) — replaying would
-            // silently corrupt the detector.
-            if let Some(recorded) = checkpoint.wal_position(&id) {
-                if recorded != watermark {
-                    return Err(SpotError::WalCorrupt(format!(
-                        "tenant {id}: checkpoint generation {:?} records WAL position \
-                         {recorded} but the log on disk implies {watermark}",
-                        generation
-                    )));
-                }
+            let replayed = fleet.install_checkpoint(&id, Arc::clone(cp), Install::Restore, tail)?;
+            if replayed > 0 {
+                recovery.replayed.push((id, replayed));
             }
-            let Some(log) = log else {
-                continue;
-            };
-            let tail = log.into_tail(&id, watermark)?;
-            if tail.is_empty() {
-                continue;
-            }
-            let replayed = fleet.replay(&id, &tenant, &tail)?;
-            recovery.replayed.push((id.clone(), replayed));
         }
         // Streams with no tenant in the restored checkpoint: surfaced, and
         // left open in the log so they pin their segments (the log may be
@@ -1492,6 +1507,11 @@ fn write_lock<'a, K, V>(
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// What monitoring shows of a detector.
+fn snapshot(spot: &Spot) -> (SpotStats, SynopsisFootprint) {
+    (*spot.stats(), spot.footprint())
 }
 
 /// Whether `id` is registered around `inlet` (not evicted, and not

@@ -15,7 +15,8 @@
 //!   1-in-k sampling.
 //! * [`RecoveryReport`] — what the [`crate::Supervisor`] did to bring a
 //!   quarantined tenant back: attempts, the backoff schedule, and the
-//!   window of points lost between the shadow checkpoint and the fault.
+//!   window of points lost between the tenant's restore point and the
+//!   fault.
 //!
 //! See `docs/robustness.md` for the full protocol.
 
@@ -55,8 +56,8 @@ pub enum TenantHealth {
     /// a checkpoint. Ingestion still enqueues (subject to the overload
     /// policy) so the backlog survives into recovery.
     Quarantined(QuarantineInfo),
-    /// The supervisor exhausted its retry budget (or had no shadow
-    /// checkpoint to restore from). Terminal: the tenant stays registered
+    /// The supervisor exhausted its retry budget (a tenant with no restore
+    /// point fails every attempt). Terminal: the tenant stays registered
     /// for inspection but serves nothing; evict it or restore it manually
     /// via `SpotFleet::revive_tenant`.
     Failed(QuarantineInfo),
@@ -130,8 +131,8 @@ pub struct RecoveryReport {
     /// The backoff schedule actually applied: supervision passes skipped
     /// before each retry (empty when the first attempt succeeded).
     pub backoff: Vec<u64>,
-    /// The tenant's `processed` counter inside the restored shadow
-    /// checkpoint — the stream position the tenant resumed from.
+    /// The stream position of the restore point the tenant was revived
+    /// from — its registration's last capture or install.
     pub processed_at_shadow: u64,
     /// The tenant's `processed` counter when it was quarantined (last
     /// stable publication before the panic).

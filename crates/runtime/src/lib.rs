@@ -16,8 +16,10 @@
 //!   processes queued points in micro-batches, and
 //!   [`SpotFleet::drain_with`] also hands each batch's verdicts to a
 //!   consumer in commit order, whichever thread drains. The queue
-//!   outlives a detector swap: a revive keeps the backlog, a restore
-//!   empties it, and neither strands a producer waiting for room.
+//!   outlives a detector swap: an unwalled revive keeps the backlog, a
+//!   restore empties it (a walled swap replays the log, backlog
+//!   included, instead), and neither strands a producer waiting for
+//!   room.
 //! * **Off-lock monitoring** — [`SpotFleet::stats`] and
 //!   [`SpotFleet::footprint`] aggregate every tenant's monitoring
 //!   snapshot (its stats and footprint as of its last completed
@@ -41,10 +43,12 @@
 //!   a panic quarantines *only* that tenant
 //!   ([`spot_types::SpotError::TenantPoisoned`]) while co-tenants stay
 //!   bit-identical to a fault-free run ([`TenantHealth`]).
-//! * **Self-healing** — a [`Supervisor`] keeps rolling per-tenant shadow
-//!   checkpoints and auto-restores quarantined tenants with bounded
+//! * **Self-healing** — every tenant registration keeps its last capture
+//!   or install as its restore point; a [`Supervisor`] refreshes it on a
+//!   cadence and revives quarantined tenants from it with bounded
 //!   retries and deterministic exponential backoff, reporting each
-//!   recovery as a [`RecoveryReport`].
+//!   recovery as a [`RecoveryReport`] (`processed_at_shadow` is the
+//!   restore point's position).
 //! * **Graceful degradation** — per-tenant [`OverloadPolicy`] (block /
 //!   shed / deterministic 1-in-k sampling) when a bounded queue fills.
 //! * **Crash-safe checkpoint files** — [`CheckpointStore`] writes every
@@ -63,9 +67,10 @@
 //! covering every tenant) *before* it is enqueued, checkpoints record
 //! each tenant's replay watermark and prune sealed segments behind them,
 //! and [`SpotFleet::recover`] restores the newest valid checkpoint then
-//! replays each tenant's WAL tail in drain-sized micro-batches — the post-crash
-//! verdict stream is bit-identical to an uncrashed run and no admitted
-//! point is lost. See [`wal`] and `docs/persistence.md`.
+//! replays each tenant's WAL tail in drain-sized micro-batches — the
+//! post-crash verdict stream is bit-identical to an uncrashed run and no
+//! admitted point is lost. A revive or restore replays the tail the same
+//! way, into the new detector before it is swapped in. See [`wal`] and `docs/persistence.md`.
 
 pub mod archive;
 pub mod checkpoint;

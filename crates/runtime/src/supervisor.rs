@@ -1,48 +1,51 @@
-//! Self-healing for the fleet: rolling shadow checkpoints and automatic
+//! Self-healing for the fleet: rolling restore points and automatic
 //! restoration of quarantined tenants.
 //!
 //! The [`Supervisor`] wraps a [`SpotFleet`] and runs a *supervision pass*
 //! ([`Supervisor::tick`]) alongside the normal service loop:
 //!
-//! 1. **Shadowing.** Every healthy tenant gets a rolling in-memory shadow
-//!    checkpoint (the bit-exact `SpotCheckpoint`), refreshed once the
-//!    tenant has processed [`SupervisorConfig::shadow_every`] more points
-//!    since the last shadow. Captures ride the existing checkpoint path
-//!    and happen only inside the supervision pass, never on the per-point
-//!    hot path.
+//! 1. **Restore points.** Every tenant registration keeps its last
+//!    capture or install as its restore point (see the fleet's module
+//!    docs). The supervisor refreshes a healthy tenant's restore point
+//!    with [`SpotFleet::checkpoint_tenant`] once the tenant has processed
+//!    [`SupervisorConfig::shadow_every`] more points since it was taken;
+//!    fleet checkpoints refresh it too. Captures happen only inside the
+//!    supervision pass, never on the per-point hot path.
 //! 2. **Recovery.** A quarantined tenant (see the fleet's panic isolation)
-//!    is restored from its shadow via [`SpotFleet::revive_tenant`] with a
-//!    bounded retry budget and deterministic exponential backoff counted
-//!    in *passes*, not wall-clock time (attempt `n` failing skips
+//!    is revived from its restore point via [`SpotFleet::revive_tenant`]
+//!    with a bounded retry budget and deterministic exponential backoff
+//!    counted in *passes*, not wall-clock time (attempt `n` failing skips
 //!    `backoff_base << (n-1)` passes). Success yields a
-//!    [`RecoveryReport`]; an exhausted budget (or a tenant that was never
-//!    shadowed) transitions the tenant to the terminal
+//!    [`RecoveryReport`]; an exhausted budget — a tenant with no restore
+//!    point included — transitions the tenant to the terminal
 //!    [`TenantHealth::Failed`] state.
 //!
-//! The recovered tenant resumes from the shadow's stream position with
-//! its queued backlog still in place; the verdicts between the shadow and
-//! the fault are lost (the report's `points_lost` window) — replaying
-//! exactly that window reconverges with the uninterrupted stream, which
-//! the chaos suite pins bit-for-bit. **With the ingestion WAL enabled**
-//! (see [`crate::SpotFleet::enable_wal`]) the revive replays that window
-//! from the log itself: the report's `replayed` counts the re-derived
-//! records and `points_lost` is `0`. Durable (on-disk) retention of
-//! checkpoints is the separate [`crate::CheckpointStore`].
+//! The recovered tenant resumes from the restore point's stream position
+//! (the report's `processed_at_shadow`) with its queued backlog still in
+//! place; the verdicts between the restore point and the fault are lost
+//! (the report's `points_lost` window) — replaying exactly that window
+//! reconverges with the uninterrupted stream, which the chaos suite pins
+//! bit-for-bit. **With the ingestion WAL enabled** (see
+//! [`crate::SpotFleet::enable_wal`]) the revive replays that window from
+//! the log itself: the report's `replayed` counts the re-derived records
+//! and `points_lost` is `0`. Durable (on-disk) retention of checkpoints
+//! is the separate [`crate::CheckpointStore`].
 
 use crate::fleet::SpotFleet;
 use crate::health::{QuarantineInfo, RecoveryReport, TenantHealth};
-use spot::{SpotCheckpoint, Verdict};
+use spot::Verdict;
 use spot_types::{Result, SpotError, TenantId};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-/// Supervision knobs. `Default`: re-shadow every 2048 processed points,
-/// 3 recovery attempts, backoff 1-2-4 passes.
+/// Supervision knobs. `Default`: refresh restore points every 2048
+/// processed points, 3 recovery attempts, backoff 1-2-4 passes.
 #[derive(Debug, Clone, Copy)]
 pub struct SupervisorConfig {
-    /// Refresh a tenant's shadow once it has processed this many points
-    /// since the previous shadow (clamped to at least 1). Smaller values
-    /// shrink the `points_lost` window at the cost of more captures.
+    /// Refresh a tenant's restore point once it has processed this many
+    /// points since it was taken (clamped to at least 1). Without a WAL,
+    /// smaller values shrink the `points_lost` window; with one, they
+    /// shorten the replay. Either way they cost more captures.
     pub shadow_every: u64,
     /// Recovery attempts before a quarantined tenant is marked
     /// [`TenantHealth::Failed`] (clamped to at least 1).
@@ -65,7 +68,7 @@ impl Default for SupervisorConfig {
 /// What one [`Supervisor::tick`] did.
 #[derive(Debug, Clone, Default)]
 pub struct SupervisorPass {
-    /// Shadow checkpoints captured or refreshed this pass.
+    /// Restore points captured this pass.
     pub shadows_taken: usize,
     /// Tenants restored to [`TenantHealth::Healthy`] this pass.
     pub recovered: Vec<RecoveryReport>,
@@ -76,9 +79,6 @@ pub struct SupervisorPass {
 /// Per-tenant supervision ledger.
 #[derive(Default)]
 struct Guard {
-    /// Last shadow: the tenant's `processed` counter at capture time and
-    /// the checkpoint itself.
-    shadow: Option<(u64, SpotCheckpoint)>,
     /// Recovery attempts made for the current quarantine.
     attempts: u32,
     /// Passes left to skip before the next recovery attempt.
@@ -89,7 +89,7 @@ struct Guard {
     last_recovery: Option<RecoveryReport>,
 }
 
-/// Shadow-checkpoint keeper and automatic restorer for one fleet. Clone
+/// Restore-point refresher and automatic restorer for one fleet. Clone
 /// the fleet handle in; the supervisor holds its own ledger and is safe to
 /// drive from any single thread (internal state is mutex-guarded; run one
 /// supervision loop — concurrent ticks would race their retry budgets).
@@ -102,8 +102,9 @@ pub struct Supervisor {
 impl Supervisor {
     /// Wraps a fleet handle. Run [`Supervisor::tick`] periodically (e.g.
     /// after each `pump`, or use [`Supervisor::pump`]); the first tick
-    /// takes every healthy tenant's initial shadow — tick once right
-    /// after learning so a tenant is never quarantined unshadowed.
+    /// captures a restore point for every healthy tenant without one —
+    /// tick once right after learning so a tenant never faults without
+    /// one.
     pub fn new(fleet: SpotFleet, config: SupervisorConfig) -> Self {
         Supervisor {
             fleet,
@@ -134,9 +135,10 @@ impl Supervisor {
         (drained, self.tick())
     }
 
-    /// One supervision pass over every registered tenant: refresh shadows
-    /// of healthy tenants, advance backoff cooldowns, attempt recovery of
-    /// quarantined tenants, and mark budget-exhausted ones failed.
+    /// One supervision pass over every registered tenant: refresh restore
+    /// points of healthy tenants, advance backoff cooldowns, attempt
+    /// recovery of quarantined tenants, and mark budget-exhausted ones
+    /// failed.
     pub fn tick(&self) -> SupervisorPass {
         let mut pass = SupervisorPass::default();
         let ids = self.fleet.tenant_ids();
@@ -159,18 +161,15 @@ impl Supervisor {
                         Ok(s) => s.processed,
                         Err(_) => continue,
                     };
-                    let due = match &guard.shadow {
-                        None => true,
-                        Some((at, _)) => processed.saturating_sub(*at) >= self.config.shadow_every,
-                    };
+                    let due = self
+                        .fleet
+                        .restore_position(&id)
+                        .is_none_or(|at| processed.saturating_sub(at) >= self.config.shadow_every);
                     // The capture can race a concurrent panic
                     // (checkpoint_tenant re-checks the gate); a lost race
-                    // just means this pass takes no shadow.
-                    if due {
-                        if let Ok(cp) = self.fleet.checkpoint_tenant(&id) {
-                            guard.shadow = Some((processed, cp));
-                            pass.shadows_taken += 1;
-                        }
+                    // just means this pass takes no restore point.
+                    if due && self.fleet.checkpoint_tenant(&id).is_ok() {
+                        pass.shadows_taken += 1;
                     }
                 }
                 TenantHealth::Quarantined(info) => {
@@ -195,12 +194,6 @@ impl Supervisor {
         guard: &mut Guard,
         pass: &mut SupervisorPass,
     ) {
-        let Some((shadow_processed, shadow)) = guard.shadow.clone() else {
-            // Never shadowed: nothing to restore from.
-            let _ = self.fleet.mark_failed(id);
-            pass.failed.push(id.clone());
-            return;
-        };
         guard.attempts += 1;
         let revived = if self.fleet.recovery_attempt_must_fail(id) {
             Err(SpotError::TenantPoisoned {
@@ -208,16 +201,18 @@ impl Supervisor {
                 panic: "injected fault: recovery attempt failed".to_string(),
             })
         } else {
-            self.fleet.revive_tenant_inner(id, &shadow)
+            self.fleet.revive_tenant(id)
         };
         match revived {
-            Ok(outcome) => {
+            Ok(brought) => {
+                let walled = self.fleet.wal_enabled();
+                let restored_at = self.fleet.restore_position(id).unwrap_or(0);
                 // With a WAL the revive replayed the log tail, re-deriving
-                // everything between the shadow and the fault (failed
-                // batch included): lost = whatever the replay did *not*
-                // bring back past the pre-fault position. Without one, the
-                // shadow → fault window is gone.
-                let points_lost = if outcome.walled {
+                // everything between the restore point and the fault
+                // (failed batch included): lost = whatever the replay did
+                // *not* bring back past the pre-fault position. Without
+                // one, the restore point → fault window is gone.
+                let points_lost = if walled {
                     let now = self
                         .fleet
                         .tenant_stats(id)
@@ -225,24 +220,22 @@ impl Supervisor {
                         .unwrap_or(0);
                     (info.processed + info.failed_batch).saturating_sub(now)
                 } else {
-                    info.processed.saturating_sub(shadow_processed) + info.failed_batch
+                    info.processed.saturating_sub(restored_at) + info.failed_batch
                 };
                 let report = RecoveryReport {
                     tenant: id.clone(),
                     attempts: guard.attempts,
                     backoff: guard.backoff_log.clone(),
-                    processed_at_shadow: shadow_processed,
+                    processed_at_shadow: restored_at,
                     processed_at_failure: info.processed,
                     points_lost,
-                    backlog_carried: outcome.carried,
-                    replayed: outcome.replayed,
+                    backlog_carried: if walled { 0 } else { brought },
+                    replayed: if walled { brought } else { 0 },
                 };
                 guard.attempts = 0;
                 guard.cooldown = 0;
                 guard.backoff_log.clear();
                 guard.last_recovery = Some(report.clone());
-                // The revived tenant *is* the shadow state: the existing
-                // shadow stays the valid restore point until it rolls.
                 pass.recovered.push(report);
             }
             Err(_) => {
@@ -256,15 +249,6 @@ impl Supervisor {
                 }
             }
         }
-    }
-
-    /// The stream position (`processed` counter) of a tenant's current
-    /// shadow, if one has been taken.
-    pub fn shadow_position(&self, id: &TenantId) -> Option<u64> {
-        let guards = self.guards.lock().unwrap_or_else(|e| e.into_inner());
-        guards
-            .get(id)
-            .and_then(|g| g.shadow.as_ref().map(|(at, _)| *at))
     }
 
     /// The most recent successful recovery of a tenant, if any.

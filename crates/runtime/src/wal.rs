@@ -58,11 +58,9 @@ use std::sync::{Mutex, MutexGuard};
 /// count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// `fsync` after every record: an acknowledged point is durable.
-    EveryRecord,
     /// `fsync` as soon as any tenant has `n` records (at least 1) since
     /// the last sync: at most `n - 1` acknowledged points of each tenant
-    /// are exposed. Round-robin traffic over `T` tenants syncs once per
+    /// are exposed, none under `EveryN(1)`. Round-robin traffic over `T` tenants syncs once per
     /// `T·(n − 1) + 1` records, one tenant's traffic once per `n`.
     EveryN(u32),
     /// `fsync` only when a segment is sealed.
@@ -368,7 +366,6 @@ impl FleetWal {
         s.next_seq += 1;
         s.in_active = true;
         let due = match self.tuning.fsync {
-            FsyncPolicy::EveryRecord => true,
             FsyncPolicy::EveryN(n) => {
                 s.unsynced += 1;
                 s.unsynced >= n.max(1)
@@ -542,7 +539,7 @@ mod tests {
     fn append_resume_roundtrip_preserves_every_record() {
         let dir = temp_dir("resume");
         let tuning = WalTuning {
-            fsync: FsyncPolicy::EveryRecord,
+            fsync: FsyncPolicy::EveryN(1),
             ..WalTuning::default()
         };
         let (a, b) = (tid("a"), tid("b"));
@@ -633,7 +630,7 @@ mod tests {
     fn an_evicted_stream_restarts_fresh_and_frees_its_segments() {
         let dir = temp_dir("evict");
         let tuning = WalTuning {
-            fsync: FsyncPolicy::EveryRecord,
+            fsync: FsyncPolicy::EveryN(1),
             segment_bytes: 1,
         };
         let a = tid("a");
@@ -666,7 +663,7 @@ mod tests {
     fn a_failed_rotation_neither_lists_nor_prunes_the_active_segment() {
         let dir = temp_dir("rotfail");
         let tuning = WalTuning {
-            fsync: FsyncPolicy::EveryRecord,
+            fsync: FsyncPolicy::EveryN(1),
             segment_bytes: 1,
         };
         let (a, b) = (tid("a"), tid("b"));

@@ -416,7 +416,7 @@ fn recovery_budget_exhausts_into_failed_then_manual_revive_works() {
         },
     );
     supervisor.tick();
-    let shadow = fleet.checkpoint_tenant(&b).unwrap();
+    fleet.checkpoint_tenant(&b).unwrap();
 
     // Every recovery attempt is scripted to fail; the panic fires on the
     // first processed point.
@@ -461,7 +461,7 @@ fn recovery_budget_exhausts_into_failed_then_manual_revive_works() {
 
     // Manual revive is the operator's escape hatch out of Failed.
     fleet.disarm_faults();
-    assert_eq!(fleet.revive_tenant(&b, &shadow).unwrap(), 0);
+    assert_eq!(fleet.revive_tenant(&b).unwrap(), 0);
     assert!(fleet.health(&b).unwrap().is_healthy());
     assert_eq!(fleet.process_batch(&b, &pts).unwrap().len(), pts.len());
 }

@@ -368,11 +368,11 @@ fn drain_out(
 #[test]
 fn revive_without_wal_processes_every_enqueued_point() {
     let (fleet, id) = two_slot_fleet("revive-plain", None);
-    let cp = fleet.checkpoint_tenant(&id).unwrap();
+    fleet.checkpoint_tenant(&id).unwrap();
     let base = fleet.tenant_stats(&id).unwrap().processed;
     let producer = wedge_producer(&fleet, &id);
 
-    assert_eq!(fleet.revive_tenant(&id, &cp).unwrap(), 2, "carried");
+    assert_eq!(fleet.revive_tenant(&id).unwrap(), 2, "carried");
     let (drained, outcome) = drain_out(&fleet, &id, producer);
     assert_eq!(outcome.unwrap(), IngestOutcome::Enqueued);
     assert_eq!(drained, 3, "an acknowledged point was dropped");
@@ -402,11 +402,11 @@ fn restore_releases_a_producer_waiting_for_room() {
 fn walled_revive_processes_every_admitted_point_once() {
     let root = temp_dir("revive-walled");
     let (fleet, id) = two_slot_fleet("revive-walled", Some(&root));
-    let cp = fleet.checkpoint_tenant(&id).unwrap();
+    fleet.checkpoint_tenant(&id).unwrap();
     let base = fleet.tenant_stats(&id).unwrap().processed;
     let producer = wedge_producer(&fleet, &id);
 
-    let replayed = fleet.revive_tenant(&id, &cp).unwrap();
+    let replayed = fleet.revive_tenant(&id).unwrap();
     let (drained, outcome) = drain_out(&fleet, &id, producer);
     assert_eq!(outcome.unwrap(), IngestOutcome::Enqueued);
     assert_eq!(replayed as usize + drained, 3);
@@ -433,14 +433,14 @@ fn lifecycle_calls_complete_while_a_producer_waits_for_room() {
             let root = temp_dir(&format!("{call:?}-{walled}"));
             let wal = walled.then(|| root.join("wal"));
             let (fleet, id) = two_slot_fleet("waited-on", wal.as_ref());
-            let cp = fleet.checkpoint_tenant(&id).unwrap();
+            fleet.checkpoint_tenant(&id).unwrap();
             let store = CheckpointStore::open(&root, 4).unwrap();
             let producer = wedge_producer(&fleet, &id);
 
             let caller = {
                 let (fleet, id) = (fleet.clone(), id.clone());
                 std::thread::spawn(move || match call {
-                    Call::Revive => fleet.revive_tenant(&id, &cp).map(drop),
+                    Call::Revive => fleet.revive_tenant(&id).map(drop),
                     Call::Evict => fleet.evict(&id),
                     Call::CheckpointDurable => fleet.checkpoint_durable(&store).map(drop),
                 })

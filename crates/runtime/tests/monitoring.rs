@@ -112,6 +112,8 @@ fn monitoring_reads_return_while_a_detector_is_held() {
                 fleet.tenant_stats(&a).unwrap(),
                 fleet.footprint(),
                 fleet.tenant_footprint(&a).unwrap(),
+                fleet.health(&a).unwrap(),
+                fleet.health_tag(&a).unwrap(),
             );
             tx.send(read).unwrap();
         })
@@ -122,12 +124,15 @@ fn monitoring_reads_return_while_a_detector_is_held() {
     release.wait();
     holder.join().unwrap();
     reader.join().unwrap();
-    let (stats, tenant_stats, footprint, tenant_footprint) =
+    let (stats, tenant_stats, footprint, tenant_footprint, health, health_tag) =
         read.expect("a monitoring read waited for the tenant's detector lock");
 
     assert_eq!(tenant_stats, want_a);
     assert_eq!(tenant_footprint, want_fp_a);
+    assert_eq!(health, TenantHealth::Healthy);
+    assert_eq!(health_tag, "healthy");
     assert_eq!(stats.tenants, 2);
+    assert_eq!(stats.quarantined, 0);
     assert_eq!(stats.processed, want_a.processed + want_b.processed);
     assert_eq!(stats.outliers, want_a.outliers + want_b.outliers);
     assert_eq!(footprint.tenants, 2);

@@ -16,8 +16,10 @@
 //!   over `T` tenants syncs once per `T·(n − 1) + 1` records, and one
 //!   tenant's traffic once per `n`.
 //! * **Zero-loss self-healing** — with the WAL enabled the supervisor's
-//!   revive replays the lost window from the log: `points_lost == 0`,
-//!   `replayed` counts the re-derived records.
+//!   revive replays the lost window from the log, from a restore point
+//!   every pruning checkpoint moves: `points_lost == 0`, `replayed`
+//!   counts the re-derived records. A walled restore replays the log too,
+//!   or is refused when its tail was pruned.
 //! * **Watermark pruning** — durable checkpoints prune sealed segments
 //!   once the slowest tenant's watermark passes them; an evicted tenant's
 //!   records do not hold a segment, an unclaimed tenant's do; a crash
@@ -234,7 +236,7 @@ fn ingest_until_crash(
 fn crash_recovery_replays_the_tail_bit_identically() {
     let dir = temp_dir("headline");
     let tuning = WalTuning {
-        fsync: FsyncPolicy::EveryRecord,
+        fsync: FsyncPolicy::EveryN(1),
         ..WalTuning::default()
     };
     let train = training(120, 5);
@@ -273,7 +275,7 @@ fn crash_recovery_replays_the_tail_bit_identically() {
 fn recovery_survives_a_torn_newest_checkpoint() {
     let dir = temp_dir("torn-ckpt");
     let tuning = WalTuning {
-        fsync: FsyncPolicy::EveryRecord,
+        fsync: FsyncPolicy::EveryN(1),
         ..WalTuning::default()
     };
     let train = training(120, 5);
@@ -314,7 +316,7 @@ fn a_point_the_detector_would_reject_never_reaches_the_log() {
     // detector already processed.
     let dir = temp_dir("reject");
     let tuning = WalTuning {
-        fsync: FsyncPolicy::EveryRecord,
+        fsync: FsyncPolicy::EveryN(1),
         ..WalTuning::default()
     };
     let train = training(120, 5);
@@ -384,7 +386,7 @@ fn a_point_the_detector_would_reject_never_reaches_the_log() {
 // ---- the kill-anywhere matrix ------------------------------------------
 
 /// How a scripted crash mutilates the log, and whether the victim's
-/// record at the crash survives it under `EveryRecord` fsync.
+/// record at the crash survives it under `EveryN(1)` fsync.
 #[derive(Debug, Clone, Copy)]
 enum Crash {
     /// The victim's record `kill_seq` is durable but unacknowledged: it
@@ -405,7 +407,7 @@ enum Crash {
 fn run_crash_case(tag: &str, victim: usize, kill_seq: u64, crash: Crash) {
     let dir = temp_dir(&format!("matrix-{tag}-{victim}-{kill_seq}"));
     let tuning = WalTuning {
-        fsync: FsyncPolicy::EveryRecord,
+        fsync: FsyncPolicy::EveryN(1),
         ..WalTuning::default()
     };
     let train = training(120, 5);
@@ -485,7 +487,7 @@ fn crash_mid_rotation_drops_the_torn_residue() {
     // inside the header write of tenant-a's 3rd rotation.
     let dir = temp_dir("rotation");
     let tuning = WalTuning {
-        fsync: FsyncPolicy::EveryRecord,
+        fsync: FsyncPolicy::EveryN(1),
         segment_bytes: 1,
     };
     let train = training(120, 5);
@@ -666,7 +668,7 @@ fn shared_segments_prune_at_the_slowest_watermark() {
 fn crash_between_checkpoint_and_prune_is_recoverable() {
     let dir = temp_dir("prune-crash");
     let tuning = WalTuning {
-        fsync: FsyncPolicy::EveryRecord,
+        fsync: FsyncPolicy::EveryN(1),
         segment_bytes: 1,
     };
     let train = training(120, 5);
@@ -753,13 +755,13 @@ fn supervised_revive_with_wal_replays_the_lost_window() {
     assert!(poisoned, "injected panic never fired");
     fleet.disarm_faults();
 
-    let shadow_at = sup.shadow_position(id).unwrap();
     let pass = sup.tick();
     assert_eq!(pass.recovered.len(), 1, "revive must succeed first try");
     let report = &pass.recovered[0];
     assert_eq!(
         report.points_lost, 0,
-        "the WAL must close the loss window (shadow at {shadow_at})"
+        "the WAL must close the loss window (shadow at {})",
+        report.processed_at_shadow
     );
     assert!(
         report.replayed > 0,
@@ -775,6 +777,51 @@ fn supervised_revive_with_wal_replays_the_lost_window() {
     fleet.drain_fully(id).unwrap();
     let admitted = fleet.tenant_stats(id).unwrap().processed as usize;
     assert_tenant_matches(&fleet, 0, &train, &pts[..admitted], "revive");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A pruning checkpoint moves the restore point with its watermark: the
+/// supervisor's revive after it finds its tail in the log, though the
+/// shadow cadence (the default 2048) never rolled the shadow past 0.
+#[test]
+fn supervised_revive_after_a_pruning_checkpoint_replays_from_the_restore_point() {
+    let dir = temp_dir("revive-pruned");
+    let tuning = WalTuning {
+        segment_bytes: 512,
+        ..WalTuning::default()
+    };
+    let train = training(120, 5);
+    let pts = stream(140, 22);
+    let (fleet, ids) = walled_fleet(&dir, tuning, &train, 1);
+    let id = &ids[0];
+    let store = CheckpointStore::open(&dir, 4).unwrap();
+    let sup = Supervisor::new(fleet.clone(), SupervisorConfig::default());
+    assert_eq!(sup.tick().shadows_taken, 1, "the shadow at 0");
+    fleet.process_batch(id, &pts[..100]).unwrap();
+    fleet.checkpoint_durable(&store).unwrap();
+    assert_eq!(fleet.wal_segment_count(), Some(1), "pruned to one segment");
+
+    // 40 more admitted; the 20th panics mid-drain.
+    fleet.arm_faults(FaultPlan::new().panic_at(id.clone(), 20));
+    for p in &pts[100..] {
+        fleet.ingest(id, p.clone()).unwrap();
+    }
+    assert!(matches!(
+        fleet.drain_fully(id),
+        Err(SpotError::TenantPoisoned { .. })
+    ));
+    fleet.disarm_faults();
+
+    let pass = sup.tick();
+    assert!(pass.failed.is_empty());
+    assert_eq!(pass.recovered.len(), 1, "revive must succeed first try");
+    let report = &pass.recovered[0];
+    assert_eq!(report.processed_at_shadow, 100);
+    assert_eq!(report.replayed, 40);
+    assert_eq!(report.points_lost, 0);
+    assert_eq!(fleet.stats().recoveries, 1);
+    assert_eq!(fleet.queue_len(id).unwrap(), 0);
+    assert_tenant_matches(&fleet, 0, &train, &pts, "revive after a prune");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -843,7 +890,7 @@ fn a_blocked_or_replaying_tenant_does_not_stall_its_co_tenants() {
     fleet
         .enable_wal(dir.join("wal-revive"), WalTuning::default())
         .unwrap();
-    let shadow = fleet.checkpoint_tenant(&a).unwrap();
+    fleet.checkpoint_tenant(&a).unwrap();
     for p in stream(TAIL as usize, 16) {
         fleet.ingest(&a, p).unwrap();
         if fleet.queue_len(&a).unwrap() >= 256 {
@@ -858,8 +905,8 @@ fn a_blocked_or_replaying_tenant_does_not_stall_its_co_tenants() {
     let mut during_replay = 0;
     for _ in 0..5 {
         let revive = {
-            let (fleet, a, shadow) = (fleet.clone(), a.clone(), shadow.clone());
-            std::thread::spawn(move || fleet.revive_tenant(&a, &shadow))
+            let (fleet, a) = (fleet.clone(), a.clone());
+            std::thread::spawn(move || fleet.revive_tenant(&a))
         };
         while !replaying() && !revive.is_finished() {
             std::hint::spin_loop();
@@ -883,6 +930,99 @@ fn a_blocked_or_replaying_tenant_does_not_stall_its_co_tenants() {
         during_replay > 0,
         "no ingest of b completed during a's replay"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A revive replays into a detector it has not registered yet, so a
+/// walled `process_batch` that fetched the tenant during the replay and
+/// then waited for its admission lock must still land in the detector
+/// the revive registered: the point is logged once and processed once.
+#[test]
+fn a_process_call_waiting_out_a_revive_reaches_the_revived_detector() {
+    const TAIL: u64 = 5_000;
+    let dir = temp_dir("process-during-revive");
+    let train = training(120, 5);
+    let fleet = SpotFleet::new(FleetConfig::default());
+    let a = tenant(0);
+    fleet.register(a.clone(), tenant_config(3)).unwrap();
+    fleet.learn(&a, &train).unwrap();
+    fleet.enable_wal(&dir, WalTuning::default()).unwrap();
+    fleet.checkpoint_tenant(&a).unwrap();
+    let pts = stream(TAIL as usize + 1, 17);
+    fleet.process_batch(&a, &pts[..TAIL as usize]).unwrap();
+
+    let revive = {
+        let (fleet, a) = (fleet.clone(), a.clone());
+        std::thread::spawn(move || fleet.revive_tenant(&a))
+    };
+    // The replay publishes its progress from the restore point at 0.
+    while fleet.tenant_stats(&a).unwrap().processed == TAIL && !revive.is_finished() {
+        std::hint::spin_loop();
+    }
+    fleet.process_batch(&a, &pts[TAIL as usize..]).unwrap();
+    assert_eq!(revive.join().unwrap().unwrap(), TAIL);
+    assert_eq!(fleet.wal_position(&a).unwrap(), Some(TAIL + 1));
+    let processed = fleet.with_tenant(&a, |s| s.stats().processed).unwrap();
+    assert_eq!(processed, TAIL + 1, "the point went to a replaced detector");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---- restoring a walled tenant ------------------------------------------
+
+/// A walled restore replays the log past the checkpoint before it swaps,
+/// so the detector and the log still agree afterwards: nothing admitted is
+/// rolled back, and a crash after it recovers every admitted point.
+#[test]
+fn walled_restore_then_crash_recovers_every_admitted_point() {
+    let dir = temp_dir("restore-crash");
+    let tuning = WalTuning::default();
+    let train = training(120, 5);
+    let pts = stream(300, 21);
+    let (fleet, ids) = walled_fleet(&dir, tuning, &train, 1);
+    let id = &ids[0];
+    let store = CheckpointStore::open(&dir, 4).unwrap();
+    fleet.process_batch(id, &pts[..100]).unwrap();
+    let generation = fleet.checkpoint_durable(&store).unwrap();
+    fleet.process_batch(id, &pts[100..200]).unwrap();
+    fleet
+        .restore_tenant(&store.load(generation).unwrap(), id)
+        .unwrap();
+    fleet.process_batch(id, &pts[200..250]).unwrap();
+    fleet.checkpoint_durable(&store).unwrap();
+    fleet.process_batch(id, &pts[250..]).unwrap();
+    assert_eq!(fleet.tenant_stats(id).unwrap().processed, 300);
+    drop(fleet);
+
+    assert_recovers_to_prefixes(&dir, tuning, &train, &[&pts], "restore-crash");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A generation whose log tail a later checkpoint pruned cannot be
+/// brought to the log's end: restoring it is refused with a typed error
+/// and the tenant stays as it was.
+#[test]
+fn restoring_a_generation_whose_tail_was_pruned_is_refused() {
+    let dir = temp_dir("restore-pruned");
+    let tuning = WalTuning {
+        segment_bytes: 512,
+        ..WalTuning::default()
+    };
+    let train = training(120, 5);
+    let pts = stream(200, 23);
+    let (fleet, ids) = walled_fleet(&dir, tuning, &train, 1);
+    let id = &ids[0];
+    let store = CheckpointStore::open(&dir, 4).unwrap();
+    fleet.process_batch(id, &pts[..100]).unwrap();
+    let old = fleet.checkpoint_durable(&store).unwrap();
+    fleet.process_batch(id, &pts[100..]).unwrap();
+    fleet.checkpoint_durable(&store).unwrap();
+
+    let err = fleet
+        .restore_tenant(&store.load(old).unwrap(), id)
+        .unwrap_err();
+    assert!(matches!(err, SpotError::WalCorrupt(_)), "got {err:?}");
+    assert!(fleet.health(id).unwrap().is_healthy());
+    assert_tenant_matches(&fleet, 0, &train, &pts, "refused restore");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -941,7 +1081,7 @@ fn per_tenant_logs_left_by_older_builds_are_refused() {
 fn wal_source_replays_admitted_points_bit_exactly() {
     let dir = temp_dir("source");
     let tuning = WalTuning {
-        fsync: FsyncPolicy::EveryRecord,
+        fsync: FsyncPolicy::EveryN(1),
         ..WalTuning::default()
     };
     let train = training(120, 5);
