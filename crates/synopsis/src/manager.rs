@@ -19,7 +19,9 @@ use spot_types::{
 /// projects or hashes the same coordinates twice and never materializes a
 /// per-subspace PCS list. On the steady state (no new cells) the whole
 /// path performs zero heap allocations: coordinates land in a reused
-/// scratch buffer and keys are `Copy` integers.
+/// scratch buffer, keys are `Copy` integers, and the decay table was
+/// allocated whole on its first extension (`tests/allocations.rs` counts
+/// both ingest loops and the prune).
 /// [`SynopsisManager::update_and_query`] is the full-report consumer of
 /// the same loop (baselines, tools): every cell's `(RD, IRSD)` pair into
 /// a caller-reused sink.
@@ -48,8 +50,10 @@ pub struct SynopsisManager {
     /// [`SynopsisManager::layout_epoch`].
     epoch: u64,
     /// The age → `δ^age` table behind every cell renormalization (derived
-    /// state, never persisted; see [`WeightCache`]). Extended to the tick
-    /// at hand before a point, a run or a prune; read-only inside one.
+    /// state, never persisted, not counted in [`SynopsisManager::approx_bytes`];
+    /// see [`WeightCache`]). Extended to the tick at hand before a point, a
+    /// run or a prune; read-only inside one. At most
+    /// [`WeightCache::MAX_AGES`] entries (32 KiB).
     weights: WeightCache,
 }
 
@@ -416,7 +420,8 @@ impl SynopsisManager {
     /// `floor`. Returns the total number of evicted cells.
     ///
     /// Decay factors come from the weight table the ingest paths use —
-    /// one load per live cell, the same eviction decisions as the model.
+    /// one load per live cell (a `powi` for a cell older than the table),
+    /// the same eviction decisions as the model.
     pub fn prune(&mut self, now: u64, floor: f64) -> usize {
         // Cells can be as old as `now`; extend the table once, up front,
         // so the scans below only read it.

@@ -577,9 +577,9 @@ impl ProjectedStore {
     /// Returns the number of evicted cells. This is what bounds the
     /// synopsis memory on an unbounded stream. A linear sweep over the
     /// contiguous columns with swap-remove compaction — cheap enough to
-    /// call on a short cadence — with factors from `weights`: one `powi`
-    /// per *distinct age* over the detector's lifetime instead of one per
-    /// cell. The table is read-only here.
+    /// call on a short cadence — with factors from `weights`: a load per
+    /// cell younger than the table's cap, the model's `powi` per older
+    /// one. The table is read-only here.
     pub fn prune(&mut self, weights: &WeightCache, now: u64, floor: f64) -> usize {
         let factor = |last: u64| weights.decay_between(last, now);
         // Eviction-horizon screen: every slot carries weight >= 1 at its

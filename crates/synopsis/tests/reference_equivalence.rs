@@ -436,7 +436,7 @@ fn idle_clock_past_the_table_cap_and_decay_underflow_matches_the_model() {
     // batch path, and in what a prune evicts.
     let dims = 3;
     let grid = Grid::new(DomainBounds::unit(dims), 6).unwrap();
-    // δ^MAX_AGES ≈ 1e-85 (tiny, not zero); δ^500_000 underflows to 0.
+    // δ^MAX_AGES ≈ 4.7e-6 (small, not zero); δ^500_000 underflows to 0.
     let tm = TimeModel::new(1000, 0.05).unwrap();
     let cap = WeightCache::MAX_AGES as u64;
     assert!(tm.weight_after(cap + 1) > 0.0 && tm.weight_after(500_000) == 0.0);
