@@ -8,6 +8,7 @@
 //! the windowed kNN baseline with window × ϕ; SPOT stays within interactive
 //! rates while exact kNN degrades fastest in absolute cost per point.
 
+use serde_json::Value;
 use spot::SpotBuilder;
 use spot_baselines::fullspace::{FullSpaceConfig, FullSpaceGridDetector};
 use spot_baselines::window_knn::{WindowKnnConfig, WindowKnnDetector};
@@ -90,5 +91,9 @@ fn main() {
         artifacts.push(out);
     }
 
-    emit("e01_throughput_dims", &table, &artifacts);
+    emit(
+        "e01_throughput_dims",
+        &table,
+        artifacts.iter().map(Value::from).collect::<Vec<_>>(),
+    );
 }

@@ -7,6 +7,7 @@
 //! latency and live synopsis state at each checkpoint. Expected shape: flat
 //! throughput, plateaued cell counts (stationary stream + pruning).
 
+use serde_json::{json, Value};
 use spot::SpotBuilder;
 use spot_bench::{emit, results_dir};
 use spot_data::{SyntheticConfig, SyntheticGenerator};
@@ -44,15 +45,7 @@ fn main() {
             "approx KiB",
         ],
     );
-    #[derive(serde::Serialize)]
-    struct Row {
-        points: usize,
-        throughput: f64,
-        us_per_point: f64,
-        projected_cells: usize,
-        bytes: usize,
-    }
-    let mut artifact: Vec<Row> = Vec::new();
+    let mut artifact: Vec<Value> = Vec::new();
 
     let mut processed = 0usize;
     for &target in &CHECKPOINTS {
@@ -72,15 +65,15 @@ fn main() {
             fp.projected_cells.to_string(),
             (fp.approx_bytes / 1024).to_string(),
         ]);
-        artifact.push(Row {
-            points: target,
-            throughput,
-            us_per_point: 1e6 * secs / segment as f64,
-            projected_cells: fp.projected_cells,
-            bytes: fp.approx_bytes,
-        });
+        artifact.push(json!({
+            "points": target,
+            "throughput": throughput,
+            "us_per_point": 1e6 * secs / segment as f64,
+            "projected_cells": fp.projected_cells,
+            "bytes": fp.approx_bytes,
+        }));
     }
 
-    emit("e02_scalability_length", &table, &artifact);
+    emit("e02_scalability_length", &table, artifact);
     println!("(figures data at {})", results_dir().display());
 }

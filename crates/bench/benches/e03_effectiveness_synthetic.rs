@@ -10,6 +10,7 @@
 //! precision) or misses everything, depending on threshold; random
 //! subspaces sit in between.
 
+use serde_json::Value;
 use spot::SpotBuilder;
 use spot_baselines::fullspace::{FullSpaceConfig, FullSpaceGridDetector};
 use spot_baselines::random_subspace::{RandomSubspaceConfig, RandomSubspaceDetector};
@@ -122,7 +123,11 @@ fn main() {
     push_row(&mut table, &out);
     artifacts.push(out);
 
-    emit("e03_effectiveness_synthetic", &table, &artifacts);
+    emit(
+        "e03_effectiveness_synthetic",
+        &table,
+        artifacts.iter().map(Value::from).collect::<Vec<_>>(),
+    );
     println!(
         "SPOT subspace recovery: {recovered}/{detected_true} detected outliers \
          explained with Jaccard >= 0.5 against the planted subspace"

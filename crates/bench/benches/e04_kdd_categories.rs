@@ -12,6 +12,7 @@
 //! rare-attack mixes; kNN is competitive on large-displacement families,
 //! weaker on the 2-dim R2L signature; the full-space grid floods alarms.
 
+use serde_json::{json, Value};
 use spot::SpotBuilder;
 use spot_baselines::fullspace::{FullSpaceConfig, FullSpaceGridDetector};
 use spot_baselines::window_knn::{WindowKnnConfig, WindowKnnDetector};
@@ -24,10 +25,16 @@ use std::collections::BTreeMap;
 const TRAIN: usize = 2000;
 const STREAM: usize = 12_000;
 
-#[derive(Default, Clone, serde::Serialize)]
+#[derive(Default, Clone)]
 struct FamilyStats {
     caught: u32,
     total: u32,
+}
+
+/// The artifact form of one detector's per-family counts.
+fn families_json(fams: BTreeMap<String, FamilyStats>) -> Value {
+    let row = |f: FamilyStats| json!({"caught": f.caught, "total": f.total});
+    Value::Object(fams.into_iter().map(|(k, f)| (k, row(f))).collect())
 }
 
 fn per_family<F>(
@@ -93,7 +100,7 @@ fn main() {
     }
     let records = generator.generate(STREAM);
 
-    let mut artifact: BTreeMap<String, BTreeMap<String, FamilyStats>> = BTreeMap::new();
+    let mut artifact: BTreeMap<String, Value> = BTreeMap::new();
 
     // SPOT (supervised: exemplars seed OS).
     let mut spot = SpotBuilder::new(DomainBounds::unit(NUM_FEATURES))
@@ -109,7 +116,7 @@ fn main() {
     });
     table.print();
     println!("spot fpr: {fpr:.4}\n");
-    artifact.insert("spot".into(), fams);
+    artifact.insert("spot".into(), families_json(fams));
 
     // Full-space grid.
     let mut full =
@@ -119,7 +126,7 @@ fn main() {
     let (table, fams, fpr) = per_family("fullspace-grid", &records, |r| full.process(&r.point));
     table.print();
     println!("fullspace fpr: {fpr:.4}\n");
-    artifact.insert("fullspace-grid".into(), fams);
+    artifact.insert("fullspace-grid".into(), families_json(fams));
 
     // Windowed kNN.
     let mut knn = WindowKnnDetector::new(WindowKnnConfig {
@@ -132,7 +139,7 @@ fn main() {
     let (table, fams, fpr) = per_family("window-knn", &records, |r| knn.process(&r.point));
     table.print();
     println!("window-knn fpr: {fpr:.4}\n");
-    artifact.insert("window-knn".into(), fams);
+    artifact.insert("window-knn".into(), families_json(fams));
 
     // SPOT again at a rare-attack mix: quantifies how much of the DoS loss
     // above is the rate effect (a flood saturating its own cells) rather
@@ -162,6 +169,10 @@ fn main() {
         StreamDetector::process(&mut spot, &r.point)
     });
     println!("spot (rare mix) fpr: {fpr:.4}");
-    artifact.insert("spot-rare-mix".into(), fams);
-    emit("e04_kdd_categories", &table, &artifact);
+    artifact.insert("spot-rare-mix".into(), families_json(fams));
+    emit(
+        "e04_kdd_categories",
+        &table,
+        Value::Object(artifact.into_iter().collect()),
+    );
 }

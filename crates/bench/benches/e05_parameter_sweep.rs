@@ -10,6 +10,7 @@
 //! granularity trades resolution against cell sparsity, peaking at
 //! moderate m; cost grows with both.
 
+use serde_json::{json, Value};
 use spot::SpotBuilder;
 use spot_bench::{emit, run_detector};
 use spot_data::{SyntheticConfig, SyntheticGenerator};
@@ -32,16 +33,7 @@ fn main() {
             "points/s",
         ],
     );
-    #[derive(serde::Serialize)]
-    struct Row {
-        max_dimension: usize,
-        granularity: u16,
-        sst: usize,
-        f1: f64,
-        fpr: f64,
-        throughput: f64,
-    }
-    let mut artifact: Vec<Row> = Vec::new();
+    let mut artifact: Vec<Value> = Vec::new();
 
     for max_dimension in [1usize, 2, 3] {
         for granularity in [5u16, 10, 15, 20] {
@@ -72,16 +64,16 @@ fn main() {
                 format!("{:.3}", out.fpr),
                 format!("{:.0}", out.throughput),
             ]);
-            artifact.push(Row {
-                max_dimension,
-                granularity,
-                sst,
-                f1: out.f1,
-                fpr: out.fpr,
-                throughput: out.throughput,
-            });
+            artifact.push(json!({
+                "max_dimension": max_dimension,
+                "granularity": granularity,
+                "sst": sst,
+                "f1": out.f1,
+                "fpr": out.fpr,
+                "throughput": out.throughput,
+            }));
         }
     }
 
-    emit("e05_parameter_sweep", &table, &artifact);
+    emit("e05_parameter_sweep", &table, artifact);
 }

@@ -9,6 +9,7 @@
 //! recovery with an evaluation budget that stays flat while brute force
 //! grows as Σ C(ϕ,k).
 
+use serde_json::{json, Value};
 use spot::{SparsityProblem, TrainingEvaluator};
 use spot_baselines::brute_force_top_k;
 use spot_bench::emit;
@@ -36,18 +37,7 @@ fn main() {
             "moga ms",
         ],
     );
-    #[derive(serde::Serialize)]
-    struct Row {
-        phi: usize,
-        brute_evals: usize,
-        moga_evals: usize,
-        recovered: usize,
-        within_band: usize,
-        top_k: usize,
-        brute_ms: f64,
-        moga_ms: f64,
-    }
-    let mut artifact: Vec<Row> = Vec::new();
+    let mut artifact: Vec<Value> = Vec::new();
 
     for phi in [10usize, 14, 18, 22] {
         // A training batch with one planted sparse point: the search target
@@ -131,16 +121,16 @@ fn main() {
             format!("{brute_ms:.1}"),
             format!("{moga_ms:.1}"),
         ]);
-        artifact.push(Row {
-            phi,
-            brute_evals: brute.evaluations(),
-            moga_evals: moga.evaluations,
-            recovered,
-            within_band,
-            top_k: TOP_K,
-            brute_ms,
-            moga_ms,
-        });
+        artifact.push(json!({
+            "phi": phi,
+            "brute_evals": brute.evaluations(),
+            "moga_evals": moga.evaluations,
+            "recovered": recovered,
+            "within_band": within_band,
+            "top_k": TOP_K,
+            "brute_ms": brute_ms,
+            "moga_ms": moga_ms,
+        }));
 
         // Convergence curve (figure data): hypervolume + best scalar per
         // generation for the largest lattice.
@@ -161,5 +151,5 @@ fn main() {
         }
     }
 
-    emit("e06_moga_quality", &table, &artifact);
+    emit("e06_moga_quality", &table, artifact);
 }

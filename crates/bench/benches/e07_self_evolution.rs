@@ -116,26 +116,17 @@ fn main() {
         ]);
     }
 
-    #[derive(serde::Serialize)]
-    struct Artifact {
-        window: usize,
-        drift_at: u64,
-        adaptive: Vec<f64>,
-        frozen: Vec<f64>,
-        adaptive_stats: String,
-        frozen_stats: String,
-    }
     emit(
         "e07_self_evolution",
         &table,
-        &Artifact {
-            window: WINDOW,
-            drift_at: DRIFT_AT,
-            adaptive: f1_adaptive,
-            frozen: f1_frozen,
-            adaptive_stats: format!("{:?}", adaptive.stats()),
-            frozen_stats: format!("{:?}", frozen.stats()),
-        },
+        serde_json::json!({
+            "window": WINDOW,
+            "drift_at": DRIFT_AT,
+            "adaptive": f1_adaptive,
+            "frozen": f1_frozen,
+            "adaptive_stats": format!("{:?}", adaptive.stats()),
+            "frozen_stats": format!("{:?}", frozen.stats()),
+        }),
     );
     println!("adaptive stats: {:?}", adaptive.stats());
     println!("frozen stats:   {:?}", frozen.stats());

@@ -16,6 +16,7 @@
 //! coordinate away from every cluster centre of its dimension, so each
 //! displaced dim is already 1-dim-visible.)
 
+use serde_json::{json, Value};
 use spot::{EvolutionConfig, Spot, SpotBuilder};
 use spot_bench::emit;
 use spot_data::{SensorConfig, SensorGenerator};
@@ -100,14 +101,7 @@ fn main() {
             "FPR",
         ],
     );
-    #[derive(serde::Serialize)]
-    struct Row {
-        configuration: String,
-        sst: usize,
-        families: BTreeMap<String, (u32, u32)>,
-        fpr: f64,
-    }
-    let mut artifact: Vec<Row> = Vec::new();
+    let mut artifact: Vec<Value> = Vec::new();
 
     let mut run = |name: &str, mut spot: Spot| {
         let sst = spot.sst().len();
@@ -125,12 +119,16 @@ fn main() {
             rate("stuck"),
             format!("{fpr:.4}"),
         ]);
-        artifact.push(Row {
-            configuration: name.to_string(),
-            sst,
-            families: fams,
-            fpr,
-        });
+        artifact.push(json!({
+            "configuration": name.to_string(),
+            "sst": sst,
+            "families": Value::Object(
+                fams.into_iter()
+                    .map(|(k, (c, t))| (k, Value::from(vec![c, t])))
+                    .collect()
+            ),
+            "fpr": fpr,
+        }));
     };
 
     // FS only: learn (warms synopses + estimates scales), then drop the
@@ -160,5 +158,5 @@ fn main() {
         .expect("learning succeeds");
     run("FS + CS + OS", spot);
 
-    emit("e08_sst_ablation", &table, &artifact);
+    emit("e08_sst_ablation", &table, artifact);
 }

@@ -17,6 +17,7 @@
 //! Expected shape: median expired fraction ≈ ε; estimate error shrinks with
 //! ε; the decayed counter stays O(1) bytes while the window buffer is O(ω).
 
+use serde_json::{json, Value};
 use spot_bench::emit;
 use spot_metrics::Table;
 use spot_stream::{DecayedCounter, TimeModel};
@@ -49,17 +50,7 @@ fn main() {
             "window bytes",
         ],
     );
-    #[derive(serde::Serialize)]
-    struct Row {
-        epsilon: f64,
-        median_expired_fraction: f64,
-        max_expired_fraction: f64,
-        mean_rel_err: f64,
-        p95_rel_err: f64,
-        decayed_bytes: usize,
-        window_bytes: usize,
-    }
-    let mut artifact: Vec<Row> = Vec::new();
+    let mut artifact: Vec<Value> = Vec::new();
 
     for &epsilon in &[0.2f64, 0.1, 0.05, 0.01, 0.001] {
         let model = TimeModel::new(OMEGA, epsilon).expect("parameters are valid");
@@ -148,16 +139,16 @@ fn main() {
             median_fraction <= epsilon * 1.5 + 1e-6,
             "median expired fraction {median_fraction} is far above epsilon {epsilon}"
         );
-        artifact.push(Row {
-            epsilon,
-            median_expired_fraction: median_fraction,
-            max_expired_fraction: max_fraction,
-            mean_rel_err: mean_err,
-            p95_rel_err: p95,
-            decayed_bytes,
-            window_bytes,
-        });
+        artifact.push(json!({
+            "epsilon": epsilon,
+            "median_expired_fraction": median_fraction,
+            "max_expired_fraction": max_fraction,
+            "mean_rel_err": mean_err,
+            "p95_rel_err": p95,
+            "decayed_bytes": decayed_bytes,
+            "window_bytes": window_bytes,
+        }));
     }
 
-    emit("e09_time_model", &table, &artifact);
+    emit("e09_time_model", &table, artifact);
 }

@@ -8,6 +8,7 @@
 //! cuts the totals substantially without touching fresh state; everything
 //! is orders of magnitude below the raw-window equivalent.
 
+use serde_json::{json, Value};
 use spot::SpotBuilder;
 use spot_bench::emit;
 use spot_data::{SyntheticConfig, SyntheticGenerator};
@@ -30,16 +31,7 @@ fn main() {
             "raw-window KiB",
         ],
     );
-    #[derive(serde::Serialize)]
-    struct Row {
-        phi: usize,
-        granularity: u16,
-        pruning: bool,
-        projected_cells: usize,
-        bytes: usize,
-        raw_window_bytes: usize,
-    }
-    let mut artifact: Vec<Row> = Vec::new();
+    let mut artifact: Vec<Value> = Vec::new();
 
     for phi in [8usize, 16, 32] {
         for m in [5u16, 10, 20] {
@@ -81,17 +73,17 @@ fn main() {
                     (fp.approx_bytes / 1024).to_string(),
                     (raw_window_bytes / 1024).to_string(),
                 ]);
-                artifact.push(Row {
-                    phi,
-                    granularity: m,
-                    pruning,
-                    projected_cells: fp.projected_cells,
-                    bytes: fp.approx_bytes,
-                    raw_window_bytes,
-                });
+                artifact.push(json!({
+                    "phi": phi,
+                    "granularity": m,
+                    "pruning": pruning,
+                    "projected_cells": fp.projected_cells,
+                    "bytes": fp.approx_bytes,
+                    "raw_window_bytes": raw_window_bytes,
+                }));
             }
         }
     }
 
-    emit("e10_memory", &table, &artifact);
+    emit("e10_memory", &table, artifact);
 }

@@ -14,7 +14,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
+use serde_json::{json, Value};
 use spot::{SpotBuilder, SpotConfig};
 use spot_runtime::{
     FaultPlan, FleetConfig, OverloadPolicy, SpotFleet, Supervisor, SupervisorConfig, TenantId,
@@ -61,7 +61,6 @@ fn learned_fleet(tenants: usize, train: &[DataPoint]) -> (SpotFleet, Vec<TenantI
     (fleet, ids)
 }
 
-#[derive(Serialize)]
 struct RecoveryTrial {
     trial: usize,
     /// Stream ordinal (within the faulted tenant) of the injected panic.
@@ -75,27 +74,16 @@ struct RecoveryTrial {
     recover_micros: u64,
 }
 
-#[derive(Serialize)]
-struct OverloadArm {
-    policy: String,
-    /// Producer-side admission rate: points offered per second while a
-    /// deliberately slow consumer keeps the bounded queue saturated.
-    offered_pts_per_sec: f64,
-    enqueued: u64,
-    shed: u64,
-    sampled_kept: u64,
-}
-
-#[derive(Serialize)]
-struct RecoveryBaseline {
-    seed: u64,
-    cores: usize,
-    phi: usize,
-    shadow_every: u64,
-    trials: Vec<RecoveryTrial>,
-    median_recover_micros: u64,
-    /// Block / Shed / Sample admission under a saturated queue.
-    overload: Vec<OverloadArm>,
+impl From<&RecoveryTrial> for Value {
+    fn from(t: &RecoveryTrial) -> Self {
+        json!({
+            "trial": t.trial,
+            "panic_ordinal": t.panic_ordinal,
+            "points_lost": t.points_lost,
+            "backlog_carried": t.backlog_carried,
+            "recover_micros": t.recover_micros,
+        })
+    }
 }
 
 fn trial_count() -> usize {
@@ -165,7 +153,10 @@ fn recovery_trial(trial: usize, train: &[DataPoint]) -> RecoveryTrial {
 /// points under `policy` while the main thread drains micro-batches; the
 /// bounded queue stays full most of the run, so the policy decides the
 /// producer's fate (block, drop, or keep 1-in-k).
-fn overload_arm(policy: OverloadPolicy, label: &str, train: &[DataPoint]) -> OverloadArm {
+/// One admission policy under a saturated queue: `offered_pts_per_sec` is
+/// the producer-side admission rate while a deliberately slow consumer
+/// keeps the bounded queue full.
+fn overload_arm(policy: OverloadPolicy, label: &str, train: &[DataPoint]) -> Value {
     let (fleet, ids) = learned_fleet(1, train);
     let id = &ids[0];
     fleet.set_overload_policy(id, policy).unwrap();
@@ -196,13 +187,13 @@ fn overload_arm(policy: OverloadPolicy, label: &str, train: &[DataPoint]) -> Ove
         "{label:<22} {offered:>10.0} offered pts/s  (shed {}, sampled-kept {})",
         stats.shed, stats.sampled_kept
     );
-    OverloadArm {
-        policy: label.to_string(),
-        offered_pts_per_sec: offered,
-        enqueued: stats.processed,
-        shed: stats.shed,
-        sampled_kept: stats.sampled_kept,
-    }
+    json!({
+        "policy": label,
+        "offered_pts_per_sec": offered,
+        "enqueued": stats.processed,
+        "shed": stats.shed,
+        "sampled_kept": stats.sampled_kept,
+    })
 }
 
 fn main() {
@@ -240,15 +231,16 @@ fn main() {
         ),
     ];
 
-    let out = RecoveryBaseline {
-        seed: SEED,
-        cores,
-        phi: PHI,
-        shadow_every: SHADOW_EVERY,
-        trials,
-        median_recover_micros,
-        overload,
-    };
+    let out = json!({
+        "seed": SEED,
+        "cores": cores,
+        "phi": PHI,
+        "shadow_every": SHADOW_EVERY,
+        "trials": trials.iter().map(Value::from).collect::<Vec<_>>(),
+        "median_recover_micros": median_recover_micros,
+        // Block / Shed / Sample admission under a saturated queue.
+        "overload": overload,
+    });
     let path =
         std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_recovery.json");
     let f = std::fs::File::create(&path).expect("create BENCH_recovery.json");

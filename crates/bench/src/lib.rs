@@ -6,14 +6,14 @@
 //! collecting effectiveness and efficiency measurements, and writing the
 //! table + JSON artifact pair.
 
-use serde::Serialize;
+use serde_json::{json, Value};
 use spot_metrics::{roc_auc, ConfusionMatrix, Table, ThroughputMeter};
 use spot_types::{LabeledRecord, StreamDetector};
 use std::path::PathBuf;
 
 /// Everything measured while streaming a labeled dataset through a
 /// detector.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RunOutcome {
     /// Detector name.
     pub detector: String,
@@ -35,6 +35,24 @@ pub struct RunOutcome {
     pub throughput: f64,
     /// Wall-clock seconds of the detection stage.
     pub seconds: f64,
+}
+
+impl From<&RunOutcome> for Value {
+    fn from(o: &RunOutcome) -> Self {
+        let c = &o.confusion;
+        json!({
+            "detector": o.detector.as_str(),
+            "points": o.points,
+            "confusion": json!({"tp": c.tp, "fp": c.fp, "tn": c.tn, "fn_": c.fn_}),
+            "precision": o.precision,
+            "recall": o.recall,
+            "f1": o.f1,
+            "fpr": o.fpr,
+            "auc": o.auc,
+            "throughput": o.throughput,
+            "seconds": o.seconds,
+        })
+    }
 }
 
 /// Streams `records` through `detector` (already learned) and measures
@@ -76,23 +94,18 @@ pub fn results_dir() -> PathBuf {
 }
 
 /// Prints the table and writes the artifact next to it.
-pub fn emit<T: Serialize>(experiment: &str, table: &Table, artifact: &T) {
+pub fn emit(experiment: &str, table: &Table, artifact: impl Into<Value>) {
     table.print();
     let path = results_dir().join(format!("{experiment}.json"));
     match std::fs::File::create(&path) {
         Ok(f) => {
-            if serde_json::to_writer_pretty(f, artifact).is_ok() {
+            if serde_json::to_writer_pretty(f, &artifact.into()).is_ok() {
                 println!("(artifact: {})", path.display());
             }
         }
         Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }
     println!();
-}
-
-/// Extracts only the points from labeled records (for training splits).
-pub fn points_of(records: &[LabeledRecord]) -> Vec<spot_types::DataPoint> {
-    records.iter().map(|r| r.point.clone()).collect()
 }
 
 #[cfg(test)]

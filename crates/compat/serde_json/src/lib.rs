@@ -1,35 +1,129 @@
-//! In-tree stand-in for `serde_json`: renders the `serde` stand-in's value
-//! tree to JSON text and parses it back. Supports exactly the JSON subset
-//! that tree produces (null, bool, number, string, array, object).
+//! In-tree stand-in for `serde_json`: a JSON [`Value`] tree, its text
+//! renderer and its parser. Supports exactly the JSON the workspace speaks
+//! (null, bool, number, string, array, object); numbers keep their
+//! integer/float identity so `u64` values round-trip exactly.
 
-use serde::{DeError, Deserialize, Serialize, Value};
 use std::io::Write;
 
-/// Serialization/deserialization error.
+/// A JSON value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// JSON `null`.
+    Null,
+    /// JSON boolean.
+    Bool(bool),
+    /// Unsigned integer (u64 precision preserved).
+    U64(u64),
+    /// Signed integer.
+    I64(i64),
+    /// Floating point.
+    F64(f64),
+    /// String.
+    Str(String),
+    /// Array.
+    Array(Vec<Value>),
+    /// Object with insertion-ordered entries.
+    Object(Vec<(String, Value)>),
+}
+
+impl Value {
+    /// Looks up a field of an object value.
+    pub fn get_field(&self, name: &str) -> Option<&Value> {
+        match self {
+            Value::Object(entries) => entries.iter().find(|(k, _)| k == name).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Looks up an element of an array value.
+    pub fn get_index(&self, idx: usize) -> Option<&Value> {
+        match self {
+            Value::Array(items) => items.get(idx),
+            _ => None,
+        }
+    }
+}
+
+macro_rules! from_unsigned {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Value {
+            fn from(n: $t) -> Self { Value::U64(n as u64) }
+        }
+    )*};
+}
+from_unsigned!(u8, u16, u32, u64, usize);
+
+impl From<i64> for Value {
+    fn from(n: i64) -> Self {
+        Value::I64(n)
+    }
+}
+
+impl From<f64> for Value {
+    fn from(f: f64) -> Self {
+        Value::F64(f)
+    }
+}
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Self {
+        Value::Bool(b)
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Self {
+        Value::Str(s)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Self {
+        Value::Str(s.to_string())
+    }
+}
+
+impl<T: Into<Value>> From<Vec<T>> for Value {
+    fn from(items: Vec<T>) -> Self {
+        Value::Array(items.into_iter().map(Into::into).collect())
+    }
+}
+
+/// Builds an object from literal keys and values convertible into
+/// [`Value`]: `json!({"rows": rows, "seed": 42})` — the object form of the
+/// real crate's macro.
+#[macro_export]
+macro_rules! json {
+    ({ $($key:literal : $value:expr),* $(,)? }) => {
+        $crate::Value::Object(vec![$(($key.to_string(), $crate::Value::from($value))),*])
+    };
+}
+
+/// Parse or I/O failure.
 #[derive(Debug)]
 pub enum Error {
-    /// Parsing or mapping failure.
-    De(DeError),
+    /// Malformed JSON text.
+    Syntax(String),
     /// I/O failure while writing.
     Io(std::io::Error),
+}
+
+impl Error {
+    fn syntax(msg: impl Into<String>) -> Self {
+        Error::Syntax(msg.into())
+    }
 }
 
 impl std::fmt::Display for Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Error::De(e) => write!(f, "{e}"),
+            Error::Syntax(e) => write!(f, "json: {e}"),
             Error::Io(e) => write!(f, "io: {e}"),
         }
     }
 }
 
 impl std::error::Error for Error {}
-
-impl From<DeError> for Error {
-    fn from(e: DeError) -> Self {
-        Error::De(e)
-    }
-}
 
 impl From<std::io::Error> for Error {
     fn from(e: std::io::Error) -> Self {
@@ -159,22 +253,6 @@ fn render<S: Sink>(v: &Value, pretty: bool, indent: usize, out: &mut S) {
             }
             out.put_char(']');
         }
-        // Byte-identical to the equivalent `Array` of `U64` entries — the
-        // packed column is a storage representation, not a format change.
-        Value::U64Col(col) => {
-            out.put_char('[');
-            for (i, n) in col.iter().enumerate() {
-                if i > 0 {
-                    out.put_char(',');
-                }
-                pad(indent + 1, out);
-                put_u64(*n, out);
-            }
-            if !col.is_empty() {
-                pad(indent, out);
-            }
-            out.put_char(']');
-        }
         Value::Object(entries) => {
             out.put_char('{');
             for (i, (k, val)) in entries.iter().enumerate() {
@@ -197,45 +275,34 @@ fn render<S: Sink>(v: &Value, pretty: bool, indent: usize, out: &mut S) {
     }
 }
 
-/// Serializes a value to compact JSON text.
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
+/// Renders a value as compact JSON text.
+pub fn to_string(value: &Value) -> Result<String> {
     let mut out = String::new();
-    render(&value.to_value(), false, 0, &mut out);
+    render(value, false, 0, &mut out);
     Ok(out)
 }
 
-/// Serializes a value to pretty-printed JSON text.
-pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
+/// Renders a value as pretty-printed JSON text.
+pub fn to_string_pretty(value: &Value) -> Result<String> {
     let mut out = String::new();
-    render(&value.to_value(), true, 0, &mut out);
+    render(value, true, 0, &mut out);
     Ok(out)
 }
 
-/// Serializes a value as compact JSON directly into a writer — the
-/// document is streamed out piecewise, never materialized as one string
-/// (pair with `std::io::BufWriter` for file targets).
-pub fn to_writer<W: Write, T: Serialize + ?Sized>(w: W, value: &T) -> Result<()> {
+/// Renders a value as pretty JSON straight into a writer — streamed out
+/// piecewise, never materialized as one string (pair with
+/// `std::io::BufWriter` for file targets).
+pub fn to_writer_pretty<W: Write>(w: W, value: &Value) -> Result<()> {
     let mut sink = IoSink { w, err: None };
-    render(&value.to_value(), false, 0, &mut sink);
+    render(value, true, 0, &mut sink);
     match sink.err {
         Some(e) => Err(Error::Io(e)),
         None => Ok(()),
     }
 }
 
-/// Serializes a value as pretty JSON into a writer (streaming, like
-/// [`to_writer`]).
-pub fn to_writer_pretty<W: Write, T: Serialize + ?Sized>(w: W, value: &T) -> Result<()> {
-    let mut sink = IoSink { w, err: None };
-    render(&value.to_value(), true, 0, &mut sink);
-    match sink.err {
-        Some(e) => Err(Error::Io(e)),
-        None => Ok(()),
-    }
-}
-
-/// Parses a JSON string into any `Deserialize` type.
-pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
+/// Parses JSON text into a [`Value`] (or anything built from one).
+pub fn from_str<T: From<Value>>(s: &str) -> Result<T> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
@@ -244,9 +311,9 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
     let v = p.parse_value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
-        return Err(DeError::custom("trailing characters after JSON value").into());
+        return Err(Error::syntax("trailing characters after JSON value"));
     }
-    Ok(T::from_value(&v)?)
+    Ok(T::from(v))
 }
 
 struct Parser<'a> {
@@ -272,7 +339,10 @@ impl Parser<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(DeError::custom(format!("expected `{}` at byte {}", b as char, self.pos)).into())
+            Err(Error::syntax(format!(
+                "expected `{}` at byte {}",
+                b as char, self.pos
+            )))
         }
     }
 
@@ -286,9 +356,10 @@ impl Parser<'_> {
             Some(b'[') => self.parse_array(),
             Some(b'{') => self.parse_object(),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            other => {
-                Err(DeError::custom(format!("unexpected byte {other:?} at {}", self.pos)).into())
-            }
+            other => Err(Error::syntax(format!(
+                "unexpected byte {other:?} at {}",
+                self.pos
+            ))),
         }
     }
 
@@ -297,7 +368,10 @@ impl Parser<'_> {
             self.pos += lit.len();
             Ok(v)
         } else {
-            Err(DeError::custom(format!("invalid literal at byte {}", self.pos)).into())
+            Err(Error::syntax(format!(
+                "invalid literal at byte {}",
+                self.pos
+            )))
         }
     }
 
@@ -306,14 +380,14 @@ impl Parser<'_> {
         let mut out = String::new();
         loop {
             let Some(b) = self.peek() else {
-                return Err(DeError::custom("unterminated string").into());
+                return Err(Error::syntax("unterminated string"));
             };
             self.pos += 1;
             match b {
                 b'"' => return Ok(out),
                 b'\\' => {
                     let Some(esc) = self.peek() else {
-                        return Err(DeError::custom("unterminated escape").into());
+                        return Err(Error::syntax("unterminated escape"));
                     };
                     self.pos += 1;
                     match esc {
@@ -327,21 +401,20 @@ impl Parser<'_> {
                         b'f' => out.push('\u{c}'),
                         b'u' => {
                             if self.pos + 4 > self.bytes.len() {
-                                return Err(DeError::custom("truncated \\u escape").into());
+                                return Err(Error::syntax("truncated \\u escape"));
                             }
                             let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| DeError::custom("bad \\u escape"))?;
+                                .map_err(|_| Error::syntax("bad \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| DeError::custom("bad \\u escape"))?;
+                                .map_err(|_| Error::syntax("bad \\u escape"))?;
                             self.pos += 4;
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         }
                         other => {
-                            return Err(DeError::custom(format!(
+                            return Err(Error::syntax(format!(
                                 "unknown escape \\{}",
                                 other as char
-                            ))
-                            .into())
+                            )))
                         }
                     }
                 }
@@ -358,7 +431,7 @@ impl Parser<'_> {
                         };
                         let end = (start + width).min(self.bytes.len());
                         let s = std::str::from_utf8(&self.bytes[start..end])
-                            .map_err(|_| DeError::custom("invalid UTF-8 in string"))?;
+                            .map_err(|_| Error::syntax("invalid UTF-8 in string"))?;
                         out.push_str(s);
                         self.pos = end;
                     }
@@ -384,7 +457,7 @@ impl Parser<'_> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| DeError::custom("invalid number"))?;
+            .map_err(|_| Error::syntax("invalid number"))?;
         if !is_float {
             if let Ok(n) = text.parse::<u64>() {
                 return Ok(Value::U64(n));
@@ -395,7 +468,7 @@ impl Parser<'_> {
         }
         text.parse::<f64>()
             .map(Value::F64)
-            .map_err(|_| DeError::custom(format!("invalid number `{text}`")).into())
+            .map_err(|_| Error::syntax(format!("invalid number `{text}`")))
     }
 
     fn parse_array(&mut self) -> Result<Value> {
@@ -417,7 +490,7 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Value::Array(items));
                 }
-                _ => return Err(DeError::custom("expected `,` or `]`").into()),
+                _ => return Err(Error::syntax("expected `,` or `]`")),
             }
         }
     }
@@ -446,7 +519,7 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Value::Object(entries));
                 }
-                _ => return Err(DeError::custom("expected `,` or `}`").into()),
+                _ => return Err(Error::syntax("expected `,` or `}`")),
             }
         }
     }
@@ -481,10 +554,41 @@ mod tests {
     }
 
     #[test]
+    fn primitives_roundtrip() {
+        for v in [
+            Value::from(u64::MAX),
+            Value::from(-7i64),
+            Value::from(1.25),
+            Value::from(true),
+            Value::from("hi"),
+        ] {
+            assert_eq!(from_str::<Value>(&to_string(&v).unwrap()).unwrap(), v);
+        }
+    }
+
+    #[test]
+    fn option_and_vec_roundtrip() {
+        let v = Value::from(vec![Value::Null, Value::from(vec![1u16, 2, 3])]);
+        assert_eq!(to_string(&v).unwrap(), "[null,[1,2,3]]");
+        assert_eq!(from_str::<Value>("[null,[1,2,3]]").unwrap(), v);
+    }
+
+    #[test]
+    fn field_lookup() {
+        let v = json!({"a": 1u64});
+        assert_eq!(v.get_field("a"), Some(&Value::U64(1)));
+        assert_eq!(v.get_field("b"), None);
+        assert_eq!(Value::from(vec![7u8]).get_index(0), Some(&Value::U64(7)));
+    }
+
+    #[test]
     fn floats_keep_identity() {
-        let text = to_string(&2.0f64).unwrap();
+        let text = to_string(&Value::F64(2.0)).unwrap();
         assert_eq!(text, "2.0");
-        let back: f64 = from_str(&text).unwrap();
-        assert_eq!(back, 2.0);
+        assert_eq!(from_str::<Value>(&text).unwrap(), Value::F64(2.0));
+        assert_eq!(
+            to_string(&json!({"n": 3u64, "f": 0.1, "s": "x", "v": vec![1u32]})).unwrap(),
+            r#"{"n":3,"f":0.1,"s":"x","v":[1]}"#
+        );
     }
 }

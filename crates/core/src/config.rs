@@ -2,7 +2,9 @@
 
 use spot_moga::MogaConfig;
 use spot_stream::TimeModel;
-use spot_types::{DomainBounds, Result, SpotError};
+use spot_types::{
+    DomainBounds, DurableState, PersistError, Result, SpotError, StateReader, StateWriter,
+};
 
 /// Outlier-ness thresholds applied to the PCS of a point's projected cell.
 ///
@@ -10,7 +12,7 @@ use spot_types::{DomainBounds, Result, SpotError};
 /// `irsd` is set — `irsd < irsd` for the cell it falls into (the paper's
 /// "PCS of the cell it belongs to in one or more subspaces fall\[s\] under
 /// certain pre-specified thresholds").
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Thresholds {
     /// Relative-density threshold (e.g. 0.1 = ten times sparser than the
     /// uniform expectation).
@@ -34,7 +36,7 @@ impl Default for Thresholds {
 }
 
 /// Knobs of the offline learning stage.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LearningConfig {
     /// MOGA parameters shared by all learning-stage searches.
     pub moga: MogaConfig,
@@ -73,7 +75,7 @@ impl Default for LearningConfig {
 }
 
 /// Online adaptation: CS self-evolution and OS growth.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EvolutionConfig {
     /// Master switch.
     pub enabled: bool,
@@ -107,7 +109,7 @@ impl Default for EvolutionConfig {
 /// revisiting its populated cells, so the signal hovers near zero; when the
 /// distribution moves, arriving points keep opening never-seen cells and
 /// the signal jumps.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DriftConfig {
     /// Master switch.
     pub enabled: bool,
@@ -139,7 +141,7 @@ impl Default for DriftConfig {
 }
 
 /// Full SPOT configuration.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpotConfig {
     /// Attribute domain bounds (defines the grid box and ϕ).
     pub bounds: DomainBounds,
@@ -352,6 +354,135 @@ impl SpotBuilder {
     /// Builds the detector directly.
     pub fn build(self) -> Result<crate::Spot> {
         crate::Spot::new(self.build_config()?)
+    }
+}
+
+// Configuration is captured with every checkpoint. An optional knob is a
+// column of zero or one entries.
+
+/// The entry of a zero-or-one column.
+fn optional<T>(name: &str, col: Vec<T>) -> std::result::Result<Option<T>, PersistError> {
+    if col.len() > 1 {
+        return Err(PersistError::custom(format!(
+            "field `{name}`: {} entries for an optional value",
+            col.len()
+        )));
+    }
+    Ok(col.into_iter().next())
+}
+
+impl DurableState for Thresholds {
+    fn capture(&self, w: &mut StateWriter) {
+        w.f64_bits("rd", self.rd);
+        w.f64_bits_col("irsd", self.irsd);
+    }
+
+    fn restore(&mut self, r: &StateReader<'_>) -> std::result::Result<(), PersistError> {
+        self.rd = r.f64_bits("rd")?;
+        self.irsd = optional("irsd", r.f64_bits_col("irsd")?)?;
+        Ok(())
+    }
+}
+
+impl DurableState for LearningConfig {
+    fn capture(&self, w: &mut StateWriter) {
+        w.component("moga", &self.moga);
+        w.f64_bits_col("leader_tau", self.leader_tau);
+        w.u64("od_runs", self.od_runs as u64);
+        w.f64_bits("od_alpha", self.od_alpha);
+        w.f64_bits("top_fraction", self.top_fraction);
+        w.u64("moga_top_k", self.moga_top_k as u64);
+        w.u64_col("max_cardinality", self.max_cardinality.map(|c| c as u64));
+        w.bool("replay_training", self.replay_training);
+    }
+
+    fn restore(&mut self, r: &StateReader<'_>) -> std::result::Result<(), PersistError> {
+        r.restore_component("moga", &mut self.moga)?;
+        self.leader_tau = optional("leader_tau", r.f64_bits_col("leader_tau")?)?;
+        self.od_runs = r.usize("od_runs")?;
+        self.od_alpha = r.f64_bits("od_alpha")?;
+        self.top_fraction = r.f64_bits("top_fraction")?;
+        self.moga_top_k = r.usize("moga_top_k")?;
+        self.max_cardinality = optional("max_cardinality", r.u64_col("max_cardinality")?)?
+            .map(|c| usize::try_from(c).unwrap_or(usize::MAX));
+        self.replay_training = r.bool("replay_training")?;
+        Ok(())
+    }
+}
+
+impl DurableState for EvolutionConfig {
+    fn capture(&self, w: &mut StateWriter) {
+        w.bool("enabled", self.enabled);
+        w.u64("period", self.period);
+        w.u64("outlier_buffer", self.outlier_buffer as u64);
+        w.u64("reservoir", self.reservoir as u64);
+        w.u64("min_outliers_for_os", self.min_outliers_for_os as u64);
+    }
+
+    fn restore(&mut self, r: &StateReader<'_>) -> std::result::Result<(), PersistError> {
+        self.enabled = r.bool("enabled")?;
+        self.period = r.u64("period")?;
+        self.outlier_buffer = r.usize("outlier_buffer")?;
+        self.reservoir = r.usize("reservoir")?;
+        self.min_outliers_for_os = r.usize("min_outliers_for_os")?;
+        Ok(())
+    }
+}
+
+impl DurableState for DriftConfig {
+    fn capture(&self, w: &mut StateWriter) {
+        w.bool("enabled", self.enabled);
+        w.f64_bits("delta", self.delta);
+        w.f64_bits("lambda", self.lambda);
+        w.u64("min_points", self.min_points);
+        w.f64_bits("novelty_floor", self.novelty_floor);
+    }
+
+    fn restore(&mut self, r: &StateReader<'_>) -> std::result::Result<(), PersistError> {
+        self.enabled = r.bool("enabled")?;
+        self.delta = r.f64_bits("delta")?;
+        self.lambda = r.f64_bits("lambda")?;
+        self.min_points = r.u64("min_points")?;
+        self.novelty_floor = r.f64_bits("novelty_floor")?;
+        Ok(())
+    }
+}
+
+impl DurableState for SpotConfig {
+    fn capture(&self, w: &mut StateWriter) {
+        w.component("bounds", &self.bounds);
+        w.u64("granularity", u64::from(self.granularity));
+        w.component("time_model", &self.time_model);
+        w.component("thresholds", &self.thresholds);
+        w.u64("fs_max_dimension", self.fs_max_dimension as u64);
+        w.u64("cs_capacity", self.cs_capacity as u64);
+        w.u64("os_capacity", self.os_capacity as u64);
+        w.component("learning", &self.learning);
+        w.component("evolution", &self.evolution);
+        w.component("drift", &self.drift);
+        w.u64("prune_every", self.prune_every);
+        w.f64_bits("prune_floor", self.prune_floor);
+        w.u64("seed", self.seed);
+    }
+
+    /// Restores every field; [`SpotConfig::validate`] is the caller's
+    /// (building a detector runs it).
+    fn restore(&mut self, r: &StateReader<'_>) -> std::result::Result<(), PersistError> {
+        r.restore_component("bounds", &mut self.bounds)?;
+        self.granularity = u16::try_from(r.u64("granularity")?)
+            .map_err(|_| PersistError::custom("granularity overflows u16"))?;
+        r.restore_component("time_model", &mut self.time_model)?;
+        r.restore_component("thresholds", &mut self.thresholds)?;
+        self.fs_max_dimension = r.usize("fs_max_dimension")?;
+        self.cs_capacity = r.usize("cs_capacity")?;
+        self.os_capacity = r.usize("os_capacity")?;
+        r.restore_component("learning", &mut self.learning)?;
+        r.restore_component("evolution", &mut self.evolution)?;
+        r.restore_component("drift", &mut self.drift)?;
+        self.prune_every = r.u64("prune_every")?;
+        self.prune_floor = r.f64_bits("prune_floor")?;
+        self.seed = r.u64("seed")?;
+        Ok(())
     }
 }
 

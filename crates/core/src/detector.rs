@@ -7,7 +7,6 @@ use crate::sst::Sst;
 use crate::verdict::{EvalPlan, LearningReport, SpotStats, Verdict, VerdictScreen};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Value;
 use spot_clustering::{outlying_degrees, top_outlying_indices, OdConfig};
 use spot_moga::MogaConfig;
 use spot_stream::{LogicalClock, Reservoir};
@@ -15,7 +14,7 @@ use spot_subspace::{genetic, ScoredSubspace, Subspace};
 use spot_synopsis::{CellConsumer, Grid, SynopsisManager};
 use spot_types::{
     DataPoint, Detection, FxHashSet, PersistError, Result, SpotError, StateReader, StateWriter,
-    StreamDetector, StreamRecord,
+    StreamDetector,
 };
 use std::time::Instant;
 
@@ -516,40 +515,35 @@ impl Spot {
         verdict
     }
 
-    /// Convenience wrapper over [`Spot::process`] for stream records.
-    pub fn process_record(&mut self, record: &StreamRecord) -> Result<Verdict> {
-        self.process(&record.point)
+    /// Captures the SST and the complete runtime state — everything beyond
+    /// the config — into a checkpoint's root object.
+    pub(crate) fn capture_runtime_state(&self, w: &mut StateWriter) {
+        w.component("sst", &self.sst);
+        w.nested("state", |w| {
+            w.component("clock", &self.clock);
+            w.bool("learned", self.learned);
+            w.u64_col("rng", self.rng.state());
+            w.component("stats", &self.stats);
+            w.component("drift", &self.drift);
+            w.component("reservoir", &self.reservoir);
+            w.point_list("outlier_buffer", &self.outlier_buffer);
+            w.nested("synopsis", |w| self.manager.capture_state(w));
+        });
     }
 
-    /// Captures the detector's complete runtime state — everything beyond
-    /// config + SST — as the `state` payload of a checkpoint.
-    pub(crate) fn capture_runtime_state(&self) -> Value {
-        let mut w = StateWriter::new();
-        w.component("clock", &self.clock);
-        w.bool("learned", self.learned);
-        w.u64_col("rng", self.rng.state());
-        w.component("stats", &self.stats);
-        w.component("drift", &self.drift);
-        w.component("reservoir", &self.reservoir);
-        w.point_list("outlier_buffer", &self.outlier_buffer);
-        w.value("synopsis", self.manager.capture_state());
-        w.finish()
-    }
-
-    /// Restores the complete runtime state captured by
-    /// [`Spot::capture_runtime_state`] into a freshly-constructed detector
-    /// of the same configuration. The SST is installed without the usual
-    /// reconcile-and-warm pass: the manager's stores are rebuilt wholesale
-    /// from the snapshot, preserving their capture-time registration order
-    /// (which defines per-point result order — the bit-exactness contract).
+    /// Restores what [`Spot::capture_runtime_state`] wrote into a
+    /// freshly-constructed detector of the same configuration. The SST is
+    /// installed without the usual reconcile-and-warm pass: the manager's
+    /// stores are rebuilt wholesale from the snapshot, preserving their
+    /// capture-time registration order (which defines per-point result
+    /// order — the bit-exactness contract).
     pub(crate) fn restore_runtime_state(
         &mut self,
-        mut sst: Sst,
-        r: &StateReader<'_>,
+        root: &StateReader<'_>,
     ) -> std::result::Result<(), PersistError> {
-        sst.rebuild_index();
-        self.sst = sst;
+        root.restore_component("sst", &mut self.sst)?;
         self.active = self.sst.iter_all().collect();
+        let r = root.nested("state")?;
         r.restore_component("clock", &mut self.clock)?;
         self.learned = r.bool("learned")?;
         let rng_words = r.u64_col("rng")?;
@@ -576,8 +570,9 @@ impl Spot {
             )));
         }
         self.outlier_buffer = r.point_list("outlier_buffer", Some(self.phi))?;
-        self.manager.restore_state(&r.nested("synopsis")?)?;
-        Ok(())
+        self.manager
+            .restore_state(&r.nested("synopsis")?)
+            .map_err(|e| e.in_field("synopsis"))
     }
 
     /// Empties the CS component (SST-ablation studies: e.g. an "FS+OS"

@@ -12,7 +12,7 @@
 //!   outliers detected during streaming; grows online.
 
 use spot_subspace::{enumerate_up_to_dim, RankedSubspaces, ScoredSubspace, Subspace, SubspaceSet};
-use spot_types::{FxHashSet, Result};
+use spot_types::{DurableState, FxHashSet, PersistError, Result, StateReader, StateWriter};
 
 /// Which SST component a subspace belongs to (FS wins ties, then CS).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,7 +26,7 @@ pub enum SstComponent {
 }
 
 /// The Sparse Subspace Template.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Sst {
     fs: SubspaceSet,
     cs: RankedSubspaces,
@@ -138,11 +138,19 @@ impl Sst {
         let capacity = self.os.capacity();
         self.os = RankedSubspaces::new(capacity);
     }
+}
 
-    /// Rebuilds internal lookup indices after deserialization (the FS dedup
-    /// index is not serialized).
-    pub fn rebuild_index(&mut self) {
-        self.fs.rebuild_index();
+impl DurableState for Sst {
+    fn capture(&self, w: &mut StateWriter) {
+        w.component("fs", &self.fs);
+        w.component("cs", &self.cs);
+        w.component("os", &self.os);
+    }
+
+    fn restore(&mut self, r: &StateReader<'_>) -> std::result::Result<(), PersistError> {
+        r.restore_component("fs", &mut self.fs)?;
+        r.restore_component("cs", &mut self.cs)?;
+        r.restore_component("os", &mut self.os)
     }
 }
 

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use spot::stream::TimeModel;
 use spot::subspace::Subspace;
 use spot::synopsis::{CellConsumer, Grid, SubspacePcs, SynopsisManager};
-use spot::types::{DataPoint, DomainBounds};
+use spot::types::{DataPoint, DomainBounds, StateWriter};
 use spot::{EvalPlan, SpotBuilder, SpotConfig, SubspaceFinding, VerdictScreen};
 
 /// The retired sweep phase for one point: thresholds and the drift signal
@@ -213,8 +213,13 @@ proptest! {
             start += run.len() as u64;
         }
         // Same cells, same synopses — the consumers only read.
-        let state = reference.capture_state();
-        prop_assert_eq!(&state, &batched.capture_state());
-        prop_assert_eq!(&state, &pointwise.capture_state());
+        let capture = |mgr: &SynopsisManager| {
+            let mut w = StateWriter::new();
+            mgr.capture_state(&mut w);
+            w.finish()
+        };
+        let state = capture(&reference);
+        prop_assert_eq!(&state, &capture(&batched));
+        prop_assert_eq!(&state, &capture(&pointwise));
     }
 }

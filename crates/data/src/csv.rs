@@ -1,9 +1,7 @@
 //! Dataset persistence.
 //!
 //! Labeled streams round-trip through a small CSV dialect
-//! (`seq,category,subspace_mask,v0,v1,…`) written with buffered I/O; the
-//! experiment harness additionally dumps arbitrary serde values as JSON
-//! artifacts next to each table.
+//! (`seq,category,subspace_mask,v0,v1,…`) written with buffered I/O.
 
 use spot_types::{AnomalyInfo, DataPoint, Label, LabeledRecord, Result, SpotError};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -93,15 +91,6 @@ pub fn load_csv(path: impl AsRef<Path>) -> Result<Vec<LabeledRecord>> {
     read_csv(f)
 }
 
-/// Dumps any serializable value as pretty JSON (experiment artifacts).
-pub fn save_json<T: serde::Serialize>(path: impl AsRef<Path>, value: &T) -> Result<()> {
-    let f = std::fs::File::create(path)?;
-    let mut w = BufWriter::new(f);
-    serde_json::to_writer_pretty(&mut w, value).map_err(|e| SpotError::Io(e.to_string()))?;
-    w.flush()?;
-    Ok(())
-}
-
 fn parse<T: std::str::FromStr>(tok: Option<&str>, lineno: usize, what: &str) -> Result<T> {
     tok.ok_or_else(|| bad(lineno, what))?
         .parse::<T>()
@@ -172,17 +161,6 @@ mod tests {
         save_csv(&path, &recs).unwrap();
         let back = load_csv(&path).unwrap();
         assert_eq!(back[0].label.category(), "dos");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn json_artifact_dump() {
-        let dir = std::env::temp_dir().join("spot-data-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("artifact.json");
-        save_json(&path, &vec![1, 2, 3]).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains('1'));
         std::fs::remove_file(&path).ok();
     }
 }

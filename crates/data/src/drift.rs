@@ -68,11 +68,6 @@ impl DriftingGenerator {
         &mut self.before
     }
 
-    /// Access to the post-drift generator.
-    pub fn after_mut(&mut self) -> &mut SyntheticGenerator {
-        &mut self.after
-    }
-
     /// Fraction of records currently drawn from the *new* distribution
     /// (0 before the drift, 1 after it completes).
     pub fn new_fraction(&self) -> f64 {

@@ -1,9 +1,7 @@
 //! Binary confusion matrix and derived rates.
 
-use serde::{Deserialize, Serialize};
-
 /// Counts of a binary detection task ("anomaly" is the positive class).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     /// Anomalies flagged as anomalies.
     pub tp: u64,

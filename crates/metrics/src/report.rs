@@ -1,14 +1,13 @@
 //! Fixed-width table rendering for the experiment harness.
 //!
 //! Every `spot-bench` target prints its table/figure rows through this type
-//! so outputs are uniform and machine-extractable (a JSON dump accompanies
-//! the pretty print).
+//! so outputs are uniform and machine-extractable (a JSON artifact
+//! accompanies the pretty print).
 
-use serde::Serialize;
 use std::fmt::Write as _;
 
 /// A simple column-aligned table.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     title: String,
     headers: Vec<String>,
@@ -108,13 +107,5 @@ mod tests {
     fn float_formatting() {
         assert_eq!(fmt3(0.123456), "0.123");
         assert_eq!(fmt0(1234.7), "1235");
-    }
-
-    #[test]
-    fn serializes_to_json() {
-        let mut t = Table::new("j", &["x"]);
-        t.add_row(vec!["1".into()]);
-        let json = serde_json::to_string(&t).unwrap();
-        assert!(json.contains("\"title\":\"j\""));
     }
 }

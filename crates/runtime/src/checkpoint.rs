@@ -2,35 +2,32 @@
 //! checkpoints.
 //!
 //! A [`FleetCheckpoint`] composes, per tenant, exactly the
-//! [`SpotCheckpoint`] a standalone detector captures — the same
-//! column-oriented `DurableState` trees, the same bit-exactness contract
-//! (see `docs/persistence.md`). The fleet layer adds only an envelope:
-//! its own format version, the tenant ids, and each tenant's WAL replay
-//! watermark, all sorted so capture → restore → capture is a byte-level
-//! fixed point.
+//! [`SpotCheckpoint`] a standalone detector captures — its sealed container
+//! bytes, embedded verbatim, with the same bit-exactness contract (see
+//! `docs/persistence.md`). The fleet layer adds only an envelope: its own
+//! format version, the tenant ids, and each tenant's WAL replay watermark,
+//! all sorted so capture → restore → capture is a byte-level fixed point.
 //!
 //! Every checkpoint generation is one shape: a full fleet checkpoint in
 //! the sealed `SPOTBIN1` binary container, whose checksum trailer seals
 //! the whole file. Loading follows the detector loader's policy: unknown
 //! envelope versions yield [`SpotError::UnsupportedSnapshotVersion`],
 //! structurally broken or torn files yield [`SpotError::SnapshotCorrupt`]
-//! — never a panic. The per-tenant payloads version independently (they
-//! carry the `SpotCheckpoint` version field), so a future detector
-//! format slots in without changing the envelope. [`CheckpointStore`]
-//! layers crash-safe *files* on top: atomic tmp + fsync + rename writes, a
-//! bounded window of retained generations, and recovery that scans for
-//! the newest valid file.
+//! — never a panic. The per-tenant containers version independently, so a
+//! future detector format slots in without changing the envelope.
+//! [`CheckpointStore`] layers crash-safe *files* on top: atomic tmp +
+//! fsync + rename writes, a bounded window of retained generations, and
+//! recovery that scans for the newest valid file.
 
-use serde::{Deserialize, Value};
 use spot::SpotCheckpoint;
-use spot_types::persist::binary;
-use spot_types::{Result, SpotError, TenantId};
+use spot_types::{Result, SpotError, StateReader, StateWriter, TenantId};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Fleet checkpoint envelope version: `{version, tenants, wal}` in a
-/// `SPOTBIN1` container. The only version the loader accepts.
-pub const FLEET_CHECKPOINT_VERSION: u32 = 3;
+/// Fleet checkpoint envelope version: `{tenants, wal}` in a `SPOTBIN1`
+/// container. The only version the loader accepts.
+pub const FLEET_CHECKPOINT_VERSION: u32 = 4;
 
 /// Durable state of a whole fleet: one [`SpotCheckpoint`] per tenant,
 /// sorted by tenant id, plus (when the ingestion WAL is enabled) each
@@ -111,111 +108,60 @@ impl FleetCheckpoint {
         self.tenants.is_empty()
     }
 
-    /// Renders the checkpoint into a sealed `SPOTBIN1` binary container
-    /// (the expensive part of persistence; do it off any ingestion path).
+    /// Renders the checkpoint into a sealed `SPOTBIN1` binary container.
+    /// The tenants' containers are copied in verbatim; nothing is encoded
+    /// a second time.
     pub fn to_bytes(&self) -> Vec<u8> {
-        binary::encode_container(&self.to_value())
+        let mut w = StateWriter::container(FLEET_CHECKPOINT_VERSION);
+        w.nested_list("tenants", &self.tenants, |w, (id, cp)| {
+            w.bytes("id", id.as_str().as_bytes());
+            w.bytes("checkpoint", cp.as_bytes());
+        });
+        w.nested_list("wal", &self.wal, |w, (id, seq)| {
+            w.bytes("id", id.as_str().as_bytes());
+            w.u64("seq", *seq);
+        });
+        w.seal()
     }
 
     /// Parses a sealed binary container back into a fleet checkpoint with
     /// typed errors: unknown envelope versions yield
     /// [`SpotError::UnsupportedSnapshotVersion`], anything structurally
-    /// broken (a torn or bit-flipped file, duplicate or invalid tenant
-    /// ids) yields [`SpotError::SnapshotCorrupt`].
+    /// broken (a torn or bit-flipped file, a damaged tenant container,
+    /// duplicate or invalid tenant ids) yields [`SpotError::SnapshotCorrupt`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let value =
-            binary::read_container(bytes).map_err(|e| SpotError::SnapshotCorrupt(e.to_string()))?;
-        Self::from_value(&value)
-    }
-
-    /// The envelope tree the container carries.
-    fn to_value(&self) -> Value {
-        let tenants = self
-            .tenants
-            .iter()
-            .map(|(id, cp)| {
-                Value::Object(vec![
-                    ("id".to_string(), Value::Str(id.to_string())),
-                    ("checkpoint".to_string(), cp.to_value_binary()),
-                ])
-            })
-            .collect();
-        let wal = self
-            .wal
-            .iter()
-            .map(|(id, seq)| {
-                Value::Object(vec![
-                    ("id".to_string(), Value::Str(id.to_string())),
-                    ("seq".to_string(), Value::U64(*seq)),
-                ])
-            })
-            .collect();
-        Value::Object(vec![
-            (
-                "version".to_string(),
-                Value::U64(FLEET_CHECKPOINT_VERSION as u64),
-            ),
-            ("tenants".to_string(), Value::Array(tenants)),
-            ("wal".to_string(), Value::Array(wal)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self> {
-        let corrupt = |msg: String| SpotError::SnapshotCorrupt(msg);
-        let version = match v.get_field("version") {
-            Some(&Value::U64(n)) => u32::try_from(n).unwrap_or(u32::MAX),
-            Some(other) => {
-                return Err(corrupt(format!(
-                    "version field is not an integer: {other:?}"
-                )))
-            }
-            None => return Err(corrupt("missing version field".to_string())),
-        };
-        if version != FLEET_CHECKPOINT_VERSION {
-            return Err(SpotError::UnsupportedSnapshotVersion(version));
-        }
-        let Some(Value::Array(entries)) = v.get_field("tenants") else {
-            return Err(corrupt("missing or non-array field `tenants`".to_string()));
-        };
-        let mut tenants: Vec<(TenantId, SpotCheckpoint)> = Vec::with_capacity(entries.len());
-        for (i, entry) in entries.iter().enumerate() {
+        let root = StateReader::open(bytes, FLEET_CHECKPOINT_VERSION)?;
+        let mut tenants: Vec<(TenantId, SpotCheckpoint)> = Vec::new();
+        for (i, entry) in root.nested_list("tenants")?.iter().enumerate() {
             let id = entry_id(entry, "tenant", i)?;
             if tenants.iter().any(|(t, _)| *t == id) {
                 return Err(corrupt(format!("duplicate tenant id {id:?}")));
             }
-            let cp = SpotCheckpoint::from_value(
-                entry.get_field("checkpoint").unwrap_or(&Value::Null),
-            )
-            .map_err(|e| corrupt(format!("tenant {id:?}: {}", e.in_field("checkpoint").0)))?;
+            let cp = SpotCheckpoint::from_bytes(entry.bytes("checkpoint")?)
+                .map_err(|e| corrupt(format!("tenant {id:?}: {e}")))?;
             tenants.push((id, cp));
         }
-        let Some(Value::Array(positions)) = v.get_field("wal") else {
-            return Err(corrupt("missing or non-array field `wal`".to_string()));
-        };
-        let mut wal: Vec<(TenantId, u64)> = Vec::with_capacity(positions.len());
-        for (i, entry) in positions.iter().enumerate() {
+        let mut wal: Vec<(TenantId, u64)> = Vec::new();
+        for (i, entry) in root.nested_list("wal")?.iter().enumerate() {
             let id = entry_id(entry, "wal position", i)?;
-            let Some(&Value::U64(seq)) = entry.get_field("seq") else {
-                return Err(corrupt(format!("wal position {i}: missing integer seq")));
-            };
             if wal.iter().any(|(t, _)| *t == id) {
                 return Err(corrupt(format!("duplicate wal position {id:?}")));
             }
-            wal.push((id, seq));
+            wal.push((id, entry.u64("seq")?));
         }
         Ok(FleetCheckpoint::with_wal(tenants, wal))
     }
 }
 
+fn corrupt(msg: String) -> SpotError {
+    SpotError::SnapshotCorrupt(msg)
+}
+
 /// The validated `id` field of the `i`-th entry of an envelope list.
-fn entry_id(entry: &Value, what: &str, i: usize) -> Result<TenantId> {
-    match entry.get_field("id") {
-        Some(Value::Str(name)) => TenantId::new(name)
-            .map_err(|e| SpotError::SnapshotCorrupt(format!("{what} {i}: invalid id: {e}"))),
-        _ => Err(SpotError::SnapshotCorrupt(format!(
-            "{what} {i}: missing string id"
-        ))),
-    }
+fn entry_id(entry: &StateReader<'_>, what: &str, i: usize) -> Result<TenantId> {
+    let name = std::str::from_utf8(entry.bytes("id")?)
+        .map_err(|_| corrupt(format!("{what} {i}: id is not UTF-8")))?;
+    TenantId::new(name).map_err(|e| corrupt(format!("{what} {i}: invalid id: {e}")))
 }
 
 // ---- crash-safe checkpoint files ---------------------------------------
@@ -304,11 +250,6 @@ impl CheckpointStore {
         &self.dir
     }
 
-    /// The retention window (newest generations kept).
-    pub fn retain(&self) -> usize {
-        self.retain
-    }
-
     fn path_of(&self, generation: u64) -> PathBuf {
         self.dir
             .join(format!("{CKPT_PREFIX}{generation:08}{CKPT_SUFFIX}"))
@@ -356,18 +297,13 @@ impl CheckpointStore {
     pub fn save(&self, checkpoint: &FleetCheckpoint) -> Result<u64> {
         let generation = self.generations()?.last().copied().unwrap_or(0) + 1;
         let final_path = self.path_of(generation);
-        let mut payload = Vec::new();
-        binary::encode(&checkpoint.to_value(), &mut payload);
+        let bytes = checkpoint.to_bytes();
         let tmp_path = final_path.with_extension("ckpt.tmp");
         {
-            let file =
+            let mut file =
                 std::fs::File::create(&tmp_path).map_err(|e| io_err("create", &tmp_path, &e))?;
-            let mut out = std::io::BufWriter::new(file);
-            binary::write_container(&mut out, &payload)
+            file.write_all(&bytes)
                 .map_err(|e| io_err("write", &tmp_path, &e))?;
-            let file = out
-                .into_inner()
-                .map_err(|e| io_err("write", &tmp_path, &e.into_error()))?;
             // The data must be on stable storage *before* the rename makes
             // it reachable, or a crash could publish an empty file.
             file.sync_all().map_err(|e| io_err("sync", &tmp_path, &e))?;

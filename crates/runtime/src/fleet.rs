@@ -1170,7 +1170,7 @@ impl SpotFleet {
     // ---- durability -----------------------------------------------------
 
     /// Captures a versioned checkpoint of every **healthy** tenant (sorted
-    /// id order). Each tenant's capture is the standard v2
+    /// id order). Each tenant's capture is the standard
     /// `SpotCheckpoint`, so a tenant restored from it is bit-exact,
     /// standalone or in any fleet, and becomes that tenant's restore
     /// point. Quarantined/failed tenants are skipped: their in-memory

@@ -25,8 +25,8 @@
 //!   snapshot (its stats and footprint as of its last completed
 //!   operation); they never take any tenant's detector lock.
 //! * [`FleetCheckpoint`] — a versioned, per-tenant durable snapshot riding
-//!   the v2 `DurableState` substrate: each tenant's capture is the same
-//!   bit-exact `SpotCheckpoint` a standalone detector produces, and
+//!   the `DurableState` substrate: each tenant's capture is the same
+//!   bit-exact `SpotCheckpoint` bytes a standalone detector produces, and
 //!   restores are per-tenant with typed errors for unknown tenants and
 //!   unknown versions.
 //!

@@ -3,10 +3,9 @@
 //! typed errors only, never a panic), and recovery from the newest valid
 //! retained generation.
 
-use serde::Value;
 use spot::{SpotBuilder, SpotConfig, Verdict};
 use spot_runtime::{CheckpointStore, FleetConfig, SpotFleet, TenantId};
-use spot_types::persist::binary;
+use spot_types::persist::binary::checksum64;
 use spot_types::{DataPoint, DomainBounds, SpotError};
 
 fn tenant_config(seed: u64, dims: usize) -> SpotConfig {
@@ -209,12 +208,12 @@ fn corruption_matrix_yields_typed_errors_and_previous_generation_recovers() {
 
     // -- bad version (a well-sealed container declaring version 9) -------
     let bad_version = store.save(&cp).unwrap();
-    let mut tree = binary::read_container(&std::fs::read(path_of(bad_version)).unwrap()).unwrap();
-    let Value::Object(fields) = &mut tree else {
-        panic!("envelope is not an object")
-    };
-    fields[0] = ("version".to_string(), Value::U64(9));
-    std::fs::write(path_of(bad_version), binary::encode_container(&tree)).unwrap();
+    let mut bytes = std::fs::read(path_of(bad_version)).unwrap();
+    bytes[8..12].copy_from_slice(&9u32.to_le_bytes());
+    let end = bytes.len() - 8;
+    let seal = checksum64(&bytes[8..end]);
+    bytes[end..].copy_from_slice(&seal.to_le_bytes());
+    std::fs::write(path_of(bad_version), bytes).unwrap();
     assert!(matches!(
         store.load(bad_version),
         Err(SpotError::UnsupportedSnapshotVersion(9))

@@ -13,11 +13,9 @@
 //!   typed errors.
 
 use proptest::prelude::*;
-use serde::Value;
 use spot::{EvolutionConfig, Spot, SpotBuilder, SpotConfig, Verdict};
 use spot_runtime::{FleetCheckpoint, FleetConfig, SpotFleet, TenantId, FLEET_CHECKPOINT_VERSION};
-use spot_types::persist::binary;
-use spot_types::{DataPoint, DomainBounds, SpotError};
+use spot_types::{DataPoint, DomainBounds, SpotError, StateWriter};
 
 fn tenant_config(seed: u64, dims: usize) -> SpotConfig {
     SpotBuilder::new(DomainBounds::unit(dims))
@@ -443,52 +441,53 @@ fn single_tenant_restore_replaces_in_place() {
 
 #[test]
 fn checkpoint_versioning_errors_are_typed() {
-    let envelope = |version: u64, tenants: Vec<Value>| {
-        binary::encode_container(&Value::Object(vec![
-            ("version".to_string(), Value::U64(version)),
-            ("tenants".to_string(), Value::Array(tenants)),
-            ("wal".to_string(), Value::Array(Vec::new())),
-        ]))
+    // An envelope of `(id, tenant container)` entries; `None` leaves the
+    // container out.
+    let envelope = |version: u32, tenants: &[(&str, Option<&[u8]>)]| {
+        let mut w = StateWriter::container(version);
+        w.nested_list("tenants", tenants, |w, (id, cp)| {
+            w.bytes("id", id.as_bytes());
+            if let Some(cp) = cp {
+                w.bytes("checkpoint", cp);
+            }
+        });
+        w.nested_list("wal", std::iter::empty::<()>(), |_, _| {});
+        w.seal()
     };
-    let current = u64::from(FLEET_CHECKPOINT_VERSION);
+    let current = FLEET_CHECKPOINT_VERSION;
     assert!(matches!(
         FleetCheckpoint::from_bytes(b"not a container").unwrap_err(),
         SpotError::SnapshotCorrupt(_)
     ));
-    let unversioned = binary::encode_container(&Value::Object(vec![(
-        "tenants".to_string(),
-        Value::Array(Vec::new()),
-    )]));
+    // A sealed envelope without its `wal` list.
+    let mut partial = StateWriter::container(current);
+    partial.nested_list("tenants", std::iter::empty::<()>(), |_, _| {});
     assert!(matches!(
-        FleetCheckpoint::from_bytes(&unversioned).unwrap_err(),
+        FleetCheckpoint::from_bytes(&partial.seal()).unwrap_err(),
         SpotError::SnapshotCorrupt(_)
     ));
     assert_eq!(
-        FleetCheckpoint::from_bytes(&envelope(9, Vec::new())).unwrap_err(),
+        FleetCheckpoint::from_bytes(&envelope(9, &[])).unwrap_err(),
         SpotError::UnsupportedSnapshotVersion(9)
     );
     // A valid envelope with a broken tenant payload is corrupt, not a panic.
-    let broken = Value::Object(vec![("id".to_string(), Value::Str("x".to_string()))]);
-    assert!(matches!(
-        FleetCheckpoint::from_bytes(&envelope(current, vec![broken])).unwrap_err(),
-        SpotError::SnapshotCorrupt(_)
-    ));
+    for cp in [None, Some(&b"SPOTBIN1 but no more"[..])] {
+        assert!(matches!(
+            FleetCheckpoint::from_bytes(&envelope(current, &[("x", cp)])).unwrap_err(),
+            SpotError::SnapshotCorrupt(_)
+        ));
+    }
     // Duplicate ids in the payload are rejected.
     let fleet = SpotFleet::new(FleetConfig::default());
     let id = TenantId::new("d").unwrap();
     fleet.register(id.clone(), tenant_config(1, 3)).unwrap();
     fleet.learn(&id, &training(100, 3, 1)).unwrap();
-    let entry = Value::Object(vec![
-        ("id".to_string(), Value::Str("d".to_string())),
-        (
-            "checkpoint".to_string(),
-            fleet.checkpoint_tenant(&id).unwrap().to_value_binary(),
-        ),
-    ]);
-    let single = envelope(current, vec![entry.clone()]);
+    let cp = fleet.checkpoint_tenant(&id).unwrap();
+    let entry = ("d", Some(cp.as_bytes()));
+    let single = envelope(current, &[entry]);
     assert_eq!(FleetCheckpoint::from_bytes(&single).unwrap().len(), 1);
     assert!(matches!(
-        FleetCheckpoint::from_bytes(&envelope(current, vec![entry.clone(), entry])).unwrap_err(),
+        FleetCheckpoint::from_bytes(&envelope(current, &[entry, entry])).unwrap_err(),
         SpotError::SnapshotCorrupt(_)
     ));
 }

@@ -2,17 +2,19 @@
 //!
 //! * Every generation is a full checkpoint in the binary container; it
 //!   loads and drives a restored fleet bit-identically to the live one.
-//! * Files older builds left behind — incremental `.dck` extensions and
-//!   JSON-text `.ckpt` envelopes — are not generations this build reads:
-//!   the first is ignored like any foreign file, the second is rejected as
-//!   [`SpotError::SnapshotCorrupt`] and recovery falls back past it.
+//! * Files older builds left behind — incremental `.dck` extensions,
+//!   JSON-text `.ckpt` envelopes and version-3 binary generations — are
+//!   not generations this build reads: the first is ignored like any
+//!   foreign file, the second is rejected as [`SpotError::SnapshotCorrupt`],
+//!   the third as [`SpotError::UnsupportedSnapshotVersion`], and recovery
+//!   falls back past both.
 //! * Damaged binary containers (truncated, bit-flipped) are rejected with
 //!   [`SpotError::SnapshotCorrupt`], never a panic, and recovery falls
 //!   back to an older intact generation.
 
 use spot::{SpotBuilder, SpotConfig, Verdict};
 use spot_runtime::{CheckpointStore, FleetCheckpoint, FleetConfig, SpotFleet, TenantId};
-use spot_types::{DataPoint, DomainBounds, SpotError};
+use spot_types::{DataPoint, DomainBounds, SpotError, StateReader, StateWriter};
 use std::path::PathBuf;
 
 const DIMS: usize = 4;
@@ -115,8 +117,9 @@ fn files_left_by_older_builds_are_ignored_or_rejected() {
     let store = CheckpointStore::open(&dir, 8).unwrap();
     assert_eq!(store.save(&cp).unwrap(), 1);
 
-    // An incremental extension and a JSON-text envelope, as older builds
-    // wrote them.
+    // An incremental extension, a JSON-text envelope and a version-3
+    // binary generation (two tenants, written by the last version-3
+    // build), as older builds wrote them.
     let dck = dir.join("fleet-00000002.dck");
     std::fs::write(&dck, b"garbage delta extension").unwrap();
     std::fs::write(
@@ -124,25 +127,36 @@ fn files_left_by_older_builds_are_ignored_or_rejected() {
         br#"{"version":2,"checksum":1,"wal_checksum":2,"tenants":[],"wal":[]}"#,
     )
     .unwrap();
+    let v3 = include_bytes!("fixtures/fleet-00000001-v3.ckpt");
+    std::fs::write(dir.join("fleet-00000004.ckpt"), v3).unwrap();
+    assert_eq!(
+        FleetCheckpoint::from_bytes(v3).unwrap_err(),
+        SpotError::UnsupportedSnapshotVersion(3)
+    );
 
-    // The `.dck` file is not a generation; the JSON `.ckpt` is one, but
-    // not one this build reads.
-    assert_eq!(store.generations().unwrap(), vec![1, 3]);
+    // The `.dck` file is not a generation; the JSON and version-3 `.ckpt`
+    // files are, but not ones this build reads.
+    assert_eq!(store.generations().unwrap(), vec![1, 3, 4]);
+    assert_eq!(
+        store.load(4).unwrap_err(),
+        SpotError::UnsupportedSnapshotVersion(3)
+    );
     let scan = store.load_latest().unwrap();
     let (g, recovered) = scan.recovered.expect("generation 1 is intact");
     assert_eq!(g, 1);
     assert_eq!(recovered.to_bytes(), cp.to_bytes());
     assert_continues_like(&fleet, &recovered, "older-files");
-    assert_eq!(scan.rejected.len(), 1);
-    assert_eq!(scan.rejected[0].0, 3);
+    let rejected: Vec<u64> = scan.rejected.iter().map(|(g, _)| *g).collect();
+    assert_eq!(rejected, vec![4, 3]);
+    assert_eq!(scan.rejected[0].1, SpotError::UnsupportedSnapshotVersion(3));
     assert!(
-        matches!(scan.rejected[0].1, SpotError::SnapshotCorrupt(_)),
+        matches!(scan.rejected[1].1, SpotError::SnapshotCorrupt(_)),
         "{:?}",
-        scan.rejected[0].1
+        scan.rejected[1].1
     );
 
     // Numbering continues past the newest `.ckpt`; the foreign file stays.
-    assert_eq!(store.save(&cp).unwrap(), 4);
+    assert_eq!(store.save(&cp).unwrap(), 5);
     assert!(dck.exists());
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -198,41 +212,44 @@ fn binary_corruption_matrix_yields_typed_errors_and_falls_back() {
 
 #[test]
 fn gorilla_columns_survive_the_container_corruption_matrix() {
-    // Decayed-count columns of a warm synopsis are exactly the
-    // slow-moving float bit patterns the GORILLA column mode targets.
-    // Build a container around such a column and run it through the same
+    // Decayed-count columns of a warm synopsis are slow-moving float bit
+    // patterns (the shape the retired GORILLA column mode targeted). Seal
+    // a container around such a column and run it through the same
     // truncation / bit-flip matrix the fleet checkpoints get: exact
     // round-trip when intact, a typed error for every damaged variant.
-    use serde::Value;
-    use spot_types::persist::binary;
-
     let col: Vec<u64> = (0..300)
         .map(|i| (250.0 + (i % 17) as f64 * 0.5).to_bits())
         .collect();
-    let tree = Value::Object(vec![("d".to_string(), Value::U64Col(col.clone()))]);
-    let frame = binary::encode_container(&tree);
-    // The XOR-prev lanes must actually engage (clearly under the 8-byte
-    // RAW rate) and round-trip bit-exactly through the container.
+    let mut w = StateWriter::container(1);
+    w.u64_col("d", col.iter().copied());
+    let frame = w.seal();
+    // The column's differences must actually compress (under eight bytes
+    // an entry) and round-trip bit-exactly through the container.
     assert!(
         frame.len() < col.len() * 8,
-        "gorilla container took {} bytes for {} raw column bytes",
+        "the container took {} bytes for {} raw column bytes",
         frame.len(),
         col.len() * 8
     );
-    assert_eq!(binary::read_container(&frame).unwrap(), tree);
+    let open = |bytes: &[u8]| {
+        StateReader::open(bytes, 1)?
+            .u64_col("d")
+            .map_err(SpotError::from)
+    };
+    assert_eq!(open(&frame).unwrap(), col);
 
     for cut in [0, 3, 8, frame.len() / 3, frame.len() / 2, frame.len() - 1] {
         assert!(
-            binary::read_container(&frame[..cut]).is_err(),
-            "cut {cut}: truncated gorilla container must be rejected"
+            open(&frame[..cut]).is_err(),
+            "cut {cut}: a truncated container must be rejected"
         );
     }
     for offset in (0..frame.len()).step_by(5) {
         let mut bad = frame.clone();
         bad[offset] ^= 0x08;
         assert!(
-            binary::read_container(&bad).is_err(),
-            "flip at {offset} slipped through a gorilla container"
+            open(&bad).is_err(),
+            "flip at {offset} slipped through the container"
         );
     }
 }

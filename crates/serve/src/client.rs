@@ -14,7 +14,7 @@
 
 use crate::http::{percent_encode, read_response, ClientResponse, HttpLimits};
 use crate::points;
-use serde::Value;
+use serde_json::Value;
 use spot_types::{DataPoint, SpotError, TenantId};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -140,12 +140,6 @@ impl ServeClient {
     /// Replace the retry policy.
     pub fn with_policy(mut self, policy: RetryPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Replace the per-request deadline.
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
         self
     }
 

@@ -11,7 +11,7 @@
 use crate::http::{percent_decode, Method, Request, Response};
 use crate::points;
 use crate::server::AppState;
-use serde::Value;
+use serde_json::Value;
 use spot::SpotBuilder;
 use spot_types::{DataPoint, DomainBounds, SpotError, TenantId};
 use std::sync::atomic::Ordering;

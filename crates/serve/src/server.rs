@@ -349,11 +349,6 @@ impl SpotServer {
         &self.shared.app.fleet
     }
 
-    /// Whether a graceful shutdown is in progress.
-    pub fn is_draining(&self) -> bool {
-        self.shared.app.draining.load(Ordering::Acquire)
-    }
-
     /// Snapshot of the service counters.
     pub fn stats(&self) -> ServerStats {
         let c = &self.shared.app.counters;

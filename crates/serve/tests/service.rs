@@ -259,11 +259,14 @@ fn backpressure_maps_to_429_with_retry_after() {
         let points = stream(20, 4);
         let body = format!(
             "{{\"points\":{}}}",
-            serde_json::to_string(&serde::Value::Array(
+            serde_json::to_string(&serde_json::Value::Array(
                 points
                     .iter()
-                    .map(|p| serde::Value::Array(
-                        p.values().iter().map(|v| serde::Value::F64(*v)).collect()
+                    .map(|p| serde_json::Value::Array(
+                        p.values()
+                            .iter()
+                            .map(|v| serde_json::Value::F64(*v))
+                            .collect()
                     ))
                     .collect()
             ))

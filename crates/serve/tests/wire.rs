@@ -3,7 +3,7 @@
 //! `400`s for hostile bodies, a byte-mutation loop, `±∞` end to end, and
 //! the client's at-least-once delivery contract.
 
-use serde::Value;
+use serde_json::Value;
 use spot::Verdict;
 use spot_runtime::{FleetConfig, SpotFleet};
 use spot_serve::http::{read_request, read_response, ClientResponse, HttpLimits, NextRequest};

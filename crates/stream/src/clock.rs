@@ -1,6 +1,5 @@
 //! Logical stream clock.
 
-use serde::{Deserialize, Serialize};
 use spot_types::{DurableState, PersistError, StateReader, StateWriter};
 
 /// Monotonic logical clock.
@@ -9,7 +8,7 @@ use spot_types::{DurableState, PersistError, StateReader, StateWriter};
 /// point, making ω of the (ω, ε) model a *count-based* window. Batch
 /// arrivals can share a tick by calling [`LogicalClock::advance`] manually
 /// instead of [`LogicalClock::tick`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LogicalClock {
     now: u64,
 }

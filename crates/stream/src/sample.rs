@@ -17,12 +17,11 @@
 //! `n` replaces a reservoir slot with probability `cap/n`, each slot
 //! equally likely (pinned by the distribution tests below).
 
-use serde::{Deserialize, Serialize};
 use spot_types::{DataPoint, DurableState, PersistError, StateReader, StateWriter};
 
 /// Stateless counter-based generator: `draw(ordinal)` is a pure function
 /// of `(seed, ordinal)` with SplitMix64-quality mixing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterRng {
     seed: u64,
 }
@@ -141,7 +140,6 @@ impl DurableState for Reservoir {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Value;
 
     fn p(v: f64) -> DataPoint {
         DataPoint::new(vec![v, v + 1.0])
@@ -256,11 +254,9 @@ mod tests {
         for i in 0..300 {
             live.offer(cap, i, &p(i as f64));
         }
-        let snapshot: Value = {
-            let mut w = StateWriter::new();
-            live.capture(&mut w);
-            w.finish()
-        };
+        let mut w = StateWriter::new();
+        live.capture(&mut w);
+        let snapshot = w.finish();
         let mut restored = Reservoir::new(0);
         restored
             .restore(&StateReader::new(&snapshot).unwrap())

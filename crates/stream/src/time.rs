@@ -12,11 +12,10 @@
 //! Decay is applied lazily: every summary stores the tick of its last
 //! update and is renormalized by `δ^(now − last)` on access.
 
-use serde::{Deserialize, Serialize};
 use spot_types::{DurableState, PersistError, Result, SpotError, StateReader, StateWriter};
 
 /// The (ω, ε) time model: window size ω (ticks) and approximation factor ε.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeModel {
     omega: u64,
     epsilon: f64,
@@ -108,12 +107,25 @@ impl TimeModel {
             self.epsilon / (1.0 - self.decay)
         }
     }
+}
 
-    /// Fraction of the steady-state weight held by expired points:
-    /// exactly ε. This is the paper's statement that the model
-    /// approximates the ω-window with factor ε.
-    pub fn expired_weight_fraction(&self) -> f64 {
-        self.epsilon
+/// The three fields verbatim: `δ` is captured rather than re-derived from
+/// `(ω, ε)`, so a restored model decays by the same bits, and the landmark
+/// model (which [`TimeModel::new`] refuses) restores too.
+impl DurableState for TimeModel {
+    fn capture(&self, w: &mut StateWriter) {
+        w.u64("omega", self.omega);
+        w.f64_bits("epsilon", self.epsilon);
+        w.f64_bits("decay", self.decay);
+    }
+
+    fn restore(&mut self, r: &StateReader<'_>) -> std::result::Result<(), PersistError> {
+        *self = TimeModel {
+            omega: r.u64("omega")?,
+            epsilon: r.f64_bits("epsilon")?,
+            decay: r.f64_bits("decay")?,
+        };
+        Ok(())
     }
 }
 
@@ -220,7 +232,7 @@ impl WeightCache {
 }
 
 /// A single decayed scalar with lazy renormalization.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecayedCounter {
     value: f64,
     last_tick: u64,

@@ -5,14 +5,12 @@
 //! (weakest-score eviction) — that is [`RankedSubspaces`].
 
 use crate::subspace::Subspace;
-use serde::{Deserialize, Serialize};
-use spot_types::FxHashSet;
+use spot_types::{DurableState, FxHashSet, PersistError, StateReader, StateWriter};
 
 /// Insertion-ordered set of distinct subspaces.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SubspaceSet {
     order: Vec<Subspace>,
-    #[serde(skip)]
     seen: FxHashSet<u64>,
 }
 
@@ -67,7 +65,8 @@ impl SubspaceSet {
         &self.order
     }
 
-    /// Rebuilds the dedup index after deserialization.
+    /// Rebuilds the dedup index from the insertion order (after a
+    /// restore).
     pub fn rebuild_index(&mut self) {
         self.seen = self.order.iter().map(|s| s.mask()).collect();
     }
@@ -75,7 +74,7 @@ impl SubspaceSet {
 
 /// A subspace with the score that ranked it into CS/OS. Smaller scores are
 /// better (scores are sparsity objectives, minimized).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScoredSubspace {
     /// The subspace.
     pub subspace: Subspace,
@@ -88,7 +87,7 @@ pub struct ScoredSubspace {
 /// Keeps at most `capacity` subspaces; inserting into a full set evicts the
 /// worst (largest) score if the newcomer beats it. Duplicate insertions keep
 /// the better score.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RankedSubspaces {
     capacity: usize,
     entries: Vec<ScoredSubspace>,
@@ -180,6 +179,53 @@ impl RankedSubspaces {
     fn sort(&mut self) {
         self.entries
             .sort_by(|a, b| a.score.partial_cmp(&b.score).expect("scores are not NaN"));
+    }
+}
+
+/// Subspaces stored by mask; a zero mask is not a subspace.
+fn masks_of(r: &StateReader<'_>) -> Result<Vec<Subspace>, PersistError> {
+    r.u64_col("masks")?
+        .into_iter()
+        .map(|m| Subspace::from_mask(m).map_err(|e| PersistError::custom(e.to_string())))
+        .collect()
+}
+
+impl DurableState for SubspaceSet {
+    fn capture(&self, w: &mut StateWriter) {
+        w.u64_col("masks", self.order.iter().map(Subspace::mask));
+    }
+
+    fn restore(&mut self, r: &StateReader<'_>) -> Result<(), PersistError> {
+        self.order = masks_of(r)?;
+        self.rebuild_index();
+        Ok(())
+    }
+}
+
+impl DurableState for RankedSubspaces {
+    fn capture(&self, w: &mut StateWriter) {
+        w.u64("capacity", self.capacity as u64);
+        w.u64_col("masks", self.entries.iter().map(|e| e.subspace.mask()));
+        w.f64_bits_col("scores", self.entries.iter().map(|e| e.score));
+    }
+
+    fn restore(&mut self, r: &StateReader<'_>) -> Result<(), PersistError> {
+        let (masks, scores) = (masks_of(r)?, r.f64_bits_col("scores")?);
+        // Ranking sorts by score and cannot order a NaN.
+        if masks.len() != scores.len() || scores.iter().any(|s| s.is_nan()) {
+            return Err(PersistError::custom(format!(
+                "{} masks do not match {} scores, or a score is NaN",
+                masks.len(),
+                scores.len()
+            )));
+        }
+        self.capacity = r.usize("capacity")?.max(1);
+        self.entries = masks
+            .into_iter()
+            .zip(scores)
+            .map(|(subspace, score)| ScoredSubspace { subspace, score })
+            .collect();
+        Ok(())
     }
 }
 

@@ -1,6 +1,5 @@
 //! The bitmask subspace type.
 
-use serde::{Deserialize, Serialize};
 use spot_types::{Result, SpotError};
 use std::fmt;
 
@@ -13,7 +12,7 @@ pub const MAX_DIMS: usize = 64;
 /// of, even hundreds of" attributes regime the paper motivates for its
 /// evaluation (the experiments there use up to a few dozen). Bit `i`
 /// corresponds to attribute `i`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Subspace(u64);
 
 impl Subspace {

@@ -1,7 +1,6 @@
 //! Equi-width grid partition of the domain space.
 
 use crate::key::{CellKey, KeyCodec};
-use serde::{Deserialize, Serialize};
 use spot_subspace::Subspace;
 use spot_types::{DataPoint, DomainBounds, Result, SpotError};
 
@@ -18,7 +17,7 @@ use spot_types::{DataPoint, DomainBounds, Result, SpotError};
 ///
 /// Cells are identified by [`CellKey`]s packed by the grid's [`KeyCodec`] —
 /// see `crate::key` for the layout and the wide-ϕ fallback.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Grid {
     bounds: DomainBounds,
     granularity: u16,

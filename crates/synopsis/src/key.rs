@@ -28,7 +28,6 @@
 //! [`KeyCodec`] decides the mode per key width and performs the
 //! packing/projection. It is constructed once per [`crate::Grid`].
 
-use serde::{Deserialize, Serialize};
 use spot_subspace::Subspace;
 
 /// A cell identifier: packed interval indices (exact mode) or a 128-bit
@@ -42,7 +41,7 @@ const LANE1_MUL: u64 = 0x517C_C1B7_2722_0A95;
 const LANE2_MUL: u64 = 0x2545_F491_4F6C_DD1D;
 
 /// Packs coordinate slices into [`CellKey`]s for one grid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KeyCodec {
     /// Bits per interval index: `ceil(log2(granularity))`, at least 1.
     bits: u32,

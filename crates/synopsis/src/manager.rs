@@ -3,7 +3,6 @@
 
 use crate::grid::Grid;
 use crate::pcs::{CellTouch, Pcs, PointRun, ProjectedStore};
-use serde::Value;
 use spot_stream::{DecayedCounter, TimeModel, WeightCache};
 use spot_subspace::Subspace;
 use spot_types::{
@@ -454,20 +453,9 @@ impl SynopsisManager {
     /// projected store's columns in **registration order** (the order that
     /// defines per-point result order, so a restored manager reproduces
     /// verdicts bit-exactly).
-    pub fn capture_state(&self) -> Value {
-        let mut w = StateWriter::new();
+    pub fn capture_state(&self, w: &mut StateWriter) {
         w.component("total", &self.total);
-        let stores = self
-            .stores
-            .iter()
-            .map(|store| {
-                let mut sw = StateWriter::new();
-                store.capture(&mut sw);
-                sw.finish()
-            })
-            .collect();
-        w.nested_list("stores", stores);
-        w.finish()
+        w.nested_list("stores", &self.stores, |w, store| store.capture(w));
     }
 
     /// Restores the complete synopsis state captured by
@@ -513,6 +501,12 @@ impl SynopsisManager {
 mod tests {
     use super::*;
     use spot_types::DomainBounds;
+
+    fn state(mgr: &SynopsisManager) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        mgr.capture_state(&mut w);
+        w.finish()
+    }
 
     fn manager(dims: usize, m: u16) -> SynopsisManager {
         let grid = Grid::new(DomainBounds::unit(dims), m).unwrap();
@@ -783,14 +777,14 @@ mod tests {
         mgr.update_and_screen_batch(0, &points, &mut collect)
             .unwrap();
         assert_eq!(mgr.live_cells(), plain.live_cells());
-        assert_eq!(mgr.capture_state(), plain.capture_state());
+        assert_eq!(state(&mgr), state(&plain));
         assert_eq!(collect.0, want);
 
         let mut collect = Collect::default();
         let bad = vec![DataPoint::new(vec![0.1, 0.2, f64::NAN])];
         assert!(mgr.update_and_screen_batch(40, &bad, &mut collect).is_err());
         assert!(collect.0.is_empty());
-        assert_eq!(mgr.capture_state(), plain.capture_state());
+        assert_eq!(state(&mgr), state(&plain));
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::grid::Grid;
 use crate::key::CellKey;
-use serde::{Deserialize, Serialize};
 use spot_stream::{TimeModel, WeightCache};
 use spot_subspace::Subspace;
 use spot_types::{DataPoint, DurableState, FxHashMap, PersistError, StateReader, StateWriter};
@@ -19,7 +18,7 @@ use spot_types::{DataPoint, DurableState, FxHashMap, PersistError, StateReader, 
 ///
 /// Following the paper, *small RD and small IRSD* flag the sparse cells in
 /// which projected outliers live.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pcs {
     /// Relative density (≥ 0; 1 = uniform expectation).
     pub rd: f64,
@@ -303,11 +302,6 @@ impl ProjectedStore {
     #[inline]
     pub fn cardinality(&self) -> usize {
         self.card
-    }
-
-    /// `m^{|s|}`: the number of projected cells of this subspace.
-    pub fn cell_count_total(&self) -> f64 {
-        self.cell_count
     }
 
     /// Number of populated projected cells.

@@ -515,7 +515,12 @@ fn idle_clock_past_the_table_cap_and_decay_underflow_matches_the_model() {
                 assert_eq!(got, want, "phase {phase}: survivors of {s}");
             }
         }
-        assert_eq!(per_point.capture_state(), batched.capture_state());
+        let capture = |mgr: &SynopsisManager| {
+            let mut w = StateWriter::new();
+            mgr.capture_state(&mut w);
+            w.finish()
+        };
+        assert_eq!(capture(&per_point), capture(&batched));
     }
 }
 

@@ -1,20 +1,26 @@
-//! Snapshot v2 round-trip pins for the synopsis layer: serializing and
+//! Round-trip pins for the synopsis layer: capturing and
 //! restoring any populated `SynopsisManager` must be bit-exact — keys, SoA
 //! columns, decay weights, registration order — including the wide-ϕ
 //! fingerprint-key fallback.
 
 use proptest::prelude::*;
-use serde::Value;
-use spot_stream::{TimeModel, WeightCache};
+use spot_stream::{DecayedCounter, TimeModel, WeightCache};
 use spot_subspace::Subspace;
 use spot_synopsis::{Grid, ProjectedStore, SynopsisManager};
 use spot_types::{DataPoint, DomainBounds, DurableState, PersistError, StateReader, StateWriter};
+
+/// The bytes `mgr` captures itself into.
+fn capture(mgr: &SynopsisManager) -> Vec<u8> {
+    let mut w = StateWriter::new();
+    mgr.capture_state(&mut w);
+    w.finish()
+}
 
 /// Captures `mgr`, restores into a fresh manager of the same grid/model
 /// (no subspaces pre-registered — registration order must come from the
 /// snapshot), and checks the restored state is bit-exact.
 fn roundtrip_and_check(mgr: &SynopsisManager, now: u64, probes: &[DataPoint]) {
-    let state = mgr.capture_state();
+    let state = capture(mgr);
     let mut restored = SynopsisManager::new(mgr.grid().clone(), *mgr.model());
     restored
         .restore_state(&StateReader::new(&state).unwrap())
@@ -59,11 +65,7 @@ fn roundtrip_and_check(mgr: &SynopsisManager, now: u64, probes: &[DataPoint]) {
 
     // A second capture is byte-identical: capture → restore → capture is a
     // fixed point.
-    let again = restored.capture_state();
-    assert_eq!(
-        serde_json::to_string(&state).unwrap(),
-        serde_json::to_string(&again).unwrap()
-    );
+    assert_eq!(capture(&restored), state);
 }
 
 proptest! {
@@ -146,14 +148,17 @@ fn corrupt_manager_state_is_rejected() {
     let mut mgr = SynopsisManager::new(grid.clone(), model);
     mgr.add_subspace(Subspace::from_dims([0]).unwrap());
     mgr.update(1, &DataPoint::new(vec![0.2, 0.8])).unwrap();
-    let good = mgr.capture_state();
-    let json = serde_json::to_string(&good).unwrap();
+    let good = capture(&mgr);
 
-    // Dropping a required column must fail restore, not panic.
-    let broken = json.replace("\"total\"", "\"tot\"");
-    let v: Value = serde_json::from_str(&broken).unwrap();
+    // Dropping a required component must fail restore, not panic: rename
+    // `total` in place.
+    let at = good.windows(5).position(|w| w == b"total").unwrap();
+    let mut broken = good.clone();
+    broken[at + 4] = b'X';
     let mut fresh = SynopsisManager::new(grid, model);
-    assert!(fresh.restore_state(&StateReader::new(&v).unwrap()).is_err());
+    assert!(fresh
+        .restore_state(&StateReader::new(&broken).unwrap())
+        .is_err());
 }
 
 #[test]
@@ -199,7 +204,7 @@ fn stores_on_both_sides_of_the_dense_cut_roundtrip_and_keep_going() {
         // The restored manager is not just equal at rest: fed the same
         // tail it stays byte-identical, so the rebuilt index resolves old
         // cells and opens new ones exactly as the original does.
-        let state = mgr.capture_state();
+        let state = capture(&mgr);
         let mut restored = SynopsisManager::new(mgr.grid().clone(), *mgr.model());
         restored
             .restore_state(&StateReader::new(&state).unwrap())
@@ -223,18 +228,17 @@ fn stores_on_both_sides_of_the_dense_cut_roundtrip_and_keep_going() {
             }
         }
         assert_eq!(
-            serde_json::to_string(&mgr.capture_state()).unwrap(),
-            serde_json::to_string(&restored.capture_state()).unwrap(),
+            capture(&mgr),
+            capture(&restored),
             "m={m}: states diverged after the tail"
         );
     }
 }
 
-/// A projected-store snapshot with the given key column (one point of
-/// weight per cell).
-fn store_state(s: Subspace, keys: &[u128]) -> Value {
+/// Writes a projected-store snapshot with the given key column (one point
+/// of weight per cell).
+fn store_state(w: &mut StateWriter, s: Subspace, keys: &[u128]) {
     let n = keys.len();
-    let mut w = StateWriter::new();
     w.u64("mask", s.mask());
     w.u128_col("keys", keys.iter().copied());
     w.f64_bits_col("d", std::iter::repeat_n(1.0, n));
@@ -243,6 +247,12 @@ fn store_state(s: Subspace, keys: &[u128]) -> Value {
         "moments",
         std::iter::repeat_n(0.25, n * 2 * s.cardinality()),
     );
+}
+
+/// One store's snapshot bytes.
+fn store_bytes(s: Subspace, keys: &[u128]) -> Vec<u8> {
+    let mut w = StateWriter::new();
+    store_state(&mut w, s, keys);
     w.finish()
 }
 
@@ -269,7 +279,7 @@ fn hostile_key_columns_are_typed_errors_not_panics() {
     for (s, keys, what) in cases {
         let mut store = ProjectedStore::new(&grid, s);
         store.update_and_screen(&grid, &weights, 1, &base, &p, 1.0);
-        let state = store_state(s, keys);
+        let state = store_bytes(s, keys);
         let err: PersistError = store
             .restore(&StateReader::new(&state).unwrap())
             .expect_err("hostile key column must be refused");
@@ -286,7 +296,7 @@ fn hostile_key_columns_are_typed_errors_not_panics() {
 
     // The same columns are fine where the keys are in range and distinct.
     let mut store = ProjectedStore::new(&grid, dense);
-    let state = store_state(dense, &[3, 255, 0]);
+    let state = store_bytes(dense, &[3, 255, 0]);
     store.restore(&StateReader::new(&state).unwrap()).unwrap();
     assert_eq!(store.len(), 3);
 
@@ -295,15 +305,10 @@ fn hostile_key_columns_are_typed_errors_not_panics() {
     mgr.add_subspace(dense);
     mgr.update(1, &p).unwrap();
     let mut w = StateWriter::new();
-    w.value("total", {
-        let good = mgr.capture_state();
-        StateReader::new(&good)
-            .unwrap()
-            .value("total")
-            .unwrap()
-            .clone()
+    w.component("total", &DecayedCounter::new());
+    w.nested_list("stores", [&[9u128, 300][..]], |w, keys| {
+        store_state(w, dense, keys)
     });
-    w.nested_list("stores", vec![store_state(dense, &[9, 300])]);
     let forged = w.finish();
     let mut fresh = SynopsisManager::new(grid, model);
     assert!(fresh
@@ -323,30 +328,26 @@ fn a_store_mask_outside_the_grid_is_a_typed_error_and_changes_nothing() {
     mgr.add_subspace(kept);
     let p = DataPoint::new(vec![0.15, 0.85, 0.5, 0.25]);
     mgr.update(1, &p).unwrap();
-    let before = mgr.capture_state();
+    let before = capture(&mgr);
     let footprint = (mgr.live_cells(), mgr.approx_bytes());
-
-    let good = StateReader::new(&before).unwrap();
     for hostile in [
         Subspace::from_dims([40]).unwrap(),
         Subspace::from_dims([0, 4]).unwrap(),
         Subspace::from_dims([63]).unwrap(),
     ] {
         let mut w = StateWriter::new();
-        w.value("total", good.value("total").unwrap().clone());
-        // A sound store first: nothing of a half-read tree may stick.
-        w.nested_list(
-            "stores",
-            vec![
-                store_state(Subspace::from_dims([0]).unwrap(), &[3]),
-                store_state(hostile, &[]),
-            ],
-        );
+        w.component("total", &DecayedCounter::new());
+        // A sound store first: nothing of a half-read state may stick.
+        let stores = [
+            (Subspace::from_dims([0]).unwrap(), &[3u128][..]),
+            (hostile, &[]),
+        ];
+        w.nested_list("stores", stores, |w, (s, keys)| store_state(w, s, keys));
         let err: PersistError = mgr
             .restore_state(&StateReader::new(&w.finish()).unwrap())
             .expect_err("a mask outside the grid must be refused");
         assert!(err.to_string().contains("outside the grid"), "{err}");
-        assert_eq!(mgr.capture_state(), before, "{hostile}");
+        assert_eq!(capture(&mgr), before, "{hostile}");
         assert_eq!((mgr.live_cells(), mgr.approx_bytes()), footprint);
     }
     // Still the manager it was: same subspace, and it keeps ingesting.
@@ -355,83 +356,4 @@ fn a_store_mask_outside_the_grid_is_a_typed_error_and_changes_nothing() {
     mgr.update_and_query(2, &p, &mut sink).unwrap();
     assert_eq!(sink.len(), 1);
     assert!(sink[0].occupancy > 1.0, "the old cell is still there");
-}
-
-/// The manager `fixtures/manager_state_pr13.json` was captured from by
-/// PR 13 (`8568efa`), when a manager still kept a base store: 120 points
-/// over the box, 80 in one corner much later, one prune.
-fn fixture_manager() -> SynopsisManager {
-    let grid = Grid::new(DomainBounds::unit(5), 10).unwrap();
-    let mut mgr = SynopsisManager::new(grid, TimeModel::new(40, 0.01).unwrap());
-    for dims in [vec![0], vec![1, 2], vec![0, 3, 4]] {
-        mgr.add_subspace(Subspace::from_dims(dims).unwrap());
-    }
-    let point = |i: u64, scale: f64| {
-        DataPoint::new(
-            (0..5u64)
-                .map(|d| ((i * (2 * d + 3) + 5 * d) % 29) as f64 / 29.0 * scale)
-                .collect(),
-        )
-    };
-    for i in 0..120 {
-        mgr.update(1 + i, &point(i, 1.0)).unwrap();
-    }
-    for i in 0..80 {
-        mgr.update(400 + i, &point(i, 0.35)).unwrap();
-    }
-    assert!(mgr.prune(480, 1e-3) > 0);
-    mgr
-}
-
-/// The fixture stream, continued.
-fn fixture_tail(i: u64) -> DataPoint {
-    DataPoint::new(
-        (0..5u64)
-            .map(|d| ((i * (3 * d + 2) + 7 * d) % 31) as f64 / 31.0)
-            .collect(),
-    )
-}
-
-#[test]
-fn state_captured_by_the_parent_commit_interchanges() {
-    // The fixture carries a `base` component no reader asks for any more:
-    // it restores with its base cells dropped, into exactly the state this
-    // build reaches on the same stream, and carries on bit-identically to
-    // a manager that never stopped.
-    let fixture = include_str!("fixtures/manager_state_pr13.json");
-    let state: Value = serde_json::from_str(fixture).unwrap();
-    assert!(
-        StateReader::new(&state).unwrap().value("base").is_ok(),
-        "test premise: the fixture still carries base cells"
-    );
-    let mut live = fixture_manager();
-    let mut restored = SynopsisManager::new(live.grid().clone(), *live.model());
-    restored
-        .restore_state(&StateReader::new(&state).unwrap())
-        .unwrap();
-    let captured = serde_json::to_string(&restored.capture_state()).unwrap();
-    assert_eq!(
-        captured,
-        serde_json::to_string(&live.capture_state()).unwrap(),
-        "the restored fixture is not the state this build reaches"
-    );
-    assert!(!captured.contains("\"base\""));
-    assert_eq!(restored.live_cells(), live.live_cells());
-    assert_eq!(restored.approx_bytes(), live.approx_bytes());
-
-    let (mut sink_a, mut sink_b) = (Vec::new(), Vec::new());
-    for i in 0..200u64 {
-        let p = fixture_tail(i);
-        let a = live.update_and_query(481 + i, &p, &mut sink_a).unwrap();
-        let b = restored.update_and_query(481 + i, &p, &mut sink_b).unwrap();
-        assert_eq!(a.total_weight.to_bits(), b.total_weight.to_bits());
-        assert_eq!(sink_a.len(), sink_b.len());
-        for (x, y) in sink_a.iter().zip(&sink_b) {
-            assert_eq!(x.subspace, y.subspace);
-            assert_eq!(x.pcs.rd.to_bits(), y.pcs.rd.to_bits(), "point {i}");
-            assert_eq!(x.pcs.irsd.to_bits(), y.pcs.irsd.to_bits(), "point {i}");
-            assert_eq!(x.occupancy.to_bits(), y.occupancy.to_bits(), "point {i}");
-        }
-    }
-    assert_eq!(restored.capture_state(), live.capture_state());
 }

@@ -1,8 +1,8 @@
 //! Attribute domain bounds used by the equi-width grid partition.
 
 use crate::error::{Result, SpotError};
+use crate::persist::{DurableState, PersistError, StateReader, StateWriter};
 use crate::point::DataPoint;
-use serde::{Deserialize, Serialize};
 
 /// Per-dimension `[min, max]` bounds of the attribute domain.
 ///
@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// each dimension of this box into `m` intervals. Points outside the box are
 /// clamped to the boundary cells, matching the behaviour of a deployed
 /// system whose training sample did not cover the full range.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DomainBounds {
     mins: Vec<f64>,
     maxs: Vec<f64>,
@@ -136,6 +136,21 @@ impl DomainBounds {
                 .iter()
                 .enumerate()
                 .all(|(d, &v)| v >= self.mins[d] && v <= self.maxs[d])
+    }
+}
+
+impl DurableState for DomainBounds {
+    fn capture(&self, w: &mut StateWriter) {
+        w.f64_bits_col("mins", self.mins.iter().copied());
+        w.f64_bits_col("maxs", self.maxs.iter().copied());
+    }
+
+    /// Validated like [`DomainBounds::new`]; captured bounds are never
+    /// degenerate, so the widening never moves them.
+    fn restore(&mut self, r: &StateReader<'_>) -> std::result::Result<(), PersistError> {
+        *self = DomainBounds::new(r.f64_bits_col("mins")?, r.f64_bits_col("maxs")?)
+            .map_err(|e| PersistError::custom(e.to_string()))?;
+        Ok(())
     }
 }
 

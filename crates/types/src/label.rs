@@ -1,14 +1,12 @@
 //! Ground-truth labels for evaluation.
 
-use serde::{Deserialize, Serialize};
-
 /// Ground-truth description of an anomalous record.
 ///
 /// `true_subspace` stores the dimensions in which the anomaly was planted as
 /// a raw bitmask (bit `i` set ⇔ dimension `i` participates). It is kept as a
 /// plain `u64` here so that `spot-types` stays dependency-free; the
 /// `spot-subspace` crate converts it to its `Subspace` type.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnomalyInfo {
     /// Anomaly family, e.g. `"dos"`, `"probe"`, `"cluster-edge"`.
     pub category: String,
@@ -36,7 +34,7 @@ impl AnomalyInfo {
 }
 
 /// Ground-truth label of a stream record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Label {
     /// A regular point.
     Normal,

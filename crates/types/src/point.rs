@@ -1,14 +1,13 @@
 //! Points and stream records.
 
 use crate::label::Label;
-use serde::{Deserialize, Serialize};
 
 /// A ϕ-dimensional data point `p = (p_1, …, p_ϕ)`.
 ///
 /// SPOT treats every attribute as continuous; categorical attributes are
 /// expected to be encoded numerically upstream (the KDD-like generator in
 /// `spot-data` does exactly that).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataPoint {
     values: Vec<f64>,
 }
@@ -92,7 +91,7 @@ impl std::ops::Index<usize> for DataPoint {
 ///
 /// `seq` doubles as the logical timestamp under SPOT's default
 /// one-tick-per-point clock.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamRecord {
     /// Arrival sequence number (0-based).
     pub seq: u64,
@@ -109,7 +108,7 @@ impl StreamRecord {
 
 /// A stream record carrying ground truth, produced by the generators in
 /// `spot-data` and consumed by the evaluation harness.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LabeledRecord {
     /// Arrival sequence number (0-based).
     pub seq: u64,

@@ -44,11 +44,6 @@ impl RunningStats {
         }
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Merges another accumulator (Chan et al. parallel formula).
     pub fn merge(&mut self, other: &RunningStats) {
         if other.n == 0 {

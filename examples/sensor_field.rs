@@ -13,7 +13,7 @@
 //! ```
 //!
 //! With `--resume`, the example instead exercises the **warm-restart
-//! checkpoint on the binary column carrier (v3)**: it streams half the
+//! checkpoint on the binary column carrier (v4)**: it streams half the
 //! readings, seals a full checkpoint into a checksummed binary container,
 //! restores a detector from those bytes alone, and diffs the second
 //! half's verdicts against an uninterrupted detector — they must be
