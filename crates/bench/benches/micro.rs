@@ -1,10 +1,11 @@
-//! Criterion micro-benchmarks of SPOT's hot paths: synopsis maintenance,
-//! grid mapping, subspace machinery and the end-to-end per-point cost.
+//! Micro-benchmarks of SPOT's hot paths: synopsis maintenance, grid
+//! mapping, subspace machinery and the end-to-end per-point cost. Each arm
+//! prints one `mean … min …` line ([`spot_bench::timer`]).
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spot::{SparsityProblem, SparsityScratch, SpotBuilder, TrainingEvaluator};
+use spot_bench::timer::time_arm;
 use spot_clustering::LeaderClustering;
 use spot_data::{SyntheticConfig, SyntheticGenerator};
 use spot_moga::{assign_rank_and_crowding, Individual, MogaConfig, ObjectiveArena, RankScratch};
@@ -12,6 +13,7 @@ use spot_stream::TimeModel;
 use spot_subspace::Subspace;
 use spot_synopsis::{CellConsumer, CellTouch, Grid, ProjectedStore, SynopsisManager};
 use spot_types::{DataPoint, DomainBounds};
+use std::hint::black_box;
 
 fn random_points(n: usize, dims: usize, seed: u64) -> Vec<DataPoint> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -62,79 +64,63 @@ impl CellConsumer for SumRd {
 /// The cell-touch kernel where the two ingest paths run it, at the store
 /// counts of the benchmark workloads: divide an iteration by
 /// `points × stores` for the per-touch cost `docs/hotpath.md` quotes.
-fn bench_touch_kernel(c: &mut Criterion) {
+fn bench_touch_kernel() {
     let (mut mgr, pts) = touch_fixture(64, 64, 14, 512);
     let mut now = 0u64;
-    c.bench_function("touch_point_phi64_78stores", |b| {
-        b.iter(|| {
-            let mut acc = 0.0f64;
-            for p in &pts {
-                now += 1;
-                mgr.update_and_screen(now, black_box(p), |_, _, touch| acc += touch.rd)
-                    .unwrap();
-            }
-            acc
-        })
+    time_arm("touch_point_phi64_78stores", || {
+        let mut acc = 0.0f64;
+        for p in &pts {
+            now += 1;
+            mgr.update_and_screen(now, black_box(p), |_, _, touch| acc += touch.rd)
+                .unwrap();
+        }
+        acc
     });
 
     let (mut mgr, pts) = touch_fixture(16, 16, 120, 256);
     let mut start = 1u64;
-    c.bench_function("touch_run256_phi16_136stores", |b| {
-        let mut sum = SumRd(0.0);
-        b.iter(|| {
-            mgr.update_and_screen_batch(start, black_box(&pts), &mut sum)
-                .unwrap();
-            start += pts.len() as u64;
-            sum.0
-        })
+    let mut sum = SumRd(0.0);
+    time_arm("touch_run256_phi16_136stores", || {
+        mgr.update_and_screen_batch(start, black_box(&pts), &mut sum)
+            .unwrap();
+        start += pts.len() as u64;
+        sum.0
     });
 }
 
-fn bench_grid_mapping(c: &mut Criterion) {
+fn bench_grid_mapping() {
     for dims in [8usize, 32] {
         let grid = Grid::new(DomainBounds::unit(dims), 10).unwrap();
         let pts = random_points(1024, dims, 2);
-        c.bench_with_input(
-            BenchmarkId::new("grid_base_coords", dims),
-            &pts,
-            |b, pts| {
-                b.iter(|| {
-                    let mut acc = 0usize;
-                    for p in pts {
-                        acc += grid.base_coords(black_box(p)).unwrap()[0] as usize;
-                    }
-                    acc
-                })
-            },
-        );
+        time_arm(&format!("grid_base_coords/{dims}"), || {
+            let mut acc = 0usize;
+            for p in &pts {
+                acc += grid.base_coords(black_box(p)).unwrap()[0] as usize;
+            }
+            acc
+        });
     }
 }
 
 /// The chunked branch-free quantizer on the reused-scratch entry — the
 /// satellite check that the autovectorizable form is no slower at any ϕ.
-fn bench_grid_quantize_chunked(c: &mut Criterion) {
+fn bench_grid_quantize_chunked() {
     for dims in [8usize, 24, 64] {
         let grid = Grid::new(DomainBounds::unit(dims), 10).unwrap();
         let pts = random_points(1024, dims, 2);
-        c.bench_with_input(
-            BenchmarkId::new("grid_base_coords_into", dims),
-            &pts,
-            |b, pts| {
-                let mut scratch = Vec::with_capacity(dims);
-                b.iter(|| {
-                    let mut acc = 0usize;
-                    for p in pts {
-                        grid.base_coords_into(black_box(p), &mut scratch).unwrap();
-                        acc += scratch[0] as usize;
-                    }
-                    acc
-                })
-            },
-        );
+        let mut scratch = Vec::with_capacity(dims);
+        time_arm(&format!("grid_base_coords_into/{dims}"), || {
+            let mut acc = 0usize;
+            for p in &pts {
+                grid.base_coords_into(black_box(p), &mut scratch).unwrap();
+                acc += scratch[0] as usize;
+            }
+            acc
+        });
     }
 }
 
-fn bench_manager_update(c: &mut Criterion) {
+fn bench_manager_update() {
     for n_subspaces in [16usize, 64, 256] {
         let dims = 16;
         let grid = Grid::new(DomainBounds::unit(dims), 10).unwrap();
@@ -147,25 +133,19 @@ fn bench_manager_update(c: &mut Criterion) {
             }
         }
         let pts = random_points(512, dims, 4);
-        c.bench_with_input(
-            BenchmarkId::new("manager_update", n_subspaces),
-            &pts,
-            |b, pts| {
-                let mut now = 0u64;
-                b.iter(|| {
-                    for p in pts {
-                        now += 1;
-                        mgr.update(now, black_box(p)).unwrap();
-                    }
-                })
-            },
-        );
+        let mut now = 0u64;
+        time_arm(&format!("manager_update/{n_subspaces}"), || {
+            for p in &pts {
+                now += 1;
+                mgr.update(now, black_box(p)).unwrap();
+            }
+        });
     }
 }
 
 /// The fused single-pass path: update + per-subspace PCS in one access
 /// (what `Spot::process` actually runs per point).
-fn bench_manager_update_and_query(c: &mut Criterion) {
+fn bench_manager_update_and_query() {
     for n_subspaces in [16usize, 64, 256] {
         let dims = 16;
         let grid = Grid::new(DomainBounds::unit(dims), 10).unwrap();
@@ -178,29 +158,23 @@ fn bench_manager_update_and_query(c: &mut Criterion) {
             }
         }
         let pts = random_points(512, dims, 4);
-        c.bench_with_input(
-            BenchmarkId::new("manager_update_and_query", n_subspaces),
-            &pts,
-            |b, pts| {
-                let mut now = 0u64;
-                let mut sink = Vec::new();
-                b.iter(|| {
-                    let mut acc = 0.0f64;
-                    for p in pts {
-                        now += 1;
-                        mgr.update_and_query(now, black_box(p), &mut sink).unwrap();
-                        for e in &sink {
-                            acc += e.pcs.rd;
-                        }
-                    }
-                    acc
-                })
-            },
-        );
+        let mut now = 0u64;
+        let mut sink = Vec::new();
+        time_arm(&format!("manager_update_and_query/{n_subspaces}"), || {
+            let mut acc = 0.0f64;
+            for p in &pts {
+                now += 1;
+                mgr.update_and_query(now, black_box(p), &mut sink).unwrap();
+                for e in &sink {
+                    acc += e.pcs.rd;
+                }
+            }
+            acc
+        });
     }
 }
 
-fn bench_spot_process_batch(c: &mut Criterion) {
+fn bench_spot_process_batch() {
     let dims = 16;
     let mut spot = SpotBuilder::new(DomainBounds::unit(dims))
         .fs_max_dimension(2)
@@ -209,12 +183,12 @@ fn bench_spot_process_batch(c: &mut Criterion) {
         .unwrap();
     spot.learn(&random_points(1000, dims, 7)).unwrap();
     let pts = random_points(256, dims, 8);
-    c.bench_function("spot_process_batch_256_phi16", |b| {
-        b.iter(|| spot.process_batch(black_box(&pts)).unwrap().len())
+    time_arm("spot_process_batch_256_phi16", || {
+        spot.process_batch(black_box(&pts)).unwrap().len()
     });
 }
 
-fn bench_nondominated_sort(c: &mut Criterion) {
+fn bench_nondominated_sort() {
     let mut rng = StdRng::seed_from_u64(5);
     for n in [64usize, 256] {
         let mut objectives = ObjectiveArena::new(3);
@@ -226,14 +200,12 @@ fn bench_nondominated_sort(c: &mut Criterion) {
                 crowding: 0.0,
             })
             .collect();
-        c.bench_with_input(BenchmarkId::new("nondominated_sort", n), &pop, |b, pop| {
-            let mut scratch = RankScratch::default();
-            let mut p = pop.clone();
-            b.iter(|| {
-                p.copy_from_slice(pop);
-                assign_rank_and_crowding(&objectives, &mut p, &mut scratch);
-                p[0].rank
-            })
+        let mut scratch = RankScratch::default();
+        let mut p = pop.clone();
+        time_arm(&format!("nondominated_sort/{n}"), || {
+            p.copy_from_slice(&pop);
+            assign_rank_and_crowding(&objectives, &mut p, &mut scratch);
+            p[0].rank
         });
     }
 }
@@ -267,7 +239,7 @@ fn candidate_subspaces(dims: usize) -> Vec<Subspace> {
 /// The objective kernel on its own, 64 evaluations an iteration: the
 /// online shape (320 points, the 64 buffered outliers as targets) at the
 /// two benchmark widths, and the learning stage's whole-batch shape.
-fn bench_sparsity_kernel(c: &mut Criterion) {
+fn bench_sparsity_kernel() {
     let score_all = |ev: &TrainingEvaluator, targets: Option<&[usize]>, subs: &[Subspace]| {
         let mut scratch = SparsityScratch::default();
         let mut acc = 0.0;
@@ -281,20 +253,18 @@ fn bench_sparsity_kernel(c: &mut Criterion) {
         let ev = clustered_batch(dims, 256, 64);
         let subs = candidate_subspaces(dims);
         let targets: Vec<usize> = (256..320).collect();
-        c.bench_function(&format!("sparsity_targets64_n320_phi{dims}"), |b| {
-            b.iter(|| score_all(&ev, Some(&targets), &subs))
+        time_arm(&format!("sparsity_targets64_n320_phi{dims}"), || {
+            score_all(&ev, Some(&targets), &subs)
         });
     }
     let ev = clustered_batch(16, 2000, 0);
     let subs = candidate_subspaces(16);
-    c.bench_function("sparsity_whole_n2000_phi16", |b| {
-        b.iter(|| score_all(&ev, None, &subs))
-    });
+    time_arm("sparsity_whole_n2000_phi16", || score_all(&ev, None, &subs));
 }
 
 /// One OS-growth search as the detector runs it on a tick: the online MOGA
 /// configuration over reservoir ∪ outlier buffer.
-fn bench_moga_online(c: &mut Criterion) {
+fn bench_moga_online() {
     let ev = clustered_batch(16, 256, 64);
     let config = MogaConfig {
         population: 24,
@@ -302,25 +272,23 @@ fn bench_moga_online(c: &mut Criterion) {
         seed: 13,
         ..MogaConfig::default()
     };
-    c.bench_function("moga_online_n320_phi16", |b| {
-        b.iter(|| {
-            let mut problem = SparsityProblem::for_targets(&ev, (256..320).collect(), Some(4));
-            spot_moga::run(&mut problem, black_box(&config))
-                .unwrap()
-                .evaluations
-        })
+    time_arm("moga_online_n320_phi16", || {
+        let mut problem = SparsityProblem::for_targets(&ev, (256..320).collect(), Some(4));
+        spot_moga::run(&mut problem, black_box(&config))
+            .unwrap()
+            .evaluations
     });
 }
 
-fn bench_leader_clustering(c: &mut Criterion) {
+fn bench_leader_clustering() {
     let pts = random_points(1000, 8, 6);
-    c.bench_function("leader_clustering_1000x8", |b| {
-        let method = LeaderClustering::new(0.4).unwrap();
-        b.iter(|| method.run(black_box(&pts)).num_clusters())
+    let method = LeaderClustering::new(0.4).unwrap();
+    time_arm("leader_clustering_1000x8", || {
+        method.run(black_box(&pts)).num_clusters()
     });
 }
 
-fn bench_spot_process(c: &mut Criterion) {
+fn bench_spot_process() {
     let dims = 16;
     let mut spot = SpotBuilder::new(DomainBounds::unit(dims))
         .fs_max_dimension(2)
@@ -329,23 +297,24 @@ fn bench_spot_process(c: &mut Criterion) {
         .unwrap();
     spot.learn(&random_points(1000, dims, 7)).unwrap();
     let pts = random_points(256, dims, 8);
-    c.bench_function("spot_process_per_point_phi16", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            let v = spot.process(&pts[i % pts.len()]).unwrap();
-            i += 1;
-            v.outlier
-        })
+    let mut i = 0usize;
+    time_arm("spot_process_per_point_phi16", || {
+        let v = spot.process(&pts[i % pts.len()]).unwrap();
+        i += 1;
+        v.outlier
     });
 }
 
-criterion_group! {
-    name = micro;
-    config = Criterion::default().sample_size(20);
-    targets = bench_touch_kernel, bench_grid_mapping,
-              bench_grid_quantize_chunked, bench_manager_update,
-              bench_manager_update_and_query, bench_spot_process_batch,
-              bench_nondominated_sort, bench_sparsity_kernel, bench_moga_online,
-              bench_leader_clustering, bench_spot_process
+fn main() {
+    bench_touch_kernel();
+    bench_grid_mapping();
+    bench_grid_quantize_chunked();
+    bench_manager_update();
+    bench_manager_update_and_query();
+    bench_spot_process_batch();
+    bench_nondominated_sort();
+    bench_sparsity_kernel();
+    bench_moga_online();
+    bench_leader_clustering();
+    bench_spot_process();
 }
-criterion_main!(micro);

@@ -3,8 +3,10 @@
 //! Each `benches/eNN_*.rs` target regenerates one table/figure from the
 //! evaluation plan in DESIGN.md §4. This library holds the plumbing they
 //! share: running any [`StreamDetector`] over a labeled stream while
-//! collecting effectiveness and efficiency measurements, and writing the
-//! table + JSON artifact pair.
+//! collecting effectiveness and efficiency measurements, writing the
+//! table + JSON artifact pair, and the [`timer`] the `micro` arms run on.
+
+pub mod timer;
 
 use serde_json::{json, Value};
 use spot_metrics::{roc_auc, ConfusionMatrix, Table, ThroughputMeter};
@@ -152,6 +154,13 @@ mod tests {
         assert!((out.recall - 1.0).abs() < 1e-12);
         assert!((out.auc - 1.0).abs() < 1e-12);
         assert!(out.throughput > 0.0);
+    }
+
+    #[test]
+    fn measures_something() {
+        let t = timer::time_arm("noop", || std::hint::black_box(1 + 1));
+        assert!(t.mean_s > 0.0);
+        assert!(t.min_s <= t.mean_s * (1.0 + 1e-9));
     }
 
     #[test]

@@ -140,6 +140,10 @@ impl Default for DriftConfig {
     }
 }
 
+/// The most subspaces one SST component may hold: an FS enumeration and a
+/// CS or OS capacity above it are refused ([`SpotConfig::validate`]).
+const MAX_COMPONENT_SUBSPACES: usize = 100_000;
+
 /// Full SPOT configuration.
 #[derive(Debug, Clone)]
 pub struct SpotConfig {
@@ -224,12 +228,21 @@ impl SpotConfig {
                 "FS MaxDimension must be at least 1".into(),
             ));
         }
-        // Refuse configurations whose FS alone would explode.
+        // Refuse configurations whose FS alone would explode, and CS / OS
+        // capacities past the same ceiling (self-evolution allocates
+        // `cs_capacity` offspring a tick).
         let fs_size = spot_subspace::count_up_to_dim(phi, self.fs_max_dimension);
-        if fs_size > 100_000 {
+        if fs_size > MAX_COMPONENT_SUBSPACES as u128 {
             return Err(SpotError::InvalidConfig(format!(
                 "FS would hold {fs_size} subspaces; lower fs_max_dimension"
             )));
+        }
+        for (name, capacity) in [("CS", self.cs_capacity), ("OS", self.os_capacity)] {
+            if capacity > MAX_COMPONENT_SUBSPACES {
+                return Err(SpotError::InvalidConfig(format!(
+                    "{name} capacity {capacity} exceeds {MAX_COMPONENT_SUBSPACES} subspaces"
+                )));
+            }
         }
         if !(0.0..=1.0).contains(&self.learning.top_fraction) {
             return Err(SpotError::InvalidConfig(
@@ -523,6 +536,25 @@ mod tests {
         let mut c = SpotConfig::new(DomainBounds::unit(48));
         c.fs_max_dimension = 5;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn sst_capacities_above_the_ceiling_are_rejected() {
+        // Self-evolution allocates `cs_capacity` offspring at every
+        // evolution tick: a capacity no allocation can hold must not build.
+        let b = || SpotBuilder::new(DomainBounds::unit(4));
+        for built in [
+            b().cs_capacity(1 << 60).build(),
+            b().os_capacity(1 << 60).build(),
+            b().cs_capacity(MAX_COMPONENT_SUBSPACES + 1).build(),
+        ] {
+            assert!(matches!(built, Err(SpotError::InvalidConfig(_))));
+        }
+        let at_ceiling = b()
+            .cs_capacity(MAX_COMPONENT_SUBSPACES)
+            .os_capacity(MAX_COMPONENT_SUBSPACES)
+            .build_config();
+        assert!(at_ceiling.is_ok());
     }
 
     #[test]

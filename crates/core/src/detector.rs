@@ -62,8 +62,6 @@ pub struct Spot {
     phi: usize,
     manager: SynopsisManager,
     sst: Sst,
-    /// Flattened, deduplicated SST — the hot path iterates this.
-    active: Vec<Subspace>,
     clock: LogicalClock,
     rng: StdRng,
     /// Recently detected outliers (tick, point), bounded ring.
@@ -113,7 +111,6 @@ impl Spot {
             phi,
             manager,
             sst,
-            active: Vec::new(),
             clock: LogicalClock::new(),
             rng,
             outlier_buffer: Vec::new(),
@@ -542,7 +539,6 @@ impl Spot {
         root: &StateReader<'_>,
     ) -> std::result::Result<(), PersistError> {
         root.restore_component("sst", &mut self.sst)?;
-        self.active = self.sst.iter_all().collect();
         let r = root.nested("state")?;
         r.restore_component("clock", &mut self.clock)?;
         self.learned = r.bool("learned")?;
@@ -736,10 +732,9 @@ impl Spot {
             }
         }
         let mut added: Vec<Subspace> = Vec::new();
-        self.active = self.sst.iter_all().collect();
-        for s in &self.active {
-            if self.manager.add_subspace(*s) {
-                added.push(*s);
+        for s in self.sst.iter_all() {
+            if self.manager.add_subspace(s) {
+                added.push(s);
             }
         }
         if warm && !added.is_empty() && !self.reservoir.is_empty() {
@@ -853,7 +848,11 @@ mod tests {
         assert_eq!(fs, 6 + 15);
         assert_eq!(cs, 0);
         assert_eq!(os, 0);
-        assert_eq!(s.active.len(), fs);
+        // The manager keeps one store per SST subspace, in SST order, and
+        // none holds a cell yet.
+        let monitored: Vec<Subspace> = s.manager.subspaces().collect();
+        assert_eq!(monitored, s.sst().iter_all().collect::<Vec<_>>());
+        assert_eq!(s.footprint().projected_cells, 0);
     }
 
     #[test]

@@ -384,6 +384,26 @@ mod tests {
     }
 
     #[test]
+    fn an_sst_capacity_above_the_ceiling_is_snapshot_corrupt() {
+        // Capacities of 2^14 take a three-byte varint, so the edit keeps
+        // every length: 2^21 − 1 is valid LEB128 and above the ceiling.
+        let spot = SpotBuilder::new(DomainBounds::unit(4))
+            .cs_capacity(1 << 14)
+            .os_capacity(1 << 14)
+            .build()
+            .unwrap();
+        let bytes = spot.checkpoint().to_bytes();
+        assert!(restore_from_bytes(&bytes).is_ok());
+        for field in [&b"\x0bcs_capacity\x03"[..], b"\x0bos_capacity\x03"] {
+            let hostile = patch(&bytes, field, &[0xff, 0xff, 0x7f]);
+            assert!(matches!(
+                restore_from_bytes(&hostile),
+                Err(SpotError::SnapshotCorrupt(m)) if m.contains("capacity")
+            ));
+        }
+    }
+
+    #[test]
     fn corrupt_payloads_error_instead_of_panicking() {
         // Whole, sealed containers that are not checkpoints: no fields,
         // foreign fields, a state whose `rng` field is renamed away, a

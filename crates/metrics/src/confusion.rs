@@ -29,23 +29,6 @@ impl ConfusionMatrix {
         }
     }
 
-    /// Builds a matrix from parallel prediction/truth iterators.
-    pub fn from_pairs<I>(pairs: I) -> Self
-    where
-        I: IntoIterator<Item = (bool, bool)>,
-    {
-        let mut m = Self::new();
-        for (pred, truth) in pairs {
-            m.record(pred, truth);
-        }
-        m
-    }
-
-    /// Total observations.
-    pub fn total(&self) -> u64 {
-        self.tp + self.fp + self.tn + self.fn_
-    }
-
     /// Precision `tp / (tp + fp)`; 0 when nothing was flagged.
     pub fn precision(&self) -> f64 {
         ratio(self.tp, self.tp + self.fp)
@@ -70,19 +53,6 @@ impl ConfusionMatrix {
     /// False-positive rate `fp / (fp + tn)`.
     pub fn false_positive_rate(&self) -> f64 {
         ratio(self.fp, self.fp + self.tn)
-    }
-
-    /// Accuracy `(tp + tn) / total`.
-    pub fn accuracy(&self) -> f64 {
-        ratio(self.tp + self.tn, self.total())
-    }
-
-    /// Merges another matrix.
-    pub fn merge(&mut self, other: &ConfusionMatrix) {
-        self.tp += other.tp;
-        self.fp += other.fp;
-        self.tn += other.tn;
-        self.fn_ += other.fn_;
     }
 }
 
@@ -110,7 +80,6 @@ mod tests {
         assert!((m.precision() - 0.8).abs() < 1e-12);
         assert!((m.recall() - 8.0 / 13.0).abs() < 1e-12);
         assert!((m.false_positive_rate() - 2.0 / 87.0).abs() < 1e-12);
-        assert!((m.accuracy() - 93.0 / 100.0).abs() < 1e-12);
         let f1 = 2.0 * 0.8 * (8.0 / 13.0) / (0.8 + 8.0 / 13.0);
         assert!((m.f1() - f1).abs() < 1e-12);
     }
@@ -122,60 +91,34 @@ mod tests {
         assert_eq!(m.recall(), 0.0);
         assert_eq!(m.f1(), 0.0);
         assert_eq!(m.false_positive_rate(), 0.0);
-        assert_eq!(m.accuracy(), 0.0);
     }
 
     #[test]
-    fn record_and_from_pairs_agree() {
-        let pairs = [
+    fn record_counts_each_outcome() {
+        let mut m = ConfusionMatrix::new();
+        for (p, t) in [
             (true, true),
             (true, false),
             (false, false),
             (false, true),
             (true, true),
-        ];
-        let mut a = ConfusionMatrix::new();
-        for &(p, t) in &pairs {
-            a.record(p, t);
+        ] {
+            m.record(p, t);
         }
-        let b = ConfusionMatrix::from_pairs(pairs.iter().copied());
-        assert_eq!(a, b);
-        assert_eq!(a.tp, 2);
-        assert_eq!(a.fp, 1);
-        assert_eq!(a.tn, 1);
-        assert_eq!(a.fn_, 1);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = ConfusionMatrix {
-            tp: 1,
-            fp: 2,
-            tn: 3,
-            fn_: 4,
+        let want = ConfusionMatrix {
+            tp: 2,
+            fp: 1,
+            tn: 1,
+            fn_: 1,
         };
-        a.merge(&ConfusionMatrix {
-            tp: 10,
-            fp: 20,
-            tn: 30,
-            fn_: 40,
-        });
-        assert_eq!(
-            a,
-            ConfusionMatrix {
-                tp: 11,
-                fp: 22,
-                tn: 33,
-                fn_: 44
-            }
-        );
+        assert_eq!(m, want);
     }
 
     proptest! {
         #[test]
         fn rates_bounded(tp in 0u64..1000, fp in 0u64..1000, tn in 0u64..1000, fn_ in 0u64..1000) {
             let m = ConfusionMatrix { tp, fp, tn, fn_ };
-            for v in [m.precision(), m.recall(), m.f1(), m.false_positive_rate(), m.accuracy()] {
+            for v in [m.precision(), m.recall(), m.f1(), m.false_positive_rate()] {
                 prop_assert!((0.0..=1.0).contains(&v));
             }
         }

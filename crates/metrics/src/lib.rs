@@ -2,9 +2,9 @@
 //!
 //! Everything the experiment harness (`spot-bench`) needs to quantify the
 //! paper's two evaluation axes — *effectiveness* (precision/recall/F1,
-//! ROC-AUC, subspace recovery) and *efficiency* (throughput, latency,
-//! synopsis memory) — plus a fixed-width table printer so every bench
-//! target can emit paper-style rows.
+//! ROC-AUC, average precision, subspace Jaccard) and *efficiency*
+//! (throughput) — plus a fixed-width table printer so every bench target
+//! can emit paper-style rows.
 
 pub mod confusion;
 pub mod perf;
@@ -13,7 +13,7 @@ pub mod report;
 pub mod subspace_match;
 
 pub use confusion::ConfusionMatrix;
-pub use perf::{LatencyRecorder, MemoryReading, ThroughputMeter};
+pub use perf::ThroughputMeter;
 pub use ranking::{average_precision, roc_auc};
 pub use report::Table;
-pub use subspace_match::{best_jaccard, subspace_recall_at};
+pub use subspace_match::best_jaccard;

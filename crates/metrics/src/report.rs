@@ -31,16 +31,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// `true` when no rows were added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with aligned columns.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
@@ -76,16 +66,6 @@ impl Table {
     }
 }
 
-/// Formats a float with 3 decimal places (the workspace's table convention).
-pub fn fmt3(v: f64) -> String {
-    format!("{v:.3}")
-}
-
-/// Formats a float with no decimals and thousands grouping dropped.
-pub fn fmt0(v: f64) -> String {
-    format!("{v:.0}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,13 +79,5 @@ mod tests {
         assert!(s.contains("## demo"));
         assert!(s.contains("| name      | value |"));
         assert!(s.contains("| long-name | 12345 |"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn float_formatting() {
-        assert_eq!(fmt3(0.123456), "0.123");
-        assert_eq!(fmt0(1234.7), "1235");
     }
 }

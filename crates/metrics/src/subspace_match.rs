@@ -15,28 +15,6 @@ pub fn best_jaccard(truth: Subspace, reported: &[Subspace]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Fraction of `truths` for which some subspace among the respective
-/// reported set reaches Jaccard ≥ `threshold`. `pairs` yields
-/// (truth, reported-set) per detected outlier.
-pub fn subspace_recall_at<'a, I>(pairs: I, threshold: f64) -> f64
-where
-    I: IntoIterator<Item = (Subspace, &'a [Subspace])>,
-{
-    let mut total = 0usize;
-    let mut hit = 0usize;
-    for (truth, reported) in pairs {
-        total += 1;
-        if best_jaccard(truth, reported) >= threshold {
-            hit += 1;
-        }
-    }
-    if total == 0 {
-        0.0
-    } else {
-        hit as f64 / total as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,21 +40,5 @@ mod tests {
     #[test]
     fn empty_report_scores_zero() {
         assert_eq!(best_jaccard(s(&[0]), &[]), 0.0);
-    }
-
-    #[test]
-    fn recall_at_threshold() {
-        let reported_a = [s(&[1, 3])];
-        let reported_b = [s(&[9])];
-        let pairs = vec![
-            (s(&[1, 3]), &reported_a[..]), // exact hit
-            (s(&[2, 4]), &reported_b[..]), // miss
-        ];
-        let r = subspace_recall_at(pairs, 0.99);
-        assert!((r - 0.5).abs() < 1e-12);
-        assert_eq!(
-            subspace_recall_at(Vec::<(Subspace, &[Subspace])>::new(), 0.5),
-            0.0
-        );
     }
 }
