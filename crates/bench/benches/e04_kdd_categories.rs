@@ -2,9 +2,12 @@
 //!
 //! Paper claim (Sections III, IV): SPOT is effective on "real-life
 //! streaming data sets"; the canonical one for this literature is network
-//! intrusion data. Using the simulated KDD stream (DESIGN.md §3), SPOT
-//! learns with a few labeled exemplars per attack family (supervised OS)
-//! and is compared per family against the baselines, at two attack mixes.
+//! intrusion data. The real trace is not redistributable, so this runs on
+//! the simulated KDD stream (`spot_data::kdd`), whose attack families keep
+//! their anomalies in small documented feature subsets — the structure a
+//! projected-outlier detector has to find. SPOT learns with a few labeled
+//! exemplars per attack family (supervised OS) and is compared per family
+//! against the baselines, at two attack mixes.
 //! Expected shape: rare families (probe/R2L/U2R) detected near-perfectly
 //! with a ~1-2% false-alarm rate; the *high-rate* DoS flood saturates its
 //! own cells and washes out for every density-based method — the classic

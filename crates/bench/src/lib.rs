@@ -1,8 +1,12 @@
 //! Shared experiment harness for the SPOT benchmark targets.
 //!
-//! Each `benches/eNN_*.rs` target regenerates one table/figure from the
-//! evaluation plan in DESIGN.md §4. This library holds the plumbing they
-//! share: running any [`StreamDetector`] over a labeled stream while
+//! Each `benches/eNN_*.rs` target regenerates one table/figure of the
+//! evaluation plan: throughput against dimensionality (E1) and stream
+//! length (E2), effectiveness against the baselines on the synthetic (E3)
+//! and the KDD-like (E4) streams, a parameter sweep (E5), MOGA's front
+//! quality (E6), self-evolution under drift (E7), the SST ablation (E8),
+//! the time model (E9) and memory (E10). This library holds the plumbing
+//! they share: running any [`StreamDetector`] over a labeled stream while
 //! collecting effectiveness and efficiency measurements, writing the
 //! table + JSON artifact pair, and the [`timer`] the `micro` arms run on.
 

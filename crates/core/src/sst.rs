@@ -105,12 +105,6 @@ impl Sst {
         }
     }
 
-    /// Inserts a learned subspace into CS (smaller score = sparser =
-    /// better). Returns `true` when CS changed.
-    pub fn add_cs(&mut self, s: Subspace, score: f64) -> bool {
-        self.cs.insert(s, score)
-    }
-
     /// Inserts an outlier-driven subspace into OS. Returns `true` when OS
     /// changed.
     pub fn add_os(&mut self, s: Subspace, score: f64) -> bool {
@@ -162,6 +156,13 @@ mod tests {
         Subspace::from_dims(dims.iter().copied()).unwrap()
     }
 
+    fn scored(dims: &[usize], score: f64) -> ScoredSubspace {
+        ScoredSubspace {
+            subspace: s(dims),
+            score,
+        }
+    }
+
     #[test]
     fn fs_enumerated_on_construction() {
         let sst = Sst::new(5, 2, 4, 4).unwrap();
@@ -177,8 +178,7 @@ mod tests {
     fn iter_all_deduplicates_across_components() {
         let mut sst = Sst::new(4, 1, 4, 4).unwrap();
         // [0] is already in FS; [0,1] is new.
-        sst.add_cs(s(&[0]), 0.5);
-        sst.add_cs(s(&[0, 1]), 0.3);
+        sst.evolve_cs(vec![scored(&[0], 0.5), scored(&[0, 1], 0.3)]);
         sst.add_os(s(&[0, 1]), 0.2); // duplicate of CS entry
         sst.add_os(s(&[2, 3]), 0.1);
         let all: Vec<Subspace> = sst.iter_all().collect();
@@ -190,8 +190,8 @@ mod tests {
     #[test]
     fn component_attribution_priority() {
         let mut sst = Sst::new(4, 1, 4, 4).unwrap();
-        sst.add_cs(s(&[0]), 0.5); // also in FS → FS wins
-        sst.add_cs(s(&[1, 2]), 0.4);
+        // [0] is also in FS → FS wins.
+        sst.evolve_cs(vec![scored(&[0], 0.5), scored(&[1, 2], 0.4)]);
         sst.add_os(s(&[1, 3]), 0.4);
         assert_eq!(sst.component_of(&s(&[0])), Some(SstComponent::Fixed));
         assert_eq!(
@@ -208,20 +208,11 @@ mod tests {
     #[test]
     fn evolve_cs_reranks() {
         let mut sst = Sst::new(4, 1, 2, 2).unwrap();
-        sst.add_cs(s(&[0, 1]), 0.9);
+        sst.evolve_cs(vec![scored(&[0, 1], 0.9)]);
         sst.evolve_cs(vec![
-            ScoredSubspace {
-                subspace: s(&[0, 1]),
-                score: 0.9,
-            },
-            ScoredSubspace {
-                subspace: s(&[2, 3]),
-                score: 0.1,
-            },
-            ScoredSubspace {
-                subspace: s(&[1, 2]),
-                score: 0.5,
-            },
+            scored(&[0, 1], 0.9),
+            scored(&[2, 3], 0.1),
+            scored(&[1, 2], 0.5),
         ]);
         let cs: Vec<Subspace> = sst.cs().map(|e| e.subspace).collect();
         assert_eq!(cs, vec![s(&[2, 3]), s(&[1, 2])]); // capacity 2, best two

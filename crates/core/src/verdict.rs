@@ -54,11 +54,6 @@ impl Verdict {
             && *drift == other.drift
     }
 
-    /// The single sparsest finding, if any.
-    pub fn top_finding(&self) -> Option<&SubspaceFinding> {
-        self.findings.first()
-    }
-
     /// Outlying subspaces only.
     pub fn subspaces(&self) -> Vec<Subspace> {
         self.findings.iter().map(|f| f.subspace).collect()
@@ -378,7 +373,6 @@ mod tests {
             ],
             drift: false,
         };
-        assert_eq!(v.top_finding().unwrap().subspace, s0);
         assert_eq!(v.subspaces(), vec![s0, s1]);
     }
 
@@ -429,7 +423,6 @@ mod tests {
             findings: vec![],
             drift: false,
         };
-        assert!(v.top_finding().is_none());
         assert!(v.subspaces().is_empty());
     }
 }

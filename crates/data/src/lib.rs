@@ -3,7 +3,11 @@
 //! The ICDE'08 demo evaluated SPOT on "synthetic and real-life streaming
 //! data sets". The real data is not redistributable, so this crate builds
 //! seeded simulators that preserve the *structure* the detection problem
-//! depends on (see DESIGN.md §3 for the substitution argument):
+//! depends on. A projected outlier is a point that is sparse in some
+//! low-dimensional subspace, so a stream whose anomalies sit in known
+//! feature subsets against dense normal profiles poses the same search
+//! problem as the real traces — and, unlike them, records the subspaces
+//! as ground truth, so attribution can be scored too:
 //!
 //! * [`synthetic`] — subspace-embedded Gaussian clusters plus planted
 //!   *projected outliers*: points ordinary in the full space yet sparse in a

@@ -12,7 +12,7 @@
 
 /// Hypervolume of a 2-objective front w.r.t. `reference` (both minimized;
 /// points not strictly dominating the reference contribute nothing).
-pub fn hypervolume_2d(front: &[Vec<f64>], reference: &[f64; 2]) -> f64 {
+fn hypervolume_2d(front: &[Vec<f64>], reference: &[f64; 2]) -> f64 {
     let mut pts: Vec<(f64, f64)> = front
         .iter()
         .filter(|p| p[0] < reference[0] && p[1] < reference[1])

@@ -20,6 +20,7 @@
 //! recovery that scans for the newest valid file.
 
 use spot::SpotCheckpoint;
+use spot_types::framed::io_err;
 use spot_types::{Result, SpotError, StateReader, StateWriter, TenantId};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -187,10 +188,10 @@ pub struct RecoveryScan {
 /// retention.
 ///
 /// * **Atomic writes** — [`CheckpointStore::save`] writes
-///   `fleet-<generation>.ckpt.tmp`, fsyncs it, then renames it into place
-///   (and best-effort fsyncs the directory): a crash at any instant
-///   leaves either the complete previous state or the complete new one,
-///   never a half-written `.ckpt` file. Stray `.tmp` files from a crash
+///   `fleet-<generation>.ckpt.tmp`, fsyncs it, renames it into place and
+///   fsyncs the directory, so the rename is durable before `save`
+///   returns: a crash at any instant leaves either the complete previous
+///   state or the complete new one, never a half-written `.ckpt` file. Stray `.tmp` files from a crash
 ///   are ignored by every read path and swept (deleted) the next time the
 ///   store is opened ([`CheckpointStore::swept_tmp`] reports how many).
 /// * **Generations** — each save is a full checkpoint with the next
@@ -292,8 +293,11 @@ impl CheckpointStore {
     }
 
     /// Atomically persists a full checkpoint as the next generation
-    /// (tmp, fsync, rename), prunes generations beyond the retention
-    /// window, and returns the new generation number.
+    /// (tmp, fsync, rename, directory fsync), prunes generations beyond
+    /// the retention window, and returns the new generation number. A
+    /// failed directory sync is an error and prunes nothing: the rename
+    /// may not survive a power cut, so neither the older generations nor
+    /// the log behind this one may go.
     pub fn save(&self, checkpoint: &FleetCheckpoint) -> Result<u64> {
         let generation = self.generations()?.last().copied().unwrap_or(0) + 1;
         let final_path = self.path_of(generation);
@@ -309,12 +313,9 @@ impl CheckpointStore {
             file.sync_all().map_err(|e| io_err("sync", &tmp_path, &e))?;
         }
         std::fs::rename(&tmp_path, &final_path).map_err(|e| io_err("rename", &tmp_path, &e))?;
-        // Best effort: make the rename itself durable. Not all platforms
-        // support fsync on a directory handle; recovery tolerates a
-        // missing newest generation either way.
-        if let Ok(d) = std::fs::File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
+        std::fs::File::open(&self.dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| io_err("sync", &self.dir, &e))?;
         // Prune beyond the retention window. Removal is best-effort (a
         // locked file stays; the next save retries).
         let gens = self.generations()?;
@@ -385,8 +386,4 @@ impl CheckpointStore {
         std::fs::write(&path, &bytes[..keep]).map_err(|e| io_err("write", &path, &e))?;
         Ok(())
     }
-}
-
-fn io_err(action: &str, path: &Path, e: &std::io::Error) -> SpotError {
-    SpotError::Io(format!("{action} {}: {e}", path.display()))
 }

@@ -4,12 +4,11 @@
 //! and failure paths are only testable if faults fire at *reproducible*
 //! points. A [`FaultPlan`] scripts faults against deterministic per-tenant
 //! ordinals — "panic while processing tenant A's 37th detection-stage
-//! point", "report tenant B's queue as full for ingest attempts 10..20",
-//! "fail tenant A's next 2 recovery attempts", "crash the WAL writer
+//! point", "fail tenant A's next 2 recovery attempts", "crash the WAL writer
 //! mid-`write` of record 12, keeping 5 bytes" — in the same spirit as the
 //! repo's `CounterRng`: no wall clock, no thread identity, no randomness
 //! at fire time. Armed via `SpotFleet::arm_faults`, the plan produces the
-//! same quarantine/shed/recovery trace on every run.
+//! same quarantine/recovery trace on every run.
 //!
 //! Checkpoint *file* corruption is not injected here: it is a property of
 //! bytes at rest, not of execution order, so the store exposes it directly
@@ -27,14 +26,6 @@ use spot_types::TenantId;
 struct PanicFault {
     ordinal: u64,
     fired: bool,
-}
-
-/// A scripted queue-full window: ingest attempts with 0-based ordinals in
-/// `[from, from + len)` see the tenant's queue as full even if it has room.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct FullWindow {
-    from: u64,
-    len: u64,
 }
 
 /// How an injected crash damages a WAL append (see `docs/robustness.md`
@@ -67,7 +58,6 @@ struct WalFaultAt {
 #[derive(Debug, Clone, Default)]
 struct TenantFaults {
     panics: Vec<PanicFault>,
-    full_windows: Vec<FullWindow>,
     /// Remaining recovery attempts to fail.
     recovery_failures: u32,
     /// Scripted WAL append crashes, keyed by record sequence number.
@@ -77,8 +67,6 @@ struct TenantFaults {
     rotation_crashes: Vec<u64>,
     /// Detection-stage points handed to the guarded runner so far.
     points_seen: u64,
-    /// Ingest attempts observed so far.
-    ingest_attempts: u64,
     /// Segment rotations observed so far.
     rotations_seen: u64,
 }
@@ -96,7 +84,6 @@ struct TenantFaults {
 /// let a = TenantId::new("tenant-a").expect("valid tenant id");
 /// let plan = FaultPlan::new()
 ///     .panic_at(a.clone(), 37)
-///     .queue_full(a.clone(), 10, 5)
 ///     .fail_recovery(a, 2);
 /// assert!(!plan.is_empty());
 /// ```
@@ -127,22 +114,6 @@ impl FaultPlan {
                 ordinal,
                 fired: false,
             });
-        self
-    }
-
-    /// Report `tenant`'s queue as full for `len` consecutive ingest
-    /// attempts starting at 0-based attempt ordinal `from`, letting tests
-    /// exercise `Shed`/`Sample` policies without actually saturating the
-    /// queue. `Block` ignores injected fullness (a blocking send on a
-    /// queue with room would return immediately anyway).
-    pub fn queue_full(mut self, tenant: TenantId, from: u64, len: u64) -> Self {
-        if len > 0 {
-            self.tenants
-                .entry(tenant)
-                .or_default()
-                .full_windows
-                .push(FullWindow { from, len });
-        }
         self
     }
 
@@ -214,7 +185,6 @@ impl FaultPlan {
         self.prune_crashes == 0
             && self.tenants.values().all(|t| {
                 t.panics.is_empty()
-                    && t.full_windows.is_empty()
                     && t.recovery_failures == 0
                     && t.wal_faults.is_empty()
                     && t.rotation_crashes.is_empty()
@@ -264,21 +234,6 @@ impl FaultInjector {
             }
         }
         hit.map(|ordinal| (ordinal - start) as usize)
-    }
-
-    /// Consult the plan for one ingest attempt on `tenant`; returns `true`
-    /// when the attempt falls inside a scripted queue-full window.
-    pub(crate) fn ingest_forced_full(&self, tenant: &TenantId) -> bool {
-        let mut tenants = self.tenants.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(faults) = tenants.get_mut(tenant) else {
-            return false;
-        };
-        let attempt = faults.ingest_attempts;
-        faults.ingest_attempts += 1;
-        faults
-            .full_windows
-            .iter()
-            .any(|w| attempt >= w.from && attempt < w.from + w.len)
     }
 
     /// Consult the plan for the WAL append of record `seq` on `tenant`;
@@ -351,9 +306,6 @@ mod tests {
     fn empty_plan_is_empty() {
         assert!(FaultPlan::new().is_empty());
         assert!(!FaultPlan::new().panic_at(tid("a"), 0).is_empty());
-        assert!(!FaultPlan::new().queue_full(tid("a"), 0, 1).is_empty());
-        // A zero-length window schedules nothing.
-        assert!(FaultPlan::new().queue_full(tid("a"), 0, 0).is_empty());
         assert!(!FaultPlan::new().fail_recovery(tid("a"), 1).is_empty());
     }
 
@@ -378,14 +330,6 @@ mod tests {
         // never gets a chance to fire on a later replay of the cursor).
         assert_eq!(inj.take_panic_offset(&tid("a"), 10), Some(1));
         assert_eq!(inj.take_panic_offset(&tid("a"), 10), None);
-    }
-
-    #[test]
-    fn full_windows_cover_attempt_ordinals() {
-        let inj = FaultInjector::new(FaultPlan::new().queue_full(tid("a"), 2, 3));
-        let hits: Vec<bool> = (0..7).map(|_| inj.ingest_forced_full(&tid("a"))).collect();
-        assert_eq!(hits, vec![false, false, true, true, true, false, false]);
-        assert!(!inj.ingest_forced_full(&tid("b")));
     }
 
     #[test]

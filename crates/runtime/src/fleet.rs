@@ -14,8 +14,7 @@
 //! from a checkpoint — see
 //! [`SpotFleet::revive_tenant`] and the [`crate::Supervisor`] that
 //! automates restoration. Ingestion keeps enqueuing for a quarantined
-//! tenant (subject to its [`OverloadPolicy`]) so the backlog survives into
-//! recovery.
+//! tenant so the backlog survives into recovery.
 //!
 //! # Restore points
 //!
@@ -43,7 +42,7 @@
 
 use crate::checkpoint::{CheckpointStore, FleetCheckpoint};
 use crate::faults::{FaultInjector, FaultPlan};
-use crate::health::{IngestOutcome, OverloadPolicy, QuarantineInfo, TenantHealth};
+use crate::health::{IngestOutcome, QuarantineInfo, TenantHealth};
 use crate::wal::{FleetRecovery, FleetWal, WalTuning};
 use spot::{
     LearningReport, Spot, SpotCheckpoint, SpotConfig, SpotStats, SynopsisFootprint, Verdict,
@@ -63,8 +62,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
 #[derive(Debug, Clone, Copy)]
 pub struct FleetConfig {
     /// Capacity of each tenant's bounded ingestion queue (clamped to at
-    /// least 1). What happens when the queue is full is the tenant's
-    /// [`OverloadPolicy`]: block the producer (default), shed, or sample.
+    /// least 1). On a full queue [`SpotFleet::ingest`] waits for room and
+    /// [`SpotFleet::try_ingest`] refuses.
     pub queue_capacity: usize,
     /// Maximum points one [`SpotFleet::drain`] pass processes (clamped to
     /// at least 1).
@@ -81,10 +80,10 @@ impl Default for FleetConfig {
 }
 
 /// Aggregated logical counters over every tenant, plus queue occupancy and
-/// the supervision plane's fault/overload counters. Served from each
-/// tenant's monitoring snapshot (published after every detector operation,
-/// so up to one operation — one micro-batch — old), queue counter, health
-/// and overload atomics; reading it never takes a detector lock.
+/// the supervision plane's fault counters. Served from each tenant's
+/// monitoring snapshot (published after every detector operation, so up
+/// to one operation — one micro-batch — old), queue counter and health;
+/// reading it never takes a detector lock.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FleetStats {
     /// Registered tenants.
@@ -107,10 +106,11 @@ pub struct FleetStats {
     pub drift_events: u64,
     /// Sum of [`SpotStats::cells_pruned`] over all tenants.
     pub cells_pruned: u64,
-    /// Points dropped by `Shed`/`Sample` overload policies, all tenants.
+    /// Always 0: a full queue drops no point ([`SpotFleet::ingest`] waits,
+    /// [`SpotFleet::try_ingest`] refuses and the caller keeps the point).
+    /// `benchmark/` reads the field by name; it goes with that package's
+    /// next revision.
     pub shed: u64,
-    /// Points admitted by the `Sample` policy's 1-in-k survivor slot.
-    pub sampled_kept: u64,
     /// Tenant panics caught (each quarantined the detector it hit; one in a
     /// revive's or restore's replay fails that call instead).
     pub panics: u64,
@@ -122,8 +122,9 @@ pub struct FleetStats {
     /// shrinking and disk usage is unbounded, which operators must see.
     pub wal_prune_failures: u64,
     /// Syncs the fleet's WAL writer has issued (0 without a WAL): the
-    /// `FsyncPolicy` syncs plus segment seals and headers, control frames
-    /// and checkpoint syncs. One sync covers every tenant's records.
+    /// `WalTuning::sync_every` syncs plus segment seals and headers,
+    /// control frames and checkpoint syncs. One sync covers every
+    /// tenant's records.
     pub wal_syncs: u64,
 }
 
@@ -146,11 +147,11 @@ pub struct FleetFootprint {
 type RestorePoint = (u64, Arc<SpotCheckpoint>);
 
 /// One tenant registration: the bounded queue where an admitted point
-/// waits for its verdict, the admission lock, the overload policy with its
-/// counters, the monitoring snapshot and the restore point. It lives as
-/// long as the registration: a revive or a restore replaces the [`Tenant`]
-/// around it, so the backlog stays where it is and a producer waiting for
-/// room wakes into the queue that is actually drained. Eviction closes it.
+/// waits for its verdict, the admission lock, the monitoring snapshot and
+/// the restore point. It lives as long as the registration: a revive or a
+/// restore replaces the [`Tenant`] around it, so the backlog stays where it
+/// is and a producer waiting for room wakes into the queue that is actually
+/// drained. Eviction closes it.
 ///
 /// Lock order: `admission` → `drains` → the registry → `queue`, and a
 /// detector → `snapshot` / `restore_point`. The queue lock is held only to
@@ -167,21 +168,17 @@ struct Inlet {
     /// Signalled when a full queue gains room, and when the queue is
     /// cleared or closed.
     room: Condvar,
-    /// Held from the policy decision through the log append and the push,
+    /// Held from the room decision through the log append and the push,
     /// so the tenant's WAL order is its queue order; per tenant, so a
     /// producer's fsync or a replay never stalls a co-tenant. A producer
     /// waiting for room releases it. Every push, clear and close happens
     /// under it, so its holder sees the queue only shrink.
-    admission: Mutex<Admission>,
+    admission: Mutex<()>,
     /// Held by a drain from pop to commit and delivery, so the tenant's
     /// points commit, and reach [`SpotFleet::drain_with`]'s caller, in
     /// arrival order; a revive or restore holds it while it replays and
     /// swaps the detector.
     drains: Mutex<()>,
-    /// Points dropped by `Shed`/`Sample`.
-    shed: AtomicU64,
-    /// Points admitted through the `Sample` survivor slot.
-    sampled_kept: AtomicU64,
     /// What monitoring reads instead of the detector: its stats and
     /// footprint as of the last completed operation. Written under the
     /// detector lock, after the operation returns, so a panicking one
@@ -192,14 +189,6 @@ struct Inlet {
     restore_point: Mutex<Option<RestorePoint>>,
 }
 
-/// The overload policy and the sampler's state, under the admission lock.
-#[derive(Default)]
-struct Admission {
-    policy: OverloadPolicy,
-    /// Full-queue encounters (drives the deterministic 1-in-k sampler).
-    overflow_seen: u64,
-}
-
 impl Inlet {
     fn new(capacity: usize) -> Inlet {
         Inlet {
@@ -208,16 +197,14 @@ impl Inlet {
             len: AtomicUsize::new(0),
             open: AtomicBool::new(true),
             room: Condvar::new(),
-            admission: Mutex::new(Admission::default()),
+            admission: Mutex::new(()),
             drains: Mutex::new(()),
-            shed: AtomicU64::new(0),
-            sampled_kept: AtomicU64::new(0),
             snapshot: Mutex::new(Default::default()),
             restore_point: Mutex::new(None),
         }
     }
 
-    fn admission(&self) -> MutexGuard<'_, Admission> {
+    fn admission(&self) -> MutexGuard<'_, ()> {
         lock(&self.admission)
     }
 
@@ -238,8 +225,8 @@ impl Inlet {
     /// inlet is closed.
     fn wait_for_room<'a>(
         &'a self,
-        mut admission: MutexGuard<'a, Admission>,
-    ) -> Option<MutexGuard<'a, Admission>> {
+        mut admission: MutexGuard<'a, ()>,
+    ) -> Option<MutexGuard<'a, ()>> {
         let waiting = |q: &mut VecDeque<DataPoint>| {
             self.open.load(Ordering::Relaxed) && q.len() >= self.capacity
         };
@@ -298,9 +285,9 @@ impl Inlet {
 /// What a full queue does to a point in the admission body.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum OnFull {
-    /// The tenant's [`OverloadPolicy`] decides ([`SpotFleet::ingest`]).
-    Policy,
-    /// Refused uncounted ([`SpotFleet::try_ingest`]).
+    /// The producer waits for room ([`SpotFleet::ingest`]).
+    Wait,
+    /// The point is refused ([`SpotFleet::try_ingest`]).
     Refuse,
 }
 
@@ -385,10 +372,9 @@ impl Tenant {
 /// What an install does to the registration it lands in.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Install {
-    /// Keeps the overload policy, the counters and, without a WAL, the
-    /// backlog.
+    /// Keeps the backlog without a WAL.
     Revive,
-    /// Resets them, as a fresh registration would have them.
+    /// Drops it, as a fresh registration would have none.
     Restore,
 }
 
@@ -593,21 +579,6 @@ impl SpotFleet {
             TenantHealth::Quarantined(_) => "quarantined",
             TenantHealth::Failed(_) => "failed",
         })
-    }
-
-    /// Sets one tenant's overload policy (effective for subsequent
-    /// [`SpotFleet::ingest`] calls; `Sample { keep_one_in: 0 }` is
-    /// normalized to `1`). The policy survives [`SpotFleet::revive_tenant`]
-    /// but not `restore_tenant`/`register`.
-    pub fn set_overload_policy(&self, id: &TenantId, policy: OverloadPolicy) -> Result<()> {
-        let policy = match policy {
-            OverloadPolicy::Sample { keep_one_in } => OverloadPolicy::Sample {
-                keep_one_in: keep_one_in.max(1),
-            },
-            other => other,
-        };
-        self.tenant(id)?.inlet.admission().policy = policy;
-        Ok(())
     }
 
     /// Arms a deterministic [`FaultPlan`] (replacing any previous plan,
@@ -869,88 +840,53 @@ impl SpotFleet {
         self.run_guarded(id, &tenant, points)
     }
 
-    /// Enqueues one point under the tenant's [`OverloadPolicy`]. With the
-    /// default `Block` policy this **blocks** while the queue is full
+    /// Enqueues one point, **waiting** while the tenant's queue is full
     /// (backpressure: a slow tenant stalls its own producers, never the
-    /// co-tenants) and always returns [`IngestOutcome::Enqueued`]; `Shed`
-    /// never blocks, `Sample` blocks only for its 1-in-k survivor, and
-    /// both may return [`IngestOutcome::Shed`]. Quarantined tenants still
-    /// enqueue — the
-    /// backlog stays in the tenant's queue through
+    /// co-tenants); the wait holds no lock, so revives, evictions,
+    /// restores and checkpoints go ahead around it. Quarantined tenants
+    /// still enqueue — the backlog stays in the tenant's queue through
     /// [`SpotFleet::revive_tenant`]. A point the detector would reject
     /// (width ≠ φ, a NaN) is refused with its typed error before it is
     /// logged or queued.
     pub fn ingest(&self, id: &TenantId, point: DataPoint) -> Result<IngestOutcome> {
-        self.enqueue(id, point, OnFull::Policy)
+        self.enqueue(id, point, OnFull::Wait)?;
+        Ok(IngestOutcome::Enqueued)
     }
 
-    /// Non-blocking enqueue: `Ok(false)` when the queue is at capacity.
-    /// Policy-independent (never sheds, never consults the fault plan for
-    /// queue windows — injected WAL crashes still fire, as they would on
-    /// any append). Validates like [`SpotFleet::ingest`].
+    /// Non-blocking enqueue: `Ok(false)` when the queue is at capacity,
+    /// and the point is neither logged nor queued. Validates like
+    /// [`SpotFleet::ingest`].
     pub fn try_ingest(&self, id: &TenantId, point: DataPoint) -> Result<bool> {
-        Ok(self.enqueue(id, point, OnFull::Refuse)? == IngestOutcome::Enqueued)
+        self.enqueue(id, point, OnFull::Refuse)
     }
 
     /// The one admission body behind `ingest` and `try_ingest`, with or
-    /// without a WAL. Under the tenant's admission lock it decides policy
-    /// × full once, appends the point to the log if the fleet has one,
-    /// then pushes it — so the tenant's log order is its queue order, the
-    /// invariant that makes `processed - base_processed` a valid replay
-    /// watermark. A point that must wait for room (`Block`, `Sample`'s
-    /// survivor) waits holding no lock and is logged only once it has
-    /// its slot. Shed points are never logged: they were not admitted, so
-    /// recovery must not resurrect them.
-    fn enqueue(&self, id: &TenantId, point: DataPoint, on_full: OnFull) -> Result<IngestOutcome> {
+    /// without a WAL. Under the tenant's admission lock it decides whether
+    /// the queue has room, appends the point to the log if the fleet has
+    /// one, then pushes it — so the tenant's log order is its queue order,
+    /// the invariant that makes `processed - base_processed` a valid replay
+    /// watermark. A point that must wait for room waits holding no lock
+    /// and is logged only once it has its slot; a refused point is never
+    /// logged, so recovery cannot resurrect it. `Ok(false)` is a refusal.
+    fn enqueue(&self, id: &TenantId, point: DataPoint, on_full: OnFull) -> Result<bool> {
         self.admission_gate()?;
         let tenant = self.tenant(id)?;
         tenant.admit(&point)?;
         let inlet = &tenant.inlet;
-        let faults = self.injector();
         let closed = || SpotError::UnknownTenant(id.to_string());
         let mut admission = inlet.admission();
-        let policy = admission.policy;
-        // Scripted queue-full windows apply to the non-blocking policies
-        // only: a `Block` producer on a queue with room returns at once,
-        // so a faked "full" has no observable `Block` behavior to test.
-        let forced_full = on_full == OnFull::Policy
-            && policy != OverloadPolicy::Block
-            && faults.as_ref().is_some_and(|i| i.ingest_forced_full(id));
-        let full = forced_full || !inlet.has_room().ok_or_else(closed)?;
-        let mut sampled = false;
-        if full {
-            match (on_full, policy) {
-                (OnFull::Refuse, _) => return Ok(IngestOutcome::Shed),
-                (OnFull::Policy, OverloadPolicy::Block) => {}
-                (OnFull::Policy, OverloadPolicy::Shed) => {
-                    admission.overflow_seen += 1;
-                    inlet.shed.fetch_add(1, Ordering::Relaxed);
-                    return Ok(IngestOutcome::Shed);
-                }
-                (OnFull::Policy, OverloadPolicy::Sample { keep_one_in }) => {
-                    // Deterministic 1-in-k: admit full-queue encounters
-                    // 0, k, 2k, … — a pure function of the encounter
-                    // ordinal, independent of clocks and scheduling.
-                    let n = admission.overflow_seen;
-                    admission.overflow_seen += 1;
-                    if !n.is_multiple_of(u64::from(keep_one_in)) {
-                        inlet.shed.fetch_add(1, Ordering::Relaxed);
-                        return Ok(IngestOutcome::Shed);
-                    }
-                    sampled = true;
-                }
+        if !inlet.has_room().ok_or_else(closed)? {
+            if on_full == OnFull::Refuse {
+                return Ok(false);
             }
             admission = inlet.wait_for_room(admission).ok_or_else(closed)?;
         }
         if let Some(wal) = self.wal() {
-            wal.append(id, &point, faults.as_deref())?;
+            wal.append(id, &point, self.injector().as_deref())?;
         }
         inlet.push(point);
         drop(admission);
-        if sampled {
-            inlet.sampled_kept.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(IngestOutcome::Enqueued)
+        Ok(true)
     }
 
     /// Points currently queued for `id`.
@@ -1094,7 +1030,7 @@ impl SpotFleet {
 
     /// Aggregated logical counters + queue occupancy + supervision
     /// counters over every tenant. Reads each tenant's monitoring
-    /// snapshot, queue length mirror, health and overload atomics only —
+    /// snapshot, queue length mirror and health only —
     /// never any detector lock, so dashboards cannot stall (or be stalled
     /// by) ingestion. A tenant's counters are those of its last completed
     /// operation: up to one micro-batch behind one in progress.
@@ -1122,8 +1058,6 @@ impl SpotFleet {
             agg.os_added += s.os_added;
             agg.drift_events += s.drift_events;
             agg.cells_pruned += s.cells_pruned;
-            agg.shed += t.inlet.shed.load(Ordering::Relaxed);
-            agg.sampled_kept += t.inlet.sampled_kept.load(Ordering::Relaxed);
         }
         agg
     }
@@ -1255,10 +1189,10 @@ impl SpotFleet {
     /// [`SpotError::UnknownTenant`] when `id` is not registered and with
     /// [`SpotError::InvalidConfig`] when it has no restore point yet.
     ///
-    /// The new detector takes over the tenant's queue, overload policy and
-    /// counters. Without a WAL the backlog stays in place (arrival order
-    /// preserved) and the returned count is its length; the window between
-    /// the restore point and the fault is gone. **With a WAL** the log
+    /// The new detector takes over the tenant's queue. Without a WAL the
+    /// backlog stays in place (arrival order preserved) and the returned
+    /// count is its length; the window between the restore point and the
+    /// fault is gone. **With a WAL** the log
     /// *is* the backlog: the log tail past the restore point — lost
     /// window, failed batch and backlog alike — is replayed into the new
     /// detector before it is swapped in, re-deriving bit-identical
@@ -1287,14 +1221,13 @@ impl SpotFleet {
     /// Restores one tenant from a fleet checkpoint, **replacing** any
     /// detector currently registered under the id (or registering it
     /// fresh). Errors with [`SpotError::UnknownTenant`] when the
-    /// checkpoint holds no such tenant. A replaced tenant's overload
-    /// policy and counters reset and its queue is emptied (use
-    /// [`SpotFleet::revive_tenant`] to keep them); a producer waiting for
-    /// room wakes into the emptied queue. **With a WAL** the log tail past
-    /// the checkpoint is replayed into the restored detector before it is
-    /// swapped in, so no admitted point is rolled back; a tail that was
-    /// pruned errors with [`SpotError::WalCorrupt`] and leaves the tenant
-    /// as it was.
+    /// checkpoint holds no such tenant. A replaced tenant's queue is
+    /// emptied (use [`SpotFleet::revive_tenant`] to keep the backlog); a
+    /// producer waiting for room wakes into the emptied queue. **With a
+    /// WAL** the log tail past the checkpoint is replayed into the
+    /// restored detector before it is swapped in, so no admitted point is
+    /// rolled back; a tail that was pruned errors with
+    /// [`SpotError::WalCorrupt`] and leaves the tenant as it was.
     pub fn restore_tenant(&self, checkpoint: &FleetCheckpoint, id: &TenantId) -> Result<()> {
         let cp = checkpoint
             .shared(id)
@@ -1335,7 +1268,7 @@ impl SpotFleet {
         let inlet = current
             .clone()
             .unwrap_or_else(|| Arc::new(Inlet::new(self.inner.config.queue_capacity)));
-        let mut admission = inlet.admission();
+        let _admission = inlet.admission();
         let _drains = lock(&inlet.drains);
         let shown = *lock(&inlet.snapshot);
         let tenant = Arc::new(Tenant::new(spot, Arc::clone(&inlet)));
@@ -1355,11 +1288,6 @@ impl SpotFleet {
         }
         let replayed = installed?;
         *lock(&inlet.restore_point) = Some((at, cp));
-        if how == Install::Restore {
-            *admission = Admission::default();
-            inlet.shed.store(0, Ordering::Relaxed);
-            inlet.sampled_kept.store(0, Ordering::Relaxed);
-        }
         // With a WAL every queued point was also in the replayed tail.
         if wal.is_some() || how == Install::Restore {
             inlet.clear(false);
@@ -1403,7 +1331,7 @@ impl SpotFleet {
     /// checkpoint (falls back a generation and replays the longer tail),
     /// a torn WAL tail (truncated at the last valid record — those final
     /// unsynced points are the only possible loss, bounded by the
-    /// [`FsyncPolicy`](crate::FsyncPolicy)), and a crash between
+    /// [`WalTuning::sync_every`]), and a crash between
     /// checkpoint save and WAL prune
     /// (the stale log prefix behind the watermark is simply not replayed,
     /// then pruned at the next checkpoint). Errors with

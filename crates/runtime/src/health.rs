@@ -1,5 +1,5 @@
-//! Tenant health states, overload policies, and recovery reporting — the
-//! vocabulary of the fleet's supervision plane.
+//! Tenant health states and recovery reporting — the vocabulary of the
+//! fleet's supervision plane.
 //!
 //! A long-lived multi-tenant engine has to survive faults a single-stream
 //! process never meets: one tenant's detector panicking mid-batch, one
@@ -10,9 +10,6 @@
 //! * [`TenantHealth`] — the per-tenant state machine
 //!   (`Healthy → Quarantined → Healthy|Failed`): a panic quarantines only
 //!   the tenant that panicked; co-tenants keep executing.
-//! * [`OverloadPolicy`] — what `SpotFleet::ingest` does when the tenant's
-//!   bounded queue is full: block (backpressure), shed, or deterministic
-//!   1-in-k sampling.
 //! * [`RecoveryReport`] — what the [`crate::Supervisor`] did to bring a
 //!   quarantined tenant back: attempts, the backoff schedule, and the
 //!   window of points lost between the tenant's restore point and the
@@ -53,8 +50,8 @@ pub enum TenantHealth {
     /// The tenant's detector panicked; its in-memory state is untrusted
     /// and every processing operation fails with
     /// [`spot_types::SpotError::TenantPoisoned`] until it is restored from
-    /// a checkpoint. Ingestion still enqueues (subject to the overload
-    /// policy) so the backlog survives into recovery.
+    /// a checkpoint. Ingestion still enqueues, so the backlog survives
+    /// into recovery.
     Quarantined(QuarantineInfo),
     /// The supervisor exhausted its retry budget (a tenant with no restore
     /// point fails every attempt). Terminal: the tenant stays registered
@@ -80,44 +77,14 @@ impl TenantHealth {
     }
 }
 
-/// What `SpotFleet::ingest` does with a point when the tenant's bounded
-/// queue is full. The policy is per tenant
-/// (`SpotFleet::set_overload_policy`); the default is
-/// [`OverloadPolicy::Block`] — the pre-supervision behavior.
-///
-/// Shedding decisions are deterministic: they depend only on the sequence
-/// of full-queue encounters (a per-tenant counter), never on wall-clock
-/// time or thread scheduling, so a replayed ingest sequence sheds exactly
-/// the same points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OverloadPolicy {
-    /// Block the producer until the queue has room — backpressure. No
-    /// point is ever lost; a slow tenant stalls its own producers (never
-    /// co-tenants).
-    #[default]
-    Block,
-    /// Drop the point and count it in the tenant's `shed` counter. The
-    /// producer never blocks; the verdict stream has gaps under overload.
-    Shed,
-    /// Deterministic 1-in-k sampling under overload: every `keep_one_in`-th
-    /// full-queue encounter is admitted (blocking for its slot), the rest
-    /// are shed. `Sample { keep_one_in: 1 }` degrades to `Block`,
-    /// `keep_one_in: 0` is normalized to `1` at set time.
-    Sample {
-        /// Admit one point per this many full-queue encounters.
-        keep_one_in: u32,
-    },
-}
-
-/// Outcome of one [`crate::SpotFleet::ingest`] call under the tenant's
-/// overload policy.
+/// Outcome of one [`crate::SpotFleet::ingest`] call: the point is queued,
+/// the only way `ingest` returns `Ok`. `benchmark/` matches the variant by
+/// name; the type goes with that package's next revision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IngestOutcome {
-    /// The point is in the tenant's queue (possibly after blocking).
+    /// The point is in the tenant's queue (possibly after waiting for
+    /// room).
     Enqueued,
-    /// The point was dropped by the `Shed`/`Sample` policy; it will never
-    /// produce a verdict. Counted in the tenant's `shed` counter.
-    Shed,
 }
 
 /// What the supervisor did to bring one quarantined tenant back to
@@ -172,10 +139,5 @@ mod tests {
         assert!(q.is_quarantined() && !q.is_healthy() && !q.is_failed());
         let f = TenantHealth::Failed(info);
         assert!(f.is_failed() && !f.is_quarantined());
-    }
-
-    #[test]
-    fn default_policy_is_block() {
-        assert_eq!(OverloadPolicy::default(), OverloadPolicy::Block);
     }
 }

@@ -49,22 +49,25 @@
 //!   retries and deterministic exponential backoff, reporting each
 //!   recovery as a [`RecoveryReport`] (`processed_at_shadow` is the
 //!   restore point's position).
-//! * **Graceful degradation** — per-tenant [`OverloadPolicy`] (block /
-//!   shed / deterministic 1-in-k sampling) when a bounded queue fills.
+//! * **Backpressure** — a full tenant queue makes [`SpotFleet::ingest`]
+//!   wait (holding no lock) and [`SpotFleet::try_ingest`] refuse; no
+//!   admitted point is dropped, and a slow tenant stalls only its own
+//!   producers.
 //! * **Crash-safe checkpoint files** — [`CheckpointStore`] writes every
 //!   generation as a full checkpoint in a checksum-sealed binary
-//!   container, atomically (tmp + fsync + rename), and recovers from the
-//!   newest *valid* retained generation.
+//!   container, atomically (tmp + fsync + rename + directory fsync), and
+//!   recovers from the newest *valid* retained generation.
 //! * **Deterministic fault injection** — a [`FaultPlan`] scripts panics,
-//!   queue-full windows, recovery failures and WAL crashes (kill after
-//!   append, torn write, failed fsync, mid-rotation, between checkpoint
-//!   and prune) at exact ordinals, so chaos tests replay bit-identically.
+//!   recovery failures and WAL crashes (kill after append, torn write,
+//!   failed fsync, mid-rotation, between checkpoint and prune) at exact
+//!   ordinals, so chaos tests replay bit-identically.
 //!   See `docs/robustness.md`.
 //!
 //! **Durability.** [`SpotFleet::enable_wal`] arms the fleet's segmented
 //! write-ahead log, one log every tenant appends to: every admitted point
-//! is appended (checksummed, fsync-policy-bounded per tenant, one sync
-//! covering every tenant) *before* it is enqueued, checkpoints record
+//! is appended (checksummed, synced every [`WalTuning::sync_every`]
+//! records of a tenant, one sync covering every tenant) *before* it is
+//! enqueued, checkpoints record
 //! each tenant's replay watermark and prune sealed segments behind them,
 //! and [`SpotFleet::recover`] restores the newest valid checkpoint then
 //! replays each tenant's WAL tail in drain-sized micro-batches — the
@@ -89,7 +92,7 @@ pub use archive::{ArchiveReplay, VerdictArchive};
 pub use checkpoint::{CheckpointStore, FleetCheckpoint, FLEET_CHECKPOINT_VERSION};
 pub use faults::FaultPlan;
 pub use fleet::{FleetConfig, FleetFootprint, FleetStats, SpotFleet};
-pub use health::{IngestOutcome, OverloadPolicy, QuarantineInfo, RecoveryReport, TenantHealth};
+pub use health::{IngestOutcome, QuarantineInfo, RecoveryReport, TenantHealth};
 pub use spot_types::TenantId;
 pub use supervisor::{Supervisor, SupervisorConfig, SupervisorPass};
-pub use wal::{FleetRecovery, FsyncPolicy, WalTuning};
+pub use wal::{FleetRecovery, WalTuning};

@@ -3,7 +3,7 @@
 //! archive ([`crate::VerdictArchive`]).
 
 use crate::archive::VerdictArchive;
-use crate::wal::{FleetWal, FsyncPolicy, WalTuning};
+use crate::wal::{FleetWal, WalTuning};
 use spot::subspace::Subspace;
 use spot::{SubspaceFinding, Verdict};
 use spot_types::persist::binary::checksum64;
@@ -58,7 +58,7 @@ fn segments(dir: &Path, prefix: &str) -> Vec<Vec<u8>> {
 fn both_logs_write_the_bytes_they_always_wrote() {
     let dir = temp_dir("golden-wal");
     let tuning = WalTuning {
-        fsync: FsyncPolicy::EveryN(4),
+        sync_every: 4,
         segment_bytes: 500,
     };
     let (a, b) = (tid("alpha"), tid("b"));
@@ -206,7 +206,7 @@ impl Log {
         match self {
             Log::Wal => {
                 let tuning = WalTuning {
-                    fsync: FsyncPolicy::OnRotate,
+                    sync_every: u32::MAX,
                     segment_bytes,
                 };
                 let (wal, _) = FleetWal::open(dir, tuning, |_| false)?;

@@ -12,7 +12,7 @@
 //! frames, torn tails, rotation, sync); its payloads live in
 //! [`spot_stream::wal`], shared with the offline
 //! [`spot_stream::WalSource`]. This module owns the writer, [`FleetWal`]:
-//! its stream table, the fsync policy, holds, pruning and fault injection.
+//! its stream table, its sync cadence, holds, pruning and fault injection.
 //!
 //! * **One log, one stream per tenant.** Every tenant appends to the same
 //!   segment file; a record carries its tenant and that tenant's own
@@ -21,9 +21,9 @@
 //!   `base_processed + n` — what lets a checkpoint's stream position double
 //!   as a replay watermark. The writer lock covers only the `write` and a
 //!   sync that is due.
-//! * **[`FsyncPolicy`]** bounds, per tenant, the acknowledged records a
-//!   power cut can take back. One sync covers every tenant's records, so
-//!   interleaved tenants share it.
+//! * **[`WalTuning::sync_every`]** bounds, per tenant, the acknowledged
+//!   records a power cut can take back. One sync covers every tenant's
+//!   records, so interleaved tenants share it.
 //! * **Rotation & pruning.** Segments rotate at [`WalTuning`]'s
 //!   `segment_bytes`; a durable checkpoint deletes the sealed segments
 //!   whose records all lie behind their tenant's watermark.
@@ -49,41 +49,34 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-/// When the WAL writer forces appended records onto stable storage.
-///
-/// Records always go straight to the file descriptor (no userspace
-/// buffering) and a segment is always synced when sealed; the policy only
-/// bounds how many *acknowledged* records of one tenant a power cut can
-/// take back. A sync covers the whole log, so it restarts every tenant's
-/// count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FsyncPolicy {
-    /// `fsync` as soon as any tenant has `n` records (at least 1) since
-    /// the last sync: at most `n - 1` acknowledged points of each tenant
-    /// are exposed, none under `EveryN(1)`. Round-robin traffic over `T` tenants syncs once per
-    /// `T·(n − 1) + 1` records, one tenant's traffic once per `n`.
-    EveryN(u32),
-    /// `fsync` only when a segment is sealed.
-    OnRotate,
-}
-
-impl Default for FsyncPolicy {
-    fn default() -> Self {
-        FsyncPolicy::EveryN(256)
-    }
-}
-
-/// Knobs of the fleet's one log writer. `Default`: `EveryN(256)` fsync,
-/// 1 MiB segments.
-#[derive(Debug, Clone, Copy, Default)]
+/// Knobs of the fleet's one log writer. `Default`: a sync every 256
+/// records of a tenant, 1 MiB segments.
+#[derive(Debug, Clone, Copy)]
 pub struct WalTuning {
-    /// Durability policy for appends.
-    pub fsync: FsyncPolicy,
+    /// `fsync` as soon as any tenant has this many records (at least 1)
+    /// since the last sync: at most `sync_every - 1` acknowledged points
+    /// of each tenant are exposed to a power cut, none at 1. Records
+    /// always go straight to the file descriptor (no userspace
+    /// buffering), a segment is always synced when sealed, and a sync
+    /// covers the whole log, so it restarts every tenant's count:
+    /// round-robin traffic over `T` tenants syncs once per
+    /// `T·(sync_every − 1) + 1` records, one tenant's traffic once per
+    /// `sync_every`. `u32::MAX` leaves only the seal syncs.
+    pub sync_every: u32,
     /// Rotation threshold: a segment holding a frame is sealed before an
     /// append would push it past this many bytes (0 means
     /// [`WalTuning::DEFAULT_SEGMENT_BYTES`]; 1 gives every frame its own
     /// segment).
     pub segment_bytes: u64,
+}
+
+impl Default for WalTuning {
+    fn default() -> Self {
+        WalTuning {
+            sync_every: 256,
+            segment_bytes: 0,
+        }
+    }
 }
 
 impl WalTuning {
@@ -266,8 +259,8 @@ impl FleetWal {
         self.lock().sealed.len() + 1
     }
 
-    /// Every sync issued since the log was opened: policy syncs, segment
-    /// seals and headers, control frames, checkpoint syncs.
+    /// Every sync issued since the log was opened: `sync_every` syncs,
+    /// segment seals and headers, control frames, checkpoint syncs.
     pub fn syncs(&self) -> u64 {
         self.syncs.load(Ordering::Relaxed)
     }
@@ -338,8 +331,8 @@ impl FleetWal {
     }
 
     /// Appends one record to `tenant`'s stream (rotating first when due),
-    /// applies the fsync policy, and returns the record's sequence number.
-    /// The caller holds the tenant's admission lock. An injected crash
+    /// syncs once a tenant reaches `sync_every`, and returns the record's
+    /// sequence number. The caller holds the tenant's admission lock. An injected crash
     /// from `faults` damages the file as a real crash would, kills the
     /// writer and returns [`SpotError::Io`]: the caller must *not* enqueue
     /// the point.
@@ -365,14 +358,8 @@ impl FleetWal {
         let s = w.streams.get_mut(tenant).expect("stream checked above");
         s.next_seq += 1;
         s.in_active = true;
-        let due = match self.tuning.fsync {
-            FsyncPolicy::EveryN(n) => {
-                s.unsynced += 1;
-                s.unsynced >= n.max(1)
-            }
-            FsyncPolicy::OnRotate => false,
-        };
-        if due {
+        s.unsynced += 1;
+        if s.unsynced >= self.tuning.sync_every.max(1) {
             self.sync_locked(w)?;
         }
         Ok(seq)
@@ -539,7 +526,7 @@ mod tests {
     fn append_resume_roundtrip_preserves_every_record() {
         let dir = temp_dir("resume");
         let tuning = WalTuning {
-            fsync: FsyncPolicy::EveryN(1),
+            sync_every: 1,
             ..WalTuning::default()
         };
         let (a, b) = (tid("a"), tid("b"));
@@ -579,7 +566,7 @@ mod tests {
         let dir = temp_dir("rotate");
         // Tiny segments: every frame rotates.
         let tuning = WalTuning {
-            fsync: FsyncPolicy::OnRotate,
+            sync_every: u32::MAX,
             segment_bytes: 1,
         };
         let (a, b) = (tid("a"), tid("b"));
@@ -630,7 +617,7 @@ mod tests {
     fn an_evicted_stream_restarts_fresh_and_frees_its_segments() {
         let dir = temp_dir("evict");
         let tuning = WalTuning {
-            fsync: FsyncPolicy::EveryN(1),
+            sync_every: 1,
             segment_bytes: 1,
         };
         let a = tid("a");
@@ -663,7 +650,7 @@ mod tests {
     fn a_failed_rotation_neither_lists_nor_prunes_the_active_segment() {
         let dir = temp_dir("rotfail");
         let tuning = WalTuning {
-            fsync: FsyncPolicy::EveryN(1),
+            sync_every: 1,
             segment_bytes: 1,
         };
         let (a, b) = (tid("a"), tid("b"));

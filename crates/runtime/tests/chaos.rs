@@ -12,8 +12,6 @@
 //!   tenant with the uninterrupted verdict stream, bit-for-bit.
 //! * **Skip-and-report pump** — a faulted tenant is reported per-tenant;
 //!   the sweep never aborts and never consumes the faulted backlog.
-//! * **Graceful degradation** — `Shed` and deterministic 1-in-k `Sample`
-//!   overload policies, driven by scripted queue-full windows.
 //! * **Bounded retries** — scripted recovery failures exhaust the budget
 //!   through deterministic exponential backoff into the terminal `Failed`
 //!   state, from which a manual revive still works.
@@ -21,8 +19,7 @@
 use proptest::prelude::*;
 use spot::{EvolutionConfig, Spot, SpotBuilder, SpotConfig, Verdict};
 use spot_runtime::{
-    FaultPlan, FleetConfig, IngestOutcome, OverloadPolicy, SpotFleet, Supervisor, SupervisorConfig,
-    TenantId,
+    FaultPlan, FleetConfig, IngestOutcome, SpotFleet, Supervisor, SupervisorConfig, TenantId,
 };
 use spot_types::{DataPoint, DomainBounds, SpotError};
 
@@ -322,81 +319,6 @@ fn supervisor_carries_the_backlog_into_the_recovered_tenant() {
     assert_eq!(fleet.queue_len(&b).unwrap(), 13);
     // The carried backlog drains normally after recovery.
     assert_eq!(fleet.drain_fully(&b).unwrap().len(), 13);
-}
-
-#[test]
-fn overload_policies_shed_and_sample_deterministically() {
-    let dims = 3;
-    let train = training(100, dims, 3);
-    let fleet = SpotFleet::new(FleetConfig {
-        queue_capacity: 4,
-        micro_batch: 4,
-    });
-    let shed_id = tid("shedding");
-    let sample_id = tid("sampling");
-    let block_id = tid("blocking");
-    for (id, seed) in [(&shed_id, 1u64), (&sample_id, 2), (&block_id, 3)] {
-        fleet
-            .register(id.clone(), tenant_config(seed, dims))
-            .unwrap();
-        fleet.learn(id, &train).unwrap();
-    }
-    let p = DataPoint::new(vec![0.4, 0.4, 0.4]);
-
-    // Shed: a genuinely full queue drops the overflow without blocking.
-    fleet
-        .set_overload_policy(&shed_id, OverloadPolicy::Shed)
-        .unwrap();
-    for _ in 0..4 {
-        assert_eq!(
-            fleet.ingest(&shed_id, p.clone()).unwrap(),
-            IngestOutcome::Enqueued
-        );
-    }
-    for _ in 0..5 {
-        assert_eq!(
-            fleet.ingest(&shed_id, p.clone()).unwrap(),
-            IngestOutcome::Shed
-        );
-    }
-    assert_eq!(fleet.queue_len(&shed_id).unwrap(), 4);
-
-    // Sample 1-in-3 over a scripted 9-attempt full window: encounters
-    // 0, 3 and 6 are admitted, the other six shed — a pure function of
-    // the encounter ordinal.
-    fleet
-        .set_overload_policy(&sample_id, OverloadPolicy::Sample { keep_one_in: 3 })
-        .unwrap();
-    fleet.arm_faults(FaultPlan::new().queue_full(sample_id.clone(), 0, 9));
-    let outcomes: Vec<IngestOutcome> = (0..9)
-        .map(|_| fleet.ingest(&sample_id, p.clone()).unwrap())
-        .collect();
-    use IngestOutcome::{Enqueued, Shed};
-    assert_eq!(
-        outcomes,
-        vec![Enqueued, Shed, Shed, Enqueued, Shed, Shed, Enqueued, Shed, Shed]
-    );
-    assert_eq!(fleet.queue_len(&sample_id).unwrap(), 3);
-
-    // Block ignores scripted fullness (nothing to observe without real
-    // waiting) and always enqueues.
-    fleet.arm_faults(FaultPlan::new().queue_full(block_id.clone(), 0, 4));
-    for _ in 0..4 {
-        assert_eq!(
-            fleet.ingest(&block_id, p.clone()).unwrap(),
-            IngestOutcome::Enqueued
-        );
-    }
-
-    let stats = fleet.stats();
-    assert_eq!(stats.shed, 5 + 6);
-    assert_eq!(stats.sampled_kept, 3);
-    assert_eq!(stats.queued, 4 + 3 + 4);
-
-    // Shed/sampled points are simply absent from the verdict stream; the
-    // admitted ones process normally.
-    assert_eq!(fleet.drain_fully(&shed_id).unwrap().len(), 4);
-    assert_eq!(fleet.drain_fully(&sample_id).unwrap().len(), 3);
 }
 
 #[test]

@@ -33,8 +33,8 @@
 use proptest::prelude::*;
 use spot::{SpotBuilder, SpotConfig, Verdict};
 use spot_runtime::{
-    CheckpointStore, FaultPlan, FleetConfig, FsyncPolicy, SpotFleet, Supervisor, SupervisorConfig,
-    TenantId, WalTuning,
+    CheckpointStore, FaultPlan, FleetConfig, SpotFleet, Supervisor, SupervisorConfig, TenantId,
+    WalTuning,
 };
 use spot_stream::WalSource;
 use spot_types::{DataPoint, DomainBounds, SpotError};
@@ -236,7 +236,7 @@ fn ingest_until_crash(
 fn crash_recovery_replays_the_tail_bit_identically() {
     let dir = temp_dir("headline");
     let tuning = WalTuning {
-        fsync: FsyncPolicy::EveryN(1),
+        sync_every: 1,
         ..WalTuning::default()
     };
     let train = training(120, 5);
@@ -275,7 +275,7 @@ fn crash_recovery_replays_the_tail_bit_identically() {
 fn recovery_survives_a_torn_newest_checkpoint() {
     let dir = temp_dir("torn-ckpt");
     let tuning = WalTuning {
-        fsync: FsyncPolicy::EveryN(1),
+        sync_every: 1,
         ..WalTuning::default()
     };
     let train = training(120, 5);
@@ -316,7 +316,7 @@ fn a_point_the_detector_would_reject_never_reaches_the_log() {
     // detector already processed.
     let dir = temp_dir("reject");
     let tuning = WalTuning {
-        fsync: FsyncPolicy::EveryN(1),
+        sync_every: 1,
         ..WalTuning::default()
     };
     let train = training(120, 5);
@@ -386,7 +386,7 @@ fn a_point_the_detector_would_reject_never_reaches_the_log() {
 // ---- the kill-anywhere matrix ------------------------------------------
 
 /// How a scripted crash mutilates the log, and whether the victim's
-/// record at the crash survives it under `EveryN(1)` fsync.
+/// record at the crash survives it under `sync_every: 1`.
 #[derive(Debug, Clone, Copy)]
 enum Crash {
     /// The victim's record `kill_seq` is durable but unacknowledged: it
@@ -407,7 +407,7 @@ enum Crash {
 fn run_crash_case(tag: &str, victim: usize, kill_seq: u64, crash: Crash) {
     let dir = temp_dir(&format!("matrix-{tag}-{victim}-{kill_seq}"));
     let tuning = WalTuning {
-        fsync: FsyncPolicy::EveryN(1),
+        sync_every: 1,
         ..WalTuning::default()
     };
     let train = training(120, 5);
@@ -487,7 +487,7 @@ fn crash_mid_rotation_drops_the_torn_residue() {
     // inside the header write of tenant-a's 3rd rotation.
     let dir = temp_dir("rotation");
     let tuning = WalTuning {
-        fsync: FsyncPolicy::EveryN(1),
+        sync_every: 1,
         segment_bytes: 1,
     };
     let train = training(120, 5);
@@ -514,7 +514,7 @@ fn one_sync_covers_every_tenant_under_every_n() {
     const N: u32 = 8;
     let dir = temp_dir("cadence");
     let tuning = WalTuning {
-        fsync: FsyncPolicy::EveryN(N),
+        sync_every: N,
         segment_bytes: 1 << 30, // no rotation: only EveryN syncs
     };
     let train = training(120, 5);
@@ -561,7 +561,7 @@ fn one_sync_covers_every_tenant_under_every_n() {
 fn durable_checkpoints_prune_sealed_segments() {
     let dir = temp_dir("prune");
     let tuning = WalTuning {
-        fsync: FsyncPolicy::EveryN(4),
+        sync_every: 4,
         segment_bytes: 1, // one frame per segment: growth is visible
     };
     let train = training(120, 5);
@@ -591,7 +591,7 @@ fn durable_checkpoints_prune_sealed_segments() {
 fn shared_segments_prune_at_the_slowest_watermark() {
     let dir = temp_dir("prune-shared");
     let tuning = WalTuning {
-        fsync: FsyncPolicy::EveryN(4),
+        sync_every: 4,
         segment_bytes: 512, // a handful of records of every tenant per segment
     };
     let train = training(120, 5);
@@ -668,7 +668,7 @@ fn shared_segments_prune_at_the_slowest_watermark() {
 fn crash_between_checkpoint_and_prune_is_recoverable() {
     let dir = temp_dir("prune-crash");
     let tuning = WalTuning {
-        fsync: FsyncPolicy::EveryN(1),
+        sync_every: 1,
         segment_bytes: 1,
     };
     let train = training(120, 5);
@@ -713,7 +713,7 @@ fn crash_between_checkpoint_and_prune_is_recoverable() {
 fn supervised_revive_with_wal_replays_the_lost_window() {
     let dir = temp_dir("revive");
     let tuning = WalTuning {
-        fsync: FsyncPolicy::EveryN(8),
+        sync_every: 8,
         ..WalTuning::default()
     };
     let train = training(120, 5);
@@ -1081,7 +1081,7 @@ fn per_tenant_logs_left_by_older_builds_are_refused() {
 fn wal_source_replays_admitted_points_bit_exactly() {
     let dir = temp_dir("source");
     let tuning = WalTuning {
-        fsync: FsyncPolicy::EveryN(1),
+        sync_every: 1,
         ..WalTuning::default()
     };
     let train = training(120, 5);

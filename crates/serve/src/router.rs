@@ -159,7 +159,6 @@ fn stats(state: &AppState, draining: bool) -> Response {
                     ("outliers", Value::U64(fs.outliers)),
                     ("evolutions", Value::U64(fs.evolutions)),
                     ("drift_events", Value::U64(fs.drift_events)),
-                    ("shed", Value::U64(fs.shed)),
                     ("panics", Value::U64(fs.panics)),
                     ("recoveries", Value::U64(fs.recoveries)),
                     ("wal_prune_failures", Value::U64(fs.wal_prune_failures)),
@@ -361,11 +360,10 @@ fn ingest(state: &AppState, id: &TenantId, req: &Request) -> Response {
         match state.fleet.try_ingest(id, DataPoint::new(row.to_vec())) {
             Ok(true) => enqueued += 1,
             Ok(false) => {
-                // Queue full: `try_ingest` refuses under every overload
-                // policy (none sheds or samples a served point). 429
-                // carries how far we got plus a Retry-After derived from
-                // the backlog, so a well-behaved client resumes from the
-                // tail after the pump catches up.
+                // Queue full: `try_ingest` refuses and the point stays
+                // with the client. 429 carries how far we got plus a
+                // Retry-After derived from the backlog, so a well-behaved
+                // client resumes from the tail after the pump catches up.
                 let queued = state.fleet.queue_len(id).unwrap_or(0);
                 let config = state.fleet.config();
                 let secs = retry_after_secs(queued, config.micro_batch);

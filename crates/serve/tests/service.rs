@@ -3,7 +3,7 @@
 //! exercised over real sockets against a live server.
 
 use spot::{SpotBuilder, Verdict};
-use spot_runtime::{CheckpointStore, FaultPlan, FleetConfig, OverloadPolicy, SpotFleet};
+use spot_runtime::{CheckpointStore, FaultPlan, FleetConfig, SpotFleet};
 use spot_serve::{
     inject, retry_after_secs, FaultOutcome, HttpLimits, NetFault, RetryPolicy, ServeClient,
     ServeConfig, SpotServer, VerdictSink,
@@ -234,95 +234,87 @@ fn status_code_mapping_over_the_wire() {
 
 #[test]
 fn backpressure_maps_to_429_with_retry_after() {
-    // `/ingest` admits through `try_ingest`, which refuses on a full queue
-    // whatever the tenant's overload policy: no policy sheds or samples a
-    // served point.
-    for policy in [
-        OverloadPolicy::Block,
-        OverloadPolicy::Shed,
-        OverloadPolicy::Sample { keep_one_in: 3 },
-    ] {
-        // Pump disabled: the queue only moves when we say so.
-        let fleet = serial_fleet(8, 4);
-        let server = SpotServer::builder(fleet)
-            .pump(false)
-            .bind("127.0.0.1:0")
-            .unwrap();
-        let addr = server.local_addr();
-        let mut client = ServeClient::new(addr).with_policy(quick_policy());
-
-        let id = tid("gamma");
-        client.register(&id, DIMS, 11, &training(64, 3)).unwrap();
-        server.fleet().set_overload_policy(&id, policy).unwrap();
-
-        // 20 points against an 8-slot queue: exactly 8 admitted, then 429.
-        let points = stream(20, 4);
-        let body = format!(
-            "{{\"points\":{}}}",
-            serde_json::to_string(&serde_json::Value::Array(
-                points
-                    .iter()
-                    .map(|p| serde_json::Value::Array(
-                        p.values()
-                            .iter()
-                            .map(|v| serde_json::Value::F64(*v))
-                            .collect()
-                    ))
-                    .collect()
-            ))
-            .unwrap()
-        );
-        let mut raw = TcpStream::connect(addr).unwrap();
-        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        raw.write_all(
-            format!(
-                "POST /tenants/gamma/ingest HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
-                body.len()
-            )
-            .as_bytes(),
-        )
+    // `/ingest` admits through `try_ingest`, which refuses on a full queue:
+    // a served point is never dropped. The pump is off, so the queue only
+    // moves when we say so.
+    let fleet = serial_fleet(8, 4);
+    let server = SpotServer::builder(fleet)
+        .pump(false)
+        .bind("127.0.0.1:0")
         .unwrap();
-        let mut text = String::new();
-        let mut chunk = [0u8; 8192];
-        loop {
-            match raw.read(&mut chunk) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => {
-                    text.push_str(&String::from_utf8_lossy(&chunk[..n]));
-                    if text.contains("\"enqueued\"") {
-                        break;
-                    }
+    let addr = server.local_addr();
+    let mut client = ServeClient::new(addr).with_policy(quick_policy());
+
+    let id = tid("gamma");
+    client.register(&id, DIMS, 11, &training(64, 3)).unwrap();
+
+    // 20 points against an 8-slot queue: exactly 8 admitted, then 429.
+    let points = stream(20, 4);
+    let body = format!(
+        "{{\"points\":{}}}",
+        serde_json::to_string(&serde_json::Value::Array(
+            points
+                .iter()
+                .map(|p| serde_json::Value::Array(
+                    p.values()
+                        .iter()
+                        .map(|v| serde_json::Value::F64(*v))
+                        .collect()
+                ))
+                .collect()
+        ))
+        .unwrap()
+    );
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    raw.write_all(
+        format!(
+            "POST /tenants/gamma/ingest HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .as_bytes(),
+    )
+    .unwrap();
+    let mut text = String::new();
+    let mut chunk = [0u8; 8192];
+    loop {
+        match raw.read(&mut chunk) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => {
+                text.push_str(&String::from_utf8_lossy(&chunk[..n]));
+                if text.contains("\"enqueued\"") {
+                    break;
                 }
             }
         }
-        assert!(text.starts_with("HTTP/1.1 429"), "{policy:?}: {text}");
-        assert!(text.contains("\"enqueued\":8"), "{policy:?}: {text}");
-        // Retry-After derives from occupancy: 8 queued / micro_batch 4 = 2s.
-        assert_eq!(
-            header_value(&text, "retry-after").as_deref(),
-            Some("2"),
-            "{policy:?}: {text}"
-        );
-        assert_eq!(server.fleet().stats().shed, 0, "{policy:?}");
-
-        // Drain server-side, resume the tail from the reported offset:
-        // with the pump off every admission is accounted deterministically.
-        client.drain(&id).unwrap();
-        let report = client.ingest(&id, &points[8..16]).unwrap();
-        assert_eq!(report.enqueued, 8);
-        client.drain(&id).unwrap();
-        let report = client.ingest(&id, &points[16..]).unwrap();
-        assert_eq!(report.enqueued, 4);
-        client.drain(&id).unwrap();
-        let tstats = client.tenant_stats(&id).unwrap();
-        assert!(
-            tstats.contains("\"processed\":20"),
-            "{policy:?}: tenant stats: {tstats}"
-        );
-        let stats = server.fleet().stats();
-        assert_eq!((stats.shed, stats.sampled_kept), (0, 0), "{policy:?}");
-        server.shutdown().unwrap();
     }
+    assert!(text.starts_with("HTTP/1.1 429"), "{text}");
+    assert!(text.contains("\"enqueued\":8"), "{text}");
+    // Retry-After derives from occupancy: 8 queued / micro_batch 4 = 2s.
+    assert_eq!(
+        header_value(&text, "retry-after").as_deref(),
+        Some("2"),
+        "{text}"
+    );
+    assert_eq!(server.fleet().stats().shed, 0);
+
+    // Drain server-side, resume the tail from the reported offset:
+    // with the pump off every admission is accounted deterministically.
+    client.drain(&id).unwrap();
+    let report = client.ingest(&id, &points[8..16]).unwrap();
+    assert_eq!(report.enqueued, 8);
+    client.drain(&id).unwrap();
+    let report = client.ingest(&id, &points[16..]).unwrap();
+    assert_eq!(report.enqueued, 4);
+    client.drain(&id).unwrap();
+    let tstats = client.tenant_stats(&id).unwrap();
+    assert!(
+        tstats.contains("\"processed\":20"),
+        "tenant stats: {tstats}"
+    );
+    let stats = server.fleet().stats();
+    assert_eq!(stats.shed, 0);
+    server.shutdown().unwrap();
     assert_eq!(retry_after_secs(8, 4), 2);
 }
 

@@ -1,16 +1,18 @@
 //! The binary ingest body (`application/x-spot-points`) over real
 //! sockets: equivalence with the JSON body across a `429` resume, typed
 //! `400`s for hostile bodies, a byte-mutation loop, `±∞` end to end, and
-//! the client's at-least-once delivery contract.
+//! the client's at-least-once delivery contract. A second mutation loop
+//! cuts and flips whole requests — head included — against a one-worker
+//! server.
 
 use serde_json::Value;
 use spot::Verdict;
 use spot_runtime::{FleetConfig, SpotFleet};
 use spot_serve::http::{read_request, read_response, ClientResponse, HttpLimits, NextRequest};
-use spot_serve::{ClientError, RetryPolicy, ServeClient, SpotServer};
+use spot_serve::{ClientError, RetryPolicy, ServeClient, ServeConfig, SpotServer};
 use spot_types::{DataPoint, SpotError, TenantId};
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 const DIMS: usize = 3;
@@ -411,6 +413,163 @@ fn mutated_binary_bodies_never_panic_and_a_200_admits_what_the_body_frames() {
         fleet.drain_fully(&id).unwrap();
     }
     assert!(admitted > 0 && refused > 0, "{admitted} / {refused}");
+    server.shutdown().unwrap();
+}
+
+/// Sends `bytes` on a fresh connection, half-closes it and reads until the
+/// server closes. The answer must be nothing (a clean close) or start with
+/// a status line; a reset counts as a close (the kernel resets a socket
+/// closed with request bytes still unread). A read that runs past
+/// `within` means no worker picked the connection up.
+fn exchange(addr: SocketAddr, bytes: &[u8], within: Duration, label: &str) -> Option<u16> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(within)).unwrap();
+    // The server may answer and close before it has read everything.
+    let _ = stream.write_all(bytes);
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut answer = Vec::new();
+    if let Err(e) = stream.read_to_end(&mut answer) {
+        assert!(
+            e.kind() == ErrorKind::ConnectionReset,
+            "{label}: no status line and no close within {within:?}: {e}"
+        );
+    }
+    if answer.is_empty() {
+        return None;
+    }
+    let status = answer
+        .strip_prefix(b"HTTP/1.1 ")
+        .and_then(|rest| rest.get(..3))
+        .and_then(|code| std::str::from_utf8(code).ok())
+        .and_then(|code| code.parse().ok());
+    assert!(
+        status.is_some(),
+        "{label}: not a status line: {:?}",
+        String::from_utf8_lossy(&answer[..answer.len().min(64)])
+    );
+    status
+}
+
+/// Hostile requests never take a worker down. The server has one worker
+/// and no catch around it, so a request that panicked the parser or the
+/// router would end that thread: every later connection would wait
+/// unanswered, `exchange` would time out on the next one, and the closing
+/// `GET /healthz` could not answer within the read timeout. Inputs: a
+/// `PUT /tenants/x` with a JSON body, a JSON `POST /tenants/x/ingest`, and
+/// the two pipelined on one connection; each is cut at every length of its
+/// heads, then 2 400 seeded byte flips (a position anywhere, or inside a
+/// head, × a one-bit or a random mask) go through them in turn.
+#[test]
+fn cut_and_flipped_requests_never_take_the_one_worker_down() {
+    let read_timeout = Duration::from_secs(2);
+    let config = ServeConfig {
+        workers: 1,
+        read_timeout,
+        idle_timeout: read_timeout,
+        ..ServeConfig::default()
+    };
+    let server = SpotServer::builder(SpotFleet::new(FleetConfig::default()))
+        .config(config)
+        .pump(false)
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let addr = server.local_addr();
+    let within = Duration::from_secs(10);
+
+    let request = |head: String, body: &[u8]| -> (Vec<u8>, usize) {
+        let head = format!("{head}content-length: {}\r\n\r\n", body.len());
+        ([head.as_bytes(), body].concat(), head.len())
+    };
+    let training: Vec<f64> = coords(&training(64));
+    let rows = |c: &[f64]| -> String {
+        let rows: Vec<String> = c
+            .chunks(DIMS)
+            .map(|r| {
+                format!(
+                    "[{}]",
+                    r.iter().map(f64::to_string).collect::<Vec<_>>().join(",")
+                )
+            })
+            .collect();
+        format!("[{}]", rows.join(","))
+    };
+    let put = request(
+        "PUT /tenants/x HTTP/1.1\r\ncontent-type: application/json\r\n".into(),
+        format!(
+            "{{\"dims\":{DIMS},\"seed\":29,\"training\":{}}}",
+            rows(&training)
+        )
+        .as_bytes(),
+    );
+    let ingest = request(
+        "POST /tenants/x/ingest HTTP/1.1\r\n".into(),
+        format!("{{\"points\":{}}}", rows(&coords(&stream(4, 1)))).as_bytes(),
+    );
+    // The pair's heads: the PUT's at the start, the POST's after its body.
+    let pair = [put.0.clone(), ingest.0.clone()].concat();
+    let pair_heads = [(0, put.1), (put.0.len(), put.0.len() + ingest.1)];
+    assert_eq!(exchange(addr, &put.0, within, "register"), Some(201));
+    assert_eq!(exchange(addr, &ingest.0, within, "ingest"), Some(200));
+    let bad_before = server.stats().bad_requests;
+
+    let cases = [
+        ("put", &put.0, vec![(0, put.1)]),
+        ("ingest", &ingest.0, vec![(0, ingest.1)]),
+        ("pair", &pair, pair_heads.to_vec()),
+    ];
+    let mut answered = 0;
+    for (name, bytes, heads) in &cases {
+        for &(start, end) in heads {
+            for cut in start..=end {
+                let label = format!("{name} cut at {cut}");
+                answered += usize::from(exchange(addr, &bytes[..cut], within, &label).is_some());
+            }
+        }
+    }
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    for round in 0..2_400 {
+        let (name, bytes, heads) = &cases[round % cases.len()];
+        let mut mutant = bytes.to_vec();
+        let at = if next() % 2 == 0 {
+            next() as usize % mutant.len()
+        } else {
+            let (start, end) = heads[next() as usize % heads.len()];
+            start + next() as usize % (end - start)
+        };
+        let mask = match next() % 2 {
+            0 => 1u8 << (next() % 8),
+            _ => (next() as u8).max(1),
+        };
+        mutant[at] ^= mask;
+        let label = format!("{name} round {round}: byte {at} ^ {mask:#04x}");
+        answered += usize::from(exchange(addr, &mutant, within, &label).is_some());
+    }
+
+    let mut health = TcpStream::connect(addr).unwrap();
+    health.set_read_timeout(Some(read_timeout)).unwrap();
+    health
+        .write_all(b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n")
+        .unwrap();
+    let mut answer = Vec::new();
+    health
+        .read_to_end(&mut answer)
+        .expect("/healthz answers within the read timeout");
+    assert!(
+        answer.starts_with(b"HTTP/1.1 200"),
+        "{:?}",
+        String::from_utf8_lossy(&answer)
+    );
+    assert!(answered > 0);
+    assert!(
+        server.stats().bad_requests > bad_before,
+        "the loop must reach the parser's refusals"
+    );
     server.shutdown().unwrap();
 }
 

@@ -96,17 +96,6 @@ impl TimeModel {
             1.0 / (1.0 - self.decay)
         }
     }
-
-    /// Upper bound on the *total* weight contributed by all points that
-    /// have slid out of the ω-window (one arrival per tick):
-    /// `Σ_{a≥ω} δ^a = δ^ω/(1−δ) = ε/(1−δ)`.
-    pub fn expired_weight_bound(&self) -> f64 {
-        if self.decay == 1.0 {
-            f64::INFINITY
-        } else {
-            self.epsilon / (1.0 - self.decay)
-        }
-    }
 }
 
 /// The three fields verbatim: `δ` is captured rather than re-derived from
@@ -360,11 +349,12 @@ mod tests {
 
     #[test]
     fn expired_fraction_is_epsilon() {
-        // Unit arrivals per tick: weight of expired points over total
-        // steady-state weight must equal epsilon.
+        // Unit arrivals per tick: the points that slid out of the
+        // ω-window weigh `Σ_{a≥ω} δ^a = δ^ω/(1−δ)`, a fraction `δ^ω` of
+        // the steady-state weight `1/(1−δ)`, which must equal epsilon.
         for &(omega, eps) in &[(10u64, 0.1f64), (100, 0.01), (1000, 0.001)] {
             let tm = TimeModel::new(omega, eps).unwrap();
-            let frac = tm.expired_weight_bound() / tm.steady_state_weight();
+            let frac = tm.weight_after(omega);
             assert!(
                 (frac - eps).abs() < 1e-9,
                 "omega={omega} eps={eps} frac={frac}"

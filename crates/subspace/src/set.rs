@@ -67,7 +67,7 @@ impl SubspaceSet {
 
     /// Rebuilds the dedup index from the insertion order (after a
     /// restore).
-    pub fn rebuild_index(&mut self) {
+    fn rebuild_index(&mut self) {
         self.seen = self.order.iter().map(|s| s.mask()).collect();
     }
 }

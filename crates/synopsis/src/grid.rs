@@ -69,7 +69,7 @@ impl Grid {
     }
 
     /// Width of one cell along dimension `d`.
-    pub fn cell_width(&self, d: usize) -> f64 {
+    fn cell_width(&self, d: usize) -> f64 {
         self.bounds.width(d) / self.granularity as f64
     }
 

@@ -65,40 +65,6 @@ impl DomainBounds {
         DomainBounds::uniform(dims, 0.0, 1.0).expect("unit bounds are always valid")
     }
 
-    /// Infers bounds from a batch of points, expanding each dimension by
-    /// `margin_fraction` of its observed range on both sides (so streaming
-    /// points slightly outside the training range still fall into interior
-    /// cells).
-    pub fn from_data(points: &[DataPoint], margin_fraction: f64) -> Result<Self> {
-        let first = points.first().ok_or(SpotError::EmptyTrainingSet)?;
-        let dims = first.dims();
-        let mut mins = vec![f64::INFINITY; dims];
-        let mut maxs = vec![f64::NEG_INFINITY; dims];
-        for p in points {
-            if p.dims() != dims {
-                return Err(SpotError::DimensionMismatch {
-                    expected: dims,
-                    got: p.dims(),
-                });
-            }
-            for (d, &v) in p.values().iter().enumerate() {
-                if v < mins[d] {
-                    mins[d] = v;
-                }
-                if v > maxs[d] {
-                    maxs[d] = v;
-                }
-            }
-        }
-        for d in 0..dims {
-            let range = maxs[d] - mins[d];
-            let margin = range * margin_fraction;
-            mins[d] -= margin;
-            maxs[d] += margin;
-        }
-        DomainBounds::new(mins, maxs)
-    }
-
     /// Dimensionality covered by the bounds.
     pub fn dims(&self) -> usize {
         self.mins.len()
@@ -181,27 +147,6 @@ mod tests {
         let b = DomainBounds::new(vec![5.0], vec![5.0]).unwrap();
         assert!(b.width(0) > 0.0);
         assert!(b.min(0) < 5.0 && b.max(0) > 5.0);
-    }
-
-    #[test]
-    fn from_data_covers_all_points() {
-        let pts: Vec<DataPoint> = vec![
-            vec![0.0, 10.0].into(),
-            vec![5.0, -10.0].into(),
-            vec![2.5, 0.0].into(),
-        ];
-        let b = DomainBounds::from_data(&pts, 0.05).unwrap();
-        for p in &pts {
-            assert!(b.contains(p));
-        }
-        // Margins strictly widen the box.
-        assert!(b.min(0) < 0.0);
-        assert!(b.max(1) > 10.0);
-    }
-
-    #[test]
-    fn from_data_empty_fails() {
-        assert!(DomainBounds::from_data(&[], 0.1).is_err());
     }
 
     #[test]

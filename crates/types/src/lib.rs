@@ -43,14 +43,6 @@ pub struct Detection {
 }
 
 impl Detection {
-    /// A non-outlier verdict with the given score.
-    pub fn inlier(score: f64) -> Self {
-        Detection {
-            outlier: false,
-            score,
-        }
-    }
-
     /// An outlier verdict with the given score.
     pub fn outlier(score: f64) -> Self {
         Detection {
@@ -84,10 +76,8 @@ mod tests {
 
     #[test]
     fn detection_constructors() {
-        let d = Detection::inlier(0.25);
-        assert!(!d.outlier);
-        assert!((d.score - 0.25).abs() < 1e-12);
         let d = Detection::outlier(0.9);
         assert!(d.outlier);
+        assert!((d.score - 0.9).abs() < 1e-12);
     }
 }

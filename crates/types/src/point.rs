@@ -51,16 +51,6 @@ impl DataPoint {
         self.sq_distance(other).sqrt()
     }
 
-    /// Squared Euclidean distance restricted to the given dimensions.
-    pub fn sq_distance_in(&self, other: &DataPoint, dims: impl IntoIterator<Item = usize>) -> f64 {
-        dims.into_iter()
-            .map(|d| {
-                let diff = self.values[d] - other.values[d];
-                diff * diff
-            })
-            .sum()
-    }
-
     /// Consumes the point, returning its values.
     pub fn into_values(self) -> Vec<f64> {
         self.values
@@ -144,14 +134,6 @@ mod tests {
         let b = p(&[3.0, 4.0, 0.0]);
         assert!((a.distance(&b) - 5.0).abs() < 1e-12);
         assert!((a.sq_distance(&b) - 25.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn distance_in_subset_of_dims() {
-        let a = p(&[0.0, 10.0, 0.0]);
-        let b = p(&[3.0, -10.0, 4.0]);
-        let d = a.sq_distance_in(&b, [0usize, 2]);
-        assert!((d - 25.0).abs() < 1e-12);
     }
 
     #[test]
