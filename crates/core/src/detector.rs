@@ -11,7 +11,7 @@ use spot_clustering::{outlying_degrees, top_outlying_indices, OdConfig};
 use spot_moga::MogaConfig;
 use spot_stream::{LogicalClock, Reservoir};
 use spot_subspace::{genetic, ScoredSubspace, Subspace};
-use spot_synopsis::{CellConsumer, Grid, SynopsisManager};
+use spot_synopsis::{CellConsumer, CellTouch, Grid, ProjectedStore, SynopsisManager};
 use spot_types::{
     DataPoint, Detection, FxHashSet, PersistError, Result, SpotError, StateReader, StateWriter,
     StreamDetector,
@@ -276,13 +276,19 @@ impl Spot {
         self.sync_manager_subspaces(false);
 
         // (5) Warm the streaming synopses with the training batch so
-        // detection starts against a populated model.
+        // detection starts against a populated model: store-major runs, as
+        // `process_batch` ingests (synopsis state bit-identical to one by
+        // one), with the reservoir offered each point in arrival order.
         if learning.replay_training {
-            for p in training {
-                let now = self.clock.tick();
-                self.manager.update(now, p)?;
-                self.reservoir
-                    .offer(self.config.evolution.reservoir, now, p);
+            for run in training.chunks(Self::BATCH_RUN) {
+                let start = self.clock.now() + 1;
+                self.manager
+                    .update_and_screen_batch(start, run, &mut IngestOnly)?;
+                for p in run {
+                    let now = self.clock.tick();
+                    self.reservoir
+                        .offer(self.config.evolution.reservoir, now, p);
+                }
             }
         }
         self.learned = true;
@@ -752,6 +758,15 @@ impl Spot {
     }
 }
 
+/// The warm-up replay's consumer: the replay only ingests, so every
+/// touched cell is dropped.
+struct IngestOnly;
+
+impl CellConsumer for IngestOnly {
+    #[inline]
+    fn cell(&mut self, _: usize, _: &ProjectedStore, _: usize, _: CellTouch) {}
+}
+
 /// Retains a detected outlier for OS growth — the clone happens only once
 /// the point is actually kept (a zero-capacity buffer never clones).
 fn push_outlier(cap: usize, buffer: &mut Vec<(u64, DataPoint)>, now: u64, p: &DataPoint) {
@@ -765,7 +780,9 @@ fn push_outlier(cap: usize, buffer: &mut Vec<(u64, DataPoint)>, now: u64, p: &Da
 }
 
 /// τ estimate for leader clustering: half the mean pairwise distance over a
-/// bounded random sample of the batch.
+/// bounded random sample of the batch. A pair at a non-finite distance (a
+/// coordinate at ±∞) is left out of the mean; with no finite, positive
+/// distance the estimate is 1.
 fn estimate_tau(points: &[DataPoint], rng: &mut StdRng) -> f64 {
     const PAIRS: usize = 256;
     if points.len() < 2 {
@@ -779,10 +796,14 @@ fn estimate_tau(points: &[DataPoint], rng: &mut StdRng) -> f64 {
         if i == j {
             continue;
         }
-        sum += points[i].distance(&points[j]);
+        let distance = points[i].distance(&points[j]);
+        if !distance.is_finite() {
+            continue;
+        }
+        sum += distance;
         n += 1;
     }
-    if n == 0 || sum <= 0.0 {
+    if n == 0 || !(sum > 0.0 && sum.is_finite()) {
         1.0
     } else {
         (sum / n as f64) * 0.5

@@ -11,13 +11,25 @@
 //!
 //! The index is columnar: per dimension the points' values, the bitset of
 //! every occupied interval's members, and per point which of those bitsets
-//! it belongs to. The projected cell of a point in `s` is the AND of `|s|`
-//! bitsets. Its count is the number of set bits; its moments are, per
-//! dimension, the sum over exactly those members in ascending point order —
-//! the additions a sequential grouping pass over the batch makes for that
-//! cell, in that pass's order — so every result equals the grouping pass's
-//! bit for bit (`tests/sparsity_oracle.rs` keeps that pass as the oracle).
-//! Only the cells that hold a *target* point are ever formed.
+//! it belongs to. A subspace `s` is scored in one of two shapes, chosen by
+//! the input alone:
+//!
+//! - **Targets** (a maintenance tick's buffered outliers, the learning
+//!   stage's top outlying candidates): the projected cell of a target is
+//!   the AND of `|s|` bitsets. Its count is the number of set bits; its
+//!   moments are, per dimension, the sum over exactly those members in
+//!   ascending point order. Only the cells that hold a target are formed.
+//! - **The whole batch** (`targets = None`): one grouping pass over the
+//!   points in ascending order assigns each point its cell by an exact key
+//!   (a mixed-radix fold of its interval ranks), adds count and moments per
+//!   cell, scores each cell once and sums the points' scores in point
+//!   order. Every cell is formed, so no bitset is touched.
+//!
+//! Either way a cell's moments are the additions a sequential grouping pass
+//! over the batch makes for that cell, in that pass's order, so every
+//! result equals the grouping pass's bit for bit (`tests/sparsity_oracle.rs`
+//! keeps that pass as the oracle and pins the two shapes against each
+//! other).
 //!
 //! [`SparsityProblem`] packages that evaluation as the MOGA's objective
 //! vector: mean normalized RD and mean normalized IRSD of the target
@@ -27,7 +39,7 @@
 use spot_moga::SubspaceProblem;
 use spot_subspace::Subspace;
 use spot_synopsis::Grid;
-use spot_types::{DataPoint, Result, SpotError};
+use spot_types::{DataPoint, FxHashMap, Result, SpotError};
 
 /// IRSD values are clamped to this cap before normalization so a single
 /// zero-variance micro-cluster cannot blow up a mean objective.
@@ -70,10 +82,40 @@ pub struct SparsityScratch {
     score_of: Vec<u32>,
     /// Normalized `(rd, irsd)` of each distinct cell scored so far.
     scores: Vec<(f64, f64)>,
+    /// The whole-batch grouping pass's cells; `score_of` holds each
+    /// point's cell there.
+    cells: Cells,
+}
+
+/// Working memory of the whole-batch grouping pass, sized by the cells it
+/// forms (at most the batch) and by a key table of at most
+/// [`DENSE_KEYS`] entries.
+#[derive(Debug, Default)]
+struct Cells {
+    /// Folded key → cell id, for keys below [`DENSE_KEYS`]. Every entry is
+    /// [`NONE`] between re-rankings.
+    dense: Vec<u32>,
+    /// The keys `dense` assigned in the current re-ranking, to reset them.
+    keys: Vec<u32>,
+    /// `(cell, interval rank)` → cell, for a fold whose keys would pass
+    /// [`DENSE_KEYS`].
+    sparse: FxHashMap<u64, u32>,
+    /// Per cell, its member count.
+    counts: Vec<u32>,
+    /// Per cell, `LS` then `SS` of the group of dimensions being summed.
+    moments: Vec<f64>,
+    /// Per cell, its variance terms so far, in the order of `s.dims()`.
+    var: Vec<f64>,
 }
 
 /// "Not assigned yet" in the `u32` tables of the index and the scratch.
 const NONE: u32 = u32::MAX;
+
+/// Largest folded key space the grouping pass maps through its dense
+/// table (256 KiB of `u32`). At granularity 10 every subspace of up to four
+/// dimensions stays below it; a wider fold first re-ranks the cells formed
+/// so far, and a fold still too wide goes through a hash map.
+const DENSE_KEYS: usize = 1 << 16;
 
 impl TrainingEvaluator {
     /// Indexes `points` over `grid`. The iterator is walked twice (count,
@@ -166,12 +208,18 @@ impl TrainingEvaluator {
     /// [`TrainingEvaluator::sparsity`] over caller-kept working memory —
     /// the form for callers that score subspace after subspace.
     ///
-    /// Cost: per *distinct* target cell, `|s| · ceil(n/64)` word ANDs and
-    /// one walk over its members per group of up to four dimensions of `s`
-    /// (one walk for every `|s| ≤ 4`, and none past the first when the
-    /// target is alone), plus a dozen divisions unless the target is alone;
-    /// a target whose cell was already scored is one table look-up. Cells
-    /// holding no target are never formed.
+    /// Cost with targets: per *distinct* target cell, `|s| · ceil(n/64)`
+    /// word ANDs and one walk over its members per group of up to four
+    /// dimensions of `s` (one walk for every `|s| ≤ 4`, and none past the
+    /// first when the target is alone), plus a dozen divisions unless the
+    /// target is alone; a target whose cell was already scored is one table
+    /// look-up. Cells holding no target are never formed.
+    ///
+    /// Cost over the whole batch: per point, a multiply-add per dimension
+    /// of `s` and one table look-up (one more per re-ranking when the keys
+    /// would pass the dense table, a hash probe per fold past it), then
+    /// `2 · |s|` additions into its cell's moments; per formed cell, the
+    /// score, once.
     pub fn sparsity_with(
         &self,
         s: Subspace,
@@ -180,7 +228,128 @@ impl TrainingEvaluator {
     ) -> (f64, f64) {
         match targets {
             Some(idx) => self.mean_score(s, idx.iter().copied(), scratch),
-            None => self.mean_score(s, 0..self.n, scratch),
+            None => self.whole_batch_score(s, scratch),
+        }
+    }
+
+    /// The bitsets of dimension `d` are `first..first + count`: pass 2
+    /// allots one dimension's bitsets in one run, the first to point 0's
+    /// interval, so `bitset_of[d·n + i] − first` is point `i`'s interval
+    /// rank along `d`, below `count`.
+    fn bitsets_of_dim(&self, d: usize) -> (u32, u32) {
+        let first = self.bitset_of[d * self.n];
+        let end = if d + 1 < self.grid.dims() {
+            self.bitset_of[(d + 1) * self.n]
+        } else {
+            // At most ϕ · granularity ≤ 64 · 2¹⁶ bitsets exist.
+            (self.members.len() / self.words) as u32
+        };
+        (first, end - first)
+    }
+
+    /// The mean score over every point of the batch, in one grouping pass:
+    /// each point's cell by an exact key, count and moments per cell in
+    /// ascending point order, each cell scored once, the points' scores
+    /// summed in point order — the additions of the targeted kernel with
+    /// every point a target, so the result is equal in every bit.
+    fn whole_batch_score(&self, s: Subspace, scratch: &mut SparsityScratch) -> (f64, f64) {
+        let n = self.n;
+        let SparsityScratch {
+            score_of: cell_of,
+            scores,
+            cells,
+            ..
+        } = scratch;
+        cell_of.clear();
+        cell_of.resize(n, 0);
+        let cell_count = self.grouped(s, cell_of, cells);
+
+        cells.counts.clear();
+        cells.counts.resize(cell_count, 0);
+        for &c in cell_of.iter() {
+            cells.counts[c as usize] += 1;
+        }
+        // Moments per group of up to LANES dimensions of `s`, ascending;
+        // each group adds its variance terms to every cell's `var` in lane
+        // order, as the kernel's walks do.
+        cells.var.clear();
+        cells.var.resize(cell_count, 0.0);
+        let values_of = |d: usize| &self.values[d * n..(d + 1) * n];
+        let mut dims = s.dims().peekable();
+        while dims.peek().is_some() {
+            let (mut group, mut len) = ([0; LANES], 0);
+            for (g, d) in group.iter_mut().zip(&mut dims) {
+                *g = d;
+                len += 1;
+            }
+            let values = |k: usize| values_of(group[k]);
+            match len {
+                1 => cells.add_moments::<1>(std::array::from_fn(values), cell_of),
+                2 => cells.add_moments::<2>(std::array::from_fn(values), cell_of),
+                3 => cells.add_moments::<3>(std::array::from_fn(values), cell_of),
+                _ => cells.add_moments::<LANES>(std::array::from_fn(values), cell_of),
+            }
+        }
+
+        let scorer = CellScorer::new(&self.grid, &s, n);
+        scores.clear();
+        scores.extend(
+            cells
+                .counts
+                .iter()
+                .zip(&cells.var)
+                .map(|(&count, &var)| scorer.score(count, var)),
+        );
+        let (mut rd_sum, mut irsd_sum) = (0.0, 0.0);
+        for &c in cell_of.iter() {
+            let (rd, irsd) = scores[c as usize];
+            rd_sum += rd;
+            irsd_sum += irsd;
+        }
+        (rd_sum / n as f64, irsd_sum / n as f64)
+    }
+
+    /// Assigns every point its cell of `s` in `cell_of` (zeroed, length n)
+    /// and returns the number of cells. Ids are dense, in order of first
+    /// appearance. The key folds the points' interval ranks dimension by
+    /// dimension, mixed-radix; before a fold would pass [`DENSE_KEYS`], the
+    /// cells formed so far are re-ranked (fewer than n), and a fold still
+    /// too wide maps `(cell, rank)` through a hash map. Keys are exact at
+    /// every width and granularity: two points share a cell exactly when
+    /// they share every interval of `s`.
+    fn grouped(&self, s: Subspace, cell_of: &mut [u32], cells: &mut Cells) -> usize {
+        let n = self.n;
+        // `cell_of` holds ranked ids below `bound` when `ranked`, else
+        // folded keys below `bound` ≤ DENSE_KEYS.
+        let (mut bound, mut ranked) = (1usize, true);
+        for d in s.dims() {
+            let (first, radix) = self.bitsets_of_dim(d);
+            let ranks = &self.bitset_of[d * n..(d + 1) * n];
+            if bound * radix as usize > DENSE_KEYS && !ranked {
+                bound = cells.rerank(cell_of, bound);
+                ranked = true;
+            }
+            if bound * radix as usize <= DENSE_KEYS {
+                for (c, &b) in cell_of.iter_mut().zip(ranks) {
+                    *c = *c * radix + (b - first);
+                }
+                bound *= radix as usize;
+                ranked = false;
+            } else {
+                let sparse = &mut cells.sparse;
+                sparse.clear();
+                for (c, &b) in cell_of.iter_mut().zip(ranks) {
+                    let key = (u64::from(*c) << 32) | u64::from(b - first);
+                    let next = sparse.len() as u32;
+                    *c = *sparse.entry(key).or_insert(next);
+                }
+                bound = sparse.len();
+            }
+        }
+        if ranked {
+            bound
+        } else {
+            cells.rerank(cell_of, bound)
         }
     }
 
@@ -216,16 +385,13 @@ impl TrainingEvaluator {
         let mut rest = s.dims();
         let head: [usize; K] = std::array::from_fn(|_| rest.next().expect("|s| ≥ K"));
         let (values, bitsets) = (head.map(values_of), head.map(bitsets_of));
-        let cell_count = self.grid.cell_count_in(&s);
-        let uniform_sigma = self.grid.uniform_sigma_in(&s);
-        let normalized = |rd: f64, irsd: f64| (rd / (1.0 + rd), irsd / IRSD_CAP);
-        // What every cell holding a single point scores.
-        let alone = normalized(1.0 * cell_count / n as f64, 0.0);
+        let scorer = CellScorer::new(&self.grid, &s, n);
 
         let SparsityScratch {
             cell,
             score_of,
             scores,
+            ..
         } = scratch;
         cell.clear();
         cell.resize(words, 0);
@@ -282,17 +448,7 @@ impl TrainingEvaluator {
                     _ => walk::<LANES>(std::array::from_fn(values), cell, score_of, id, &mut var),
                 };
             }
-            let score = if count == 1 {
-                alone
-            } else {
-                let sigma = var.sqrt();
-                let irsd = if sigma > f64::EPSILON {
-                    (uniform_sigma / sigma).min(IRSD_CAP)
-                } else {
-                    IRSD_CAP
-                };
-                normalized(f64::from(count) * cell_count / n as f64, irsd)
-            };
+            let score = scorer.score(count, var);
             scores.push(score);
             rd_sum += score.0;
             irsd_sum += score.1;
@@ -346,6 +502,107 @@ fn walk<const K: usize>(
         }
     }
     count
+}
+
+/// How a cell of one subspace scores, in both shapes: its count and the
+/// sum of its variance terms to the normalized `(rd, irsd)`. RD is
+/// normalized as `rd/(1+rd)` into `[0,1)`; IRSD is clamped at
+/// [`IRSD_CAP`] and scaled into `[0,1]`.
+struct CellScorer {
+    cell_count: f64,
+    uniform_sigma: f64,
+    n: f64,
+    /// What every cell holding a single point scores.
+    alone: (f64, f64),
+}
+
+impl CellScorer {
+    fn new(grid: &Grid, s: &Subspace, n: usize) -> Self {
+        let (cell_count, n) = (grid.cell_count_in(s), n as f64);
+        CellScorer {
+            cell_count,
+            uniform_sigma: grid.uniform_sigma_in(s),
+            n,
+            alone: normalized(1.0 * cell_count / n, 0.0),
+        }
+    }
+
+    /// The score of a cell of `count` points; `var` is not read when the
+    /// point is alone.
+    fn score(&self, count: u32, var: f64) -> (f64, f64) {
+        if count == 1 {
+            return self.alone;
+        }
+        let sigma = var.sqrt();
+        let irsd = if sigma > f64::EPSILON {
+            (self.uniform_sigma / sigma).min(IRSD_CAP)
+        } else {
+            IRSD_CAP
+        };
+        normalized(f64::from(count) * self.cell_count / self.n, irsd)
+    }
+}
+
+fn normalized(rd: f64, irsd: f64) -> (f64, f64) {
+    (rd / (1.0 + rd), irsd / IRSD_CAP)
+}
+
+impl Cells {
+    /// The grouping pass's moment kernel: adds each point's value along
+    /// the `K` columns to its cell's `(LS, SS)` lanes, points ascending —
+    /// per cell and dimension, the additions of the kernel's walk over that
+    /// cell's members — then adds the `K` variance terms of every cell of
+    /// more than one point to its `var`, in lane order.
+    fn add_moments<const K: usize>(&mut self, values: [&[f64]; K], cell_of: &[u32]) {
+        let Cells {
+            counts,
+            moments,
+            var,
+            ..
+        } = self;
+        moments.clear();
+        moments.resize(counts.len() * 2 * K, 0.0);
+        for (i, &c) in cell_of.iter().enumerate() {
+            let row = &mut moments[c as usize * 2 * K..][..2 * K];
+            for k in 0..K {
+                let v = values[k][i];
+                row[k] += v;
+                row[K + k] += v * v;
+            }
+        }
+        for ((&count, row), var) in counts.iter().zip(moments.chunks_exact(2 * K)).zip(var) {
+            if count > 1 {
+                let count = f64::from(count);
+                let (ls, ss) = row.split_at(K);
+                for (ls, ss) in ls.iter().zip(ss) {
+                    let m = ls / count;
+                    *var += (ss / count - m * m).max(0.0);
+                }
+            }
+        }
+    }
+
+    /// Renumbers the keys in `cell_of` (all below `bound` ≤
+    /// [`DENSE_KEYS`]) to dense ids in order of first appearance and
+    /// returns how many there are; leaves `dense` all [`NONE`] again.
+    fn rerank(&mut self, cell_of: &mut [u32], bound: usize) -> usize {
+        if self.dense.len() < bound {
+            self.dense.resize(bound, NONE);
+        }
+        self.keys.clear();
+        for c in cell_of.iter_mut() {
+            let slot = &mut self.dense[*c as usize];
+            if *slot == NONE {
+                *slot = self.keys.len() as u32;
+                self.keys.push(*c);
+            }
+            *c = *slot;
+        }
+        for &key in &self.keys {
+            self.dense[key as usize] = NONE;
+        }
+        self.keys.len()
+    }
 }
 
 /// MOGA problem: minimize the mean normalized RD and IRSD of the target

@@ -1,7 +1,9 @@
-//! Kernel ≡ oracle: `TrainingEvaluator::sparsity_with` (columnar index,
-//! cells as ANDed membership bitsets, moments gathered for the scored
-//! cells only) must return, bit for bit, what one sequential grouping pass
-//! over the batch returns.
+//! Kernel ≡ oracle: `TrainingEvaluator::sparsity_with` must return, bit
+//! for bit, what one sequential grouping pass over the batch returns, in
+//! both of its shapes — targeted (cells as ANDed membership bitsets,
+//! moments gathered for the scored cells only) and whole-batch (cells by
+//! folded interval ranks, every cell's moments in one pass) — and the two
+//! shapes must agree with each other when every point is a target.
 //!
 //! `sparsity_naive` below is that pass — the evaluator's body up to commit
 //! `a16b704`, kept verbatim as the reference: quantize every point, group
@@ -196,7 +198,9 @@ fn check(rng: &mut StdRng, n: usize, phi: usize, granularity: u16) {
         let singletons: Vec<usize> = (0..n).filter(|&i| cells[i].len() == 1).take(64).collect();
         // A maintenance tick's targets: the buffered outliers, indexed last.
         let tail: Vec<usize> = (n - n.min(64)..n).collect();
-        let target_sets: [Option<&[usize]>; 7] = [
+        // Every point, through the targeted kernel.
+        let all: Vec<usize> = (0..n).collect();
+        let target_sets: [Option<&[usize]>; 8] = [
             None,
             Some(&[]),
             Some(&some),
@@ -204,6 +208,7 @@ fn check(rng: &mut StdRng, n: usize, phi: usize, granularity: u16) {
             Some(one_cell),
             Some(&singletons),
             Some(&tail),
+            Some(&all),
         ];
         for targets in target_sets {
             let want = sparsity_naive(&grid, &points, s, targets);
@@ -236,6 +241,76 @@ proptest! {
                     check(&mut rng, n, phi, granularity);
                 }
             }
+        }
+    }
+}
+
+/// The whole-batch shape against the oracle and against the targeted
+/// kernel over every point, by `to_bits`.
+fn check_whole_batch(grid: &Grid, points: &[DataPoint], cards: &[usize], rng: &mut StdRng) {
+    let evaluator = TrainingEvaluator::new(grid.clone(), points).unwrap();
+    let all: Vec<usize> = (0..points.len()).collect();
+    let mut scratch = SparsityScratch::default();
+    for &card in cards {
+        let s = subspace_of(rng, grid.dims(), card);
+        let want = sparsity_naive(grid, points, s, None);
+        let got = evaluator.sparsity_with(s, None, &mut scratch);
+        let targeted = evaluator.sparsity_with(s, Some(&all), &mut scratch);
+        let bits = |(rd, irsd): (f64, f64)| (rd.to_bits(), irsd.to_bits());
+        let context = format!(
+            "n={} phi={} m={} s={s:?}",
+            points.len(),
+            grid.dims(),
+            grid.granularity()
+        );
+        assert_eq!(
+            bits(got),
+            bits(want),
+            "{context}: got {got:?}, want {want:?}"
+        );
+        assert_eq!(
+            bits(got),
+            bits(targeted),
+            "{context}: targeted {targeted:?}"
+        );
+    }
+}
+
+#[test]
+fn whole_batch_matches_the_grouping_pass_on_both_sides_of_the_key_table() {
+    // The grouping pass folds interval ranks into keys through a dense
+    // table of 2^16 keys, re-ranks the cells formed so far when a fold
+    // would pass it, and hashes a fold still too wide. At n = 2 000 and
+    // ϕ = 64 every dimension occupies all m intervals at m = 2 and 10, and
+    // nearly all at 255: at m = 2, 16 dimensions fill the table and 17
+    // re-rank; at m = 10, 4 fit and 5 re-rank; at m = 255, 2 fit and 3
+    // re-rank, then hash.
+    let (n, phi) = (2000, 64);
+    let mut rng = StdRng::seed_from_u64(0x5EED_0B47);
+    let mut cards: Vec<usize> = (1..=8).collect();
+    cards.extend([15, 16, 17, 32, phi]);
+    for granularity in GRANULARITIES {
+        let grid = Grid::new(DomainBounds::unit(phi), granularity).unwrap();
+        let points = batch(&mut rng, n, phi);
+        check_whole_batch(&grid, &points, &cards, &mut rng);
+    }
+}
+
+#[test]
+fn whole_batch_matches_the_grouping_pass_on_degenerate_batches() {
+    let mut rng = StdRng::seed_from_u64(7);
+    for phi in WIDTHS {
+        let mut cards: Vec<usize> = (1..=8).map(|card: usize| card.min(phi)).collect();
+        cards.dedup();
+        cards.push(phi);
+        for granularity in GRANULARITIES {
+            let grid = Grid::new(DomainBounds::unit(phi), granularity).unwrap();
+            // One point; 2 000 copies of one point (one cell, a variance of
+            // exactly zero in every subspace).
+            let one = batch(&mut rng, 1, phi);
+            check_whole_batch(&grid, &one, &cards, &mut rng);
+            let copies = vec![one[0].clone(); 2000];
+            check_whole_batch(&grid, &copies, &cards, &mut rng);
         }
     }
 }

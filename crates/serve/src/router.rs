@@ -188,6 +188,10 @@ fn stats(state: &AppState, draining: bool) -> Response {
                         "sink_panics",
                         Value::U64(c.sink_panics.load(Ordering::Relaxed)),
                     ),
+                    (
+                        "request_panics",
+                        Value::U64(c.request_panics.load(Ordering::Relaxed)),
+                    ),
                 ]),
             ),
         ]),

@@ -18,6 +18,10 @@
 //!   tenant's batches reach the sink in commit order while different
 //!   tenants are delivered in parallel. A panicking sink is caught and
 //!   counted ([`ServerStats::sink_panics`]); delivery goes on.
+//! - **A request cannot remove a worker.** A panic while a request is read
+//!   or routed is caught and counted ([`ServerStats::request_panics`]);
+//!   the request is answered `500` where the stream still takes it, its
+//!   connection closes, and the worker serves the next one.
 //! - **Graceful shutdown loses nothing admitted.** [`SpotServer::shutdown`]
 //!   stops accepting, closes idle connections, lets in-flight requests
 //!   finish under [`ServeConfig::drain_deadline`] (then force-closes the
@@ -97,6 +101,7 @@ pub(crate) struct ServerCounters {
     pub bad_requests: AtomicU64,
     pub forced_closes: AtomicU64,
     pub sink_panics: AtomicU64,
+    pub request_panics: AtomicU64,
 }
 
 /// Snapshot of the server counters (see [`SpotServer::stats`]).
@@ -116,6 +121,9 @@ pub struct ServerStats {
     pub forced_closes: u64,
     /// Verdict sink calls that panicked (caught; delivery went on).
     pub sink_panics: u64,
+    /// Requests whose reading or routing panicked (caught: answered `500`
+    /// where possible, the connection closed, the worker kept).
+    pub request_panics: u64,
     /// Connections currently being served.
     pub active_connections: usize,
     /// Accepted connections waiting for a worker.
@@ -360,6 +368,7 @@ impl SpotServer {
             bad_requests: c.bad_requests.load(Ordering::Relaxed),
             forced_closes: c.forced_closes.load(Ordering::Relaxed),
             sink_panics: c.sink_panics.load(Ordering::Relaxed),
+            request_panics: c.request_panics.load(Ordering::Relaxed),
             active_connections: self.shared.active.load(Ordering::Relaxed),
             queued_connections: lock(&self.shared.queue).len(),
         }
@@ -567,17 +576,30 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
         if app.draining.load(Ordering::Acquire) {
             break;
         }
-        match read_request(
-            &mut stream,
-            &mut carry,
-            &config.limits,
-            config.idle_timeout,
-            config.read_timeout,
-        ) {
-            Ok(NextRequest::Request(req)) => {
-                busy.store(true, Ordering::Release);
-                let response = route(app, &req);
-                let close = !req.keep_alive || app.draining.load(Ordering::Acquire);
+        // Reading and routing run under `catch_unwind`: a panic there costs
+        // this connection, not the worker (nothing of the answer has been
+        // written yet, so a 500 can still go out).
+        let exchange = catch_unwind(AssertUnwindSafe(|| {
+            read_request(
+                &mut stream,
+                &mut carry,
+                &config.limits,
+                config.idle_timeout,
+                config.read_timeout,
+            )
+            .map(|next| match next {
+                NextRequest::Request(req) => {
+                    busy.store(true, Ordering::Release);
+                    #[cfg(test)]
+                    tests::planted_panic(&req);
+                    Some((route(app, &req), req.keep_alive))
+                }
+                NextRequest::Closed | NextRequest::Idle => None,
+            })
+        }));
+        match exchange {
+            Ok(Ok(Some((response, keep_alive)))) => {
+                let close = !keep_alive || app.draining.load(Ordering::Acquire);
                 let wrote = response
                     .write_to(&mut stream, close, Instant::now() + config.write_timeout)
                     .is_ok();
@@ -586,8 +608,17 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
                     break;
                 }
             }
-            Ok(NextRequest::Closed) | Ok(NextRequest::Idle) => break,
-            Err(error) => {
+            Ok(Ok(None)) => break,
+            Err(_panic) => {
+                app.counters.request_panics.fetch_add(1, Ordering::Relaxed);
+                let _ = Response::json(500, "{\"error\":\"internal error\"}").write_to(
+                    &mut stream,
+                    true,
+                    Instant::now() + config.write_timeout,
+                );
+                break;
+            }
+            Ok(Err(error)) => {
                 // A `None` status is a mid-request disconnect: nobody is
                 // listening for a response, so close silently.
                 if let Some(status) = error.status() {
@@ -641,4 +672,65 @@ fn pump_loop(shared: &Shared, k: usize, n: usize) {
 /// counters with no invariants a panicking holder could break mid-update.
 fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spot_runtime::FleetConfig;
+    use std::io::{Read, Write};
+
+    /// The one request target whose routing panics, in this crate's unit
+    /// tests only.
+    const PLANTED: &str = "/planted-panic";
+
+    pub(super) fn planted_panic(req: &crate::Request) {
+        if req.target == PLANTED {
+            panic!("planted panic while routing {PLANTED}");
+        }
+    }
+
+    /// Sends `request` on a fresh connection and reads until the server
+    /// closes it.
+    fn exchange(addr: SocketAddr, request: &str) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(request.as_bytes()).unwrap();
+        let mut answer = String::new();
+        stream.read_to_string(&mut answer).unwrap();
+        answer
+    }
+
+    #[test]
+    fn a_panicking_request_costs_its_connection_not_the_worker() {
+        let server = SpotServer::builder(SpotFleet::new(FleetConfig::default()))
+            .config(ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            })
+            .pump(false)
+            .bind("127.0.0.1:0")
+            .unwrap();
+        let addr = server.local_addr();
+        let answer = exchange(addr, "GET /planted-panic HTTP/1.1\r\nhost: x\r\n\r\n");
+        assert!(answer.starts_with("HTTP/1.1 500 "), "{answer}");
+        // The only worker survived: a fresh connection is answered.
+        let answer = exchange(
+            addr,
+            "GET /healthz HTTP/1.1\r\nhost: x\r\nconnection: close\r\n\r\n",
+        );
+        assert!(answer.starts_with("HTTP/1.1 200 "), "{answer}");
+        let stats = server.stats();
+        assert_eq!(stats.request_panics, 1);
+        // Both connections are released: the worker's `active` count and
+        // the registry entries.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.stats().active_connections > 0 || !lock(&server.shared.conns).is_empty() {
+            assert!(Instant::now() < deadline, "a connection was not released");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(server.shutdown().unwrap().forced_closes, 0);
+    }
 }

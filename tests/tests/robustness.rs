@@ -3,8 +3,8 @@
 //! consistent, and respect configuration invariants.
 
 use proptest::prelude::*;
-use spot::{EvolutionConfig, SpotBuilder};
-use spot_types::{DataPoint, DomainBounds};
+use spot::{EvolutionConfig, Spot, SpotBuilder};
+use spot_types::{DataPoint, DomainBounds, SpotError};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -90,5 +90,75 @@ fn extreme_values_are_clamped_into_boundary_cells() {
         let verdict = spot.process(&DataPoint::new(vec![v; 4])).unwrap();
         // Far outside the trained region: must be an outlier, not a crash.
         assert!(verdict.outlier);
+    }
+}
+
+/// What a detector learned, CS then OS as (mask, score bits), and its
+/// verdicts afterwards as (flag, score bits).
+type Learned = (Vec<(u64, u64)>, Vec<(bool, u64)>);
+
+/// A detector at ϕ = 8 learned on `training` with seed 11, then run over
+/// 1 000 points spread over the domain and past its bounds.
+fn learn_then_process(training: &[DataPoint]) -> Learned {
+    let mut spot: Spot = SpotBuilder::new(DomainBounds::unit(8))
+        .seed(11)
+        .evolution(EvolutionConfig {
+            period: 250,
+            ..Default::default()
+        })
+        .build()
+        .unwrap();
+    spot.learn(training).unwrap();
+    let sst = spot
+        .sst()
+        .cs()
+        .chain(spot.sst().os())
+        .map(|e| (e.subspace.mask(), e.score.to_bits()))
+        .collect();
+    let verdicts = (0..1000u64)
+        .map(|i| {
+            let values = (0..8u64)
+                .map(|d| ((i * 37 + d * 11) % 113) as f64 / 100.0 - 0.05)
+                .collect();
+            let v = spot.process(&DataPoint::new(values)).unwrap();
+            (v.outlier, v.score.to_bits())
+        })
+        .collect();
+    (sst, verdicts)
+}
+
+#[test]
+fn learning_takes_every_edge_of_a_training_set() {
+    let mut spot = SpotBuilder::new(DomainBounds::unit(8)).build().unwrap();
+    assert!(matches!(spot.learn(&[]), Err(SpotError::EmptyTrainingSet)));
+
+    let one = DataPoint::new(vec![0.3, 0.7, 0.5, 0.1, 0.9, 0.5, 0.2, 0.8]);
+    let copies = vec![one.clone(); 2000];
+    let hostile: Vec<DataPoint> = (0..300u64)
+        .map(|i| {
+            let values = (0..8u64)
+                .map(|d| match (i * 7 + d * 3) % 23 {
+                    0 => f64::INFINITY,
+                    1 => f64::NEG_INFINITY,
+                    2 => -0.4,
+                    3 => 1.9,
+                    4 => 1e300,
+                    k => k as f64 / 23.0,
+                })
+                .collect();
+            DataPoint::new(values)
+        })
+        .collect();
+    for (name, training) in [
+        ("one point", vec![one]),
+        ("2 000 copies of one point", copies),
+        ("±∞ and out-of-bounds coordinates", hostile),
+    ] {
+        // Two same-seed detectors learn the same SST and give the same
+        // verdicts afterwards.
+        let first = learn_then_process(&training);
+        let second = learn_then_process(&training);
+        assert_eq!(first, second, "{name}");
+        assert_eq!(first.1.len(), 1000, "{name}");
     }
 }
