@@ -1,6 +1,5 @@
 //! SPOT configuration and builder.
 
-use spot_moga::MogaConfig;
 use spot_stream::TimeModel;
 use spot_types::{
     DomainBounds, DurableState, PersistError, Result, SpotError, StateReader, StateWriter,
@@ -31,45 +30,6 @@ impl Default for Thresholds {
         Thresholds {
             rd: 0.06,
             irsd: Some(5.0),
-        }
-    }
-}
-
-/// Knobs of the offline learning stage.
-#[derive(Debug, Clone)]
-pub struct LearningConfig {
-    /// MOGA parameters shared by all learning-stage searches.
-    pub moga: MogaConfig,
-    /// Leader-clustering threshold τ; `None` estimates it from the data
-    /// (half the mean pairwise distance of a sample).
-    pub leader_tau: Option<f64>,
-    /// Shuffled clustering runs for the outlying degree.
-    pub od_runs: usize,
-    /// Membership-vs-eccentricity mix of the outlying degree.
-    pub od_alpha: f64,
-    /// Fraction of training points (by outlying degree) treated as outlier
-    /// candidates for CS construction (at least 3 points).
-    pub top_fraction: f64,
-    /// Subspaces taken from each MOGA run into CS/OS.
-    pub moga_top_k: usize,
-    /// Cardinality cap for MOGA chromosomes (`None` = up to ϕ).
-    pub max_cardinality: Option<usize>,
-    /// Replay the training batch into the streaming synopses after
-    /// learning, so detection starts against a warmed model.
-    pub replay_training: bool,
-}
-
-impl Default for LearningConfig {
-    fn default() -> Self {
-        LearningConfig {
-            moga: MogaConfig::default(),
-            leader_tau: None,
-            od_runs: 5,
-            od_alpha: 0.7,
-            top_fraction: 0.05,
-            moga_top_k: 10,
-            max_cardinality: Some(4),
-            replay_training: true,
         }
     }
 }
@@ -162,8 +122,6 @@ pub struct SpotConfig {
     pub cs_capacity: usize,
     /// Capacity of the Outlier-driven SST Subspaces (OS).
     pub os_capacity: usize,
-    /// Learning-stage knobs.
-    pub learning: LearningConfig,
     /// Online-adaptation knobs.
     pub evolution: EvolutionConfig,
     /// Concept-drift knobs.
@@ -172,8 +130,12 @@ pub struct SpotConfig {
     pub prune_every: u64,
     /// Decayed-count floor below which cells are evicted.
     pub prune_floor: f64,
-    /// Seed for every stochastic component (detection is deterministic for
-    /// a fixed seed and stream).
+    /// Seed of the detector's own draws: the τ estimate's sample, the
+    /// outlying-degree shuffles, CS self-evolution, the reservoir and the
+    /// online MOGA searches (OS growth, `Spot::explain`). The learning
+    /// stage's MOGA searches do not read it: they run on the fixed seed of
+    /// `MogaConfig::default()` (exemplar *i*'s on that seed + *i*).
+    /// Detection is deterministic for a fixed seed and stream.
     pub seed: u64,
 }
 
@@ -191,7 +153,6 @@ impl SpotConfig {
             fs_max_dimension: 2,
             cs_capacity: 20,
             os_capacity: 20,
-            learning: LearningConfig::default(),
             evolution: EvolutionConfig::default(),
             drift: DriftConfig::default(),
             prune_every: 2000,
@@ -243,19 +204,6 @@ impl SpotConfig {
                     "{name} capacity {capacity} exceeds {MAX_COMPONENT_SUBSPACES} subspaces"
                 )));
             }
-        }
-        if !(0.0..=1.0).contains(&self.learning.top_fraction) {
-            return Err(SpotError::InvalidConfig(
-                "top_fraction must lie in [0,1]".into(),
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.learning.od_alpha) {
-            return Err(SpotError::InvalidConfig(
-                "od_alpha must lie in [0,1]".into(),
-            ));
-        }
-        if self.learning.od_runs == 0 {
-            return Err(SpotError::InvalidConfig("od_runs must be positive".into()));
         }
         if self.evolution.enabled && self.evolution.period == 0 {
             return Err(SpotError::InvalidConfig(
@@ -327,12 +275,6 @@ impl SpotBuilder {
         self
     }
 
-    /// Learning-stage knobs.
-    pub fn learning(mut self, learning: LearningConfig) -> Self {
-        self.config.learning = learning;
-        self
-    }
-
     /// Online-adaptation knobs.
     pub fn evolution(mut self, evolution: EvolutionConfig) -> Self {
         self.config.evolution = evolution;
@@ -397,32 +339,6 @@ impl DurableState for Thresholds {
     }
 }
 
-impl DurableState for LearningConfig {
-    fn capture(&self, w: &mut StateWriter) {
-        w.component("moga", &self.moga);
-        w.f64_bits_col("leader_tau", self.leader_tau);
-        w.u64("od_runs", self.od_runs as u64);
-        w.f64_bits("od_alpha", self.od_alpha);
-        w.f64_bits("top_fraction", self.top_fraction);
-        w.u64("moga_top_k", self.moga_top_k as u64);
-        w.u64_col("max_cardinality", self.max_cardinality.map(|c| c as u64));
-        w.bool("replay_training", self.replay_training);
-    }
-
-    fn restore(&mut self, r: &StateReader<'_>) -> std::result::Result<(), PersistError> {
-        r.restore_component("moga", &mut self.moga)?;
-        self.leader_tau = optional("leader_tau", r.f64_bits_col("leader_tau")?)?;
-        self.od_runs = r.usize("od_runs")?;
-        self.od_alpha = r.f64_bits("od_alpha")?;
-        self.top_fraction = r.f64_bits("top_fraction")?;
-        self.moga_top_k = r.usize("moga_top_k")?;
-        self.max_cardinality = optional("max_cardinality", r.u64_col("max_cardinality")?)?
-            .map(|c| usize::try_from(c).unwrap_or(usize::MAX));
-        self.replay_training = r.bool("replay_training")?;
-        Ok(())
-    }
-}
-
 impl DurableState for EvolutionConfig {
     fn capture(&self, w: &mut StateWriter) {
         w.bool("enabled", self.enabled);
@@ -470,7 +386,6 @@ impl DurableState for SpotConfig {
         w.u64("fs_max_dimension", self.fs_max_dimension as u64);
         w.u64("cs_capacity", self.cs_capacity as u64);
         w.u64("os_capacity", self.os_capacity as u64);
-        w.component("learning", &self.learning);
         w.component("evolution", &self.evolution);
         w.component("drift", &self.drift);
         w.u64("prune_every", self.prune_every);
@@ -489,7 +404,6 @@ impl DurableState for SpotConfig {
         self.fs_max_dimension = r.usize("fs_max_dimension")?;
         self.cs_capacity = r.usize("cs_capacity")?;
         self.os_capacity = r.usize("os_capacity")?;
-        r.restore_component("learning", &mut self.learning)?;
         r.restore_component("evolution", &mut self.evolution)?;
         r.restore_component("drift", &mut self.drift)?;
         self.prune_every = r.u64("prune_every")?;
@@ -519,9 +433,6 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = base();
         c.fs_max_dimension = 0;
-        assert!(c.validate().is_err());
-        let mut c = base();
-        c.learning.top_fraction = 2.0;
         assert!(c.validate().is_err());
         let mut c = base();
         c.evolution.period = 0;

@@ -2,7 +2,7 @@
 
 use crate::config::SpotConfig;
 use crate::drift::PageHinkley;
-use crate::evaluator::{SparsityProblem, SparsityScratch, TrainingEvaluator};
+use crate::evaluator::{dim_objective, SparsityProblem, SparsityScratch, TrainingEvaluator};
 use crate::sst::Sst;
 use crate::verdict::{EvalPlan, LearningReport, SpotStats, Verdict, VerdictScreen};
 use rand::rngs::StdRng;
@@ -13,14 +13,33 @@ use spot_stream::{LogicalClock, Reservoir};
 use spot_subspace::{genetic, ScoredSubspace, Subspace};
 use spot_synopsis::{CellConsumer, CellTouch, Grid, ProjectedStore, SynopsisManager};
 use spot_types::{
-    DataPoint, Detection, FxHashSet, PersistError, Result, SpotError, StateReader, StateWriter,
-    StreamDetector,
+    admit_row, DataPoint, Detection, FxHashSet, PersistError, Result, SpotError, StateReader,
+    StateWriter, StreamDetector,
 };
 use std::time::Instant;
 
 /// Salt separating the reservoir's counter-based draw stream from the
 /// other seeded components.
 const RESERVOIR_SEED_SALT: u64 = 0x5EED_CAFE_D00D_F00D;
+
+// The subspace searches' fixed parameters. The learning stage's MOGA runs
+// are `MogaConfig::default()`; the online ones (`online_moga_config`) are
+// smaller and seeded from the stream position.
+
+/// Cardinality cap of every searched subspace: MOGA chromosomes and
+/// self-evolution offspring.
+const MAX_CARDINALITY: usize = 4;
+/// Subspaces taken from a learning-stage or OS-growth MOGA run.
+const MOGA_TOP_K: usize = 10;
+/// Subspaces taken from each supervised exemplar's MOGA run.
+const EXEMPLAR_TOP_K: usize = MOGA_TOP_K / 2;
+/// Shuffled leader-clustering runs averaged into the outlying degree.
+const OD_RUNS: usize = 5;
+/// Membership-vs-eccentricity mix of the outlying degree.
+const OD_ALPHA: f64 = 0.7;
+/// Fraction of the training batch, by outlying degree, searched as
+/// outlier candidates for CS (at least 3 points).
+const TOP_FRACTION: f64 = 0.05;
 
 /// Memory snapshot of the synopses.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -185,15 +204,12 @@ impl Spot {
         if training.is_empty() {
             return Err(SpotError::EmptyTrainingSet);
         }
+        // Every point is admitted before anything changes: a refused learn
+        // leaves the detector as it found it.
         for p in training.iter().chain(outlier_examples) {
-            if p.dims() != self.phi {
-                return Err(SpotError::DimensionMismatch {
-                    expected: self.phi,
-                    got: p.dims(),
-                });
-            }
+            admit_row(p.values(), self.phi)?;
         }
-        let learning = self.config.learning.clone();
+        let moga = MogaConfig::default();
         // The evaluator indexes the training batch in place — no clone of
         // it is made.
         let evaluator = TrainingEvaluator::new(self.manager.grid().clone(), training)?;
@@ -201,40 +217,33 @@ impl Spot {
 
         // (1) MOGA over the whole batch: globally sparse subspaces.
         let whole = {
-            let mut problem = SparsityProblem::whole_batch(&evaluator, learning.max_cardinality);
-            let out = spot_moga::run(&mut problem, &learning.moga)?;
+            let mut problem = SparsityProblem::whole_batch(&evaluator, Some(MAX_CARDINALITY));
+            let out = spot_moga::run(&mut problem, &moga)?;
             evaluations += out.evaluations;
-            out.top_k(learning.moga_top_k)
+            out.top_k(MOGA_TOP_K)
         };
 
         // (2) Lead clustering under different data orders → outlying degree.
-        let tau = match learning.leader_tau {
-            Some(t) => t,
-            None => estimate_tau(training, &mut self.rng),
-        };
         let od = outlying_degrees(
             training,
             &OdConfig {
-                tau,
-                runs: learning.od_runs,
-                alpha: learning.od_alpha,
+                tau: estimate_tau(training, &mut self.rng),
+                runs: OD_RUNS,
+                alpha: OD_ALPHA,
                 seed: self.config.seed ^ 0x0D15_EA5E,
             },
         )?;
-        let k = ((training.len() as f64 * learning.top_fraction).ceil() as usize)
+        let k = ((training.len() as f64 * TOP_FRACTION).ceil() as usize)
             .clamp(3.min(training.len()), training.len());
         let candidates = top_outlying_indices(&od, k);
 
         // (3) MOGA over the top outlying candidates → CS.
         let targeted = {
-            let mut problem = SparsityProblem::for_targets(
-                &evaluator,
-                candidates.clone(),
-                learning.max_cardinality,
-            );
-            let out = spot_moga::run(&mut problem, &learning.moga)?;
+            let mut problem =
+                SparsityProblem::for_targets(&evaluator, candidates.clone(), Some(MAX_CARDINALITY));
+            let out = spot_moga::run(&mut problem, &moga)?;
             evaluations += out.evaluations;
-            out.top_k(learning.moga_top_k)
+            out.top_k(MOGA_TOP_K)
         };
         let cs_entries: Vec<ScoredSubspace> = whole
             .iter()
@@ -254,18 +263,19 @@ impl Spot {
                 self.manager.grid().clone(),
                 training.iter().chain(outlier_examples),
             )?;
-            let per_exemplar_k = learning.moga_top_k.div_ceil(2).clamp(1, 5);
-            for (i, _) in outlier_examples.iter().enumerate() {
+            for i in 0..outlier_examples.len() {
                 let mut problem = SparsityProblem::for_targets(
                     &ex_evaluator,
                     vec![first_exemplar + i],
-                    learning.max_cardinality,
+                    Some(MAX_CARDINALITY),
                 );
-                let mut moga = learning.moga.clone();
-                moga.seed = moga.seed.wrapping_add(i as u64);
-                let out = spot_moga::run(&mut problem, &moga)?;
+                let seeded = MogaConfig {
+                    seed: moga.seed.wrapping_add(i as u64),
+                    ..moga.clone()
+                };
+                let out = spot_moga::run(&mut problem, &seeded)?;
                 evaluations += out.evaluations;
-                for (s, score) in out.top_k(per_exemplar_k) {
+                for (s, score) in out.top_k(EXEMPLAR_TOP_K) {
                     if self.sst.add_os(s, score) {
                         os_report.push((s, score));
                     }
@@ -279,16 +289,14 @@ impl Spot {
         // detection starts against a populated model: store-major runs, as
         // `process_batch` ingests (synopsis state bit-identical to one by
         // one), with the reservoir offered each point in arrival order.
-        if learning.replay_training {
-            for run in training.chunks(Self::BATCH_RUN) {
-                let start = self.clock.now() + 1;
-                self.manager
-                    .update_and_screen_batch(start, run, &mut IngestOnly)?;
-                for p in run {
-                    let now = self.clock.tick();
-                    self.reservoir
-                        .offer(self.config.evolution.reservoir, now, p);
-                }
+        for run in training.chunks(Self::BATCH_RUN) {
+            let start = self.clock.now() + 1;
+            self.manager
+                .update_and_screen_batch(start, run, &mut IngestOnly)?;
+            for p in run {
+                let now = self.clock.tick();
+                self.reservoir
+                    .offer(self.config.evolution.reservoir, now, p);
             }
         }
         self.learned = true;
@@ -382,17 +390,7 @@ impl Spot {
     /// chunking of the calls) decides which.
     pub fn process_batch(&mut self, points: &[DataPoint]) -> Result<Vec<Verdict>> {
         for p in points {
-            if p.dims() != self.phi {
-                return Err(SpotError::DimensionMismatch {
-                    expected: self.phi,
-                    got: p.dims(),
-                });
-            }
-            for (d, &v) in p.values().iter().enumerate() {
-                if v.is_nan() {
-                    return Err(SpotError::NonFiniteValue { dim: d });
-                }
-            }
+            admit_row(p.values(), self.phi)?;
         }
         if points.is_empty() {
             return Ok(Vec::new());
@@ -606,7 +604,7 @@ impl Spot {
         let mut problem = SparsityProblem::for_targets(
             &evaluator,
             vec![self.reservoir.len()],
-            self.config.learning.max_cardinality,
+            Some(MAX_CARDINALITY),
         );
         let out = spot_moga::run(&mut problem, &self.online_moga_config())?;
         Ok(out.top_k(top_k))
@@ -657,7 +655,6 @@ impl Spot {
         self.stats.evolutions += 1;
         // Generate offspring of the current CS.
         let parents: Vec<Subspace> = entries.iter().map(|e| e.subspace).collect();
-        let max_card = self.config.learning.max_cardinality.unwrap_or(self.phi);
         let mut offspring: Vec<Subspace> = Vec::with_capacity(self.config.cs_capacity);
         for _ in 0..self.config.cs_capacity {
             let a = parents[self.rng.gen_range(0..parents.len())];
@@ -667,7 +664,7 @@ impl Spot {
             offspring.push(genetic::repair_with_max_card(
                 child.mask(),
                 self.phi,
-                max_card,
+                MAX_CARDINALITY,
                 &mut self.rng,
             ));
         }
@@ -682,10 +679,9 @@ impl Spot {
                 continue;
             }
             let (rd, irsd) = recent.sparsity_with(s, targets, &mut scratch);
-            let dim = 0.25 * s.cardinality() as f64 / self.phi as f64;
             candidates.push(ScoredSubspace {
                 subspace: s,
-                score: rd + irsd + dim,
+                score: rd + irsd + dim_objective(s, self.phi),
             });
         }
         self.sst.evolve_cs(candidates);
@@ -696,13 +692,12 @@ impl Spot {
     /// outliers (`outliers`, within `recent`); their top sparse subspaces
     /// join OS so similar outliers are caught directly later.
     fn grow_os(&mut self, recent: &TrainingEvaluator, outliers: Vec<usize>) {
-        let mut problem =
-            SparsityProblem::for_targets(recent, outliers, self.config.learning.max_cardinality);
+        let mut problem = SparsityProblem::for_targets(recent, outliers, Some(MAX_CARDINALITY));
         let Ok(out) = spot_moga::run(&mut problem, &self.online_moga_config()) else {
             return;
         };
         let mut added = 0;
-        for (s, score) in out.top_k(self.config.learning.moga_top_k) {
+        for (s, score) in out.top_k(MOGA_TOP_K) {
             if self.sst.add_os(s, score) {
                 added += 1;
             }
@@ -715,15 +710,14 @@ impl Spot {
     }
 
     /// A lighter MOGA configuration for online searches (time criticality
-    /// of the detection stage).
+    /// of the detection stage): 24 × 12 against the learning stage's
+    /// 40 × 30, seeded from the stream position.
     fn online_moga_config(&self) -> MogaConfig {
-        let base = &self.config.learning.moga;
         MogaConfig {
-            population: base.population.clamp(8, 24),
-            generations: base.generations.clamp(4, 12),
-            crossover_rate: base.crossover_rate,
-            mutation_rate: base.mutation_rate,
+            population: 24,
+            generations: 12,
             seed: self.config.seed ^ self.stats.processed,
+            ..MogaConfig::default()
         }
     }
 

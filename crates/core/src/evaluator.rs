@@ -605,6 +605,15 @@ impl Cells {
     }
 }
 
+/// Weight of the `|s|/ϕ` objective: the MOGA's third objective and the
+/// third term of a self-evolution candidate's score.
+const DIM_PENALTY: f64 = 0.25;
+
+/// The dimensionality objective of `s` in a `phi`-dimensional space.
+pub(crate) fn dim_objective(s: Subspace, phi: usize) -> f64 {
+    DIM_PENALTY * s.cardinality() as f64 / phi as f64
+}
+
 /// MOGA problem: minimize the mean normalized RD and IRSD of the target
 /// points plus a dimensionality penalty.
 pub struct SparsityProblem<'a> {
@@ -612,9 +621,6 @@ pub struct SparsityProblem<'a> {
     targets: Option<Vec<usize>>,
     max_cardinality: Option<usize>,
     scratch: SparsityScratch,
-    /// Weight of the `|s|/ϕ` objective (0 disables it; the objective vector
-    /// keeps three entries either way for a stable MOGA setup).
-    pub dim_penalty: f64,
 }
 
 impl<'a> SparsityProblem<'a> {
@@ -625,7 +631,6 @@ impl<'a> SparsityProblem<'a> {
             targets: None,
             max_cardinality,
             scratch: SparsityScratch::default(),
-            dim_penalty: 0.25,
         }
     }
 
@@ -641,7 +646,6 @@ impl<'a> SparsityProblem<'a> {
             targets: Some(targets),
             max_cardinality,
             scratch: SparsityScratch::default(),
-            dim_penalty: 0.25,
         }
     }
 }
@@ -659,8 +663,7 @@ impl SubspaceProblem for SparsityProblem<'_> {
         let (rd, irsd) =
             self.evaluator
                 .sparsity_with(s, self.targets.as_deref(), &mut self.scratch);
-        let dim = self.dim_penalty * s.cardinality() as f64 / self.phi() as f64;
-        out.copy_from_slice(&[rd, irsd, dim]);
+        out.copy_from_slice(&[rd, irsd, dim_objective(s, self.phi())]);
     }
 
     fn max_cardinality(&self) -> Option<usize> {

@@ -19,7 +19,11 @@
 //!   FS (exact low-dimensional lattice slice) ∪ CS (MOGA over
 //!   clustering-derived outlier candidates) ∪ OS (MOGA over outlier
 //!   exemplars). Unsupervised and/or supervised ([`Spot::learn`],
-//!   [`Spot::learn_with_examples`]).
+//!   [`Spot::learn_with_examples`]). Its searches have fixed parameters,
+//!   not settings: NSGA-II at `MogaConfig::default()` (40 × 30), subspaces
+//!   of at most 4 dimensions, the top 10 of each search (5 per exemplar),
+//!   τ estimated from the batch, five shuffled clustering runs, and the
+//!   top 5 % by outlying degree as candidates.
 //! * **Detection stage** — per point: update synapses, threshold the PCS of
 //!   the point's cell in every SST subspace, report outlying subspaces
 //!   ([`Spot::process`] → [`Verdict`]).
@@ -65,9 +69,7 @@ pub mod snapshot;
 pub mod sst;
 pub mod verdict;
 
-pub use config::{
-    DriftConfig, EvolutionConfig, LearningConfig, SpotBuilder, SpotConfig, Thresholds,
-};
+pub use config::{DriftConfig, EvolutionConfig, SpotBuilder, SpotConfig, Thresholds};
 pub use detector::{Spot, SynopsisFootprint};
 pub use drift::PageHinkley;
 pub use evaluator::{SparsityProblem, SparsityScratch, TrainingEvaluator};

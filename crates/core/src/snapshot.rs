@@ -162,6 +162,21 @@ mod tests {
             .collect()
     }
 
+    /// `train()` cycled, with two coordinates of every 17th point moved
+    /// across the whole domain.
+    fn spiked(n: usize) -> Vec<DataPoint> {
+        (0..n)
+            .map(|i| {
+                let mut p = train()[i % 400].clone().into_values();
+                if i % 17 == 0 {
+                    p[i % 4] = ((i * 7919) % 1000) as f64 / 1000.0;
+                    p[(i + 1) % 4] = ((i * 104_729) % 997) as f64 / 997.0;
+                }
+                DataPoint::new(p)
+            })
+            .collect()
+    }
+
     /// A learned 4-d detector; `evolve` sets the evolution period and
     /// `prune` the pruning period (`None` leaves either at its default).
     fn learned(seed: u64, evolve: Option<u64>, prune: Option<u64>) -> Spot {
@@ -326,6 +341,48 @@ mod tests {
         let want = SpotError::UnsupportedSnapshotVersion(3);
         assert_eq!(restore_from_bytes(old).unwrap_err(), want);
         assert_eq!(SpotCheckpoint::from_bytes(old).unwrap_err(), want);
+    }
+
+    #[test]
+    fn a_version_4_file_with_the_retired_learning_block_continues_bit_for_bit() {
+        // Written by the last build whose configuration carried a
+        // `learning` block (the learning stage's searches were settable
+        // then): ϕ = 4, seed 17, evolution every 120 points with OS growth
+        // from 3 buffered outliers, pruning every 90; learned on `train()`
+        // with two exemplars, then fed `spiked(800)[..300]` one by one.
+        // That build recorded the FNV-1a digest of the next 500 verdicts.
+        let old = include_bytes!("../tests/fixtures/detector_v4.ckpt");
+        let digest = include_str!("../tests/fixtures/detector_v4.digest");
+        let want = u64::from_str_radix(digest.trim().trim_start_matches("0x"), 16).unwrap();
+        let carries = |bytes: &[u8]| bytes.windows(8).any(|w| w == b"learning");
+        assert!(carries(old));
+
+        let mut spot = restore_from_bytes(old).unwrap();
+        assert!(!carries(spot.checkpoint().as_bytes()));
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut word = |v: u64| {
+            for b in v.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for p in &spiked(800)[300..] {
+            let v = spot.process(p).unwrap();
+            word(v.tick);
+            word(u64::from(v.outlier) | u64::from(v.drift) << 1);
+            word(v.score.to_bits());
+            for f in &v.findings {
+                word(f.subspace.mask());
+                word(f.rd.to_bits());
+                word(f.irsd.to_bits());
+            }
+        }
+        assert_eq!(h, want, "digest {h:#018x}");
+        // The 500 points ran five self-evolutions and added five OS
+        // subspaces.
+        let stats = spot.stats();
+        let counts = (stats.processed, stats.outliers, stats.evolutions);
+        assert_eq!((counts, stats.os_added), ((800, 39, 7), 11));
     }
 
     #[test]

@@ -12,9 +12,7 @@ use crate::problem::SubspaceProblem;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spot_subspace::{genetic, Subspace};
-use spot_types::{
-    DurableState, FxHashMap, PersistError, Result, SpotError, StateReader, StateWriter,
-};
+use spot_types::{FxHashMap, Result, SpotError};
 
 /// NSGA-II tuning knobs.
 #[derive(Debug, Clone)]
@@ -41,27 +39,6 @@ impl Default for MogaConfig {
             mutation_rate: 0.05,
             seed: 0xC0FFEE,
         }
-    }
-}
-
-impl DurableState for MogaConfig {
-    fn capture(&self, w: &mut StateWriter) {
-        w.u64("population", self.population as u64);
-        w.u64("generations", self.generations as u64);
-        w.f64_bits("crossover_rate", self.crossover_rate);
-        w.f64_bits("mutation_rate", self.mutation_rate);
-        w.u64("seed", self.seed);
-    }
-
-    fn restore(&mut self, r: &StateReader<'_>) -> std::result::Result<(), PersistError> {
-        *self = MogaConfig {
-            population: r.usize("population")?,
-            generations: r.usize("generations")?,
-            crossover_rate: r.f64_bits("crossover_rate")?,
-            mutation_rate: r.f64_bits("mutation_rate")?,
-            seed: r.u64("seed")?,
-        };
-        Ok(())
     }
 }
 

@@ -48,7 +48,7 @@ use spot::{
     LearningReport, Spot, SpotCheckpoint, SpotConfig, SpotStats, SynopsisFootprint, Verdict,
 };
 use spot_stream::wal::read_wal_from;
-use spot_types::{DataPoint, Result, SpotError, TenantId};
+use spot_types::{admit_row, DataPoint, Result, SpotError, TenantId};
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
@@ -325,16 +325,7 @@ impl Tenant {
     /// `Spot::process_batch`'s admission rule — width φ, no NaN (±∞ is
     /// admitted) — checked before a point is logged or queued.
     fn admit(&self, point: &DataPoint) -> Result<()> {
-        if point.dims() != self.phi {
-            return Err(SpotError::DimensionMismatch {
-                expected: self.phi,
-                got: point.dims(),
-            });
-        }
-        match point.values().iter().position(|v| v.is_nan()) {
-            Some(dim) => Err(SpotError::NonFiniteValue { dim }),
-            None => Ok(()),
-        }
+        admit_row(point.values(), self.phi)
     }
 
     /// Runs `f` on the detector, then publishes the snapshot.

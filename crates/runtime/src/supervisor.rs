@@ -13,9 +13,9 @@
 //!    supervision pass, never on the per-point hot path.
 //! 2. **Recovery.** A quarantined tenant (see the fleet's panic isolation)
 //!    is revived from its restore point via [`SpotFleet::revive_tenant`]
-//!    with a bounded retry budget and deterministic exponential backoff
-//!    counted in *passes*, not wall-clock time (attempt `n` failing skips
-//!    `backoff_base << (n-1)` passes). Success yields a
+//!    with a fixed budget of three attempts and deterministic exponential
+//!    backoff counted in *passes*, not wall-clock time (attempt `n`
+//!    failing skips `2^(n-1)` passes: 1, then 2). Success yields a
 //!    [`RecoveryReport`]; an exhausted budget — a tenant with no restore
 //!    point included — transitions the tenant to the terminal
 //!    [`TenantHealth::Failed`] state.
@@ -38,8 +38,13 @@ use spot_types::{Result, SpotError, TenantId};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
+/// Recovery attempts before a quarantined tenant is marked
+/// [`TenantHealth::Failed`]. After failed attempt `n` the supervisor skips
+/// `2^(n-1)` passes before the next one.
+const MAX_RECOVERY_ATTEMPTS: u32 = 3;
+
 /// Supervision knobs. `Default`: refresh restore points every 2048
-/// processed points, 3 recovery attempts, backoff 1-2-4 passes.
+/// processed points.
 #[derive(Debug, Clone, Copy)]
 pub struct SupervisorConfig {
     /// Refresh a tenant's restore point once it has processed this many
@@ -47,21 +52,11 @@ pub struct SupervisorConfig {
     /// smaller values shrink the `points_lost` window; with one, they
     /// shorten the replay. Either way they cost more captures.
     pub shadow_every: u64,
-    /// Recovery attempts before a quarantined tenant is marked
-    /// [`TenantHealth::Failed`] (clamped to at least 1).
-    pub max_retries: u32,
-    /// Base of the exponential backoff: after failed attempt `n` the
-    /// supervisor skips `backoff_base << (n-1)` passes before retrying.
-    pub backoff_base: u64,
 }
 
 impl Default for SupervisorConfig {
     fn default() -> Self {
-        SupervisorConfig {
-            shadow_every: 2048,
-            max_retries: 3,
-            backoff_base: 1,
-        }
+        SupervisorConfig { shadow_every: 2048 }
     }
 }
 
@@ -110,8 +105,6 @@ impl Supervisor {
             fleet,
             config: SupervisorConfig {
                 shadow_every: config.shadow_every.max(1),
-                max_retries: config.max_retries.max(1),
-                backoff_base: config.backoff_base,
             },
             guards: Mutex::new(HashMap::new()),
         }
@@ -239,11 +232,11 @@ impl Supervisor {
                 pass.recovered.push(report);
             }
             Err(_) => {
-                if guard.attempts >= self.config.max_retries {
+                if guard.attempts >= MAX_RECOVERY_ATTEMPTS {
                     let _ = self.fleet.mark_failed(id);
                     pass.failed.push(id.clone());
                 } else {
-                    let backoff = self.config.backoff_base << (guard.attempts - 1);
+                    let backoff = 1 << (guard.attempts - 1);
                     guard.cooldown = backoff;
                     guard.backoff_log.push(backoff);
                 }

@@ -122,14 +122,7 @@ fn mid_batch_panic_isolates_and_recovers_serial() {
             .unwrap();
         fleet.learn(id, &train).unwrap();
     }
-    let supervisor = Supervisor::new(
-        fleet.clone(),
-        SupervisorConfig {
-            shadow_every: 100,
-            max_retries: 3,
-            backoff_base: 1,
-        },
-    );
+    let supervisor = Supervisor::new(fleet.clone(), SupervisorConfig { shadow_every: 100 });
     // Initial shadows at stream position 0.
     assert_eq!(supervisor.tick().shadows_taken, 3);
 
@@ -329,14 +322,7 @@ fn recovery_budget_exhausts_into_failed_then_manual_revive_works() {
     let b = tid("doomed");
     fleet.register(b.clone(), tenant_config(4, dims)).unwrap();
     fleet.learn(&b, &train).unwrap();
-    let supervisor = Supervisor::new(
-        fleet.clone(),
-        SupervisorConfig {
-            shadow_every: 1000,
-            max_retries: 3,
-            backoff_base: 1,
-        },
-    );
+    let supervisor = Supervisor::new(fleet.clone(), SupervisorConfig { shadow_every: 1000 });
     supervisor.tick();
     fleet.checkpoint_tenant(&b).unwrap();
 
@@ -350,7 +336,7 @@ fn recovery_budget_exhausts_into_failed_then_manual_revive_works() {
     let pts = stream(5, dims, 4);
     assert!(fleet.process_batch(&b, &pts).is_err());
 
-    // Deterministic schedule with backoff_base 1: attempt on pass 1
+    // Deterministic schedule: attempt on pass 1
     // (fails, backoff 1), pass 2 cools down, attempt on pass 3 (fails,
     // backoff 2), passes 4-5 cool down, attempt on pass 6 exhausts the
     // budget → Failed.
@@ -396,14 +382,7 @@ fn recovery_retries_through_backoff_and_reports_the_schedule() {
     let b = tid("retrying");
     fleet.register(b.clone(), tenant_config(4, dims)).unwrap();
     fleet.learn(&b, &train).unwrap();
-    let supervisor = Supervisor::new(
-        fleet.clone(),
-        SupervisorConfig {
-            shadow_every: 1000,
-            max_retries: 3,
-            backoff_base: 1,
-        },
-    );
+    let supervisor = Supervisor::new(fleet.clone(), SupervisorConfig { shadow_every: 1000 });
     supervisor.tick();
     fleet.arm_faults(
         FaultPlan::new()
@@ -487,7 +466,7 @@ proptest! {
         }
         let supervisor = Supervisor::new(
             fleet.clone(),
-            SupervisorConfig { shadow_every, max_retries: 3, backoff_base: 1 },
+            SupervisorConfig { shadow_every },
         );
         supervisor.tick();
         let faulted = &ids[faulted_idx];

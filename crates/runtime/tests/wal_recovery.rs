@@ -720,13 +720,7 @@ fn supervised_revive_with_wal_replays_the_lost_window() {
     let pts = stream(200, 8);
     let (fleet, ids) = walled_fleet(&dir, tuning, &train, 1);
     let id = &ids[0];
-    let sup = Supervisor::new(
-        fleet.clone(),
-        SupervisorConfig {
-            shadow_every: 64,
-            ..SupervisorConfig::default()
-        },
-    );
+    let sup = Supervisor::new(fleet.clone(), SupervisorConfig { shadow_every: 64 });
     sup.tick(); // initial shadow at position 0
 
     // Panic at point 150 of the tenant's stream; by then the shadow has

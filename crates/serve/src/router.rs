@@ -13,7 +13,7 @@ use crate::points;
 use crate::server::AppState;
 use serde_json::Value;
 use spot::SpotBuilder;
-use spot_types::{DataPoint, DomainBounds, SpotError, TenantId};
+use spot_types::{admit_row, DataPoint, DomainBounds, SpotError, TenantId};
 use std::sync::atomic::Ordering;
 
 /// HTTP status for a [`SpotError`] surfaced by a handler.
@@ -343,19 +343,17 @@ fn ingest(state: &AppState, id: &TenantId, req: &Request) -> Response {
         Ok(d) => d,
         Err(e) => return spot_error(&e, None),
     };
-    // Row by row, a width check then a NaN scan: a uniform batch fails the
-    // width check on its first row or never, so this order is per-row order.
-    let mismatch = |got| SpotError::DimensionMismatch {
-        expected: dims,
-        got,
-    };
-    let invalid = if batch.n > 0 && batch.dims != dims {
-        Some(mismatch(batch.dims))
-    } else if let Some(at) = batch.lanes.iter().position(|v| v.is_nan()) {
-        Some(SpotError::NonFiniteValue { dim: at % dims })
-    } else {
-        batch.ragged.map(mismatch)
-    };
+    // Row by row the fleet's admission rule (width, then NaN), then the
+    // JSON body's first ragged row, which follows every row in `lanes`.
+    let invalid = (0..batch.n)
+        .map(|i| admit_row(&batch.lanes[i * batch.dims..][..batch.dims], dims))
+        .find_map(Result::err)
+        .or_else(|| {
+            batch.ragged.map(|got| SpotError::DimensionMismatch {
+                expected: dims,
+                got,
+            })
+        });
     if let Some(e) = invalid {
         return spot_error(&e, Some(0));
     }

@@ -24,7 +24,7 @@ pub use error::{Result, SpotError};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use label::{AnomalyInfo, Label};
 pub use persist::{DurableState, PersistError, StateReader, StateWriter};
-pub use point::{DataPoint, LabeledRecord, StreamRecord};
+pub use point::{admit_row, DataPoint, LabeledRecord, StreamRecord};
 pub use tenant::TenantId;
 
 /// Verdict produced by a generic stream detector for a single point.

@@ -1,5 +1,6 @@
 //! Points and stream records.
 
+use crate::error::{Result, SpotError};
 use crate::label::Label;
 
 /// A ϕ-dimensional data point `p = (p_1, …, p_ϕ)`.
@@ -77,6 +78,24 @@ impl std::ops::Index<usize> for DataPoint {
     }
 }
 
+/// The admission rule for one row of an arriving point: exactly `phi`
+/// values, none of them NaN. ±∞ is admitted (the grid clamps it into an
+/// edge interval). The width is checked first, so a row that is both too
+/// short and NaN is a [`SpotError::DimensionMismatch`]; a NaN is reported
+/// at its first dimension.
+pub fn admit_row(row: &[f64], phi: usize) -> Result<()> {
+    if row.len() != phi {
+        return Err(SpotError::DimensionMismatch {
+            expected: phi,
+            got: row.len(),
+        });
+    }
+    match row.iter().position(|v| v.is_nan()) {
+        Some(dim) => Err(SpotError::NonFiniteValue { dim }),
+        None => Ok(()),
+    }
+}
+
 /// A point together with its arrival position in the stream.
 ///
 /// `seq` doubles as the logical timestamp under SPOT's default
@@ -126,6 +145,22 @@ mod tests {
 
     fn p(v: &[f64]) -> DataPoint {
         DataPoint::from(v)
+    }
+
+    #[test]
+    fn admission_checks_width_then_nan_and_admits_infinities() {
+        assert!(admit_row(&[f64::INFINITY, f64::NEG_INFINITY, 0.5], 3).is_ok());
+        assert_eq!(
+            admit_row(&[0.5, f64::NAN], 3),
+            Err(SpotError::DimensionMismatch {
+                expected: 3,
+                got: 2
+            })
+        );
+        assert_eq!(
+            admit_row(&[0.5, f64::NAN, f64::NAN], 3),
+            Err(SpotError::NonFiniteValue { dim: 1 })
+        );
     }
 
     #[test]

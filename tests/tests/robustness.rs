@@ -75,6 +75,64 @@ fn dimension_mismatch_is_an_error_not_a_panic() {
 }
 
 #[test]
+fn a_refused_learn_leaves_the_detector_untouched() {
+    // Every training point and exemplar is admitted before the learning
+    // stage changes anything: no CS without stores, no advanced RNG.
+    let fresh = || {
+        SpotBuilder::new(DomainBounds::unit(4))
+            .seed(5)
+            .build()
+            .unwrap()
+    };
+    let untouched = fresh().checkpoint();
+    let train: Vec<DataPoint> = (0..300)
+        .map(|i| {
+            let c = [0.2, 0.7][i % 2];
+            DataPoint::new(vec![
+                c + (i % 9) as f64 * 0.01,
+                c,
+                0.5,
+                (i % 7) as f64 / 7.0,
+            ])
+        })
+        .collect();
+    let mut nan_train = train.clone();
+    nan_train[150] = DataPoint::new(vec![0.5, f64::NAN, 0.5, 0.5]);
+    let nan_exemplar = DataPoint::new(vec![f64::NAN, 0.5, 0.5, 0.5]);
+    let cases = [
+        (
+            "a NaN exemplar",
+            &train,
+            vec![DataPoint::new(vec![0.95, 0.05, 0.5, 0.5]), nan_exemplar],
+            SpotError::NonFiniteValue { dim: 0 },
+        ),
+        (
+            "a NaN training point",
+            &nan_train,
+            Vec::new(),
+            SpotError::NonFiniteValue { dim: 1 },
+        ),
+        (
+            "a wrong-width exemplar",
+            &train,
+            vec![DataPoint::new(vec![0.9; 3])],
+            SpotError::DimensionMismatch {
+                expected: 4,
+                got: 3,
+            },
+        ),
+    ];
+    for (name, training, exemplars, want) in cases {
+        let mut spot = fresh();
+        let refused = spot.learn_with_examples(training, &exemplars);
+        assert_eq!(refused.unwrap_err(), want, "{name}");
+        assert!(!spot.is_learned(), "{name}");
+        let moved = spot.checkpoint().as_bytes() != untouched.as_bytes();
+        assert!(!moved, "{name}: the refused learn changed the detector");
+    }
+}
+
+#[test]
 fn extreme_values_are_clamped_into_boundary_cells() {
     let mut spot = SpotBuilder::new(DomainBounds::unit(4))
         .seed(2)
