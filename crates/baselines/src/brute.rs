@@ -33,11 +33,6 @@ impl BruteForceResult {
         scored
     }
 
-    /// Exact Pareto-front subspaces.
-    pub fn front_subspaces(&self) -> Vec<Subspace> {
-        self.front.iter().map(|&i| self.evaluated[i].0).collect()
-    }
-
     /// Number of objective evaluations performed.
     pub fn evaluations(&self) -> usize {
         self.evaluated.len()
@@ -79,7 +74,7 @@ mod tests {
         assert_eq!(res.evaluations(), 63); // 2^6 - 1
                                            // The hidden target minimizes objective 1 exactly: it must be the
                                            // global best by Hamming distance, hence on the front.
-        assert!(res.front_subspaces().contains(&target));
+        assert!(res.front.iter().any(|&i| res.evaluated[i].0 == target));
         assert_eq!(res.top_k(1)[0].0, target);
     }
 
@@ -95,7 +90,6 @@ mod tests {
     fn front_is_mutually_non_dominated() {
         let mut p = HiddenTargetProblem::new(5, Subspace::from_dims([0, 4]).unwrap());
         let res = brute_force_top_k(&mut p, 5).unwrap();
-        let front = res.front_subspaces();
         for (i, (_, a)) in res.evaluated.iter().enumerate() {
             if res.front.contains(&i) {
                 continue;
@@ -107,7 +101,7 @@ mod tests {
                 .any(|(_, b)| spot_moga::dominates(b, a));
             assert!(dominated);
         }
-        assert!(!front.is_empty());
+        assert!(!res.front.is_empty());
     }
 
     #[test]

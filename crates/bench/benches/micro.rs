@@ -61,20 +61,21 @@ impl CellConsumer for SumRd {
     }
 }
 
-/// The cell-touch kernel where the two ingest paths run it, at the store
-/// counts of the benchmark workloads: divide an iteration by
+/// The cell-touch kernel at the two run lengths the detector feeds the
+/// ingest loop (a point is a run of one; `process_batch` runs up to 256),
+/// at the store counts of the benchmark workloads: divide an iteration by
 /// `points × stores` for the per-touch cost `docs/hotpath.md` quotes.
 fn bench_touch_kernel() {
     let (mut mgr, pts) = touch_fixture(64, 64, 14, 512);
     let mut now = 0u64;
+    let mut sum = SumRd(0.0);
     time_arm("touch_point_phi64_78stores", || {
-        let mut acc = 0.0f64;
         for p in &pts {
             now += 1;
-            mgr.update_and_screen(now, black_box(p), |_, _, touch| acc += touch.rd)
+            mgr.update_and_screen_batch(now, std::slice::from_ref(black_box(p)), &mut sum)
                 .unwrap();
         }
-        acc
+        sum.0
     });
 
     let (mut mgr, pts) = touch_fixture(16, 16, 120, 256);

@@ -11,7 +11,7 @@ use spot_clustering::{outlying_degrees, top_outlying_indices, OdConfig};
 use spot_moga::MogaConfig;
 use spot_stream::{LogicalClock, Reservoir};
 use spot_subspace::{genetic, ScoredSubspace, Subspace};
-use spot_synopsis::{CellConsumer, CellTouch, Grid, ProjectedStore, SynopsisManager};
+use spot_synopsis::{Grid, SynopsisManager};
 use spot_types::{
     admit_row, DataPoint, Detection, FxHashSet, PersistError, Result, SpotError, StateReader,
     StateWriter, StreamDetector,
@@ -92,7 +92,7 @@ pub struct Spot {
     drift: PageHinkley,
     stats: SpotStats,
     learned: bool,
-    /// The verdict rule as the cell consumer of both ingest loops.
+    /// The verdict rule as the cell consumer of the ingest loop.
     screen: VerdictScreen,
     /// `(manager layout epoch, FS stores monitored at that epoch)` — the
     /// drift signal's denominator, recounted when the layout moves.
@@ -291,8 +291,7 @@ impl Spot {
         // one), with the reservoir offered each point in arrival order.
         for run in training.chunks(Self::BATCH_RUN) {
             let start = self.clock.now() + 1;
-            self.manager
-                .update_and_screen_batch(start, run, &mut IngestOnly)?;
+            self.manager.update_and_screen_batch(start, run, &mut ())?;
             for p in run {
                 let now = self.clock.tick();
                 self.reservoir
@@ -327,13 +326,11 @@ impl Spot {
         // the tick is taken only once the point is in: a rejected point
         // leaves the clock, the counters and the synopses where they were
         // (as `process_batch` does).
+        // A point is a run of one through the manager's one ingest loop.
         let now = self.clock.now() + 1;
-        let screen = &mut self.screen;
-        screen.reset(1);
+        self.screen.reset(1);
         self.manager
-            .update_and_screen(now, point, |ordinal, store, touch| {
-                screen.cell(ordinal, store, 0, touch)
-            })?;
+            .update_and_screen_batch(now, std::slice::from_ref(point), &mut self.screen)?;
         self.clock.tick();
         let monitored = self.monitored_stores();
         // The plan is swapped out so the commit phase can borrow self
@@ -750,15 +747,6 @@ impl Spot {
             }
         }
     }
-}
-
-/// The warm-up replay's consumer: the replay only ingests, so every
-/// touched cell is dropped.
-struct IngestOnly;
-
-impl CellConsumer for IngestOnly {
-    #[inline]
-    fn cell(&mut self, _: usize, _: &ProjectedStore, _: usize, _: CellTouch) {}
 }
 
 /// Retains a detected outlier for OS growth — the clone happens only once

@@ -74,7 +74,7 @@ pub use detector::{Spot, SynopsisFootprint};
 pub use drift::PageHinkley;
 pub use evaluator::{SparsityProblem, SparsityScratch, TrainingEvaluator};
 pub use snapshot::{restore_from_bytes, SpotCheckpoint, CHECKPOINT_BINARY_VERSION};
-pub use sst::{Sst, SstComponent};
+pub use sst::Sst;
 pub use verdict::{EvalPlan, LearningReport, SpotStats, SubspaceFinding, Verdict, VerdictScreen};
 
 // Re-export the substrate crates so downstream users need a single

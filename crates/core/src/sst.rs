@@ -14,17 +14,6 @@
 use spot_subspace::{enumerate_up_to_dim, RankedSubspaces, ScoredSubspace, Subspace, SubspaceSet};
 use spot_types::{DurableState, FxHashSet, PersistError, Result, StateReader, StateWriter};
 
-/// Which SST component a subspace belongs to (FS wins ties, then CS).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SstComponent {
-    /// Fixed SST Subspaces.
-    Fixed,
-    /// Clustering-based SST Subspaces.
-    Clustering,
-    /// Outlier-driven SST Subspaces.
-    OutlierDriven,
-}
-
 /// The Sparse Subspace Template.
 #[derive(Debug, Clone)]
 pub struct Sst {
@@ -90,19 +79,6 @@ impl Sst {
             .chain(self.cs.subspaces())
             .chain(self.os.subspaces())
             .filter(move |s| seen.insert(s.mask()))
-    }
-
-    /// Which component claims `s`, if any.
-    pub fn component_of(&self, s: &Subspace) -> Option<SstComponent> {
-        if self.fs.contains(s) {
-            Some(SstComponent::Fixed)
-        } else if self.cs.contains(s) {
-            Some(SstComponent::Clustering)
-        } else if self.os.contains(s) {
-            Some(SstComponent::OutlierDriven)
-        } else {
-            None
-        }
     }
 
     /// Inserts an outlier-driven subspace into OS. Returns `true` when OS
@@ -185,24 +161,6 @@ mod tests {
         assert_eq!(all.len(), 4 + 2); // 4 FS singletons + [0,1] + [2,3]
         let distinct: FxHashSet<u64> = all.iter().map(|x| x.mask()).collect();
         assert_eq!(distinct.len(), all.len());
-    }
-
-    #[test]
-    fn component_attribution_priority() {
-        let mut sst = Sst::new(4, 1, 4, 4).unwrap();
-        // [0] is also in FS → FS wins.
-        sst.evolve_cs(vec![scored(&[0], 0.5), scored(&[1, 2], 0.4)]);
-        sst.add_os(s(&[1, 3]), 0.4);
-        assert_eq!(sst.component_of(&s(&[0])), Some(SstComponent::Fixed));
-        assert_eq!(
-            sst.component_of(&s(&[1, 2])),
-            Some(SstComponent::Clustering)
-        );
-        assert_eq!(
-            sst.component_of(&s(&[1, 3])),
-            Some(SstComponent::OutlierDriven)
-        );
-        assert_eq!(sst.component_of(&s(&[0, 1, 2, 3])), None);
     }
 
     #[test]

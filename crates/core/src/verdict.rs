@@ -63,7 +63,7 @@ impl Verdict {
 /// The immutable product of the **screening** phase of two-phase verdict
 /// evaluation: everything derivable from the cells a point touched and the
 /// configuration alone — no detector state read or written. The ingest
-/// loops screen every cell where it is touched ([`VerdictScreen`]);
+/// loop screens every cell where it is touched ([`VerdictScreen`]);
 /// [`VerdictScreen::assemble`] turns a run's accumulators into one plan
 /// per point, and the sequential **commit** (RNG, drift, maintenance)
 /// applies the plans in point order.
@@ -93,7 +93,7 @@ impl EvalPlan {
     }
 }
 
-/// The verdict rule folded into the ingest loops: the detector's
+/// The verdict rule folded into the ingest loop: the detector's
 /// [`CellConsumer`]. Per touched cell it keeps what a verdict needs and
 /// nothing else — the point's minimum RD, a freshness count over the FS
 /// stores, and, for the rare cell whose RD is under the threshold (the
@@ -113,9 +113,9 @@ impl EvalPlan {
 /// point of a run and is *not* accumulated here: [`VerdictScreen::assemble`]
 /// takes it from the caller.
 ///
-/// One accumulator serves both loop orders: [`VerdictScreen::reset`] for
-/// a run of `n` points, feed it every touched cell (point-major or
-/// store-major), then [`VerdictScreen::assemble`].
+/// [`VerdictScreen::reset`] for a run of `n` points (a single point is a
+/// run of one), feed it every touched cell, then
+/// [`VerdictScreen::assemble`].
 #[derive(Debug)]
 pub struct VerdictScreen {
     thresholds: Thresholds,
@@ -173,7 +173,7 @@ impl VerdictScreen {
     ///
     /// The flagged cells sort by `(point, rd, registration ordinal)` — the
     /// order a registration-order scan followed by a stable sort on RD
-    /// produces, whichever loop order fed them.
+    /// produces.
     pub fn assemble(&mut self, monitored: u32, plans: &mut [EvalPlan]) {
         self.flagged.sort_unstable_by(|a, b| {
             a.point
@@ -206,8 +206,7 @@ impl VerdictScreen {
 }
 
 impl CellConsumer for VerdictScreen {
-    /// Screens one touched cell. (The per-point path calls this directly,
-    /// from the closure of `SynopsisManager::update_and_screen`.)
+    /// Screens one touched cell.
     #[inline]
     fn cell(&mut self, ordinal: usize, store: &ProjectedStore, point: usize, touch: CellTouch) {
         let acc = &mut self.points[point];

@@ -69,8 +69,6 @@ pub struct ServeConfig {
     /// How long [`SpotServer::shutdown`] waits for in-flight requests
     /// before force-closing their connections.
     pub drain_deadline: Duration,
-    /// How long a pump thread sleeps after a pass that moved nothing.
-    pub pump_interval: Duration,
     /// Wire-level input limits.
     pub limits: HttpLimits,
 }
@@ -84,7 +82,6 @@ impl Default for ServeConfig {
             write_timeout: Duration::from_secs(5),
             idle_timeout: Duration::from_secs(10),
             drain_deadline: Duration::from_secs(3),
-            pump_interval: Duration::from_millis(1),
             limits: HttpLimits::default(),
         }
     }
@@ -644,6 +641,9 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
+/// How long a pump thread sleeps after a pass that moved nothing.
+const PUMP_INTERVAL: Duration = Duration::from_millis(1);
+
 /// Background verdict mover `k` of `n`: one micro-batch (the fleet's
 /// fairness unit) per tenant per pass, over the tenants at positions ≡ k
 /// (mod n) in the sorted id list, so the threads' tenants are disjoint.
@@ -657,13 +657,14 @@ fn pump_loop(shared: &Shared, k: usize, n: usize) {
             if shared.stop_pump.load(Ordering::Acquire) {
                 return;
             }
-            // Evicted or quarantined mid-pass → skip; the supervisor (or
-            // an explicit restore) owns unhealthy tenants.
+            // Evicted or quarantined mid-pass → skip. The server runs no
+            // supervision pass: a quarantined tenant waits for
+            // `POST /tenants/{id}/restore` (or a revive by the embedder).
             let delivered = app.fleet.drain_with(id, |v| app.deliver(id, v));
             moved |= delivered.is_ok_and(|count| count > 0);
         }
         if !moved {
-            std::thread::sleep(shared.config.pump_interval);
+            std::thread::sleep(PUMP_INTERVAL);
         }
     }
 }

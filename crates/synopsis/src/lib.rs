@@ -39,30 +39,28 @@
 //! occupancy and its RD. IRSD — divisions and a square root per dimension
 //! — is derived only on request ([`ProjectedStore::irsd_of`]), which a
 //! detector makes for the rare cell whose RD is under its threshold.
-//! [`SynopsisManager::update_and_screen`] (one point, a closure sees the
-//! cells in registration order) and
-//! [`SynopsisManager::update_and_screen_batch`] (a run of points, a
-//! [`CellConsumer`] sees them store by store) hand the touches over as
-//! they happen; no per-(point, subspace) result is stored.
+//! [`SynopsisManager::update_and_screen_batch`] is the one ingest loop: it
+//! takes a run of points at consecutive ticks — a single point is a run of
+//! one — and hands every touch to a [`CellConsumer`] as it happens, store
+//! by store (every point of the run into one store, then the next store);
+//! no per-(point, subspace) result is stored.
 //! [`SynopsisManager::update_and_query`] and
-//! [`SynopsisManager::update_and_query_batch`] are the full-report
-//! consumers of the same two loops — every cell's `(RD, IRSD)` pair into
-//! caller-reused sinks — for baselines and tools. The two loops run the
-//! same touch kernel, [`ProjectedStore::update_and_screen_batch`], which
-//! takes a [`PointRun`] and loops over its points inside the store, and
-//! they differ in loop order only: point-major hands every store a run of
-//! one point, store-major hands every store the whole run (every point of
-//! the run into one store, then the next store). The kernel is generic
-//! over the store's width: one to four dimensions run an instance
+//! [`SynopsisManager::update_and_query_batch`] are full-report consumers
+//! of the same loop — every cell's `(RD, IRSD)` pair into caller-reused
+//! sinks — for baselines and tools; a PCS is only ever read off a touch,
+//! there is no query-only path. Every store runs one touch kernel,
+//! [`ProjectedStore::update_and_screen_batch`], which takes a
+//! [`PointRun`] and loops over its points inside the store. The kernel is
+//! generic over the store's width: one to four dimensions run an instance
 //! unrolled to that width, wider and fingerprinted stores one
 //! runtime-width instance of the same body, chosen once per call.
 //!
-//! No path reachable from them calls the allocator on the steady state
+//! No path reachable from the loop calls the allocator on the steady state
 //! (`tests/allocations.rs` counts it). Every renormalization factor
 //! `δ^age` comes from the manager's one age-indexed
 //! [`spot_stream::WeightCache`] — 4 096 ages (32 KiB), allocated whole on
-//! its first extension, extended to the tick at hand before a point, a run
-//! or a prune, read-only inside one, and bit-identical to the model
+//! its first extension, extended to the tick at hand before a run or a
+//! prune, read-only inside one, and bit-identical to the model
 //! because its entries *are* the model's results. A cell older than the
 //! table gets its factor from the model's own `powi`, with the same bits;
 //! on the benchmark streams that is under 0.5 % of lookups.
@@ -71,8 +69,8 @@
 //! key / count / tick / moment columns, with [`PcsCell`] as the borrowed
 //! view of one cell — so opening a cell is a push onto each column, and a
 //! prune scan reads two contiguous columns and compacts by
-//! swap-remove. Batch ingestion additionally amortizes the quantization
-//! scratch and advances the global weight in closed form.
+//! swap-remove. The loop amortizes the quantization buffers across runs
+//! and advances the global weight in closed form.
 //!
 //! Everything here runs on the caller's thread and holds no
 //! synchronization: a manager is one detector's state, and concurrency

@@ -10,25 +10,26 @@ use spot_types::{
 };
 /// Bundles every decayed synopsis SPOT maintains online.
 ///
-/// [`SynopsisManager::update_and_screen`] is the per-point hot path of the
-/// detection stage: one projected-cell insertion per monitored subspace,
-/// each O(|s|) — and every touched projected cell is handed to the caller
-/// *in the same cell access* (occupancy and RD derived, IRSD on demand), so
-/// the detector never
-/// projects or hashes the same coordinates twice and never materializes a
-/// per-subspace PCS list. On the steady state (no new cells) the whole
-/// path performs zero heap allocations: coordinates land in a reused
-/// scratch buffer, keys are `Copy` integers, and the decay table was
+/// [`SynopsisManager::update_and_screen_batch`] is the one ingest loop of
+/// the detection stage: a run of points at consecutive ticks (a single
+/// point is a run of one) goes into every monitored projected store, one
+/// insertion per (point, subspace), each O(|s|) — and every touched
+/// projected cell is handed to a [`CellConsumer`] *in the same cell
+/// access* (occupancy and RD derived, IRSD on demand), so the detector
+/// never projects or hashes the same coordinates twice and never
+/// materializes a per-subspace PCS list. On the steady state (no new
+/// cells) the loop performs zero heap allocations: coordinates land in
+/// reused buffers, keys are `Copy` integers, and the decay table was
 /// allocated whole on its first extension (`tests/allocations.rs` counts
-/// both ingest loops and the prune).
-/// [`SynopsisManager::update_and_query`] is the full-report consumer of
-/// the same loop (baselines, tools): every cell's `(RD, IRSD)` pair into
-/// a caller-reused sink.
+/// runs of one, longer runs and the prune).
+/// [`SynopsisManager::update_and_query`] and
+/// [`SynopsisManager::update_and_query_batch`] are full-report consumers
+/// of the same loop (baselines, tools): every cell's `(RD, IRSD)` pair
+/// into caller-reused sinks.
 ///
 /// Stores live in **registration (ordinal) order** — the order of
-/// per-point PCS results on both the single-point and the batch path, and
-/// the tie-break that keeps verdicts deterministic when two subspaces tie
-/// on RD.
+/// per-point PCS results, and the tie-break that keeps verdicts
+/// deterministic when two subspaces tie on RD.
 #[derive(Debug)]
 pub struct SynopsisManager {
     grid: Grid,
@@ -40,7 +41,7 @@ pub struct SynopsisManager {
     total: DecayedCounter,
     /// Reused quantization buffer (ϕ entries).
     scratch: Vec<u16>,
-    /// Reused batch quantization buffer (n·ϕ entries).
+    /// Reused run quantization buffer (n·ϕ entries).
     batch_coords: Vec<u16>,
     /// Reused per-run total-weight buffer (n entries).
     batch_totals: Vec<f64>,
@@ -50,8 +51,8 @@ pub struct SynopsisManager {
     epoch: u64,
     /// The age → `δ^age` table behind every cell renormalization (derived
     /// state, never persisted, not counted in [`SynopsisManager::approx_bytes`];
-    /// see [`WeightCache`]). Extended to the tick at hand before a point, a
-    /// run or a prune; read-only inside one. At most
+    /// see [`WeightCache`]). Extended to the tick at hand before a run or
+    /// a prune; read-only inside one. At most
     /// [`WeightCache::MAX_AGES`] entries (32 KiB).
     weights: WeightCache,
 }
@@ -92,13 +93,19 @@ pub struct SubspacePcs {
     pub occupancy: f64,
 }
 
-/// Receives every projected cell the batch loop touches
+/// Receives every projected cell the ingest loop touches
 /// ([`SynopsisManager::update_and_screen_batch`]): stores in registration
 /// order, each store's points in arrival order.
 pub trait CellConsumer {
     /// Point `point` of the run fell into a cell of store `ordinal`
     /// (registration order).
     fn cell(&mut self, ordinal: usize, store: &ProjectedStore, point: usize, touch: CellTouch);
+}
+
+/// The ingest-only consumer: every touched cell is dropped.
+impl CellConsumer for () {
+    #[inline]
+    fn cell(&mut self, _: usize, _: &ProjectedStore, _: usize, _: CellTouch) {}
 }
 
 /// The full-report consumer behind
@@ -195,45 +202,17 @@ impl SynopsisManager {
         self.epoch
     }
 
-    /// Ingests one point at tick `now`: updates the global weight and every
-    /// monitored projected store. Use
-    /// [`SynopsisManager::update_and_query`] when the per-subspace PCS is
-    /// needed too — it costs no second pass.
+    /// Ingests one point at tick `now` — a run of one, every touch
+    /// dropped: updates the global weight and every monitored projected
+    /// store.
     pub fn update(&mut self, now: u64, p: &DataPoint) -> Result<UpdateOutcome> {
-        self.update_and_screen(now, p, |_, _, _| {})
+        self.update_and_screen_batch(now, std::slice::from_ref(p), &mut ())?;
+        Ok(self.last_outcome())
     }
 
-    /// Single-pass update **and** screen: ingests one point and hands the
-    /// cell it fell into in every monitored subspace to `on_cell`, as
-    /// `(registration ordinal, store, touch)` in registration order. The
-    /// touch carries the cell's occupancy and RD, derived from the same
-    /// cell access that inserted the point; IRSD is
-    /// [`ProjectedStore::irsd_of`] the touch, for callers that want it.
-    pub fn update_and_screen(
-        &mut self,
-        now: u64,
-        p: &DataPoint,
-        mut on_cell: impl FnMut(usize, &ProjectedStore, CellTouch),
-    ) -> Result<UpdateOutcome> {
-        let outcome = self.ingest_weight(now, p)?;
-        let run = PointRun {
-            start_tick: now,
-            coords: &self.scratch,
-            points: std::slice::from_ref(p),
-            totals: std::slice::from_ref(&outcome.total_weight),
-        };
-        for (ordinal, store) in self.stores.iter_mut().enumerate() {
-            store.update_and_screen_batch(&self.grid, &self.weights, run, |store, _, touch| {
-                on_cell(ordinal, store, touch)
-            });
-        }
-        Ok(outcome)
-    }
-
-    /// [`SynopsisManager::update_and_screen`] reporting in full: pushes the
-    /// PCS of the point's cell in every monitored subspace into `sink`
-    /// (cleared first; reuse it across calls to keep the path
-    /// allocation-free).
+    /// [`SynopsisManager::update`] reporting in full: pushes the PCS of
+    /// the point's cell in every monitored subspace into `sink` (cleared
+    /// first; reuse it across calls to keep the path allocation-free).
     pub fn update_and_query(
         &mut self,
         now: u64,
@@ -242,27 +221,18 @@ impl SynopsisManager {
     ) -> Result<UpdateOutcome> {
         sink.clear();
         sink.reserve(self.stores.len());
-        self.update_and_screen(now, p, |_, store, touch| {
-            sink.push(SubspacePcs {
-                subspace: store.subspace(),
-                pcs: store.pcs_of(&touch),
-                occupancy: touch.occupancy,
-            });
-        })
+        let mut report = BatchReport {
+            sinks: std::slice::from_mut(sink),
+        };
+        self.update_and_screen_batch(now, std::slice::from_ref(p), &mut report)?;
+        Ok(self.last_outcome())
     }
 
-    /// Quantizes the point (into the reused scratch) — the validation
-    /// step: a rejected point changes nothing — then extends the weight
-    /// table to `now` and advances the global weight (a run of one, so the
-    /// per-point and batch paths advance it alike).
-    fn ingest_weight(&mut self, now: u64, p: &DataPoint) -> Result<UpdateOutcome> {
-        self.grid.base_coords_into(p, &mut self.scratch)?;
-        self.weights.ensure(now.saturating_add(1));
-        self.total
-            .add_run(&self.weights, now, 1, &mut self.batch_totals);
-        Ok(UpdateOutcome {
-            total_weight: self.batch_totals[0],
-        })
+    /// The global weight after the last point of the last run.
+    fn last_outcome(&self) -> UpdateOutcome {
+        UpdateOutcome {
+            total_weight: self.batch_totals[self.batch_totals.len() - 1],
+        }
     }
 
     /// Batch ingestion: points arrive at consecutive ticks
@@ -286,51 +256,42 @@ impl SynopsisManager {
             sink.clear();
         }
         let mut report = BatchReport { sinks };
-        self.batch_loop(start_tick, points, Some(outcomes), &mut report)
+        self.update_and_screen_batch(start_tick, points, &mut report)?;
+        outcomes.clear();
+        outcomes.extend(
+            self.batch_totals
+                .iter()
+                .map(|&total_weight| UpdateOutcome { total_weight }),
+        );
+        Ok(())
     }
 
-    /// Batch ingestion for a screening consumer — the detector's batch hot
-    /// path. Points arrive at consecutive ticks `start_tick,
-    /// start_tick+1, …`; every touched cell goes to `consumer`, store by
-    /// store in registration order (see [`CellConsumer`]). Nothing per
-    /// (point, subspace) is materialized here. Synopsis state is
+    /// The one ingest loop. Points arrive at consecutive ticks
+    /// `start_tick, start_tick+1, …` (one point is a run of one); every
+    /// touched cell goes to `consumer`, store by store in registration
+    /// order (see [`CellConsumer`]). Nothing per (point, subspace) is
+    /// materialized here. Validate + quantize, advance the global weight,
+    /// then run every point into each store in turn; synopsis state is
     /// bit-identical to feeding the points one by one.
     ///
-    /// Validation is all-or-nothing, as on every ingest path: a rejected
-    /// batch leaves the manager untouched and the consumer uncalled.
+    /// Validation is all-or-nothing: a rejected run leaves the manager
+    /// untouched and the consumer uncalled.
     pub fn update_and_screen_batch<C: CellConsumer>(
         &mut self,
         start_tick: u64,
         points: &[DataPoint],
         consumer: &mut C,
     ) -> Result<()> {
-        self.batch_loop(start_tick, points, None, consumer)
-    }
-
-    /// The one batch loop: validate + quantize, advance the global weight,
-    /// then run every point into each store in turn, handing every touched
-    /// cell to `consumer`.
-    fn batch_loop<C: CellConsumer>(
-        &mut self,
-        start_tick: u64,
-        points: &[DataPoint],
-        outcomes: Option<&mut Vec<UpdateOutcome>>,
-        consumer: &mut C,
-    ) -> Result<()> {
-        // Quantize everything into the reused batch buffer. This is also
+        // Quantize everything into the reused run buffer. This is also
         // the validation pass — a NaN or dimension mismatch at any
-        // position returns before *any* store mutates, so a rejected batch
-        // leaves the manager exactly as it was (the same all-or-nothing
-        // guarantee the single-point path gives).
+        // position returns before *any* store mutates. (Each point goes
+        // through the ϕ-entry scratch and is copied over: appending to the
+        // run buffer directly measured 9–15 % slower on `process_batch`.)
         let dims = self.grid.dims();
-        let mut coords = std::mem::take(&mut self.batch_coords);
-        coords.resize(points.len() * dims, 0);
+        self.batch_coords.resize(points.len() * dims, 0);
         for (i, p) in points.iter().enumerate() {
-            if let Err(e) = self.grid.base_coords_into(p, &mut self.scratch) {
-                self.batch_coords = coords;
-                return Err(e);
-            }
-            coords[i * dims..(i + 1) * dims].copy_from_slice(&self.scratch);
+            self.grid.base_coords_into(p, &mut self.scratch)?;
+            self.batch_coords[i * dims..(i + 1) * dims].copy_from_slice(&self.scratch);
         }
 
         // No cell the run touches is older than its last tick: extend the
@@ -339,36 +300,51 @@ impl SynopsisManager {
         // (bit-identical to per-point adds).
         self.weights
             .ensure(start_tick.saturating_add(points.len() as u64));
-        let mut totals = std::mem::take(&mut self.batch_totals);
-        self.total
-            .add_run(&self.weights, start_tick, points.len(), &mut totals);
-
-        if let Some(outcomes) = outcomes {
-            outcomes.clear();
-            outcomes.extend(
-                totals
-                    .iter()
-                    .map(|&total_weight| UpdateOutcome { total_weight }),
-            );
-        }
+        self.total.add_run(
+            &self.weights,
+            start_tick,
+            points.len(),
+            &mut self.batch_totals,
+        );
 
         // Store-major: each store takes the whole run in one call, sees
         // its points in arrival order, and keeps its cells hot across it.
+        if let [point] = points {
+            self.touch_point(start_tick, point, consumer);
+            return Ok(());
+        }
         let run = PointRun {
             start_tick,
-            coords: &coords,
+            coords: &self.batch_coords,
             points,
-            totals: &totals,
+            totals: &self.batch_totals,
         };
         for (ordinal, store) in self.stores.iter_mut().enumerate() {
             store.update_and_screen_batch(&self.grid, &self.weights, run, |store, i, touch| {
                 consumer.cell(ordinal, store, i, touch)
             });
         }
-
-        self.batch_coords = coords;
-        self.batch_totals = totals;
         Ok(())
+    }
+
+    /// The store pass of a run of one, quantized and weighed. A function
+    /// of its own so that the touch kernel is compiled against a one-point
+    /// run, whose loop and set-up fold away: as the general pass's
+    /// `points.len() == 1` case, `touch_point_phi64_78stores` ran 18–35 %
+    /// slower and `Spot::process` at ϕ = 64 about 8 % (2 vCPUs).
+    #[inline(never)]
+    fn touch_point<C: CellConsumer>(&mut self, tick: u64, point: &DataPoint, consumer: &mut C) {
+        let run = PointRun {
+            start_tick: tick,
+            coords: &self.batch_coords,
+            points: std::slice::from_ref(point),
+            totals: &self.batch_totals[..1],
+        };
+        for (ordinal, store) in self.stores.iter_mut().enumerate() {
+            store.update_and_screen_batch(&self.grid, &self.weights, run, |store, _, touch| {
+                consumer.cell(ordinal, store, 0, touch)
+            });
+        }
     }
 
     /// Warms the projected store of `subspace` by replaying timestamped
@@ -398,16 +374,6 @@ impl SynopsisManager {
             store.update_and_screen(&self.grid, &self.weights, tick, &self.scratch, p, 0.0);
         }
         Ok(())
-    }
-
-    /// PCS of the cell containing `base_coords` in `subspace` at tick
-    /// `now`. Returns `None` when the subspace is not monitored.
-    /// (Query-only path for tools and tests; the detection loop gets its
-    /// PCS from [`SynopsisManager::update_and_query`] for free.)
-    pub fn pcs(&self, now: u64, base_coords: &[u16], subspace: &Subspace) -> Option<Pcs> {
-        let store = self.projected_store(subspace)?;
-        let total = self.total.value_at(&self.model, now);
-        Some(store.pcs(&self.grid, &self.model, now, base_coords, total))
     }
 
     /// Global decayed stream weight at tick `now`.
@@ -569,33 +535,6 @@ mod tests {
         assert!(sink.iter().all(|e| e.pcs.rd > 0.0));
         assert!(sink.iter().any(|e| e.subspace == s0));
         assert!(sink.iter().any(|e| e.subspace == s01));
-    }
-
-    #[test]
-    fn fused_query_matches_separate_pcs_lookup() {
-        let mut mgr = manager(3, 5);
-        let subs = [
-            Subspace::from_dims([0]).unwrap(),
-            Subspace::from_dims([1, 2]).unwrap(),
-            Subspace::from_dims([0, 1, 2]).unwrap(),
-        ];
-        for s in subs {
-            mgr.add_subspace(s);
-        }
-        let mut sink = Vec::new();
-        for i in 0..300u64 {
-            let p = DataPoint::new(vec![
-                (i % 7) as f64 / 7.0,
-                ((i * 3) % 5) as f64 / 5.0,
-                ((i * 11) % 13) as f64 / 13.0,
-            ]);
-            let _ = mgr.update_and_query(i, &p, &mut sink).unwrap();
-            let base = mgr.grid().base_coords(&p).unwrap();
-            for entry in &sink {
-                let direct = mgr.pcs(i, &base, &entry.subspace).unwrap();
-                assert_eq!(entry.pcs, direct, "tick {i} subspace {}", entry.subspace);
-            }
-        }
     }
 
     fn batch_reference_check(mgr_builder: impl Fn() -> SynopsisManager, points: &[DataPoint]) {
@@ -801,13 +740,14 @@ mod tests {
             mgr.update(i, &DataPoint::new(vec![x, (i % 7) as f64 / 7.0]))
                 .unwrap();
         }
-        let crowded = DataPoint::new(vec![0.1, 0.5]);
-        let sparse = DataPoint::new(vec![0.9, 0.5]);
-        let now = 100;
-        let bc = mgr.grid().base_coords(&crowded).unwrap();
-        let bs = mgr.grid().base_coords(&sparse).unwrap();
-        let rd_crowded = mgr.pcs(now, &bc, &s0).unwrap().rd;
-        let rd_sparse = mgr.pcs(now, &bs, &s0).unwrap().rd;
+        let mut sink = Vec::new();
+        let mut rd_at = |mgr: &mut SynopsisManager, now, x| {
+            mgr.update_and_query(now, &DataPoint::new(vec![x, 0.5]), &mut sink)
+                .unwrap();
+            sink[0].pcs.rd
+        };
+        let rd_crowded = rd_at(&mut mgr, 100, 0.1);
+        let rd_sparse = rd_at(&mut mgr, 101, 0.9);
         assert!(rd_crowded > rd_sparse);
         assert!(rd_sparse < 1.0);
     }
@@ -876,9 +816,13 @@ mod tests {
         let s = Subspace::from_dims([1]).unwrap();
         mgr.add_subspace(s);
         mgr.replay_into(&s, [(1, &p), (2, &p)]).unwrap();
-        let base = mgr.grid().base_coords(&p).unwrap();
-        let pcs = mgr.pcs(2, &base, &s).unwrap();
-        assert!(pcs.rd > 0.0, "replayed store must not look empty");
+        // The next point finds the replayed points in its cell.
+        let mut sink = Vec::new();
+        mgr.update_and_query(3, &p, &mut sink).unwrap();
+        assert!(
+            sink[0].occupancy > 2.0,
+            "replayed store must not look empty"
+        );
         // Unknown subspace errors.
         let other = Subspace::from_dims([0]).unwrap();
         assert!(mgr.replay_into(&other, []).is_err());
@@ -887,13 +831,19 @@ mod tests {
     #[test]
     fn late_added_subspace_starts_empty() {
         let mut mgr = manager(2, 4);
-        mgr.update(0, &DataPoint::new(vec![0.5, 0.5])).unwrap();
+        let early = Subspace::from_dims([0]).unwrap();
+        mgr.add_subspace(early);
+        let p = DataPoint::new(vec![0.5, 0.5]);
+        mgr.update(0, &p).unwrap();
         let s = Subspace::from_dims([1]).unwrap();
         mgr.add_subspace(s);
-        let p = DataPoint::new(vec![0.5, 0.5]);
-        let base = mgr.grid().base_coords(&p).unwrap();
-        // The store was added after the first point: its cells are empty.
-        assert_eq!(mgr.pcs(0, &base, &s).unwrap(), Pcs::EMPTY);
+        // The store was added after the first point: the second point is
+        // the first its cell holds, while the early store holds both.
+        let mut sink = Vec::new();
+        mgr.update_and_query(0, &p, &mut sink).unwrap();
+        assert_eq!(sink[0].occupancy, 2.0);
+        assert_eq!(sink[1].occupancy, 1.0);
+        assert_eq!(sink[1].pcs.irsd, 0.0);
     }
 
     #[test]

@@ -138,17 +138,6 @@ impl SlotIndex {
         }
     }
 
-    fn get(&self, key: CellKey) -> Option<usize> {
-        match self {
-            SlotIndex::Dense(table) => usize::try_from(key.0)
-                .ok()
-                .and_then(|k| table.get(k))
-                .filter(|&&slot| slot != VACANT)
-                .map(|&slot| slot as usize),
-            SlotIndex::Hashed(map) => map.get(&key).map(|&slot| slot as usize),
-        }
-    }
-
     /// Points `key` (which must be indexed, or in range and vacant) at
     /// `slot`; `None` unindexes it.
     fn set(&mut self, key: CellKey, slot: Option<usize>) {
@@ -353,8 +342,9 @@ impl ProjectedStore {
     /// Folds a run of points into their projected cells and hands every
     /// touched cell to `on_touch` as `(store, i, touch)` right after point
     /// `i` went in, before the next one does. This is the touch kernel of
-    /// every ingest path: the batch loop passes a run, the per-point loop
-    /// and [`ProjectedStore::update_and_screen`] a run of one. `weights`
+    /// every ingest path: the manager's loop passes a run (a single point
+    /// as a run of one), [`ProjectedStore::update_and_screen`] a run of
+    /// one. `weights`
     /// supplies the renormalization factors and must reach the run's last
     /// tick to serve them all from the table.
     ///
@@ -483,11 +473,26 @@ impl ProjectedStore {
     }
 
     /// IRSD of the cell a touch of **this** store just reported (valid
-    /// until the store is next mutated).
+    /// until the store is next mutated): the uniform cell's σ over the
+    /// cell's own, from the cell's count and moment stripe.
+    ///
+    /// Cells holding less than two points of decayed weight report
+    /// `irsd = 0`: with at most one (weighted) occupant, dispersion carries
+    /// no evidence of structure, and the cell is maximally sparse — this is
+    /// what lets a lone projected outlier satisfy the paper's
+    /// "small RD *and* small IRSD" rule.
     #[inline]
     pub fn irsd_of(&self, touch: &CellTouch) -> f64 {
+        if touch.occupancy < 2.0 {
+            return 0.0;
+        }
         let slot = touch.slot as usize;
-        self.irsd_slot(touch.occupancy, self.d[slot], self.stripe(slot))
+        match sigma_of(self.d[slot], self.stripe(slot)) {
+            Some(sigma) if sigma > f64::EPSILON => self.uniform_sigma / sigma,
+            // All mass on one spot (σ=0): a maximally concentrated
+            // micro-cluster, the opposite of scattered sparsity.
+            _ => f64::MAX,
+        }
     }
 
     /// The full PCS pair of a touched cell.
@@ -499,57 +504,13 @@ impl ProjectedStore {
         }
     }
 
-    /// PCS of the projected cell containing `base`, renormalized to `now`.
-    /// `total` is the stream's global decayed weight at `now`. (Query-only
-    /// path, factor straight from the model; the detection hot path uses
-    /// [`ProjectedStore::update_and_screen`].)
-    pub fn pcs(&self, grid: &Grid, model: &TimeModel, now: u64, base: &[u16], total: f64) -> Pcs {
-        let key = grid.project_key(base, &self.subspace);
-        match self.index.get(key) {
-            None => Pcs::EMPTY,
-            Some(slot) => {
-                let d_now = self.d[slot] * model.decay_between(self.last_tick[slot], now);
-                // σ must come from the *stored* count alongside the stored
-                // moments — mixing the renormalized count with undecayed
-                // LS/SS sums would inflate the means and corrupt IRSD for
-                // any cell queried after its last update. σ is
-                // decay-invariant, so the stored triple is exact.
-                Pcs {
-                    rd: self.rd_of(d_now, total),
-                    irsd: self.irsd_slot(d_now, self.d[slot], self.stripe(slot)),
-                }
-            }
-        }
-    }
-
-    /// RD of a cell holding `d_now` decayed weight at the query tick.
+    /// RD of a cell holding `d` decayed weight.
     #[inline]
-    fn rd_of(&self, d_now: f64, total: f64) -> f64 {
+    fn rd_of(&self, d: f64, total: f64) -> f64 {
         if total > f64::EPSILON {
-            d_now * self.cell_count / total
+            d * self.cell_count / total
         } else {
             0.0
-        }
-    }
-
-    /// IRSD from a cell's decayed count (`d_now`, renormalized to the
-    /// query tick) and its stored count + moment stripe (`d_stored`,
-    /// self-consistent with `moments`).
-    ///
-    /// Cells holding less than two points of decayed weight report
-    /// `irsd = 0`: with at most one (weighted) occupant, dispersion carries
-    /// no evidence of structure, and the cell is maximally sparse — this is
-    /// what lets a lone projected outlier satisfy the paper's
-    /// "small RD *and* small IRSD" rule.
-    fn irsd_slot(&self, d_now: f64, d_stored: f64, moments: &[f64]) -> f64 {
-        if d_now < 2.0 {
-            return 0.0;
-        }
-        match sigma_of(d_stored, moments) {
-            Some(sigma) if sigma > f64::EPSILON => self.uniform_sigma / sigma,
-            // All mass on one spot (σ=0): a maximally concentrated
-            // micro-cluster, the opposite of scattered sparsity.
-            _ => f64::MAX,
         }
     }
 
@@ -708,10 +669,19 @@ mod tests {
     }
 
     /// Folds `p` in with every factor taken from the model (an empty
-    /// table), discarding the screen.
-    fn update(store: &mut ProjectedStore, grid: &Grid, tm: &TimeModel, now: u64, p: &DataPoint) {
+    /// table), against the global weight `total`; returns the touched
+    /// cell's PCS.
+    fn update(
+        store: &mut ProjectedStore,
+        grid: &Grid,
+        tm: &TimeModel,
+        now: u64,
+        p: &DataPoint,
+        total: f64,
+    ) -> Pcs {
         let base = grid.base_coords(p).unwrap();
-        store.update_and_screen(grid, &WeightCache::new(*tm), now, &base, p, 1.0);
+        let touch = store.update_and_screen(grid, &WeightCache::new(*tm), now, &base, p, total);
+        store.pcs_of(&touch)
     }
 
     #[test]
@@ -721,9 +691,23 @@ mod tests {
         let (grid, tm) = setup(2, 4);
         let s = Subspace::from_dims([0, 1]).unwrap();
         let mut store = ProjectedStore::new(&grid, s);
-        update(&mut store, &grid, &tm, 10, &DataPoint::new(vec![0.1, 0.1]));
+        update(
+            &mut store,
+            &grid,
+            &tm,
+            10,
+            &DataPoint::new(vec![0.1, 0.1]),
+            1.0,
+        );
         for _ in 0..5 {
-            update(&mut store, &grid, &tm, 100, &DataPoint::new(vec![0.9, 0.9]));
+            update(
+                &mut store,
+                &grid,
+                &tm,
+                100,
+                &DataPoint::new(vec![0.9, 0.9]),
+                1.0,
+            );
         }
         // Inside the horizon: screened out, nothing touched.
         assert_eq!(store.prune(&WeightCache::new(tm), 120, 1e-3), 0);
@@ -743,19 +727,14 @@ mod tests {
     #[test]
     fn rd_is_one_for_uniform_occupancy() {
         // 2 dims, m=2 → 4 projected cells in the 2-dim subspace. Put one
-        // point in each cell: RD of every cell must be 1.
+        // point in each cell against a total of 4: RD of every cell must
+        // be 1.
         let (grid, tm) = setup(2, 2);
         let s = Subspace::from_dims([0, 1]).unwrap();
         let mut store = ProjectedStore::new(&grid, s);
         let pts = [[0.25, 0.25], [0.25, 0.75], [0.75, 0.25], [0.75, 0.75]];
         for v in &pts {
-            update(&mut store, &grid, &tm, 0, &DataPoint::new(v.to_vec()));
-        }
-        let total = 4.0;
-        for v in &pts {
-            let p = DataPoint::new(v.to_vec());
-            let base = grid.base_coords(&p).unwrap();
-            let pcs = store.pcs(&grid, &tm, 0, &base, total);
+            let pcs = update(&mut store, &grid, &tm, 0, &DataPoint::new(v.to_vec()), 4.0);
             assert!((pcs.rd - 1.0).abs() < 1e-9, "rd={}", pcs.rd);
         }
     }
@@ -767,52 +746,21 @@ mod tests {
         let mut store = ProjectedStore::new(&grid, s);
         // 99 points in interval 0 of dim 0, 1 point in interval 3.
         for i in 0..99 {
-            update(
-                &mut store,
-                &grid,
-                &tm,
-                0,
-                &DataPoint::new(vec![0.1, (i % 10) as f64 / 10.0]),
-            );
+            let p = DataPoint::new(vec![0.1, (i % 10) as f64 / 10.0]);
+            update(&mut store, &grid, &tm, 0, &p, (i + 1) as f64);
         }
-        let lone = DataPoint::new(vec![0.9, 0.5]);
-        update(&mut store, &grid, &tm, 0, &lone);
-        let total = 100.0;
-        let base = grid.base_coords(&lone).unwrap();
-        let sparse = store.pcs(&grid, &tm, 0, &base, total);
+        let sparse = update(
+            &mut store,
+            &grid,
+            &tm,
+            0,
+            &DataPoint::new(vec![0.9, 0.5]),
+            100.0,
+        );
         assert!(sparse.rd < 0.1, "rd={}", sparse.rd);
         let crowded = DataPoint::new(vec![0.1, 0.5]);
-        let base = grid.base_coords(&crowded).unwrap();
-        let dense = store.pcs(&grid, &tm, 0, &base, total);
+        let dense = update(&mut store, &grid, &tm, 0, &crowded, 101.0);
         assert!(dense.rd > 1.0, "rd={}", dense.rd);
-    }
-
-    #[test]
-    fn fused_update_matches_separate_query() {
-        let (grid, tm) = setup(3, 8);
-        let s = Subspace::from_dims([0, 2]).unwrap();
-        let weights = WeightCache::new(tm);
-        let mut fused = ProjectedStore::new(&grid, s);
-        let mut split = ProjectedStore::new(&grid, s);
-        let pts: Vec<DataPoint> = (0..200)
-            .map(|i| {
-                DataPoint::new(vec![
-                    (i % 13) as f64 / 13.0,
-                    0.5,
-                    ((i * 7) % 11) as f64 / 11.0,
-                ])
-            })
-            .collect();
-        for (i, p) in pts.iter().enumerate() {
-            let now = i as u64;
-            let total = (i + 1) as f64;
-            let base = grid.base_coords(p).unwrap();
-            let touch = fused.update_and_screen(&grid, &weights, now, &base, p, total);
-            update(&mut split, &grid, &tm, now, p);
-            let pcs_split = split.pcs(&grid, &tm, now, &base, total);
-            assert_eq!(fused.pcs_of(&touch), pcs_split, "point {i}");
-            assert!(touch.occupancy > 0.0);
-        }
     }
 
     #[test]
@@ -860,12 +808,19 @@ mod tests {
 
     #[test]
     fn empty_cell_yields_empty_pcs() {
+        // A store starts with no cells, and a touch of an empty cell reads
+        // it holding exactly the point: occupancy 1, RD 1·m^|s|/W, and the
+        // IRSD of an empty cell.
         let (grid, tm) = setup(2, 4);
         let s = Subspace::from_dims([0, 1]).unwrap();
-        let store = ProjectedStore::new(&grid, s);
+        let mut store = ProjectedStore::new(&grid, s);
+        assert!(store.is_empty());
         let p = DataPoint::new(vec![0.5, 0.5]);
         let base = grid.base_coords(&p).unwrap();
-        assert_eq!(store.pcs(&grid, &tm, 0, &base, 10.0), Pcs::EMPTY);
+        let touch = store.update_and_screen(&grid, &WeightCache::new(tm), 0, &base, &p, 10.0);
+        assert_eq!(touch.occupancy, 1.0);
+        assert_eq!(store.pcs_of(&touch).rd, 16.0 / 10.0);
+        assert_eq!(store.pcs_of(&touch).irsd, Pcs::EMPTY.irsd);
     }
 
     #[test]
@@ -873,22 +828,28 @@ mod tests {
         let (grid, tm) = setup(1, 2);
         let s = Subspace::from_dims([0]).unwrap();
 
-        // Tight cluster inside interval 0 ([0, 0.5)).
+        // Tight cluster inside interval 0 ([0, 0.5)); the last touch reads
+        // the cell with all 50 points in.
         let mut tight = ProjectedStore::new(&grid, s);
+        let mut t = Pcs::EMPTY;
         for i in 0..50 {
             let v = 0.25 + (i as f64 - 25.0) * 1e-4;
-            update(&mut tight, &grid, &tm, 0, &DataPoint::new(vec![v]));
+            t = update(&mut tight, &grid, &tm, 0, &DataPoint::new(vec![v]), 50.0);
         }
         // Scattered across the full interval.
         let mut scattered = ProjectedStore::new(&grid, s);
+        let mut sc = Pcs::EMPTY;
         for i in 0..50 {
             let v = 0.5 * (i as f64 + 0.5) / 50.0;
-            update(&mut scattered, &grid, &tm, 0, &DataPoint::new(vec![v]));
+            sc = update(
+                &mut scattered,
+                &grid,
+                &tm,
+                0,
+                &DataPoint::new(vec![v]),
+                50.0,
+            );
         }
-        let probe = DataPoint::new(vec![0.25]);
-        let base = grid.base_coords(&probe).unwrap();
-        let t = tight.pcs(&grid, &tm, 0, &base, 50.0);
-        let sc = scattered.pcs(&grid, &tm, 0, &base, 50.0);
         assert!(
             t.irsd > sc.irsd,
             "tight {} vs scattered {}",
@@ -904,9 +865,7 @@ mod tests {
         let (grid, tm) = setup(1, 2);
         let s = Subspace::from_dims([0]).unwrap();
         let mut store = ProjectedStore::new(&grid, s);
-        update(&mut store, &grid, &tm, 0, &DataPoint::new(vec![0.3]));
-        let base = grid.base_coords(&DataPoint::new(vec![0.3])).unwrap();
-        let pcs = store.pcs(&grid, &tm, 0, &base, 100.0);
+        let pcs = update(&mut store, &grid, &tm, 0, &DataPoint::new(vec![0.3]), 100.0);
         assert_eq!(pcs.irsd, 0.0, "lone occupant must read as sparse");
         assert!(pcs.rd < 0.1);
     }
@@ -916,44 +875,11 @@ mod tests {
         let (grid, tm) = setup(1, 2);
         let s = Subspace::from_dims([0]).unwrap();
         let mut store = ProjectedStore::new(&grid, s);
+        let mut pcs = Pcs::EMPTY;
         for _ in 0..5 {
-            update(&mut store, &grid, &tm, 0, &DataPoint::new(vec![0.3]));
+            pcs = update(&mut store, &grid, &tm, 0, &DataPoint::new(vec![0.3]), 5.0);
         }
-        let base = grid.base_coords(&DataPoint::new(vec![0.3])).unwrap();
-        let pcs = store.pcs(&grid, &tm, 0, &base, 5.0);
         assert_eq!(pcs.irsd, f64::MAX);
-    }
-
-    #[test]
-    fn stale_query_keeps_irsd_invariant() {
-        // σ (and hence IRSD) is derived from the self-consistent stored
-        // D/LS/SS triple, so querying a cell long after its last update
-        // must decay RD but leave IRSD exactly where it was — regression
-        // guard against mixing the renormalized count with undecayed
-        // moment sums (which drove σ→0 and IRSD→f64::MAX).
-        let (grid, tm) = setup(1, 2);
-        let s = Subspace::from_dims([0]).unwrap();
-        let mut store = ProjectedStore::new(&grid, s);
-        for i in 0..100 {
-            let v = 0.5 * (i as f64 + 0.5) / 100.0; // spread over interval 0
-            update(&mut store, &grid, &tm, 0, &DataPoint::new(vec![v]));
-        }
-        let base = grid.base_coords(&DataPoint::new(vec![0.25])).unwrap();
-        let fresh = store.pcs(&grid, &tm, 0, &base, 100.0);
-        let stale = store.pcs(&grid, &tm, 32, &base, 100.0);
-        assert!(fresh.irsd.is_finite() && fresh.irsd > 0.0);
-        assert_eq!(
-            stale.irsd.to_bits(),
-            fresh.irsd.to_bits(),
-            "IRSD must be query-tick-invariant: fresh={} stale={}",
-            fresh.irsd,
-            stale.irsd
-        );
-        assert!(stale.rd < fresh.rd, "RD must decay with the cell count");
-        // Once the decayed occupancy drops below 2, the cell reads as
-        // maximally sparse again (matching the seed's d<2 rule).
-        let ancient = store.pcs(&grid, &tm, 100 * 6, &base, 100.0);
-        assert_eq!(ancient.irsd, 0.0);
     }
 
     #[test]
@@ -961,8 +887,8 @@ mod tests {
         let (grid, tm) = setup(1, 4);
         let s = Subspace::from_dims([0]).unwrap();
         let mut store = ProjectedStore::new(&grid, s);
-        update(&mut store, &grid, &tm, 0, &DataPoint::new(vec![0.1]));
-        update(&mut store, &grid, &tm, 0, &DataPoint::new(vec![0.9]));
+        update(&mut store, &grid, &tm, 0, &DataPoint::new(vec![0.1]), 1.0);
+        update(&mut store, &grid, &tm, 0, &DataPoint::new(vec![0.9]), 2.0);
         assert_eq!(store.len(), 2);
         // After many omega windows both cells hold ~nothing.
         let evicted = store.prune(&WeightCache::new(tm), 100 * 20, 1e-6);
@@ -975,7 +901,14 @@ mod tests {
         let (grid, tm) = setup(1, 4);
         let s = Subspace::from_dims([0]).unwrap();
         let mut store = ProjectedStore::new(&grid, s);
-        update(&mut store, &grid, &tm, 1000, &DataPoint::new(vec![0.1]));
+        update(
+            &mut store,
+            &grid,
+            &tm,
+            1000,
+            &DataPoint::new(vec![0.1]),
+            1.0,
+        );
         assert_eq!(store.prune(&WeightCache::new(tm), 1000, 0.5), 0);
         assert_eq!(store.len(), 1);
     }
@@ -987,31 +920,29 @@ mod tests {
         let mut store = ProjectedStore::new(&grid, s);
         // Four old cells, then refresh two of them much later.
         for i in 0..4 {
-            update(
-                &mut store,
-                &grid,
-                &tm,
-                0,
-                &DataPoint::new(vec![i as f64 / 8.0 + 0.01]),
-            );
+            let p = DataPoint::new(vec![i as f64 / 8.0 + 0.01]);
+            update(&mut store, &grid, &tm, 0, &p, 1.0);
         }
         let now = 5000;
         let fresh = [0.01, 0.26];
         for v in fresh {
-            update(&mut store, &grid, &tm, now, &DataPoint::new(vec![v]));
+            update(&mut store, &grid, &tm, now, &DataPoint::new(vec![v]), 1.0);
         }
         let evicted = store.prune(&WeightCache::new(tm), now, 0.5);
         assert_eq!(evicted, 2);
         assert_eq!(store.len(), 2);
+        // Each survivor is found again: the next point joins its cell
+        // instead of opening a new one.
         for v in fresh {
-            let base = grid.base_coords(&DataPoint::new(vec![v])).unwrap();
-            let pcs = store.pcs(&grid, &tm, now, &base, 2.0);
-            assert!(pcs.rd > 0.0, "survivor at {v} lost its cell");
+            let p = DataPoint::new(vec![v]);
+            let base = grid.base_coords(&p).unwrap();
+            let touch = store.update_and_screen(&grid, &WeightCache::new(tm), now, &base, &p, 2.0);
+            assert_eq!(touch.occupancy, 2.0, "survivor at {v} lost its cell");
         }
+        assert_eq!(store.len(), 2);
         // Index stays consistent with the compacted columns.
-        for (key, cell) in store.iter() {
+        for (_, cell) in store.iter() {
             assert!(cell.count_at(&tm, now) >= 0.5);
-            let _ = key;
         }
     }
 
@@ -1021,7 +952,7 @@ mod tests {
         let s = Subspace::from_dims([0]).unwrap();
         let mut store = ProjectedStore::new(&grid, s);
         let p = DataPoint::new(vec![0.25]);
-        update(&mut store, &grid, &tm, 0, &p);
+        update(&mut store, &grid, &tm, 0, &p, 1.0);
         let (_, cell) = store.iter().next().unwrap();
         let at_omega = cell.count_at(&tm, 100);
         assert!((at_omega - 0.01).abs() < 1e-6); // epsilon at omega

@@ -135,11 +135,13 @@ impl CellConsumer for RdSum {
 fn steady_state_points_allocate_nothing_on_the_per_point_path() {
     let mut mgr = manager();
     let points: Vec<DataPoint> = (0..WARM_UP + MEASURED).map(point_at).collect();
-    let mut rd = 0.0;
+    let mut consumer = RdSum::default();
     let mut evicted = 0;
+    // A point is a run of one.
     let mut run = |mgr: &mut SynopsisManager, ticks: std::ops::Range<u64>| {
         for now in ticks {
-            mgr.update_and_screen(now, &points[now as usize], |_, _, touch| rd += touch.rd)
+            let point = std::slice::from_ref(&points[now as usize]);
+            mgr.update_and_screen_batch(now, point, &mut consumer)
                 .unwrap();
             if (now + 1).is_multiple_of(PRUNE_EVERY) {
                 evicted += mgr.prune(now, FLOOR);
@@ -152,7 +154,7 @@ fn steady_state_points_allocate_nothing_on_the_per_point_path() {
     let (allocations, bytes) = counted(|| run(&mut mgr, WARM_UP..WARM_UP + MEASURED));
     assert_eq!(mgr.live_cells(), cells, "the measured stretch opened cells");
     assert_eq!(evicted, 0);
-    assert!(rd > 0.0);
+    assert!(consumer.0 > 0.0);
     assert_eq!(
         (allocations, bytes),
         (0, 0),

@@ -38,13 +38,17 @@ fn roundtrip_and_check(mgr: &SynopsisManager, now: u64, probes: &[DataPoint]) {
         mgr.total_weight(now).to_bits(),
         restored.total_weight(now).to_bits()
     );
-    for p in probes {
-        let base = mgr.grid().base_coords(p).unwrap();
-        for s in mgr.subspaces() {
-            let a = mgr.pcs(now, &base, &s).unwrap();
-            let b = restored.pcs(now, &base, &s).unwrap();
-            assert_eq!(a.rd.to_bits(), b.rd.to_bits(), "rd in {s}");
-            assert_eq!(a.irsd.to_bits(), b.irsd.to_bits(), "irsd in {s}");
+    // Both read every probe alike: the probes go on as the next points,
+    // into copies, and every store's PCS is compared.
+    let (mut a, mut b) = (mgr.clone(), restored.clone());
+    let (mut sink_a, mut sink_b) = (Vec::new(), Vec::new());
+    for (i, p) in probes.iter().enumerate() {
+        a.update_and_query(now + i as u64, p, &mut sink_a).unwrap();
+        b.update_and_query(now + i as u64, p, &mut sink_b).unwrap();
+        for (x, y) in sink_a.iter().zip(&sink_b) {
+            let s = x.subspace;
+            assert_eq!(x.pcs.rd.to_bits(), y.pcs.rd.to_bits(), "rd in {s}");
+            assert_eq!(x.pcs.irsd.to_bits(), y.pcs.irsd.to_bits(), "irsd in {s}");
         }
     }
 
@@ -289,9 +293,9 @@ fn hostile_key_columns_are_typed_errors_not_panics() {
         );
         // The refused column left the store as it was, index included.
         assert_eq!(store.len(), 1);
-        assert!(store.pcs(&grid, &model, 1, &base, 1.0).rd > 0.0);
-        store.update_and_screen(&grid, &weights, 2, &base, &p, 2.0);
+        let touch = store.update_and_screen(&grid, &weights, 2, &base, &p, 2.0);
         assert_eq!(store.len(), 1, "the cell is still found by its key");
+        assert!(touch.occupancy > 1.0);
     }
 
     // The same columns are fine where the keys are in range and distinct.
