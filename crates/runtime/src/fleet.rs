@@ -816,7 +816,6 @@ impl SpotFleet {
             return self.run_guarded(id, &tenant, points);
         };
         points.iter().try_for_each(|p| tenant.admit(p))?;
-        let faults = self.injector();
         let _admission = tenant.inlet.admission();
         // A revive or restore may have swapped the detector while this
         // caller waited: the points go to the one registered now.
@@ -826,7 +825,7 @@ impl SpotFleet {
         };
         self.gate(id, &tenant)?;
         for point in points {
-            wal.append(id, point, faults.as_deref())?;
+            wal.append(id, point)?;
         }
         self.run_guarded(id, &tenant, points)
     }
@@ -873,7 +872,7 @@ impl SpotFleet {
             admission = inlet.wait_for_room(admission).ok_or_else(closed)?;
         }
         if let Some(wal) = self.wal() {
-            wal.append(id, &point, self.injector().as_deref())?;
+            wal.append(id, &point)?;
         }
         inlet.push(point);
         drop(admission);
@@ -1142,16 +1141,10 @@ impl SpotFleet {
             wal.sync()?;
         }
         let generation = store.save(&cp)?;
-        let Some(wal) = self.wal() else {
-            return Ok(generation);
-        };
-        if self.injector().is_some_and(|i| i.take_prune_crash()) {
-            // The crash lands after the rename made the checkpoint
-            // reachable but before any pruning: recovery must tolerate a
-            // WAL that still holds records from *before* the watermark.
-            wal.kill("injected crash between checkpoint save and WAL prune");
-        } else if wal.prune(cp.wal_positions()).is_err() {
-            self.inner.prune_failures.fetch_add(1, Ordering::Relaxed);
+        if let Some(wal) = self.wal() {
+            if wal.prune(cp.wal_positions()).is_err() {
+                self.inner.prune_failures.fetch_add(1, Ordering::Relaxed);
+            }
         }
         Ok(generation)
     }

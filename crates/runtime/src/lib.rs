@@ -57,10 +57,10 @@
 //!   generation as a full checkpoint in a checksum-sealed binary
 //!   container, atomically (tmp + fsync + rename + directory fsync), and
 //!   recovers from the newest *valid* retained generation.
-//! * **Deterministic fault injection** — a [`FaultPlan`] scripts panics,
-//!   recovery failures and WAL crashes (kill after append, torn write,
-//!   failed fsync, mid-rotation, between checkpoint and prune) at exact
-//!   ordinals, so chaos tests replay bit-identically.
+//! * **Deterministic fault injection** — a [`FaultPlan`] scripts panics
+//!   and recovery failures at exact ordinals, so chaos tests replay
+//!   bit-identically. A WAL crash is bytes at rest, not execution order:
+//!   the crash suite builds each crash state from a clean run's files.
 //!   See `docs/robustness.md`.
 //!
 //! **Durability.** [`SpotFleet::enable_wal`] arms the fleet's segmented

@@ -69,9 +69,9 @@ fn both_logs_write_the_bytes_they_always_wrote() {
         for i in 0..6u64 {
             let x = i as f64 * 0.1;
             let pa = DataPoint::new(vec![x, -0.0, f64::MIN_POSITIVE / 2.0]);
-            wal.append(&a, &pa, None).unwrap();
+            wal.append(&a, &pa).unwrap();
             let pb = DataPoint::new(vec![1.0 - x, f64::INFINITY, 3.5]);
-            wal.append(&b, &pb, None).unwrap();
+            wal.append(&b, &pb).unwrap();
         }
         wal.evict(&b).unwrap();
         assert_eq!(wal.segment_count(), 2, "exactly one rotation");
@@ -212,7 +212,7 @@ impl Log {
                 let (wal, _) = FleetWal::open(dir, tuning, |_| false)?;
                 wal.attach(&tid("a"), 0)?;
                 for i in ids {
-                    wal.append(&tid("a"), &DataPoint::new(vec![i as f64]), None)?;
+                    wal.append(&tid("a"), &DataPoint::new(vec![i as f64]))?;
                 }
             }
             Log::Archive => {

@@ -10,9 +10,9 @@
 //!
 //! The segment log under it is [`spot_types::framed`] (segment files,
 //! frames, torn tails, rotation, sync); its payloads live in
-//! [`spot_stream::wal`], shared with the offline
-//! [`spot_stream::WalSource`]. This module owns the writer, [`FleetWal`]:
-//! its stream table, its sync cadence, holds, pruning and fault injection.
+//! [`spot_stream::wal`], beside the log's one reader,
+//! [`spot_stream::wal::read_wal_from`]. This module owns the writer,
+//! [`FleetWal`]: its stream table, its sync cadence, holds and pruning.
 //!
 //! * **One log, one stream per tenant.** Every tenant appends to the same
 //!   segment file; a record carries its tenant and that tenant's own
@@ -27,24 +27,25 @@
 //! * **Rotation & pruning.** Segments rotate at [`WalTuning`]'s
 //!   `segment_bytes`; a durable checkpoint deletes the sealed segments
 //!   whose records all lie behind their tenant's watermark.
-//! * **Deterministic crash injection.** [`crate::FaultPlan`]'s WAL hooks
-//!   damage the files exactly as a real crash would, then kill the writer
-//!   — for every tenant, as a process death would.
+//!
+//! The writer has no crash mode: what a crash leaves is bytes at rest (a
+//! torn final frame, an unsynced tail gone, a half-written next segment,
+//! segments a checkpoint did not get to prune), and the crash suite
+//! (`crates/runtime/tests/wal_recovery.rs`) builds each from a clean run's
+//! files before it recovers.
 //!
 //! See `docs/persistence.md` § "The ingestion WAL".
 //!
 //! [`SpotFleet::enable_wal`]: crate::SpotFleet::enable_wal
 //! [`SpotFleet::recover`]: crate::SpotFleet::recover
 
-use crate::faults::{FaultInjector, WalFault};
 use spot_stream::wal::{
     encode_attach, encode_evict, encode_record, encode_table, scan_wal_dir, StreamAnchor, WalScan,
-    WAL_LOG, WAL_MAGIC,
+    WAL_LOG,
 };
 use spot_types::framed::{io_err, SegmentWriter};
 use spot_types::{DataPoint, FxHashMap, Result, SpotError, TenantId};
 use std::collections::HashMap;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -109,7 +110,8 @@ pub struct FleetRecovery {
     /// Tenants with a stream in the log but none in the restored
     /// checkpoint, sorted. Their records stay and pin their segments — a
     /// detector cannot be rebuilt without its configuration; re-register
-    /// the tenant and replay via [`spot_stream::WalSource`] manually.
+    /// the tenant and replay its records, read with
+    /// [`spot_stream::wal::read_wal_from`], manually.
     pub unclaimed: Vec<TenantId>,
     /// Stray `.ckpt.tmp` files swept by the store on open.
     pub swept_tmp: usize,
@@ -147,18 +149,6 @@ struct Writer {
     sealed: Vec<(u64, Vec<(u64, u64)>)>,
     /// The last stream epoch handed out.
     epochs: u64,
-    /// `Some(reason)` after an injected crash: the simulated process is
-    /// dead and every further write fails.
-    dead: Option<String>,
-}
-
-impl Writer {
-    fn alive(&self) -> Result<()> {
-        match &self.dead {
-            Some(reason) => Err(SpotError::Io(format!("wal writer is dead: {reason}"))),
-            None => Ok(()),
-        }
-    }
 }
 
 /// The fleet's write-ahead log: one directory of segment files every
@@ -226,7 +216,6 @@ impl FleetWal {
             streams: streams.collect(),
             sealed,
             epochs: epochs.unwrap_or(0),
-            dead: None,
             log,
         };
         let wal = FleetWal {
@@ -279,7 +268,6 @@ impl FleetWal {
         if let Some(s) = w.streams.get(tenant) {
             return Ok(s.base);
         }
-        w.alive()?;
         let anchor = StreamAnchor {
             tenant: tenant.clone(),
             base_processed: base_if_fresh,
@@ -287,7 +275,7 @@ impl FleetWal {
         };
         w.frame.clear();
         encode_attach(&anchor, &mut w.frame)?;
-        self.write_control(w, tenant)?;
+        self.write_control(w)?;
         // The frame is in the file: the stream opens even if the sync
         // fails, so a retried attach resumes it instead of writing a second
         // attach the scan would reject.
@@ -314,10 +302,9 @@ impl FleetWal {
         if !w.streams.contains_key(tenant) {
             return Ok(());
         }
-        w.alive()?;
         w.frame.clear();
         encode_evict(tenant, &mut w.frame)?;
-        self.write_control(w, tenant)?;
+        self.write_control(w)?;
         // As in `attach`: the written frame closed the stream, synced or not.
         w.streams.remove(tenant);
         self.sync_locked(w)
@@ -325,35 +312,24 @@ impl FleetWal {
 
     /// Writes the control frame in `w.frame`, rotating first when due. The
     /// caller updates the stream map to match before syncing.
-    fn write_control(&self, w: &mut Writer, tenant: &TenantId) -> Result<()> {
-        self.rotate_if_due(w, tenant, None)?;
+    fn write_control(&self, w: &mut Writer) -> Result<()> {
+        self.rotate_if_due(w)?;
         w.log.write(&w.frame)
     }
 
     /// Appends one record to `tenant`'s stream (rotating first when due),
     /// syncs once a tenant reaches `sync_every`, and returns the record's
-    /// sequence number. The caller holds the tenant's admission lock. An injected crash
-    /// from `faults` damages the file as a real crash would, kills the
-    /// writer and returns [`SpotError::Io`]: the caller must *not* enqueue
-    /// the point.
-    pub(crate) fn append(
-        &self,
-        tenant: &TenantId,
-        point: &DataPoint,
-        faults: Option<&FaultInjector>,
-    ) -> Result<u64> {
+    /// sequence number. The caller holds the tenant's admission lock; on
+    /// an error it must *not* enqueue the point.
+    pub(crate) fn append(&self, tenant: &TenantId, point: &DataPoint) -> Result<u64> {
         let mut guard = self.lock();
         let w = &mut *guard;
-        w.alive()?;
         let Some(seq) = w.streams.get(tenant).map(|s| s.next_seq) else {
             return Err(SpotError::UnknownTenant(tenant.to_string()));
         };
         w.frame.clear();
         encode_record(tenant, seq, point, &mut w.frame)?;
-        self.rotate_if_due(w, tenant, faults)?;
-        if let Some(fault) = faults.and_then(|f| f.take_wal_fault(tenant, seq)) {
-            return Err(crash(w, fault, format!("{tenant} seq {seq}")));
-        }
+        self.rotate_if_due(w)?;
         w.log.write(&w.frame)?;
         let s = w.streams.get_mut(tenant).expect("stream checked above");
         s.next_seq += 1;
@@ -366,10 +342,10 @@ impl FleetWal {
     }
 
     /// Forces everything appended so far onto stable storage (a no-op when
-    /// nothing is pending, or on a dead writer).
+    /// nothing is pending).
     pub(crate) fn sync(&self) -> Result<()> {
         let mut w = self.lock();
-        if w.dead.is_some() || w.log.is_synced() {
+        if w.log.is_synced() {
             return Ok(());
         }
         self.sync_locked(&mut w)
@@ -385,28 +361,15 @@ impl FleetWal {
 
     /// Seals the active segment (sync) and opens the next, its header
     /// anchoring every open stream, when the frame in `w.frame` is due
-    /// ([`SegmentWriter::rotation_due`]). An injected rotation crash lands
-    /// after the seal and leaves the next header half-written, the residue
-    /// recovery drops. After a failed rotation the active segment stays
-    /// active, and unlisted.
-    fn rotate_if_due(
-        &self,
-        w: &mut Writer,
-        tenant: &TenantId,
-        faults: Option<&FaultInjector>,
-    ) -> Result<()> {
+    /// ([`SegmentWriter::rotation_due`]). After a failed rotation the
+    /// active segment stays active, and unlisted.
+    fn rotate_if_due(&self, w: &mut Writer) -> Result<()> {
         let threshold = self.tuning.segment_bytes();
         if !w.log.rotation_due(w.frame.len(), threshold) {
             return Ok(());
         }
         self.sync_locked(w)?;
-        let (sealed, next) = (w.log.number(), w.log.number() + 1);
-        if faults.is_some_and(|f| f.take_rotation_crash(tenant)) {
-            let path = WAL_LOG.path(&self.dir, next);
-            std::fs::write(&path, &WAL_MAGIC[..4]).map_err(|e| io_err("write", &path, &e))?;
-            let reason = format!("injected crash mid-rotation to segment {next}");
-            return Err(die(w, reason));
-        }
+        let sealed = w.log.number();
         let mut table: Vec<StreamAnchor> = w
             .streams
             .iter()
@@ -435,14 +398,11 @@ impl FleetWal {
     /// of a closed stream (evicted, or an earlier stream under the id)
     /// count as behind; an open stream without a watermark — unclaimed, or
     /// skipped by the capture — pins every segment holding its records.
-    /// The active segment is never deleted; a dead writer deletes nothing.
-    /// Returns the number of segments removed.
+    /// The active segment is never deleted. Returns the number of segments
+    /// removed.
     pub(crate) fn prune(&self, watermarks: &[(TenantId, u64)]) -> Result<usize> {
         let mut guard = self.lock();
         let w = &mut *guard;
-        if w.dead.is_some() {
-            return Ok(0);
-        }
         let marks: HashMap<&TenantId, u64> = watermarks.iter().map(|(t, m)| (t, *m)).collect();
         let open: HashMap<u64, Option<u64>> = w
             .streams
@@ -464,38 +424,6 @@ impl FleetWal {
         }
         Ok(deleted)
     }
-
-    /// Kills the writer (an injected crash outside the append path, e.g.
-    /// between a checkpoint and its prune).
-    pub(crate) fn kill(&self, reason: &str) {
-        let mut w = self.lock();
-        w.dead.get_or_insert_with(|| reason.to_string());
-    }
-}
-
-/// Damages the file as a crash during this append would, and kills the
-/// writer. The write and sync results are moot: the process is "dead".
-fn crash(w: &mut Writer, fault: WalFault, at: String) -> SpotError {
-    let (frame, synced) = (&w.frame[..], w.log.synced_len());
-    let file = w.log.file_mut();
-    let _ = match fault {
-        // The crash lands mid-`write`: a prefix of the frame reaches the file.
-        WalFault::TornWrite { keep_bytes } => file.write_all(&frame[..keep_bytes.min(frame.len())]),
-        // The sync fails and the process goes down with it: everything since
-        // the last successful sync — any tenant's — never reaches the disk.
-        WalFault::FailFsync => file.write_all(frame).and_then(|()| file.set_len(synced)),
-        // The record reaches stable storage; the process dies before the
-        // point is acknowledged, so recovery must replay it.
-        WalFault::KillAfterAppend => file.write_all(frame),
-    }
-    .and_then(|()| file.sync_data());
-    die(w, format!("injected {fault:?} at {at}"))
-}
-
-/// Kills the writer and builds the error the simulated crash surfaces.
-fn die(w: &mut Writer, reason: String) -> SpotError {
-    w.dead = Some(reason.clone());
-    SpotError::Io(format!("injected crash: {reason}"))
 }
 
 #[cfg(test)]
@@ -535,8 +463,8 @@ mod tests {
             assert_eq!(wal.attach(&a, 7).unwrap(), 7);
             assert_eq!(wal.attach(&b, 0).unwrap(), 0);
             for i in 0..5 {
-                assert_eq!(wal.append(&a, &pt(i as f64 * 0.1), None).unwrap(), i);
-                assert_eq!(wal.append(&b, &pt(0.5), None).unwrap(), i);
+                assert_eq!(wal.append(&a, &pt(i as f64 * 0.1)).unwrap(), i);
+                assert_eq!(wal.append(&b, &pt(0.5)).unwrap(), i);
             }
         }
         // Reopen: bases and positions survive, a resumed attach keeps the
@@ -547,7 +475,7 @@ mod tests {
             (wal.base_processed(&a), wal.position(&a)),
             (Some(7), Some(5))
         );
-        assert_eq!(wal.append(&a, &pt(0.9), None).unwrap(), 5);
+        assert_eq!(wal.append(&a, &pt(0.9)).unwrap(), 5);
         let records = read_wal_from(&dir, &a, 0).unwrap();
         assert_eq!(records.len(), 6);
         assert_eq!(records[5].0, 5);
@@ -555,7 +483,7 @@ mod tests {
         assert_eq!(read_wal_from(&dir, &b, 0).unwrap().len(), 5);
         // An unattached tenant cannot append.
         assert!(matches!(
-            wal.append(&tid("c"), &pt(0.1), None),
+            wal.append(&tid("c"), &pt(0.1)),
             Err(SpotError::UnknownTenant(_))
         ));
         let _ = std::fs::remove_dir_all(&dir);
@@ -574,9 +502,9 @@ mod tests {
         wal.attach(&a, 0).unwrap();
         wal.attach(&b, 0).unwrap();
         for i in 0..4 {
-            wal.append(&a, &pt(i as f64 * 0.2), None).unwrap();
+            wal.append(&a, &pt(i as f64 * 0.2)).unwrap();
         }
-        wal.append(&b, &pt(0.5), None).unwrap();
+        wal.append(&b, &pt(0.5)).unwrap();
         // Segments: [attach a] [attach b] [a0] [a1] [a2] [a3] [b0].
         assert_eq!(wal.segment_count(), 7);
         // b without a watermark pins nothing it has no records in; a's
@@ -597,23 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn dead_writer_rejects_appends_and_skips_prune() {
-        let dir = temp_dir("dead");
-        let a = tid("a");
-        let wal = open(&dir, WalTuning::default());
-        wal.attach(&a, 0).unwrap();
-        wal.append(&a, &pt(0.5), None).unwrap();
-        wal.kill("test crash");
-        assert!(matches!(
-            wal.append(&a, &pt(0.5), None),
-            Err(SpotError::Io(_))
-        ));
-        assert!(matches!(wal.attach(&tid("b"), 0), Err(SpotError::Io(_))));
-        assert_eq!(wal.prune(&[(a, u64::MAX)]).unwrap(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn an_evicted_stream_restarts_fresh_and_frees_its_segments() {
         let dir = temp_dir("evict");
         let tuning = WalTuning {
@@ -624,15 +535,15 @@ mod tests {
         let wal = open(&dir, tuning);
         wal.attach(&a, 3).unwrap();
         for i in 0..3 {
-            wal.append(&a, &pt(i as f64), None).unwrap();
+            wal.append(&a, &pt(i as f64)).unwrap();
         }
         wal.evict(&a).unwrap();
         assert!(matches!(
-            wal.append(&a, &pt(0.0), None),
+            wal.append(&a, &pt(0.0)),
             Err(SpotError::UnknownTenant(_))
         ));
         assert_eq!(wal.attach(&a, 50).unwrap(), 50);
-        assert_eq!(wal.append(&a, &pt(9.0), None).unwrap(), 0);
+        assert_eq!(wal.append(&a, &pt(9.0)).unwrap(), 0);
         // The first stream's records count as behind without a watermark
         // of their own; the new stream's (in the active segment) stay.
         let sealed = wal.segment_count() - 1;
@@ -657,7 +568,7 @@ mod tests {
         let wal = open(&dir, tuning);
         wal.attach(&a, 0).unwrap();
         wal.attach(&b, 0).unwrap();
-        wal.append(&b, &pt(0.5), None).unwrap();
+        wal.append(&b, &pt(0.5)).unwrap();
         // Segments: [attach a] [attach b] [b0], the last one active. A
         // directory squatting on the next segment's name makes every
         // rotation fail.
@@ -665,10 +576,7 @@ mod tests {
         let squatter = WAL_LOG.path(&dir, 4);
         std::fs::create_dir(&squatter).unwrap();
         for _ in 0..2 {
-            assert!(matches!(
-                wal.append(&a, &pt(0.1), None),
-                Err(SpotError::Io(_))
-            ));
+            assert!(matches!(wal.append(&a, &pt(0.1)), Err(SpotError::Io(_))));
         }
         assert_eq!(wal.segment_count(), 3);
         // Only the two sealed segments go: the active one is not listed,
@@ -678,7 +586,7 @@ mod tests {
         // Once rotation works again the segment is sealed once, and b's
         // record (b has no watermark) pins it.
         std::fs::remove_dir(&squatter).unwrap();
-        assert_eq!(wal.append(&a, &pt(0.1), None).unwrap(), 0);
+        assert_eq!(wal.append(&a, &pt(0.1)).unwrap(), 0);
         assert_eq!(wal.prune(&[(a.clone(), u64::MAX)]).unwrap(), 0);
         assert!(active.exists());
         drop(wal);

@@ -7,7 +7,7 @@
 
 use spot::{Spot, SpotBuilder, SpotConfig, Verdict};
 use spot_runtime::{CheckpointStore, FleetConfig, IngestOutcome, SpotFleet, WalTuning};
-use spot_stream::WalSource;
+use spot_stream::wal::read_wal_from;
 use spot_types::{DataPoint, DomainBounds, Result, SpotError, TenantId};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -411,7 +411,7 @@ fn walled_revive_processes_every_admitted_point_once() {
     assert_eq!(outcome.unwrap(), IngestOutcome::Enqueued);
     assert_eq!(replayed as usize + drained, 3);
     assert_eq!(fleet.tenant_stats(&id).unwrap().processed, base + 3);
-    assert_eq!(WalSource::open(&root, &id).unwrap().len(), 3);
+    assert_eq!(read_wal_from(&root, &id, 0).unwrap().len(), 3);
     let _ = std::fs::remove_dir_all(&root);
 }
 

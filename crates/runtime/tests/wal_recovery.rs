@@ -10,11 +10,16 @@
 //!   acknowledged point survives, the on-disk residue never panics the
 //!   recovery, and each recovered tenant's subsequent verdict stream is
 //!   bit-identical to an uncrashed detector that processed exactly its
-//!   surviving prefix.
-//! * **One sync for every tenant** — under `EveryN(n)` no tenant ever has
-//!   `n` acknowledged records behind the last sync, round-robin traffic
-//!   over `T` tenants syncs once per `T·(n − 1) + 1` records, and one
-//!   tenant's traffic once per `n`.
+//!   surviving prefix. What a crash leaves of the log is bytes at rest, so
+//!   each crash state is built from a clean run's files once the fleet is
+//!   dropped: the active segment cut back, or a half-written next segment
+//!   added, as the crash would have left them.
+//! * **One sync for every tenant** — under `sync_every: n` no tenant ever
+//!   has `n` acknowledged records behind the last sync, round-robin
+//!   traffic over `T` tenants syncs once per `T·(n − 1) + 1` records, one
+//!   tenant's traffic once per `n`, and a power cut that takes back
+//!   everything after the last sync costs each tenant at most `n − 1`
+//!   acknowledged points.
 //! * **Zero-loss self-healing** — with the WAL enabled the supervisor's
 //!   revive replays the lost window from the log, from a restore point
 //!   every pruning checkpoint moves: `points_lost == 0`, `replayed`
@@ -27,8 +32,8 @@
 //!   recovery skips, not replays.
 //! * **Isolation** — a producer blocked on one tenant's full queue, or
 //!   one tenant's revive replaying its tail, never stalls a co-tenant.
-//! * **Offline replay** — `spot_stream::WalSource` yields one tenant's
-//!   admitted points bit-exactly, in admission order.
+//! * **Offline replay** — `spot_stream::wal::read_wal_from` yields one
+//!   tenant's admitted points bit-exactly, in admission order.
 
 use proptest::prelude::*;
 use spot::{SpotBuilder, SpotConfig, Verdict};
@@ -36,7 +41,7 @@ use spot_runtime::{
     CheckpointStore, FaultPlan, FleetConfig, SpotFleet, Supervisor, SupervisorConfig, TenantId,
     WalTuning,
 };
-use spot_stream::WalSource;
+use spot_stream::wal::{read_wal_from, WAL_LOG, WAL_MAGIC};
 use spot_types::{DataPoint, DomainBounds, SpotError};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
@@ -209,25 +214,71 @@ fn round(streams: &[Vec<DataPoint>], i: usize) -> impl Iterator<Item = (usize, &
     streams.iter().map(move |s| &s[i]).enumerate()
 }
 
+// ---- crash states, built at rest ----------------------------------------
+
+/// The number of the log's active segment under `wal`: the highest.
+fn active_number(wal: &Path) -> u64 {
+    let numbers = WAL_LOG.list(wal).unwrap();
+    *numbers
+        .last()
+        .expect("a walled fleet has an active segment")
+}
+
+fn active_segment(wal: &Path) -> PathBuf {
+    WAL_LOG.path(wal, active_number(wal))
+}
+
+/// The active segment's length. Records go straight to the file
+/// descriptor, so this is every byte the writer has written to it.
+fn active_len(wal: &Path) -> u64 {
+    std::fs::metadata(active_segment(wal)).unwrap().len()
+}
+
+/// Cuts the active segment back to `len` bytes (no further than it
+/// reaches): the tail a crash kept from reaching the disk.
+fn cut_active(wal: &Path, len: u64) {
+    let file = std::fs::OpenOptions::new()
+        .write(true)
+        .open(active_segment(wal))
+        .unwrap();
+    let len = len.min(file.metadata().unwrap().len());
+    file.set_len(len).unwrap();
+}
+
+/// Adds the half-written next segment a crash mid-rotation leaves: the
+/// active one sealed, the next one's prefix cut after four bytes.
+fn add_rotation_residue(wal: &Path) {
+    let next = WAL_LOG.path(wal, active_number(wal) + 1);
+    std::fs::write(next, &WAL_MAGIC[..4]).unwrap();
+}
+
 /// Ingests round-robin over `ids` (round `i` offers `streams[t][i]` to
-/// every tenant) until an ingest fails with `SpotError::Io` — the
-/// injected crash. Returns the points acknowledged per tenant.
-fn ingest_until_crash(
+/// every tenant) through tenant `victim`'s record `seq`, and stops there.
+/// Returns the points acknowledged per tenant before the victim's record,
+/// and the length of the active segment under `wal` just before that
+/// record was appended.
+fn ingest_through(
     fleet: &SpotFleet,
+    wal: &Path,
     ids: &[TenantId],
     streams: &[Vec<DataPoint>],
-) -> Vec<usize> {
+    victim: usize,
+    seq: u64,
+) -> (Vec<usize>, u64) {
     let mut acked = vec![0usize; ids.len()];
     for i in 0..streams[0].len() {
         for (t, p) in round(streams, i) {
-            match fleet.ingest(&ids[t], p.clone()) {
-                Ok(_) => acked[t] += 1,
-                Err(SpotError::Io(_)) => return acked,
-                Err(e) => panic!("unexpected ingest error: {e}"),
+            if t == victim && i as u64 == seq {
+                let (segment, before) = (active_number(wal), active_len(wal));
+                fleet.ingest(&ids[t], p.clone()).unwrap();
+                assert_eq!(active_number(wal), segment, "the record rotated the log");
+                return (acked, before);
             }
+            fleet.ingest(&ids[t], p.clone()).unwrap();
+            acked[t] += 1;
         }
     }
-    acked
+    panic!("the streams end before {}'s record {seq}", ids[victim])
 }
 
 // ---- the headline: crash, recover, continue bit-identically ------------
@@ -385,19 +436,32 @@ fn a_point_the_detector_would_reject_never_reaches_the_log() {
 
 // ---- the kill-anywhere matrix ------------------------------------------
 
-/// How a scripted crash mutilates the log, and whether the victim's
-/// record at the crash survives it under `sync_every: 1`.
+/// How a crash during the victim's append leaves the log, and whether the
+/// victim's record survives it under `sync_every: 1`.
 #[derive(Debug, Clone, Copy)]
 enum Crash {
     /// The victim's record `kill_seq` is durable but unacknowledged: it
-    /// survives.
+    /// survives. The files stay as they are.
     KillAfterAppend,
     /// Only `keep_bytes` of the victim's record `kill_seq` reach the file:
     /// the torn tail is truncated away.
     TornWrite(usize),
     /// The fsync covering the victim's record `kill_seq` fails: the frame
-    /// is lost.
+    /// is lost, and with it everything after the last sync, which under
+    /// `sync_every: 1` is where the frame starts.
     FailFsync,
+}
+
+impl Crash {
+    /// Leaves the log under `wal` as this crash would have, the victim's
+    /// frame starting at byte `before` of the active segment.
+    fn leave_at_rest(self, wal: &Path, before: u64) {
+        match self {
+            Crash::KillAfterAppend => {}
+            Crash::TornWrite(keep_bytes) => cut_active(wal, before + keep_bytes as u64),
+            Crash::FailFsync => cut_active(wal, before),
+        }
+    }
 }
 
 /// Three tenants ingest round-robin into one log; the crash lands on
@@ -418,27 +482,10 @@ fn run_crash_case(tag: &str, victim: usize, kill_seq: u64, crash: Crash) {
     let store = CheckpointStore::open(&dir, 4).unwrap();
     fleet.checkpoint_durable(&store).unwrap();
 
-    let v = ids[victim].clone();
-    let plan = match crash {
-        Crash::KillAfterAppend => FaultPlan::new().wal_kill_after_append(v, kill_seq),
-        Crash::TornWrite(keep) => FaultPlan::new().wal_torn_write(v, kill_seq, keep),
-        Crash::FailFsync => FaultPlan::new().wal_fail_fsync(v, kill_seq),
-    };
-    fleet.arm_faults(plan);
-    let mut acked = ingest_until_crash(&fleet, &ids, &streams);
-    assert_eq!(
-        acked[victim] as u64, kill_seq,
-        "crash fired at the wrong seq"
-    );
-    // The writer is the fleet's: once dead, every tenant's append is
-    // refused — no silent data loss.
-    for id in &ids {
-        assert!(matches!(
-            fleet.ingest(id, streams[0][0].clone()),
-            Err(SpotError::Io(_))
-        ));
-    }
+    let wal = dir.join("wal");
+    let (mut acked, before) = ingest_through(&fleet, &wal, &ids, &streams, victim, kill_seq);
     drop(fleet);
+    crash.leave_at_rest(&wal, before);
 
     if matches!(crash, Crash::KillAfterAppend) {
         acked[victim] += 1;
@@ -452,7 +499,7 @@ fn run_crash_case(tag: &str, victim: usize, kill_seq: u64, crash: Crash) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Kill the writer at a record/byte of a tenant chosen by proptest;
+    /// Crash at a record/byte of a tenant chosen by proptest;
     /// recovery is always prefix-consistent for every tenant, never
     /// panics, never loses an acknowledged point. `keep_bytes` sweeps the
     /// torn write across every byte offset of a frame (a 3-dim record of
@@ -484,7 +531,8 @@ fn torn_write_at_every_byte_of_one_frame() {
 #[test]
 fn crash_mid_rotation_drops_the_torn_residue() {
     // One frame per segment: every append rotates, and the crash lands
-    // inside the header write of tenant-a's 3rd rotation.
+    // inside the header write of tenant-a's 3rd rotation, before its
+    // record 2, after every tenant sealed records 0 and 1.
     let dir = temp_dir("rotation");
     let tuning = WalTuning {
         sync_every: 1,
@@ -495,13 +543,13 @@ fn crash_mid_rotation_drops_the_torn_residue() {
     let (fleet, ids) = walled_fleet(&dir, tuning, &train, 3);
     let store = CheckpointStore::open(&dir, 4).unwrap();
     fleet.checkpoint_durable(&store).unwrap();
-    fleet.arm_faults(FaultPlan::new().wal_crash_on_rotation(ids[0].clone(), 2));
-
-    // Rotations happen before every append; tenant-a's 3rd one comes
-    // before its record 2, after every tenant sealed records 0 and 1.
-    let acked = ingest_until_crash(&fleet, &ids, &streams);
-    assert_eq!(acked, vec![2, 2, 2]);
+    for i in 0..2 {
+        for (t, p) in round(&streams, i) {
+            fleet.ingest(&ids[t], p.clone()).unwrap();
+        }
+    }
     drop(fleet);
+    add_rotation_residue(&dir.join("wal"));
     let prefixes: Vec<&[DataPoint]> = streams.iter().map(|s| &s[..2]).collect();
     assert_recovers_to_prefixes(&dir, tuning, &train, &prefixes, "rotation");
     std::fs::remove_dir_all(&dir).unwrap();
@@ -515,7 +563,7 @@ fn one_sync_covers_every_tenant_under_every_n() {
     let dir = temp_dir("cadence");
     let tuning = WalTuning {
         sync_every: N,
-        segment_bytes: 1 << 30, // no rotation: only EveryN syncs
+        segment_bytes: 1 << 30, // no rotation: only `sync_every` syncs
     };
     let train = training(120, 5);
     let (fleet, ids) = walled_fleet(&dir, tuning, &train, 3);
@@ -552,6 +600,53 @@ fn one_sync_covers_every_tenant_under_every_n() {
         fleet.pump();
     }
     assert_eq!(syncs() - start, 80 / u64::from(N));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A power cut takes back everything after the last sync. Under
+/// `sync_every: n` that costs each tenant at most `n − 1` acknowledged
+/// points, and recovery brings every tenant to exactly what survived.
+#[test]
+fn a_power_cut_costs_each_tenant_at_most_sync_every_minus_one_points() {
+    const N: u32 = 4;
+    let dir = temp_dir("power-cut");
+    let tuning = WalTuning {
+        sync_every: N,
+        segment_bytes: 1 << 30, // no rotation: only `sync_every` syncs
+    };
+    let train = training(120, 5);
+    let streams: Vec<Vec<DataPoint>> = (0..3).map(|t| stream(29, 18 + t)).collect();
+    let (fleet, ids) = walled_fleet(&dir, tuning, &train, 3);
+    let store = CheckpointStore::open(&dir, 4).unwrap();
+    fleet.checkpoint_durable(&store).unwrap();
+    let wal = dir.join("wal");
+    let syncs = || fleet.stats().wal_syncs;
+
+    // After every ingest that synced: the synced length, and each
+    // tenant's acknowledged points at that moment.
+    let (mut last, mut synced_len) = (syncs(), active_len(&wal));
+    let mut acked = [0usize; 3];
+    let mut synced = acked;
+    for i in 0..streams[0].len() {
+        for (t, p) in round(&streams, i) {
+            fleet.ingest(&ids[t], p.clone()).unwrap();
+            acked[t] += 1;
+            if syncs() > last {
+                (last, synced_len, synced) = (syncs(), active_len(&wal), acked);
+            }
+        }
+        fleet.pump();
+    }
+    drop(fleet);
+    cut_active(&wal, synced_len);
+
+    let lost: Vec<usize> = (0..3).map(|t| acked[t] - synced[t]).collect();
+    assert!(lost.iter().any(|&l| l > 0), "the cut took nothing back");
+    for (t, &l) in lost.iter().enumerate() {
+        assert!(l < N as usize, "{} lost {l} acknowledged points", ids[t]);
+    }
+    let prefixes: Vec<&[DataPoint]> = (0..3).map(|t| &streams[t][..synced[t]]).collect();
+    assert_recovers_to_prefixes(&dir, tuning, &train, &prefixes, "power cut");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -659,8 +754,7 @@ fn shared_segments_prune_at_the_slowest_watermark() {
     assert_eq!(recovery.total_replayed(), 60);
     recovered.checkpoint_durable(&store).unwrap();
     assert!(recovered.wal_segment_count().unwrap() > 1);
-    let source = WalSource::open(dir.join("wal"), &d).unwrap();
-    assert_eq!(source.len(), 30);
+    assert_eq!(read_wal_from(&dir.join("wal"), &d, 0).unwrap().len(), 30);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -682,13 +776,10 @@ fn crash_between_checkpoint_and_prune_is_recoverable() {
         fleet.pump();
     }
     let segments_before = fleet.wal_segment_count().unwrap();
-    fleet.arm_faults(FaultPlan::new().crash_before_wal_prune());
-    // The checkpoint lands on disk; the process dies before pruning.
-    fleet.checkpoint_durable(&store).unwrap();
-    assert!(matches!(
-        fleet.ingest(&ids[1], streams[1][0].clone()),
-        Err(SpotError::Io(_))
-    ));
+    // The checkpoint lands on disk; the process dies before pruning. Under
+    // `sync_every: 1` the log is synced already, so this is all of
+    // `checkpoint_durable` up to its prune.
+    store.save(&fleet.checkpoint()).unwrap();
     drop(fleet);
     // The stale prefix behind the watermark is still on disk…
     let residue = std::fs::read_dir(dir.join("wal")).unwrap().count();
@@ -1039,8 +1130,8 @@ fn recover_without_a_checkpoint_reports_unclaimed_logs() {
     assert!(recovered.is_empty());
     assert_eq!(recovery.unclaimed, ids);
     // The unclaimed stream is untouched and still replayable offline.
-    let source = WalSource::open(dir.join("wal"), &ids[0]).unwrap();
-    assert_eq!(source.len(), 10);
+    let records = read_wal_from(&dir.join("wal"), &ids[0], 0).unwrap();
+    assert_eq!(records.len(), 10);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -1091,11 +1182,11 @@ fn wal_source_replays_admitted_points_bit_exactly() {
 
     // One tenant's records, filtered out of the interleaved log.
     for (t, id) in ids.iter().enumerate() {
-        let records: Vec<_> = WalSource::open(dir.join("wal"), id).unwrap().collect();
+        let records = read_wal_from(&dir.join("wal"), id, 0).unwrap();
         assert_eq!(records.len(), streams[t].len());
-        for (i, (rec, want)) in records.iter().zip(&streams[t]).enumerate() {
-            assert_eq!(rec.seq, i as u64, "sequence gap at {i}");
-            let got_bits: Vec<u64> = rec.point.values().iter().map(|v| v.to_bits()).collect();
+        for (i, ((seq, point), want)) in records.iter().zip(&streams[t]).enumerate() {
+            assert_eq!(*seq, i as u64, "sequence gap at {i}");
+            let got_bits: Vec<u64> = point.values().iter().map(|v| v.to_bits()).collect();
             let want_bits: Vec<u64> = want.values().iter().map(|v| v.to_bits()).collect();
             assert_eq!(got_bits, want_bits, "{id} point {i} not bit-exact");
         }
@@ -1126,6 +1217,8 @@ fn enable_wal_guards_against_misuse() {
     fleet.evict(&late).unwrap();
     fleet.register(late.clone(), tenant_config(9)).unwrap();
     assert_eq!(fleet.wal_position(&late).unwrap(), Some(0));
-    assert!(WalSource::open(dir.join("wal"), &late).unwrap().is_empty());
+    assert!(read_wal_from(&dir.join("wal"), &late, 0)
+        .unwrap()
+        .is_empty());
     std::fs::remove_dir_all(&dir).unwrap();
 }

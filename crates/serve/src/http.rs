@@ -94,11 +94,7 @@ pub struct Request {
 impl Request {
     /// Case-insensitive header lookup (names are stored lower-cased).
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, &name.to_ascii_lowercase())
     }
 }
 
@@ -206,11 +202,7 @@ pub struct ClientResponse {
 impl ClientResponse {
     /// Case-insensitive header lookup.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, &name.to_ascii_lowercase())
     }
 
     /// Body as UTF-8 (lossy — bodies the plane emits are always JSON).
@@ -318,24 +310,7 @@ pub fn read_request(
 
     // Phase 2: the request clock starts with its first byte.
     let deadline = Instant::now() + budget;
-
-    // Head: read until CRLFCRLF, bounded by max_head_bytes.
-    let head_end = loop {
-        if let Some(pos) = find(carry, b"\r\n\r\n") {
-            break pos;
-        }
-        if carry.len() > limits.max_head_bytes {
-            return Err(HttpError::HeadTooLarge);
-        }
-        fill(stream, carry, deadline)?;
-    };
-    if head_end + 4 > limits.max_head_bytes {
-        return Err(HttpError::HeadTooLarge);
-    }
-
-    let head = carry[..head_end].to_vec();
-    carry.drain(..head_end + 4);
-    let head = String::from_utf8(head).map_err(|_| HttpError::Bad("non-UTF-8 request head"))?;
+    let head = read_head(stream, carry, limits, deadline, "non-UTF-8 request head")?;
     let mut lines = head.split("\r\n");
 
     // Request line.
@@ -354,37 +329,16 @@ pub fn read_request(
     let http_11 = version == "HTTP/1.1";
     let method = Method::parse(method).ok_or(HttpError::Unsupported("unsupported method"))?;
 
-    // Headers.
-    let mut headers = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        if headers.len() >= limits.max_headers {
-            return Err(HttpError::HeadTooLarge);
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or(HttpError::Bad("malformed header field"))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
-
-    let find_header = |name: &str| {
-        headers
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    };
-    if find_header("transfer-encoding").is_some() {
+    let headers = header_fields(lines, limits)?;
+    if find_header(&headers, "transfer-encoding").is_some() {
         return Err(HttpError::Unsupported("transfer-encoding not supported"));
     }
-    let keep_alive = match find_header("connection").map(str::to_ascii_lowercase) {
+    let keep_alive = match find_header(&headers, "connection").map(str::to_ascii_lowercase) {
         Some(c) if c.contains("close") => false,
         Some(c) if c.contains("keep-alive") => true,
         _ => http_11,
     };
 
-    // Body.
     let body_len = match content_length(&headers)? {
         Some(len) => len,
         None => {
@@ -394,13 +348,7 @@ pub fn read_request(
             0
         }
     };
-    if body_len > limits.max_body_bytes {
-        return Err(HttpError::BodyTooLarge);
-    }
-    while carry.len() < body_len {
-        fill(stream, carry, deadline)?;
-    }
-    let body = carry.drain(..body_len).collect();
+    let body = read_body(stream, carry, body_len, limits, deadline)?;
 
     Ok(NextRequest::Request(Request {
         method,
@@ -418,18 +366,7 @@ pub fn read_response(
     limits: &HttpLimits,
     deadline: Instant,
 ) -> Result<ClientResponse, HttpError> {
-    let head_end = loop {
-        if let Some(pos) = find(carry, b"\r\n\r\n") {
-            break pos;
-        }
-        if carry.len() > limits.max_head_bytes {
-            return Err(HttpError::HeadTooLarge);
-        }
-        fill(stream, carry, deadline)?;
-    };
-    let head = carry[..head_end].to_vec();
-    carry.drain(..head_end + 4);
-    let head = String::from_utf8(head).map_err(|_| HttpError::Bad("non-UTF-8 response head"))?;
+    let head = read_head(stream, carry, limits, deadline, "non-UTF-8 response head")?;
     let mut lines = head.split("\r\n");
 
     let status_line = lines.next().unwrap_or("");
@@ -445,11 +382,59 @@ pub fn read_response(
         .parse::<u16>()
         .map_err(|_| HttpError::Bad("malformed status code"))?;
 
-    let mut headers = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
+    let headers = header_fields(lines, limits)?;
+    let keep_alive = !matches!(
+        find_header(&headers, "connection").map(str::to_ascii_lowercase),
+        Some(c) if c.contains("close")
+    );
+    let body_len = content_length(&headers)?.unwrap_or(0);
+    let body = read_body(stream, carry, body_len, limits, deadline)?;
+
+    Ok(ClientResponse {
+        status,
+        headers,
+        body,
+        keep_alive,
+    })
+}
+
+/// Takes one message head off `carry` (its start line and header fields,
+/// without the blank line that ends it), reading from `stream` under
+/// `deadline` until that line arrives. A head past `max_head_bytes` is
+/// [`HttpError::HeadTooLarge`]; one that is not UTF-8 is
+/// [`HttpError::Bad`] saying `non_utf8`.
+fn read_head(
+    stream: &mut TcpStream,
+    carry: &mut Vec<u8>,
+    limits: &HttpLimits,
+    deadline: Instant,
+    non_utf8: &'static str,
+) -> Result<String, HttpError> {
+    let head_end = loop {
+        if let Some(pos) = find(carry, b"\r\n\r\n") {
+            break pos;
         }
+        if carry.len() > limits.max_head_bytes {
+            return Err(HttpError::HeadTooLarge);
+        }
+        fill(stream, carry, deadline)?;
+    };
+    if head_end + 4 > limits.max_head_bytes {
+        return Err(HttpError::HeadTooLarge);
+    }
+    let head = carry[..head_end].to_vec();
+    carry.drain(..head_end + 4);
+    String::from_utf8(head).map_err(|_| HttpError::Bad(non_utf8))
+}
+
+/// The header fields on the `lines` after a head's start line: names
+/// lower-cased, values trimmed, at most `max_headers` of them.
+fn header_fields<'a>(
+    lines: impl Iterator<Item = &'a str>,
+    limits: &HttpLimits,
+) -> Result<Vec<(String, String)>, HttpError> {
+    let mut headers = Vec::new();
+    for line in lines.filter(|line| !line.is_empty()) {
         if headers.len() >= limits.max_headers {
             return Err(HttpError::HeadTooLarge);
         }
@@ -458,32 +443,34 @@ pub fn read_response(
             .ok_or(HttpError::Bad("malformed header field"))?;
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
+    Ok(headers)
+}
 
-    let find_header = |name: &str| {
-        headers
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    };
-    let body_len = content_length(&headers)?.unwrap_or(0);
-    if body_len > limits.max_body_bytes {
+/// The first field named `name` (lower-case) among `headers`.
+fn find_header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers
+        .iter()
+        .find(|(n, _)| n == name)
+        .map(|(_, v)| v.as_str())
+}
+
+/// Takes a body of `len` bytes off `carry`, reading the rest from `stream`
+/// under `deadline`; a body past `max_body_bytes` is
+/// [`HttpError::BodyTooLarge`].
+fn read_body(
+    stream: &mut TcpStream,
+    carry: &mut Vec<u8>,
+    len: usize,
+    limits: &HttpLimits,
+    deadline: Instant,
+) -> Result<Vec<u8>, HttpError> {
+    if len > limits.max_body_bytes {
         return Err(HttpError::BodyTooLarge);
     }
-    let keep_alive = !matches!(
-        find_header("connection").map(str::to_ascii_lowercase),
-        Some(c) if c.contains("close")
-    );
-    while carry.len() < body_len {
+    while carry.len() < len {
         fill(stream, carry, deadline)?;
     }
-    let body = carry.drain(..body_len).collect();
-
-    Ok(ClientResponse {
-        status,
-        headers,
-        body,
-        keep_alive,
-    })
+    Ok(carry.drain(..len).collect())
 }
 
 /// The body length a message head declares: digits only (`str::parse`

@@ -5,9 +5,9 @@
 //! factors ([`time::WeightCache`] — what the synopsis hot paths read
 //! instead of calling `powi`), a logical clock, an exact sliding window kept
 //! for baseline detectors and for quantifying the approximation error of the
-//! (ω, ε) model (experiment E9), and the write-ahead-log segment codec plus
-//! offline replay source ([`wal`]) shared with the `spot-runtime` ingestion
-//! WAL.
+//! (ω, ε) model (experiment E9), and the write-ahead-log payload codec, scan
+//! and reader ([`wal`], [`wal::read_wal_from`]) under the `spot-runtime`
+//! ingestion WAL.
 
 pub mod clock;
 pub mod sample;
@@ -18,5 +18,5 @@ pub mod window;
 pub use clock::LogicalClock;
 pub use sample::{CounterRng, Reservoir};
 pub use time::{DecayedCounter, TimeModel, WeightCache};
-pub use wal::{WalScan, WalSource};
+pub use wal::WalScan;
 pub use window::ExactSlidingWindow;

@@ -1,8 +1,8 @@
 //! The ingestion WAL's schema over a segment log ([`spot_types::framed`]):
 //! the payloads of the fleet's one log (`docs/persistence.md` § "The
 //! ingestion WAL"), the scan that checks each tenant's stream continuity,
-//! and [`WalSource`], an iterator of [`StreamRecord`]s over one tenant's
-//! records.
+//! and the log's one reader, [`read_wal_from`], which returns one tenant's
+//! records from a sequence number on.
 //! The writer lives in `spot-runtime`.
 //!
 //! ```text
@@ -30,7 +30,7 @@
 
 use spot_types::framed::{self, put_frame, Scan, Schema};
 use spot_types::persist::lanes;
-use spot_types::{DataPoint, Result, SpotError, StreamRecord, TenantId};
+use spot_types::{DataPoint, Result, SpotError, TenantId};
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 
@@ -413,68 +413,6 @@ pub fn read_wal_from(
     log.map_or(Ok(Vec::new()), |log| log.into_tail(tenant, from_seq))
 }
 
-/// Offline replay of one tenant's records in a fleet WAL, as a stream
-/// source.
-///
-/// `WalSource` yields the tenant's records as [`StreamRecord`]s — the
-/// record's seq in the tenant's stream becomes the stream sequence — so
-/// any consumer of an `Iterator<Item = StreamRecord>` (the detection loop,
-/// a baseline, an audit script) can re-run a tenant's exact ingestion history with no
-/// fleet in sight, bit-exactly. It applies the standard torn-tail policy
-/// and loads the tail eagerly at `open`: checkpoint pruning bounds it.
-#[derive(Debug)]
-pub struct WalSource {
-    records: std::vec::IntoIter<(u64, DataPoint)>,
-    base_processed: u64,
-}
-
-impl WalSource {
-    /// Opens `tenant`'s stream in the log at `dir` from its oldest retained
-    /// record. No stream there (or no directory) is an empty source.
-    pub fn open(dir: impl AsRef<Path>, tenant: &TenantId) -> Result<Self> {
-        let Some(log) = tenant_log(dir.as_ref(), tenant)? else {
-            return Ok(WalSource {
-                records: Vec::new().into_iter(),
-                base_processed: 0,
-            });
-        };
-        let (base_processed, from) = (log.base_processed, log.first_seq);
-        Ok(WalSource {
-            records: log.into_tail(tenant, from)?.into_iter(),
-            base_processed,
-        })
-    }
-
-    /// The stream's base: the detector `processed` counter record seq 0
-    /// corresponds to.
-    pub fn base_processed(&self) -> u64 {
-        self.base_processed
-    }
-
-    /// Records remaining.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// `true` when no records remain.
-    pub fn is_empty(&self) -> bool {
-        self.records.len() == 0
-    }
-}
-
-impl Iterator for WalSource {
-    type Item = StreamRecord;
-
-    fn next(&mut self) -> Option<StreamRecord> {
-        let (seq, point) = self.records.next()?;
-        Some(StreamRecord::new(seq, point))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.records.size_hint()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -729,7 +667,7 @@ mod tests {
     }
 
     #[test]
-    fn wal_source_replays_as_point_stream() {
+    fn read_wal_from_yields_one_tenants_records_and_reads_absence_as_empty() {
         let records: Vec<(&str, u64, DataPoint)> = (0..12)
             .map(|i| {
                 (
@@ -740,26 +678,21 @@ mod tests {
             })
             .collect();
         let dir = log_dir(
-            "walsrc",
+            "walread",
             &[segment(&[anchor("a", 9, 0), anchor("b", 0, 0)], &records)],
         );
-        let src = WalSource::open(&dir, &tid("a")).unwrap();
-        assert_eq!(src.base_processed(), 9);
-        assert_eq!(src.len(), 6);
-        fn consume(stream: impl Iterator<Item = StreamRecord>) -> Vec<StreamRecord> {
-            stream.collect()
-        }
-        let recs = consume(src);
-        for (i, r) in recs.iter().enumerate() {
-            assert_eq!(r.seq, i as u64);
+        let recs = read_wal_from(&dir, &tid("a"), 0).unwrap();
+        assert_eq!(recs.len(), 6);
+        for (i, (seq, point)) in recs.iter().enumerate() {
+            assert_eq!(*seq, i as u64);
             assert_eq!(
-                r.point.values()[0].to_bits(),
+                point.values()[0].to_bits(),
                 (2.0 * i as f64 * 0.25).to_bits()
             );
         }
-        // A tenant with no stream, or a missing dir, is an empty stream.
-        assert!(WalSource::open(&dir, &tid("c")).unwrap().is_empty());
-        assert!(WalSource::open(dir.join("nope"), &tid("a"))
+        // A tenant with no stream, or a missing dir, reads as empty.
+        assert!(read_wal_from(&dir, &tid("c"), 0).unwrap().is_empty());
+        assert!(read_wal_from(&dir.join("nope"), &tid("a"), 0)
             .unwrap()
             .is_empty());
         let _ = std::fs::remove_dir_all(&dir);

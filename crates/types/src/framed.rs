@@ -322,11 +322,6 @@ impl SegmentWriter {
         self.number
     }
 
-    /// Byte length of the active segment known to be on stable storage.
-    pub fn synced_len(&self) -> u64 {
-        self.synced_len
-    }
-
     /// `true` when everything written is on stable storage.
     pub fn is_synced(&self) -> bool {
         self.synced_len == self.len
@@ -337,7 +332,8 @@ impl SegmentWriter {
         self.syncs
     }
 
-    /// The active segment's file, for a caller that injects crash damage.
+    /// The active segment's file, for a test that swaps in one whose writes
+    /// or syncs fail.
     pub fn file_mut(&mut self) -> &mut File {
         &mut self.file
     }

@@ -4,10 +4,10 @@
 //! labels each point of a high-dimensional data stream as a regular point or
 //! a *projected outlier* — a point that is abnormal inside some
 //! low-dimensional projection of the attribute space. This crate holds the
-//! vocabulary types for that task: [`DataPoint`], [`StreamRecord`],
-//! [`Label`], domain [`bounds::DomainBounds`], the [`StreamDetector`] trait
-//! implemented by SPOT and by every baseline detector, numeric helpers, and
-//! a fast non-cryptographic hasher used by the hot cell stores.
+//! vocabulary types for that task: [`DataPoint`], [`Label`], domain
+//! [`bounds::DomainBounds`], the [`StreamDetector`] trait implemented by SPOT
+//! and by every baseline detector, numeric helpers, and a fast
+//! non-cryptographic hasher used by the hot cell stores.
 
 pub mod bounds;
 pub mod error;
@@ -24,7 +24,7 @@ pub use error::{Result, SpotError};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use label::{AnomalyInfo, Label};
 pub use persist::{DurableState, PersistError, StateReader, StateWriter};
-pub use point::{admit_row, DataPoint, LabeledRecord, StreamRecord};
+pub use point::{admit_row, DataPoint, LabeledRecord};
 pub use tenant::TenantId;
 
 /// Verdict produced by a generic stream detector for a single point.

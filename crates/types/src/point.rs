@@ -96,25 +96,6 @@ pub fn admit_row(row: &[f64], phi: usize) -> Result<()> {
     }
 }
 
-/// A point together with its arrival position in the stream.
-///
-/// `seq` doubles as the logical timestamp under SPOT's default
-/// one-tick-per-point clock.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamRecord {
-    /// Arrival sequence number (0-based).
-    pub seq: u64,
-    /// The point itself.
-    pub point: DataPoint,
-}
-
-impl StreamRecord {
-    /// Creates a record.
-    pub fn new(seq: u64, point: DataPoint) -> Self {
-        StreamRecord { seq, point }
-    }
-}
-
 /// A stream record carrying ground truth, produced by the generators in
 /// `spot-data` and consumed by the evaluation harness.
 #[derive(Debug, Clone, PartialEq)]
